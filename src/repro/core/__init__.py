@@ -15,7 +15,6 @@ lock-free optimistic concurrency control (paper section 3.4).
   (Figures 9 and 13).
 """
 
-from repro.core.capacity_index import CapacityIndex
 from repro.core.cellstate import CellSnapshot, CellState, OvercommitError
 from repro.core.placement import randomized_first_fit
 from repro.core.preemption import (
@@ -35,7 +34,6 @@ from repro.core.transaction import (
 )
 
 __all__ = [
-    "CapacityIndex",
     "CellState",
     "CellSnapshot",
     "OvercommitError",

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.analysis import sanitizer as _san
 from repro.cluster import Cell
-from repro.core.capacity_index import CapacityIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (transaction -> cellstate)
     from repro.core.transaction import Claim
@@ -36,11 +35,6 @@ EPSILON = 1e-9
 #: A snapshot that fell further behind than this resyncs with a full
 #: copy instead of a delta (see :meth:`CellSnapshot.resync`).
 DEFAULT_CHANGELOG_CAPACITY = 4096
-
-#: Transactions smaller than this apply claims through the scalar
-#: :meth:`CellState.claim` loop inside :meth:`CellState.claim_batch`:
-#: below it, array setup costs more than it saves.
-MIN_BATCH_CLAIMS = 8
 
 
 class OvercommitError(RuntimeError):
@@ -77,7 +71,6 @@ class CellSnapshot:
         "time",
         "version",
         "_local_dirty",
-        "_index",
     )
 
     def __init__(
@@ -95,20 +88,10 @@ class CellSnapshot:
         #: Master :attr:`CellState.version` this snapshot reflects.
         self.version = version
         self._local_dirty: set[int] = set()
-        self._index: CapacityIndex | None = None
 
     @property
     def num_machines(self) -> int:
         return self.free_cpu.shape[0]
-
-    def capacity_index(self) -> CapacityIndex:
-        """The snapshot's free-capacity bucket index, built lazily on
-        first use and maintained incrementally by :meth:`resync` /
-        :meth:`note_local_write` afterwards (see
-        :mod:`repro.core.capacity_index`)."""
-        if self._index is None:
-            self._index = CapacityIndex(self.free_cpu, self.free_mem)
-        return self._index
 
     def note_local_write(self, machine: int) -> None:
         """Record that the holder mutated ``machine`` in this snapshot.
@@ -116,18 +99,12 @@ class CellSnapshot:
         Planning scratch-writes (e.g. hot-machine masking) are invisible
         to the master's changelog; registering them here makes
         :meth:`resync` restore those machines from the master copy even
-        when the master itself did not touch them. Call *after* the
-        mutation: the capacity index re-buckets the machine from the
-        arrays' current values.
+        when the master itself did not touch them.
         """
         if _san.ACTIVE is not None:
             _san.ACTIVE.on_snapshot_mutation(self)
         machine = int(machine)
         self._local_dirty.add(machine)
-        if self._index is not None:
-            self._index.update_one(
-                machine, float(self.free_cpu[machine]) + float(self.free_mem[machine])
-            )
 
     def resync(self, state: "CellState", time: float | None = None) -> "CellSnapshot":
         """Refresh this snapshot to the master's current state, in place.
@@ -171,10 +148,6 @@ class CellSnapshot:
                 self.free_cpu[index] = state.free_cpu[index]
                 self.free_mem[index] = state.free_mem[index]
                 self.seq[index] = state.seq[index]
-                if self._index is not None:
-                    self._index.update_many(
-                        index, self.free_cpu[index] + self.free_mem[index]
-                    )
         self._local_dirty.clear()
         self.version = state.version
         return self
@@ -183,8 +156,6 @@ class CellSnapshot:
         np.copyto(self.free_cpu, state.free_cpu)
         np.copyto(self.free_mem, state.free_mem)
         np.copyto(self.seq, state.seq)
-        # Cheaper to rebuild lazily than to diff every machine.
-        self._index = None
 
 
 class CellState:
@@ -217,7 +188,6 @@ class CellState:
         #: ``version - v <= len(changelog)``.
         self.version = 0
         self._changelog: deque[int] = deque(maxlen=changelog_capacity)
-        self._index: CapacityIndex | None = None
 
     # ------------------------------------------------------------------
     # Reads
@@ -260,15 +230,6 @@ class CellState:
             time,
             version=self.version,
         )
-
-    def capacity_index(self) -> CapacityIndex:
-        """The master's free-capacity bucket index, built lazily on
-        first use and then kept in sync by every claim/release (see
-        :mod:`repro.core.capacity_index`). Until someone asks for it,
-        mutations pay nothing."""
-        if self._index is None:
-            self._index = CapacityIndex(self.free_cpu, self.free_mem)
-        return self._index
 
     def fits(self, machine: int, cpu: float, mem: float, count: int = 1) -> bool:
         """Whether ``count`` tasks of the given size fit on ``machine`` now."""
@@ -352,96 +313,16 @@ class CellState:
         self.seq[machine] += 1
         self._touch(machine)
 
-    def claim_batch(
-        self,
-        claims: "Sequence[Claim]",
-        _arrays: tuple | None = None,
-    ) -> None:
-        """Allocate every claim's resources in one vectorized pass.
+    def claim_batch(self, claims: "Sequence[Claim]") -> None:
+        """Allocate every claim's resources, in order.
 
-        Byte-identical to calling :meth:`claim` for each claim in order
-        (property-tested in ``tests/core/test_kernel_equivalence.py``):
-        the same EPSILON fit checks, clamping, sequential used-total
-        accumulation, per-claim sanitizer hooks, sequence bumps, and
-        changelog entries — just applied through array scatter updates.
-        Falls back to the scalar loop for small transactions, duplicate
-        machines (where scatter updates would lose writes), or any
-        claim that does not fit (so partial application before an
-        :class:`OvercommitError` matches the scalar walk exactly).
-
-        ``_arrays`` is an internal fast path for ``commit``: a
-        ``(machines, counts, total_cpu, total_mem)`` tuple already
-        derived from ``claims``, so validation can skip rebuilding the
-        arrays from the claim objects.
+        One :meth:`claim` per claim: a claim that does not fit raises
+        :class:`OvercommitError` with the claims before it applied.
         """
-        num_claims = len(claims)
-        if num_claims == 0:
-            return
-        if _arrays is not None:
-            machines, counts, total_cpu, total_mem = _arrays
-        else:
-            machines = np.array(
-                [claim.machine for claim in claims], dtype=np.intp
-            )
-        if num_claims < MIN_BATCH_CLAIMS or len(set(machines.tolist())) != num_claims:
-            for claim in claims:
-                self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
-            return
-        if _arrays is None:
-            counts = np.array([claim.count for claim in claims], dtype=np.int64)
-            total_cpu = (
-                np.array([claim.cpu for claim in claims], dtype=float) * counts
-            )
-            total_mem = (
-                np.array([claim.mem for claim in claims], dtype=float) * counts
-            )
-        have_cpu = self.free_cpu[machines]
-        have_mem = self.free_mem[machines]
-        if (
-            (counts < 1).any()
-            or (have_cpu + EPSILON < total_cpu).any()
-            or (have_mem + EPSILON < total_mem).any()
-        ):
-            # Replicate the scalar walk: apply claims up to the first
-            # offender, then raise its ValueError/OvercommitError.
-            for claim in claims:
-                self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
-            return
-        if _san.ACTIVE is not None:
-            # Hooks fire before any mutation; with unique machines the
-            # shadow replay sees exactly what an interleaved
-            # hook-then-mutate sequence would.
-            for claim in claims:
-                _san.ACTIVE.on_master_write(
-                    self, "claim", claim.machine, claim.cpu, claim.mem, claim.count
-                )
-        new_free_cpu = have_cpu - total_cpu
-        new_free_mem = have_mem - total_mem
-        # Same dust clamp as claim(): only strictly-negative values are
-        # rewritten, so an exact 0.0 keeps its bit pattern.
-        new_free_cpu[new_free_cpu < 0.0] = 0.0
-        new_free_mem[new_free_mem < 0.0] = 0.0
-        self.free_cpu[machines] = new_free_cpu
-        self.free_mem[machines] = new_free_mem
-        # Sequential accumulation, not np.sum: pairwise summation would
-        # produce a (tiny but gate-visible) different float than the
-        # scalar loop's one-at-a-time adds.
-        for value in total_cpu.tolist():
-            self._used_cpu += value
-        for value in total_mem.tolist():
-            self._used_mem += value
-        self.seq[machines] += 1
-        self.version += num_claims
-        self._changelog.extend(machines.tolist())
-        if self._index is not None:
-            # The scatter above made new_free_* the live values.
-            self._index.update_many(machines, new_free_cpu + new_free_mem)
+        for claim in claims:
+            self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
 
     def _touch(self, machine: int) -> None:
         """Record one mutation of ``machine`` in the bounded changelog."""
         self.version += 1
         self._changelog.append(int(machine))
-        if self._index is not None:
-            self._index.update_one(
-                machine, float(self.free_cpu[machine]) + float(self.free_mem[machine])
-            )

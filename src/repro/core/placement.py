@@ -24,9 +24,6 @@ Kernel layout (the paper-scale rewrite, ROADMAP item 1):
 * :func:`_pack` is a cumulative-capacity formulation: per-machine task
   limits from ``floor_divide``, ``cumsum``, and ``searchsorted`` for
   the machine where the job's demand is exhausted.
-* :func:`best_fit`/:func:`worst_fit` accept a
-  :class:`~repro.core.capacity_index.CapacityIndex` and scan its
-  buckets instead of sorting all candidates per call.
 
 Each vectorized kernel has a retained scalar reference
 (:func:`_pack_reference`, :func:`randomized_first_fit_reference`,
@@ -41,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.capacity_index import CapacityIndex, bucket_of
 from repro.core.cellstate import EPSILON
 from repro.core.transaction import Claim
 
@@ -275,7 +271,6 @@ def _ordered_fit(
     num_tasks: int,
     rng: np.random.Generator,
     descending_free: bool,
-    index: CapacityIndex | None = None,
 ) -> list[Claim]:
     """First fit over candidates ordered by free capacity.
 
@@ -284,45 +279,17 @@ def _ordered_fit(
     capacity are visited in machine-id order, so the result is a pure
     function of the free arrays. ``rng`` is unused but kept so all
     placement strategies share one signature.
-
-    With a :class:`~repro.core.capacity_index.CapacityIndex`, the scan
-    walks capacity buckets in order and sorts only the buckets it
-    touches — sublinear per placement on large cells. Both paths visit
-    machines in the identical global ``(free capacity, machine id)``
-    order (see the index's determinism contract).
     """
     del rng  # deterministic tie-break: (free capacity, machine id)
     _validate(cpu, mem, num_tasks)
-    if index is None:
-        candidates = np.flatnonzero(
-            (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
-        )
-        if candidates.size == 0:
-            return []
-        keys = free_cpu[candidates] + free_mem[candidates]
-        order = np.lexsort((candidates, -keys if descending_free else keys))
-        return _pack(candidates[order], free_cpu, free_mem, cpu, mem, num_tasks)
-    # A machine needs free_cpu >= cpu - EPSILON and free_mem >= mem -
-    # EPSILON, so its capacity key is at least cpu + mem - 2*EPSILON;
-    # buckets entirely below that can never hold a feasible machine.
-    start_bucket = bucket_of(max(cpu + mem - 2.0 * EPSILON, 0.0))
-    claims: list[Claim] = []
-    remaining = num_tasks
-    for members in index.scan(ascending=not descending_free, start_bucket=start_bucket):
-        feasible = members[
-            (free_cpu[members] + EPSILON >= cpu)
-            & (free_mem[members] + EPSILON >= mem)
-        ]
-        if feasible.size == 0:
-            continue
-        keys = free_cpu[feasible] + free_mem[feasible]
-        order = np.lexsort((feasible, -keys if descending_free else keys))
-        packed = _pack(feasible[order], free_cpu, free_mem, cpu, mem, remaining)
-        claims.extend(packed)
-        remaining -= sum(claim.count for claim in packed)
-        if remaining == 0:
-            break
-    return claims
+    candidates = np.flatnonzero(
+        (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
+    )
+    if candidates.size == 0:
+        return []
+    keys = free_cpu[candidates] + free_mem[candidates]
+    order = np.lexsort((candidates, -keys if descending_free else keys))
+    return _pack(candidates[order], free_cpu, free_mem, cpu, mem, num_tasks)
 
 
 def _ordered_fit_reference(
@@ -355,11 +322,10 @@ def best_fit(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-    index: CapacityIndex | None = None,
 ) -> list[Claim]:
     """Pack the fullest feasible machines first (tight packing;
     concurrent schedulers collide often)."""
-    return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, False, index)
+    return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, False)
 
 
 def worst_fit(
@@ -369,11 +335,10 @@ def worst_fit(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-    index: CapacityIndex | None = None,
 ) -> list[Claim]:
     """Fill the emptiest machines first (load spreading; concurrent
     schedulers naturally steer apart)."""
-    return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, True, index)
+    return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, True)
 
 
 def steered_placement(
@@ -406,9 +371,7 @@ def steered_placement(
 
     Composes with every registered strategy: the mask goes through
     :meth:`~repro.core.cellstate.CellSnapshot.note_local_write`, so the
-    capacity index used by the ordered-fit kernels re-buckets the
-    masked machines on the way in and back out, and the next resync
-    restores them from the master copy.
+    next resync restores the masked machines from the master copy.
     """
     free_cpu = snapshot.free_cpu
     free_mem = snapshot.free_mem
@@ -454,9 +417,6 @@ PLACEMENT_STRATEGIES: dict[str, Callable] = {
     "worst-fit": worst_fit,
 }
 
-#: Strategies that accept (and profit from) a snapshot's capacity index.
-_INDEXED_STRATEGIES = frozenset({"best-fit", "worst-fit"})
-
 
 def placement_fn(strategy: str):
     """A :data:`repro.core.scheduler.PlacementFn` for a named strategy."""
@@ -467,10 +427,8 @@ def placement_fn(strategy: str):
             f"unknown placement strategy {strategy!r}; "
             f"choose from {sorted(PLACEMENT_STRATEGIES)}"
         ) from None
-    indexed = strategy in _INDEXED_STRATEGIES
 
     def placement(snapshot, job, rng):
-        kwargs = {"index": snapshot.capacity_index()} if indexed else {}
         return fit(
             snapshot.free_cpu,
             snapshot.free_mem,
@@ -478,7 +436,6 @@ def placement_fn(strategy: str):
             job.mem_per_task,
             job.unplaced_tasks,
             rng,
-            **kwargs,
         )
 
     return placement

@@ -270,9 +270,8 @@ class OmegaScheduler(QueueScheduler):
     def _observe_conflict(self, machine: int, tasks: int, cause: str) -> None:
         """Commit's ``on_conflict`` hook: feed the contention model.
 
-        Called machine-by-machine from the batched ``_batch_validate``
-        masks at exactly the points the ``txn.conflict`` trace events
-        fire, on the simulated clock."""
+        Called machine-by-machine at exactly the points the
+        ``txn.conflict`` trace events fire, on the simulated clock."""
         self.predictor.observe_conflict(machine, tasks, cause, self.sim.now)
 
     def _abort_attempt(self, job: Job) -> None:

@@ -23,10 +23,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from repro.analysis import sanitizer as _san
-from repro.core.cellstate import EPSILON, MIN_BATCH_CLAIMS, CellSnapshot, CellState
+from repro.core.cellstate import EPSILON, CellSnapshot, CellState
 from repro.obs import recorder as _obs
 
 
@@ -101,45 +99,6 @@ def _acceptable_count(state: CellState, claim: Claim) -> int:
     return min(claim.count, *per_task_limits)
 
 
-def _batch_validate(
-    state: CellState,
-    claims: list[Claim] | tuple[Claim, ...],
-    snapshot: CellSnapshot,
-    coarse: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Claim arrays, stale-sequence flags and acceptable counts at once.
-
-    Array formulation of the per-claim ``seq`` comparison and
-    :func:`_acceptable_count`: ``np.floor_divide`` is the same ufunc the
-    scalar ``//`` dispatches to on a ``np.float64``, so each element is
-    bit-identical to the scalar walk. Zero-resource dimensions
-    contribute an infinite limit, mirroring the scalar skip. The
-    machines/counts/demand arrays are returned too so the all-accept
-    fast path can hand them straight to ``claim_batch`` without
-    rebuilding them from the claim objects.
-    """
-    num_claims = len(claims)
-    machines = np.array([claim.machine for claim in claims], dtype=np.intp)
-    counts = np.array([claim.count for claim in claims], dtype=np.int64)
-    cpus = np.array([claim.cpu for claim in claims], dtype=float)
-    mems = np.array([claim.mem for claim in claims], dtype=float)
-    stale = (state.seq[machines] != snapshot.seq[machines]) if coarse else None
-    limits = counts.astype(np.float64)
-    for demand, free in ((cpus, state.free_cpu), (mems, state.free_mem)):
-        requested = demand > 0.0
-        if requested.all():
-            np.minimum(
-                limits, np.floor_divide(free[machines] + EPSILON, demand), out=limits
-            )
-        elif requested.any():
-            quotient = np.full(num_claims, np.inf)
-            quotient[requested] = np.floor_divide(
-                free[machines[requested]] + EPSILON, demand[requested]
-            )
-            np.minimum(limits, quotient, out=limits)
-    return machines, counts, cpus, mems, stale, limits.astype(np.int64)
-
-
 def commit(
     state: CellState,
     claims: list[Claim] | tuple[Claim, ...],
@@ -161,11 +120,8 @@ def commit(
     ``on_conflict`` is the conflict-predictor feed (see
     :mod:`repro.faults.predictor`): called as ``(machine, tasks,
     cause)`` for every fine-grained rejection, at exactly the points the
-    ``txn.conflict`` trace events fire — machine-by-machine from the
-    batched ``_batch_validate`` masks on the array path, and from the
-    scalar checks below the batch threshold — but independent of
-    whether tracing is enabled. ``None`` (the default) leaves the
-    commit path byte-identical to the hook-free kernel.
+    ``txn.conflict`` trace events fire, but independent of whether
+    tracing is enabled.
     """
     if not claims:
         return CommitResult(accepted=(), rejected=())
@@ -188,39 +144,9 @@ def commit(
     accepted: list[Claim] = []
     rejected: list[Claim] = []
 
-    # Validation reads only pre-commit state (the apply pass below is
-    # fully separate), so for large transactions the stale-sequence
-    # flags and acceptable counts can be computed for every claim in
-    # one array pass; the decision loop itself stays scalar to keep the
-    # accept/reject order and trace events identical to the per-claim
-    # walk. Small transactions skip the array setup entirely.
-    coarse = conflict_mode is ConflictMode.COARSE
-    stale_flags = ok_counts = apply_arrays = None
-    if len(claims) >= MIN_BATCH_CLAIMS:
-        machines, counts, cpus, mems, stale, oks = _batch_validate(
-            state, claims, snapshot, coarse
-        )
-        if (stale is None or not stale.any()) and bool(np.all(oks >= counts)):
-            # Every claim accepted in full: the decision loop would do
-            # nothing but append (and emit no per-claim trace events),
-            # so skip it and reuse the validated arrays for the apply.
-            accepted = list(claims)
-            apply_arrays = (machines, counts, cpus * counts, mems * counts)
-        else:
-            stale_flags = stale.tolist() if coarse else None
-            ok_counts = oks.tolist()
-
-    # In batch mode the decision loop also records (position, granted)
-    # pairs so the apply arrays can be sliced from the validated arrays
-    # instead of rebuilt from the accepted claim objects.
-    granted: list[tuple[int, int]] | None = (
-        [] if ok_counts is not None else None
-    )
-    for position, claim in enumerate(() if apply_arrays is not None else claims):
-        if coarse and (
-            stale_flags[position]
-            if stale_flags is not None
-            else state.seq[claim.machine] != snapshot.seq[claim.machine]
+    for claim in claims:
+        if conflict_mode is ConflictMode.COARSE and (
+            state.seq[claim.machine] != snapshot.seq[claim.machine]
         ):
             # Coarse-grained: any change to the machine since sync is a
             # conflict, even if the claim would still fit.
@@ -235,20 +161,12 @@ def commit(
                     cause="stale_sequence",
                 )
             continue
-        ok = (
-            ok_counts[position]
-            if ok_counts is not None
-            else _acceptable_count(state, claim)
-        )
+        ok = _acceptable_count(state, claim)
         if ok >= claim.count:
             accepted.append(claim)
-            if granted is not None:
-                granted.append((position, claim.count))
         elif ok > 0 and commit_mode is CommitMode.INCREMENTAL:
             accepted.append(replace(claim, count=ok))
             rejected.append(replace(claim, count=claim.count - ok))
-            if granted is not None:
-                granted.append((position, ok))
             if on_conflict is not None:
                 on_conflict(claim.machine, claim.count - ok, "partial_capacity")
             if tracing:
@@ -282,123 +200,11 @@ def commit(
             )
         return CommitResult(accepted=(), rejected=tuple(claims))
 
-    if granted is not None and len(accepted) >= MIN_BATCH_CLAIMS:
-        positions = np.array([g[0] for g in granted], dtype=np.intp)
-        grants = np.array([g[1] for g in granted], dtype=np.int64)
-        apply_arrays = (
-            machines[positions],
-            grants,
-            cpus[positions] * grants,
-            mems[positions] * grants,
-        )
-
     if san is None:
-        state.claim_batch(accepted, _arrays=apply_arrays)
+        state.claim_batch(accepted)
     else:
         with san.scope("commit"):
-            state.claim_batch(accepted, _arrays=apply_arrays)
-        san.end_commit(state, snapshot, accepted)
-    result = CommitResult(accepted=tuple(accepted), rejected=tuple(rejected))
-    if tracing:
-        rec.event(
-            "txn.commit",
-            accepted=result.accepted_tasks,
-            rejected=result.rejected_tasks,
-            conflicted=result.conflicted,
-        )
-    return result
-
-
-def commit_reference(
-    state: CellState,
-    claims: list[Claim] | tuple[Claim, ...],
-    snapshot: CellSnapshot,
-    conflict_mode: ConflictMode = ConflictMode.FINE,
-    commit_mode: CommitMode = CommitMode.INCREMENTAL,
-) -> CommitResult:
-    """Retained scalar reference for :func:`commit`.
-
-    The pre-vectorization per-claim walk, kept verbatim (same sanitizer
-    hooks and trace events) so the differential property tests in
-    ``tests/core/test_kernel_equivalence.py`` and the ``commit_batch``
-    benchmark can compare the batched path against it on identical
-    states.
-    """
-    if not claims:
-        return CommitResult(accepted=(), rejected=())
-
-    san = _san.ACTIVE
-    if san is not None:
-        san.begin_commit(state, snapshot, claims)
-
-    rec = _obs.RECORDER
-    tracing = rec.enabled
-    if tracing:
-        rec.event(
-            "txn.validate",
-            claims=len(claims),
-            tasks=sum(claim.count for claim in claims),
-            conflict_mode=conflict_mode.value,
-            commit_mode=commit_mode.value,
-        )
-
-    accepted: list[Claim] = []
-    rejected: list[Claim] = []
-
-    for claim in claims:
-        if conflict_mode is ConflictMode.COARSE and (
-            state.seq[claim.machine] != snapshot.seq[claim.machine]
-        ):
-            rejected.append(claim)
-            if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count,
-                    cause="stale_sequence",
-                )
-            continue
-        ok = _acceptable_count(state, claim)
-        if ok >= claim.count:
-            accepted.append(claim)
-        elif ok > 0 and commit_mode is CommitMode.INCREMENTAL:
-            accepted.append(replace(claim, count=ok))
-            rejected.append(replace(claim, count=claim.count - ok))
-            if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count - ok,
-                    cause="partial_capacity",
-                )
-        else:
-            rejected.append(claim)
-            if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count,
-                    cause="capacity",
-                )
-
-    if commit_mode is CommitMode.ALL_OR_NOTHING and rejected:
-        if tracing:
-            rec.event(
-                "txn.commit",
-                accepted=0,
-                rejected=sum(claim.count for claim in claims),
-                conflicted=True,
-                gang_aborted=True,
-            )
-        return CommitResult(accepted=(), rejected=tuple(claims))
-
-    if san is None:
-        for claim in accepted:
-            state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
-    else:
-        with san.scope("commit"):
-            for claim in accepted:
-                state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
+            state.claim_batch(accepted)
         san.end_commit(state, snapshot, accepted)
     result = CommitResult(accepted=tuple(accepted), rejected=tuple(rejected))
     if tracing:

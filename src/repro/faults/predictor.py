@@ -11,9 +11,9 @@ predictor for one Omega scheduler:
 
 * **Contention scores.** Every fine-grained conflict event emitted by
   :func:`repro.core.transaction.commit` (stale-sequence and capacity
-  rejections, fed machine-by-machine from the batched
-  ``_batch_validate`` masks via the ``on_conflict`` hook) bumps an
-  exponentially-decayed per-machine score on the *simulated* clock.
+  rejections, fed machine-by-machine via the ``on_conflict`` hook)
+  bumps an exponentially-decayed per-machine score on the *simulated*
+  clock.
 * **Hotness view.** :meth:`hot_machines` exposes the top-K machines
   whose decayed score clears a threshold; placement consults it to
   steer :func:`~repro.core.placement.randomized_first_fit` and the

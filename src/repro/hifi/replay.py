@@ -24,6 +24,7 @@ from repro.core.multi import SchedulerPool
 from repro.core.preemption import AllocationLedger
 from repro.core.scheduler import OmegaScheduler
 from repro.core.transaction import CommitMode, ConflictMode
+from repro.faults.invariants import CellStateInvariantChecker
 from repro.hifi.constraints import AttributeIndex
 from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
@@ -185,6 +186,17 @@ class HighFidelitySimulation:
             self.pool.submit(job)
         else:
             self.service.submit(job)
+
+    def check_invariants(self) -> list[str]:
+        """Post-run invariant gate over the cell state (and the
+        allocation ledger, when machine failures are on).
+
+        Raises :class:`repro.faults.InvariantViolation` on any
+        inconsistency; returns the (empty) violation list otherwise.
+        """
+        return CellStateInvariantChecker([self.state], ledger=self.ledger).check(
+            self.sim.now
+        )
 
     def run(self) -> HighFidelityResult:
         if not self._built:

@@ -167,14 +167,19 @@ class MetricsCollector:
         self._counter("sched.busy_seconds", scheduler).inc(end - start)
         metrics = self.schedulers[scheduler]
         cursor = start
+        # Step the bucket rather than recompute it from the cursor: a
+        # boundary ``(b + 1) * period`` that is not exactly representable
+        # can floor-divide back into bucket ``b``, and the loop would
+        # never advance.
+        bucket = self._bucket(start)
         while cursor < end:
-            bucket = self._bucket(cursor)
-            bucket_end = (bucket + 1) * self.period
-            chunk_end = min(end, bucket_end)
-            metrics.busy_time[bucket] += chunk_end - cursor
-            if not conflict_retry:
-                metrics.busy_time_productive[bucket] += chunk_end - cursor
-            cursor = chunk_end
+            chunk_end = min(end, (bucket + 1) * self.period)
+            if chunk_end > cursor:
+                metrics.busy_time[bucket] += chunk_end - cursor
+                if not conflict_retry:
+                    metrics.busy_time_productive[bucket] += chunk_end - cursor
+                cursor = chunk_end
+            bucket += 1
 
     def record_commit(self, scheduler: str, conflicted: bool, time: float) -> None:
         """Record one transaction attempt and whether it conflicted."""

@@ -1,7 +1,7 @@
 """Curated performance benchmarks and the regression gate behind
 ``omega-sim bench``.
 
-Eight benchmarks cover the hot paths this repository optimises:
+Nine benchmarks cover the hot paths this repository optimises:
 
 ``snapshot_resync``
     Incremental :meth:`repro.core.cellstate.CellSnapshot.resync` against
@@ -15,13 +15,6 @@ Eight benchmarks cover the hot paths this repository optimises:
     The sampled kernel must win by :data:`PLACEMENT_SPEEDUP_FLOOR`
     (:data:`PLACEMENT_SPEEDUP_FLOOR_SMOKE` at smoke sizes — the legacy
     kernel's shuffle cost shrinks with the cell).
-``commit_batch``
-    Large-transaction :func:`repro.core.transaction.commit` (batched
-    validation + ``CellState.claim_batch`` scatter apply) against the
-    retained scalar :func:`~repro.core.transaction.commit_reference`,
-    on identical states and claim schedules; the outcomes must be
-    byte-identical and the batched path must win by
-    :data:`COMMIT_BATCH_SPEEDUP_FLOOR`.
 ``paper_scale``
     An honest paper-scale proof: a Figure-5-style service-decision-time
     sweep on a 10,000-machine cluster-B cell over a multi-day horizon,
@@ -115,15 +108,6 @@ PLACEMENT_SPEEDUP_FLOOR = 5.0
 #: quiet, dipping below 2x when CI shares the core); it is still
 #: enforced so CI catches kernel regressions without the full bench.
 PLACEMENT_SPEEDUP_FLOOR_SMOKE = 1.3
-
-#: Batched commit (array validation + ``claim_batch`` scatter apply)
-#: must beat the retained scalar ``commit_reference`` by this much at
-#: full size.
-COMMIT_BATCH_SPEEDUP_FLOOR = 3.0
-
-#: Commit floor at smoke sizes (observed ~4x at 2,000 machines quiet;
-#: loosened below the full-run floor for headroom on shared CI cores).
-COMMIT_BATCH_SPEEDUP_FLOOR_SMOKE = 2.0
 
 #: Full-mode paper-scale proof: the Figure-5-style sweep must actually
 #: run at the paper's cell size and a multi-day horizon.
@@ -332,96 +316,6 @@ def bench_placement_pack(
             placements / legacy_s if legacy_s > 0 else float("inf")
         ),
         "speedup": legacy_s / wall_s if wall_s > 0 else float("inf"),
-    }
-
-
-# ----------------------------------------------------------------------
-# commit_batch
-# ----------------------------------------------------------------------
-def bench_commit_batch(
-    num_machines: int = 10_000,
-    transactions: int = 200,
-    claims_per_txn: int = 256,
-    hot_machines: int = 256,
-    repeats: int = 3,
-) -> dict:
-    """Large-transaction commit throughput, batched vs scalar reference.
-
-    Builds one deterministic schedule of ``transactions`` transactions
-    (``claims_per_txn`` distinct machines each), then replays it twice
-    against identically-seeded cells: once through :func:`commit`
-    (batched validation + ``claim_batch`` scatter apply) and once
-    through the retained :func:`commit_reference` scalar walk. Every
-    fifth transaction targets a small hot-machine subset with larger
-    claims, so the schedule exercises the partial-accept and
-    capacity-reject paths, not just clean accepts. The private view
-    resyncs before each commit (the real scheduler discipline) but only
-    the commit calls are timed — resync has its own benchmark — and the
-    two replays must produce identical :class:`CommitResult` sequences
-    and bit-identical final cell states.
-    """
-    from repro.core.transaction import Claim, commit, commit_reference
-
-    streams = RandomStreams(3)
-    plan_rng = streams.stream("bench.commit.plan")
-    plans = []
-    for index in range(transactions):
-        if index % 5 == 4:
-            machines = plan_rng.choice(
-                hot_machines, min(claims_per_txn, hot_machines), replace=False
-            )
-            cpu, mem, count = 0.5, 2.0, 4
-        else:
-            machines = plan_rng.choice(num_machines, claims_per_txn, replace=False)
-            cpu, mem, count = 0.05, 0.2, 2
-        plans.append(
-            [Claim(int(m), cpu, mem, count) for m in machines.tolist()]
-        )
-
-    def run(commit_fn):
-        state = CellState(_bench_cell(num_machines))
-        view = state.snapshot(0.0)
-        results = []
-        elapsed = 0.0
-        for claims in plans:
-            view.resync(state)
-            start = time.perf_counter()
-            results.append(commit_fn(state, claims, view))
-            elapsed += time.perf_counter() - start
-        return elapsed, results, state
-
-    batch_s = float("inf")
-    reference_s = float("inf")
-    identical = True
-    for _ in range(max(1, repeats)):
-        elapsed, results, state = run(commit)
-        ref_elapsed, ref_results, ref_state = run(commit_reference)
-        batch_s = min(batch_s, elapsed)
-        reference_s = min(reference_s, ref_elapsed)
-        identical = identical and (
-            results == ref_results
-            and np.array_equal(state.free_cpu, ref_state.free_cpu)
-            and np.array_equal(state.free_mem, ref_state.free_mem)
-            and np.array_equal(state.seq, ref_state.seq)
-            and state.version == ref_state.version
-            and state.used_cpu == ref_state.used_cpu  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
-            and state.used_mem == ref_state.used_mem  # omega-lint: disable=FLT001 -- bit-identity is the claim under test
-        )
-    total_claims = sum(len(plan) for plan in plans)
-    return {
-        "num_machines": num_machines,
-        "transactions": transactions,
-        "claims_per_txn": claims_per_txn,
-        "batch_s": batch_s,
-        "reference_s": reference_s,
-        "batch_claims_per_s": (
-            total_claims / batch_s if batch_s > 0 else float("inf")
-        ),
-        "reference_claims_per_s": (
-            total_claims / reference_s if reference_s > 0 else float("inf")
-        ),
-        "speedup": reference_s / batch_s if batch_s > 0 else float("inf"),
-        "identical_outcomes": bool(identical),
     }
 
 
@@ -1012,10 +906,6 @@ def run_benchmarks(smoke: bool = False, jobs: int = 4) -> dict:
             "placement_pack": bench_placement_pack(
                 num_machines=2_000, placements=40, repeats=2
             ),
-            "commit_batch": bench_commit_batch(
-                num_machines=2_000, transactions=40, hot_machines=128,
-                repeats=2,
-            ),
             "paper_scale": bench_paper_scale(
                 horizon_days=0.02, t_jobs=(1.0,), machines=1_000
             ),
@@ -1041,7 +931,6 @@ def run_benchmarks(smoke: bool = False, jobs: int = 4) -> dict:
         benchmarks = {
             "snapshot_resync": bench_snapshot_resync(),
             "placement_pack": bench_placement_pack(),
-            "commit_batch": bench_commit_batch(),
             "paper_scale": bench_paper_scale(),
             "event_loop": bench_event_loop(),
             "tracing_overhead": bench_tracing_overhead(),
@@ -1103,31 +992,6 @@ def evaluate_expectations(results: dict) -> list[dict]:
             # kernel regression should fail CI, not wait for a full run.
             "enforced": True,
             "reason": "smoke run: smoke-size floor" if smoke else None,
-        }
-    )
-
-    commit_batch = benchmarks["commit_batch"]
-    commit_floor = (
-        COMMIT_BATCH_SPEEDUP_FLOOR_SMOKE if smoke else COMMIT_BATCH_SPEEDUP_FLOOR
-    )
-    expectations.append(
-        {
-            "name": "commit_batch_speedup",
-            "value": commit_batch["speedup"],
-            "floor": commit_floor,
-            "passed": commit_batch["speedup"] >= commit_floor,
-            "enforced": True,
-            "reason": "smoke run: smoke-size floor" if smoke else None,
-        }
-    )
-    expectations.append(
-        {
-            "name": "commit_batch_identical",
-            "value": commit_batch["identical_outcomes"],
-            "floor": True,
-            "passed": bool(commit_batch["identical_outcomes"]),
-            "enforced": True,
-            "reason": None,
         }
     )
 
@@ -1249,7 +1113,6 @@ def evaluate_expectations(results: dict) -> list[dict]:
 _THROUGHPUT_METRICS = {
     "snapshot_resync": ("speedup",),
     "placement_pack": ("placements_per_s", "speedup"),
-    "commit_batch": ("batch_claims_per_s", "speedup"),
     "paper_scale": ("events_per_s",),
     "event_loop": ("events_per_s",),
     "tracing_overhead": ("noop_events_per_s", "active_events_per_s"),
@@ -1330,17 +1193,6 @@ def render_report(results: dict) -> str:
         f"legacy {pack['legacy_placements_per_s']:.0f} -> "
         f"{pack['speedup']:.2f}x "
         f"({pack['num_machines']} machines, {pack['tasks_per_job']} tasks/job)"
-    )
-    commit_batch = results["benchmarks"]["commit_batch"]
-    outcomes = (
-        "identical" if commit_batch["identical_outcomes"] else "DIFFERENT"
-    )
-    lines.append(
-        f"commit_batch: {commit_batch['batch_claims_per_s']:.0f} claims/s vs "
-        f"reference {commit_batch['reference_claims_per_s']:.0f} -> "
-        f"{commit_batch['speedup']:.2f}x, outcomes {outcomes} "
-        f"({commit_batch['num_machines']} machines, "
-        f"{commit_batch['claims_per_txn']} claims/txn)"
     )
     paper = results["benchmarks"]["paper_scale"]
     lines.append(

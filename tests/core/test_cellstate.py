@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState, OvercommitError
+from repro.core.transaction import Claim
 
 
 @pytest.fixture
@@ -62,6 +63,19 @@ class TestClaimRelease:
             state.claim(0, 1.0, 1.0, count=0)
         with pytest.raises(ValueError):
             state.release(0, 1.0, 1.0, count=-1)
+
+    def test_claim_batch_applies_in_order_up_to_the_first_misfit(self, state):
+        claims = [
+            Claim(machine=0, cpu=1.0, mem=2.0, count=2),
+            Claim(machine=0, cpu=1.0, mem=2.0, count=1),  # same machine stacks
+            Claim(machine=1, cpu=5.0, mem=1.0, count=1),  # cannot fit
+            Claim(machine=2, cpu=1.0, mem=1.0, count=1),
+        ]
+        with pytest.raises(OvercommitError, match="machine 1"):
+            state.claim_batch(claims)
+        assert state.free_cpu.tolist() == [1.0, 4.0, 4.0, 4.0]
+        assert state.seq.tolist() == [2, 0, 0, 0]
+        assert state.version == 2
 
 
 class TestSequenceNumbers:

@@ -28,6 +28,18 @@ class TestReplay:
         assert first.busyness("batch") == second.busyness("batch")
         assert first.final_cpu_utilization == second.final_cpu_utilization
 
+    @pytest.mark.parametrize("machine_mtbf", [None, 2 * 3600.0])
+    def test_invariants_hold_after_replay(self, trace, machine_mtbf):
+        simulation = HighFidelitySimulation(
+            HighFidelityConfig(
+                trace=trace, seed=0, machine_mtbf=machine_mtbf, repair_time=300.0
+            )
+        )
+        result = simulation.run()
+        assert result.jobs_scheduled > 0
+        assert (simulation.ledger is not None) == (machine_mtbf is not None)
+        assert simulation.check_invariants() == []
+
     def test_multiple_batch_schedulers(self, trace):
         result = run_hifi(HighFidelityConfig(trace=trace, seed=0, num_batch_schedulers=3))
         assert len(result.batch_scheduler_names) == 3

@@ -2,8 +2,12 @@
 fraction, wait times."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics import MetricsCollector
 from repro.workload.job import JobType
@@ -33,6 +37,49 @@ class TestBusyness:
     def test_exact_multiple_horizon_has_no_empty_bucket(self, collector):
         collector.record_busy("s", 0.0, 100.0)
         assert len(collector.busyness_series("s", 400.0)) == 4
+
+    def test_inexact_period_boundary_terminates(self):
+        """Regression: when ``(b + 1) * period`` rounds to a cursor that
+        ``//`` still puts in bucket ``b``, the split loop used to spin
+        forever. Run out of process so a regression fails, not hangs."""
+        code = (
+            "from repro.metrics import MetricsCollector\n"
+            "p = 1337.1743469265832\n"
+            "c = MetricsCollector(period=p)\n"
+            "c.record_busy('s', 130 * p - 1.0, 130 * p + 1.0)\n"
+            "print(sorted(c.schedulers['s'].busy_time.items()))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[(129, 1.0), (130, 1.0)]"
+
+    @given(
+        period=st.floats(0.01, 1e5),
+        boundary=st.integers(0, 5000),
+        before=st.floats(0.0, 2.0),
+        length=st.floats(0.0, 4.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bucket_busy_times_sum_to_the_interval(
+        self, period, boundary, before, length
+    ):
+        # Intervals that start near (often exactly on) a period boundary
+        # and span up to four of them.
+        start = max(0.0, boundary * period - before * period)
+        end = start + length * period
+        collector = MetricsCollector(period=period)
+        collector.record_busy("s", start, end)
+        busy = collector.schedulers["s"].busy_time
+        assert all(chunk >= 0.0 for chunk in busy.values())
+        assert math.fsum(busy.values()) == pytest.approx(
+            end - start, rel=1e-9, abs=1e-9 * period
+        )
 
     def test_large_horizon_float_precision(self):
         """Regression: horizons where eps(horizon) > 1e-12 used to

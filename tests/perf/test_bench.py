@@ -27,7 +27,6 @@ class TestRunBenchmarks:
         assert set(benchmarks) == {
             "snapshot_resync",
             "placement_pack",
-            "commit_batch",
             "paper_scale",
             "event_loop",
             "tracing_overhead",
@@ -40,10 +39,6 @@ class TestRunBenchmarks:
         assert benchmarks["placement_pack"]["placements_per_s"] > 0
         assert benchmarks["placement_pack"]["legacy_placements_per_s"] > 0
         assert benchmarks["placement_pack"]["speedup"] > 0
-        commit_batch = benchmarks["commit_batch"]
-        assert commit_batch["batch_claims_per_s"] > 0
-        assert commit_batch["reference_claims_per_s"] > 0
-        assert commit_batch["identical_outcomes"] is True
         paper = benchmarks["paper_scale"]
         assert paper["events_processed"] > 0
         assert paper["machines"] > 0
@@ -102,8 +97,6 @@ class TestRunBenchmarks:
         assert names == {
             "resync_speedup",
             "placement_speedup",
-            "commit_batch_speedup",
-            "commit_batch_identical",
             "paper_scale_shape",
             "tracing_noop_throughput",
             "serial_parallel_identical",
@@ -116,13 +109,11 @@ class TestRunBenchmarks:
         # Row identity is enforced even in smoke mode; timing floors are
         # recorded but unenforced at smoke sizes — except the sanitizer
         # off-mode floor (guard cost is size-independent) and the
-        # placement/commit kernel speedups (enforced with smoke-size
-        # floors so CI catches kernel regressions).
+        # placement kernel speedup (enforced with a smoke-size floor so
+        # CI catches kernel regressions).
         assert by_name["serial_parallel_identical"]["enforced"]
         assert by_name["sanitizer_off_throughput"]["enforced"]
         assert by_name["placement_speedup"]["enforced"]
-        assert by_name["commit_batch_speedup"]["enforced"]
-        assert by_name["commit_batch_identical"]["enforced"]
         # The 1-cell federation's per-event overhead is size-independent,
         # so its throughput floor holds even at smoke sizes.
         assert by_name["federation_overhead"]["enforced"]
@@ -136,10 +127,6 @@ class TestRunBenchmarks:
 
     def test_smoke_floors_are_lower_than_full_floors(self):
         assert bench.PLACEMENT_SPEEDUP_FLOOR_SMOKE <= bench.PLACEMENT_SPEEDUP_FLOOR
-        assert (
-            bench.COMMIT_BATCH_SPEEDUP_FLOOR_SMOKE
-            <= bench.COMMIT_BATCH_SPEEDUP_FLOOR
-        )
 
     def test_full_mode_requires_paper_scale_shape(self, smoke_results):
         results = copy.deepcopy(smoke_results)
@@ -193,7 +180,6 @@ class TestGate:
         results["benchmarks"]["snapshot_resync"]["speedup"] = 2.0
         results["benchmarks"]["tracing_overhead"]["noop_throughput_ratio"] = 1.0
         results["benchmarks"]["placement_pack"]["speedup"] = 6.0
-        results["benchmarks"]["commit_batch"]["speedup"] = 4.0
         results["benchmarks"]["paper_scale"]["machines"] = 10_000
         results["benchmarks"]["paper_scale"]["horizon_days"] = 3.0
         results["benchmarks"]["sweep_serial_parallel"]["speedup"] = 1.1
@@ -307,8 +293,31 @@ class TestCompare:
         table = bench.render_compare(smoke_results, new)
         assert "placement_pack.placements_per_s" in table
         assert "+100.0%" in table
-        assert "commit_batch.batch_claims_per_s" in table
         assert "paper_scale.events_per_s" in table
+
+    def test_compare_and_gate_against_pr8_artifact(self, smoke_results):
+        # BENCH_PR8.json still carries the deleted commit_batch
+        # benchmark; a document without it must compare and gate cleanly.
+        from pathlib import Path
+
+        from repro.recovery.artifacts import load_json_artifact
+
+        pr8 = load_json_artifact(
+            Path(__file__).resolve().parents[2] / "BENCH_PR8.json",
+            require=("benchmarks", "machine"),
+        )
+        assert "commit_batch" in pr8["benchmarks"]
+        assert "commit_batch" not in smoke_results["benchmarks"]
+        table = bench.render_compare(pr8, smoke_results)
+        assert "placement_pack.placements_per_s" in table
+        assert "paper_scale.events_per_s" in table
+        assert "commit_batch" not in table
+        # Same machine shape and mode, so the per-metric loop runs.
+        baseline = copy.deepcopy(pr8)
+        baseline["machine"] = smoke_results["machine"]
+        baseline["smoke"] = smoke_results["smoke"]
+        failures = bench.gate(smoke_results, baseline, tolerance=0.25)
+        assert not any("commit_batch" in failure for failure in failures)
 
     def test_render_compare_notes_machine_mismatch(self, smoke_results):
         new = copy.deepcopy(smoke_results)
