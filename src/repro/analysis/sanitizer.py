@@ -27,7 +27,8 @@ isolation guarantees is broken:
 
 Every hook is guarded at the call site by ``ACTIVE is None``, so the
 off mode costs one module-attribute load and an identity test per hook
-(proven ≥ 0.9x plain throughput by the ``sanitizer_overhead`` bench).
+(``tests/analysis/test_sanitizer.py`` asserts the off mode checks
+nothing; every ``bench/`` workload pays the guards in its ``run_s``).
 Violations raise with simulated-time context and a captured stack, and
 emit ``san.*`` trace events when tracing is on.
 

@@ -30,8 +30,8 @@ report.
 
 Performance (see ``docs/PERFORMANCE.md``): sweep commands accept
 ``--jobs N`` to fan independent sweep points across worker processes
-(results are byte-identical to ``--jobs 1``); ``omega-sim bench`` runs
-the curated performance benchmarks and regression gate.
+(results are byte-identical to ``--jobs 1``). How fast the simulator
+runs is measured by ``python bench/run.py``, not by a subcommand.
 
 Recovery (see ``docs/RECOVERY.md``): sweep commands accept
 ``--checkpoint DIR`` to durably log each completed sweep point;
@@ -45,6 +45,7 @@ retried and surface as ``recovery.*`` trace events.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable
@@ -61,7 +62,7 @@ from repro.experiments import omega as omega_experiments
 from repro.experiments import resilience as resilience_experiments
 from repro.experiments import sweep3d, tables, workload_char
 from repro.experiments.common import format_table
-from repro.experiments.io import save_rows
+from repro.experiments.io import check_output_path, save_rows
 from repro.faults.retry import RETRY_POLICIES
 from repro.metrics.ascii_chart import line_chart
 from repro.perf.parallel import resolve_jobs
@@ -657,46 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_lint_arguments(lint_parser)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the curated performance benchmarks and regression gate "
-        "(snapshot resync, placement packing, batched commit, paper-scale "
-        "sweep, event-loop throughput, serial-vs-parallel sweep; see "
-        "docs/PERFORMANCE.md)",
-    )
-    bench_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-scale sizes; timing floors are reported, not enforced",
-    )
-    bench_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker processes for the serial-vs-parallel sweep benchmark",
-    )
-    bench_parser.add_argument(
-        "--output", metavar="FILE", help="write the result JSON to FILE"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="committed baseline JSON to gate against (e.g. BENCH_PR3.json)",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative throughput-regression tolerance vs the baseline",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="compare two saved result JSONs (delta table) instead of "
-        "running benchmarks; exits 2 on corrupt or schema-invalid inputs",
-    )
-
     trace_parser = subparsers.add_parser(
         "trace",
         help="summarize a JSONL trace recorded with --trace: per-scheduler "
@@ -907,6 +868,29 @@ def _make_recovery_context(args: argparse.Namespace) -> RecoveryContext | None:
     return RecoveryContext(store=store, policy=policy, resumed_points=resumed)
 
 
+def _argument_error(args: argparse.Namespace) -> str | None:
+    """Why an experiment command's arguments cannot run, or None.
+
+    Checked before any simulation starts, so a bad value costs one line
+    and exit 2 rather than a traceback — or, for ``--output``, a
+    finished sweep whose rows cannot be saved.
+    """
+    if not 0 < args.scale < math.inf:
+        return f"--scale must be positive and finite, got {args.scale}"
+    if not 0 < args.hours < math.inf:
+        return f"--hours must be positive and finite, got {args.hours}"
+    if args.jobs < 0:
+        return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
+    if args.samples < 1:
+        return f"--samples must be >= 1, got {args.samples}"
+    if args.output:
+        try:
+            check_output_path(args.output)
+        except ValueError as exc:
+            return f"--output {exc}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "lint":
@@ -917,11 +901,11 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_perfetto(args)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "bench":
-        from repro.perf.bench import main_bench
-
-        return main_bench(args)
     command, _ = COMMANDS[args.command]
+    error = _argument_error(args)
+    if error is not None:
+        print(f"omega-sim: {error}", file=sys.stderr)
+        return 2
     timeline_interval = getattr(args, "timeline_interval", None)
     if timeline_interval is not None:
         try:

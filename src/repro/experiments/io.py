@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +31,21 @@ from repro.recovery.artifacts import (
 
 #: Envelope format version, bumped on breaking changes.
 FORMAT_VERSION = 1
+
+
+def check_output_path(path: str | Path) -> None:
+    """Raise a one-line ``ValueError`` if :func:`save_rows` could not
+    write ``path``: unsupported suffix, or a directory that is missing
+    or not writable. The CLI checks before it computes the rows."""
+    path = Path(path)
+    if path.suffix not in (".json", ".csv"):
+        raise ValueError(
+            f"unsupported output format {path.suffix!r}; use .json or .csv"
+        )
+    if not path.parent.is_dir():
+        raise ValueError(f"directory {path.parent} does not exist")
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        raise ValueError(f"directory {path.parent} is not writable")
 
 
 def save_rows(
@@ -45,6 +61,7 @@ def save_rows(
     union of all row keys, in first-seen order).
     """
     path = Path(path)
+    check_output_path(path)
     if path.suffix == ".json":
         envelope = {
             "format_version": FORMAT_VERSION,
@@ -53,7 +70,7 @@ def save_rows(
             "rows": rows,
         }
         write_json_artifact(path, envelope)
-    elif path.suffix == ".csv":
+    else:
         columns: list[str] = []
         for row in rows:
             for key in row:
@@ -64,10 +81,6 @@ def save_rows(
         writer.writeheader()
         writer.writerows(rows)
         atomic_write_text(path, buffer.getvalue())
-    else:
-        raise ValueError(
-            f"unsupported output format {path.suffix!r}; use .json or .csv"
-        )
     return path
 
 

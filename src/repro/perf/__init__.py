@@ -1,4 +1,4 @@
-"""Performance infrastructure: parallel sweep execution and benchmarks.
+"""Performance infrastructure: parallel sweep execution.
 
 The paper's evaluation is a grid of *independent* simulations (Table 2:
 a 24h lightweight run in minutes; Figures 5-14 sweep decision times,
@@ -18,11 +18,9 @@ parallel executions produce byte-identical result tables and — via
 worker-side trace capture and span-renumbered replay — byte-identical
 JSONL traces.
 
-:mod:`repro.perf.bench` is the perf-regression harness behind
-``omega-sim bench``: curated micro/macro benchmarks (snapshot resync,
-placement packing, event-loop throughput, a reduced Figure-5 sweep
-serial vs parallel) written to ``BENCH_*.json`` and gated against a
-committed baseline. See ``docs/PERFORMANCE.md``.
+How fast the simulator itself runs is measured outside the package, by
+the repository benchmark (``python bench/run.py``); see
+``docs/PERFORMANCE.md``.
 """
 
 from repro.perf.parallel import parallel_map, point_seed, resolve_jobs

@@ -1,7 +1,7 @@
 """Atomic, integrity-checked artifact writes and validating loads.
 
 Every result file this repository produces (experiment row tables,
-bench results, checkpoint manifests) goes through one of two writers:
+checkpoint manifests) goes through one of two writers:
 
 * :func:`atomic_write_text` — write to a temp file in the same
   directory, flush, ``fsync``, then ``os.replace`` onto the final

@@ -117,10 +117,15 @@ class Simulator:
         ``until``, or ``max_events`` events have been processed.
 
         Events scheduled exactly at ``until`` still run; the clock never
-        advances past ``until``.
+        advances past ``until``. An ``until`` before ``now`` is rejected
+        as :meth:`at` rejects a past time: the clock never moves backwards.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until t={until} before now={self.now}"
+            )
         self._running = True
         processed = 0
         wall_start = _time.perf_counter()

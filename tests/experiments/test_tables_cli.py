@@ -1,5 +1,7 @@
 """Tests for the Table 1/2 data and the omega-sim CLI."""
 
+import os
+
 import pytest
 
 from repro.experiments.cli import COMMANDS, build_parser, main
@@ -134,3 +136,52 @@ class TestCli:
 
     def test_trace_json_on_missing_file_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path / "absent.jsonl"), "--json"]) == 2
+
+
+class TestBadArgumentsExitTwo:
+    """One line on stderr, exit 2, and no simulation run."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def ran(args):
+            raise AssertionError("the command ran despite bad arguments")
+
+        monkeypatch.setitem(COMMANDS, "fig8", (ran, ""))
+
+    def _rejects(self, capsys, *argv):
+        assert main(["fig8", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("omega-sim: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--jobs", "-1"),
+            ("--scale", "0"),
+            ("--hours", "0"),
+            ("--hours", "nan"),
+            ("--hours", "inf"),
+            ("--samples", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_value(self, capsys, argv):
+        assert argv[0] in self._rejects(capsys, *argv)
+
+    def test_output_directory_missing(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "rows.json"
+        assert "does not exist" in self._rejects(capsys, "--output", str(target))
+
+    def test_output_format_unsupported(self, capsys, tmp_path):
+        target = tmp_path / "rows.txt"
+        assert "use .json or .csv" in self._rejects(capsys, "--output", str(target))
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root can write to a read-only directory")
+    def test_output_directory_read_only(self, capsys, tmp_path):
+        tmp_path.chmod(0o555)
+        try:
+            err = self._rejects(capsys, "--output", str(tmp_path / "rows.json"))
+        finally:
+            tmp_path.chmod(0o755)
+        assert "not writable" in err

@@ -66,6 +66,16 @@ class TestRunControl:
         sim.run()
         assert fired == ["late"]
 
+    def test_run_until_before_now_is_rejected(self, sim):
+        sim.at(10.0, lambda: None)
+        sim.at(20.0, lambda: None)
+        sim.run(until=15.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.at(7.0, lambda: None)
+
     def test_max_events_limits_processing(self, sim):
         fired = []
         for i in range(10):

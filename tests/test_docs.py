@@ -1,0 +1,78 @@
+"""The prose must not outlive the code it describes.
+
+Over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md: every
+``omega-sim <sub>`` names a real subcommand and every ``--flag`` after
+it on that line is one of that subcommand's options, every relative
+markdown link resolves, and every back-ticked path into the tree
+exists (with the tests a ``path::Class::test`` names). CHANGES.md and
+ROADMAP.md are history and plans, and may name things that are gone.
+"""
+
+from __future__ import annotations
+
+import glob
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+DOCS += sorted((ROOT / "docs").glob("*.md"))
+TREE_PREFIXES = ("src/", "tests/", "docs/", "bench/", "benchmarks/", "examples/")
+
+COMMAND = re.compile(r"omega-sim +([a-z][a-z0-9-]*)")
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+BACKTICKED = re.compile(r"`([^`\s]+)`")
+
+#: Subcommand name -> its option strings, read off the real parser.
+OPTIONS = {
+    name: set(sub._option_string_actions)
+    for action in build_parser()._actions
+    if isinstance(action.choices, dict)
+    for name, sub in action.choices.items()
+}
+
+
+def stale_references(path: Path):
+    """Yield one ``file:line: what is wrong`` per reference to something gone."""
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{path.relative_to(ROOT)}:{number}"
+        commands = list(COMMAND.finditer(line))
+        for match, following in zip(commands, commands[1:] + [None]):
+            sub = match.group(1)
+            if sub not in OPTIONS:
+                yield f"{where}: no subcommand `omega-sim {sub}`"
+                continue
+            # Flags up to the next command on the line belong to this one.
+            rest = line[match.end() : following.start() if following else None]
+            for flag in FLAG.findall(rest):
+                if flag not in OPTIONS[sub]:
+                    yield f"{where}: `omega-sim {sub}` has no option {flag}"
+        for target in LINK.findall(line):
+            if re.match(r"[a-z][a-z0-9+.-]*:|#", target):
+                continue  # absolute URL or in-page anchor
+            if not (path.parent / target.split("#", 1)[0]).exists():
+                yield f"{where}: broken link {target}"
+        for token in BACKTICKED.findall(line):
+            if not token.startswith(TREE_PREFIXES):
+                continue
+            # `src/x.py:12` names a file; `tests/x.py::TestY::test_z`
+            # names a file and the definitions to find in it.
+            file_part, *names = re.split(r"::|:\d+$", token)
+            if not glob.glob(str(ROOT / file_part)):
+                yield f"{where}: no such path {file_part}"
+                continue
+            source = (ROOT / file_part).read_text() if names else ""
+            for name in filter(None, names):
+                if not re.search(rf"^\s*(def|class) {name}\b", source, re.M):
+                    yield f"{where}: no {name} in {file_part}"
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_doc_references_exist(path):
+    problems = list(stale_references(path))
+    assert not problems, "\n".join(problems)
