@@ -10,9 +10,7 @@ machine for a cooldown window — and measures the conflict fraction on
 a contention-heavy configuration with the backoff off and on.
 """
 
-from repro.experiments.ablations import backoff_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "cooldown_s",
@@ -25,7 +23,8 @@ COLUMNS = [
 
 def test_ablation_hot_machine_backoff(report):
     rows = report(
-        lambda: backoff_rows(
+        lambda: figure(
+            "ablation-backoff",
             scale=bench_scale(0.2), horizon=bench_horizon(1.0)
         ),
         "Ablation: OCC hot-machine backoff (16 schedulers, 6x load, 75% fill)",

@@ -8,9 +8,7 @@ near-full ones see frequent ones (placement candidate sets shrink, so
 concurrent schedulers pile onto the same machines).
 """
 
-from repro.experiments.ablations import initial_utilization_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "initial_utilization",
@@ -24,7 +22,8 @@ COLUMNS = [
 
 def test_ablation_initial_utilization(report):
     rows = report(
-        lambda: initial_utilization_rows(
+        lambda: figure(
+            "ablation-util",
             scale=bench_scale(0.2), horizon=bench_horizon(1.0)
         ),
         "Ablation: conflict fraction vs standing utilization (16 schedulers, 6x load)",

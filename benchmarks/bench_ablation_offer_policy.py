@@ -12,9 +12,7 @@ longer lock the whole cell, so batch starvation largely disappears —
 at the cost of each framework seeing fewer resources per offer.
 """
 
-from repro.experiments.ablations import offer_policy_rows
-
-from conftest import bench_horizon
+from conftest import bench_horizon, figure
 
 COLUMNS = [
     "offer_policy",
@@ -28,7 +26,7 @@ COLUMNS = [
 
 def test_ablation_fair_share_offers(report):
     rows = report(
-        lambda: offer_policy_rows(horizon=bench_horizon(2.0)),
+        lambda: figure("ablation-offer", horizon=bench_horizon(2.0)),
         "Ablation: Mesos offer-all vs fair-share offers (pathology workload)",
         columns=COLUMNS,
     )

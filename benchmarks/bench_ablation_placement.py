@@ -15,9 +15,7 @@ is exactly why the paper's randomized choice keeps optimistic
 concurrency cheap.
 """
 
-from repro.experiments.ablations import placement_strategy_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "placement_strategy",
@@ -30,7 +28,8 @@ COLUMNS = [
 
 def test_ablation_placement_strategy(report):
     rows = report(
-        lambda: placement_strategy_rows(
+        lambda: figure(
+            "ablation-placement",
             scale=bench_scale(0.2), horizon=bench_horizon(1.0)
         ),
         "Ablation: placement strategy vs conflict fraction",

@@ -13,14 +13,13 @@ jobs evict batch tasks and the victims reschedule), while the headline
 metrics move only modestly.
 """
 
-from repro.experiments.ablations import preemption_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 
 def test_ablation_preemption(report):
     rows = report(
-        lambda: preemption_rows(
+        lambda: figure(
+            "ablation-preemption",
             scale=bench_scale(0.2), horizon=bench_horizon(2.0)
         ),
         "Ablation: service-over-batch preemption on a nearly-full cell",

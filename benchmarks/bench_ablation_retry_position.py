@@ -8,9 +8,7 @@ conflict-heavy configuration: head retries keep conflicted jobs' wait
 profile tight, tail retries trade that for strict FIFO fairness.
 """
 
-from repro.experiments.ablations import retry_position_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "retry_position",
@@ -23,7 +21,8 @@ COLUMNS = [
 
 def test_ablation_retry_position(report):
     rows = report(
-        lambda: retry_position_rows(
+        lambda: figure(
+            "ablation-retry",
             scale=bench_scale(0.2), horizon=bench_horizon(1.0)
         ),
         "Ablation: conflicted-job retry at queue head vs tail",

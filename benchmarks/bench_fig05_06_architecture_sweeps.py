@@ -19,10 +19,7 @@ Paper shapes:
   wait does not grow with t_job(service).
 """
 
-from repro.experiments.monolithic import figure5a_6a_rows, figure5b_6b_rows
-from repro.experiments.omega import figure5c_6c_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 T_JOBS = (0.01, 0.1, 1.0, 10.0, 100.0)
 COLUMNS = [
@@ -53,7 +50,7 @@ def _series(rows, cluster, column):
 
 def test_fig05a_06a_monolithic_single_path(report):
     rows = report(
-        lambda: figure5a_6a_rows(**_kwargs()),
+        lambda: figure("fig5a", **_kwargs()),
         "Figures 5a/6a: monolithic single-path, wait time + busyness",
         columns=COLUMNS,
     )
@@ -68,11 +65,11 @@ def test_fig05a_06a_monolithic_single_path(report):
 
 def test_fig05b_06b_monolithic_multi_path(report):
     rows = report(
-        lambda: figure5b_6b_rows(**_kwargs()),
+        lambda: figure("fig5b", **_kwargs()),
         "Figures 5b/6b: monolithic multi-path, wait time + busyness",
         columns=COLUMNS,
     )
-    single = figure5a_6a_rows(**{**_kwargs(), "t_jobs": (100.0,)})
+    single = figure("fig5a", **{**_kwargs(), "t_jobs": (100.0,)})
     for cluster in "ABC":
         multi_wait = _series(rows, cluster, "wait_batch")[-1]
         single_wait = _series(single, cluster, "wait_batch")[-1]
@@ -85,7 +82,7 @@ def test_fig05b_06b_monolithic_multi_path(report):
 
 def test_fig05c_06c_shared_state(report):
     rows = report(
-        lambda: figure5c_6c_rows(**_kwargs()),
+        lambda: figure("fig5c", **_kwargs()),
         "Figures 5c/6c: shared-state (Omega), wait time + busyness",
         columns=COLUMNS,
     )

@@ -14,9 +14,10 @@ distilled pathology workload where the abandonment mechanism is visible
 within a two-hour horizon.
 """
 
-from repro.experiments.mesos import figure7_rows, pathology_rows
+from repro.experiments.mesos import pathology_points
+from repro.experiments.registry import run_point
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "cluster",
@@ -32,7 +33,8 @@ COLUMNS = [
 
 def test_fig07_mesos_sweep(report):
     rows = report(
-        lambda: figure7_rows(
+        lambda: figure(
+            "fig7",
             t_jobs=(0.01, 0.1, 1.0, 10.0, 100.0),
             clusters=("A", "B", "C"),
             horizon=bench_horizon(1.5),
@@ -51,12 +53,15 @@ def test_fig07_mesos_sweep(report):
 
 def test_fig07c_abandonment_pathology(report):
     rows = report(
-        lambda: pathology_rows(
-            t_jobs=(0.1, 10.0, 100.0),
-            architectures=("mesos", "omega"),
-            horizon=bench_horizon(2.0),
-            attempt_limit=200,
-        ),
+        lambda: [
+            run_point(point)
+            for point in pathology_points(
+                t_jobs=(0.1, 10.0, 100.0),
+                architectures=("mesos", "omega"),
+                horizon=bench_horizon(2.0),
+                attempt_limit=200,
+            )
+        ],
         "Figure 7 (pathology workload): Mesos vs Omega on identical jobs",
         columns=["architecture", "t_job_service", "wait_batch", "busy_batch",
                  "abandoned", "unscheduled_fraction"],

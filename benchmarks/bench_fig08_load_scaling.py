@@ -6,9 +6,9 @@ cluster A saturates around 2.5x the original workload, B around 6x and
 C around 9.5x (the dashed vertical lines).
 """
 
-from repro.experiments.omega import figure8_rows, figure8_saturation_points
+from repro.experiments.omega import figure8_saturation_points
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "cluster",
@@ -24,7 +24,8 @@ COLUMNS = [
 def test_fig08_batch_load_scaling(report, benchmark):
     factors = (1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
     rows = report(
-        lambda: figure8_rows(
+        lambda: figure(
+            "fig8",
             factors=factors,
             clusters=("A", "B", "C"),
             horizon=bench_horizon(1.5),

@@ -8,9 +8,7 @@ scheduling the workload at rates where a single scheduler has long
 saturated.
 """
 
-from repro.experiments.omega import figure9_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "num_batch_schedulers",
@@ -26,10 +24,11 @@ def test_fig09_multi_scheduler_scaling(report):
     counts = (1, 2, 4, 8, 16, 32)
     factors = (1.0, 4.0, 8.0)
     rows = report(
-        lambda: figure9_rows(
+        lambda: figure(
+            "fig9",
             factors=factors,
             scheduler_counts=counts,
-            cluster="B",
+            clusters=("B",),
             horizon=bench_horizon(1.0),
             seed=0,
             scale=bench_scale(0.2),

@@ -10,9 +10,7 @@ over the widest parameter region; the coarse+gang Omega variant sits
 between plain Omega and the rest.
 """
 
-from repro.experiments.sweep3d import figure10_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "scheme",
@@ -27,7 +25,8 @@ COLUMNS = [
 def test_fig10_busyness_surfaces(report):
     scale = bench_scale(0.2)
     rows = report(
-        lambda: figure10_rows(
+        lambda: figure(
+            "fig10",
             t_jobs=(0.1, 10.0, 100.0),
             t_tasks=(0.001, 0.01, 0.1),
             cluster="B",

@@ -7,9 +7,9 @@ well to long decision times for service jobs" — only the extreme corner
 (t_job ~ 100 s or t_task ~ 1 s) pushes busyness up.
 """
 
-from repro.experiments.hifi_perf import figure11_rows, make_trace
+from repro.experiments.hifi_perf import make_trace
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "t_job_service",
@@ -24,7 +24,8 @@ def test_fig11_hifi_service_busyness_surface(report):
     horizon = bench_horizon(2.0)
     trace = make_trace("C", horizon=horizon, seed=0, scale=bench_scale(0.15))
     rows = report(
-        lambda: figure11_rows(
+        lambda: figure(
+            "fig11",
             trace=trace,
             t_jobs=(0.1, 1.0, 10.0, 100.0),
             t_tasks=(0.001, 0.01, 0.1, 1.0),

@@ -10,10 +10,10 @@ well above the no-conflict approximation (the paper reports ~40 %
 higher).
 """
 
-from repro.experiments.hifi_perf import figure12_rows, make_trace
+from repro.experiments.hifi_perf import make_trace
 from repro.experiments.sweeps import WAIT_TIME_SLO
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "t_job_service",
@@ -30,7 +30,8 @@ def test_fig12_hifi_cluster_b(report):
     horizon = bench_horizon(2.0)
     trace = make_trace("B", horizon=horizon, seed=0, scale=bench_scale(0.3))
     rows = report(
-        lambda: figure12_rows(
+        lambda: figure(
+            "fig12",
             trace=trace, t_jobs=(0.1, 1.0, 10.0, 100.0), seed=0
         ),
         "Figure 12: hifi cluster B, varying t_job(service)",

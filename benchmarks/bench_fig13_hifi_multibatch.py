@@ -8,13 +8,12 @@ times) and all schedulers share the work evenly.
 """
 
 from repro.experiments.hifi_perf import (
-    figure13_rows,
     figure13_saturation_shift,
     make_trace,
 )
 from repro.experiments.sweeps import WAIT_TIME_SLO
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "num_batch_schedulers",
@@ -34,7 +33,8 @@ def test_fig13_three_batch_schedulers(report, benchmark):
     )
     t_jobs = (0.5, 1.0, 2.0, 4.0, 8.0, 15.0)
     rows = report(
-        lambda: figure13_rows(
+        lambda: figure(
+            "fig13",
             trace=trace, t_jobs=t_jobs, scheduler_counts=(1, 3), seed=0
         ),
         "Figure 13: 1 vs 3 hifi batch schedulers, varying t_job(batch)",

@@ -8,10 +8,9 @@ conflicts and pushes conflict rate and busyness up by 2-3x. Incremental
 transactions with fine-grained detection should be the default.
 """
 
-from repro.experiments.conflict_modes import figure14_rows
 from repro.experiments.hifi_perf import make_trace
 
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 COLUMNS = [
     "mode",
@@ -27,7 +26,7 @@ def test_fig14_conflict_detection_and_gang(report):
     horizon = bench_horizon(1.5)
     trace = make_trace("C", horizon=horizon, seed=0, scale=bench_scale(0.3))
     rows = report(
-        lambda: figure14_rows(trace=trace, t_jobs=(1.0, 10.0, 60.0), seed=0),
+        lambda: figure("fig14", trace=trace, t_jobs=(1.0, 10.0, 60.0), seed=0),
         "Figure 14: {coarse,fine} x {gang,incremental}",
         columns=COLUMNS,
     )

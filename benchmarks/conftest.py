@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.experiments.common import format_table
+from repro.experiments.registry import EXPERIMENTS, run
 
 
 def bench_scale(default: float) -> float:
@@ -31,6 +32,12 @@ def bench_hours(default: float) -> float:
 
 def bench_horizon(default_hours: float) -> float:
     return bench_hours(default_hours) * 3600.0
+
+
+def figure(name: str, **params) -> list[dict]:
+    """The rows of registered experiment ``name`` — what ``omega-sim
+    NAME`` prints — with ``params`` passed to its grid builder."""
+    return run(EXPERIMENTS[name], params)
 
 
 @pytest.fixture

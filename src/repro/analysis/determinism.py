@@ -17,8 +17,12 @@ traces both.
 
 Run it directly (used by CI)::
 
-    python -m repro.analysis.determinism --scale 0.05 --hours 0.5
-    python -m repro.analysis.determinism --scale 0.05 --hours 0.5 --compare-jobs 4
+    python -m repro.analysis.determinism
+    python -m repro.analysis.determinism --experiment fig8 --compare-jobs 4
+
+With no ``--experiment`` it runs every check the registry's gates
+declare (:class:`repro.experiments.registry.Gate`), one result line
+each; ``--experiment NAME`` runs the one check the mode flags select.
 
 Note the gate runs both passes in one process, so it cannot see
 ``PYTHONHASHSEED``-dependent divergence between *processes* — that is
@@ -29,12 +33,12 @@ globals, unseeded draws, iteration over identity-keyed containers).
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.obs import timeline as obs_timeline
 
 #: Trace-record fields carrying wall-clock time, never compared.
 WALL_FIELDS = ("wall_ms",)
@@ -181,111 +185,97 @@ def run_parallel_gate(
 # ----------------------------------------------------------------------
 # CLI (CI entry point)
 # ----------------------------------------------------------------------
-def _representative_experiment(
-    name: str, seed: int, scale: float, horizon: float
-) -> Callable[[int], Any]:
-    """A small experiment that exercises the full Omega txn pipeline.
+def _run_check(options: argparse.Namespace) -> DeterminismReport:
+    """The one check the (possibly overlaid) flags select.
 
-    The returned callable takes the worker count (``jobs``), so the same
-    experiments serve the double-run gate (called with the default) and
-    the serial-vs-parallel gate.
+    The in-process modes run the registered experiment at its gate's
+    shrunken grid; ``--timeline-interval`` lands on every config, so
+    ``timeline.*`` records are gated like any other record.
     """
-    if name == "fig5c":
-        from repro.experiments.omega import figure5c_6c_rows
+    if options.kill_resume:
+        from repro.recovery.gate import run_kill_resume_gate
 
-        return lambda jobs=1: figure5c_6c_rows(
-            t_jobs=(1.0,), horizon=horizon, seed=seed, scale=scale, jobs=jobs
+        return run_kill_resume_gate(
+            experiment=options.experiment,
+            seed=options.seed,
+            scale=options.scale,
+            hours=options.hours,
+            artifacts_dir=options.artifacts_dir,
+            kill_after=options.kill_after,
+            timeline_interval=options.timeline_interval,
         )
-    if name == "fig8":
-        from repro.experiments.omega import figure8_rows
+    from repro.experiments.registry import EXPERIMENTS, run
 
-        return lambda jobs=1: figure8_rows(
-            factors=(1.0, 4.0), horizon=horizon, seed=seed, scale=scale, jobs=jobs
+    experiment = EXPERIMENTS[options.experiment]
+    pool = {
+        "horizon": options.hours * 3600.0,
+        "seed": options.seed,
+        "scale": options.scale,
+        "timeline_interval": options.timeline_interval,
+    }
+    params = {**experiment.accepted(pool), **experiment.gate.overrides}
+    if options.compare_jobs:
+        return run_parallel_gate(
+            lambda jobs: run(experiment, params, jobs=jobs), options.compare_jobs
         )
-    if name == "fig14":
-        from repro.experiments.conflict_modes import figure14_rows
+    return run_gate(lambda: run(experiment, params))
 
-        return lambda jobs=1: figure14_rows(
-            horizon=horizon, seed=seed, scale=scale, jobs=jobs
-        )
-    if name == "resilience":
-        # The fault-injection paths: chaos engine (machine failures,
-        # scheduler crashes, commit delay/drop), starvation-escalation
-        # retries, and the invariant checker must all replay exactly —
-        # their trace events are compared like any other record.
-        from repro.experiments.resilience import resilience_rows
 
-        return lambda jobs=1: resilience_rows(
-            intensities=(0.0, 5.0),
-            architectures=("mesos", "omega"),
-            policy="starvation",
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    if name == "conflict-avoidance":
-        # The predictor-on paths: contention-score updates from the
-        # commit hook, hot-machine placement steering, predictive
-        # escalation, predictor crash-resets under chaos, and the
-        # predict.* trace events must all replay exactly — and the
-        # predictor-off half of the grid re-proves the off path is
-        # byte-stable in the same run.
-        from repro.experiments.conflict_avoidance import conflict_avoidance_rows
+def _declared_checks(gates: dict, artifacts_dir: str):
+    """The flags of every check the registered gates declare — what a
+    run with no ``--experiment`` does, one CI step's worth each."""
+    for name, gate in gates.items():
+        if not gate.jobs:
+            continue
+        for interval in dict.fromkeys((None, gate.timeline)):
+            sampled = {"experiment": name, "timeline_interval": interval}
+            yield sampled
+            yield {**sampled, "compare_jobs": gate.jobs}
+        if gate.kill_resume:
+            yield {
+                "experiment": name,
+                "timeline_interval": gate.timeline,
+                "kill_resume": True,
+                "artifacts_dir": f"{artifacts_dir}/{name}",
+            }
 
-        return lambda jobs=1: conflict_avoidance_rows(
-            factors=(4.0,),
-            intensities=(0.0, 5.0),
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    if name == "federation":
-        # The multi-cell paths: shared-event-loop cells, front-door
-        # routing and health checks, digest publication, cell blackouts
-        # with in-flight loss and backlog migration, feed partitions and
-        # link flaps, and the end-to-end accounting invariant — the
-        # fed.* and fault.cell_* trace events replay exactly or fail.
-        from repro.experiments.federation import federation_rows
 
-        return lambda jobs=1: federation_rows(
-            cells=(1, 2),
-            staleness_values=(0.0, 120.0),
-            intensities=(0.0, 5.0),
-            scale=scale,
-            horizon=horizon,
-            seed=seed,
-            jobs=jobs,
-        )
-    raise ValueError(f"unknown experiment: {name!r}")
+def _label(check: dict) -> str:
+    """A declared check as the flags that re-run it alone."""
+    flags = (
+        (f"--{key.replace('_', '-')}", value)
+        for key, value in check.items()
+        if value is not None
+    )
+    return " ".join(
+        flag if value is True else f"{flag} {value}" for flag, value in flags
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
+    gates = {
+        name: experiment.gate
+        for name, experiment in EXPERIMENTS.items()
+        if experiment.gate is not None
+    }
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.determinism",
         description="Run an experiment twice with the same master seed "
         "and fail if the structured traces differ in anything but wall "
-        "time.",
+        "time. With no --experiment, run every check the registered "
+        "gates declare (double run, serial vs parallel, timeline "
+        "sampling, kill and resume), one result line each.",
     )
     parser.add_argument(
         "--experiment",
-        choices=(
-            "fig5c",
-            "fig8",
-            "fig14",
-            "resilience",
-            "conflict-avoidance",
-            "federation",
-        ),
-        default="fig8",
-        help="representative experiment to double-run (default: fig8); "
-        "'resilience' double-runs a fault-injected sweep so the chaos "
-        "engine and retry policies are themselves gated; "
-        "'conflict-avoidance' double-runs a predictor-on/off sweep so "
-        "the predictive steering and escalation paths are gated too; "
-        "'federation' double-runs a multi-cell sweep with cell "
-        "blackouts, feed partitions and link flaps",
+        choices=tuple(gates),
+        default=None,
+        help="gate one registered experiment (default: all of them, every "
+        "declared check); the mode flags --compare-jobs, "
+        "--timeline-interval and --kill-resume select the check and "
+        "need this",
     )
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument(
@@ -325,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         default="kill-resume-artifacts",
         metavar="DIR",
         help="kill-resume mode: directory for the runs' outputs, "
-        "checkpoint, logs and report (kept for post-mortems)",
+        "checkpoint, logs and report (kept for post-mortems; with no "
+        "--experiment, one subdirectory per experiment)",
     )
     parser.add_argument(
         "--kill-after",
@@ -337,66 +328,44 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.kill_resume:
-        import subprocess
-
-        from repro.recovery.gate import run_kill_resume_gate
-
-        try:
-            report = run_kill_resume_gate(
-                experiment=args.experiment,
-                seed=args.seed,
-                scale=args.scale,
-                hours=args.hours,
-                artifacts_dir=args.artifacts_dir,
-                kill_after=args.kill_after,
-                timeline_interval=args.timeline_interval,
-            )
-        except (
-            RuntimeError,
-            OSError,
-            ValueError,
-            subprocess.TimeoutExpired,
-        ) as exc:
-            print(f"determinism gate (kill-resume): {exc}", file=sys.stderr)
-            return 2
-        print(report.render())
-        return 0 if report.identical else 1
-
-    try:
-        experiment = _representative_experiment(
-            args.experiment, args.seed, args.scale, args.hours * 3600.0
-        )
-    except ValueError as exc:  # pragma: no cover - argparse choices guard this
-        print(f"determinism gate: {exc}", file=sys.stderr)
-        return 2
-    try:
-        # Baked into every config the experiment constructs, so the
-        # timeline.* records are gated exactly like any other record.
-        obs_timeline.set_default_interval(args.timeline_interval)
-    except ValueError as exc:
-        print(f"determinism gate: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.compare_jobs:
-            try:
-                report = run_parallel_gate(experiment, args.compare_jobs)
-            except ValueError as exc:
-                print(f"determinism gate: {exc}", file=sys.stderr)
-                return 2
-        else:
-            report = run_gate(experiment)
-    finally:
-        obs_timeline.set_default_interval(None)
-    print(report.render())
-    if report.records_a == 0:
+    if args.experiment is not None:
+        checks = [{}]
+    elif args.compare_jobs or args.kill_resume or args.timeline_interval is not None:
         print(
-            "determinism gate: experiment emitted no trace records; "
-            "the comparison is vacuous",
+            "determinism gate: --compare-jobs, --timeline-interval and "
+            "--kill-resume select one check and need --experiment NAME",
             file=sys.stderr,
         )
         return 2
-    return 0 if report.identical else 1
+    else:
+        checks = list(_declared_checks(gates, args.artifacts_dir))
+
+    status = 0
+    for check in checks:
+        # A declared check is the parsed flags with its own laid over.
+        options = argparse.Namespace(**{**vars(args), **check})
+        mode = " (kill-resume)" if options.kill_resume else ""
+        caught = (
+            (RuntimeError, OSError, ValueError, subprocess.TimeoutExpired)
+            if options.kill_resume
+            else ValueError
+        )
+        try:
+            report = _run_check(options)
+        except caught as exc:
+            print(f"determinism gate{mode}: {exc}", file=sys.stderr)
+            return 2
+        print(f"[{_label(check)}] {report.render()}" if check else report.render())
+        if report.records_a == 0:
+            print(
+                "determinism gate: experiment emitted no trace records; "
+                "the comparison is vacuous",
+                file=sys.stderr,
+            )
+            return 2
+        if not report.identical:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

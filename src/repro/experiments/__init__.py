@@ -1,7 +1,8 @@
-"""Experiment drivers: one module per table/figure of the paper's
-evaluation (see DESIGN.md's per-experiment index).
+"""Experiments: grid builders per table/figure of the paper's evaluation
+(see DESIGN.md's per-experiment index), declared once each in
+:mod:`repro.experiments.registry` and run by its one driver.
 
-Every driver produces plain result rows (lists of dicts) so that the
+Every experiment produces plain result rows (lists of dicts) so that the
 benchmark harness, the CLI and the tests all consume the same code.
 """
 

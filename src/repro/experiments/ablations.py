@@ -1,14 +1,9 @@
 """Ablation drivers: design-choice experiments beyond the paper's plots.
 
-Each function returns result rows; the corresponding benchmark under
-``benchmarks/bench_ablation_*.py`` prints and asserts them, and the
-``omega-sim ablation-*`` commands expose them on the CLI. See DESIGN.md
+Each function returns an ablation's sweep points; the ``omega-sim
+ablation-*`` commands (:mod:`repro.experiments.registry`) run them and
+``benchmarks/bench_ablation_*.py`` assert the rows. See DESIGN.md
 section 5 for the paper grounding of each ablation.
-
-Every ablation is a list of independent configurations, so each driver
-accepts ``jobs`` and fans its points out through
-:func:`repro.experiments.sweeps.run_sweep` (or
-:func:`repro.perf.parallel.parallel_map` for custom row shapes).
 """
 
 from __future__ import annotations
@@ -16,22 +11,19 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.experiments.common import LightweightConfig, run_lightweight
+from repro.experiments.common import LightweightConfig
 from repro.experiments.mesos import pathology_preset
-from repro.experiments.sweeps import SweepPoint, point_label, run_sweep
-from repro.perf.parallel import parallel_map
+from repro.experiments.sweeps import SweepPoint
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.clusters import CLUSTER_A, CLUSTER_B
-from repro.workload.job import JobType
 
 
-def offer_policy_rows(
+def offer_policy_points(
     t_jobs: Sequence[float] = (0.1, 100.0),
     horizon: float = 2 * 3600.0,
     seed: int = 11,
     attempt_limit: int = 200,
-    jobs: int = 1,
-) -> list[dict]:
+) -> list[SweepPoint]:
     """Mesos offer-everything vs fair-share-sized offers (paper §4.2's
     discussion with the Mesos team) on the pathology workload."""
     preset = pathology_preset()
@@ -50,7 +42,7 @@ def offer_policy_rows(
             points.append(
                 (config, {"offer_policy": offer_policy, "t_job_service": t_job})
             )
-    return run_sweep(points, jobs=jobs)
+    return points
 
 
 def _contention_config(scale: float, horizon: float, **kwargs) -> LightweightConfig:
@@ -70,12 +62,12 @@ def _contention_config(scale: float, horizon: float, **kwargs) -> LightweightCon
     )
 
 
-def retry_position_rows(
-    scale: float = 0.2, horizon: float = 3600.0, jobs: int = 1
-) -> list[dict]:
+def retry_position_points(
+    scale: float = 0.2, horizon: float = 3600.0
+) -> list[SweepPoint]:
     """Conflicted-job requeue at the queue head (the paper's immediate
     retry) vs the tail."""
-    points: list[SweepPoint] = [
+    return [
         (
             _contention_config(
                 scale, horizon, retry_conflicts_at_front=retry_at_front
@@ -84,60 +76,51 @@ def retry_position_rows(
         )
         for retry_at_front in (True, False)
     ]
-    return run_sweep(points, jobs=jobs)
 
 
-def initial_utilization_rows(
-    fills: Sequence[float] = (0.3, 0.6, 0.8),
+def contention_points(
+    field: str,
+    values: Sequence,
+    column: str | None = None,
     scale: float = 0.2,
     horizon: float = 3600.0,
-    jobs: int = 1,
-) -> list[dict]:
-    """Conflict fraction vs standing cluster fullness."""
-    preset = CLUSTER_B.scaled(scale)
-    points: list[SweepPoint] = [
+) -> list[SweepPoint]:
+    """One ``LightweightConfig`` field swept over ``values`` on the
+    contention workload (standing fullness, placement strategy, backoff
+    window); ``column`` names the row column when not the field's name."""
+    return [
         (
-            LightweightConfig(
-                preset=preset,
-                architecture="omega",
-                horizon=horizon,
-                seed=5,
-                num_batch_schedulers=16,
-                batch_rate_factor=6.0,
-                initial_utilization=fill,
-            ),
-            {"initial_utilization": fill},
+            _contention_config(scale, horizon, **{field: value}),
+            {column or field: value},
         )
-        for fill in fills
+        for value in values
     ]
-    return run_sweep(points, jobs=jobs)
 
 
-def _preemption_point(point: tuple[bool, LightweightConfig]) -> dict:
-    """Run one preemption on/off point (parallel-worker body)."""
-    enabled, config = point
-    result = run_lightweight(config)
+#: The metric columns of the preemption table, in order.
+PREEMPTION_TABLE = (
+    "wait_service", "wait_batch", "tasks_preempted", "batch_tasks_lost",
+    "unscheduled_fraction", "utilization",
+)
+
+
+def preemption_columns(world, result) -> dict:
+    """What preemption did: evictions caused and batch tasks lost."""
     return {
-        "preemption": "on" if enabled else "off",
-        "wait_service": result.mean_wait(JobType.SERVICE),
-        "wait_batch": result.mean_wait(JobType.BATCH),
         "tasks_preempted": result.preemptions_caused("service"),
         "batch_tasks_lost": result.tasks_lost_to_preemption("batch"),
-        "unscheduled_fraction": result.unscheduled_fraction,
-        "utilization": result.final_cpu_utilization,
     }
 
 
-def preemption_rows(
-    scale: float = 0.2, horizon: float = 2 * 3600.0, seed: int = 3, jobs: int = 1
-) -> list[dict]:
+def preemption_points(
+    scale: float = 0.2, horizon: float = 2 * 3600.0, seed: int = 3
+) -> list[SweepPoint]:
     """Priority preemption on vs off on a nearly-full cell."""
     preset = dataclasses.replace(
         CLUSTER_A.scaled(scale), initial_utilization=0.85
     )
-    points = [
+    return [
         (
-            enabled,
             LightweightConfig(
                 preset=preset,
                 architecture="omega",
@@ -145,52 +128,7 @@ def preemption_rows(
                 seed=seed,
                 enable_preemption=enabled,
             ),
+            {"preemption": "on" if enabled else "off"},
         )
         for enabled in (False, True)
     ]
-    return parallel_map(
-        _preemption_point,
-        points,
-        jobs=jobs,
-        labels=[
-            point_label({"preemption": "on" if enabled else "off"})
-            for enabled, _ in points
-        ],
-    )
-
-
-def placement_strategy_rows(
-    strategies: Sequence[str] = ("worst-fit", "random-first-fit", "best-fit"),
-    scale: float = 0.2,
-    horizon: float = 3600.0,
-    jobs: int = 1,
-) -> list[dict]:
-    """Placement strategy vs interference (why the paper's hifi
-    simulator conflicts more than its lightweight one)."""
-    points: list[SweepPoint] = [
-        (
-            _contention_config(scale, horizon, placement_strategy=strategy),
-            {"placement_strategy": strategy},
-        )
-        for strategy in strategies
-    ]
-    return run_sweep(points, jobs=jobs)
-
-
-def backoff_rows(
-    cooldowns: Sequence[float] = (0.0, 5.0, 30.0),
-    scale: float = 0.2,
-    horizon: float = 3600.0,
-    jobs: int = 1,
-) -> list[dict]:
-    """OCC hot-machine backoff windows (paper §8 future work)."""
-    points: list[SweepPoint] = [
-        (
-            _contention_config(
-                scale, horizon, conflict_avoidance_cooldown=cooldown
-            ),
-            {"cooldown_s": cooldown},
-        )
-        for cooldown in cooldowns
-    ]
-    return run_sweep(points, jobs=jobs)

@@ -45,27 +45,19 @@ retried and surface as ``recovery.*`` trace events.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from typing import Callable
 
 from repro import obs
 from repro.analysis import cli as lint
 from repro.analysis import sanitizer as _san
-from repro.obs import timeline as obs_timeline
-from repro.experiments import ablations, conflict_modes, hifi_perf, mesos, monolithic
-from repro.experiments import conflict_avoidance as conflict_avoidance_experiments
-from repro.experiments import federation as federation_experiments
-from repro.experiments import mapreduce as mapreduce_experiments
-from repro.experiments import omega as omega_experiments
-from repro.experiments import resilience as resilience_experiments
-from repro.experiments import sweep3d, tables, workload_char
 from repro.experiments.common import format_table
 from repro.experiments.io import check_output_path, save_rows
-from repro.faults.retry import RETRY_POLICIES
+from repro.experiments.registry import EXPERIMENTS, Experiment, run, validated
+from repro.experiments.sweeps import CheckFailed
 from repro.metrics.ascii_chart import line_chart
-from repro.perf.parallel import resolve_jobs
 from repro.recovery import (
     DEFAULT_POLICY,
     CheckpointStore,
@@ -74,336 +66,15 @@ from repro.recovery import (
     RecoveryError,
     RunManifest,
     SupervisorPolicy,
-    activate,
 )
-
-
-def _scaled_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {
-        "horizon": args.hours * 3600.0,
-        "seed": args.seed,
-        "scale": args.scale,
-    }
-    if args.command in JOBS_COMMANDS:
-        kwargs["jobs"] = args.jobs
-    return kwargs
-
-
-def _cmd_fig2(args) -> list[dict]:
-    return workload_char.figure2_rows(samples=args.samples, seed=args.seed)
-
-
-def _cmd_fig3(args) -> list[dict]:
-    return workload_char.figure3_rows(samples=args.samples, seed=args.seed)
-
-
-def _cmd_fig4(args) -> list[dict]:
-    return workload_char.figure4_rows(samples=args.samples, seed=args.seed)
-
-
-def _cmd_fig5a(args) -> list[dict]:
-    return monolithic.figure5a_6a_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig5b(args) -> list[dict]:
-    return monolithic.figure5b_6b_rows(**_scaled_kwargs(args))
-
-
-def _cmd_partitioned(args) -> list[dict]:
-    return monolithic.partitioned_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig7(args) -> list[dict]:
-    return mesos.figure7_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig5c(args) -> list[dict]:
-    return omega_experiments.figure5c_6c_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig8(args) -> list[dict]:
-    rows = omega_experiments.figure8_rows(**_scaled_kwargs(args))
-    points = omega_experiments.figure8_saturation_points(rows)
-    print(f"saturation points (relative lambda_batch): {points}", file=sys.stderr)
-    return rows
-
-
-def _cmd_fig9(args) -> list[dict]:
-    return omega_experiments.figure9_rows(**_scaled_kwargs(args))
-
-
-def _cmd_omega(args) -> list[dict]:
-    return omega_experiments.single_run_rows(
-        cluster=args.cluster,
-        rate_factor=args.rate_factor,
-        smoke=args.smoke,
-        predictor=args.predictor,
-        **_scaled_kwargs(args),
-    )
-
-
-def _cmd_fig10(args) -> list[dict]:
-    return sweep3d.figure10_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig11(args) -> list[dict]:
-    return hifi_perf.figure11_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig12(args) -> list[dict]:
-    return hifi_perf.figure12_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig13(args) -> list[dict]:
-    rows = hifi_perf.figure13_rows(**_scaled_kwargs(args))
-    shift = hifi_perf.figure13_saturation_shift(rows)
-    print(f"saturation shift: {shift}", file=sys.stderr)
-    return rows
-
-
-def _cmd_fig14(args) -> list[dict]:
-    return conflict_modes.figure14_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig15(args) -> list[dict]:
-    return mapreduce_experiments.figure15_rows(**_scaled_kwargs(args))
-
-
-def _cmd_fig16(args) -> list[dict]:
-    return mapreduce_experiments.figure16_rows(
-        cluster="C", **_scaled_kwargs(args)
-    )
-
-
-def _cmd_ablation_offer(args) -> list[dict]:
-    return ablations.offer_policy_rows(
-        horizon=args.hours * 3600.0, seed=args.seed, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_retry(args) -> list[dict]:
-    return ablations.retry_position_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_util(args) -> list[dict]:
-    return ablations.initial_utilization_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_preemption(args) -> list[dict]:
-    return ablations.preemption_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, seed=args.seed,
-        jobs=args.jobs,
-    )
-
-
-def _cmd_ablation_backoff(args) -> list[dict]:
-    return ablations.backoff_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_ablation_placement(args) -> list[dict]:
-    return ablations.placement_strategy_rows(
-        scale=args.scale, horizon=args.hours * 3600.0, jobs=args.jobs
-    )
-
-
-def _cmd_resilience(args) -> list[dict]:
-    if args.smoke:
-        return resilience_experiments.resilience_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return resilience_experiments.resilience_rows(
-        intensities=intensities,
-        policy=args.policy,
-        predictor=args.predictor,
-        **_scaled_kwargs(args),
-    )
-
-
-def _cmd_conflict_avoidance(args) -> list[dict]:
-    if args.smoke:
-        return conflict_avoidance_experiments.conflict_avoidance_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    factors = tuple(float(value) for value in args.factors.split(","))
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return conflict_avoidance_experiments.conflict_avoidance_rows(
-        factors=factors, intensities=intensities, **_scaled_kwargs(args)
-    )
-
-
-def _cmd_federation(args) -> list[dict]:
-    if args.degenerate_gate:
-        federated, single = federation_experiments.degenerate_rows(
-            seed=args.seed,
-            scale=args.scale,
-            horizon=args.hours * 3600.0,
-            jobs=args.jobs,
-        )
-        columns = federation_experiments.SHARED_COLUMNS
-        if format_table(federated, columns) != format_table(single, columns):
-            print(
-                "omega-sim federation: degenerate-baseline gate FAILED — "
-                "the 1-cell zero-staleness zero-intensity federation table "
-                "differs from the single-cell omega table",
-                file=sys.stderr,
-            )
-            print(format_table(federated, columns), file=sys.stderr)
-            print(format_table(single, columns), file=sys.stderr)
-            raise SystemExit(1)
-        print(
-            "federation: degenerate-baseline gate OK (1-cell federation is "
-            "byte-identical to the single-cell omega baseline)",
-            file=sys.stderr,
-        )
-        return federated
-    if args.smoke:
-        return federation_experiments.federation_smoke_rows(
-            seed=args.seed, jobs=args.jobs
-        )
-    cells = tuple(int(value) for value in args.cells.split(","))
-    staleness = tuple(float(value) for value in args.staleness.split(","))
-    intensities = tuple(float(value) for value in args.intensities.split(","))
-    return federation_experiments.federation_rows(
-        cells=cells,
-        staleness_values=staleness,
-        intensities=intensities,
-        policy=args.policy,
-        **_scaled_kwargs(args),
-    )
-
-
-def _cmd_validate(args) -> list[dict]:
-    from repro.workload.validation import validate_all
-
-    return [report.as_row() for report in validate_all()]
-
-
-def _cmd_table1(args) -> list[dict]:
-    return tables.table1_rows()
-
-
-def _cmd_table2(args) -> list[dict]:
-    return tables.table2_rows()
-
-
-COMMANDS: dict[str, tuple[Callable, str]] = {
-    "fig2": (_cmd_fig2, "workload shares: jobs/tasks/CPU/RAM, batch vs service"),
-    "fig3": (_cmd_fig3, "CDFs of job runtime and inter-arrival time"),
-    "fig4": (_cmd_fig4, "CDF of tasks per job"),
-    "fig5a": (_cmd_fig5a, "monolithic single-path: wait time & busyness sweep"),
-    "fig5b": (_cmd_fig5b, "monolithic multi-path: wait time & busyness sweep"),
-    "fig5c": (_cmd_fig5c, "shared-state Omega: wait time & busyness sweep"),
-    "partitioned": (_cmd_partitioned, "statically partitioned scheduler sweep"),
-    "fig7": (_cmd_fig7, "two-level (Mesos): wait, busyness, abandoned jobs"),
-    "fig8": (_cmd_fig8, "Omega: scaling the batch arrival rate"),
-    "fig9": (_cmd_fig9, "Omega: 1-32 load-balanced batch schedulers"),
-    "omega": (_cmd_omega, "one Omega run at a single operating point "
-              "(pairs with --trace/--timeline-interval)"),
-    "fig10": (_cmd_fig10, "busyness surfaces for all five schemes"),
-    "fig11": (_cmd_fig11, "hifi: service busyness over t_job x t_task (C)"),
-    "fig12": (_cmd_fig12, "hifi: cluster B sweep w/ conflict fraction"),
-    "fig13": (_cmd_fig13, "hifi: 3 batch schedulers vs 1 (cluster C)"),
-    "fig14": (_cmd_fig14, "conflict detection/commit granularity choices"),
-    "fig15": (_cmd_fig15, "MapReduce speedup CDFs per policy"),
-    "fig16": (_cmd_fig16, "utilization time series, normal vs max-parallel"),
-    "table1": (_cmd_table1, "comparison of scheduling approaches"),
-    "table2": (_cmd_table2, "lightweight vs high-fidelity simulator"),
-    "ablation-offer": (_cmd_ablation_offer, "Mesos offer-all vs fair-share offers"),
-    "ablation-retry": (_cmd_ablation_retry, "conflict retry at queue head vs tail"),
-    "ablation-util": (_cmd_ablation_util, "conflict fraction vs standing utilization"),
-    "ablation-preemption": (_cmd_ablation_preemption, "priority preemption on vs off"),
-    "ablation-backoff": (_cmd_ablation_backoff, "OCC hot-machine backoff windows"),
-    "ablation-placement": (
-        _cmd_ablation_placement,
-        "placement strategy vs conflict fraction",
-    ),
-    "resilience": (
-        _cmd_resilience,
-        "fault-injected degradation: architecture x fault intensity",
-    ),
-    "conflict-avoidance": (
-        _cmd_conflict_avoidance,
-        "predictive conflict avoidance: predictor on/off x operating "
-        "point x fault intensity",
-    ),
-    "federation": (
-        _cmd_federation,
-        "federated multi-cell Omega: cell count x aggregate staleness x "
-        "cell-fault intensity (blackouts, feed partitions, link flaps)",
-    ),
-    "validate": (_cmd_validate, "sanity-check the cluster presets"),
-}
-
-#: Commands whose sweep points fan out across worker processes with
-#: --jobs N (see repro.perf.parallel); the rest run serially and say so.
-JOBS_COMMANDS = frozenset(
-    {
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "partitioned",
-        "fig7",
-        "fig8",
-        "fig9",
-        "omega",
-        "fig10",
-        "fig14",
-        "ablation-offer",
-        "ablation-retry",
-        "ablation-util",
-        "ablation-preemption",
-        "ablation-backoff",
-        "ablation-placement",
-        "resilience",
-        "conflict-avoidance",
-        "federation",
-    }
-)
-
-
-#: Commands that can render an ASCII chart with --plot:
-#: command -> (series-key column, x column, y column, log_x, log_y, title).
-PLOTS = {
-    "fig5a": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5a: mean batch wait vs t_job (single-path)"),
-    "fig5b": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5b: mean batch wait vs t_job(service) (multi-path)"),
-    "fig5c": ("cluster", "t_job_service", "wait_batch", True, True,
-              "Figure 5c: mean batch wait vs t_job(service) (shared state)"),
-    "fig7": ("cluster", "t_job_service", "busy_batch", True, False,
-             "Figure 7b: batch framework busyness vs t_job(service) (Mesos)"),
-    "fig8": ("cluster", "rate_factor", "busy_batch", False, False,
-             "Figure 8b: batch busyness vs relative lambda(batch)"),
-    "fig9": ("num_batch_schedulers", "rate_factor", "conflict_batch", False, False,
-             "Figure 9a: conflict fraction vs relative lambda(batch)"),
-    "fig12": (None, "t_job_service", "conflict_service", True, False,
-              "Figure 12b: service conflict fraction vs t_job(service)"),
-    "fig14": ("mode", "t_job_service", "conflict_service", True, True,
-              "Figure 14a: conflict fraction by detection/commit mode"),
-    "ablation-util": (None, "initial_utilization", "conflict_batch", False, False,
-                      "Conflict fraction vs standing utilization"),
-    "ablation-backoff": (None, "cooldown_s", "conflict_batch", False, False,
-                         "Conflict fraction vs hot-machine backoff window"),
-    "resilience": ("architecture", "intensity", "wait_batch", False, False,
-                   "Resilience: mean batch wait vs fault intensity"),
-    "federation": ("cells", "intensity", "wait_batch", False, False,
-                   "Federation: mean batch wait vs cell-fault intensity"),
-}
 
 
 def render_plot(command: str, rows: list[dict]) -> str | None:
     """Build the --plot chart for a command from its result rows."""
-    spec = PLOTS.get(command)
-    if spec is None or not rows:
+    experiment = EXPERIMENTS.get(command)
+    if experiment is None or experiment.plot is None or not rows:
         return None
-    key_column, x_column, y_column, log_x, log_y, title = spec
+    key_column, x_column, y_column, title, log_x, log_y = experiment.plot
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
         label = str(row[key_column]) if key_column else y_column
@@ -424,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(EuroSys 2013) from the reproduction simulators.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, experiment in EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, help=experiment.help)
         sub.add_argument(
             "--scale",
             type=float,
@@ -490,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
             "foreign-snapshot-write, or non-serializable commit "
             "(see docs/STATIC_ANALYSIS.md)",
         )
-        if name in JOBS_COMMANDS:
+        if experiment.points is not None:
             sub.add_argument(
                 "--checkpoint",
                 metavar="DIR",
@@ -522,133 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "points lost to worker crashes or timeouts "
                 f"(default {DEFAULT_POLICY.max_attempts})",
             )
-        if name == "omega":
-            sub.add_argument(
-                "--cluster",
-                default="B",
-                help="cluster preset letter (default B)",
-            )
-            sub.add_argument(
-                "--rate-factor",
-                type=float,
-                default=1.0,
-                help="relative batch arrival-rate multiplier",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: 5%% cell, 30 simulated minutes "
-                "(ignores --scale/--hours)",
-            )
-            sub.add_argument(
-                "--predictor",
-                action="store_true",
-                help="enable predictive conflict avoidance: contention-"
-                "aware placement steering plus the predictive "
-                "escalation retry policy (see docs/RESILIENCE.md)",
-            )
-        if name == "resilience":
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in resilience_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated fault-intensity multipliers "
-                "(0 = fault-free baseline)",
-            )
-            sub.add_argument(
-                "--policy",
-                choices=RETRY_POLICIES,
-                default="immediate",
-                help="Omega conflict-retry policy (immediate reproduces the "
-                "historical behavior; see docs/RESILIENCE.md)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cell, short horizon, two "
-                "intensities, starvation-escalation policy",
-            )
-            sub.add_argument(
-                "--predictor",
-                action="store_true",
-                help="also steer placement with a conflict predictor "
-                "(independent of --policy; --policy predictive implies "
-                "it)",
-            )
-        if name == "federation":
-            sub.add_argument(
-                "--cells",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_CELL_COUNTS
-                ),
-                help="comma-separated federation sizes (member cells)",
-            )
-            sub.add_argument(
-                "--staleness",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_STALENESS
-                ),
-                help="comma-separated aggregate-view staleness intervals in "
-                "simulated seconds (0 = the router reads live digests)",
-            )
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in federation_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated cell-fault intensity multipliers over "
-                "the federation baseline mix (0 = fault-free)",
-            )
-            sub.add_argument(
-                "--policy",
-                choices=federation_experiments.ROUTING_POLICIES,
-                default="least-loaded",
-                help="front-door routing policy (see docs/FEDERATION.md)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cells, short horizon, 1-2 "
-                "cells, fault-free and hostile intensities",
-            )
-            sub.add_argument(
-                "--degenerate-gate",
-                action="store_true",
-                help="run the degenerate-baseline gate instead of the "
-                "sweep: a 1-cell/zero-staleness/zero-fault federation "
-                "must reproduce the single-cell omega table "
-                "byte-for-byte (exit 1 on any difference)",
-            )
-        if name == "conflict-avoidance":
-            sub.add_argument(
-                "--factors",
-                default=",".join(
-                    str(value)
-                    for value in conflict_avoidance_experiments.DEFAULT_FACTORS
-                ),
-                help="comma-separated relative batch arrival-rate factors "
-                "(Figure-8 operating points)",
-            )
-            sub.add_argument(
-                "--intensities",
-                default=",".join(
-                    str(value)
-                    for value in conflict_avoidance_experiments.DEFAULT_INTENSITIES
-                ),
-                help="comma-separated fault-intensity multipliers over the "
-                "resilience baseline mix (0 = fault-free)",
-            )
-            sub.add_argument(
-                "--smoke",
-                action="store_true",
-                help="CI smoke variant: tiny cell, short horizon, one "
-                "operating point, predictor on and off",
-            )
+        for argument in experiment.arguments:
+            if argument.default is False:
+                sub.add_argument(argument.flag, action="store_true", help=argument.help)
+            else:
+                # Kept as typed: the declared parser turns a bad value
+                # into one line and exit 2, not an argparse usage dump.
+                sub.add_argument(
+                    argument.flag,
+                    default=argument.default,
+                    choices=argument.choices,
+                    help=argument.help,
+                )
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -778,46 +334,54 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _manifest_parameters(args: argparse.Namespace) -> dict:
-    """The result-determining parameters recorded in a run manifest.
+    """The result-determining parameters recorded in a run manifest and
+    in the ``--output`` envelope: scale, hours and every argument the
+    command declares, as typed.
 
     ``--jobs`` is deliberately absent: parallelism does not change the
     rows, so a sweep checkpointed with ``--jobs 8`` may resume serially.
     """
-    parameters = {
-        "scale": args.scale,
-        "hours": args.hours,
-    }
+    parameters = {"scale": args.scale, "hours": args.hours}
     # Only recorded when set: sampling changes the trace, so a resume
     # must match, but older checkpoints (no such key) stay resumable.
-    if getattr(args, "timeline_interval", None) is not None:
+    if args.timeline_interval is not None:
         parameters["timeline_interval"] = args.timeline_interval
-    if args.command == "omega":
-        parameters["cluster"] = args.cluster
-        parameters["rate_factor"] = args.rate_factor
-        parameters["smoke"] = bool(args.smoke)
-        # Only recorded when on, so pre-predictor checkpoints resume.
-        if getattr(args, "predictor", False):
-            parameters["predictor"] = True
-    if args.command == "resilience":
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["policy"] = getattr(args, "policy", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-        if getattr(args, "predictor", False):
-            parameters["predictor"] = True
-    if args.command == "conflict-avoidance":
-        parameters["factors"] = getattr(args, "factors", "")
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-    if args.command == "federation":
-        parameters["cells"] = getattr(args, "cells", "")
-        parameters["staleness"] = getattr(args, "staleness", "")
-        parameters["intensities"] = getattr(args, "intensities", "")
-        parameters["policy"] = getattr(args, "policy", "")
-        parameters["smoke"] = bool(getattr(args, "smoke", False))
-        parameters["degenerate_gate"] = bool(
-            getattr(args, "degenerate_gate", False)
-        )
+    for argument in EXPERIMENTS[args.command].arguments:
+        parameters[argument.dest] = getattr(args, argument.dest)
     return parameters
+
+
+def _resolve(args: argparse.Namespace) -> tuple[Experiment, dict]:
+    """The declaration to run and its validated ``run`` parameters.
+
+    The shared flags reach whichever of horizon / seed / scale / samples
+    the experiment takes; declared arguments set their parameter, a set
+    ``overrides`` switch (``--smoke``) replaces some afterwards, and a
+    set ``variant`` switch runs that declaration instead. Raises a
+    one-line ``ValueError`` for a value outside its declared range.
+    """
+    experiment = EXPERIMENTS[args.command]
+    pool = {
+        "horizon": args.hours * 3600.0,
+        "seed": args.seed,
+        "scale": args.scale,
+        "samples": args.samples,
+        "timeline_interval": args.timeline_interval,
+    }
+    declared, overrides = {}, {}
+    for argument in experiment.arguments:
+        value = getattr(args, argument.dest)
+        if argument.variant is not None:
+            if value:
+                experiment, declared, overrides = argument.variant, {}, {}
+                break
+        elif argument.overrides is not None:
+            if value:
+                overrides.update(argument.overrides)
+        else:
+            declared[argument.param or argument.dest] = value
+    params = {**experiment.accepted(pool), **declared, **overrides}
+    return experiment, validated(experiment, params)
 
 
 def _make_recovery_context(args: argparse.Namespace) -> RecoveryContext | None:
@@ -901,36 +465,18 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_perfetto(args)
     if args.command == "report":
         return _cmd_report(args)
-    command, _ = COMMANDS[args.command]
     error = _argument_error(args)
     if error is not None:
         print(f"omega-sim: {error}", file=sys.stderr)
         return 2
-    timeline_interval = getattr(args, "timeline_interval", None)
-    if timeline_interval is not None:
-        try:
-            # Process-wide default: every LightweightConfig the command
-            # builds (including pickled sweep points) inherits it.
-            obs_timeline.set_default_interval(timeline_interval)
-        except ValueError as exc:
-            print(f"omega-sim: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "jobs", 1) != 1:
-        args.jobs = resolve_jobs(args.jobs)
-        if args.command not in JOBS_COMMANDS:
-            print(
-                f"omega-sim: {args.command} does not support --jobs; "
-                "running serially",
-                file=sys.stderr,
-            )
-
     try:
+        experiment, params = _resolve(args)
         context = _make_recovery_context(args)
-    except RecoveryError as exc:
+    except (ValueError, RecoveryError) as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
 
-    sanitizing = bool(getattr(args, "sanitize", False))
+    sanitizing = args.sanitize
     saved_san_env = None
     if sanitizing:
         # The env var rides into --jobs N worker processes, which build
@@ -940,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         _san.install()
 
     recorder = None
-    if getattr(args, "trace", None):
+    if args.trace:
         try:
             recorder = obs.TraceRecorder(path=args.trace, keep_records=False)
         except OSError as exc:
@@ -948,15 +494,14 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         obs.set_recorder(recorder)
     try:
-        if context is not None:
-            with activate(context):
-                rows = command(args)
-        else:
-            rows = command(args)
+        with context or contextlib.nullcontext():
+            rows = run(experiment, params, jobs=args.jobs, recovery=context)
+        if experiment.note is not None:
+            print(experiment.note(rows), file=sys.stderr)
     except RecoveryError as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
-    except PointFailure as exc:
+    except (PointFailure, CheckFailed) as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 1
     except _san.IsolationViolation as exc:
@@ -965,8 +510,6 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.stack, file=sys.stderr, end="")
         return 1
     finally:
-        if timeline_interval is not None:
-            obs_timeline.set_default_interval(None)
         if sanitizing:
             san = _san.ACTIVE
             if san is not None and san.writes_checked:
@@ -997,23 +540,19 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     print(format_table(rows))
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print()
         print("simulator statistics:")
         print(_verbose_stats_table())
-    if getattr(args, "output", None):
+    if args.output:
         saved = save_rows(
             rows,
             args.output,
             experiment=args.command,
-            parameters={
-                "scale": args.scale,
-                "hours": args.hours,
-                "seed": args.seed,
-            },
+            parameters={**_manifest_parameters(args), "seed": args.seed},
         )
         print(f"rows saved to {saved}", file=sys.stderr)
-    if getattr(args, "plot", False):
+    if args.plot:
         chart = render_plot(args.command, rows)
         if chart is None:
             print(f"(no chart available for {args.command})", file=sys.stderr)

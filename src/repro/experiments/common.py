@@ -102,10 +102,9 @@ class LightweightConfig:
     #: many seconds during the run; ``None`` disables continuous checks.
     invariant_check_interval: float | None = None
     #: Emit ``timeline.*`` trace records every this many simulated
-    #: seconds (see :mod:`repro.obs.timeline`). ``None`` falls back to
-    #: the process-wide default (``--timeline-interval``), resolved here
-    #: at construction time so sweep configs pickled to ``--jobs N``
-    #: workers carry the concrete value.
+    #: seconds (see :mod:`repro.obs.timeline`); ``None`` disables it.
+    #: ``--timeline-interval`` gets here through
+    #: :func:`repro.experiments.registry.run`, config by config.
     timeline_interval: float | None = None
     #: Jobs arrive from outside (a federation front door) rather than
     #: from this simulation's own workload generators. When set, no
@@ -146,8 +145,6 @@ class LightweightConfig:
             self.predictor = PredictorConfig(
                 escalate_probability=self.retry_policy.escalate_probability
             )
-        if self.timeline_interval is None:
-            self.timeline_interval = _timeline.default_interval()
         if self.timeline_interval is not None and self.timeline_interval <= 0:
             raise ValueError(
                 f"timeline_interval must be positive, got {self.timeline_interval}"

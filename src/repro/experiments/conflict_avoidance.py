@@ -35,15 +35,9 @@ from typing import Sequence
 from repro.core.transaction import CommitMode
 from repro.experiments.common import LightweightSimulation
 from repro.experiments.resilience import BASELINE_FAULTS
-from repro.experiments.sweeps import (
-    SweepPoint,
-    batch_load_points,
-    point_label,
-    result_row,
-)
+from repro.experiments.sweeps import SweepPoint, batch_load_points
 from repro.faults import FaultConfig
 from repro.faults.retry import RetryPolicyConfig
-from repro.perf.parallel import parallel_map
 
 #: Figure-8 operating points (relative lambda(batch)) swept by default:
 #: one around cluster B's knee and one past it, where section 3.6 says
@@ -61,14 +55,12 @@ DEFAULT_NUM_BATCH_SCHEDULERS = 4
 DELTA_COLUMNS = ("d_conflict", "d_wasted", "d_abandoned")
 
 
-def conflict_avoidance_row(
-    sim: LightweightSimulation, result, **extra
-) -> dict:
-    """One sweep row: standard metrics plus predictor counters."""
-    row = result_row(result, **extra)
+def conflict_avoidance_columns(world: LightweightSimulation, result) -> dict:
+    """The table's additions to the standard row: wasted work and the
+    predictor counters."""
     metrics = result.metrics
-    checker = sim.invariant_checker
-    row.update(
+    checker = world.invariant_checker
+    return dict(
         wasted_batch=result.busyness("batch")
         - result.noconflict_busyness("batch"),
         escalated=metrics.jobs_escalated_total,
@@ -78,16 +70,6 @@ def conflict_avoidance_row(
         incurred=metrics.predict_conflicts_incurred_total,
         invariant_checks=(checker.checks_run if checker is not None else 0),
     )
-    return row
-
-
-def _conflict_avoidance_point(point: SweepPoint) -> dict:
-    """Run one (predictor, factor, intensity) point (worker body)."""
-    config, extra = point
-    sim = LightweightSimulation(config)
-    result = sim.run()
-    sim.check_invariants()
-    return conflict_avoidance_row(sim, result, **extra)
 
 
 def conflict_avoidance_points(
@@ -152,46 +134,3 @@ def attach_deltas(rows: list[dict]) -> list[dict]:
         row["d_wasted"] = row["wasted_batch"] - off["wasted_batch"]
         row["d_abandoned"] = row["abandoned"] - off["abandoned"]
     return rows
-
-
-def conflict_avoidance_rows(
-    factors: Sequence[float] = DEFAULT_FACTORS,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    num_batch_schedulers: int = DEFAULT_NUM_BATCH_SCHEDULERS,
-    scale: float = 0.2,
-    horizon: float = 2 * 3600.0,
-    seed: int = 3,
-    faults: FaultConfig = BASELINE_FAULTS,
-    jobs: int = 1,
-) -> list[dict]:
-    """The predictor on/off degradation table (see module docstring)."""
-    points = conflict_avoidance_points(
-        factors=factors,
-        intensities=intensities,
-        num_batch_schedulers=num_batch_schedulers,
-        scale=scale,
-        horizon=horizon,
-        seed=seed,
-        faults=faults,
-    )
-    rows = parallel_map(
-        _conflict_avoidance_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-    return attach_deltas(rows)
-
-
-def conflict_avoidance_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cell, short horizon, one operating
-    point, fault-free plus intensity 5 — the predictor-on and -off
-    paths, steering, escalation and chaos interplay all execute."""
-    return conflict_avoidance_rows(
-        factors=(4.0,),
-        intensities=(0.0, 5.0),
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )

@@ -16,12 +16,9 @@ from typing import Sequence
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import DAY
 from repro.experiments.hifi_perf import make_trace
-from repro.experiments.sweeps import point_label
-from repro.hifi.replay import HighFidelityConfig, run_hifi
+from repro.hifi.replay import HighFidelityConfig
 from repro.hifi.trace import Trace
-from repro.perf.parallel import parallel_map
 from repro.schedulers.base import DecisionTimeModel
-from repro.workload.job import JobType
 
 #: The four lines of Figure 14.
 MODES = (
@@ -31,43 +28,30 @@ MODES = (
     ("Fine/Incr.", ConflictMode.FINE, CommitMode.INCREMENTAL),
 )
 
-
-def _mode_point(point: tuple[str, float, HighFidelityConfig]) -> dict:
-    """Run one (mode, t_job) point of Figure 14 (parallel-worker body)."""
-    label, t_job, config = point
-    result = run_hifi(config)
-    return {
-        "mode": label,
-        "t_job_service": t_job,
-        "conflict_service": result.conflict_fraction("service"),
-        "conflict_batch": result.conflict_fraction("batch"),
-        "busy_service": result.busyness("service"),
-        "busy_batch": result.busyness("batch"),
-        "wait_service": result.mean_wait(JobType.SERVICE),
-        "unscheduled_fraction": result.unscheduled_fraction,
-    }
+#: The metric columns of the Figure 14 table, in order.
+FIGURE14_TABLE = (
+    "conflict_service", "conflict_batch", "busy_service", "busy_batch",
+    "wait_service", "unscheduled_fraction",
+)
 
 
-def figure14_rows(
+def figure14_points(
     trace: Trace | None = None,
     t_jobs: Sequence[float] = (1.0, 10.0, 100.0),
     cluster: str = "C",
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
-    jobs: int = 1,
-) -> list[dict]:
+) -> list[tuple[HighFidelityConfig, dict]]:
     """Sweep t_job(service) under each conflict/commit mode pair.
 
     All mode/t_job pairs replay the *same* trace, so the sweep is a flat
-    list of independent points — ``jobs > 1`` fans them out.
+    list of independent points.
     """
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    points = [
+    return [
         (
-            label,
-            t_job,
             HighFidelityConfig(
                 trace=trace,
                 seed=seed,
@@ -75,16 +59,8 @@ def figure14_rows(
                 conflict_mode=conflict_mode,
                 commit_mode=commit_mode,
             ),
+            {"mode": label, "t_job_service": t_job},
         )
         for label, conflict_mode, commit_mode in MODES
         for t_job in t_jobs
     ]
-    return parallel_map(
-        _mode_point,
-        points,
-        jobs=jobs,
-        labels=[
-            point_label({"mode": label, "t_job_service": t_job})
-            for label, t_job, _ in points
-        ],
-    )

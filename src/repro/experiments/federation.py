@@ -12,9 +12,10 @@ flattering the table.
 
 The degenerate baseline is load-bearing: a 1-cell federation at zero
 staleness and zero intensity draws byte-identical randomness to the
-single-cell ``omega`` experiment, and :func:`run_degenerate_gate`
-enforces that its results table matches byte-for-byte (also wired into
-the CI determinism gates).
+single-cell ``omega`` experiment. :func:`degenerate_points` puts both
+worlds in one grid and :func:`degenerate_check` fails the run unless
+their tables match byte-for-byte (``omega-sim federation
+--degenerate-gate``, also wired into CI).
 """
 
 from __future__ import annotations
@@ -22,32 +23,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.common import format_table
-from repro.experiments.omega import single_run_rows
-from repro.experiments.sweeps import batch_load_points, point_label
+from repro.experiments.sweeps import (
+    CheckFailed,
+    SweepPoint,
+    batch_load_points,
+    result_row,
+)
 from repro.federation import (
-    ROUTING_POLICIES,
     FederatedResult,
     FederatedSimulation,
     FederationConfig,
     FederationFaultConfig,
 )
-
-__all__ = [
-    "ROUTING_POLICIES",
-    "BASELINE_FED_FAULTS",
-    "SHARED_COLUMNS",
-    "build_federation",
-    "federation_row",
-    "federation_points",
-    "federation_rows",
-    "federation_smoke_rows",
-    "degenerate_rows",
-    "degenerate_tables",
-    "run_degenerate_gate",
-]
-from repro.perf.parallel import parallel_map
 from repro.sim import RandomStreams
-from repro.workload.job import JobType
 
 #: One federation sweep point: full config plus extra row fields.
 FederationPoint = tuple[FederationConfig, dict]
@@ -101,32 +89,16 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
     )
 
 
-def federation_row(result: FederatedResult, **extra) -> dict:
-    """Flatten one federated run into a results-table row.
-
-    Starts from the standard :func:`~repro.experiments.sweeps.
-    result_row` columns (pooled across cells, degenerate-exact for one
-    cell), then adds the federation-wide merged wait percentiles
-    (satellite of ROADMAP item 3: ``Histogram.merge_state``) and the
-    explicit job ledger.
-    """
-    row = {
-        **extra,
-        "wait_batch": result.mean_wait(JobType.BATCH),
-        "wait_service": result.mean_wait(JobType.SERVICE),
-        "busy_batch": result.busyness("batch"),
-        "busy_batch_mad": result.busyness_mad("batch"),
-        "busy_service": result.busyness("service"),
-        "busy_service_mad": result.busyness_mad("service"),
-        "conflict_batch": result.conflict_fraction("batch"),
-        "conflict_service": result.conflict_fraction("service"),
-        "abandoned": result.jobs_abandoned,
-        "unscheduled_fraction": result.unscheduled_fraction,
-        "utilization": result.final_cpu_utilization,
-    }
-    row.update(result.wait_percentiles())
+def federation_columns(world, result) -> dict:
+    """What a federated row adds to the standard columns: the
+    federation-wide merged wait percentiles (``Histogram.merge_state``)
+    and the explicit job ledger. Empty for a single-cell result, so the
+    degenerate grid's baseline point can share the runner."""
+    if not isinstance(result, FederatedResult):
+        return {}
     accounting = result.accounting
-    row.update(
+    return dict(
+        result.wait_percentiles(),
         submitted=accounting["submitted"],
         scheduled=accounting["scheduled"],
         pending=accounting["pending"],
@@ -137,22 +109,16 @@ def federation_row(result: FederatedResult, **extra) -> dict:
         partitions=result.partitions,
         flaps=result.flaps,
     )
+
+
+def federation_row(result: FederatedResult, **extra) -> dict:
+    """Flatten one federated run into a results-table row: the standard
+    :func:`~repro.experiments.sweeps.result_row` columns (pooled across
+    cells, degenerate-exact for one cell) plus
+    :func:`federation_columns`."""
+    row = result_row(result, **extra)
+    row.update(federation_columns(None, result))
     return row
-
-
-def _federation_point(point: FederationPoint) -> dict:
-    """Run one federation sweep point (parallel-worker body).
-
-    Both post-run gates run here: per-cell invariant checks (raises on
-    any cell-state inconsistency) and — inside
-    :meth:`FederatedSimulation.run` itself — the front-door accounting
-    invariant.
-    """
-    config, extra = point
-    federation = build_federation(config)
-    result = federation.run()
-    federation.check_invariants()
-    return federation_row(result, **extra)
 
 
 def federation_points(
@@ -209,138 +175,40 @@ def federation_points(
     return points
 
 
-def federation_rows(
-    cells: Sequence[int] = DEFAULT_CELL_COUNTS,
-    staleness_values: Sequence[float] = DEFAULT_STALENESS,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    policy: str = "least-loaded",
-    cluster: str = "B",
-    rate_factor: float = 1.0,
-    horizon: float = 2 * 3600.0,
-    seed: int = 3,
-    scale: float = 0.2,
-    faults: FederationFaultConfig = BASELINE_FED_FAULTS,
-    jobs: int = 1,
-) -> list[dict]:
-    """Graceful-degradation table over the federation grid."""
-    points = federation_points(
-        cells=cells,
-        staleness_values=staleness_values,
-        intensities=intensities,
-        policy=policy,
-        cluster=cluster,
-        rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        faults=faults,
-    )
-    return parallel_map(
-        _federation_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-
-
-def federation_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cells, short horizon, the fault-free
-    baseline plus one hostile intensity, both staleness regimes."""
-    return federation_rows(
-        cells=(1, 2),
-        staleness_values=(0.0, 120.0),
-        intensities=(0.0, 5.0),
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )
-
-
 # ----------------------------------------------------------------------
 # The degenerate-baseline gate
 # ----------------------------------------------------------------------
-def degenerate_rows(
+def degenerate_points(
     cluster: str = "B",
     rate_factor: float = 1.0,
     horizon: float = 1800.0,
     seed: int = 0,
     scale: float = 0.05,
-    jobs: int = 1,
-) -> tuple[list[dict], list[dict]]:
-    """The 1-cell/zero-staleness/zero-intensity federation rows and the
-    equivalent single-cell ``omega`` rows."""
-    federated = federation_rows(
+) -> list[FederationPoint | SweepPoint]:
+    """The 1-cell/zero-staleness/zero-intensity federation point, then
+    the equivalent single-cell ``omega`` point."""
+    shared = dict(cluster=cluster, horizon=horizon, seed=seed, scale=scale)
+    federated = federation_points(
         cells=(1,),
         staleness_values=(0.0,),
         intensities=(0.0,),
         policy="round-robin",
-        cluster=cluster,
         rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
+        **shared,
     )
-    single = single_run_rows(
-        cluster=cluster,
-        rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
-    )
-    return federated, single
+    return federated + batch_load_points((rate_factor,), **shared)
 
 
-def degenerate_tables(
-    cluster: str = "B",
-    rate_factor: float = 1.0,
-    horizon: float = 1800.0,
-    seed: int = 0,
-    scale: float = 0.05,
-    jobs: int = 1,
-) -> tuple[str, str]:
-    """Render the 1-cell/zero-staleness/zero-intensity federation table
-    and the equivalent single-cell ``omega`` table over the shared
-    columns. The two must be byte-identical."""
-    federated, single = degenerate_rows(
-        cluster=cluster,
-        rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
-    )
-    return (
-        format_table(federated, SHARED_COLUMNS),
-        format_table(single, SHARED_COLUMNS),
-    )
-
-
-def run_degenerate_gate(
-    cluster: str = "B",
-    rate_factor: float = 1.0,
-    horizon: float = 1800.0,
-    seed: int = 0,
-    scale: float = 0.05,
-    jobs: int = 1,
-) -> str:
-    """Raise unless the degenerate federation reproduces the single-cell
-    baseline byte-for-byte; returns the (shared) table on success."""
-    federated, single = degenerate_tables(
-        cluster=cluster,
-        rate_factor=rate_factor,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        jobs=jobs,
-    )
+def degenerate_check(rows: list[dict]) -> list[dict]:
+    """Raise unless the degenerate federation row reproduces the
+    single-cell row byte-for-byte over :data:`SHARED_COLUMNS`; returns
+    the federation row on success."""
+    federated, single = (format_table([row], SHARED_COLUMNS) for row in rows)
     if federated != single:
-        raise RuntimeError(
-            "degenerate-baseline gate failed: 1-cell zero-staleness "
+        raise CheckFailed(
+            "degenerate-baseline gate FAILED: the 1-cell zero-staleness "
             "zero-intensity federation table differs from the "
             f"single-cell omega table\n-- federation --\n{federated}\n"
             f"-- single-cell --\n{single}"
         )
-    return federated
+    return rows[:1]

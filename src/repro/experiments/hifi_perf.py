@@ -21,7 +21,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.experiments.common import DAY
-from repro.hifi.replay import HighFidelityConfig, run_hifi
+from repro.hifi.replay import HighFidelityConfig
 from repro.hifi.trace import Trace, synthesize_trace
 from repro.schedulers.base import DEFAULT_T_TASK, DecisionTimeModel
 from repro.workload.clusters import preset_by_name
@@ -58,24 +58,28 @@ def make_trace(
     return synthesize_trace(preset, horizon=horizon, seed=seed)
 
 
-def _hifi_row(result, **extra) -> dict:
+#: The metric columns of the Figure 11-13 tables, in order.
+HIFI_TABLE = (
+    "wait_batch", "wait_batch_p90", "wait_service", "wait_service_p90",
+    "conflict_batch", "conflict_service", "busy_batch", "busy_service",
+    "busy_service_noconflict", "abandoned", "unscheduled_fraction",
+)
+
+#: One replay point: the run's configuration plus its extra row fields.
+HifiPoint = tuple[HighFidelityConfig, dict]
+
+
+def hifi_columns(world, result) -> dict:
+    """The columns the section 5 figures add to the standard row: wait
+    tails and the Figure 12c "no conflicts" busyness."""
     return {
-        **extra,
-        "wait_batch": result.mean_wait(JobType.BATCH),
         "wait_batch_p90": result.p90_wait(JobType.BATCH),
-        "wait_service": result.mean_wait(JobType.SERVICE),
         "wait_service_p90": result.p90_wait(JobType.SERVICE),
-        "conflict_batch": result.conflict_fraction("batch"),
-        "conflict_service": result.conflict_fraction("service"),
-        "busy_batch": result.busyness("batch"),
-        "busy_service": result.busyness("service"),
         "busy_service_noconflict": result.noconflict_busyness("service"),
-        "abandoned": result.jobs_abandoned,
-        "unscheduled_fraction": result.unscheduled_fraction,
     }
 
 
-def figure11_rows(
+def figure11_points(
     trace: Trace | None = None,
     t_jobs: Sequence[float] = DEFAULT_T_JOBS,
     t_tasks: Sequence[float] = DEFAULT_T_TASKS,
@@ -83,29 +87,25 @@ def figure11_rows(
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
-) -> list[dict]:
+) -> list[HifiPoint]:
     """Service busyness surface over t_job x t_task (cluster C trace)."""
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for t_job in t_jobs:
-        for t_task in t_tasks:
-            result = run_hifi(
-                HighFidelityConfig(
-                    trace=trace,
-                    seed=seed,
-                    service_model=DecisionTimeModel(t_job=t_job, t_task=t_task),
-                )
-            )
-            rows.append(
-                _hifi_row(
-                    result, cluster=cluster, t_job_service=t_job, t_task_service=t_task
-                )
-            )
-    return rows
+    return [
+        (
+            HighFidelityConfig(
+                trace=trace,
+                seed=seed,
+                service_model=DecisionTimeModel(t_job=t_job, t_task=t_task),
+            ),
+            {"cluster": cluster, "t_job_service": t_job, "t_task_service": t_task},
+        )
+        for t_job in t_jobs
+        for t_task in t_tasks
+    ]
 
 
-def figure12_rows(
+def figure12_points(
     trace: Trace | None = None,
     t_jobs: Sequence[float] = DEFAULT_T_JOBS,
     cluster: str = "B",
@@ -113,24 +113,24 @@ def figure12_rows(
     seed: int = 0,
     scale: float = 1.0,
     t_task_service: float = DEFAULT_T_TASK,
-) -> list[dict]:
+) -> list[HifiPoint]:
     """Varying t_job(service) on the cluster B trace."""
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for t_job in t_jobs:
-        result = run_hifi(
+    return [
+        (
             HighFidelityConfig(
                 trace=trace,
                 seed=seed,
                 service_model=DecisionTimeModel(t_job=t_job, t_task=t_task_service),
-            )
+            ),
+            {"cluster": cluster, "t_job_service": t_job},
         )
-        rows.append(_hifi_row(result, cluster=cluster, t_job_service=t_job))
-    return rows
+        for t_job in t_jobs
+    ]
 
 
-def figure13_rows(
+def figure13_points(
     trace: Trace | None = None,
     t_jobs: Sequence[float] = (0.1, 1.0, 4.0, 15.0, 60.0),
     cluster: str = "C",
@@ -138,38 +138,35 @@ def figure13_rows(
     seed: int = 0,
     scale: float = 1.0,
     scheduler_counts: Sequence[int] = (1, 3),
-) -> list[dict]:
+) -> list[HifiPoint]:
     """Splitting the batch workload across batch schedulers while
-    sweeping t_job(batch); the service path keeps defaults.
-
-    Rows carry per-scheduler busyness and wait times ("Batch 0/1/2" in
-    the paper's plots) plus the aggregate saturation indicator.
-    """
+    sweeping t_job(batch); the service path keeps defaults."""
     if trace is None:
         trace = make_trace(cluster, horizon, seed=seed, scale=scale)
-    rows = []
-    for count in scheduler_counts:
-        for t_job in t_jobs:
-            result = run_hifi(
-                HighFidelityConfig(
-                    trace=trace,
-                    seed=seed,
-                    batch_model=DecisionTimeModel(t_job=t_job),
-                    num_batch_schedulers=count,
-                )
-            )
-            row = _hifi_row(
-                result,
-                cluster=cluster,
-                t_job_batch=t_job,
+    return [
+        (
+            HighFidelityConfig(
+                trace=trace,
+                seed=seed,
+                batch_model=DecisionTimeModel(t_job=t_job),
                 num_batch_schedulers=count,
-            )
-            for index, name in enumerate(result.batch_scheduler_names):
-                row[f"busy_batch_{index}"] = result.scheduler_busyness(name)
-                row[f"wait_batch_{index}"] = result.scheduler_wait_mean(name)
-                row[f"wait_batch_{index}_p90"] = result.scheduler_wait_p90(name)
-            rows.append(row)
-    return rows
+            ),
+            {"cluster": cluster, "t_job_batch": t_job, "num_batch_schedulers": count},
+        )
+        for count in scheduler_counts
+        for t_job in t_jobs
+    ]
+
+
+def figure13_columns(world, result) -> dict:
+    """Figure 13 rows also carry per-scheduler busyness and wait times
+    ("Batch 0/1/2" in the paper's plots)."""
+    row = hifi_columns(world, result)
+    for index, name in enumerate(result.batch_scheduler_names):
+        row[f"busy_batch_{index}"] = result.scheduler_busyness(name)
+        row[f"wait_batch_{index}"] = result.scheduler_wait_mean(name)
+        row[f"wait_batch_{index}_p90"] = result.scheduler_wait_p90(name)
+    return row
 
 
 def figure13_saturation_shift(rows: list[dict], threshold: float = 0.05) -> dict:

@@ -72,6 +72,7 @@ def run_mapreduce_experiment(
     scale: float = 1.0,
     utilization_sample_interval: float = 300.0,
     initial_utilization: float | None = None,
+    timeline_interval: float | None = None,
 ) -> MapReduceRun:
     """Run the Omega architecture plus the specialized MapReduce
     scheduler under one allocation policy.
@@ -92,6 +93,7 @@ def run_mapreduce_experiment(
         seed=seed,
         utilization_sample_interval=utilization_sample_interval,
         initial_utilization=initial_utilization,
+        timeline_interval=timeline_interval,
     )
     simulation = LightweightSimulation(config).build()
     scheduler = MapReduceScheduler(
@@ -138,6 +140,7 @@ def figure15_rows(
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
+    timeline_interval: float | None = None,
 ) -> list[dict]:
     """Per-job speedup distribution per cluster and policy."""
     if policies is None:
@@ -152,6 +155,7 @@ def figure15_rows(
                 seed=seed,
                 scale=scale,
                 initial_utilization=_mr_fill(cluster),
+                timeline_interval=timeline_interval,
             )
             rows.append(
                 {
@@ -173,6 +177,7 @@ def figure16_rows(
     seed: int = 0,
     scale: float = 1.0,
     sample_interval: float = 300.0,
+    timeline_interval: float | None = None,
 ) -> list[dict]:
     """Utilization time series, normal vs max-parallelism, plus the
     dispersion summary (max-parallelism should be higher and more
@@ -187,6 +192,7 @@ def figure16_rows(
             scale=scale,
             utilization_sample_interval=sample_interval,
             initial_utilization=_mr_fill(cluster),
+            timeline_interval=timeline_interval,
         )
         cpu = np.array([u for _, u, _ in run.utilization_series])
         mem = np.array([u for _, _, u in run.utilization_series])

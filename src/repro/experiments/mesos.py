@@ -9,21 +9,17 @@ service framework thinks, repeatedly fail to finish scheduling, and
 (b) batch wait times grow, and (c) jobs start hitting the
 1,000-attempt abandonment limit as t_job(service) grows.
 
-The paper simulates Mesos for one day only "as they take much longer to
-run because of the failed scheduling attempts"; the default horizon
-here follows suit.
+Figure 7 itself is the shared service sweep over ``"mesos"``, declared
+in :mod:`repro.experiments.registry`; this module holds the compact
+workload that reproduces the pathology at small scale.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.common import DAY, LightweightConfig, run_lightweight
-from repro.experiments.sweeps import (
-    DEFAULT_SWEEP_CLUSTERS,
-    result_row,
-    sweep_service_decision_time,
-)
+from repro.experiments.common import LightweightConfig
+from repro.experiments.sweeps import SweepPoint
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.clusters import CLUSTER_A, ClusterPreset, WorkloadParams
 from repro.workload.distributions import (
@@ -32,8 +28,6 @@ from repro.workload.distributions import (
     LogNormal,
     Mixture,
 )
-
-DEFAULT_T_JOBS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 def pathology_preset(num_machines: int = 150) -> ClusterPreset:
@@ -79,63 +73,34 @@ def pathology_preset(num_machines: int = 150) -> ClusterPreset:
     )
 
 
-def pathology_rows(
+def pathology_points(
     t_jobs=(0.1, 10.0, 100.0),
     architectures=("mesos", "omega"),
     horizon: float = 2 * 3600.0,
     seed: int = 11,
     num_machines: int = 150,
     attempt_limit: int = 1000,
-) -> list[dict]:
-    """Run the pathology workload under Mesos (and reference
-    architectures) across service decision times.
+) -> list[SweepPoint]:
+    """The pathology workload under Mesos (and reference architectures)
+    across service decision times.
 
     ``attempt_limit`` can be reduced alongside the horizon: the paper's
     1,000-attempt limit matches day-long runs; a two-hour benchmark run
     reaches the same abandonment regime around 150-300 attempts.
     """
     preset = pathology_preset(num_machines)
-    rows = []
-    for architecture in architectures:
-        for t_job in t_jobs:
-            result = run_lightweight(
-                LightweightConfig(
-                    preset=preset,
-                    architecture=architecture,
-                    horizon=horizon,
-                    seed=seed,
-                    service_model=DecisionTimeModel(t_job=t_job),
-                    attempt_limit=attempt_limit,
-                )
-            )
-            rows.append(
-                result_row(result, architecture=architecture, t_job_service=t_job)
-            )
-    return rows
-
-
-def figure7_rows(
-    t_jobs=DEFAULT_T_JOBS,
-    clusters=DEFAULT_SWEEP_CLUSTERS,
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    offer_policy: str = "all",
-    jobs: int = 1,
-) -> list[dict]:
-    """Mesos-style two-level scheduling under the service-time sweep.
-
-    ``offer_policy="fair_share"`` runs the ablation the paper discusses
-    with the Mesos team (offers sized to fair share instead of
-    offer-everything).
-    """
-    return sweep_service_decision_time(
-        "mesos",
-        t_jobs,
-        clusters=clusters,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        mesos_offer_policy=offer_policy,
-        jobs=jobs,
-    )
+    return [
+        (
+            LightweightConfig(
+                preset=preset,
+                architecture=architecture,
+                horizon=horizon,
+                seed=seed,
+                service_model=DecisionTimeModel(t_job=t_job),
+                attempt_limit=attempt_limit,
+            ),
+            {"architecture": architecture, "t_job_service": t_job},
+        )
+        for architecture in architectures
+        for t_job in t_jobs
+    ]

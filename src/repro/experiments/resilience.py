@@ -25,10 +25,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.experiments.sweeps import SweepPoint, point_label, result_row
+from repro.experiments.sweeps import SweepPoint
 from repro.faults import FaultConfig, PredictorConfig
 from repro.faults.retry import RetryPolicyConfig
-from repro.perf.parallel import parallel_map
 from repro.workload.clusters import CLUSTER_B
 
 #: The architectures compared in the degradation table. The single-path
@@ -55,13 +54,12 @@ BASELINE_FAULTS = FaultConfig(
 )
 
 
-def resilience_row(sim: LightweightSimulation, result, **extra) -> dict:
-    """One degradation-table row: the standard metrics plus fault and
+def resilience_columns(world: LightweightSimulation, result) -> dict:
+    """The degradation table's additions to the standard row: fault and
     invariant-gate counters."""
-    row = result_row(result, **extra)
     metrics = result.metrics
-    checker = sim.invariant_checker
-    row.update(
+    checker = world.invariant_checker
+    return dict(
         machine_failures=metrics.machine_failures,
         tasks_killed=metrics.fault_tasks_killed,
         crashes=metrics.scheduler_crashes_total,
@@ -76,23 +74,9 @@ def resilience_row(sim: LightweightSimulation, result, **extra) -> dict:
         incurred=metrics.predict_conflicts_incurred_total,
         invariant_checks=(checker.checks_run if checker is not None else 0),
     )
-    return row
 
 
-def _resilience_point(point: SweepPoint) -> dict:
-    """Run one (architecture, intensity) point (parallel-worker body).
-
-    The post-run :meth:`~LightweightSimulation.check_invariants` gate
-    raises on any cell-state inconsistency, failing the whole sweep.
-    """
-    config, extra = point
-    sim = LightweightSimulation(config)
-    result = sim.run()
-    sim.check_invariants()
-    return resilience_row(sim, result, **extra)
-
-
-def resilience_rows(
+def resilience_points(
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     architectures: Sequence[str] = RESILIENCE_ARCHITECTURES,
     policy: str | None = "immediate",
@@ -101,9 +85,8 @@ def resilience_rows(
     horizon: float = 2 * 3600.0,
     seed: int = 3,
     faults: FaultConfig = BASELINE_FAULTS,
-    jobs: int = 1,
-) -> list[dict]:
-    """Degradation table: architectures x fault intensities.
+) -> list[SweepPoint]:
+    """Degradation grid: architectures x fault intensities.
 
     ``policy`` selects the Omega conflict-retry policy (one of
     :data:`repro.faults.retry.RETRY_POLICIES`, or ``None`` for the
@@ -140,23 +123,4 @@ def resilience_rows(
             points.append(
                 (config, {"architecture": architecture, "intensity": intensity})
             )
-    return parallel_map(
-        _resilience_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-
-
-def resilience_smoke_rows(seed: int = 3, jobs: int = 1) -> list[dict]:
-    """The CI smoke variant: tiny cell, short horizon, two intensities,
-    all four architectures, with starvation escalation switched on so
-    the fault, retry, and invariant paths all execute on every build."""
-    return resilience_rows(
-        intensities=(0.0, 5.0),
-        policy="starvation",
-        scale=0.05,
-        horizon=1800.0,
-        seed=seed,
-        jobs=jobs,
-    )
+    return points

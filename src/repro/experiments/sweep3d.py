@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import DAY
-from repro.experiments.sweeps import run_sweep, surface_points
+from repro.experiments.sweeps import SweepPoint, surface_points
 
 DEFAULT_T_JOBS = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_T_TASKS = (0.001, 0.01, 0.1, 1.0)
@@ -29,7 +29,7 @@ SCHEMES = (
 )
 
 
-def figure10_rows(
+def figure10_points(
     t_jobs=DEFAULT_T_JOBS,
     t_tasks=DEFAULT_T_TASKS,
     cluster: str = "B",
@@ -37,19 +37,17 @@ def figure10_rows(
     seed: int = 0,
     scale: float = 1.0,
     schemes=SCHEMES,
-    jobs: int = 1,
     **config_kwargs,
-) -> list[dict]:
+) -> list[SweepPoint]:
     """All five scheme surfaces; the scheme label lands in each row.
 
     The full scheme x t_job x t_task grid is one flat point list, so
-    ``jobs > 1`` parallelizes across the entire figure, not per panel.
+    ``--jobs N`` parallelizes across the entire figure, not per panel.
     """
     points = []
-    labels = []
     for label, conflict_mode, commit_mode in schemes:
         architecture = "omega" if label.startswith("omega") else label
-        scheme_points = surface_points(
+        for config, extra in surface_points(
             architecture,
             t_jobs,
             t_tasks,
@@ -60,10 +58,14 @@ def figure10_rows(
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
             **config_kwargs,
-        )
-        points.extend(scheme_points)
-        labels.extend([label] * len(scheme_points))
-    rows = run_sweep(points, jobs=jobs)
-    for row, label in zip(rows, labels):
-        row["scheme"] = label
+        ):
+            points.append((config, {**extra, "scheme": label}))
+    return points
+
+
+def scheme_last(rows: list[dict]) -> list[dict]:
+    """The table's historical column order: the scheme label closes
+    each row."""
+    for row in rows:
+        row["scheme"] = row.pop("scheme")
     return rows

@@ -1,14 +1,13 @@
 """Shared sweep machinery for the lightweight-simulator figures (5-10).
 
 Each figure is a sweep of one decision-time or arrival-rate parameter
-with everything else held fixed; this module owns the common loop and
-row format so the per-figure modules stay declarative.
+with everything else held fixed; this module owns the common grid
+builders and row format so the per-figure modules stay declarative.
 
-Sweeps are materialized as lists of *points* — ``(LightweightConfig,
-extra_row_fields)`` pairs — and executed by :func:`run_sweep`, which
-fans independent points out across worker processes when ``jobs > 1``
-(see :mod:`repro.perf.parallel`). Every point carries its own master
-seed, so serial and parallel executions produce identical rows.
+Sweeps are materialized as lists of *points* — ``(config,
+extra_row_fields)`` pairs — which :func:`repro.experiments.registry.run`
+executes, serially or across worker processes. Every point carries its
+own master seed, so both produce identical rows.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ import json
 from typing import Iterable, Sequence
 
 from repro.core.transaction import CommitMode, ConflictMode
-from repro.experiments.common import (
-    DAY,
-    LightweightConfig,
-    LightweightResult,
-    run_lightweight,
-)
-from repro.perf.parallel import parallel_map
+from repro.experiments.common import DAY, LightweightConfig
 from repro.schedulers.base import DEFAULT_T_JOB, DEFAULT_T_TASK, DecisionTimeModel
 from repro.workload.clusters import preset_by_name
 from repro.workload.job import JobType
@@ -38,10 +31,22 @@ WAIT_TIME_SLO = 30.0
 
 DEFAULT_SWEEP_CLUSTERS = ("A", "B", "C")
 
+#: The t_job(service) axis of Figures 5-7.
+DEFAULT_T_JOBS = (0.01, 0.1, 1.0, 10.0, 100.0)
 
-def result_row(result: LightweightResult, **extra) -> dict:
-    """Flatten one run into the standard row format."""
-    row = {
+
+class CheckFailed(RuntimeError):
+    """A ``finish`` hook's verdict: every point ran, but the rows fail
+    the experiment's own check (``omega-sim`` exits 1 with the message)."""
+
+
+def result_row(result, **extra) -> dict:
+    """Flatten one run into the standard row format.
+
+    ``result`` is any of the three result types (lightweight, hifi,
+    federated): they share these accessors.
+    """
+    return {
         **extra,
         "wait_batch": result.mean_wait(JobType.BATCH),
         "wait_service": result.mean_wait(JobType.SERVICE),
@@ -55,7 +60,6 @@ def result_row(result: LightweightResult, **extra) -> dict:
         "unscheduled_fraction": result.unscheduled_fraction,
         "utilization": result.final_cpu_utilization,
     }
-    return row
 
 
 def point_label(extra: dict) -> str:
@@ -69,26 +73,9 @@ def point_label(extra: dict) -> str:
     return json.dumps(extra, sort_keys=True, separators=(",", ":"))
 
 
-def run_sweep_point(point: SweepPoint) -> dict:
-    """Run one sweep point to its result row (parallel-worker body)."""
-    config, extra = point
-    return result_row(run_lightweight(config), **extra)
-
-
-def run_sweep(points: Sequence[SweepPoint], jobs: int = 1) -> list[dict]:
-    """Run sweep points — serially or across ``jobs`` worker processes —
-    and return their rows in point order."""
-    return parallel_map(
-        run_sweep_point,
-        points,
-        jobs=jobs,
-        labels=[point_label(extra) for _, extra in points],
-    )
-
-
 def service_decision_points(
     architecture: str,
-    t_jobs: Sequence[float],
+    t_jobs: Sequence[float] = DEFAULT_T_JOBS,
     clusters: Iterable[str] = DEFAULT_SWEEP_CLUSTERS,
     horizon: float = DAY,
     seed: int = 0,
@@ -98,7 +85,9 @@ def service_decision_points(
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
     **config_kwargs,
 ) -> list[SweepPoint]:
-    """Points for the x-axis sweep shared by Figures 5, 6 and 7."""
+    """Points for the x-axis sweep shared by Figures 5, 6 and 7: vary
+    t_job(service) (and, for the single-path monolithic scheduler, the
+    t_job applied to *every* job) while the batch path keeps defaults."""
     points: list[SweepPoint] = []
     for cluster in clusters:
         preset = preset_by_name(cluster)
@@ -118,39 +107,6 @@ def service_decision_points(
             )
             points.append((config, {"cluster": cluster, "t_job_service": t_job}))
     return points
-
-
-def sweep_service_decision_time(
-    architecture: str,
-    t_jobs: Sequence[float],
-    clusters: Iterable[str] = DEFAULT_SWEEP_CLUSTERS,
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    t_task_service: float = DEFAULT_T_TASK,
-    conflict_mode: ConflictMode = ConflictMode.FINE,
-    commit_mode: CommitMode = CommitMode.INCREMENTAL,
-    jobs: int = 1,
-    **config_kwargs,
-) -> list[dict]:
-    """The x-axis sweep shared by Figures 5, 6 and 7: vary
-    t_job(service) (and, for the single-path monolithic scheduler, the
-    t_job applied to *every* job) while the batch path keeps defaults."""
-    return run_sweep(
-        service_decision_points(
-            architecture,
-            t_jobs,
-            clusters=clusters,
-            horizon=horizon,
-            seed=seed,
-            scale=scale,
-            t_task_service=t_task_service,
-            conflict_mode=conflict_mode,
-            commit_mode=commit_mode,
-            **config_kwargs,
-        ),
-        jobs=jobs,
-    )
 
 
 def batch_load_points(
@@ -208,33 +164,6 @@ def batch_load_points(
     return points
 
 
-def sweep_batch_load(
-    factors: Sequence[float],
-    cluster: str = "B",
-    num_batch_schedulers: int = 1,
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    dilate_decision_times: bool = True,
-    jobs: int = 1,
-    **config_kwargs,
-) -> list[dict]:
-    """Figure 8/9's x-axis sweep (see :func:`batch_load_points`)."""
-    return run_sweep(
-        batch_load_points(
-            factors,
-            cluster=cluster,
-            num_batch_schedulers=num_batch_schedulers,
-            horizon=horizon,
-            seed=seed,
-            scale=scale,
-            dilate_decision_times=dilate_decision_times,
-            **config_kwargs,
-        ),
-        jobs=jobs,
-    )
-
-
 def saturation_point(rows: list[dict], threshold: float = 0.05) -> float | None:
     """The smallest swept rate factor at which the workload is no longer
     fully scheduled (Figure 8's dashed vertical lines)."""
@@ -258,7 +187,12 @@ def surface_points(
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
     **config_kwargs,
 ) -> list[SweepPoint]:
-    """Points for Figure 10/11's t_job x t_task (service) surface."""
+    """Points for Figure 10/11's t_job x t_task (service) surface.
+
+    Red shading in the paper marks configurations where part of the
+    workload remained unscheduled; rows carry ``unscheduled_fraction``
+    for the same purpose.
+    """
     preset = preset_by_name(cluster)
     if scale != 1.0:
         preset = preset.scaled(scale)
@@ -289,38 +223,3 @@ def surface_points(
             )
     return points
 
-
-def busyness_surface(
-    architecture: str,
-    t_jobs: Sequence[float],
-    t_tasks: Sequence[float],
-    cluster: str = "B",
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    conflict_mode: ConflictMode = ConflictMode.FINE,
-    commit_mode: CommitMode = CommitMode.INCREMENTAL,
-    jobs: int = 1,
-    **config_kwargs,
-) -> list[dict]:
-    """Figure 10/11's surface: busyness over t_job x t_task (service).
-
-    Red shading in the paper marks configurations where part of the
-    workload remained unscheduled; rows carry ``unscheduled_fraction``
-    for the same purpose.
-    """
-    return run_sweep(
-        surface_points(
-            architecture,
-            t_jobs,
-            t_tasks,
-            cluster=cluster,
-            horizon=horizon,
-            seed=seed,
-            scale=scale,
-            conflict_mode=conflict_mode,
-            commit_mode=commit_mode,
-            **config_kwargs,
-        ),
-        jobs=jobs,
-    )

@@ -65,7 +65,7 @@ from repro.obs.registry import (
 )
 from repro.obs.report import generate_report, write_report
 from repro.obs.summary import TraceSummary, json_safe, summarize_file
-from repro.obs.timeline import TimelineSampler, default_interval, set_default_interval
+from repro.obs.timeline import TimelineSampler
 
 __all__ = [
     # recorder
@@ -97,8 +97,6 @@ __all__ = [
     "summarize_file",
     # time-resolved consumers
     "TimelineSampler",
-    "default_interval",
-    "set_default_interval",
     "export_perfetto",
     "generate_report",
     "write_report",

@@ -41,27 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.base import QueueScheduler
     from repro.sim import Simulator
 
-#: Process-wide default sampling interval (simulated seconds). ``None``
-#: disables sampling for configs that do not set their own interval.
-#: The CLI sets this from ``--timeline-interval`` *before* constructing
-#: sweep configs, so the resolved value is baked into each (picklable)
-#: config and reaches ``--jobs N`` worker processes unchanged.
-_DEFAULT_INTERVAL: float | None = None
-
-
-def set_default_interval(interval: float | None) -> None:
-    """Set (or clear, with None) the process-wide sampling default."""
-    global _DEFAULT_INTERVAL
-    if interval is not None and interval <= 0:
-        raise ValueError(f"timeline interval must be positive, got {interval}")
-    _DEFAULT_INTERVAL = interval
-
-
-def default_interval() -> float | None:
-    """The current process-wide sampling default."""
-    return _DEFAULT_INTERVAL
-
-
 class TimelineSampler:
     """Samples cell- and scheduler-level telemetry on the event loop.
 

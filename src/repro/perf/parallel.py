@@ -24,9 +24,9 @@ guarantees make it safe for the experiment drivers:
 
 Execution itself lives in :mod:`repro.recovery`: points run under a
 supervisor (per-point timeouts, bounded retry on worker crashes,
-degradation to serial when the pool is unhealthy) and, when the CLI
-activated a checkpoint (``--checkpoint DIR``), completed points are
-durably logged and skipped on ``--resume``. ``labels`` gives each
+degradation to serial when the pool is unhealthy) and, when the caller
+passes a ``recovery`` context (``--checkpoint DIR``), completed points
+are durably logged and skipped on ``--resume``. ``labels`` gives each
 point a stable human-readable identity for checkpoint records and
 failure messages; drivers pass the point's extra row fields.
 """
@@ -64,6 +64,7 @@ def parallel_map(
     items: Sequence[Any],
     jobs: int | None = 1,
     labels: Sequence[str] | None = None,
+    recovery: Any = None,
 ) -> list[Any]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -73,9 +74,12 @@ def parallel_map(
     worker per CPU; ``jobs<=1`` (or a single item) runs serially in
     this process, under the parent's trace recorder as usual.
 
-    Execution is supervised and checkpoint-aware — see
+    Execution is supervised and, under a ``recovery`` context
+    (:class:`repro.recovery.RecoveryContext`), checkpointed — see
     :func:`repro.recovery.runner.execute_map` and docs/RECOVERY.md.
     """
     from repro.recovery.runner import execute_map
 
-    return execute_map(fn, items, jobs=resolve_jobs(jobs), labels=labels)
+    return execute_map(
+        fn, items, jobs=resolve_jobs(jobs), labels=labels, context=recovery
+    )

@@ -45,12 +45,7 @@ from repro.recovery.checkpoint import (
     RecoveryError,
 )
 from repro.recovery.manifest import RunManifest
-from repro.recovery.runner import (
-    RecoveryContext,
-    activate,
-    active_context,
-    execute_map,
-)
+from repro.recovery.runner import RecoveryContext, execute_map
 from repro.recovery.supervisor import (
     DEFAULT_POLICY,
     PointFailure,
@@ -70,8 +65,6 @@ __all__ = [
     "CheckpointStore",
     "RunManifest",
     "RecoveryContext",
-    "activate",
-    "active_context",
     "execute_map",
     "DEFAULT_POLICY",
     "SupervisorPolicy",

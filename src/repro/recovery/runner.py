@@ -1,21 +1,18 @@
 """Checkpoint-aware sweep execution: the glue between drivers and the
 supervisor.
 
-Experiment drivers call :func:`repro.perf.parallel.parallel_map`, which
-delegates here. When no :class:`RecoveryContext` is active this is a
-plain supervised map and behaves exactly like the historical
-``Pool.map`` fan-out. When the CLI activates a context (``--checkpoint
-DIR`` and friends), every completed sweep point is durably appended to
-the context's :class:`~repro.recovery.checkpoint.CheckpointStore` as it
-finishes, and on ``--resume`` already-completed points are skipped —
-their stored rows (and captured trace records) are used instead of
-re-running them.
+The experiment driver (:func:`repro.experiments.registry.run`) calls
+:func:`repro.perf.parallel.parallel_map`, which delegates here. Without
+a :class:`RecoveryContext` this is a plain supervised map and behaves
+exactly like the historical ``Pool.map`` fan-out. When the CLI passes a
+context (``--checkpoint DIR`` and friends), every completed sweep point
+is durably appended to the context's
+:class:`~repro.recovery.checkpoint.CheckpointStore` as it finishes, and
+on ``--resume`` already-completed points are skipped — their stored
+rows (and captured trace records) are used instead of re-running them.
 
-The context is module-global rather than threaded through every driver
-signature: a run executes one experiment command, and the drivers
-between the CLI and ``parallel_map`` (sweeps, resilience, ablations,
-conflict modes) are pure plumbing that should not need to know about
-checkpointing.
+The context is an argument, not process state: one driver sits between
+the CLI and the points, so there is nothing to thread it through.
 
 Determinism contract: a driver must materialize the same sweeps, in the
 same order, with the same per-point labels, on every run with the same
@@ -38,8 +35,7 @@ fields.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs import recorder as _obs
 from repro.obs.registry import get_registry
@@ -50,7 +46,7 @@ from repro.recovery.supervisor import (
     supervised_map,
 )
 
-__all__ = ["RecoveryContext", "activate", "active_context", "execute_map"]
+__all__ = ["RecoveryContext", "execute_map"]
 
 
 class RecoveryContext:
@@ -59,7 +55,8 @@ class RecoveryContext:
     ``store`` is the open checkpoint store, or ``None`` when the run is
     supervised (``--point-timeout`` etc.) but not checkpointed.
     ``resumed_points`` is the number of completed points recovered from
-    the store before execution started.
+    the store before execution started. As a context manager it closes
+    the store on exit.
     """
 
     def __init__(
@@ -87,29 +84,11 @@ class RecoveryContext:
         if self.store is not None:
             self.store.close()
 
+    def __enter__(self) -> "RecoveryContext":
+        return self
 
-#: The active context, if any. One experiment command per process, so a
-#: module global (not thread-local) is the honest scope.
-_ACTIVE: RecoveryContext | None = None
-
-
-def active_context() -> RecoveryContext | None:
-    """The currently active :class:`RecoveryContext`, or ``None``."""
-    return _ACTIVE
-
-
-@contextmanager
-def activate(context: RecoveryContext) -> Iterator[RecoveryContext]:
-    """Install ``context`` for the duration of one experiment command."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a RecoveryContext is already active")
-    _ACTIVE = context
-    try:
-        yield context
-    finally:
-        _ACTIVE = None
-        context.close()
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _plan_resume(
@@ -152,14 +131,14 @@ def execute_map(
     jobs: int = 1,
     labels: Sequence[str] | None = None,
     policy: SupervisorPolicy | None = None,
+    context: RecoveryContext | None = None,
 ) -> list[Any]:
-    """Run one sweep under the active recovery context (if any).
+    """Run one sweep under ``context`` (if any).
 
-    Results come back in item order. Without an active context this is
+    Results come back in item order. Without a context this is
     supervised execution with default policy — behaviourally identical
     to the old ``Pool.map`` path for healthy runs.
     """
-    context = _ACTIVE
     store = context.store if context is not None else None
     if policy is None:
         policy = context.policy if context is not None else DEFAULT_POLICY

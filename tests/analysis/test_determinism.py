@@ -14,7 +14,7 @@ from repro.analysis.determinism import (
     run_parallel_gate,
     values_equal,
 )
-from repro.experiments.omega import figure5c_6c_rows
+from repro.experiments.registry import EXPERIMENTS, run
 
 
 class TestValuesEqual:
@@ -70,8 +70,9 @@ class TestDiffTraces:
 class TestRunGate:
     def test_deterministic_experiment_passes(self):
         report = run_gate(
-            lambda: figure5c_6c_rows(
-                t_jobs=(1.0,), clusters=("A",), horizon=600.0, seed=7, scale=0.02
+            lambda: run(
+                EXPERIMENTS["fig5c"],
+                dict(t_jobs=(1.0,), clusters=("A",), horizon=600.0, seed=7, scale=0.02),
             )
         )
         assert report.identical, report.render()
@@ -114,12 +115,15 @@ class TestRunGate:
 class TestRunParallelGate:
     @staticmethod
     def _experiment(jobs=1):
-        return figure5c_6c_rows(
-            t_jobs=(1.0,),
-            clusters=("A",),
-            horizon=0.2 * 3600.0,
-            seed=3,
-            scale=0.02,
+        return run(
+            EXPERIMENTS["fig5c"],
+            dict(
+                t_jobs=(1.0,),
+                clusters=("A",),
+                horizon=0.2 * 3600.0,
+                seed=3,
+                scale=0.02,
+            ),
             jobs=jobs,
         )
 

@@ -12,12 +12,8 @@ import math
 
 from repro.core.transaction import CommitMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.experiments.conflict_avoidance import (
-    DELTA_COLUMNS,
-    attach_deltas,
-    conflict_avoidance_rows,
-    conflict_avoidance_smoke_rows,
-)
+from repro.experiments.conflict_avoidance import DELTA_COLUMNS, attach_deltas
+from repro.experiments.registry import EXPERIMENTS, run
 from repro.faults import PredictorConfig
 from repro.faults.retry import RetryPolicyConfig
 from repro.workload.clusters import CLUSTER_B
@@ -28,12 +24,15 @@ SEED = 7
 
 
 def small_rows(jobs: int = 1):
-    return conflict_avoidance_rows(
-        factors=(4.0,),
-        intensities=(0.0, 5.0),
-        scale=SCALE,
-        horizon=HORIZON,
-        seed=SEED,
+    return run(
+        EXPERIMENTS["conflict-avoidance"],
+        dict(
+            factors=(4.0,),
+            intensities=(0.0, 5.0),
+            scale=SCALE,
+            horizon=HORIZON,
+            seed=SEED,
+        ),
         jobs=jobs,
     )
 
@@ -129,7 +128,8 @@ class TestRows:
                 assert_same(left[key], right[key], label=key)
 
     def test_smoke_rows_cover_both_paths(self):
-        rows = conflict_avoidance_smoke_rows(seed=SEED)
+        experiment = EXPERIMENTS["conflict-avoidance"]
+        rows = run(experiment, {**experiment.smoke, "seed": SEED})
         assert {row["predictor"] for row in rows} == {"off", "on"}
         assert {row["intensity"] for row in rows} == {0.0, 5.0}
 

@@ -10,10 +10,10 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
 from repro.core.preemption import AllocationLedger
-from repro.experiments import ablations
 from repro.experiments.cli import main, render_plot
 from repro.experiments.common import LightweightConfig, run_lightweight
-from repro.experiments.mesos import pathology_preset, pathology_rows
+from repro.experiments.mesos import pathology_points, pathology_preset
+from repro.experiments.registry import EXPERIMENTS, run, run_point
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import DEFAULT_PRECEDENCE, JobType
 from tests.conftest import make_job, tiny_preset
@@ -91,32 +91,39 @@ class TestLedgerAwareQuota:
 
 class TestAblationDrivers:
     def test_retry_rows_shape(self):
-        rows = ablations.retry_position_rows(scale=0.05, horizon=600.0)
+        rows = run(EXPERIMENTS["ablation-retry"], dict(scale=0.05, horizon=600.0))
         assert {row["retry_position"] for row in rows} == {"head", "tail"}
 
     def test_initial_utilization_rows_shape(self):
-        rows = ablations.initial_utilization_rows(
-            fills=(0.2, 0.7), scale=0.05, horizon=600.0
+        rows = run(
+            EXPERIMENTS["ablation-util"],
+            dict(values=(0.2, 0.7), scale=0.05, horizon=600.0),
         )
         assert [row["initial_utilization"] for row in rows] == [0.2, 0.7]
 
     def test_backoff_rows_shape(self):
-        rows = ablations.backoff_rows(cooldowns=(0.0, 10.0), scale=0.05, horizon=600.0)
+        rows = run(
+            EXPERIMENTS["ablation-backoff"],
+            dict(values=(0.0, 10.0), scale=0.05, horizon=600.0),
+        )
         assert [row["cooldown_s"] for row in rows] == [0.0, 10.0]
 
     def test_preemption_rows_shape(self):
-        rows = ablations.preemption_rows(scale=0.05, horizon=900.0)
+        rows = run(
+            EXPERIMENTS["ablation-preemption"], dict(scale=0.05, horizon=900.0)
+        )
         by_mode = {row["preemption"]: row for row in rows}
         assert set(by_mode) == {"on", "off"}
         assert by_mode["off"]["tasks_preempted"] == 0
 
     def test_pathology_rows(self):
-        rows = pathology_rows(
+        points = pathology_points(
             t_jobs=(0.1,),
             architectures=("omega",),
             horizon=600.0,
             num_machines=60,
         )
+        rows = [run_point(point) for point in points]
         assert len(rows) == 1
         assert rows[0]["architecture"] == "omega"
 

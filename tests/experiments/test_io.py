@@ -26,6 +26,33 @@ class TestJsonRoundTrip:
         assert envelope["parameters"]["scale"] == 0.25
         assert envelope["format_version"] == FORMAT_VERSION
 
+    def test_cli_envelope_records_declared_arguments(self, tmp_path, capsys):
+        """A saved table says what produced it: the same parameters the
+        checkpoint manifest gets, plus the seed."""
+        from repro.experiments.cli import main
+
+        path = tmp_path / "federation.json"
+        assert main([
+            "federation", "--cells", "1", "--staleness", "0",
+            "--intensities", "0", "--policy", "round-robin",
+            "--scale", "0.05", "--hours", "0.2", "--seed", "4",
+            "--output", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["parameters"] == {
+            "scale": 0.05,
+            "hours": 0.2,
+            "seed": 4,
+            "cells": "1",
+            "staleness": "0",
+            "intensities": "0",
+            "policy": "round-robin",
+            "smoke": False,
+            "degenerate_gate": False,
+        }
+        (row,) = load_rows(path)  # content_hash still verifies
+        assert row["cells"] == 1 and row["policy"] == "round-robin"
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format_version": 99, "rows": []}))

@@ -5,11 +5,11 @@ import math
 import pytest
 
 from repro.experiments.common import LightweightConfig, run_lightweight
+from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.resilience import (
     BASELINE_FAULTS,
     DEFAULT_INTENSITIES,
     RESILIENCE_ARCHITECTURES,
-    resilience_rows,
 )
 from repro.experiments.sweeps import result_row
 from repro.workload.clusters import CLUSTER_B
@@ -41,13 +41,16 @@ def assert_same(actual, expected, label=""):
 
 
 def rows_for(intensities, architectures=("omega",), policy="immediate", jobs=1):
-    return resilience_rows(
-        intensities=intensities,
-        architectures=architectures,
-        policy=policy,
-        scale=SCALE,
-        horizon=HORIZON,
-        seed=SEED,
+    return run(
+        EXPERIMENTS["resilience"],
+        dict(
+            intensities=intensities,
+            architectures=architectures,
+            policy=policy,
+            scale=SCALE,
+            horizon=HORIZON,
+            seed=SEED,
+        ),
         jobs=jobs,
     )
 

@@ -3,8 +3,8 @@ that justifies the benchmark methodology (DESIGN.md section 6)."""
 
 import pytest
 
-from repro.experiments.common import run_lightweight
-from repro.experiments.sweeps import sweep_batch_load
+from repro.experiments.registry import run_point
+from repro.experiments.sweeps import batch_load_points
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
 from tests.conftest import make_job
@@ -71,6 +71,13 @@ class TestRunSummaryAccessors:
         assert result.tasks_lost_to_preemption("batch") == 0
 
 
+def _load_row(scale, **kwargs):
+    (point,) = batch_load_points(
+        (1.0,), cluster="C", horizon=1800.0, seed=4, scale=scale, **kwargs
+    )
+    return run_point(point)
+
+
 class TestScaledCellInvariance:
     """The joint scaling behind the Figure 8/9 benchmarks: shrinking the
     cell by s while stretching decision times by 1/s preserves
@@ -78,27 +85,14 @@ class TestScaledCellInvariance:
 
     @pytest.mark.parametrize("scale", [0.2, 0.1])
     def test_busyness_invariant_under_dilation(self, scale):
-        full = sweep_batch_load(
-            (1.0,), cluster="C", horizon=1800.0, seed=4, scale=0.4
-        )[0]
-        shrunk = sweep_batch_load(
-            (1.0,), cluster="C", horizon=1800.0, seed=4, scale=scale
-        )[0]
+        full = _load_row(0.4)
+        shrunk = _load_row(scale)
         assert shrunk["busy_batch"] == pytest.approx(
             full["busy_batch"], rel=0.35
         )
 
     def test_dilation_can_be_disabled(self):
-        row = sweep_batch_load(
-            (1.0,),
-            cluster="C",
-            horizon=1800.0,
-            seed=4,
-            scale=0.1,
-            dilate_decision_times=False,
-        )[0]
-        dilated = sweep_batch_load(
-            (1.0,), cluster="C", horizon=1800.0, seed=4, scale=0.1
-        )[0]
+        row = _load_row(0.1, dilate_decision_times=False)
+        dilated = _load_row(0.1)
         # Without dilation the scaled-down scheduler is nearly idle.
         assert row["busy_batch"] < dilated["busy_batch"] / 3

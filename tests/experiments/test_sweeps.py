@@ -5,14 +5,10 @@ import json
 import pytest
 
 from repro.experiments import hifi_perf, mapreduce as mr_experiments
-from repro.experiments.omega import figure8_saturation_points, figure9_rows
-from repro.experiments.sweeps import (
-    WAIT_TIME_SLO,
-    saturation_point,
-    sweep_batch_load,
-    sweep_service_decision_time,
-)
-from repro.experiments.sweep3d import SCHEMES, figure10_rows
+from repro.experiments.omega import figure8_saturation_points
+from repro.experiments.registry import EXPERIMENTS, run
+from repro.experiments.sweeps import WAIT_TIME_SLO, saturation_point
+from repro.experiments.sweep3d import SCHEMES
 from repro.hifi.trace import synthesize_trace
 from tests.conftest import tiny_preset
 
@@ -23,13 +19,15 @@ HOURS = 0.5 * 3600.0
 class TestServiceSweep:
     @pytest.fixture(scope="class")
     def rows(self):
-        return sweep_service_decision_time(
-            "omega",
-            t_jobs=(0.1, 10.0),
-            clusters=("A",),
-            horizon=HOURS,
-            seed=0,
-            scale=SCALE,
+        return run(
+            EXPERIMENTS["fig5c"],
+            dict(
+                t_jobs=(0.1, 10.0),
+                clusters=("A",),
+                horizon=HOURS,
+                seed=0,
+                scale=SCALE,
+            ),
         )
 
     def test_row_per_point(self, rows):
@@ -58,8 +56,12 @@ class TestServiceSweep:
 
 class TestBatchLoadSweep:
     def test_busyness_grows_with_load(self):
-        rows = sweep_batch_load(
-            (1.0, 4.0), cluster="B", horizon=HOURS, seed=0, scale=SCALE
+        rows = run(
+            EXPERIMENTS["fig8"],
+            dict(
+                factors=(1.0, 4.0), clusters=("B",), horizon=HOURS, seed=0,
+                scale=SCALE,
+            ),
         )
         assert rows[1]["busy_batch"] > rows[0]["busy_batch"]
 
@@ -85,12 +87,15 @@ class TestBatchLoadSweep:
         assert points == {"A": 2.0, "B": None}
 
     def test_figure9_rows_cover_counts(self):
-        rows = figure9_rows(
-            factors=(1.0,),
-            scheduler_counts=(1, 2),
-            horizon=HOURS,
-            seed=0,
-            scale=SCALE,
+        rows = run(
+            EXPERIMENTS["fig9"],
+            dict(
+                factors=(1.0,),
+                scheduler_counts=(1, 2),
+                horizon=HOURS,
+                seed=0,
+                scale=SCALE,
+            ),
         )
         assert {row["num_batch_schedulers"] for row in rows} == {1, 2}
 
@@ -103,13 +108,16 @@ class TestFigure10:
         assert labels[-1] == "omega-coarse-gang"
 
     def test_surface_rows(self):
-        rows = figure10_rows(
-            t_jobs=(0.1,),
-            t_tasks=(0.005,),
-            horizon=HOURS,
-            seed=0,
-            scale=SCALE,
-            schemes=SCHEMES[:2],
+        rows = run(
+            EXPERIMENTS["fig10"],
+            dict(
+                t_jobs=(0.1,),
+                t_tasks=(0.005,),
+                horizon=HOURS,
+                seed=0,
+                scale=SCALE,
+                schemes=SCHEMES[:2],
+            ),
         )
         assert len(rows) == 2
         assert {row["scheme"] for row in rows} == {
@@ -124,14 +132,17 @@ class TestHifiDrivers:
         return synthesize_trace(tiny_preset(num_machines=50), horizon=900.0, seed=2)
 
     def test_figure12_rows(self, trace):
-        rows = hifi_perf.figure12_rows(trace=trace, t_jobs=(0.1, 10.0), seed=0)
+        rows = run(
+            EXPERIMENTS["fig12"], dict(trace=trace, t_jobs=(0.1, 10.0), seed=0)
+        )
         assert len(rows) == 2
         assert "busy_service_noconflict" in rows[0]
         assert "wait_service_p90" in rows[0]
 
     def test_figure13_rows_have_per_scheduler_columns(self, trace):
-        rows = hifi_perf.figure13_rows(
-            trace=trace, t_jobs=(0.1,), scheduler_counts=(1, 3), seed=0
+        rows = run(
+            EXPERIMENTS["fig13"],
+            dict(trace=trace, t_jobs=(0.1,), scheduler_counts=(1, 3), seed=0),
         )
         three = [row for row in rows if row["num_batch_schedulers"] == 3][0]
         assert {"busy_batch_0", "busy_batch_1", "busy_batch_2"} <= set(three)
@@ -188,17 +199,18 @@ class TestParallelJobsEquivalence:
             t_jobs=(0.1, 10.0), clusters=("A",), horizon=HOURS, seed=0,
             scale=SCALE,
         )
-        serial = sweep_service_decision_time("omega", **kwargs)
-        parallel = sweep_service_decision_time("omega", jobs=2, **kwargs)
+        serial = run(EXPERIMENTS["fig5c"], kwargs)
+        parallel = run(EXPERIMENTS["fig5c"], kwargs, jobs=2)
         assert self._encoded(serial) == self._encoded(parallel)
         assert [list(r) for r in serial] == [list(r) for r in parallel]
 
     def test_batch_load_sweep(self):
         kwargs = dict(
-            factors=(1.0, 4.0), cluster="A", horizon=HOURS, seed=0, scale=SCALE
+            factors=(1.0, 4.0), clusters=("A",), horizon=HOURS, seed=0,
+            scale=SCALE,
         )
-        serial = sweep_batch_load(**kwargs)
-        parallel = sweep_batch_load(jobs=2, **kwargs)
+        serial = run(EXPERIMENTS["fig8"], kwargs)
+        parallel = run(EXPERIMENTS["fig8"], kwargs, jobs=2)
         assert self._encoded(serial) == self._encoded(parallel)
 
     def test_figure10_scheme_labels_survive_parallelism(self):
@@ -206,18 +218,16 @@ class TestParallelJobsEquivalence:
             t_jobs=(1.0,), t_tasks=(0.01,), cluster="A", horizon=HOURS,
             seed=0, scale=SCALE,
         )
-        serial = figure10_rows(**kwargs)
-        parallel = figure10_rows(jobs=2, **kwargs)
+        serial = run(EXPERIMENTS["fig10"], kwargs)
+        parallel = run(EXPERIMENTS["fig10"], kwargs, jobs=2)
         assert self._encoded(serial) == self._encoded(parallel)
         assert [row["scheme"] for row in parallel] == [
             label for label, _, _ in SCHEMES
         ]
 
     def test_ablation_custom_row_shape(self):
-        from repro.experiments.ablations import preemption_rows
-
         kwargs = dict(scale=SCALE, horizon=HOURS, seed=3)
-        serial = preemption_rows(**kwargs)
-        parallel = preemption_rows(jobs=2, **kwargs)
+        serial = run(EXPERIMENTS["ablation-preemption"], kwargs)
+        parallel = run(EXPERIMENTS["ablation-preemption"], kwargs, jobs=2)
         assert self._encoded(serial) == self._encoded(parallel)
         assert [row["preemption"] for row in parallel] == ["off", "on"]

@@ -1,10 +1,12 @@
 """Tests for the Table 1/2 data and the omega-sim CLI."""
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.experiments.cli import COMMANDS, build_parser, main
+from repro.experiments.cli import build_parser, main
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.tables import (
     TABLE1,
     TABLE2,
@@ -67,7 +69,7 @@ class TestCli:
     def test_all_figures_have_commands(self):
         expected = {f"fig{i}" for i in list(range(2, 5)) + list(range(7, 17))}
         expected |= {"fig5a", "fig5b", "fig5c", "table1", "table2", "partitioned"}
-        assert expected <= set(COMMANDS)
+        assert expected <= set(EXPERIMENTS)
 
     def test_parser_builds(self):
         parser = build_parser()
@@ -125,10 +127,6 @@ class TestCli:
         assert rollup["percentile_rows"]
         for row in rollup["percentile_rows"]:
             assert {"p50_s", "p90_s", "p99_s", "p999_s"} <= set(row)
-        # The process-wide sampling default is cleared after the run.
-        from repro.obs import timeline
-
-        assert timeline.default_interval() is None
 
     def test_timeline_interval_rejects_nonpositive(self, capsys):
         assert main(["omega", "--smoke", "--timeline-interval", "0"]) == 2
@@ -139,17 +137,21 @@ class TestCli:
 
 
 class TestBadArgumentsExitTwo:
-    """One line on stderr, exit 2, and no simulation run."""
+    """One line on stderr, exit 2, and no point built."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
-        def ran(args):
-            raise AssertionError("the command ran despite bad arguments")
+        def built(**params):
+            raise AssertionError("points were built despite bad arguments")
 
-        monkeypatch.setitem(COMMANDS, "fig8", (ran, ""))
+        for name, experiment in list(EXPERIMENTS.items()):
+            if experiment.points is not None:
+                monkeypatch.setitem(
+                    EXPERIMENTS, name, dataclasses.replace(experiment, points=built)
+                )
 
-    def _rejects(self, capsys, *argv):
-        assert main(["fig8", *argv]) == 2
+    def _rejects(self, capsys, *argv, command="fig8"):
+        assert main([command, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("omega-sim: ") and err.count("\n") == 1
         return err
@@ -168,6 +170,23 @@ class TestBadArgumentsExitTwo:
     )
     def test_out_of_range_value(self, capsys, argv):
         assert argv[0] in self._rejects(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("resilience", "--intensities", "abc"),
+            ("resilience", "--intensities", "-1"),
+            ("conflict-avoidance", "--factors", ","),
+            ("federation", "--cells", "0"),
+            ("federation", "--staleness", "-5"),
+            ("omega", "--cluster", "Z"),
+            ("omega", "--rate-factor", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_declared_argument_out_of_range(self, capsys, argv):
+        command, flag, _ = argv
+        assert flag in self._rejects(capsys, *argv[1:], command=command)
 
     def test_output_directory_missing(self, capsys, tmp_path):
         target = tmp_path / "absent" / "rows.json"

@@ -10,10 +10,11 @@ from repro.experiments.federation import (
     BASELINE_FED_FAULTS,
     SHARED_COLUMNS,
     build_federation,
+    degenerate_check,
     federation_points,
-    federation_rows,
-    run_degenerate_gate,
 )
+from repro.experiments.registry import DEGENERATE_GATE, EXPERIMENTS, run
+from repro.experiments.sweeps import CheckFailed
 from repro.federation import FederationFaultConfig
 from repro.obs.registry import Histogram
 from repro.workload.job import JobType
@@ -35,15 +36,18 @@ def assert_same(actual, expected, label=""):
 
 
 def rows_for(cells=(2,), staleness=(60.0,), intensities=(2.0,), jobs=1, **kwargs):
-    return federation_rows(
-        cells=cells,
-        staleness_values=staleness,
-        intensities=intensities,
-        scale=SCALE,
-        horizon=HORIZON,
-        seed=SEED,
+    return run(
+        EXPERIMENTS["federation"],
+        dict(
+            cells=cells,
+            staleness_values=staleness,
+            intensities=intensities,
+            scale=SCALE,
+            horizon=HORIZON,
+            seed=SEED,
+            **kwargs,
+        ),
         jobs=jobs,
-        **kwargs,
     )
 
 
@@ -68,10 +72,16 @@ class TestDegenerateBaseline:
     def test_one_cell_zero_staleness_matches_single_cell_byte_for_byte(self):
         """The acceptance bar: a 1-cell, zero-staleness, zero-intensity
         federation reproduces the single-cell omega table exactly —
-        run_degenerate_gate raises otherwise."""
-        table = run_degenerate_gate(horizon=HORIZON, seed=0, scale=SCALE)
-        header = table.splitlines()[0].split()
-        assert header == SHARED_COLUMNS
+        the gate's finish hook raises otherwise."""
+        (row,) = run(DEGENERATE_GATE, dict(horizon=HORIZON, seed=0, scale=SCALE))
+        assert set(SHARED_COLUMNS) <= set(row)
+        assert row["cells"] == 1
+
+    def test_any_shared_column_differing_fails_the_gate(self):
+        row = dict.fromkeys(SHARED_COLUMNS, 0.5)
+        assert degenerate_check([row, dict(row)]) == [row]
+        with pytest.raises(CheckFailed, match="degenerate-baseline gate FAILED"):
+            degenerate_check([row, {**row, "wait_batch": 0.6}])
 
 
 class TestZeroIntensityIdentity:

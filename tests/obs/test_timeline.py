@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.analysis.determinism import run_parallel_gate
 from repro.experiments.common import LightweightConfig, LightweightSimulation
+from repro.experiments.registry import EXPERIMENTS, Experiment, run
 from repro.obs import timeline
 from repro.workload import preset_by_name
 
@@ -101,50 +102,56 @@ class TestDeterminism:
         assert len(dumps(records_a)) > 0
 
     def test_serial_vs_parallel_identical(self):
-        from repro.experiments.omega import figure5c_6c_rows
-
-        timeline.set_default_interval(120.0)
-        try:
-            report = run_parallel_gate(
-                lambda jobs: figure5c_6c_rows(
-                    t_jobs=(1.0,), clusters=("A",), horizon=900.0,
-                    seed=3, scale=0.05, jobs=jobs,
-                ),
-                jobs=2,
-            )
-        finally:
-            timeline.set_default_interval(None)
+        params = dict(
+            t_jobs=(1.0,), clusters=("A",), horizon=900.0, seed=3, scale=0.05,
+            timeline_interval=120.0,
+        )
+        report = run_parallel_gate(
+            lambda jobs: run(EXPERIMENTS["fig5c"], params, jobs=jobs), jobs=2
+        )
         assert report.identical, report.render()
         assert report.records_a > 0
 
 
 class TestDefaultInterval:
-    def test_config_resolves_process_default_at_construction(self):
-        timeline.set_default_interval(45.0)
-        try:
-            config = LightweightConfig(preset=preset_by_name("A").scaled(0.02))
-        finally:
-            timeline.set_default_interval(None)
-        assert config.timeline_interval == 45.0
-        # After the reset, new configs are back to no sampling.
-        assert LightweightConfig(
-            preset=preset_by_name("A").scaled(0.02)
-        ).timeline_interval is None
+    """``run`` puts its ``timeline_interval`` on the configs it runs —
+    there is no process-wide default for a config to read."""
 
-    def test_explicit_config_value_wins(self):
-        timeline.set_default_interval(45.0)
-        try:
-            config = LightweightConfig(
-                preset=preset_by_name("A").scaled(0.02), timeline_interval=10.0
-            )
-        finally:
-            timeline.set_default_interval(None)
+    @staticmethod
+    def _experiment(configs):
+        return Experiment(
+            "sampled", "", points=lambda: [(config, {}) for config in configs]
+        )
+
+    def test_run_puts_default_on_every_config(self, monkeypatch):
+        from repro.experiments import registry
+
+        preset = preset_by_name("A").scaled(0.02)
+        configs = [LightweightConfig(preset=preset, horizon=60.0) for _ in range(2)]
+        assert [config.timeline_interval for config in configs] == [None, None]
+        monkeypatch.setattr(registry, "run_point", lambda point, **_: {})
+        run(self._experiment(configs), {"timeline_interval": 45.0})
+        assert [config.timeline_interval for config in configs] == [45.0, 45.0]
+        # Nothing lingers: a config built afterwards does not sample.
+        assert LightweightConfig(preset=preset).timeline_interval is None
+
+    def test_explicit_config_value_wins(self, monkeypatch):
+        from repro.experiments import registry
+
+        config = LightweightConfig(
+            preset=preset_by_name("A").scaled(0.02), timeline_interval=10.0
+        )
+        monkeypatch.setattr(registry, "run_point", lambda point, **_: {})
+        run(self._experiment([config]), {"timeline_interval": 45.0})
         assert config.timeline_interval == 10.0
 
     def test_set_default_rejects_nonpositive(self):
+        def never():
+            raise AssertionError("points were built despite a bad interval")
+
+        experiment = Experiment("sampled", "", points=never)
         with pytest.raises(ValueError, match="positive"):
-            timeline.set_default_interval(0.0)
-        assert timeline.default_interval() is None
+            run(experiment, {"timeline_interval": 0.0})
 
 
 class TestKillResumePlumbing:

@@ -10,12 +10,7 @@ from repro.analysis.determinism import canonical_record
 from repro.obs.registry import get_registry
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.manifest import RunManifest
-from repro.recovery.runner import (
-    RecoveryContext,
-    activate,
-    active_context,
-    execute_map,
-)
+from repro.recovery.runner import RecoveryContext, execute_map
 
 
 def _double(x):
@@ -40,8 +35,8 @@ LABELS = ["a", "b", "c"]
 def checkpointed_run(tmp_path, fn=_double, labels=LABELS, items=(1, 2, 3)):
     store = CheckpointStore(tmp_path / "ck")
     store.initialize(RunManifest(**MANIFEST))
-    with activate(RecoveryContext(store=store)) as context:
-        rows = execute_map(fn, list(items), labels=labels)
+    with RecoveryContext(store=store) as context:
+        rows = execute_map(fn, list(items), labels=labels, context=context)
     return rows, context
 
 
@@ -59,26 +54,19 @@ class TestWithoutContext:
         with pytest.raises(ValueError, match="2 labels for 3 items"):
             execute_map(_double, [1, 2, 3], labels=["a", "b"])
 
-    def test_no_context_active(self):
-        assert active_context() is None
+    def test_no_context_active(self, tmp_path):
+        """A context steers only the calls it is passed to: there is no
+        process-wide one for a later call to inherit."""
+        _, context = checkpointed_run(tmp_path)
+        assert execute_map(_double, [4]) == [{"value": 8}]
+        assert context.points_completed == 3
+        assert len((tmp_path / "ck" / "points.jsonl").read_text().splitlines()) == 3
 
 
-class TestActivate:
-    def test_installs_and_clears(self):
-        context = RecoveryContext()
-        with activate(context) as active:
-            assert active_context() is active is context
-        assert active_context() is None
-
-    def test_nested_activation_refused(self):
-        with activate(RecoveryContext()):
-            with pytest.raises(RuntimeError, match="already active"):
-                with activate(RecoveryContext()):
-                    pass
-
+class TestContext:
     def test_closes_store_on_exit(self, tmp_path):
         _, context = checkpointed_run(tmp_path)
-        assert context.store._handle is None  # closed by activate()
+        assert context.store._handle is None  # closed by the with block
 
 
 class TestCheckpointedExecution:
@@ -99,8 +87,10 @@ class TestCheckpointedExecution:
 
     def test_resume_skips_completed_points(self, tmp_path):
         rows, _ = checkpointed_run(tmp_path)
-        with activate(resuming_context(tmp_path)) as context:
-            resumed_rows = execute_map(_explode, [1, 2, 3], labels=LABELS)
+        with resuming_context(tmp_path) as context:
+            resumed_rows = execute_map(
+                _explode, [1, 2, 3], labels=LABELS, context=context
+            )
         assert resumed_rows == rows
         assert context.points_skipped == 3
         assert context.points_completed == 0
@@ -111,8 +101,10 @@ class TestCheckpointedExecution:
         log = tmp_path / "ck" / "points.jsonl"
         lines = log.read_text().splitlines(keepends=True)
         log.write_text("".join(lines[:2]))  # lose the last point
-        with activate(resuming_context(tmp_path)) as context:
-            resumed_rows = execute_map(_double, [1, 2, 3], labels=LABELS)
+        with resuming_context(tmp_path) as context:
+            resumed_rows = execute_map(
+                _double, [1, 2, 3], labels=LABELS, context=context
+            )
         assert resumed_rows == rows
         assert context.points_skipped == 2
         assert context.points_completed == 1
@@ -120,33 +112,42 @@ class TestCheckpointedExecution:
     def test_sweeps_numbered_in_call_order(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck")
         store.initialize(RunManifest(**MANIFEST))
-        with activate(RecoveryContext(store=store)):
-            execute_map(_double, [1], labels=["a"])
-            execute_map(_double, [2], labels=["a"])
+        with RecoveryContext(store=store) as context:
+            execute_map(_double, [1], labels=["a"], context=context)
+            execute_map(_double, [2], labels=["a"], context=context)
         records = [
             json.loads(line)["record"]
             for line in (tmp_path / "ck" / "points.jsonl").read_text().splitlines()
         ]
         assert [r["sweep"] for r in records] == [0, 1]
         # A resumed run skips both sweeps independently.
-        with activate(resuming_context(tmp_path)) as context:
-            assert execute_map(_explode, [1], labels=["a"]) == [{"value": 2}]
-            assert execute_map(_explode, [2], labels=["a"]) == [{"value": 4}]
+        with resuming_context(tmp_path) as context:
+            assert execute_map(
+                _explode, [1], labels=["a"], context=context
+            ) == [{"value": 2}]
+            assert execute_map(
+                _explode, [2], labels=["a"], context=context
+            ) == [{"value": 4}]
         assert context.points_skipped == 2
 
 
 class TestStructureChangeRefusal:
     def test_label_mismatch_refused(self, tmp_path):
         checkpointed_run(tmp_path)
-        with activate(resuming_context(tmp_path)):
+        with resuming_context(tmp_path) as context:
             with pytest.raises(RecoveryError, match="sweep structure changed"):
-                execute_map(_double, [1, 2, 3], labels=["a", "b", "DIFFERENT"])
+                execute_map(
+                    _double,
+                    [1, 2, 3],
+                    labels=["a", "b", "DIFFERENT"],
+                    context=context,
+                )
 
     def test_shrunken_sweep_refused(self, tmp_path):
         checkpointed_run(tmp_path)
-        with activate(resuming_context(tmp_path)):
+        with resuming_context(tmp_path) as context:
             with pytest.raises(RecoveryError, match="beyond this run's sweep"):
-                execute_map(_double, [1, 2], labels=["a", "b"])
+                execute_map(_double, [1, 2], labels=["a", "b"], context=context)
 
 
 class TestTraceStitching:
@@ -178,8 +179,8 @@ class TestTraceStitching:
         log.write_text("".join(lines[:2]))
 
         def resume():
-            with activate(resuming_context(tmp_path)):
-                execute_map(_traced, [1, 2, 3], labels=LABELS)
+            with resuming_context(tmp_path) as context:
+                execute_map(_traced, [1, 2, 3], labels=LABELS, context=context)
 
         stitched = self._records(resume)
         assert json.dumps(stitched) == json.dumps(uninterrupted)

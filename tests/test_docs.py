@@ -4,8 +4,11 @@ Over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md: every
 ``omega-sim <sub>`` names a real subcommand and every ``--flag`` after
 it on that line is one of that subcommand's options, every relative
 markdown link resolves, and every back-ticked path into the tree
-exists (with the tests a ``path::Class::test`` names). CHANGES.md and
-ROADMAP.md are history and plans, and may name things that are gone.
+exists (with the tests a ``path::Class::test`` names). And the other
+way round: every registered experiment command is named somewhere as
+``omega-sim <sub>``, and every flag it declares appears on such a line.
+CHANGES.md and ROADMAP.md are history and plans, and may name things
+that are gone.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import build_parser
+from repro.experiments.registry import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
@@ -76,3 +80,21 @@ def stale_references(path: Path):
 def test_doc_references_exist(path):
     problems = list(stale_references(path))
     assert not problems, "\n".join(problems)
+
+
+DOC_LINES = [
+    line for path in DOCS for line in path.read_text(encoding="utf-8").splitlines()
+]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_registered_command_is_documented(name):
+    """The reverse direction: a command (or a flag it declares) that no
+    doc mentions is as stale as a doc naming a command that is gone."""
+    command = re.compile(rf"omega-sim +{re.escape(name)}(?![\w-])")
+    lines = [line for line in DOC_LINES if command.search(line)]
+    assert lines, f"no doc names `omega-sim {name}`"
+    for argument in EXPERIMENTS[name].arguments:
+        assert any(argument.flag in line for line in lines), (
+            f"no doc line naming `omega-sim {name}` shows {argument.flag}"
+        )
