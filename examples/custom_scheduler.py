@@ -106,6 +106,7 @@ def main() -> None:
         cpu_per_task=1.0,
         mem_per_task=2.0,
         duration=3600.0,
+        job_id=1,
     )
     canary.submit(risky)
     # ...while ordinary batch jobs flow through the batch scheduler on
@@ -121,6 +122,7 @@ def main() -> None:
                 cpu_per_task=0.5,
                 mem_per_task=1.0,
                 duration=120.0,
+                job_id=index + 2,
             ),
         )
 

@@ -83,6 +83,7 @@ def main() -> None:
                 cpu_per_task=0.5,
                 mem_per_task=1.0,
                 duration=1200.0,
+                job_id=index + 1,
                 precedence=0,
             ),
         )
@@ -94,6 +95,7 @@ def main() -> None:
         cpu_per_task=2.0,
         mem_per_task=4.0,
         duration=1200.0,
+        job_id=51,
         precedence=10,
     )
     sim.at(120.0, service.submit, big_service)

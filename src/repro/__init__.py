@@ -45,7 +45,6 @@ from repro.core import (
 )
 from repro.experiments import (
     LightweightConfig,
-    LightweightResult,
     LightweightSimulation,
     run_lightweight,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "DecisionTimeModel",
     # harnesses
     "LightweightConfig",
-    "LightweightResult",
     "LightweightSimulation",
     "run_lightweight",
     "HighFidelityConfig",

@@ -20,6 +20,8 @@ FIJ001  Fault-injection hooks built on the wall clock or a non-forked
 RBS001  Swallowed exceptions in recovery-critical paths (workers,
         checkpoint/artifact writes) turn crash-safety into silent
         data loss.
+GLB001  ``global`` statements and module-level ``itertools.count``
+        make one run's result depend on the runs before it.
 ======  ==============================================================
 
 Rules receive a :class:`ModuleContext` (parsed AST with parent links,
@@ -837,6 +839,63 @@ class RecoveryExceptionSwallowRule(Rule):
         return None
 
 
+# ----------------------------------------------------------------------
+# GLB001 — process-wide mutable state
+# ----------------------------------------------------------------------
+class ModuleGlobalStateRule(Rule):
+    """Per-run state belongs to an object the run creates.
+
+    A ``global`` statement rebinds a module variable from inside a
+    function, and a module-level ``itertools.count(...)`` is a counter
+    every simulation in the process draws from; either way a run's
+    result comes to depend on what ran before it (job ids once steered
+    ``SchedulerPool`` routing that way). Ids and counters live on their
+    owner — :class:`repro.world.RunContext`, a ledger, an allocator.
+    The process-wide observers that remain suppress the rule inline,
+    each saying why it is ambient.
+    """
+
+    id = "GLB001"
+    description = (
+        "global statement or module-level itertools.count "
+        "(process-wide mutable state leaks between runs)"
+    )
+
+    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
+        counters: set[str] = set()
+        for node in module.nodes:
+            if isinstance(node, ast.Import):
+                counters.update(
+                    f"{alias.asname or alias.name}.count"
+                    for alias in node.names
+                    if alias.name == "itertools"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                counters.update(
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name == "count"
+                )
+            elif isinstance(node, ast.Global):
+                yield self.diagnostic(
+                    module,
+                    node,
+                    f"global {', '.join(node.names)}: keep the state on an "
+                    "object the run creates and pass it",
+                )
+        for statement in module.tree.body:
+            if not isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = statement.value
+            if isinstance(value, ast.Call) and dotted_name(value.func) in counters:
+                yield self.diagnostic(
+                    module,
+                    statement,
+                    "module-level itertools.count: number things from "
+                    "their owner (one counter per run, ledger, allocator)",
+                )
+
+
 #: Every shipped rule, in catalogue order.
 ALL_RULES: tuple[Rule, ...] = (
     RawRandomRule(),
@@ -847,6 +906,7 @@ ALL_RULES: tuple[Rule, ...] = (
     MutableDefaultRule(),
     FaultInjectionSourceRule(),
     RecoveryExceptionSwallowRule(),
+    ModuleGlobalStateRule(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -458,14 +458,14 @@ ACTIVE: Sanitizer | None = None
 
 def install(config: SanitizerConfig | None = None) -> Sanitizer:
     """Activate omega-san process-wide; returns the sanitizer."""
-    global ACTIVE
+    global ACTIVE  # omega-lint: disable=GLB001 -- ambient observer: it checks a run, never steers one
     ACTIVE = Sanitizer(config)
     return ACTIVE
 
 
 def uninstall() -> None:
     """Deactivate omega-san (hooks return to the fast path)."""
-    global ACTIVE
+    global ACTIVE  # omega-lint: disable=GLB001 -- ambient observer: it checks a run, never steers one
     ACTIVE = None
 
 

@@ -27,15 +27,13 @@ Mechanics:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellState
 from repro.core.transaction import Claim
 from repro.sim import Event, Simulator
-
-_record_ids = itertools.count(1)
 
 #: Called when an allocation is (partially) evicted: (record, count).
 VictimCallback = Callable[["AllocationRecord", int], None]
@@ -45,6 +43,9 @@ VictimCallback = Callable[["AllocationRecord", int], None]
 class AllocationRecord:
     """One registered running allocation (count identical tasks)."""
 
+    #: Numbered from 1 by the owning ledger, so an invariant report
+    #: naming a record reads the same however many runs came before.
+    record_id: int
     machine: int
     cpu: float
     mem: float
@@ -55,7 +56,6 @@ class AllocationRecord:
     #: Name of the scheduler that owns this allocation (used by the
     #: post-facto policy monitor, :mod:`repro.core.limits`).
     owner: str | None = None
-    record_id: int = field(default_factory=lambda: next(_record_ids))
 
     @property
     def total_cpu(self) -> float:
@@ -79,6 +79,7 @@ class AllocationLedger:
         self.state = state
         self.sim = sim
         self._by_machine: dict[int, dict[int, AllocationRecord]] = {}
+        self._ids = itertools.count(1)
         self.preempted_tasks = 0
 
     # ------------------------------------------------------------------
@@ -104,6 +105,7 @@ class AllocationLedger:
             with _san.master_scope("ledger-register"):
                 self.state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
         record = AllocationRecord(
+            record_id=next(self._ids),
             machine=claim.machine,
             cpu=claim.cpu,
             mem=claim.mem,

@@ -8,14 +8,12 @@ benchmark harness, the CLI and the tests all consume the same code.
 
 from repro.experiments.common import (
     LightweightConfig,
-    LightweightResult,
     LightweightSimulation,
     run_lightweight,
 )
 
 __all__ = [
     "LightweightConfig",
-    "LightweightResult",
     "LightweightSimulation",
     "run_lightweight",
 ]

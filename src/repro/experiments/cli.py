@@ -480,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     saved_san_env = None
     if sanitizing:
         # The env var rides into --jobs N worker processes, which build
-        # their own sanitizer from it (see LightweightSimulation.build).
+        # their own sanitizer from it (see repro.world.RunContext).
         saved_san_env = os.environ.get("OMEGA_SAN")
         os.environ["OMEGA_SAN"] = "1"
         _san.install()

@@ -1,10 +1,10 @@
 """The lightweight simulator harness (paper section 4).
 
 Assembles a cell, its standing task population, workload generators and
-one of the five scheduler architectures, runs the discrete-event
-simulation, and exposes the paper's metrics. The same seed produces a
-byte-identical workload for every architecture, which is what makes the
-section 4 comparisons apples-to-apples.
+one of the five scheduler architectures on the shared
+:mod:`repro.world` lifecycle, and exposes the paper's metrics. The same
+seed produces a byte-identical workload for every architecture, which
+is what makes the section 4 comparisons apples-to-apples.
 """
 
 from __future__ import annotations
@@ -12,42 +12,265 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.core.fill import populate
 from repro.core.multi import SchedulerPool
 from repro.core.placement import placement_fn
 from repro.core.preemption import AllocationLedger
-from repro.core.scheduler import OmegaScheduler
+from repro.core.scheduler import OmegaScheduler, PlacementFn
 from repro.core.scheduler_preempting import PreemptingOmegaScheduler
 from repro.core.transaction import CommitMode, ConflictMode
-from repro.faults import CellStateInvariantChecker, ChaosEngine, FaultConfig
+from repro.faults import FaultConfig
 from repro.faults.predictor import ConflictPredictor, PredictorConfig
-from repro.faults.retry import RetryPolicy, RetryPolicyConfig
-from repro.metrics import MetricsCollector
+from repro.faults.retry import RetryPolicyConfig
 from repro.metrics.results import RunSummary
-from repro.obs import recorder as _obs
-from repro.obs import timeline as _timeline
-from repro.obs.registry import Histogram, publish_sim_stats
 from repro.schedulers.base import DecisionTimeModel
-from repro.schedulers.mesos import MesosAllocator, MesosFramework, reset_offer_ids
+from repro.schedulers.mesos import MesosAllocator, MesosFramework
 from repro.schedulers.monolithic import MonolithicScheduler
 from repro.schedulers.partitioned import StaticPartition
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams
 from repro.workload.clusters import ClusterPreset
 from repro.workload.generator import InitialFill, WorkloadGenerator
-from repro.workload.job import Job, JobType, reset_job_ids
+from repro.workload.job import Job, JobType
+from repro.world import RunContext, World
 
 DAY = 86400.0
 
-#: The five architectures of Figure 10, left to right.
-ARCHITECTURES = (
-    "monolithic-single",
-    "monolithic-multi",
-    "partitioned",
-    "mesos",
-    "omega",
-)
+
+# ----------------------------------------------------------------------
+# The five architectures of Figure 10, as builders that register their
+# schedulers (and cell states, and the submit entry point) on a world
+# ----------------------------------------------------------------------
+def _route_by_type(
+    batch: Callable[[Job], None], service: Callable[[Job], None]
+) -> Callable[[Job], None]:
+    def submit(job: Job) -> None:
+        if job.job_type is JobType.BATCH:
+            batch(job)
+        else:
+            service(job)
+
+    return submit
+
+
+def _monolithic(world: World, factory: Callable, **models: DecisionTimeModel) -> None:
+    scheduler = factory(
+        world.sim,
+        world.metrics,
+        world.add_state(),
+        world.streams.stream("placement.monolithic"),
+        attempt_limit=world.config.attempt_limit,
+        **models,
+    )
+    world.register(scheduler, "batch", "service")
+    world.submit = scheduler.submit
+
+
+def _monolithic_single(world: World) -> None:
+    # Single code path: the (swept) service model applies to all jobs.
+    _monolithic(
+        world, MonolithicScheduler.single_path, model=world.config.service_model
+    )
+
+
+def _monolithic_multi(world: World) -> None:
+    _monolithic(
+        world,
+        MonolithicScheduler.multi_path,
+        batch_model=world.config.batch_model,
+        service_model=world.config.service_model,
+    )
+
+
+def _partitioned(world: World) -> None:
+    config = world.config
+    partition = StaticPartition(
+        world.sim,
+        world.metrics,
+        world.cell,
+        world.streams.stream("placement.partition-batch"),
+        world.streams.stream("placement.partition-service"),
+        batch_model=config.batch_model,
+        service_model=config.service_model,
+        batch_share=config.batch_partition_share,
+        attempt_limit=config.attempt_limit,
+    )
+    world.states.extend(partition.states)
+    world.register(partition.batch_scheduler, "batch")
+    world.register(partition.service_scheduler, "service")
+    world.submit = partition.submit
+
+
+def _mesos(world: World) -> None:
+    config = world.config
+    allocator = MesosAllocator(
+        world.sim, world.add_state(), offer_policy=config.mesos_offer_policy
+    )
+    batch, service = (
+        MesosFramework(
+            f"mesos-{role}",
+            world.sim,
+            world.metrics,
+            allocator,
+            world.streams.stream(f"placement.mesos-{role}"),
+            model,
+            attempt_limit=config.attempt_limit,
+        )
+        for role, model in (
+            ("batch", config.batch_model),
+            ("service", config.service_model),
+        )
+    )
+    world.register(batch, "batch")
+    world.register(service, "service")
+    world.submit = _route_by_type(batch.submit, service.submit)
+
+
+def omega_schedulers(
+    world: World,
+    state: CellState,
+    stem: str,
+    placement: PlacementFn,
+    ledger: AllocationLedger | None,
+    *,
+    prefix: str = "",
+    preempting: bool = False,
+    retry: RetryPolicyConfig | None = None,
+    predictor: PredictorConfig | None = None,
+    retry_conflicts_at_front: bool = True,
+    cooldown: float = 0.0,
+) -> None:
+    """Shared state: ``num_batch_schedulers`` hash-balanced batch
+    schedulers and one service scheduler over ``state``.
+
+    Both simulators build their schedulers here. The high-fidelity
+    replay passes its own ``stem``, scoring placer and failure ledger;
+    the keyword arguments are the lightweight simulator's extensions.
+    ``prefix`` goes on display names only, never on stream names.
+    """
+    config = world.config
+    streams = world.streams
+
+    def scheduler(base_name: str, stream: str, model: DecisionTimeModel, preempt=False):
+        # Each scheduler gets its own conflict predictor and its own
+        # named retry stream: the paper's schedulers share nothing but
+        # the cell state, and a contention model must crash (and reset)
+        # with its scheduler alone. The ``predictive`` retry policy
+        # shares it, so escalation reads what placement steering writes.
+        contention = (
+            None if preempt or predictor is None else ConflictPredictor(predictor)
+        )
+        policy = (
+            None
+            if retry is None
+            else retry.build(streams.stream(f"retry.{base_name}"), predictor=contention)
+        )
+        args = (
+            prefix + base_name,
+            world.sim,
+            world.metrics,
+            state,
+            streams.stream(f"placement.{stream}"),
+            model,
+        )
+        if preempt:
+            return PreemptingOmegaScheduler(
+                *args,
+                ledger=ledger,
+                attempt_limit=config.attempt_limit,
+                retry_conflicts_at_front=retry_conflicts_at_front,
+                retry_policy=policy,
+            )
+        return OmegaScheduler(
+            *args,
+            conflict_mode=config.conflict_mode,
+            commit_mode=config.commit_mode,
+            placement=placement,
+            attempt_limit=config.attempt_limit,
+            retry_conflicts_at_front=retry_conflicts_at_front,
+            ledger=ledger,
+            conflict_avoidance_cooldown=cooldown,
+            retry_policy=policy,
+            predictor=contention,
+        )
+
+    count = config.num_batch_schedulers
+    pool = SchedulerPool(
+        [
+            scheduler(
+                f"{stem}-batch-{i}" if count > 1 else f"{stem}-batch",
+                f"{stem}-batch-{i}",
+                config.batch_model,
+            )
+            for i in range(count)
+        ]
+    )
+    service = scheduler(
+        f"{stem}-service", f"{stem}-service", config.service_model, preempt=preempting
+    )
+    for member in pool.schedulers:
+        world.register(member, "batch")
+    world.register(service, "service")
+    world.submit = _route_by_type(pool.submit, service.submit)
+
+
+def _omega(world: World) -> None:
+    config = world.config
+    state = world.add_state()
+    if config.enable_preemption:
+        world.ledger = AllocationLedger(state, world.sim)
+    omega_schedulers(
+        world,
+        state,
+        "omega",
+        placement_fn(config.placement_strategy),
+        world.ledger,
+        prefix=config.name_prefix,
+        preempting=config.enable_preemption,
+        retry=config.retry_policy,
+        predictor=config.predictor,
+        retry_conflicts_at_front=config.retry_conflicts_at_front,
+        cooldown=config.conflict_avoidance_cooldown,
+    )
+
+
+#: Architecture name -> builder, in Figure 10's order, left to right.
+ARCHITECTURES: dict[str, Callable[[World], None]] = {
+    "monolithic-single": _monolithic_single,
+    "monolithic-multi": _monolithic_multi,
+    "partitioned": _partitioned,
+    "mesos": _mesos,
+    "omega": _omega,
+}
+
+
+def start_workload(
+    context: RunContext,
+    streams: RandomStreams,
+    config: "LightweightConfig",
+    submit: Callable[[Job], None],
+    multiplier: float = 1.0,
+) -> None:
+    """Start ``config``'s batch and service arrival processes.
+
+    A federation front door passes its own ``submit`` and its cell
+    count as ``multiplier``: the same named streams at ``num_cells``
+    times the template rates, so one cell is exactly the baseline.
+    """
+    for job_type, params, factor in (
+        (JobType.BATCH, config.preset.batch, config.batch_rate_factor),
+        (JobType.SERVICE, config.preset.service, config.service_rate_factor),
+    ):
+        WorkloadGenerator(
+            context.sim,
+            params,
+            job_type,
+            streams.stream(f"workload.{job_type.value}"),
+            submit,
+            config.horizon,
+            context.job_ids,
+            rate_factor=factor * multiplier,
+        ).start()
 
 
 @dataclass
@@ -123,7 +346,7 @@ class LightweightConfig:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
-                f"choose from {ARCHITECTURES}"
+                f"choose from {tuple(ARCHITECTURES)}"
             )
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
@@ -159,470 +382,60 @@ class LightweightConfig:
         return min(DAY, self.horizon / 4.0)
 
 
-@dataclass
-class LightweightResult(RunSummary):
-    """Metrics of one lightweight run, with the paper's derived
-    quantities (see :class:`repro.metrics.results.RunSummary`)."""
+class LightweightSimulation(World):
+    """One configured lightweight simulation.
 
-    config: LightweightConfig | None = None
-
-
-class LightweightSimulation:
-    """Builds and runs one configured lightweight simulation.
-
-    Split from :func:`run_lightweight` so extensions (the MapReduce
-    case-study scheduler of section 6) can compose with a built
-    simulation before running it.
+    Stand-alone it runs on a context of its own; a federation passes
+    the shared ``context`` and the cell's forked ``streams``.
     """
 
     def __init__(
         self,
         config: LightweightConfig,
-        sim: Simulator | None = None,
+        context: RunContext | None = None,
         streams: RandomStreams | None = None,
     ) -> None:
-        self.config = config
-        #: An injected simulator/stream pair means this world is one
-        #: cell of a larger composition (the federation): the owner
-        #: drives the event loop, resets global id counters and the
-        #: sanitizer run, and publishes engine stats exactly once.
-        self._external_sim = sim is not None
-        self.sim = sim if sim is not None else Simulator()
-        self.streams = streams if streams is not None else RandomStreams(config.seed)
-        self.metrics = MetricsCollector(period=config.period)
-        self.cell = config.preset.cell()
-        self.states: list[CellState] = []
-        self.submit: Callable[[Job], None] | None = None
-        self.batch_scheduler_names: list[str] = []
-        self.service_scheduler_names: list[str] = []
-        #: Every scheduler object, in construction order — the chaos
-        #: engine's crash/commit faults target entries of this registry.
-        self.schedulers: list = []
-        self.ledger: AllocationLedger | None = None
-        self.chaos: ChaosEngine | None = None
-        self.invariant_checker: CellStateInvariantChecker | None = None
-        self.timeline_sampler: _timeline.TimelineSampler | None = None
-        self.utilization_series: list[tuple[float, float, float]] = []
-        self._built = False
+        super().__init__(
+            config,
+            context or RunContext(),
+            streams or RandomStreams(config.seed),
+            config.preset.cell(),
+            config.horizon,
+            architecture=config.architecture,
+            seed=config.seed,
+            cluster=config.preset.name,
+        )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def build(self) -> "LightweightSimulation":
-        if self._built:
-            raise RuntimeError("simulation already built")
-        self._built = True
-        if not self._external_sim:
-            if _san.ACTIVE is None and _san.env_enabled():
-                # Workers spawned by ``--jobs N`` inherit OMEGA_SAN=1 from
-                # the parent's ``--sanitize`` but not its installed
-                # sanitizer.
-                _san.install()
-            if _san.ACTIVE is not None:
-                _san.ACTIVE.begin_run(now=lambda: self.sim.now)
-            # Per-run global counters; a federation owner resets them
-            # once before building its cells (begin_run would wipe the
-            # sanitizer shadows of already-built sibling cells).
-            reset_job_ids()
-            reset_offer_ids()
-        builder = getattr(self, f"_build_{self.config.architecture.replace('-', '_')}")
-        builder()
+    def assemble(self) -> None:
+        config = self.config
+        ARCHITECTURES[config.architecture](self)
         self._fill_initial_state()
-        self._start_workload()
-        config = self.config
-        if config.fault_config.enabled:
-            self.chaos = ChaosEngine(
-                self.sim,
-                self.streams.fork("chaos"),
-                config.fault_config,
-                self.metrics,
-            )
-            self.chaos.install(
-                self.states,
-                self.schedulers,
-                ledger=self.ledger,
-                horizon=config.horizon,
-            )
-        if config.invariant_check_interval is not None:
-            self.invariant_checker = CellStateInvariantChecker(
-                self.states, ledger=self.ledger
-            )
-            self.invariant_checker.install(
-                self.sim, config.invariant_check_interval, horizon=config.horizon
-            )
-        if self.config.utilization_sample_interval:
-            self.sim.every(
-                self.config.utilization_sample_interval,
-                self._sample_utilization,
-                until=self.config.horizon,
-            )
-        if config.timeline_interval is not None:
-            self.timeline_sampler = _timeline.TimelineSampler(
-                self.sim,
-                self.metrics,
-                self.states,
-                self.schedulers,
-                interval=config.timeline_interval,
-                horizon=config.horizon,
-                chaos=self.chaos,
-            )
-            self.timeline_sampler.install()
-        return self
-
-    def _build_monolithic_single(self) -> None:
-        state = CellState(self.cell)
-        self.states.append(state)
-        # Single code path: the (swept) service model applies to all jobs.
-        scheduler = MonolithicScheduler.single_path(
-            self.sim,
-            self.metrics,
-            state,
-            self.streams.stream("placement.monolithic"),
-            self.config.service_model,
-            attempt_limit=self.config.attempt_limit,
-        )
-        self.submit = scheduler.submit
-        self.schedulers = [scheduler]
-        self.batch_scheduler_names = [scheduler.name]
-        self.service_scheduler_names = [scheduler.name]
-
-    def _build_monolithic_multi(self) -> None:
-        state = CellState(self.cell)
-        self.states.append(state)
-        scheduler = MonolithicScheduler.multi_path(
-            self.sim,
-            self.metrics,
-            state,
-            self.streams.stream("placement.monolithic"),
-            batch_model=self.config.batch_model,
-            service_model=self.config.service_model,
-            attempt_limit=self.config.attempt_limit,
-        )
-        self.submit = scheduler.submit
-        self.schedulers = [scheduler]
-        self.batch_scheduler_names = [scheduler.name]
-        self.service_scheduler_names = [scheduler.name]
-
-    def _build_partitioned(self) -> None:
-        partition = StaticPartition(
-            self.sim,
-            self.metrics,
-            self.cell,
-            self.streams.stream("placement.partition-batch"),
-            self.streams.stream("placement.partition-service"),
-            batch_model=self.config.batch_model,
-            service_model=self.config.service_model,
-            batch_share=self.config.batch_partition_share,
-            attempt_limit=self.config.attempt_limit,
-        )
-        self.states.extend(partition.states)
-        self.submit = partition.submit
-        self.schedulers = [partition.batch_scheduler, partition.service_scheduler]
-        self.batch_scheduler_names = [partition.batch_scheduler.name]
-        self.service_scheduler_names = [partition.service_scheduler.name]
-
-    def _build_mesos(self) -> None:
-        state = CellState(self.cell)
-        self.states.append(state)
-        allocator = MesosAllocator(
-            self.sim, state, offer_policy=self.config.mesos_offer_policy
-        )
-        batch = MesosFramework(
-            "mesos-batch",
-            self.sim,
-            self.metrics,
-            allocator,
-            self.streams.stream("placement.mesos-batch"),
-            self.config.batch_model,
-            attempt_limit=self.config.attempt_limit,
-        )
-        service = MesosFramework(
-            "mesos-service",
-            self.sim,
-            self.metrics,
-            allocator,
-            self.streams.stream("placement.mesos-service"),
-            self.config.service_model,
-            attempt_limit=self.config.attempt_limit,
-        )
-        self.allocator = allocator
-
-        def submit(job: Job) -> None:
-            target = batch if job.job_type is JobType.BATCH else service
-            target.submit(job)
-
-        self.submit = submit
-        self.schedulers = [batch, service]
-        self.batch_scheduler_names = [batch.name]
-        self.service_scheduler_names = [service.name]
-
-    def _retry_policy(
-        self,
-        scheduler_name: str,
-        predictor: ConflictPredictor | None = None,
-    ) -> RetryPolicy | None:
-        """Build the configured retry policy for one Omega scheduler.
-
-        Each scheduler gets its own named random stream so jittered
-        backoff draws are independent of every other stochastic process
-        in the run (the determinism discipline of ``repro.sim.random``).
-        ``predictor`` is the scheduler's own conflict predictor; the
-        ``predictive`` policy shares it so escalation decisions read the
-        same contention model that placement steering writes.
-        """
-        config = self.config.retry_policy
-        if config is None:
-            return None
-        return config.build(
-            self.streams.stream(f"retry.{scheduler_name}"), predictor=predictor
+        if not config.external_arrivals:
+            start_workload(self.context, self.streams, config, self.submit)
+        self.install_collectors(
+            config.fault_config,
+            config.invariant_check_interval,
+            config.utilization_sample_interval,
+            config.timeline_interval,
         )
 
-    def _predictor(self) -> ConflictPredictor | None:
-        """Build one scheduler's conflict predictor (None when disabled).
-
-        Per-scheduler, never shared between schedulers: the paper's
-        schedulers share nothing but the cell state, and each one's
-        contention model must crash (and reset) with it alone.
-        """
-        if self.config.predictor is None:
-            return None
-        return ConflictPredictor(self.config.predictor)
-
-    def _build_omega(self) -> None:
-        state = CellState(self.cell)
-        self.states.append(state)
-        config = self.config
-        ledger = None
-        if config.enable_preemption:
-            ledger = AllocationLedger(state, self.sim)
-            self.ledger = ledger
-        placement = placement_fn(config.placement_strategy)
-        prefix = config.name_prefix
-        batch_schedulers = []
-        for i in range(config.num_batch_schedulers):
-            base_name = (
-                f"omega-batch-{i}"
-                if config.num_batch_schedulers > 1
-                else "omega-batch"
-            )
-            predictor = self._predictor()
-            batch_schedulers.append(
-                OmegaScheduler(
-                    prefix + base_name,
-                    self.sim,
-                    self.metrics,
-                    state,
-                    self.streams.stream(f"placement.omega-batch-{i}"),
-                    config.batch_model,
-                    conflict_mode=config.conflict_mode,
-                    commit_mode=config.commit_mode,
-                    attempt_limit=config.attempt_limit,
-                    retry_conflicts_at_front=config.retry_conflicts_at_front,
-                    ledger=ledger,
-                    conflict_avoidance_cooldown=config.conflict_avoidance_cooldown,
-                    placement=placement,
-                    retry_policy=self._retry_policy(base_name, predictor),
-                    predictor=predictor,
-                )
-            )
-        pool = SchedulerPool(batch_schedulers)
-        if config.enable_preemption:
-            service = PreemptingOmegaScheduler(
-                prefix + "omega-service",
-                self.sim,
-                self.metrics,
-                state,
-                self.streams.stream("placement.omega-service"),
-                config.service_model,
-                ledger=ledger,
-                attempt_limit=config.attempt_limit,
-                retry_conflicts_at_front=config.retry_conflicts_at_front,
-                retry_policy=self._retry_policy("omega-service"),
-            )
-        else:
-            service_predictor = self._predictor()
-            service = OmegaScheduler(
-                prefix + "omega-service",
-                self.sim,
-                self.metrics,
-                state,
-                self.streams.stream("placement.omega-service"),
-                config.service_model,
-                conflict_mode=config.conflict_mode,
-                commit_mode=config.commit_mode,
-                attempt_limit=config.attempt_limit,
-                retry_conflicts_at_front=config.retry_conflicts_at_front,
-                conflict_avoidance_cooldown=config.conflict_avoidance_cooldown,
-                placement=placement,
-                retry_policy=self._retry_policy(
-                    "omega-service", service_predictor
-                ),
-                predictor=service_predictor,
-            )
-        self.omega_pool = pool
-        self.omega_service = service
-
-        def submit(job: Job) -> None:
-            if job.job_type is JobType.BATCH:
-                pool.submit(job)
-            else:
-                service.submit(job)
-
-        self.submit = submit
-        self.schedulers = batch_schedulers + [service]
-        self.batch_scheduler_names = pool.names
-        self.service_scheduler_names = [service.name]
-
-    # ------------------------------------------------------------------
     def _fill_initial_state(self) -> None:
         fill = InitialFill(self.config.preset, self.config.initial_utilization)
         rng = self.streams.stream("initial-fill")
         tasks = fill.generate(rng)
-        if len(self.states) == 1:
-            populate(self.states[0], tasks, rng, self.sim, self.config.horizon)
-            return
         # Partitioned cells: split the standing population proportionally
-        # to partition capacity.
+        # to partition capacity (one state takes it all).
         total_cpu = sum(state.cell.total_cpu for state in self.states)
         start = 0
         for state in self.states:
-            share = state.cell.total_cpu / total_cpu
-            count = round(len(tasks) * share)
-            chunk = tasks[start : start + count]
+            count = round(len(tasks) * (state.cell.total_cpu / total_cpu))
+            populate(
+                state, tasks[start : start + count], rng, self.sim, self.horizon
+            )
             start += count
-            populate(state, chunk, rng, self.sim, self.config.horizon)
-
-    def _start_workload(self) -> None:
-        assert self.submit is not None
-        config = self.config
-        if config.external_arrivals:
-            self.generators = {}
-            return
-        self.generators = {
-            JobType.BATCH: WorkloadGenerator(
-                self.sim,
-                config.preset.batch,
-                JobType.BATCH,
-                self.streams.stream("workload.batch"),
-                self.submit,
-                config.horizon,
-                rate_factor=config.batch_rate_factor,
-            ),
-            JobType.SERVICE: WorkloadGenerator(
-                self.sim,
-                config.preset.service,
-                JobType.SERVICE,
-                self.streams.stream("workload.service"),
-                self.submit,
-                config.horizon,
-                rate_factor=config.service_rate_factor,
-            ),
-        }
-        for generator in self.generators.values():
-            generator.start()
-
-    # ------------------------------------------------------------------
-    def cpu_utilization(self) -> float:
-        used = sum(state.used_cpu for state in self.states)
-        total = sum(state.cell.total_cpu for state in self.states)
-        return used / total
-
-    def mem_utilization(self) -> float:
-        used = sum(state.used_mem for state in self.states)
-        total = sum(state.cell.total_mem for state in self.states)
-        return used / total
-
-    def _sample_utilization(self) -> None:
-        self.utilization_series.append(
-            (self.sim.now, self.cpu_utilization(), self.mem_utilization())
-        )
-
-    def _histogram_states(self) -> list[dict]:
-        """The collector registry's histograms, serialized for the
-        end-of-run ``run.metrics`` trace record.
-
-        Sorted by (name, labels) so the record is independent of
-        registry insertion order.
-        """
-        histograms = [
-            metric for metric in self.metrics.registry if isinstance(metric, Histogram)
-        ]
-        histograms.sort(key=lambda m: (m.name, tuple(sorted(m.labels.items()))))
-        return [
-            {"name": metric.name, "labels": metric.labels, "state": metric.state()}
-            for metric in histograms
-        ]
-
-    def check_invariants(self) -> list[str]:
-        """Post-run invariant gate over every cell state (and ledger).
-
-        Raises :class:`repro.faults.InvariantViolation` on any
-        inconsistency; returns the (empty) violation list otherwise.
-        A continuous checker installed via ``invariant_check_interval``
-        is reused so its counters keep accumulating.
-        """
-        checker = self.invariant_checker
-        if checker is None:
-            checker = CellStateInvariantChecker(self.states, ledger=self.ledger)
-        return checker.check(self.sim.now)
-
-    # ------------------------------------------------------------------
-    def run(self) -> LightweightResult:
-        if not self._built:
-            self.build()
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "run.start",
-                t=self.sim.now,
-                architecture=self.config.architecture,
-                horizon=self.config.horizon,
-                seed=self.config.seed,
-                cluster=self.config.preset.name,
-            )
-        self.sim.run(until=self.config.horizon)
-        return self.finalize()
-
-    def finalize(self) -> LightweightResult:
-        """Post-run bookkeeping: sanitizer end-of-run check, engine-stat
-        publication, the ``run.metrics`` trace record and result
-        assembly.
-
-        Split from :meth:`run` so a composition driving a *shared*
-        event loop (the federation harness) can run the simulator once
-        and then finalize each member cell. With an injected simulator,
-        engine stats are *not* published here — the owner publishes the
-        shared loop's stats exactly once.
-        """
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.final_check(self.states)
-        stats = self.sim.stats()
-        if not self._external_sim:
-            publish_sim_stats(stats)
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "run.metrics",
-                t=self.sim.now,
-                histograms=self._histogram_states(),
-            )
-        return LightweightResult(
-            metrics=self.metrics,
-            horizon=self.config.horizon,
-            batch_scheduler_names=self.batch_scheduler_names,
-            service_scheduler_names=self.service_scheduler_names,
-            jobs_submitted=self.metrics.jobs_submitted,
-            jobs_scheduled=self.metrics.jobs_scheduled_total,
-            jobs_abandoned=self.metrics.jobs_abandoned_total,
-            final_cpu_utilization=self.cpu_utilization(),
-            utilization_series=self.utilization_series,
-            events_processed=self.sim.events_processed,
-            sim_stats=stats,
-            config=self.config,
-        )
 
 
-def run_lightweight(config: LightweightConfig) -> LightweightResult:
+def run_lightweight(config: LightweightConfig) -> RunSummary:
     """Build and run one lightweight-simulator experiment."""
     return LightweightSimulation(config).run()
 

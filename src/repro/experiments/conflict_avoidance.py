@@ -59,7 +59,6 @@ def conflict_avoidance_columns(world: LightweightSimulation, result) -> dict:
     """The table's additions to the standard row: wasted work and the
     predictor counters."""
     metrics = result.metrics
-    checker = world.invariant_checker
     return dict(
         wasted_batch=result.busyness("batch")
         - result.noconflict_busyness("batch"),
@@ -68,7 +67,7 @@ def conflict_avoidance_columns(world: LightweightSimulation, result) -> dict:
         steer_fallback=metrics.steer_fallback_tasks_total,
         avoided=metrics.predict_conflicts_avoided_total,
         incurred=metrics.predict_conflicts_incurred_total,
-        invariant_checks=(checker.checks_run if checker is not None else 0),
+        invariant_checks=world.invariant_checker.checks_run,
     )
 
 

@@ -105,16 +105,18 @@ def run_mapreduce_experiment(
         DecisionTimeModel(),
         policy,
     )
-    workload = MapReduceWorkload(
+    simulation.register(scheduler)
+    MapReduceWorkload(
         simulation.sim,
         rate=MAPREDUCE_RATE_RATIO * preset.batch.arrival_rate,
         rng=simulation.streams.stream("workload.mapreduce"),
         submit=scheduler.submit,
         horizon=horizon,
+        job_ids=simulation.context.job_ids,
         worker_scale=preset.num_machines / REFERENCE_CELL_MACHINES,
-    )
-    workload.start()
+    ).start()
     result = simulation.run()
+    simulation.check_invariants()
     return MapReduceRun(
         cluster=cluster,
         policy=policy.name,

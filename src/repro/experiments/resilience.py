@@ -58,7 +58,6 @@ def resilience_columns(world: LightweightSimulation, result) -> dict:
     """The degradation table's additions to the standard row: fault and
     invariant-gate counters."""
     metrics = result.metrics
-    checker = world.invariant_checker
     return dict(
         machine_failures=metrics.machine_failures,
         tasks_killed=metrics.fault_tasks_killed,
@@ -72,7 +71,7 @@ def resilience_columns(world: LightweightSimulation, result) -> dict:
         steered=metrics.placements_steered_total,
         avoided=metrics.predict_conflicts_avoided_total,
         incurred=metrics.predict_conflicts_incurred_total,
-        invariant_checks=(checker.checks_run if checker is not None else 0),
+        invariant_checks=world.invariant_checker.checks_run,
     )
 
 

@@ -2,8 +2,9 @@
 
 Each cell wraps a full :class:`~repro.experiments.common.
 LightweightSimulation` world (own CellState, schedulers, metrics
-collector, chaos engine) attached to the federation's *shared* event
-loop and to random streams forked per cell from the run's master seed.
+collector, chaos engine) built under the federation's *shared*
+:class:`~repro.world.RunContext` and on random streams forked per cell
+from the run's master seed.
 The cell additionally carries the federation-facing state: reachability
 flags driven by the federation chaos engine and the published
 utilization/queue-depth digest the front door routes on.
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.obs import recorder as _obs
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams
 from repro.workload.job import Job
+from repro.world import RunContext
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,15 @@ class FederatedCell:
         self,
         index: int,
         config: LightweightConfig,
-        sim: Simulator,
+        context: RunContext,
         streams: RandomStreams,
         staleness: float = 0.0,
     ) -> None:
         self.index = index
         self.name = f"c{index}"
         self.staleness = staleness
-        self.world = LightweightSimulation(config, sim=sim, streams=streams)
-        self.sim = sim
+        self.world = LightweightSimulation(config, context, streams).build()
+        self.sim = context.sim
         #: Whole-cell blackout: schedulers crashed, unreachable from the
         #: front door (set by the federation chaos engine).
         self.blacked_out = False
@@ -67,10 +69,6 @@ class FederatedCell:
         self._frozen: CellDigest | None = None
 
     # ------------------------------------------------------------------
-    def build(self) -> "FederatedCell":
-        self.world.build()
-        return self
-
     @property
     def reachable(self) -> bool:
         """Whether a front-door submission can reach this cell now."""

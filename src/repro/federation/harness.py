@@ -1,13 +1,13 @@
 """Builds and runs one federated multi-cell simulation.
 
-The federation owns a single shared event loop: every member cell is a
-full :class:`~repro.experiments.common.LightweightSimulation` world
-attached to it (cell 0 on the run's master streams, cell *i* on a
-``cell.{i}`` fork, so a 1-cell federation draws byte-identical
-randomness to the single-cell baseline). The front door owns the
-workload generators — the combined arrival stream runs at
-``num_cells`` times the per-cell template rate — and routes arrivals
-on the cells' eventually-consistent digests.
+The federation is one :class:`~repro.world.RunContext` with N worlds:
+every member cell is a full :class:`~repro.experiments.common.
+LightweightSimulation` built under it (cell 0 on the run's master
+streams, cell *i* on a ``cell.{i}`` fork, so a 1-cell federation draws
+byte-identical randomness to the single-cell baseline). The front door
+takes the arrivals — the combined stream runs at ``num_cells`` times
+the per-cell template rate — and routes them on the cells'
+eventually-consistent digests.
 
 The caller supplies the master :class:`~repro.sim.RandomStreams`
 (see :func:`repro.experiments.federation.build_federation`): this
@@ -19,19 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.analysis import sanitizer as _san
-from repro.experiments.common import LightweightResult
+from repro.experiments.common import start_workload
 from repro.federation.cells import FederatedCell
 from repro.federation.chaos import FederationChaosEngine
 from repro.federation.config import FederationConfig
 from repro.federation.router import FrontDoor
-from repro.obs import recorder as _obs
-from repro.obs.registry import Histogram, publish_sim_stats
-from repro.schedulers.mesos import reset_offer_ids
-from repro.sim import RandomStreams, Simulator
+from repro.metrics.results import RunSummary
+from repro.obs.registry import Histogram
+from repro.sim import RandomStreams
 from repro.sim.random import derive_seed
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.job import JobType, reset_job_ids
+from repro.workload.job import JobType
+from repro.world import RunContext
 
 
 @dataclass
@@ -45,7 +43,7 @@ class FederatedResult:
     """
 
     config: FederationConfig
-    cell_results: list[LightweightResult]
+    cell_results: list[RunSummary]
     accounting: dict[str, int]
     jobs_migrated: int
     jobs_rerouted: int
@@ -61,13 +59,6 @@ class FederatedResult:
     # ------------------------------------------------------------------
     # Pooled metrics (degenerate-exact for one cell)
     # ------------------------------------------------------------------
-    def _role_names(self, result: LightweightResult, role: str) -> list[str]:
-        if role == "batch":
-            return result.batch_scheduler_names
-        if role == "service":
-            return result.service_scheduler_names
-        raise ValueError(f"role must be 'batch' or 'service', got {role!r}")
-
     def mean_wait(self, job_type: JobType) -> float:
         """Federation-wide average wait time: the pooled per-job list."""
         waits: list[float] = []
@@ -84,7 +75,7 @@ class FederatedResult:
         for result in self.cell_results:
             values.extend(
                 result.metrics.median_busyness(name, result.horizon)
-                for name in self._role_names(result, role)
+                for name in result.role_names(role)
             )
         return sum(values) / len(values)
 
@@ -93,7 +84,7 @@ class FederatedResult:
         for result in self.cell_results:
             values.extend(
                 result.metrics.mad_busyness(name, result.horizon)
-                for name in self._role_names(result, role)
+                for name in result.role_names(role)
             )
         return sum(values) / len(values)
 
@@ -103,7 +94,7 @@ class FederatedResult:
         conflicts = 0
         scheduled = 0
         for result in self.cell_results:
-            for name in self._role_names(result, role):
+            for name in result.role_names(role):
                 per_scheduler = result.metrics.schedulers[name]
                 conflicts += sum(per_scheduler.conflicts.values())
                 scheduled += sum(per_scheduler.jobs_scheduled.values())
@@ -178,29 +169,17 @@ class FederatedSimulation:
 
     def __init__(self, config: FederationConfig, streams: RandomStreams) -> None:
         self.config = config
-        self.sim = Simulator()
+        self.context = RunContext()
+        self.sim = self.context.sim
         self.streams = streams
         self.cells: list[FederatedCell] = []
         self.front_door: FrontDoor | None = None
         self.chaos: FederationChaosEngine | None = None
-        self.generators: dict[JobType, WorkloadGenerator] = {}
-        self._built = False
 
     # ------------------------------------------------------------------
     def build(self) -> "FederatedSimulation":
-        if self._built:
+        if self.front_door is not None:
             raise RuntimeError("federation already built")
-        self._built = True
-        if _san.ACTIVE is None and _san.env_enabled():
-            _san.install()
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.begin_run(now=lambda: self.sim.now)
-        # Global per-run counters, reset once for the whole federation
-        # (each cell skips them: an injected simulator marks the cell as
-        # non-owning, and a per-cell sanitizer begin_run would wipe the
-        # shadows of already-built sibling cells).
-        reset_job_ids()
-        reset_offer_ids()
         config = self.config
         base = config.cell_config
         for index in range(config.num_cells):
@@ -217,15 +196,15 @@ class FederatedSimulation:
             cell_streams = (
                 self.streams if index == 0 else self.streams.fork(f"cell.{index}")
             )
-            cell = FederatedCell(
-                index,
-                cell_config,
-                self.sim,
-                cell_streams,
-                staleness=config.staleness,
+            self.cells.append(
+                FederatedCell(
+                    index,
+                    cell_config,
+                    self.context,
+                    cell_streams,
+                    staleness=config.staleness,
+                )
             )
-            cell.build()
-            self.cells.append(cell)
         self.front_door = FrontDoor(self.sim, self.cells, config, self.streams)
         if config.staleness > 0:
             for cell in self.cells:
@@ -233,7 +212,13 @@ class FederatedSimulation:
                 self.sim.every(
                     config.staleness, cell.publish_digest, until=base.horizon
                 )
-        self._start_workload()
+        start_workload(
+            self.context,
+            self.streams,
+            base,
+            self.front_door.submit,
+            float(config.num_cells),
+        )
         if config.fault_config.enabled:
             self.chaos = FederationChaosEngine(
                 self.sim,
@@ -246,40 +231,6 @@ class FederatedSimulation:
             self.chaos.install()
         return self
 
-    def _start_workload(self) -> None:
-        """The front door's combined arrival stream.
-
-        Same named streams as a single-cell run (``workload.batch`` /
-        ``workload.service`` off the master streams) at ``num_cells``
-        times the template rates: one cell at multiplier 1 is exactly
-        the baseline workload.
-        """
-        assert self.front_door is not None
-        base = self.config.cell_config
-        multiplier = float(self.config.num_cells)
-        self.generators = {
-            JobType.BATCH: WorkloadGenerator(
-                self.sim,
-                base.preset.batch,
-                JobType.BATCH,
-                self.streams.stream("workload.batch"),
-                self.front_door.submit,
-                base.horizon,
-                rate_factor=base.batch_rate_factor * multiplier,
-            ),
-            JobType.SERVICE: WorkloadGenerator(
-                self.sim,
-                base.preset.service,
-                JobType.SERVICE,
-                self.streams.stream("workload.service"),
-                self.front_door.submit,
-                base.horizon,
-                rate_factor=base.service_rate_factor * multiplier,
-            ),
-        }
-        for job_type in (JobType.BATCH, JobType.SERVICE):
-            self.generators[job_type].start()
-
     # ------------------------------------------------------------------
     def check_invariants(self) -> list[str]:
         """Per-cell post-run invariant gate (every cell state must stay
@@ -290,39 +241,26 @@ class FederatedSimulation:
         return violations
 
     def cpu_utilization(self) -> float:
-        used = sum(
-            state.used_cpu for cell in self.cells for state in cell.world.states
-        )
-        total = sum(
-            state.cell.total_cpu
-            for cell in self.cells
-            for state in cell.world.states
-        )
-        return used / total
+        states = [state for cell in self.cells for state in cell.world.states]
+        used = sum(state.used_cpu for state in states)
+        return used / sum(state.cell.total_cpu for state in states)
 
     # ------------------------------------------------------------------
     def run(self) -> FederatedResult:
-        if not self._built:
+        if self.front_door is None:
             self.build()
         config = self.config
         base = config.cell_config
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "run.start",
-                t=self.sim.now,
-                architecture="federation",
-                horizon=base.horizon,
-                seed=base.seed,
-                cluster=base.preset.name,
-                cells=config.num_cells,
-                staleness=config.staleness,
-                policy=config.policy,
-            )
-        self.sim.run(until=base.horizon)
-        stats = self.sim.stats()
-        publish_sim_stats(stats)
-        cell_results = [cell.world.finalize() for cell in self.cells]
+        stats = self.context.run(
+            base.horizon,
+            "federation",
+            base.seed,
+            cluster=base.preset.name,
+            cells=config.num_cells,
+            staleness=config.staleness,
+            policy=config.policy,
+        )
+        cell_results = [cell.world.finalize(stats) for cell in self.cells]
         assert self.front_door is not None
         accounting = self.front_door.check_accounting()
         chaos = self.chaos
@@ -338,6 +276,6 @@ class FederatedSimulation:
             partitions=chaos.partitions if chaos is not None else 0,
             flaps=chaos.flaps if chaos is not None else 0,
             final_cpu_utilization=self.cpu_utilization(),
-            events_processed=self.sim.events_processed,
+            events_processed=stats["events_processed"],
             sim_stats=stats,
         )

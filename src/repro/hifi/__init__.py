@@ -22,7 +22,7 @@ This package is the reproduction's analog:
 from repro.hifi.constraints import AttributeIndex, Constraint, ConstraintOp
 from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
-from repro.hifi.replay import HighFidelityConfig, HighFidelityResult, run_hifi
+from repro.hifi.replay import HighFidelityConfig, run_hifi
 from repro.hifi.trace import Trace, TraceJob, TraceMachine, read_trace, synthesize_trace, write_trace
 
 __all__ = [
@@ -38,6 +38,5 @@ __all__ = [
     "read_trace",
     "write_trace",
     "HighFidelityConfig",
-    "HighFidelityResult",
     "run_hifi",
 ]

@@ -102,7 +102,9 @@ class MapReduceJob(Job):
             raise ValueError("MapReduceJob requires a profile")
 
     @classmethod
-    def from_profile(cls, profile: MapReduceProfile, submit_time: float) -> "MapReduceJob":
+    def from_profile(
+        cls, profile: MapReduceProfile, submit_time: float, job_id: int
+    ) -> "MapReduceJob":
         return cls(
             job_type=JobType.BATCH,
             submit_time=submit_time,
@@ -110,6 +112,7 @@ class MapReduceJob(Job):
             cpu_per_task=profile.cpu_per_worker,
             mem_per_task=profile.mem_per_worker,
             duration=profile.completion_time(profile.workers_configured),
+            job_id=job_id,
             profile=profile,
         )
 

@@ -20,7 +20,7 @@ utilization variability).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,6 +132,8 @@ class MapReduceWorkload:
 
     "About 20% of jobs in Google are MapReduce ones" — experiments
     derive this generator's rate from the cluster preset's batch rate.
+    ``job_ids`` is the run's id sequence, shared with its other job
+    sources (:attr:`repro.world.RunContext.job_ids`).
     """
 
     def __init__(
@@ -141,6 +143,7 @@ class MapReduceWorkload:
         rng: np.random.Generator,
         submit: Callable[[MapReduceJob], None],
         horizon: float,
+        job_ids: Iterator[int],
         worker_scale: float = 1.0,
     ) -> None:
         if rate <= 0:
@@ -152,6 +155,7 @@ class MapReduceWorkload:
         self._rng = rng
         self._submit = submit
         self._horizon = horizon
+        self._ids = job_ids
         self._worker_scale = worker_scale
         self.jobs_generated = 0
 
@@ -166,7 +170,7 @@ class MapReduceWorkload:
 
     def _arrive(self) -> None:
         profile = sample_profile(self._rng, worker_scale=self._worker_scale)
-        job = MapReduceJob.from_profile(profile, self._sim.now)
+        job = MapReduceJob.from_profile(profile, self._sim.now, next(self._ids))
         self.jobs_generated += 1
         self._submit(job)
         self._schedule_next()

@@ -36,7 +36,7 @@ class RunSummary:
     # ------------------------------------------------------------------
     # Role-level accessors ("batch" / "service")
     # ------------------------------------------------------------------
-    def _role_names(self, role: str) -> list[str]:
+    def role_names(self, role: str) -> list[str]:
         if role == "batch":
             return self.batch_scheduler_names
         if role == "service":
@@ -53,19 +53,19 @@ class RunSummary:
     def busyness(self, role: str) -> float:
         """Median daily busyness, averaged over the role's schedulers
         (Figure 9b plots this as "mean sched. busyness")."""
-        names = self._role_names(role)
+        names = self.role_names(role)
         values = [self.metrics.median_busyness(n, self.horizon) for n in names]
         return sum(values) / len(values)
 
     def busyness_mad(self, role: str) -> float:
-        names = self._role_names(role)
+        names = self.role_names(role)
         values = [self.metrics.mad_busyness(n, self.horizon) for n in names]
         return sum(values) / len(values)
 
     def noconflict_busyness(self, role: str) -> float:
         """The Figure 12c "no conflicts" approximation: busyness with
         conflict-retry rework excluded."""
-        names = self._role_names(role)
+        names = self.role_names(role)
         values = [
             self.metrics.median_productive_busyness(n, self.horizon) for n in names
         ]
@@ -74,7 +74,7 @@ class RunSummary:
     def conflict_fraction(self, role: str) -> float:
         """Conflicts per successfully scheduled job, pooled over the
         role's schedulers for the whole run."""
-        names = self._role_names(role)
+        names = self.role_names(role)
         conflicts = 0
         scheduled = 0
         for name in names:
@@ -86,20 +86,20 @@ class RunSummary:
         return conflicts / scheduled
 
     def abandoned(self, role: str) -> int:
-        return sum(self.metrics.abandoned(n) for n in self._role_names(role))
+        return sum(self.metrics.abandoned(n) for n in self.role_names(role))
 
     def preemptions_caused(self, role: str) -> int:
         """Tasks this role's schedulers evicted from lower-precedence jobs."""
         return sum(
             self.metrics.schedulers[n].preemptions_caused
-            for n in self._role_names(role)
+            for n in self.role_names(role)
         )
 
     def tasks_lost_to_preemption(self, role: str) -> int:
         """This role's running tasks evicted by higher-precedence jobs."""
         return sum(
             self.metrics.schedulers[n].tasks_lost_to_preemption
-            for n in self._role_names(role)
+            for n in self.role_names(role)
         )
 
     # ------------------------------------------------------------------

@@ -289,7 +289,7 @@ def get_registry() -> MetricsRegistry:
 
 def reset_registry() -> MetricsRegistry:
     """Replace the process-global registry with a fresh one."""
-    global _GLOBAL
+    global _GLOBAL  # omega-lint: disable=GLB001 -- ambient observer: cross-run totals for --verbose only
     _GLOBAL = MetricsRegistry()
     return _GLOBAL
 

@@ -47,7 +47,9 @@ class TimelineSampler:
     All state reads are pure queries against objects the simulation
     already owns; installing a sampler never perturbs scheduling
     decisions (it does add its own tick events to the loop, which is
-    why sampling is config-gated, not recorder-gated).
+    why sampling is config-gated, not recorder-gated). ``schedulers``
+    is read live, so one registered on the world after the sampler was
+    installed (the MapReduce extension) is sampled from its first tick.
     """
 
     def __init__(
@@ -65,16 +67,14 @@ class TimelineSampler:
         self.sim = sim
         self.metrics = metrics
         self.states = list(states)
-        self.schedulers = list(schedulers)
+        self.schedulers = schedulers
         self.interval = float(interval)
         self.horizon = horizon
         self.chaos = chaos
         self.samples_taken = 0
         # Previous sample's cumulative counters, per scheduler, for the
         # sliding-window rates: (busy_seconds, conflicts, abandoned).
-        self._previous: dict[str, tuple[float, int, int]] = {
-            scheduler.name: (0.0, 0, 0) for scheduler in self.schedulers
-        }
+        self._previous: dict[str, tuple[float, int, int]] = {}
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -138,7 +138,9 @@ class TimelineSampler:
             scheduled = (
                 sum(entry.jobs_scheduled.values()) if entry is not None else 0
             )
-            prev_busy, prev_conflicts, prev_abandoned = self._previous[name]
+            prev_busy, prev_conflicts, prev_abandoned = self._previous.get(
+                name, (0.0, 0, 0)
+            )
             # Serial servers cannot exceed one busy-second per second;
             # the clamp only absorbs float rounding at window edges.
             busy_frac = min(1.0, max(0.0, (busy - prev_busy) / interval))

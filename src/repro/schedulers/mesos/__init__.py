@@ -10,7 +10,7 @@ the pessimistic concurrency whose interaction with long service
 decision times produces the pathology of Figure 7.
 """
 
-from repro.schedulers.mesos.allocator import MesosAllocator, Offer, reset_offer_ids
+from repro.schedulers.mesos.allocator import MesosAllocator, Offer
 from repro.schedulers.mesos.drf import dominant_share, pick_next_framework
 from repro.schedulers.mesos.framework import MesosFramework
 
@@ -20,5 +20,4 @@ __all__ = [
     "Offer",
     "dominant_share",
     "pick_next_framework",
-    "reset_offer_ids",
 ]

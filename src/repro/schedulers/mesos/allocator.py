@@ -23,7 +23,6 @@ fair-share offers") as an ablation.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,27 +40,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Time to construct and send one resource offer (paper section 4.2).
 OFFER_TIME = 0.001
 
-_offer_ids = itertools.count(1)
-
-
-def reset_offer_ids() -> None:
-    """Reset the global offer-id counter (run isolation helper).
-
-    Offer ids are trace-visible, so back-to-back runs in one process
-    (the determinism gate's double-run mode) must each start from 1 —
-    the same discipline as :func:`repro.workload.job.reset_job_ids`.
-    """
-    global _offer_ids
-    _offer_ids = itertools.count(1)
-
-
 class Offer:
-    """A pessimistically-locked bundle of per-machine resources."""
+    """A pessimistically-locked bundle of per-machine resources.
+
+    ``offer_id`` is trace-visible and numbered by the issuing allocator
+    from 1, so it depends on nothing outside its own cell.
+    """
 
     __slots__ = ("offer_id", "free_cpu", "free_mem", "returned")
 
-    def __init__(self, free_cpu: np.ndarray, free_mem: np.ndarray) -> None:
-        self.offer_id = next(_offer_ids)
+    def __init__(
+        self, offer_id: int, free_cpu: np.ndarray, free_mem: np.ndarray
+    ) -> None:
+        self.offer_id = offer_id
         self.free_cpu = free_cpu
         self.free_mem = free_mem
         self.returned = False
@@ -183,10 +174,10 @@ class MesosAllocator:
                     return
             available_cpu = available_cpu * scale
             available_mem = available_mem * scale
-        offer = Offer(available_cpu.copy(), available_mem.copy())
+        self.offers_made += 1
+        offer = Offer(self.offers_made, available_cpu.copy(), available_mem.copy())
         self._offered_cpu += offer.free_cpu
         self._offered_mem += offer.free_mem
-        self.offers_made += 1
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event(

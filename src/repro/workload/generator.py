@@ -10,7 +10,7 @@ extracted from the relevant trace".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,7 +28,10 @@ class WorkloadGenerator:
     built from the same seed receive byte-identical workloads — the
     property that makes the paper's A/B architecture comparisons fair
     ("compare the behaviour of all three architectures under the same
-    conditions and with identical workloads").
+    conditions and with identical workloads"). Job ids come from
+    ``job_ids``, the sequence of the run the generator belongs to
+    (:attr:`repro.world.RunContext.job_ids`), shared by every job
+    source of that run.
     """
 
     def __init__(
@@ -39,6 +42,7 @@ class WorkloadGenerator:
         rng: np.random.Generator,
         submit: Callable[[Job], None],
         horizon: float,
+        job_ids: Iterator[int],
         rate_factor: float = 1.0,
     ) -> None:
         if horizon <= 0:
@@ -51,6 +55,7 @@ class WorkloadGenerator:
         self._rng = rng
         self._submit = submit
         self._horizon = horizon
+        self._ids = job_ids
         self._rate = params.arrival_rate * rate_factor
         self.jobs_generated = 0
 
@@ -81,6 +86,7 @@ class WorkloadGenerator:
             cpu_per_task=params.cpu_per_task.sample(rng),
             mem_per_task=params.mem_per_task.sample(rng),
             duration=params.task_duration.sample(rng),
+            job_id=next(self._ids),
             precedence=DEFAULT_PRECEDENCE[self._job_type],
         )
 

@@ -11,7 +11,6 @@ only materializes as placement claims.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -36,14 +35,6 @@ class JobType(enum.Enum):
 #: the higher-precedence bands.
 DEFAULT_PRECEDENCE = {JobType.BATCH: 0, JobType.SERVICE: 10}
 
-_job_ids = itertools.count(1)
-
-
-def reset_job_ids() -> None:
-    """Reset the global job-id counter (test isolation helper)."""
-    global _job_ids
-    _job_ids = itertools.count(1)
-
 
 @dataclass
 class Job:
@@ -61,7 +52,10 @@ class Job:
     cpu_per_task: float
     mem_per_task: float
     duration: float
-    job_id: int = field(default_factory=lambda: next(_job_ids))
+    #: Unique within one run: drawn from the run's
+    #: :attr:`repro.world.RunContext.job_ids` by whatever creates the job
+    #: (schedulers hash on it, so it must not depend on earlier runs).
+    job_id: int
     constraints: Sequence[Any] = ()
     #: Relative importance on the cell-wide precedence scale (paper
     #: section 3.4: all schedulers "must agree on ... a common scale for

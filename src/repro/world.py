@@ -1,0 +1,238 @@
+"""One run, one world: the lifecycle every simulation shares.
+
+A :class:`RunContext` owns what exists once per *run*: the event loop,
+the job-id sequence, the sanitizer run, the ``run.start`` record and
+the one publication of engine statistics. A :class:`World` owns what
+exists once per *cell*: cell states, schedulers and their roles, the
+metrics collector, the optional ledger and collectors, the invariant
+gate and result assembly. A stand-alone simulation is a context with
+one world, a federation a context with N; which schedulers, how the
+cell is filled and where jobs come from is :meth:`World.assemble`.
+
+``obs.RECORDER``, the metrics registry and the sanitizer stay
+process-wide on purpose: they observe a run and never steer its result.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from typing import Callable, Iterator
+
+from repro.analysis import sanitizer as _san
+from repro.cluster import Cell
+from repro.core.cellstate import CellState
+from repro.core.preemption import AllocationLedger
+from repro.faults import CellStateInvariantChecker, ChaosEngine, FaultConfig
+from repro.metrics import MetricsCollector
+from repro.metrics.results import RunSummary
+from repro.obs import recorder as _obs
+from repro.obs.registry import Histogram, publish_sim_stats
+from repro.obs.timeline import TimelineSampler
+from repro.sim import RandomStreams, Simulator
+from repro.workload.job import Job
+
+
+class RunContext:
+    """What one run owns, shared by every world built under it."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        #: Ids for every job of the run, whichever source creates it.
+        #: Schedulers hash on them, so they start at 1 for each run.
+        self.job_ids: Iterator[int] = itertools.count(1)
+        if _san.ACTIVE is None and _san.env_enabled():
+            # Workers spawned by ``--jobs N`` inherit OMEGA_SAN=1 from
+            # the parent's ``--sanitize`` but not its installed sanitizer.
+            _san.install()
+        if _san.ACTIVE is not None:
+            _san.ACTIVE.begin_run(now=lambda: self.sim.now)
+
+    def run(self, until: float, architecture: str, seed: int, **fields) -> dict:
+        """Emit ``run.start``, run the loop to ``until`` and publish its
+        statistics; returns them for :meth:`World.finalize`."""
+        rec = _obs.RECORDER
+        if rec.enabled:
+            rec.event(
+                "run.start",
+                t=self.sim.now,
+                architecture=architecture,
+                horizon=until,
+                seed=seed,
+                **fields,
+            )
+        self.sim.run(until=until)
+        stats = self.sim.stats()
+        publish_sim_stats(stats)
+        return stats
+
+
+class World:
+    """One cell and everything attached to it.
+
+    Subclasses implement ``assemble()`` — register schedulers, fill the
+    cell, start arrivals — which :meth:`build` calls once; ``run_fields``
+    describe the world in its ``run.start`` record.
+    """
+
+    def __init__(
+        self,
+        config,
+        context: RunContext,
+        streams: RandomStreams,
+        cell: Cell,
+        horizon: float,
+        **run_fields,
+    ) -> None:
+        self.config = config
+        self.context = context
+        self.sim = context.sim
+        self.streams = streams
+        self.cell = cell
+        self.horizon = horizon
+        self.run_fields = run_fields
+        self.metrics = MetricsCollector(period=config.period)
+        self.states: list[CellState] = []
+        #: Every scheduler, in registration order — what the chaos
+        #: engine's faults target and the timeline sampler reads.
+        self.schedulers: list = []
+        #: Scheduler names per role, for the result's role accessors.
+        self.roles: dict[str, list[str]] = {"batch": [], "service": []}
+        self.submit: Callable[[Job], None] | None = None
+        self.ledger: AllocationLedger | None = None
+        self.chaos: ChaosEngine | None = None
+        self.timeline_sampler: TimelineSampler | None = None
+        self.utilization_series: list[tuple[float, float, float]] = []
+        self._built = False
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    def add_state(self) -> CellState:
+        state = CellState(self.cell)
+        self.states.append(state)
+        return state
+
+    def register(self, scheduler, *roles: str) -> None:
+        """Add ``scheduler`` to the cell, reporting under ``roles``
+        ("batch", "service"; none for an extension), until the run starts."""
+        self.schedulers.append(scheduler)
+        for role in roles:
+            self.roles[role].append(scheduler.name)
+
+    def build(self) -> "World":
+        if self._built:
+            raise RuntimeError("simulation already built")
+        self._built = True
+        self.assemble()
+        return self
+
+    def install_collectors(
+        self,
+        faults: FaultConfig,
+        invariant_interval: float | None,
+        utilization_interval: float | None,
+        timeline_interval: float | None,
+    ) -> None:
+        """The optional fault processes and periodic observers, in the
+        order that fixes their event sequence numbers."""
+        sim, horizon = self.sim, self.horizon
+        if faults.enabled:
+            self.chaos = ChaosEngine(
+                sim, self.streams.fork("chaos"), faults, self.metrics
+            )
+            self.chaos.install(
+                self.states, self.schedulers, ledger=self.ledger, horizon=horizon
+            )
+        if invariant_interval is not None:
+            self.invariant_checker.install(sim, invariant_interval, horizon=horizon)
+        if utilization_interval:
+            sim.every(utilization_interval, self._sample_utilization, until=horizon)
+        if timeline_interval is not None:
+            self.timeline_sampler = TimelineSampler(
+                sim,
+                self.metrics,
+                self.states,
+                self.schedulers,
+                interval=timeline_interval,
+                horizon=horizon,
+                chaos=self.chaos,
+            )
+            self.timeline_sampler.install()
+
+    # ------------------------------------------------------------------
+    # Observation
+    # ------------------------------------------------------------------
+    def cpu_utilization(self) -> float:
+        used = sum(state.used_cpu for state in self.states)
+        return used / sum(state.cell.total_cpu for state in self.states)
+
+    def mem_utilization(self) -> float:
+        used = sum(state.used_mem for state in self.states)
+        return used / sum(state.cell.total_mem for state in self.states)
+
+    def _sample_utilization(self) -> None:
+        self.utilization_series.append(
+            (self.sim.now, self.cpu_utilization(), self.mem_utilization())
+        )
+
+    @functools.cached_property
+    def invariant_checker(self) -> CellStateInvariantChecker:
+        """The cell's one checker: ticking on the loop when an interval
+        is configured, and the post-run gate either way, so its
+        counters cover both."""
+        return CellStateInvariantChecker(self.states, ledger=self.ledger)
+
+    def check_invariants(self) -> list[str]:
+        """Post-run invariant gate over every cell state (and ledger).
+
+        Raises :class:`repro.faults.InvariantViolation` on any
+        inconsistency; returns the (empty) violation list otherwise.
+        """
+        return self.invariant_checker.check(self.sim.now)
+
+    # ------------------------------------------------------------------
+    # Running
+    # ------------------------------------------------------------------
+    def run(self) -> RunSummary:
+        """Run this world alone on its context, building it first if
+        the caller has not."""
+        if not self._built:
+            self.build()
+        return self.finalize(self.context.run(self.horizon, **self.run_fields))
+
+    def finalize(self, stats: dict) -> RunSummary:
+        """Sanitizer end-of-run check, the ``run.metrics`` record and
+        result assembly, given the loop's final ``stats``."""
+        if _san.ACTIVE is not None:
+            _san.ACTIVE.final_check(self.states)
+        metrics = self.metrics
+        rec = _obs.RECORDER
+        if rec.enabled:
+            # Sorted by (name, labels) so the record is independent of
+            # registry insertion order.
+            histograms = sorted(
+                (m for m in metrics.registry if isinstance(m, Histogram)),
+                key=lambda m: (m.name, tuple(sorted(m.labels.items()))),
+            )
+            rec.event(
+                "run.metrics",
+                t=self.sim.now,
+                histograms=[
+                    {"name": m.name, "labels": m.labels, "state": m.state()}
+                    for m in histograms
+                ],
+            )
+        return RunSummary(
+            metrics=metrics,
+            horizon=self.horizon,
+            batch_scheduler_names=self.roles["batch"],
+            service_scheduler_names=self.roles["service"],
+            jobs_submitted=metrics.jobs_submitted,
+            jobs_scheduled=metrics.jobs_scheduled_total,
+            jobs_abandoned=metrics.jobs_abandoned_total,
+            final_cpu_utilization=self.cpu_utilization(),
+            utilization_series=self.utilization_series,
+            events_processed=stats["events_processed"],
+            sim_stats=stats,
+        )

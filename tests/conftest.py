@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,14 +15,10 @@ from repro.sim import Simulator
 from repro.workload.clusters import CLUSTER_A, ClusterPreset
 from repro.workload.distributions import DiscretizedLogNormal, LogNormal
 from repro.workload.clusters import WorkloadParams
-from repro.workload.job import Job, JobType, reset_job_ids
+from repro.workload.job import Job, JobType
 
-
-@pytest.fixture(autouse=True)
-def _fresh_job_ids():
-    """Keep job ids deterministic per test."""
-    reset_job_ids()
-    yield
+#: Ids for hand-built jobs: unique across the session, as a run's are.
+_job_ids = itertools.count(1)
 
 
 @pytest.fixture
@@ -57,6 +54,7 @@ def make_job(
     mem: float = 2.0,
     duration: float = 50.0,
     constraints=(),
+    job_id: int | None = None,
 ) -> Job:
     """Convenience job factory used across the suite."""
     return Job(
@@ -66,6 +64,7 @@ def make_job(
         cpu_per_task=cpu,
         mem_per_task=mem,
         duration=duration,
+        job_id=next(_job_ids) if job_id is None else job_id,
         constraints=constraints,
     )
 

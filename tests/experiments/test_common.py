@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments.common import (
     ARCHITECTURES,
     LightweightConfig,
@@ -10,6 +11,8 @@ from repro.experiments.common import (
     geometric_grid,
     run_lightweight,
 )
+from repro.experiments.sweeps import result_row
+from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
 
@@ -21,8 +24,9 @@ def preset():
 
 class TestConfig:
     def test_unknown_architecture_rejected(self, preset):
-        with pytest.raises(ValueError, match="unknown architecture"):
+        with pytest.raises(ValueError, match="unknown architecture") as error:
             LightweightConfig(preset=preset, architecture="quantum")
+        assert str(error.value).endswith(f"choose from {tuple(ARCHITECTURES)}")
 
     def test_invalid_horizon(self, preset):
         with pytest.raises(ValueError):
@@ -128,6 +132,74 @@ class TestHarness:
         result = run_lightweight(LightweightConfig(preset=preset, horizon=300.0))
         with pytest.raises(ValueError, match="role"):
             result.busyness("mystery")
+
+
+class TestRunIsolation:
+    """Ids belong to their run, ledger or allocator: what one world
+    numbers never depends on another world in the process."""
+
+    def test_interleaved_worlds_match_their_solo_runs(self):
+        """Job ids steer results (``SchedulerPool`` routes on
+        ``job_id % n``), so two worlds built side by side must each
+        draw their own."""
+        configs = [
+            LightweightConfig(
+                preset=tiny_preset(batch_rate=3.0),
+                num_batch_schedulers=3,
+                batch_model=DecisionTimeModel(t_job=0.8, t_task=0.05),
+                horizon=600.0,
+                seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        worlds = [LightweightSimulation(config).build() for config in configs]
+        together = [result_row(world.run()) for world in worlds]
+        # Sensitivity: ids that ran on would rotate the second routing.
+        assert worlds[0].metrics.jobs_submitted % 3
+        alone = [result_row(run_lightweight(config)) for config in configs]
+        assert together == alone
+
+    def test_preemption_record_ids_repeat_across_runs(self, preset):
+        """An invariant report naming "orphaned record N" must name the
+        same N however many runs the process made before."""
+
+        def live_record_ids():
+            world = LightweightSimulation(
+                LightweightConfig(
+                    preset=preset, enable_preemption=True, horizon=600.0, seed=1
+                )
+            )
+            world.run()
+            by_machine = world.ledger._by_machine
+            return sorted(i for records in by_machine.values() for i in records)
+
+        first = live_record_ids()
+        assert first and first == live_record_ids()
+
+    def test_mesos_worlds_each_number_offers_from_one(self, preset):
+        worlds = [
+            LightweightSimulation(
+                LightweightConfig(
+                    preset=preset, architecture="mesos", horizon=300.0, seed=seed
+                )
+            ).build()
+            for seed in (1, 2)
+        ]
+        recorder = obs.TraceRecorder(keep_records=True)
+        obs.set_recorder(recorder)
+        try:
+            for world in worlds:
+                world.run()
+        finally:
+            obs.reset_recorder()
+        offers = [
+            record["fields"]["offer"]
+            for record in recorder.records
+            if record["name"] == "mesos.offer_issued"
+        ]
+        assert offers.count(1) == 2
+        second_run = offers[offers.index(1, 1) :]
+        assert second_run == list(range(1, len(second_run) + 1))
 
 
 class TestHelpers:

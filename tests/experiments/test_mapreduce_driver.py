@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.experiments.common import LightweightSimulation
 from repro.experiments.mapreduce import (
     BUSY_CLUSTER_FILL,
     MapReduceRun,
@@ -76,3 +78,41 @@ class TestRunExperiment:
         # Sanity via utilization: the cell is not swamped by MR grants.
         cpu = [u for _, u, _ in run.utilization_series]
         assert max(cpu) <= 1.0
+
+    def test_timeline_samples_the_mapreduce_scheduler(self):
+        """The extension scheduler is registered on the world, so the
+        experiment's subject has a ``timeline.sched`` series."""
+        recorder = obs.TraceRecorder(keep_records=True)
+        obs.set_recorder(recorder)
+        try:
+            run_mapreduce_experiment(
+                "D",
+                MaxParallelismPolicy(),
+                horizon=1800.0,
+                seed=1,
+                scale=0.3,
+                timeline_interval=600.0,
+            )
+        finally:
+            obs.reset_recorder()
+        sampled = [
+            record["sched"]
+            for record in recorder.records
+            if record["name"] == "timeline.sched"
+        ]
+        assert sampled.count("mapreduce") == 3
+        assert set(sampled) == {"omega-batch", "omega-service", "mapreduce"}
+
+    def test_invariant_gate_runs_after_the_run(self, monkeypatch):
+        checked = []
+        check = LightweightSimulation.check_invariants
+
+        def counting(world):
+            checked.append(world.sim.now)
+            return check(world)
+
+        monkeypatch.setattr(LightweightSimulation, "check_invariants", counting)
+        run_mapreduce_experiment(
+            "D", NoAccelerationPolicy(), horizon=1800.0, seed=1, scale=0.3
+        )
+        assert checked == [1800.0]

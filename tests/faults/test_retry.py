@@ -23,7 +23,6 @@ from repro.faults.retry import (
     StarvationEscalationPolicy,
 )
 from repro.sim.random import RandomStreams
-from repro.workload.job import reset_job_ids
 from tests.conftest import make_job
 
 
@@ -176,9 +175,8 @@ class TestDeterminism:
         config = RetryPolicyConfig(kind=kind, escalate_after=2)
 
         def sequence():
-            reset_job_ids()
             policy = config.build(stream(seed, "retry.omega-batch"))
-            job = make_job(num_tasks=4)
+            job = make_job(num_tasks=4, job_id=1)
             out = []
             for conflicts in range(1, 12):
                 job.conflicts = conflicts

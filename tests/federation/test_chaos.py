@@ -9,8 +9,9 @@ from repro import obs
 from repro.experiments.common import LightweightConfig
 from repro.experiments.federation import build_federation, federation_points
 from repro.federation import FederatedCell, FederationFaultConfig
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams
 from repro.workload.clusters import CLUSTER_B
+from repro.world import RunContext
 
 SCALE = 0.05
 HORIZON = 1800.0
@@ -152,7 +153,6 @@ class TestBlackoutSemantics:
 
 class TestDigestFaults:
     def make_cell(self, staleness=0.0):
-        sim = Simulator()
         config = LightweightConfig(
             preset=CLUSTER_B.scaled(SCALE),
             architecture="omega",
@@ -161,10 +161,9 @@ class TestDigestFaults:
             external_arrivals=True,
             name_prefix="c0/",
         )
-        cell = FederatedCell(
-            0, config, sim, RandomStreams(0), staleness=staleness
+        return FederatedCell(
+            0, config, RunContext(), RandomStreams(0), staleness=staleness
         )
-        return cell.build()
 
     def test_partition_freezes_the_published_digest(self):
         cell = self.make_cell(staleness=60.0)

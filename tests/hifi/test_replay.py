@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs
+from repro.analysis import sanitizer
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import synthesize_trace
@@ -72,6 +74,43 @@ class TestReplay:
         simulation.build()
         with pytest.raises(RuntimeError):
             simulation.build()
+
+
+class TestSharedLifecycle:
+    """The replay runs on the lifecycle every world shares, so it gets
+    the sanitizer run and the ``run.metrics`` record the lightweight
+    simulator always had."""
+
+    @pytest.fixture(scope="class")
+    def records(self, trace):
+        recorder = obs.TraceRecorder(keep_records=True)
+        obs.set_recorder(recorder)
+        sanitizer.install()
+        try:
+            for num_batch_schedulers in (1, 3):
+                run_hifi(
+                    HighFidelityConfig(
+                        trace=trace, num_batch_schedulers=num_batch_schedulers
+                    )
+                )
+            assert sanitizer.ACTIVE.violations == 0
+        finally:
+            sanitizer.uninstall()
+            obs.reset_recorder()
+        return recorder.records
+
+    def test_each_replay_begins_and_ends_a_sanitizer_run(self, records):
+        names = [record["name"] for record in records]
+        assert names.count("run.start") == 2
+        assert names.count("san.run") == names.count("san.final") == 2
+        assert sanitizer.ACTIVE is None
+
+    def test_trace_summary_has_wait_percentiles(self, records):
+        rows = obs.TraceSummary.from_records(records).percentile_rows()
+        assert {row["scheduler"].split("/")[-1] for row in rows} >= {
+            "hifi-batch",
+            "hifi-service",
+        }
 
 
 class TestInterference:

@@ -108,7 +108,7 @@ class TestValidation:
 class TestMapReduceJob:
     def test_from_profile(self):
         p = profile(workers=10)
-        job = MapReduceJob.from_profile(p, submit_time=5.0)
+        job = MapReduceJob.from_profile(p, submit_time=5.0, job_id=1)
         assert job.job_type is JobType.BATCH
         assert job.num_tasks == 10
         assert job.duration == pytest.approx(p.completion_time(10))
@@ -123,6 +123,7 @@ class TestMapReduceJob:
                 cpu_per_task=1.0,
                 mem_per_task=1.0,
                 duration=10.0,
+                job_id=1,
             )
 
 

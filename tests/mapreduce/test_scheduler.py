@@ -1,5 +1,7 @@
 """Tests for the specialized MapReduce scheduler."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def mr_job(workers=10, maps=200, reduces=50):
         cpu_per_worker=1.0,
         mem_per_worker=2.0,
     )
-    return MapReduceJob.from_profile(profile, submit_time=0.0)
+    return MapReduceJob.from_profile(profile, submit_time=0.0, job_id=1)
 
 
 class TestOpportunisticGrants:
@@ -127,7 +129,7 @@ class TestMapReduceWorkload:
         jobs = []
         workload = MapReduceWorkload(
             sim, rate=0.05, rng=np.random.default_rng(0), submit=jobs.append,
-            horizon=2000.0,
+            horizon=2000.0, job_ids=itertools.count(1),
         )
         workload.start()
         sim.run()
@@ -138,8 +140,10 @@ class TestMapReduceWorkload:
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            MapReduceWorkload(sim, rate=0.0, rng=None, submit=print, horizon=10.0)
+            MapReduceWorkload(
+                sim, rate=0.0, rng=None, submit=print, horizon=10.0, job_ids=iter(())
+            )
         with pytest.raises(ValueError):
             MapReduceWorkload(
-                sim, rate=1.0, rng=None, submit=print, horizon=0.0
+                sim, rate=1.0, rng=None, submit=print, horizon=0.0, job_ids=iter(())
             )

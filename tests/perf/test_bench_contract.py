@@ -1,0 +1,77 @@
+"""The repo benchmark's way of driving a world must keep working.
+
+``bench/child.py`` builds each point of ``bench/workloads.py``, hangs a
+profiler on ``world.sim``, runs the loop in slices, calls ``run()`` and
+flattens the result (bench/README.md, "What the harness imports"). This
+drives one short point of every workload — and of every architecture of
+``arch_sweep`` — exactly that way. It also pins *where* the initial
+fill happens: ``bench/spans.py`` times ``populate`` by patching the
+name in ``repro.experiments.common`` and ``repro.hifi.replay``, so a
+refactor that keeps those names but calls the function from elsewhere
+would silently drain ``workload.initial_fill_s``.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.experiments.common
+import repro.hifi.replay
+
+_PATH = Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("bench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
+
+#: Whole seconds (see ``workloads.HORIZON_DIVISOR``), a few simulated minutes.
+HORIZON = 240.0
+
+CASES = [(name, None) for name in workloads.WORKLOADS if name != "arch_sweep"] + [
+    ("arch_sweep", architecture) for architecture in workloads.ARCHITECTURES
+]
+
+
+class Profiler:
+    """The ``Simulator.profiler`` protocol, counting callbacks."""
+
+    def __init__(self):
+        self.callbacks = 0
+
+    def record(self, fn, seconds):
+        self.callbacks += 1
+
+
+@pytest.mark.parametrize("name, architecture", CASES)
+def test_first_point_drives_as_the_child_does(monkeypatch, name, architecture):
+    fills = {}
+    for module in (repro.experiments.common, repro.hifi.replay):
+        fills[module.__name__] = 0
+
+        def counting(*args, _name=module.__name__, _populate=module.populate):
+            fills[_name] += 1
+            return _populate(*args)
+
+        monkeypatch.setattr(module, "populate", counting)
+
+    point = next(
+        point
+        for point in workloads.WORKLOADS[name].points(0, HORIZON)
+        if architecture is None or point.extra["architecture"] == architecture
+    )
+    world = point.build()
+    filled_in_build = dict(fills)
+    world.sim.profiler = profiler = Profiler()
+    world.sim.run(until=HORIZON / 2)
+    result = world.run()
+    row = point.finish(world, result)
+
+    assert fills == filled_in_build  # the fill is all set-up
+    site = "repro.hifi.replay" if name == "hifi_replay" else "repro.experiments.common"
+    assert fills.pop(site) >= 1
+    assert set(fills.values()) == {0}
+    assert row["jobs_submitted"] >= row["jobs_scheduled"] > 0
+    assert result.events_processed == profiler.callbacks > 0
+    assert world.sim.peak_queue_depth > 0

@@ -1,5 +1,7 @@
 """Tests for Poisson workload generation and the initial fill."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ class TestWorkloadGenerator:
             np.random.default_rng(seed),
             jobs.append,
             horizon,
+            itertools.count(1),
             rate_factor=rate_factor,
         )
         generator.start()
@@ -68,10 +71,13 @@ class TestWorkloadGenerator:
         sim = Simulator()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="horizon"):
-            WorkloadGenerator(sim, preset.batch, JobType.BATCH, rng, print, -1.0)
+            WorkloadGenerator(
+                sim, preset.batch, JobType.BATCH, rng, print, -1.0, iter(())
+            )
         with pytest.raises(ValueError, match="rate_factor"):
             WorkloadGenerator(
-                sim, preset.batch, JobType.BATCH, rng, print, 100.0, rate_factor=0.0
+                sim, preset.batch, JobType.BATCH, rng, print, 100.0, iter(()),
+                rate_factor=0.0,
             )
 
 

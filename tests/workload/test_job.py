@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.job import Job, JobType, reset_job_ids
+from repro.workload.job import JobType
 from tests.conftest import make_job
 
 
@@ -39,11 +39,6 @@ class TestJobIds:
         first = make_job()
         second = make_job()
         assert second.job_id == first.job_id + 1
-
-    def test_reset_restarts_counter(self):
-        make_job()
-        reset_job_ids()
-        assert make_job().job_id == 1
 
 
 class TestLifecycle:
