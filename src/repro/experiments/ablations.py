@@ -107,8 +107,8 @@ PREEMPTION_TABLE = (
 def preemption_columns(world, result) -> dict:
     """What preemption did: evictions caused and batch tasks lost."""
     return {
-        "tasks_preempted": result.preemptions_caused("service"),
-        "batch_tasks_lost": result.tasks_lost_to_preemption("batch"),
+        "tasks_preempted": result.role_total("service", "preemptions_caused"),
+        "batch_tasks_lost": result.role_total("batch", "tasks_lost_to_preemption"),
     }
 
 

@@ -267,13 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verbose_stats_table() -> str:
-    """Engine statistics accumulated over every run of this command."""
+def _verbose_stats_table(experiment: Experiment, jobs: int) -> str:
+    """Engine statistics accumulated over every run of this command
+    made in this process."""
     snapshot = obs.get_registry().snapshot(prefix="sim.")
     rows = [{"stat": name, "value": value} for name, value in snapshot.items()]
-    if not rows:
-        return "(no simulator statistics recorded)"
-    return format_table(rows)
+    if rows:
+        return format_table(rows)
+    if experiment.points is not None and jobs != 1:
+        return (
+            f"(none in this process: with --jobs {jobs} the points ran in "
+            "worker processes, and engine statistics are kept per process)"
+        )
+    return "(no simulator statistics recorded)"
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -498,7 +504,8 @@ def main(argv: list[str] | None = None) -> int:
             rows = run(experiment, params, jobs=args.jobs, recovery=context)
         if experiment.note is not None:
             print(experiment.note(rows), file=sys.stderr)
-    except RecoveryError as exc:
+    except (ValueError, RecoveryError) as exc:
+        # ValueError: a parameter the built grid cannot take (see `run`).
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
     except (PointFailure, CheckFailed) as exc:
@@ -543,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         print()
         print("simulator statistics:")
-        print(_verbose_stats_table())
+        print(_verbose_stats_table(experiment, args.jobs))
     if args.output:
         saved = save_rows(
             rows,

@@ -62,11 +62,11 @@ def conflict_avoidance_columns(world: LightweightSimulation, result) -> dict:
     return dict(
         wasted_batch=result.busyness("batch")
         - result.noconflict_busyness("batch"),
-        escalated=metrics.jobs_escalated_total,
-        steered=metrics.placements_steered_total,
-        steer_fallback=metrics.steer_fallback_tasks_total,
-        avoided=metrics.predict_conflicts_avoided_total,
-        incurred=metrics.predict_conflicts_incurred_total,
+        escalated=metrics.total("jobs_escalated"),
+        steered=metrics.total("placements_steered"),
+        steer_fallback=metrics.total("steer_fallback_tasks"),
+        avoided=metrics.total("predict_conflicts_avoided"),
+        incurred=metrics.total("predict_conflicts_incurred"),
         invariant_checks=world.invariant_checker.checks_run,
     )
 

@@ -219,7 +219,10 @@ def run(
     ``timeline_interval``, which lands on every config that does not set
     its own, so pickled points carry it to ``--jobs N`` workers. Points
     fan out over ``jobs`` processes (identical rows either way) under
-    ``recovery``, the context of ``--checkpoint`` and friends.
+    ``recovery``, the context of ``--checkpoint`` and friends. A bad
+    parameter — a grid whose configs have no ``timeline_interval`` (the
+    hifi replays) given one included — is a ``ValueError`` before any
+    point runs.
     """
     params = validated(experiment, params or {})
     if experiment.rows is not None:
@@ -227,10 +230,15 @@ def run(
     interval = params.pop("timeline_interval", None)
     points = experiment.points(**params)
     if interval is not None:
-        for config, _ in points:
-            # A federation samples in its cells; a hifi replay not at all.
-            cell = getattr(config, "cell_config", config)
-            if getattr(cell, "timeline_interval", 0) is None:
+        # A federation samples in its cells.
+        cells = [getattr(config, "cell_config", config) for config, _ in points]
+        if not all(hasattr(cell, "timeline_interval") for cell in cells):
+            raise ValueError(
+                f"--timeline-interval: {experiment.name}'s configs have no "
+                "timeline interval, so no timeline.* record would be written"
+            )
+        for cell in cells:
+            if cell.timeline_interval is None:
                 cell.timeline_interval = interval
     rows = parallel_map(
         functools.partial(

@@ -61,16 +61,16 @@ def resilience_columns(world: LightweightSimulation, result) -> dict:
     return dict(
         machine_failures=metrics.machine_failures,
         tasks_killed=metrics.fault_tasks_killed,
-        crashes=metrics.scheduler_crashes_total,
-        commit_drops=metrics.commits_dropped_total,
-        escalated=metrics.jobs_escalated_total,
+        crashes=metrics.total("crashes"),
+        commit_drops=metrics.total("commits_dropped"),
+        escalated=metrics.total("jobs_escalated"),
         abandoned_conflict=metrics.abandoned_for_reason("conflict-cap"),
         # Predictor-on columns (zero on predictor-off rows and for the
         # non-Omega architectures): steered placement attempts and the
         # steered-commit outcome split (see repro.faults.predictor).
-        steered=metrics.placements_steered_total,
-        avoided=metrics.predict_conflicts_avoided_total,
-        incurred=metrics.predict_conflicts_incurred_total,
+        steered=metrics.total("placements_steered"),
+        avoided=metrics.total("predict_conflicts_avoided"),
+        incurred=metrics.total("predict_conflicts_incurred"),
         invariant_checks=world.invariant_checker.checks_run,
     )
 

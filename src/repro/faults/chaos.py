@@ -236,7 +236,6 @@ class ChaosEngine:
             )
 
     def _machine_repaired(self, cell_index: int, machine: int) -> None:
-        self.metrics.record_machine_repair()
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event(
@@ -296,7 +295,6 @@ class ChaosEngine:
         if cfg.commit_delay_prob > 0 and rng.random() < cfg.commit_delay_prob:
             delay = float(rng.exponential(cfg.commit_delay_mean))
             self.commit_delays += 1
-            self.metrics.record_commit_delayed(scheduler.name, delay)
             rec = _obs.RECORDER
             if rec.enabled:
                 rec.event(

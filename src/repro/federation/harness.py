@@ -17,30 +17,26 @@ therefore never constructs its own entropy source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.experiments.common import start_workload
 from repro.federation.cells import FederatedCell
 from repro.federation.chaos import FederationChaosEngine
 from repro.federation.config import FederationConfig
 from repro.federation.router import FrontDoor
-from repro.metrics.results import RunSummary
+from repro.metrics.results import PooledSummary, RunSummary
 from repro.obs.registry import Histogram
 from repro.sim import RandomStreams
 from repro.sim.random import derive_seed
-from repro.workload.job import JobType
 from repro.world import RunContext
 
 
 @dataclass
-class FederatedResult:
-    """Metrics of one federated run.
-
-    Pooled accessors (:meth:`mean_wait`, :meth:`busyness`, ...) reduce
-    to *exactly* the single-cell :class:`~repro.metrics.results.
-    RunSummary` arithmetic when the federation has one cell — the
-    degenerate-baseline guarantee the gate test enforces byte-for-byte.
-    """
+class FederatedResult(PooledSummary):
+    """Metrics of one federated run: the N-cell
+    :class:`~repro.metrics.results.PooledSummary` plus what only the
+    front door knows (the job ledger, migrations, reroutes, faults, its
+    own abandonments and the merged wait percentiles)."""
 
     config: FederationConfig
     cell_results: list[RunSummary]
@@ -53,54 +49,7 @@ class FederatedResult:
     partitions: int
     flaps: int
     final_cpu_utilization: float
-    events_processed: int
-    sim_stats: dict[str, float | int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # Pooled metrics (degenerate-exact for one cell)
-    # ------------------------------------------------------------------
-    def mean_wait(self, job_type: JobType) -> float:
-        """Federation-wide average wait time: the pooled per-job list."""
-        waits: list[float] = []
-        for result in self.cell_results:
-            waits.extend(result.metrics.wait_times(job_type))
-        if not waits:
-            return float("nan")
-        return sum(waits) / len(waits)
-
-    def busyness(self, role: str) -> float:
-        """Median daily busyness averaged over every scheduler of the
-        role, across all cells."""
-        values: list[float] = []
-        for result in self.cell_results:
-            values.extend(
-                result.metrics.median_busyness(name, result.horizon)
-                for name in result.role_names(role)
-            )
-        return sum(values) / len(values)
-
-    def busyness_mad(self, role: str) -> float:
-        values: list[float] = []
-        for result in self.cell_results:
-            values.extend(
-                result.metrics.mad_busyness(name, result.horizon)
-                for name in result.role_names(role)
-            )
-        return sum(values) / len(values)
-
-    def conflict_fraction(self, role: str) -> float:
-        """Conflicts per successfully scheduled job, pooled over every
-        scheduler of the role across all cells."""
-        conflicts = 0
-        scheduled = 0
-        for result in self.cell_results:
-            for name in result.role_names(role):
-                per_scheduler = result.metrics.schedulers[name]
-                conflicts += sum(per_scheduler.conflicts.values())
-                scheduled += sum(per_scheduler.jobs_scheduled.values())
-        if scheduled == 0:
-            return float("nan")
-        return conflicts / scheduled
+    sim_stats: dict[str, float | int]
 
     @property
     def jobs_submitted(self) -> int:
@@ -109,45 +58,31 @@ class FederatedResult:
         return self.accounting["submitted"]
 
     @property
-    def jobs_scheduled(self) -> int:
-        return sum(result.jobs_scheduled for result in self.cell_results)
-
-    @property
     def jobs_abandoned(self) -> int:
         """Cell-level abandonments plus the front door's own
         (reroute-cap / migration-cap)."""
-        return sum(result.jobs_abandoned for result in self.cell_results) + sum(
-            self.abandoned_by_reason.values()
-        )
+        return super().jobs_abandoned + sum(self.abandoned_by_reason.values())
 
     @property
     def jobs_lost_to_blackout(self) -> int:
         return self.accounting["lost_to_blackout"]
-
-    @property
-    def unscheduled_fraction(self) -> float:
-        if self.jobs_submitted == 0:
-            return 0.0
-        return 1.0 - self.jobs_scheduled / self.jobs_submitted
 
     # ------------------------------------------------------------------
     # Federation-wide wait-time percentiles (Histogram.merge_state)
     # ------------------------------------------------------------------
     def merged_wait_histogram(self) -> Histogram:
         """Every cell's per-scheduler ``jobs.wait_seconds`` histograms
-        folded into one federation-wide histogram via
+        folded, in label order, into one federation-wide histogram via
         :meth:`~repro.obs.registry.Histogram.merge_state`."""
         merged = Histogram("jobs.wait_seconds", {"scope": "federation"})
-        states = []
-        for result in self.cell_results:
-            for metric in result.metrics.registry:
-                if isinstance(metric, Histogram) and metric.name == "jobs.wait_seconds":
-                    states.append(
-                        (tuple(sorted(metric.labels.items())), metric.state())
-                    )
-        states.sort(key=lambda pair: pair[0])
-        for _, state in states:
-            merged.merge_state(state)
+        histograms = [
+            histogram
+            for cell in self.cell_results
+            for histogram in cell.metrics.histograms()
+            if histogram.name == "jobs.wait_seconds"
+        ]
+        for histogram in sorted(histograms, key=lambda h: sorted(h.labels.items())):
+            merged.merge_state(histogram.state())
         return merged
 
     def wait_percentiles(self) -> dict[str, float]:
@@ -276,6 +211,5 @@ class FederatedSimulation:
             partitions=chaos.partitions if chaos is not None else 0,
             flaps=chaos.flaps if chaos is not None else 0,
             final_cpu_utilization=self.cpu_utilization(),
-            events_processed=stats["events_processed"],
             sim_stats=stats,
         )

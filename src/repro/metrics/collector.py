@@ -1,9 +1,11 @@
 """The metrics collector shared by all simulated scheduler architectures.
 
 Schedulers report busy intervals, commit outcomes, scheduled and
-abandoned jobs; experiments query per-day aggregates. "Our values for
-scheduler busyness and conflict fraction are medians of the daily
-values, and wait time values are overall averages" (paper section 4).
+abandoned jobs; each count is kept once, here, and the quantities the
+tables report are derived from it in :mod:`repro.metrics.results`. "Our
+values for scheduler busyness and conflict fraction are medians of the
+daily values, and wait time values are overall averages" (paper
+section 4).
 
 For scaled-down runs the aggregation *period* is configurable (a
 two-hour run can use 30-minute "days"); the statistics keep the paper's
@@ -16,8 +18,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.metrics.stats import mad, median, percentile
-from repro.obs.registry import MetricsRegistry
+from repro.metrics.stats import mad, median
+from repro.obs.registry import Histogram
 from repro.workload.job import Job, JobType
 
 
@@ -46,7 +48,6 @@ class SchedulerMetrics:
     #: Fault-injection counters (see :mod:`repro.faults`).
     crashes: int = 0
     commits_dropped: int = 0
-    commit_delay_seconds: float = 0.0
     #: Jobs switched to incremental commit mode by a
     #: starvation-escalation retry policy (paper section 3.6).
     jobs_escalated: int = 0
@@ -67,9 +68,7 @@ class SchedulerMetrics:
 class MetricsCollector:
     """Collects and aggregates the paper's evaluation metrics."""
 
-    def __init__(
-        self, period: float = 86400.0, registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, period: float = 86400.0) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         self.period = period
@@ -78,38 +77,15 @@ class MetricsCollector:
             job_type: [] for job_type in JobType
         }
         self._per_scheduler_waits: dict[str, list[float]] = defaultdict(list)
+        #: Attempt counts at escalation per ``(scheduler, policy)``.
+        self._escalation_attempts: dict[tuple[str, str], list[int]] = defaultdict(list)
         self.jobs_submitted = 0
         self.jobs_scheduled_total = 0
         self.jobs_abandoned_total = 0
         self.tasks_scheduled_total = 0
         #: Cell-level fault-injection counters (see :mod:`repro.faults`).
         self.machine_failures = 0
-        self.machine_repairs = 0
         self.fault_tasks_killed = 0
-        #: Low-level counter/histogram mirror of everything recorded
-        #: here (see :mod:`repro.obs.registry`). Private per collector
-        #: by default so concurrent runs do not pollute each other;
-        #: pass a shared registry to aggregate across runs.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        # Hot-path cache: avoids rebuilding registry label keys on
-        # every record_busy/record_commit call.
-        self._registry_cache: dict[tuple[str, str], object] = {}
-
-    def _counter(self, name: str, scheduler: str):
-        key = (name, scheduler)
-        metric = self._registry_cache.get(key)
-        if metric is None:
-            metric = self.registry.counter(name, scheduler=scheduler)
-            self._registry_cache[key] = metric
-        return metric
-
-    def _histogram(self, name: str, scheduler: str):
-        key = (name, scheduler)
-        metric = self._registry_cache.get(key)
-        if metric is None:
-            metric = self.registry.histogram(name, scheduler=scheduler)
-            self._registry_cache[key] = metric
-        return metric
 
     # ------------------------------------------------------------------
     # Recording (called by schedulers)
@@ -132,7 +108,6 @@ class MetricsCollector:
 
     def record_submission(self, job: Job) -> None:
         self.jobs_submitted += 1
-        self.registry.counter("jobs.submitted").inc()
 
     def record_first_attempt(self, scheduler: str, job: Job) -> None:
         """Record the job's wait time the moment its first attempt starts."""
@@ -146,7 +121,6 @@ class MetricsCollector:
             )
         self._wait_times[job.job_type].append(wait)
         self._per_scheduler_waits[scheduler].append(wait)
-        self._histogram("jobs.wait_seconds", scheduler).observe(wait)
 
     def record_busy(
         self, scheduler: str, start: float, end: float, conflict_retry: bool = False
@@ -164,7 +138,6 @@ class MetricsCollector:
             raise ValueError(f"negative busy-interval start: {start}")
         if end < start:
             raise ValueError(f"busy interval ends before it starts: {start}..{end}")
-        self._counter("sched.busy_seconds", scheduler).inc(end - start)
         metrics = self.schedulers[scheduler]
         cursor = start
         # Step the bucket rather than recompute it from the cursor: a
@@ -187,13 +160,10 @@ class MetricsCollector:
             raise ValueError(f"negative commit time: {time}")
         metrics = self.schedulers[scheduler]
         metrics.transactions_attempted += 1
-        self._counter("txn.attempted", scheduler).inc()
         if conflicted:
             metrics.conflicts[self._bucket(time)] += 1
-            self._counter("txn.conflicted", scheduler).inc()
         else:
             metrics.transactions_committed += 1
-            self._counter("txn.committed", scheduler).inc()
 
     def record_scheduled(self, scheduler: str, job: Job, time: float) -> None:
         """Record that a job finished scheduling (all tasks placed)."""
@@ -203,8 +173,6 @@ class MetricsCollector:
         metrics.jobs_scheduled[self._bucket(time)] += 1
         self.jobs_scheduled_total += 1
         self.tasks_scheduled_total += job.num_tasks
-        self._counter("jobs.scheduled", scheduler).inc()
-        self._counter("tasks.scheduled", scheduler).inc(job.num_tasks)
 
     def record_abandoned(
         self, scheduler: str, job: Job, reason: str = "attempt-limit"
@@ -221,10 +189,6 @@ class MetricsCollector:
             metrics.abandoned_by_reason.get(reason, 0) + 1
         )
         self.jobs_abandoned_total += 1
-        self._counter("jobs.abandoned", scheduler).inc()
-        self.registry.counter(
-            "jobs.abandoned_by_reason", scheduler=scheduler, reason=reason
-        ).inc()
 
     # ------------------------------------------------------------------
     # Fault injection (called by the chaos engine and schedulers)
@@ -235,30 +199,14 @@ class MetricsCollector:
             raise ValueError(f"tasks_killed must be >= 0, got {tasks_killed}")
         self.machine_failures += 1
         self.fault_tasks_killed += tasks_killed
-        self.registry.counter("faults.machine_failures").inc()
-        if tasks_killed:
-            self.registry.counter("faults.tasks_killed").inc(tasks_killed)
-
-    def record_machine_repair(self) -> None:
-        self.machine_repairs += 1
-        self.registry.counter("faults.machine_repairs").inc()
 
     def record_scheduler_crash(self, scheduler: str) -> None:
         """``scheduler`` crashed, losing its in-flight transaction."""
         self.schedulers[scheduler].crashes += 1
-        self._counter("faults.sched_crashes", scheduler).inc()
 
     def record_commit_dropped(self, scheduler: str) -> None:
         """One of ``scheduler``'s commits was dropped in flight."""
         self.schedulers[scheduler].commits_dropped += 1
-        self._counter("faults.commit_drops", scheduler).inc()
-
-    def record_commit_delayed(self, scheduler: str, delay: float) -> None:
-        """A commit-path latency spike of ``delay`` seconds was injected."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedulers[scheduler].commit_delay_seconds += delay
-        self._counter("faults.commit_delay_seconds", scheduler).inc(delay)
 
     def record_escalated(
         self, scheduler: str, attempts: int | None = None, policy: str | None = None
@@ -273,13 +221,8 @@ class MetricsCollector:
         the job has personally conflicted ``escalate_after`` times).
         """
         self.schedulers[scheduler].jobs_escalated += 1
-        self._counter("jobs.escalated", scheduler).inc()
         if attempts is not None:
-            self.registry.histogram(
-                "jobs.attempts_until_escalation",
-                scheduler=scheduler,
-                policy=policy or "none",
-            ).observe(float(attempts))
+            self._escalation_attempts[scheduler, policy or "none"].append(attempts)
 
     def record_steered(self, scheduler: str, fallback_tasks: int) -> None:
         """One placement attempt was steered away from predicted-hot
@@ -290,11 +233,6 @@ class MetricsCollector:
         metrics = self.schedulers[scheduler]
         metrics.placements_steered += 1
         metrics.steer_fallback_tasks += fallback_tasks
-        self._counter("predict.steered", scheduler).inc()
-        if fallback_tasks:
-            self._counter("predict.steer_fallback_tasks", scheduler).inc(
-                fallback_tasks
-            )
 
     def record_predictor_commit(
         self, scheduler: str, steered: bool, conflicted: bool
@@ -302,65 +240,49 @@ class MetricsCollector:
         """Attribute one predictor-on commit outcome.
 
         Steered-and-clean counts as an avoided conflict, steered-but-
-        conflicted as an incurred one; unsteered commits are tracked only
-        in the registry (``predict.commits_unsteered``) for rate math.
+        conflicted as an incurred one; unsteered commits count as neither.
         """
         metrics = self.schedulers[scheduler]
-        if steered:
-            if conflicted:
-                metrics.predict_conflicts_incurred += 1
-                self._counter("predict.conflicts_incurred", scheduler).inc()
-            else:
-                metrics.predict_conflicts_avoided += 1
-                self._counter("predict.conflicts_avoided", scheduler).inc()
-        else:
-            self._counter("predict.commits_unsteered", scheduler).inc()
+        if steered and conflicted:
+            metrics.predict_conflicts_incurred += 1
+        elif steered:
+            metrics.predict_conflicts_avoided += 1
 
     def record_preemption_caused(self, preemptor: str, tasks: int) -> None:
         """``preemptor`` evicted ``tasks`` lower-precedence tasks."""
         if tasks < 0:
             raise ValueError(f"tasks must be >= 0, got {tasks}")
         self.schedulers[preemptor].preemptions_caused += tasks
-        self._counter("preemptions.caused", preemptor).inc(tasks)
 
     def record_preemption_victim(self, victim: str, tasks: int) -> None:
         """``victim`` lost ``tasks`` running tasks to preemption."""
         if tasks < 0:
             raise ValueError(f"tasks must be >= 0, got {tasks}")
         self.schedulers[victim].tasks_lost_to_preemption += tasks
-        self._counter("preemptions.suffered", victim).inc(tasks)
 
     # ------------------------------------------------------------------
     # Queries (called by experiments)
     # ------------------------------------------------------------------
-    def busyness_series(self, scheduler: str, horizon: float) -> list[float]:
+    def busyness_series(
+        self, scheduler: str, horizon: float, productive: bool = False
+    ) -> list[float]:
         """Per-period busyness (busy fraction); the final partial period
-        is normalized by its elapsed length."""
+        is normalized by its elapsed length. ``productive`` excludes
+        conflict-retry rework."""
         metrics = self.schedulers[scheduler]
         if horizon <= 0:
             return []
+        busy_time = metrics.busy_time_productive if productive else metrics.busy_time
         series = []
         for bucket in range(self._num_buckets(horizon)):
             length = min(self.period, horizon - bucket * self.period)
-            series.append(metrics.busy_time.get(bucket, 0.0) / length)
+            series.append(busy_time.get(bucket, 0.0) / length)
         return series
 
-    def median_busyness(self, scheduler: str, horizon: float) -> float:
-        return median(self.busyness_series(scheduler, horizon))
-
-    def productive_busyness_series(self, scheduler: str, horizon: float) -> list[float]:
-        """Per-period busyness excluding conflict-retry rework."""
-        metrics = self.schedulers[scheduler]
-        if horizon <= 0:
-            return []
-        series = []
-        for bucket in range(self._num_buckets(horizon)):
-            length = min(self.period, horizon - bucket * self.period)
-            series.append(metrics.busy_time_productive.get(bucket, 0.0) / length)
-        return series
-
-    def median_productive_busyness(self, scheduler: str, horizon: float) -> float:
-        return median(self.productive_busyness_series(scheduler, horizon))
+    def median_busyness(
+        self, scheduler: str, horizon: float, productive: bool = False
+    ) -> float:
+        return median(self.busyness_series(scheduler, horizon, productive))
 
     def mad_busyness(self, scheduler: str, horizon: float) -> float:
         return mad(self.busyness_series(scheduler, horizon))
@@ -396,26 +318,36 @@ class MetricsCollector:
     def wait_times(self, job_type: JobType) -> list[float]:
         return list(self._wait_times[job_type])
 
-    def mean_wait_time(self, job_type: JobType) -> float:
-        waits = self._wait_times[job_type]
-        if not waits:
-            return float("nan")
-        return sum(waits) / len(waits)
-
-    def p90_wait_time(self, job_type: JobType) -> float:
-        return percentile(self._wait_times[job_type], 90.0)
-
     def scheduler_wait_times(self, scheduler: str) -> list[float]:
         return list(self._per_scheduler_waits[scheduler])
 
-    def mean_scheduler_wait_time(self, scheduler: str) -> float:
-        waits = self._per_scheduler_waits[scheduler]
-        if not waits:
-            return float("nan")
-        return sum(waits) / len(waits)
-
-    def abandoned(self, scheduler: str) -> int:
-        return self.schedulers[scheduler].jobs_abandoned
+    def histograms(self) -> list[Histogram]:
+        """The per-scheduler ``jobs.wait_seconds`` and per-(scheduler,
+        policy) ``jobs.attempts_until_escalation`` histograms, built on
+        demand by observing the recorded values in recorded order and
+        sorted by ``(name, labels)``. A series with no value has none:
+        both stores are ``defaultdict``s that a mere read populates."""
+        series = [
+            ("jobs.wait_seconds", {"scheduler": scheduler}, waits)
+            for scheduler, waits in self._per_scheduler_waits.items()
+        ]
+        series += [
+            (
+                "jobs.attempts_until_escalation",
+                {"scheduler": scheduler, "policy": policy},
+                attempts,
+            )
+            for (scheduler, policy), attempts in self._escalation_attempts.items()
+        ]
+        series.sort(key=lambda entry: (entry[0], sorted(entry[1].items())))
+        histograms = []
+        for name, labels, values in series:
+            if values:
+                histogram = Histogram(name, labels)
+                for value in values:
+                    histogram.observe(value)
+                histograms.append(histogram)
+        return histograms
 
     def abandoned_for_reason(self, reason: str) -> int:
         """Jobs abandoned for ``reason``, totalled across schedulers."""
@@ -424,53 +356,10 @@ class MetricsCollector:
             for _, metrics in sorted(self.schedulers.items())
         )
 
-    @property
-    def scheduler_crashes_total(self) -> int:
-        return sum(
-            metrics.crashes for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def commits_dropped_total(self) -> int:
-        return sum(
-            metrics.commits_dropped
-            for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def jobs_escalated_total(self) -> int:
-        return sum(
-            metrics.jobs_escalated
-            for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def placements_steered_total(self) -> int:
-        return sum(
-            metrics.placements_steered
-            for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def steer_fallback_tasks_total(self) -> int:
-        return sum(
-            metrics.steer_fallback_tasks
-            for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def predict_conflicts_avoided_total(self) -> int:
-        return sum(
-            metrics.predict_conflicts_avoided
-            for _, metrics in sorted(self.schedulers.items())
-        )
-
-    @property
-    def predict_conflicts_incurred_total(self) -> int:
-        return sum(
-            metrics.predict_conflicts_incurred
-            for _, metrics in sorted(self.schedulers.items())
-        )
+    def total(self, field: str) -> int:
+        """One :class:`SchedulerMetrics` counter (``"crashes"``,
+        ``"jobs_escalated"``, ...) totalled across schedulers."""
+        return sum(getattr(metrics, field) for metrics in self.schedulers.values())
 
     def scheduler_names(self) -> list[str]:
         return sorted(self.schedulers)

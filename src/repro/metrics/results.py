@@ -1,122 +1,109 @@
-"""Run summaries shared by the lightweight and high-fidelity simulators.
+"""Run summaries: the one reader of the metrics collectors.
 
-:class:`RunSummary` wraps a :class:`~repro.metrics.collector.MetricsCollector`
-with the derived quantities the paper plots: per-role busyness
-(median of daily values +- MAD), conflict fractions, wait times
-(means and 90th percentiles), abandonment and saturation indicators.
+:class:`PooledSummary` writes each derived quantity the paper plots —
+per-role busyness (median of daily values +- MAD), conflict fractions,
+wait times (means and 90th percentiles), abandonment and saturation
+indicators — once, over a list of cells. :class:`RunSummary` is the
+one-cell case; :class:`repro.federation.harness.FederatedResult` the
+N-cell case. Same operands in the same order either way, so a one-cell
+federation returns the single-cell result float for float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import percentile
+from repro.metrics.collector import MetricsCollector, SchedulerMetrics
+from repro.metrics.stats import mean, percentile
 from repro.workload.job import JobType
 
 
-@dataclass
-class RunSummary:
-    """Metrics of one simulation run."""
+class PooledSummary:
+    """The derived metrics of one run, pooled over ``self.cell_results``."""
 
-    metrics: MetricsCollector
-    horizon: float
-    batch_scheduler_names: list[str]
-    service_scheduler_names: list[str]
-    jobs_submitted: int
-    jobs_scheduled: int
-    jobs_abandoned: int
-    final_cpu_utilization: float
-    utilization_series: list[tuple[float, float, float]] = field(default_factory=list)
-    events_processed: int = 0
-    #: Engine runtime statistics (:meth:`repro.sim.engine.Simulator.stats`):
-    #: events processed, peak queue depth, wall seconds, final sim time.
-    sim_stats: dict[str, float | int] = field(default_factory=dict)
+    cell_results: "list[RunSummary]"
+    sim_stats: dict[str, float | int]
 
-    # ------------------------------------------------------------------
-    # Role-level accessors ("batch" / "service")
-    # ------------------------------------------------------------------
-    def role_names(self, role: str) -> list[str]:
-        if role == "batch":
-            return self.batch_scheduler_names
-        if role == "service":
-            return self.service_scheduler_names
-        raise ValueError(f"role must be 'batch' or 'service', got {role!r}")
+    def _waits(self, job_type: JobType) -> list[float]:
+        return [
+            wait
+            for cell in self.cell_results
+            for wait in cell.metrics.wait_times(job_type)
+        ]
 
     def mean_wait(self, job_type: JobType) -> float:
         """Overall average job wait time for a job type (paper's Fig 5)."""
-        return self.metrics.mean_wait_time(job_type)
+        return mean(self._waits(job_type))
 
     def p90_wait(self, job_type: JobType) -> float:
-        return self.metrics.p90_wait_time(job_type)
+        return percentile(self._waits(job_type), 90.0)
+
+    def _role_mean(self, role: str, statistic: Callable[..., float], **kwargs) -> float:
+        """A per-scheduler daily statistic, averaged over every
+        scheduler of the role."""
+        values = [
+            statistic(cell.metrics, name, cell.horizon, **kwargs)
+            for cell in self.cell_results
+            for name in cell.role_names(role)
+        ]
+        return sum(values) / len(values)
 
     def busyness(self, role: str) -> float:
         """Median daily busyness, averaged over the role's schedulers
         (Figure 9b plots this as "mean sched. busyness")."""
-        names = self.role_names(role)
-        values = [self.metrics.median_busyness(n, self.horizon) for n in names]
-        return sum(values) / len(values)
+        return self._role_mean(role, MetricsCollector.median_busyness)
 
     def busyness_mad(self, role: str) -> float:
-        names = self.role_names(role)
-        values = [self.metrics.mad_busyness(n, self.horizon) for n in names]
-        return sum(values) / len(values)
+        return self._role_mean(role, MetricsCollector.mad_busyness)
 
     def noconflict_busyness(self, role: str) -> float:
         """The Figure 12c "no conflicts" approximation: busyness with
         conflict-retry rework excluded."""
-        names = self.role_names(role)
-        values = [
-            self.metrics.median_productive_busyness(n, self.horizon) for n in names
-        ]
-        return sum(values) / len(values)
+        return self._role_mean(role, MetricsCollector.median_busyness, productive=True)
+
+    def _role_schedulers(self, role: str) -> Iterator[SchedulerMetrics]:
+        for cell in self.cell_results:
+            for name in cell.role_names(role):
+                yield cell.metrics.schedulers[name]
 
     def conflict_fraction(self, role: str) -> float:
         """Conflicts per successfully scheduled job, pooled over the
         role's schedulers for the whole run."""
-        names = self.role_names(role)
         conflicts = 0
         scheduled = 0
-        for name in names:
-            per_scheduler = self.metrics.schedulers[name]
+        for per_scheduler in self._role_schedulers(role):
             conflicts += sum(per_scheduler.conflicts.values())
             scheduled += sum(per_scheduler.jobs_scheduled.values())
         if scheduled == 0:
             return float("nan")
         return conflicts / scheduled
 
-    def abandoned(self, role: str) -> int:
-        return sum(self.metrics.abandoned(n) for n in self.role_names(role))
-
-    def preemptions_caused(self, role: str) -> int:
-        """Tasks this role's schedulers evicted from lower-precedence jobs."""
+    def role_total(self, role: str, counter: str) -> int:
+        """One :class:`~repro.metrics.collector.SchedulerMetrics` counter
+        (``"jobs_abandoned"``, ``"preemptions_caused"``,
+        ``"tasks_lost_to_preemption"``) summed over the role's schedulers."""
         return sum(
-            self.metrics.schedulers[n].preemptions_caused
-            for n in self.role_names(role)
+            getattr(per_scheduler, counter)
+            for per_scheduler in self._role_schedulers(role)
         )
 
-    def tasks_lost_to_preemption(self, role: str) -> int:
-        """This role's running tasks evicted by higher-precedence jobs."""
-        return sum(
-            self.metrics.schedulers[n].tasks_lost_to_preemption
-            for n in self.role_names(role)
-        )
+    @property
+    def jobs_submitted(self) -> int:
+        return sum(cell.metrics.jobs_submitted for cell in self.cell_results)
 
-    # ------------------------------------------------------------------
-    # Per-scheduler accessors (Figure 13 plots Batch 0/1/2 separately)
-    # ------------------------------------------------------------------
-    def scheduler_busyness(self, name: str) -> float:
-        return self.metrics.median_busyness(name, self.horizon)
+    @property
+    def jobs_scheduled(self) -> int:
+        return sum(cell.metrics.jobs_scheduled_total for cell in self.cell_results)
 
-    def scheduler_wait_mean(self, name: str) -> float:
-        return self.metrics.mean_scheduler_wait_time(name)
+    @property
+    def jobs_abandoned(self) -> int:
+        return sum(cell.metrics.jobs_abandoned_total for cell in self.cell_results)
 
-    def scheduler_wait_p90(self, name: str) -> float:
-        return percentile(self.metrics.scheduler_wait_times(name), 90.0)
+    @property
+    def events_processed(self) -> int:
+        return self.sim_stats["events_processed"]
 
-    # ------------------------------------------------------------------
-    # Saturation
-    # ------------------------------------------------------------------
     @property
     def unscheduled_fraction(self) -> float:
         """Fraction of submitted jobs not fully scheduled by the end
@@ -128,3 +115,41 @@ class RunSummary:
 
     def saturated(self, threshold: float = 0.05) -> bool:
         return self.unscheduled_fraction > threshold
+
+
+@dataclass
+class RunSummary(PooledSummary):
+    """Metrics of one simulation run."""
+
+    metrics: MetricsCollector
+    horizon: float
+    batch_scheduler_names: list[str]
+    service_scheduler_names: list[str]
+    final_cpu_utilization: float
+    #: Engine runtime statistics (:meth:`repro.sim.engine.Simulator.stats`):
+    #: events processed, peak queue depth, wall seconds, final sim time.
+    sim_stats: dict[str, float | int]
+    utilization_series: list[tuple[float, float, float]] = field(default_factory=list)
+
+    @property
+    def cell_results(self) -> "list[RunSummary]":
+        return [self]
+
+    def role_names(self, role: str) -> list[str]:
+        if role == "batch":
+            return self.batch_scheduler_names
+        if role == "service":
+            return self.service_scheduler_names
+        raise ValueError(f"role must be 'batch' or 'service', got {role!r}")
+
+    # ------------------------------------------------------------------
+    # Per-scheduler accessors (Figure 13 plots Batch 0/1/2 separately)
+    # ------------------------------------------------------------------
+    def scheduler_busyness(self, name: str) -> float:
+        return self.metrics.median_busyness(name, self.horizon)
+
+    def scheduler_wait_mean(self, name: str) -> float:
+        return mean(self.metrics.scheduler_wait_times(name))
+
+    def scheduler_wait_p90(self, name: str) -> float:
+        return percentile(self.metrics.scheduler_wait_times(name), 90.0)

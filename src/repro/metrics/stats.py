@@ -12,6 +12,14 @@ from typing import Sequence
 import numpy as np
 
 
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean (the paper's "overall average" wait); NaN for an
+    empty sequence."""
+    if len(values) == 0:
+        return float("nan")
+    return sum(values) / len(values)
+
+
 def median(values: Sequence[float]) -> float:
     """Median of a sequence; NaN for an empty one."""
     if len(values) == 0:

@@ -10,9 +10,8 @@ provides the three layers that make those visible:
   scheduler id, job id, attempt number). The default recorder is a
   no-op whose cost on instrumented hot paths is one attribute check.
 * :mod:`repro.obs.registry` — counters, gauges, and fixed-bucket
-  histograms with percentile estimation; the
-  :class:`~repro.metrics.collector.MetricsCollector` publishes its raw
-  counters here.
+  histograms with percentile estimation; the one registry is
+  process-wide and holds engine and ``recovery.*`` statistics.
 * :mod:`repro.obs.profile` — per-callback wall-clock attribution for
   the event loop ("top-N hottest callbacks").
 

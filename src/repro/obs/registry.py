@@ -1,12 +1,14 @@
 """A registry of counters, gauges, and fixed-bucket histograms.
 
-Schedulers and the :class:`~repro.metrics.collector.MetricsCollector`
-publish low-level counters here; experiments and the CLI's
-``--verbose`` flag read them back as a flat snapshot. Metrics are
-keyed by ``(name, labels)`` — asking twice returns the same object —
-and histograms estimate percentiles from fixed bucket boundaries the
-way monitoring systems (Prometheus et al.) do, trading exactness for
-constant memory.
+The one registry is process-wide (:func:`get_registry`): each run adds
+its engine statistics and the sweep supervisor its ``recovery.*``
+counts, and the CLI's ``--verbose`` flag reads them back as a flat
+snapshot. Metrics are keyed by ``(name, labels)`` — asking twice
+returns the same object. :class:`Histogram` also stands alone: the
+:class:`~repro.metrics.collector.MetricsCollector` derives its wait
+histograms at end of run. They estimate percentiles from fixed bucket
+boundaries the way monitoring systems (Prometheus et al.) do, trading
+exactness for constant memory.
 """
 
 from __future__ import annotations
@@ -277,8 +279,7 @@ class MetricsRegistry:
 
 
 #: Process-global registry: cheap cross-run accumulation (the CLI's
-#: ``--verbose`` sim-stats report reads it). Per-run isolation uses a
-#: private ``MetricsRegistry`` instance instead.
+#: ``--verbose`` sim-stats report reads it).
 _GLOBAL = MetricsRegistry()
 
 

@@ -27,7 +27,7 @@ from repro.faults import CellStateInvariantChecker, ChaosEngine, FaultConfig
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
 from repro.obs import recorder as _obs
-from repro.obs.registry import Histogram, publish_sim_stats
+from repro.obs.registry import publish_sim_stats
 from repro.obs.timeline import TimelineSampler
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
@@ -206,33 +206,22 @@ class World:
         result assembly, given the loop's final ``stats``."""
         if _san.ACTIVE is not None:
             _san.ACTIVE.final_check(self.states)
-        metrics = self.metrics
         rec = _obs.RECORDER
         if rec.enabled:
-            # Sorted by (name, labels) so the record is independent of
-            # registry insertion order.
-            histograms = sorted(
-                (m for m in metrics.registry if isinstance(m, Histogram)),
-                key=lambda m: (m.name, tuple(sorted(m.labels.items()))),
-            )
             rec.event(
                 "run.metrics",
                 t=self.sim.now,
                 histograms=[
                     {"name": m.name, "labels": m.labels, "state": m.state()}
-                    for m in histograms
+                    for m in self.metrics.histograms()
                 ],
             )
         return RunSummary(
-            metrics=metrics,
+            metrics=self.metrics,
             horizon=self.horizon,
             batch_scheduler_names=self.roles["batch"],
             service_scheduler_names=self.roles["service"],
-            jobs_submitted=metrics.jobs_submitted,
-            jobs_scheduled=metrics.jobs_scheduled_total,
-            jobs_abandoned=metrics.jobs_abandoned_total,
             final_cpu_utilization=self.cpu_utilization(),
             utilization_series=self.utilization_series,
-            events_processed=stats["events_processed"],
             sim_stats=stats,
         )

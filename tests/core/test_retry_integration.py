@@ -131,7 +131,7 @@ class TestEscalation:
         sim.run()
         assert job.escalated
         assert job.is_fully_scheduled
-        assert metrics.jobs_escalated_total == 1
+        assert metrics.total("jobs_escalated") == 1
 
     def test_escalated_gang_job_commits_incrementally(self, sim, metrics, rng):
         """The §3.6 remedy end-to-end: an ALL_OR_NOTHING scheduler lands
@@ -185,7 +185,7 @@ class TestCommitDropAccounting:
         sim.run(until=10.0)
         assert job.is_fully_scheduled
         assert job.conflicts == 1
-        assert metrics.commits_dropped_total == 1
+        assert metrics.total("commits_dropped") == 1
         # The dropped attempt's plan never touched the cell state: only
         # the successful retry's tasks are running.
         assert state.used_cpu == pytest.approx(2.0)

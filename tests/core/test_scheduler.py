@@ -195,7 +195,7 @@ class TestAbandonment:
         sim.run(until=100.0)
         assert job.abandoned
         assert job.attempts == 5
-        assert metrics.abandoned("omega") == 1
+        assert metrics.schedulers["omega"].jobs_abandoned == 1
 
     def test_abandoned_job_does_not_block_queue(self, sim, metrics):
         state = CellState(Cell.homogeneous(1, 4.0, 16.0))

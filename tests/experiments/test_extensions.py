@@ -37,8 +37,8 @@ class TestHarnessPreemption:
         assert result.jobs_scheduled > 0
         # Accounting symmetry: everything the service scheduler evicted
         # was lost by the batch side.
-        assert result.preemptions_caused("service") == result.tasks_lost_to_preemption(
-            "batch"
+        assert result.role_total("service", "preemptions_caused") == result.role_total(
+            "batch", "tasks_lost_to_preemption"
         )
 
     def test_preemption_off_never_evicts(self, busy_preset):
@@ -51,7 +51,7 @@ class TestHarnessPreemption:
                 enable_preemption=False,
             )
         )
-        assert result.preemptions_caused("service") == 0
+        assert result.role_total("service", "preemptions_caused") == 0
 
     def test_generator_assigns_precedence_bands(self):
         assert DEFAULT_PRECEDENCE[JobType.SERVICE] > DEFAULT_PRECEDENCE[JobType.BATCH]

@@ -16,10 +16,8 @@ def summary(metrics: MetricsCollector, horizon: float = 100.0) -> RunSummary:
         horizon=horizon,
         batch_scheduler_names=["b0", "b1"],
         service_scheduler_names=["svc"],
-        jobs_submitted=10,
-        jobs_scheduled=8,
-        jobs_abandoned=1,
         final_cpu_utilization=0.5,
+        sim_stats={"events_processed": 0},
     )
 
 
@@ -39,7 +37,12 @@ class TestRunSummaryAccessors:
         assert result.conflict_fraction("batch") == pytest.approx(1.0)
 
     def test_unscheduled_fraction(self, metrics):
+        for index in range(10):
+            metrics.record_submission(make_job())
+            if index < 8:
+                metrics.record_scheduled("b0", make_job(), 1.0)
         result = summary(metrics)
+        assert (result.jobs_submitted, result.jobs_scheduled) == (10, 8)
         assert result.unscheduled_fraction == pytest.approx(0.2)
         assert result.saturated(threshold=0.1)
         assert not result.saturated(threshold=0.5)
@@ -67,8 +70,8 @@ class TestRunSummaryAccessors:
         metrics.record_busy("b0", 0.0, 1.0)
         metrics.record_busy("svc", 0.0, 1.0)
         result = summary(metrics)
-        assert result.preemptions_caused("service") == 0
-        assert result.tasks_lost_to_preemption("batch") == 0
+        assert result.role_total("service", "preemptions_caused") == 0
+        assert result.role_total("batch", "tasks_lost_to_preemption") == 0
 
 
 def _load_row(scale, **kwargs):

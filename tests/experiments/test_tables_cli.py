@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.experiments import cli, registry
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.tables import (
@@ -15,6 +16,13 @@ from repro.experiments.tables import (
     table1_rows,
     table2_rows,
 )
+from repro.obs.registry import MetricsRegistry
+
+#: The grids that replay a trace: a ``HighFidelityConfig`` has no
+#: ``timeline_interval``, so they refuse ``--timeline-interval``.
+HIFI_REPLAYS = ("fig11", "fig12", "fig13", "fig14")
+#: The experiments as declared, whatever a fixture has patched in since.
+_DECLARED = dict(EXPERIMENTS)
 
 
 class TestTable1:
@@ -132,18 +140,59 @@ class TestCli:
         assert main(["omega", "--smoke", "--timeline-interval", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_timeline_interval_lands_on_every_other_grid(self, monkeypatch, capsys):
+        """Every grid either takes ``--timeline-interval`` on all of its
+        configs or refuses it with one line — never a traceback."""
+
+        class Reached(Exception):
+            pass
+
+        def parallel_map(fn, points, **kwargs):
+            raise Reached([getattr(c, "cell_config", c) for c, _ in points])
+
+        monkeypatch.setattr(registry, "parallel_map", parallel_map)
+        flags = ["--scale", "0.05", "--hours", "0.1", "--timeline-interval", "60"]
+        grids = [name for name, e in EXPERIMENTS.items() if e.points is not None]
+        assert set(HIFI_REPLAYS) < set(grids)
+        for name in grids:
+            if name in HIFI_REPLAYS:
+                assert main([name, *flags]) == 2, name
+                assert name in capsys.readouterr().err
+            else:
+                with pytest.raises(Reached) as reached:
+                    main([name, *flags])
+                cells = reached.value.args[0]
+                assert cells and all(c.timeline_interval == 60 for c in cells), name
+
+    def test_verbose_under_jobs_says_where_the_statistics_are(self, monkeypatch):
+        stats = MetricsRegistry()
+        monkeypatch.setattr(cli.obs, "get_registry", lambda: stats)
+        fig8, table1 = EXPERIMENTS["fig8"], EXPERIMENTS["table1"]
+        line = cli._verbose_stats_table(fig8, jobs=2)
+        assert "--jobs 2" in line and "kept per process" in line
+        unexplained = "(no simulator statistics recorded)"
+        assert cli._verbose_stats_table(fig8, jobs=1) == unexplained
+        assert cli._verbose_stats_table(table1, jobs=2) == unexplained
+        stats.counter("sim.runs").inc(18)
+        assert "sim.runs" in cli._verbose_stats_table(fig8, jobs=2)
+
     def test_trace_json_on_missing_file_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path / "absent.jsonl"), "--json"]) == 2
 
 
 class TestBadArgumentsExitTwo:
-    """One line on stderr, exit 2, and no point built."""
+    """One line on stderr, exit 2, and no point run — nor, unless the
+    grid itself is what refuses the value, built."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
         def built(**params):
             raise AssertionError("points were built despite bad arguments")
 
+        def ran(*args, **kwargs):
+            raise AssertionError("a point ran despite bad arguments")
+
+        monkeypatch.setattr(registry, "parallel_map", ran)
         for name, experiment in list(EXPERIMENTS.items()):
             if experiment.points is not None:
                 monkeypatch.setitem(
@@ -187,6 +236,17 @@ class TestBadArgumentsExitTwo:
     def test_declared_argument_out_of_range(self, capsys, argv):
         command, flag, _ = argv
         assert flag in self._rejects(capsys, *argv[1:], command=command)
+
+    @pytest.mark.parametrize("command", HIFI_REPLAYS)
+    def test_timeline_interval_on_a_trace_replay(self, capsys, monkeypatch, command):
+        """A hifi config has no timeline interval: refused, not ignored —
+        by the built grid (how ``run`` knows), before any point runs."""
+        monkeypatch.setitem(EXPERIMENTS, command, _DECLARED[command])
+        err = self._rejects(
+            capsys, "--scale", "0.05", "--hours", "0.1", "--timeline-interval", "60",
+            command=command,
+        )
+        assert "--timeline-interval" in err and command in err
 
     def test_output_directory_missing(self, capsys, tmp_path):
         target = tmp_path / "absent" / "rows.json"

@@ -132,7 +132,7 @@ class TestChaosEngineCrashes:
         engine.install([state], schedulers, horizon=3600.0)
         sim.run()
         assert engine.crashes > 2
-        assert metrics.scheduler_crashes_total == engine.crashes
+        assert metrics.total("crashes") == engine.crashes
         # Every crash within the horizon restarts 30 s later, so by the
         # time the event queue drains the scheduler is back up.
         assert not schedulers[0].is_down
@@ -194,7 +194,7 @@ class TestCommitFaults:
         # Every commit drops, so the job only conflicts and never lands.
         assert not job.is_fully_scheduled
         assert job.conflicts > 0
-        assert metrics.commits_dropped_total > 0
+        assert metrics.total("commits_dropped") > 0
 
 
 class TestDeterminism:

@@ -6,16 +6,19 @@ import math
 
 import pytest
 
+from repro.experiments.common import run_lightweight
 from repro.experiments.federation import (
     BASELINE_FED_FAULTS,
     SHARED_COLUMNS,
     build_federation,
     degenerate_check,
+    degenerate_points,
     federation_points,
 )
 from repro.experiments.registry import DEGENERATE_GATE, EXPERIMENTS, run
 from repro.experiments.sweeps import CheckFailed
 from repro.federation import FederationFaultConfig
+from repro.metrics.stats import median, percentile
 from repro.obs.registry import Histogram
 from repro.workload.job import JobType
 
@@ -217,6 +220,68 @@ class TestMergedWaitPercentiles:
             cumulative += count
             lower = upper
         return lower, hist._max
+
+
+#: Every accessor :class:`~repro.metrics.results.PooledSummary` writes,
+#: as ``(name, call arguments)``; ``None`` marks a property.
+POOLED_ACCESSORS = [
+    *((name, (kind,)) for name in ("mean_wait", "p90_wait") for kind in JobType),
+    *(
+        (name, (role,))
+        for name in ("busyness", "busyness_mad", "noconflict_busyness", "conflict_fraction")
+        for role in ("batch", "service")
+    ),
+    ("role_total", ("batch", "jobs_abandoned")),
+    ("saturated", ()),
+    ("jobs_submitted", None),
+    ("jobs_scheduled", None),
+    ("jobs_abandoned", None),
+    ("unscheduled_fraction", None),
+]
+
+
+class TestPooledSummary:
+    """A federated result is the N-cell case of the single-cell summary."""
+
+    def test_two_cells_pool_p90_wait_and_noconflict_busyness(self):
+        result = run_one(cells=2, staleness=60.0, intensity=0.0, rate_factor=4.0)
+        cells = result.cell_results
+        for job_type in (JobType.BATCH, JobType.SERVICE):
+            waits = [w for cell in cells for w in cell.metrics.wait_times(job_type)]
+            assert_same(result.p90_wait(job_type), percentile(waits, 90.0), job_type)
+        medians = [
+            median(cell.metrics.busyness_series(name, cell.horizon, productive=True))
+            for cell in cells
+            for name in cell.role_names("batch")
+        ]
+        assert len(medians) == 2
+        assert result.noconflict_busyness("batch") == sum(medians) / len(medians)
+        assert result.noconflict_busyness("batch") <= result.busyness("batch")
+
+    @pytest.fixture(scope="class")
+    def one_cell_and_alone(self):
+        (federated, _), (single, _) = degenerate_points(
+            rate_factor=4.0, horizon=HORIZON, seed=0, scale=SCALE
+        )
+        return build_federation(federated).run(), run_lightweight(single)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        POOLED_ACCESSORS,
+        ids=lambda value: value
+        if isinstance(value, str)
+        else ",".join(getattr(item, "value", item) for item in value or ()),
+    )
+    def test_one_cell_federation_equals_the_cell_alone(
+        self, one_cell_and_alone, name, args
+    ):
+        """The degenerate gate's claim at the accessor level: exactly
+        equal floats, because there is one implementation."""
+        federated, alone = (
+            getattr(result, name) if args is None else getattr(result, name)(*args)
+            for result in one_cell_and_alone
+        )
+        assert_same(federated, alone, name)
 
 
 class TestResultShape:

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import MetricsCollector
+from repro.metrics import MetricsCollector, RunSummary
 from repro.workload.job import JobType
 from tests.conftest import make_job
 
@@ -17,6 +17,18 @@ from tests.conftest import make_job
 @pytest.fixture
 def collector():
     return MetricsCollector(period=100.0)
+
+
+def summary(collector):
+    """The collector's one reader, over a single scheduler ``s``."""
+    return RunSummary(
+        metrics=collector,
+        horizon=100.0,
+        batch_scheduler_names=["s"],
+        service_scheduler_names=["s"],
+        final_cpu_utilization=0.0,
+        sim_stats={"events_processed": 0},
+    )
 
 
 class TestBusyness:
@@ -108,8 +120,8 @@ class TestBusyness:
         collector.record_busy("s", 0.0, 40.0, conflict_retry=False)
         collector.record_busy("s", 40.0, 60.0, conflict_retry=True)
         assert collector.busyness_series("s", 100.0) == [0.6]
-        assert collector.productive_busyness_series("s", 100.0) == [0.4]
-        assert collector.median_productive_busyness("s", 100.0) == 0.4
+        assert collector.busyness_series("s", 100.0, productive=True) == [0.4]
+        assert collector.median_busyness("s", 100.0, productive=True) == 0.4
 
 
 class TestConflictFraction:
@@ -149,20 +161,20 @@ class TestWaitTimes:
         job.mark_first_attempt(15.0)
         collector.record_first_attempt("s", job)
         assert collector.wait_times(JobType.SERVICE) == [10.0]
-        assert collector.mean_wait_time(JobType.SERVICE) == 10.0
+        assert summary(collector).mean_wait(JobType.SERVICE) == 10.0
         assert collector.scheduler_wait_times("s") == [10.0]
-        assert collector.mean_scheduler_wait_time("s") == 10.0
+        assert summary(collector).scheduler_wait_mean("s") == 10.0
 
     def test_mean_wait_nan_when_empty(self, collector):
-        assert math.isnan(collector.mean_wait_time(JobType.BATCH))
-        assert math.isnan(collector.mean_scheduler_wait_time("s"))
+        assert math.isnan(summary(collector).mean_wait(JobType.BATCH))
+        assert math.isnan(summary(collector).scheduler_wait_mean("s"))
 
     def test_p90(self, collector):
         for wait in range(1, 11):
             job = make_job(submit_time=0.0)
             job.mark_first_attempt(float(wait))
             collector.record_first_attempt("s", job)
-        assert collector.p90_wait_time(JobType.BATCH) == pytest.approx(9.1)
+        assert summary(collector).p90_wait(JobType.BATCH) == pytest.approx(9.1)
 
 
 class TestCounters:
@@ -176,7 +188,7 @@ class TestCounters:
 
     def test_abandoned(self, collector):
         collector.record_abandoned("s", make_job())
-        assert collector.abandoned("s") == 1
+        assert collector.schedulers["s"].jobs_abandoned == 1
         assert collector.jobs_abandoned_total == 1
 
     def test_scheduler_names_sorted(self, collector):
@@ -193,8 +205,8 @@ class TestPredictorMetrics:
     def test_steered_counters(self, collector):
         collector.record_steered("s", 3)
         collector.record_steered("s", 0)
-        assert collector.placements_steered_total == 2
-        assert collector.steer_fallback_tasks_total == 3
+        assert collector.total("placements_steered") == 2
+        assert collector.total("steer_fallback_tasks") == 3
         with pytest.raises(ValueError):
             collector.record_steered("s", -1)
 
@@ -202,8 +214,8 @@ class TestPredictorMetrics:
         collector.record_predictor_commit("s", steered=True, conflicted=False)
         collector.record_predictor_commit("s", steered=True, conflicted=True)
         collector.record_predictor_commit("s", steered=False, conflicted=True)
-        assert collector.predict_conflicts_avoided_total == 1
-        assert collector.predict_conflicts_incurred_total == 1
+        assert collector.total("predict_conflicts_avoided") == 1
+        assert collector.total("predict_conflicts_incurred") == 1
 
     def test_escalation_latency_histogram_per_policy(self, collector):
         collector.record_escalated("s", attempts=4, policy="predictive")
@@ -211,8 +223,7 @@ class TestPredictorMetrics:
         collector.record_escalated("s", attempts=2, policy="starvation")
         histograms = {
             (metric.name, tuple(sorted(metric.labels.items()))): metric
-            for metric in collector.registry
-            if metric.name == "jobs.attempts_until_escalation"
+            for metric in collector.histograms()
         }
         predictive = histograms[
             (

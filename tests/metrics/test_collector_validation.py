@@ -1,6 +1,7 @@
-"""Input validation and registry publication in the metrics collector."""
+"""Input validation and the derived histograms of the metrics collector."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics import MetricsCollector
 from repro.obs import MetricsRegistry
@@ -36,50 +37,47 @@ class TestValidation:
             collector.record_scheduled("s", make_job(), time=-1.0)
 
 
-class TestRegistryPublication:
-    def test_collector_owns_a_private_registry_by_default(self):
-        a = MetricsCollector(period=100.0)
-        b = MetricsCollector(period=100.0)
-        assert a.registry is not b.registry
+class TestDerivedHistograms:
+    """``histograms()`` builds at end of run exactly what observing each
+    value as it was recorded would have built."""
 
-    def test_explicit_registry_is_used(self):
-        registry = MetricsRegistry()
-        collector = MetricsCollector(period=100.0, registry=registry)
-        assert collector.registry is registry
+    @settings(max_examples=60, deadline=None)
+    @given(
+        waits=st.lists(
+            st.tuples(st.sampled_from("abc"), st.floats(0.0, 2e4, allow_nan=False))
+        ),
+        escalations=st.lists(
+            st.tuples(
+                st.sampled_from("ab"),
+                st.sampled_from(["starvation", "predictive", None]),
+                st.integers(1, 2000),
+            )
+        ),
+    )
+    def test_equal_to_observing_each_value_as_recorded(self, waits, escalations):
+        collector = MetricsCollector(period=100.0)
+        observed = MetricsRegistry()
+        for scheduler, wait in waits:
+            job = make_job(submit_time=0.0)
+            job.mark_first_attempt(wait)
+            collector.record_first_attempt(scheduler, job)
+            observed.histogram("jobs.wait_seconds", scheduler=scheduler).observe(wait)
+        for scheduler, policy, attempts in escalations:
+            collector.record_escalated(scheduler, attempts=attempts, policy=policy)
+            observed.histogram(
+                "jobs.attempts_until_escalation",
+                scheduler=scheduler,
+                policy=policy or "none",
+            ).observe(float(attempts))
 
-    def test_counters_mirror_recorded_activity(self, collector):
-        job = make_job(submit_time=0.0)
-        job.mark_first_attempt(2.0)
-        collector.record_submission(job)
-        collector.record_first_attempt("s", job)
-        collector.record_busy("s", 0.0, 30.0)
-        collector.record_busy("s", 30.0, 40.0, conflict_retry=True)
-        collector.record_commit("s", conflicted=True, time=30.0)
-        collector.record_commit("s", conflicted=False, time=40.0)
-        collector.record_scheduled("s", job, time=40.0)
-        collector.record_abandoned("s", make_job())
+        def flat(histograms):
+            return [(h.name, h.labels, h.state()) for h in histograms]
 
-        snapshot = collector.registry.snapshot()
-        assert snapshot["jobs.submitted"] == 1
-        assert snapshot["sched.busy_seconds{scheduler=s}"] == pytest.approx(40.0)
-        assert snapshot["txn.attempted{scheduler=s}"] == 2
-        assert snapshot["txn.conflicted{scheduler=s}"] == 1
-        assert snapshot["txn.committed{scheduler=s}"] == 1
-        assert snapshot["jobs.scheduled{scheduler=s}"] == 1
-        assert snapshot["tasks.scheduled{scheduler=s}"] == job.num_tasks
-        assert snapshot["jobs.abandoned{scheduler=s}"] == 1
-        wait = snapshot["jobs.wait_seconds{scheduler=s}"]
-        assert wait["count"] == 1
-        assert wait["p50"] == pytest.approx(2.0)
-
-    def test_registry_counters_agree_with_legacy_aggregates(self, collector):
-        for i in range(5):
-            collector.record_commit("s", conflicted=(i % 2 == 0), time=float(i))
-        metrics = collector.schedulers["s"]
-        snapshot = collector.registry.snapshot()
-        assert snapshot["txn.attempted{scheduler=s}"] == (
-            metrics.transactions_attempted
+        assert flat(collector.histograms()) == flat(
+            sorted(observed, key=lambda h: (h.name, sorted(h.labels.items())))
         )
-        assert snapshot["txn.committed{scheduler=s}"] == (
-            metrics.transactions_committed
-        )
+
+    def test_series_with_no_observation_has_no_histogram(self, collector):
+        assert collector.scheduler_wait_times("only-read") == []
+        collector.record_escalated("s")  # no attempt count given
+        assert collector.histograms() == []

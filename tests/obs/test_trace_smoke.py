@@ -87,7 +87,7 @@ def test_trace_agrees_with_metrics_collector(traced):
             assert math.isnan(trace_fraction)
         else:
             assert trace_fraction == pytest.approx(collector_fraction)
-        busy = metrics.registry.snapshot()[f"sched.busy_seconds{{scheduler={name}}}"]
+        busy = sum(metrics.schedulers[name].busy_time.values())
         assert entry.busy_seconds == pytest.approx(busy)
     trace_txns = sum(e.txn_attempts for e in summary.schedulers.values())
     collector_txns = sum(

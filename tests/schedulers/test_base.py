@@ -91,7 +91,7 @@ class TestServiceLoop:
         sim.run()
         assert job.abandoned
         assert job.attempts == 4
-        assert metrics.abandoned("s") == 1
+        assert metrics.schedulers["s"].jobs_abandoned == 1
 
     def test_conflict_increments_job_counter(self, sim, metrics):
         scheduler = CountingScheduler(
@@ -109,7 +109,7 @@ class TestServiceLoop:
         scheduler.submit(make_job(num_tasks=1))
         sim.run()
         total = metrics.busyness_series("s", 100.0)[0]
-        productive = metrics.productive_busyness_series("s", 100.0)[0]
+        productive = metrics.busyness_series("s", 100.0, productive=True)[0]
         assert total == pytest.approx(0.02)
         assert productive == pytest.approx(0.01)  # the retry is rework
 

@@ -132,7 +132,7 @@ class TestPessimisticLocking:
         fw.submit(impossible)
         sim.run(until=100.0)
         assert impossible.abandoned
-        assert metrics.abandoned("fw") == 1
+        assert metrics.schedulers["fw"].jobs_abandoned == 1
 
 
 class TestDrfOrdering:

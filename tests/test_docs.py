@@ -4,9 +4,11 @@ Over README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md: every
 ``omega-sim <sub>`` names a real subcommand and every ``--flag`` after
 it on that line is one of that subcommand's options, every relative
 markdown link resolves, and every back-ticked path into the tree
-exists (with the tests a ``path::Class::test`` names). And the other
-way round: every registered experiment command is named somewhere as
-``omega-sim <sub>``, and every flag it declares appears on such a line.
+exists (with the tests a ``path::Class::test`` names), and every
+back-ticked ``repro.``-dotted name (module, class, function, method; a
+trailing ``()`` allowed) imports. And the other way round: every
+registered experiment command is named somewhere as ``omega-sim <sub>``,
+and every flag it declares appears on such a line.
 CHANGES.md and ROADMAP.md are history and plans, and may name things
 that are gone.
 """
@@ -14,6 +16,7 @@ that are gone.
 from __future__ import annotations
 
 import glob
+import importlib
 import re
 from pathlib import Path
 
@@ -31,6 +34,7 @@ COMMAND = re.compile(r"omega-sim +([a-z][a-z0-9-]*)")
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BACKTICKED = re.compile(r"`([^`\s]+)`")
+DOTTED = re.compile(r"(repro(?:\.\w+)+)(?:\(\))?")
 
 #: Subcommand name -> its option strings, read off the real parser.
 OPTIONS = {
@@ -39,6 +43,20 @@ OPTIONS = {
     if isinstance(action.choices, dict)
     for name, sub in action.choices.items()
 }
+
+
+def resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            target = getattr(target, attribute)
+        return target
+    raise ImportError(dotted)
 
 
 def stale_references(path: Path):
@@ -62,6 +80,12 @@ def stale_references(path: Path):
             if not (path.parent / target.split("#", 1)[0]).exists():
                 yield f"{where}: broken link {target}"
         for token in BACKTICKED.findall(line):
+            dotted = DOTTED.fullmatch(token)
+            if dotted:
+                try:
+                    resolve(dotted.group(1))
+                except (ImportError, AttributeError):
+                    yield f"{where}: no such name {token}"
             if not token.startswith(TREE_PREFIXES):
                 continue
             # `src/x.py:12` names a file; `tests/x.py::TestY::test_z`
