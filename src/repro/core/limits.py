@@ -159,16 +159,17 @@ class LimitedOmegaScheduler(OmegaScheduler):
     # is read from it, see current_usage())
     # ------------------------------------------------------------------
     def _start_tasks(self, state: CellState, job: Job, claims) -> None:
-        if self.ledger is None:
+        if self.ledger is None and claims:
             for claim in claims:
                 self.used_cpu += claim.cpu * claim.count
                 self.used_mem += claim.mem * claim.count
-                self.sim.after(job.duration, self._own_usage_released, claim)
+            self.sim.after(job.duration, self._own_usage_released, claims)
         super()._start_tasks(state, job, claims)
 
-    def _own_usage_released(self, claim: Claim) -> None:
-        self.used_cpu -= claim.cpu * claim.count
-        self.used_mem -= claim.mem * claim.count
+    def _own_usage_released(self, claims: tuple[Claim, ...] | list[Claim]) -> None:
+        for claim in claims:
+            self.used_cpu -= claim.cpu * claim.count
+            self.used_mem -= claim.mem * claim.count
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.cluster import Cell
 from repro.core.cellstate import EPSILON, CellSnapshot
+from repro.core.placement import _pack
 from repro.core.transaction import Claim
 from repro.hifi.constraints import AttributeIndex
 from repro.workload.job import Job, JobType
@@ -98,26 +99,30 @@ class ScoringPlacer:
         scores = scores + rng.uniform(0.0, 0.05, size=scores.shape)
         order = candidates[np.argsort(scores, kind="stable")]
 
-        per_machine_cap, per_rack_cap = self._spreading_caps(job, order.size)
+        # Leave per-machine headroom: the production scheduler does not
+        # pack machines to the brim (system overhead, usage variation),
+        # and the headroom absorbs small concurrent claims so
+        # fine-grained commits forgive most overlaps.
+        usable_cpu = snapshot.free_cpu - self._headroom_cpu
+        usable_mem = snapshot.free_mem - self._headroom_mem
+        remaining = job.unplaced_tasks
+        if job.job_type is not JobType.SERVICE:
+            # Batch jobs just pack: no cap can bind before the job runs out.
+            return _pack(order, usable_cpu, usable_mem, cpu, mem, remaining)
+
+        per_machine_cap, per_rack_cap = self._spreading_caps(remaining, order.size)
         rack_counts: dict[int, int] = {}
         claims: list[Claim] = []
-        remaining = job.unplaced_tasks
         for machine in order:
             rack = int(self._racks[machine])
             rack_room = per_rack_cap - rack_counts.get(rack, 0)
             if rack_room <= 0:
                 continue
             count = min(remaining, rack_room, per_machine_cap)
-            # Leave per-machine headroom: the production scheduler does
-            # not pack machines to the brim (system overhead, usage
-            # variation), and the headroom absorbs small concurrent
-            # claims so fine-grained commits forgive most overlaps.
-            usable_cpu = snapshot.free_cpu[machine] - self._headroom_cpu[machine]
-            usable_mem = snapshot.free_mem[machine] - self._headroom_mem[machine]
             if cpu > 0:
-                count = min(count, int((usable_cpu + EPSILON) // cpu))
+                count = min(count, int((usable_cpu[machine] + EPSILON) // cpu))
             if mem > 0:
-                count = min(count, int((usable_mem + EPSILON) // mem))
+                count = min(count, int((usable_mem[machine] + EPSILON) // mem))
             if count <= 0:
                 continue
             claims.append(Claim(machine=int(machine), cpu=cpu, mem=mem, count=count))
@@ -128,16 +133,13 @@ class ScoringPlacer:
         return claims
 
     # ------------------------------------------------------------------
-    def _spreading_caps(self, job: Job, num_candidates: int) -> tuple[int, int]:
-        """Per-machine and per-rack task caps.
+    def _spreading_caps(self, tasks: int, num_candidates: int) -> tuple[int, int]:
+        """Per-machine and per-rack task caps for a service job.
 
         Service jobs must survive correlated failures, so their tasks
         are spread over at least :data:`MIN_SERVICE_RACKS` racks and no
-        machine concentration; batch jobs just pack.
+        machine concentration.
         """
-        if job.job_type is not JobType.SERVICE:
-            return job.unplaced_tasks, job.unplaced_tasks
-        tasks = job.unplaced_tasks
         racks_available = min(self._num_racks, max(1, num_candidates))
         target_racks = min(max(MIN_SERVICE_RACKS, 1), racks_available)
         per_rack = max(1, math.ceil(tasks / target_racks))

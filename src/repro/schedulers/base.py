@@ -412,11 +412,17 @@ class QueueScheduler(abc.ABC):
             )
 
     def _start_tasks(self, state: CellState, job: Job, claims: tuple[Claim, ...] | list[Claim]) -> None:
-        """Schedule the resource release for tasks that just started."""
-        end_time = self.sim.now + job.duration
+        """Schedule the resource release for tasks that just started:
+        one completion event per commit, since its tasks end together."""
+        if not claims:
+            return
         san = _san.ACTIVE
-        release = (
-            state.release if san is None else san.scoped(state.release, "task-end")
-        )
-        for claim in claims:
-            self.sim.at(end_time, release, claim.machine, claim.cpu, claim.mem, claim.count)
+        task_end = _task_end if san is None else san.scoped(_task_end, "task-end")
+        self.sim.after(job.duration, task_end, state, claims)
+
+
+def _task_end(state: CellState, claims: tuple[Claim, ...] | list[Claim]) -> None:
+    """The tasks one commit started have ended: free them in claim order."""
+    release = state.release
+    for claim in claims:
+        release(claim.machine, claim.cpu, claim.mem, claim.count)

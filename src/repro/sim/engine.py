@@ -32,7 +32,6 @@ class Simulator:
         #: :class:`repro.obs.profile.CallbackProfiler`). When None —
         #: the default — dispatch pays only this None check.
         self.profiler: Any | None = None
-        self.peak_queue_depth = 0
         #: Wall-clock seconds spent inside :meth:`run` so far.
         self.wall_seconds = 0.0
 
@@ -45,21 +44,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        event = self._queue.push(time, fn, *args)
-        depth = len(self._queue)
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
-        return event
+        return self._queue.push(time, fn, *args)
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        event = self._queue.push(self.now + delay, fn, *args)
-        depth = len(self._queue)
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
-        return event
+        return self._queue.push(self.now + delay, fn, *args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -94,23 +85,16 @@ class Simulator:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)
 
+    @property
+    def peak_queue_depth(self) -> int:
+        """High-water mark of :meth:`pending`."""
+        return self._queue.peak
+
     def step(self) -> bool:
         """Run the next event. Returns False if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self.now = event.time
-        self.events_processed += 1
-        profiler = self.profiler
-        if profiler is None:
-            event.fn(*event.args)
-        else:
-            start = _time.perf_counter()
-            try:
-                event.fn(*event.args)
-            finally:
-                profiler.record(event.fn, _time.perf_counter() - start)
-        return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events in order until the queue empties, the clock passes
@@ -130,17 +114,27 @@ class Simulator:
         processed = 0
         wall_start = _time.perf_counter()
         try:
-            while True:
-                if max_events is not None and processed >= max_events:
+            pop = self._queue.pop
+            while max_events is None or processed < max_events:
+                event = pop(until)
+                if event is None:
+                    if until is not None and self._queue:
+                        self.now = until  # live events remain, all later
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self.now = until
-                    break
-                self.step()
+                # The entry's layout is Event's: [time, seq, state, fn, *args].
+                self.now = event[0]
+                self.events_processed += 1
                 processed += 1
+                fn = event[3]
+                profiler = self.profiler
+                if profiler is None:
+                    fn(*event[4:])
+                else:
+                    start = _time.perf_counter()
+                    try:
+                        fn(*event[4:])
+                    finally:
+                        profiler.record(fn, _time.perf_counter() - start)
         finally:
             self._running = False
             self.wall_seconds += _time.perf_counter() - wall_start

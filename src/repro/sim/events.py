@@ -7,33 +7,43 @@ runs fully deterministic for a given seed.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the heap entry ``[time, seq, state, fn, *args]``.
+
+    The entry is a list so that the heap orders entries by C sequence
+    comparison; ``seq`` is unique, so no comparison reads past it.
+    ``state`` is None while the event is queued and live, then
+    ``"cancelled"`` or ``"fired"``.
 
     Instances are handles: they are returned by :meth:`EventQueue.push`
     and can be passed to :meth:`EventQueue.cancel`. A cancelled event is
     skipped when its time comes (lazy deletion keeps the heap cheap).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
+    #: Handles hash by identity, as plain objects do (lists do not hash).
+    __hash__ = object.__hash__
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    fn = property(itemgetter(3))
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def args(self) -> tuple:
+        return tuple(self[4:])
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] == "cancelled"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
+        state = f" {self[2]}" if self[2] else ""
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.6f} seq={self.seq} fn={name}{state}>"
 
@@ -45,6 +55,8 @@ class EventQueue:
         self._heap: list[Event] = []
         self._counter = itertools.count()
         self._live = 0
+        #: The most live events ever queued at once.
+        self.peak = 0
 
     def __len__(self) -> int:
         return self._live
@@ -56,34 +68,39 @@ class EventQueue:
         """Schedule ``fn(*args)`` at ``time`` and return a cancellable handle."""
         if time != time:  # NaN guard: NaN times would corrupt heap ordering
             raise ValueError("event time must not be NaN")
-        event = Event(time, next(self._counter), fn, args)
-        heapq.heappush(self._heap, event)
-        self._live += 1
+        event = Event((time, next(self._counter), None, fn, *args))
+        heappush(self._heap, event)
+        self._live = live = self._live + 1
+        if live > self.peak:
+            self.peak = live
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event. Cancelling twice is a no-op."""
-        if not event.cancelled:
-            event.cancelled = True
+        """Cancel a scheduled event. Cancelling an event twice, or one
+        that has already fired, is a no-op."""
+        if event[2] is None:
+            event[2] = "cancelled"
             self._live -= 1
 
     def peek_time(self) -> float | None:
         """Return the time of the next live event, or None if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop(self) -> Event | None:
-        """Remove and return the next live event, or None if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        self._live -= 1
-        return event
-
-    def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2] is not None:
+            heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop(self, until: float | None = None) -> Event | None:
+        """Remove and return the next live event, or None if there is
+        none — or, with ``until``, none at or before that time."""
+        heap = self._heap
+        while heap:
+            event = heap[0]
+            if event[2] is None:
+                if until is not None and event[0] > until:
+                    return None
+                heappop(heap)
+                event[2] = "fired"
+                self._live -= 1
+                return event
+            heappop(heap)  # cancelled: dropped when it surfaces
+        return None

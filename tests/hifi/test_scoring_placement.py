@@ -1,12 +1,16 @@
 """Tests for the constraint-aware scoring placer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
-from repro.core.cellstate import CellState
+from repro.core.cellstate import EPSILON, CellSnapshot, CellState
+from repro.core.transaction import Claim
 from repro.hifi.constraints import Constraint, ConstraintOp
-from repro.hifi.placement import ScoringPlacer
+from repro.hifi.placement import MIN_SERVICE_RACKS, ScoringPlacer
 from repro.workload.job import JobType
 from tests.conftest import make_job
 
@@ -146,3 +150,103 @@ class TestFailureDomainSpreading:
         via_call = placer(state.snapshot(), job, np.random.default_rng(7))
         via_method = placer.place(state.snapshot(), job, np.random.default_rng(7))
         assert via_call == via_method
+
+
+def place_reference(placer, snapshot, job, rng):
+    """The scalar walk ``ScoringPlacer.place`` was before batch jobs went
+    through ``_pack``: one Python iteration per candidate for every job,
+    batch jobs carrying caps (their own size) that can never bind."""
+    cpu, mem = job.cpu_per_task, job.mem_per_task
+    fits = (
+        placer.index.feasible_mask(job.constraints)
+        & (snapshot.free_cpu + EPSILON >= cpu)
+        & (snapshot.free_mem + EPSILON >= mem)
+    )
+    candidates = np.flatnonzero(fits)
+    if candidates.size == 0:
+        return []
+    capacity = placer.cell
+    scores = (snapshot.free_cpu[candidates] - cpu) / capacity.cpu_capacity[candidates] + (
+        snapshot.free_mem[candidates] - mem
+    ) / capacity.mem_capacity[candidates]
+    scores = scores + rng.uniform(0.0, 0.05, size=scores.shape)
+    order = candidates[np.argsort(scores, kind="stable")]
+
+    per_machine_cap = per_rack_cap = remaining = job.unplaced_tasks
+    if job.job_type is JobType.SERVICE:
+        racks = min(placer._num_racks, max(1, order.size))
+        per_rack_cap = max(1, math.ceil(remaining / min(MIN_SERVICE_RACKS, racks)))
+        per_machine_cap = max(1, math.ceil(per_rack_cap / 2))
+    rack_counts = {}
+    claims = []
+    for machine in order:
+        rack = int(capacity.racks[machine])
+        rack_room = per_rack_cap - rack_counts.get(rack, 0)
+        if rack_room <= 0:
+            continue
+        count = min(remaining, rack_room, per_machine_cap)
+        usable_cpu = snapshot.free_cpu[machine] - capacity.cpu_capacity[machine] * placer.headroom
+        usable_mem = snapshot.free_mem[machine] - capacity.mem_capacity[machine] * placer.headroom
+        if cpu > 0:
+            count = min(count, int((usable_cpu + EPSILON) // cpu))
+        if mem > 0:
+            count = min(count, int((usable_mem + EPSILON) // mem))
+        if count <= 0:
+            continue
+        claims.append(Claim(machine=int(machine), cpu=cpu, mem=mem, count=count))
+        rack_counts[rack] = rack_counts.get(rack, 0) + count
+        remaining -= count
+        if remaining == 0:
+            break
+    return claims
+
+
+#: Free share of a machine: mostly roomy, with exact 0 (full) and 1 (untouched).
+_FRACTION = st.one_of(st.sampled_from([0.0, 1.0, 1.0]), st.floats(0.3, 1.0))
+
+
+class TestAgainstScalarReference:
+    """``place`` plans what the scalar walk planned, and leaves the
+    generator where the walk left it, for batch and service jobs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        free=st.lists(st.tuples(_FRACTION, _FRACTION), min_size=1, max_size=24),
+        machines_per_rack=st.integers(1, 6),
+        headroom=st.sampled_from([0.0, 0.1, 0.1, 0.5, 0.95]),  # 0.95: usable < 0
+        cpu=st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0, 1.0, 100.0]),  # 100: nothing fits
+        mem=st.sampled_from([0.0, 0.25, 1.0, 2.0, 2.0, 1000.0]),
+        tasks=st.integers(1, 300),  # up to far beyond what the cell holds
+        placed=st.one_of(st.just(0), st.integers(0, 300)),
+        job_type=st.sampled_from([JobType.BATCH, JobType.SERVICE]),
+        picky=st.sampled_from([False, False, True]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_claims_and_same_generator_state(
+        self, free, machines_per_rack, headroom, cpu, mem, tasks, placed, job_type, picky, seed
+    ):
+        if cpu == 0.0 and mem == 0.0:
+            mem = 0.25  # a task must request something
+        small = (len(free) + 1) // 2
+        platforms = [(small, 4.0, 16.0, {"kernel": "3.2"})]
+        if len(free) > small:
+            platforms.append((len(free) - small, 8.0, 32.0, {"kernel": "3.8"}))
+        cell = Cell.heterogeneous(platforms, machines_per_rack=machines_per_rack)
+        placer = ScoringPlacer(cell, headroom=headroom)
+        snapshot = CellSnapshot(
+            cell.cpu_capacity * np.array([f[0] for f in free]),
+            cell.mem_capacity * np.array([f[1] for f in free]),
+            np.zeros(len(free), dtype=np.int64),
+            time=0.0,
+        )
+        constraints = (Constraint("kernel", ConstraintOp.EQ, "3.8"),) if picky else ()
+        job = make_job(
+            job_type=job_type, num_tasks=tasks, cpu=cpu, mem=mem, constraints=constraints
+        )
+        job.unplaced_tasks = max(0, tasks - placed)  # 0: a retry with nothing left
+
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        claims = placer.place(snapshot, job, rng)
+        assert claims == place_reference(placer, snapshot, job, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert sum(claim.count for claim in claims) <= job.unplaced_tasks

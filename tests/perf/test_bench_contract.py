@@ -8,7 +8,10 @@ drives one short point of every workload — and of every architecture of
 fill happens: ``bench/spans.py`` times ``populate`` by patching the
 name in ``repro.experiments.common`` and ``repro.hifi.replay``, so a
 refactor that keeps those names but calls the function from elsewhere
-would silently drain ``workload.initial_fill_s``.
+would silently drain ``workload.initial_fill_s``. Likewise
+``bench/spans.py`` sorts event callbacks into kinds by function name: a
+callback it does not know lands in ``sim.events.other``, which is 0 on
+``paper_scale``, ``contended`` and ``hifi_replay`` and has to stay 0.
 """
 
 import importlib.util
@@ -20,11 +23,19 @@ import pytest
 import repro.experiments.common
 import repro.hifi.replay
 
-_PATH = Path(__file__).resolve().parents[2] / "bench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("bench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads  # its dataclasses look their module up
-_spec.loader.exec_module(workloads)
+
+def _load(name: str):
+    """A module of ``bench/``, read where it lies."""
+    path = Path(__file__).resolve().parents[2] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+spans = _load("spans")
 
 #: Whole seconds (see ``workloads.HORIZON_DIVISOR``), a few simulated minutes.
 HORIZON = 240.0
@@ -33,15 +44,8 @@ CASES = [(name, None) for name in workloads.WORKLOADS if name != "arch_sweep"] +
     ("arch_sweep", architecture) for architecture in workloads.ARCHITECTURES
 ]
 
-
-class Profiler:
-    """The ``Simulator.profiler`` protocol, counting callbacks."""
-
-    def __init__(self):
-        self.callbacks = 0
-
-    def record(self, fn, seconds):
-        self.callbacks += 1
+#: Workloads whose every event callback has a kind of its own in spans.py.
+ALL_KINDS_KNOWN = ("paper_scale", "contended", "hifi_replay")
 
 
 @pytest.mark.parametrize("name, architecture", CASES)
@@ -63,9 +67,10 @@ def test_first_point_drives_as_the_child_does(monkeypatch, name, architecture):
     )
     world = point.build()
     filled_in_build = dict(fills)
-    world.sim.profiler = profiler = Profiler()
-    world.sim.run(until=HORIZON / 2)
-    result = world.run()
+    world.sim.profiler = tracer = spans.Tracer()
+    with tracer.span(spans.LOOP_SPAN):
+        world.sim.run(until=HORIZON / 2)
+        result = world.run()
     row = point.finish(world, result)
 
     assert fills == filled_in_build  # the fill is all set-up
@@ -73,5 +78,11 @@ def test_first_point_drives_as_the_child_does(monkeypatch, name, architecture):
     assert fills.pop(site) >= 1
     assert set(fills.values()) == {0}
     assert row["jobs_submitted"] >= row["jobs_scheduled"] > 0
-    assert result.events_processed == profiler.callbacks > 0
+    kinds = {
+        key.removeprefix("sim.events."): count for key, count in tracer.counts.items()
+    }
+    assert result.events_processed == sum(kinds.values()) > 0
+    assert min(kinds[kind] for kind in ("task_end", "arrive", "think_complete")) > 0
+    if name in ALL_KINDS_KNOWN:
+        assert not kinds.get("other") and "callback.other" not in tracer.stats
     assert world.sim.peak_queue_depth > 0

@@ -1,0 +1,231 @@
+"""One completion event per commit releases exactly what one event per
+claim released.
+
+``QueueScheduler._start_tasks`` (and ``LimitedOmegaScheduler``'s own-usage
+bookkeeping) used to push one event per claim, all at one ``end_time``
+with consecutive sequence numbers. :class:`PerClaimCompletions` restores
+that; every world below runs both ways and must make the same sequence
+of ``CellState.release`` calls and end in the same state and result row.
+"""
+
+import numpy as np
+import pytest
+
+from repro.analysis import sanitizer as _san
+from repro.cluster import Cell
+from repro.core.cellstate import CellState
+from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
+from repro.core.transaction import CommitMode, ConflictMode
+from repro.experiments.common import LightweightConfig, LightweightSimulation
+from repro.experiments.sweeps import result_row
+from repro.faults import FaultConfig
+from repro.faults.invariants import TOLERANCE
+from repro.metrics import MetricsCollector
+from repro.schedulers.base import DecisionTimeModel, QueueScheduler
+from repro.sim import Simulator
+from tests.conftest import make_job, tiny_preset
+
+
+class PerClaimCompletions:
+    """The per-claim pushes this repository used to make, as a mix-in."""
+
+    def _start_tasks(self, state, job, claims):
+        end_time = self.sim.now + job.duration
+        san = _san.ACTIVE
+        release = (
+            state.release if san is None else san.scoped(state.release, "task-end")
+        )
+        for claim in claims:
+            self.sim.at(
+                end_time, release, claim.machine, claim.cpu, claim.mem, claim.count
+            )
+
+
+class PerClaimOwnUsage:
+    """``LimitedOmegaScheduler``'s former event per claim."""
+
+    def _start_tasks(self, state, job, claims):
+        if self.ledger is None:
+            for claim in claims:
+                self.used_cpu += claim.cpu * claim.count
+                self.used_mem += claim.mem * claim.count
+                self.sim.after(job.duration, self._own_usage_released, (claim,))
+        super(LimitedOmegaScheduler, self)._start_tasks(state, job, claims)
+
+
+@pytest.fixture
+def release_log(monkeypatch):
+    """Every ``CellState.release`` as ``(now, machine, cpu, mem, count)``;
+    the test sets ``log.sim`` once it has a simulator."""
+
+    class Log(list):
+        sim = None
+
+    log = Log()
+    release = CellState.release
+
+    def logged(self, machine, cpu, mem, count=1):
+        log.append((log.sim.now, int(machine), cpu, mem, count))
+        return release(self, machine, cpu, mem, count)
+
+    monkeypatch.setattr(CellState, "release", logged)
+    return log
+
+
+def _per_claim(monkeypatch):
+    monkeypatch.setattr(
+        QueueScheduler, "_start_tasks", PerClaimCompletions._start_tasks
+    )
+    monkeypatch.setattr(
+        LimitedOmegaScheduler, "_start_tasks", PerClaimOwnUsage._start_tasks
+    )
+
+
+def _run_world(config, log):
+    world = LightweightSimulation(config)
+    log.sim = world.sim
+    result = world.run()
+    world.check_invariants()
+    return {
+        "releases": list(log),
+        "events": result.events_processed,
+        "free_cpu": [state.free_cpu.copy() for state in world.states],
+        "free_mem": [state.free_mem.copy() for state in world.states],
+        "seq": [state.seq.copy() for state in world.states],
+        "row": result_row(result),
+    }
+
+
+def _base(**overrides) -> LightweightConfig:
+    return LightweightConfig(
+        **{"preset": tiny_preset(batch_rate=1.0), "horizon": 900.0, "seed": 3, **overrides}
+    )
+
+
+CONFIGS = {
+    "omega-fine-incremental": _base(
+        conflict_mode=ConflictMode.FINE, commit_mode=CommitMode.INCREMENTAL
+    ),
+    "omega-coarse-gang-4-batch": _base(
+        conflict_mode=ConflictMode.COARSE,
+        commit_mode=CommitMode.ALL_OR_NOTHING,
+        num_batch_schedulers=4,
+        batch_rate_factor=4.0,
+    ),
+    "monolithic": _base(architecture="monolithic-single"),
+    "partitioned": _base(architecture="partitioned"),
+    "omega-faulted": _base(
+        num_batch_schedulers=2,
+        fault_config=FaultConfig(
+            machine_mtbf=4000.0, machine_repair_time=120.0, crash_mtbf=200.0
+        ),
+    ),
+}
+
+
+def _both_ways(monkeypatch, release_log, config):
+    per_commit = _run_world(config, release_log)
+    release_log.clear()
+    with monkeypatch.context() as patch:
+        _per_claim(patch)
+        per_claim = _run_world(config, release_log)
+    return per_commit, per_claim
+
+
+def _assert_identical(per_commit, per_claim):
+    assert len(per_commit["releases"]) > 50
+    assert per_commit["releases"] == per_claim["releases"]
+    for field in ("free_cpu", "free_mem", "seq", "row"):
+        np.testing.assert_equal(per_commit[field], per_claim[field])
+    # ...and it is cheaper: some commit spanned several machines.
+    assert per_commit["events"] < per_claim["events"]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_release_sequence_is_identical_per_commit_and_per_claim(
+    monkeypatch, release_log, name
+):
+    _assert_identical(*_both_ways(monkeypatch, release_log, CONFIGS[name]))
+
+
+def test_task_end_scope_covers_the_coalesced_release(monkeypatch, release_log):
+    monkeypatch.setenv("OMEGA_SAN", "1")
+    try:
+        per_commit, per_claim = _both_ways(
+            monkeypatch, release_log, CONFIGS["omega-coarse-gang-4-batch"]
+        )
+        # Each release is a master write: outside a scope it would have
+        # raised write-outside-commit.
+        assert _san.ACTIVE.violations == 0
+        assert _san.ACTIVE.writes_checked > len(per_commit["releases"])
+    finally:
+        _san.uninstall()
+    _assert_identical(per_commit, per_claim)
+
+
+def test_limited_scheduler_own_usage_per_commit_and_per_claim(
+    monkeypatch, release_log
+):
+    def run():
+        release_log.clear()
+        release_log.sim = sim = Simulator()
+        state = CellState(Cell.homogeneous(6, cpu_per_machine=4.0, mem_per_machine=16.0))
+        scheduler = LimitedOmegaScheduler(
+            "limited",
+            sim,
+            MetricsCollector(period=100.0),
+            state,
+            np.random.default_rng(5),
+            DecisionTimeModel(t_job=0.1, t_task=0.0),
+            limits=SchedulerLimits(max_cpu=14.0),
+        )
+        for index in range(12):
+            # 1.5-cpu tasks: two per 4-cpu machine, so a job spans machines.
+            job = make_job(num_tasks=5, cpu=1.5, mem=1.0, duration=3.0 + index, job_id=index + 1)
+            sim.at(float(index), scheduler.submit, job)
+        usage = []
+        sim.every(
+            0.25, lambda: usage.append((sim.now, scheduler.current_usage())), until=60.0
+        )
+        sim.run(until=60.0)
+        sim.run()  # to quiescence: everything started has ended
+        assert scheduler.current_usage() == pytest.approx((0.0, 0.0), abs=TOLERANCE)
+        return list(release_log), usage, sim.events_processed
+
+    per_commit = run()
+    with monkeypatch.context() as patch:
+        _per_claim(patch)
+        per_claim = run()
+    assert len(per_commit[0]) > 12
+    assert per_commit[:2] == per_claim[:2]
+    assert per_commit[2] < per_claim[2]
+
+
+def test_every_claim_is_released_exactly_once_at_quiescence(monkeypatch, release_log):
+    """Conservation (ROADMAP 6(a), test form): start empty, stop arrivals
+    at the horizon, drain the queue — a leaked or doubled release leaves a
+    machine short of, or over, its capacity."""
+    started = []
+    claim = CellState.claim
+
+    def counted(self, machine, cpu, mem, count=1):
+        claim(self, machine, cpu, mem, count)
+        started.append(count)
+
+    monkeypatch.setattr(CellState, "claim", counted)
+    world = LightweightSimulation(
+        _base(num_batch_schedulers=4, batch_rate_factor=4.0, initial_utilization=0.0)
+    )
+    release_log.sim = world.sim
+    result = world.run()
+    assert world.sim.pending() > 0  # tasks still running at the horizon
+    world.sim.run()
+    world.check_invariants()
+
+    assert result.jobs_scheduled > 500
+    assert sum(started) == sum(entry[-1] for entry in release_log) > 0
+    (state,) = world.states
+    np.testing.assert_allclose(state.free_cpu, state.cell.cpu_capacity, rtol=0, atol=TOLERANCE)
+    np.testing.assert_allclose(state.free_mem, state.cell.mem_capacity, rtol=0, atol=TOLERANCE)
+    assert state.used_cpu == pytest.approx(0.0, abs=TOLERANCE)
+    assert state.used_mem == pytest.approx(0.0, abs=TOLERANCE)

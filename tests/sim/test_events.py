@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim import Simulator
 from repro.sim.events import Event, EventQueue
 
 
@@ -90,6 +91,20 @@ class TestCancellation:
         queue.cancel(first)
         assert queue.peek_time() == 2.0
 
+    def test_cancel_after_fire_is_a_noop(self):
+        # Regression: cancelling a fired handle used to decrement the
+        # live count, so pending() went negative and len() raised.
+        sim = Simulator()
+        fired = sim.at(1.0, lambda: None)
+        sim.at(5.0, lambda: None)
+        sim.run(until=2.0)
+        sim.cancel(fired)
+        sim.cancel(fired)
+        assert sim.pending() == 1
+        assert not fired.cancelled
+        sim.run()
+        assert sim.pending() == 0 and sim.events_processed == 2
+
 
 class TestEventValidation:
     def test_nan_time_rejected(self):
@@ -98,15 +113,75 @@ class TestEventValidation:
             queue.push(float("nan"), lambda: None)
 
     def test_event_repr_mentions_state(self):
-        event = Event(1.0, 0, lambda: None, ())
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
         assert "t=1.0" in repr(event)
-        event.cancelled = True
-        assert "cancelled" in repr(event)
+        queue.cancel(event)
+        assert event.cancelled and "cancelled" in repr(event)
+        fired = queue.push(2.0, lambda: None)
+        assert queue.pop() is fired and "fired" in repr(fired)
 
-    def test_event_comparison_uses_time_then_seq(self):
-        early = Event(1.0, 5, lambda: None, ())
-        late = Event(2.0, 1, lambda: None, ())
-        assert early < late
-        tie_a = Event(1.0, 1, lambda: None, ())
-        tie_b = Event(1.0, 2, lambda: None, ())
-        assert tie_a < tie_b
+
+#: ("push", time) | ("cancel", index into every handle pushed so far) | ("pop",)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=80,
+)
+
+
+class TestEventQueueModel:
+    """The queue against the obvious model: a list of live
+    ``(time, push number)`` pairs, sorted on demand."""
+
+    @given(_OPS)
+    def test_interleavings_match_a_sorted_list(self, ops):
+        queue = EventQueue()
+        handles: list[Event] = []
+        live: list[tuple[float, int]] = []
+        for op, *arg in ops:
+            if op == "push":
+                live.append((arg[0], len(handles)))
+                handles.append(queue.push(arg[0], len, len(handles)))
+            elif op == "cancel" and handles:
+                number = arg[0] % len(handles)
+                queue.cancel(handles[number])  # live, cancelled or fired
+                live = [entry for entry in live if entry[1] != number]
+            elif op == "pop":
+                event = queue.pop()
+                if not live:
+                    assert event is None
+                else:
+                    live.sort()  # time, then push order: FIFO on ties
+                    time, number = live.pop(0)
+                    assert event is handles[number]
+                    assert (event.time, event.args) == (time, (number,))
+            assert len(queue) == len(live) and bool(queue) == bool(live)
+            assert queue.peek_time() == (min(live)[0] if live else None)
+
+    @given(
+        st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0]), max_size=8),
+        st.sets(st.integers(min_value=0, max_value=7)),
+        st.sampled_from([0.5, 2.0, 2.5, 4.0, 9.0]),
+    )
+    def test_run_until_parks_the_clock_only_before_a_live_event(
+        self, times, cancelled, until
+    ):
+        sim = Simulator()
+        fired = []
+        handles = [sim.at(time, fired.append, time) for time in times]
+        for number in cancelled:
+            if number < len(handles):
+                sim.cancel(handles[number])
+        live = [t for i, t in enumerate(times) if i not in cancelled]
+        sim.run(until=until)
+        due = sorted(t for t in live if t <= until)
+        assert fired == due
+        if any(t > until for t in live):
+            assert sim.now == until
+        else:
+            assert sim.now == (due[-1] if due else 0.0)
+        assert sim.pending() == len(live) - len(due)
