@@ -33,30 +33,31 @@ def populate(
     its remaining duration; releases past ``horizon`` are skipped since
     they could never run.
     """
-    order = rng.permutation(state.num_machines)
+    order = rng.permutation(state.num_machines).tolist()
+    num_machines = len(order)
     cursor = 0
     placed = 0
     free_cpu = state.free_cpu
     free_mem = state.free_mem
+    claim = state.claim
+    schedule = None if sim is None else sim.at
     san = _san.ACTIVE
     release = state.release if san is None else san.scoped(state.release, "fill-end")
     with _san.master_scope("fill"):
-        for task in tasks:
-            found = None
-            for step in range(state.num_machines):
-                machine = order[(cursor + step) % state.num_machines]
+        for cpu, mem, duration, _ in tasks:
+            for step in range(num_machines):
+                machine = order[(cursor + step) % num_machines]
                 if (
-                    free_cpu[machine] + EPSILON >= task.cpu
-                    and free_mem[machine] + EPSILON >= task.mem
+                    free_cpu[machine] + EPSILON >= cpu
+                    and free_mem[machine] + EPSILON >= mem
                 ):
-                    found = int(machine)
-                    cursor = (cursor + step) % state.num_machines
+                    cursor = (cursor + step) % num_machines
                     break
-            if found is None:
+            else:
                 # Cell cannot hold the rest of the fill; stop rather than spin.
                 break
-            state.claim(found, task.cpu, task.mem, 1)
+            claim(machine, cpu, mem, 1)
             placed += 1
-            if sim is not None and (horizon is None or task.duration <= horizon):
-                sim.at(task.duration, release, found, task.cpu, task.mem, 1)
+            if schedule is not None and (horizon is None or duration <= horizon):
+                schedule(duration, release, machine, cpu, mem, 1)
     return placed

@@ -24,7 +24,9 @@ import numpy as np
 class Sampler(Protocol):
     """Protocol every distribution sampler implements."""
 
-    def sample(self, rng: np.random.Generator) -> float: ...
+    def sample(self, rng: np.random.Generator) -> float:
+        """One draw, always a built-in ``float``."""
+        ...
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray: ...
 
@@ -102,17 +104,46 @@ class LogNormal:
         self.low = low
         self.high = high
         self._mu = math.log(median)
-
-    def _clip(self, values: np.ndarray) -> np.ndarray:
-        if self.low is not None or self.high is not None:
-            return np.clip(values, self.low, self.high)
-        return values
+        # The bounds as floats; an absent one never binds.
+        self._floor = -math.inf if low is None else float(low)
+        self._ceiling = math.inf if high is None else float(high)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(self._clip(rng.lognormal(self._mu, self.sigma, size=1))[0])
+        # One float straight from the C generator: the same bits, value
+        # and stream position as ``sample_many(rng, 1)[0]``.
+        value = rng.lognormal(self._mu, self.sigma)
+        if value < self._floor:
+            return self._floor
+        if value > self._ceiling:
+            return self._ceiling
+        return value
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._clip(rng.lognormal(self._mu, self.sigma, size=n))
+        return np.clip(
+            rng.lognormal(self._mu, self.sigma, size=n), self._floor, self._ceiling
+        )
+
+    @staticmethod
+    def sample_rounds(
+        rng: np.random.Generator, samplers: Sequence["LogNormal"], rounds: int
+    ) -> np.ndarray:
+        """``rounds`` rows of one draw from each of ``samplers`` in turn.
+
+        The C generator fills the array element by element, row by row,
+        from the bit stream scalar calls read: every value, and where the
+        stream stands afterwards, is what ``rounds * len(samplers)``
+        ``sample`` calls in that order give.
+        """
+        block = rng.lognormal(
+            [sampler._mu for sampler in samplers],
+            [sampler.sigma for sampler in samplers],
+            size=(rounds, len(samplers)),
+        )
+        return np.clip(
+            block,
+            [sampler._floor for sampler in samplers],
+            [sampler._ceiling for sampler in samplers],
+        )
 
     def mean(self) -> float:
         """Analytic mean of the *unclipped* distribution.
@@ -149,7 +180,13 @@ class DiscretizedLogNormal:
         self.high = high
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_many(rng, 1)[0])
+        # Draws directly (not through ``LogNormal.sample``: one call, one
+        # traced span); ``round`` is half-even like ``np.rint``.
+        inner = self._inner
+        value = max(round(rng.lognormal(inner._mu, inner.sigma)), self.low)
+        if self.high is not None and value > self.high:
+            value = self.high
+        return float(value)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         values = np.rint(self._inner.sample_many(rng, n))

@@ -9,14 +9,14 @@ extracted from the relevant trace".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.sim import Simulator
 from repro.workload.clusters import SIM_DURATION_CAP, ClusterPreset, WorkloadParams
-from repro.workload.distributions import LogNormal
+from repro.workload.distributions import LogNormal, Sampler
 from repro.workload.job import DEFAULT_PRECEDENCE, Job, JobType
 
 
@@ -56,7 +56,7 @@ class WorkloadGenerator:
         self._submit = submit
         self._horizon = horizon
         self._ids = job_ids
-        self._rate = params.arrival_rate * rate_factor
+        self._mean_gap = 1.0 / (params.arrival_rate * rate_factor)
         self.jobs_generated = 0
 
     def start(self) -> None:
@@ -64,7 +64,7 @@ class WorkloadGenerator:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        gap = self._rng.exponential(1.0 / self._rate)
+        gap = self._rng.exponential(self._mean_gap)
         arrival_time = self._sim.now + gap
         if arrival_time <= self._horizon:
             self._sim.at(arrival_time, self._arrive)
@@ -91,8 +91,7 @@ class WorkloadGenerator:
         )
 
 
-@dataclass(frozen=True)
-class StandingTask:
+class StandingTask(NamedTuple):
     """A pre-existing task occupying resources at simulation start."""
 
     cpu: float
@@ -137,30 +136,84 @@ class InitialFill:
             )
 
     def generate(self, rng: np.random.Generator) -> list[StandingTask]:
-        """Sample standing tasks until the CPU target is reached."""
+        """Sample standing tasks until the CPU target is reached: service
+        tasks up to their share of it, then batch tasks."""
         target_cpu = self._preset.total_cpu * self.target_utilization
+        service, batch = self._preset.service, self._preset.batch
         tasks: list[StandingTask] = []
-        filled = 0.0
-        service_budget = target_cpu * self.SERVICE_CPU_SHARE
-        service_filled = 0.0
-        while filled < target_cpu:
-            if service_filled < service_budget:
-                params, job_type = self._preset.service, JobType.SERVICE
-            else:
-                params, job_type = self._preset.batch, JobType.BATCH
-            cpu = params.cpu_per_task.sample(rng)
-            if job_type is JobType.SERVICE:
-                duration = self.SERVICE_RESIDUAL.sample(rng)
-            else:
-                duration = params.task_duration.sample(rng)
-            task = StandingTask(
-                cpu=cpu,
-                mem=params.mem_per_task.sample(rng),
-                duration=duration,
-                job_type=job_type,
-            )
-            tasks.append(task)
-            filled += cpu
-            if job_type is JobType.SERVICE:
-                service_filled += cpu
+        filled = _fill_phase(
+            rng,
+            tasks,
+            JobType.SERVICE,
+            (service.cpu_per_task, self.SERVICE_RESIDUAL, service.mem_per_task),
+            0.0,
+            target_cpu * self.SERVICE_CPU_SHARE,
+        )
+        _fill_phase(
+            rng,
+            tasks,
+            JobType.BATCH,
+            (batch.cpu_per_task, batch.task_duration, batch.mem_per_task),
+            filled,
+            target_cpu,
+        )
         return tasks
+
+
+def _fill_phase(
+    rng: np.random.Generator,
+    tasks: list[StandingTask],
+    job_type: JobType,
+    samplers: tuple[Sampler, Sampler, Sampler],
+    filled: float,
+    limit: float,
+) -> float:
+    """Append tasks of ``job_type`` until ``filled`` CPU reaches ``limit``;
+    returns the new total.
+
+    Each task is one round of (cpu, duration, mem) draws, in that order.
+    Three ``LogNormal`` samplers are drawn a block of rounds at a time
+    (:meth:`LogNormal.sample_rounds`: the scalar calls' own stream); a
+    block that runs past the stopping round is rewound and exactly the
+    rounds used are redrawn, because the caller goes on drawing from
+    ``rng``. Any other sampler takes the loop of scalar ``sample`` calls.
+    """
+    cpu_sampler, duration_sampler, mem_sampler = samplers
+    if not all(type(sampler) is LogNormal for sampler in samplers):
+        while filled < limit:
+            cpu = cpu_sampler.sample(rng)
+            if cpu <= 0.0:
+                raise _stalled(cpu_sampler, cpu)
+            duration = duration_sampler.sample(rng)
+            tasks.append(
+                StandingTask(cpu, mem_sampler.sample(rng), duration, job_type)
+            )
+            filled += cpu
+        return filled
+
+    mean_cpu = cpu_sampler.mean()
+    while filled < limit:
+        rounds = int(1.1 * (limit - filled) / mean_cpu) + 16
+        state = rng.bit_generator.state
+        block = LogNormal.sample_rounds(rng, samplers, rounds)
+        # totals[i] is ``filled`` after i rounds, by the scalar loop's own
+        # left-to-right additions; the first to reach the limit ends it.
+        totals = np.cumsum(np.concatenate(([filled], block[:, 0])))
+        used = int((totals >= limit).argmax()) or rounds  # 0: block fell short
+        if used < rounds:
+            rng.bit_generator.state = state
+            LogNormal.sample_rounds(rng, samplers, used)
+        cpu, duration, mem = block[:used].T.tolist()
+        if min(cpu) <= 0.0:
+            raise _stalled(cpu_sampler, min(cpu))
+        tasks.extend(
+            map(StandingTask._make, zip(cpu, mem, duration, repeat(job_type)))
+        )
+        filled = float(totals[used])
+    return filled
+
+
+def _stalled(sampler: Sampler, cpu: float) -> ValueError:
+    return ValueError(
+        f"initial fill cannot advance: cpu sampler {sampler!r} drew {cpu}"
+    )

@@ -12,8 +12,12 @@ would silently drain ``workload.initial_fill_s``. Likewise
 ``bench/spans.py`` sorts event callbacks into kinds by function name: a
 callback it does not know lands in ``sim.events.other``, which is 0 on
 ``paper_scale``, ``contended`` and ``hifi_replay`` and has to stay 0.
+And it installs the span shims as the traced child does: a target that
+went missing would null a per-layer metric, and a ``sample`` that calls
+another ``sample`` would double ``workload.sample_calls``.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -86,3 +90,38 @@ def test_first_point_drives_as_the_child_does(monkeypatch, name, architecture):
     if name in ALL_KINDS_KNOWN:
         assert not kinds.get("other") and "callback.other" not in tracer.stats
     assert world.sim.peak_queue_depth > 0
+
+
+@pytest.fixture
+def installed_tracer(monkeypatch):
+    """``Tracer.install()`` as the traced child runs it; every patched
+    name is put back after the test."""
+    for _, module_name, path, *_ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        *parents, last = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, last, owner[last])
+        else:
+            monkeypatch.setattr(owner, last, getattr(owner, last))
+    tracer = spans.Tracer()
+    tracer.install()
+    return tracer
+
+
+def test_traced_point_finds_every_target_and_four_samples_per_job(installed_tracer):
+    tracer = installed_tracer
+    assert tracer.missing == []
+    point = next(iter(workloads.WORKLOADS["paper_scale"].points(0, HORIZON)))
+    tracer.in_setup = True
+    world = point.build()
+    tracer.in_setup = False
+    world.sim.profiler = tracer
+    with tracer.span(spans.LOOP_SPAN):
+        world.run()
+    jobs = tracer.stats["workload.make_job"][0]
+    assert jobs > 0
+    # tasks, cpu, mem, duration: one span each, none nested in another
+    assert tracer.stats["workload.sample"][0] == 4 * jobs
+    assert tracer.stats["workload.initial_fill"][0] == 2  # generate + populate

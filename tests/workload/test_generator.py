@@ -1,14 +1,17 @@
 """Tests for Poisson workload generation and the initial fill."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from repro.sim import Simulator
+from repro.workload.clusters import PRESETS
+from repro.workload.distributions import Constant, LogNormal, Mixture
 from repro.workload.generator import InitialFill, StandingTask, WorkloadGenerator
 from repro.workload.job import JobType
-from tests.conftest import tiny_preset
+from tests.conftest import mesos_pathology_preset, tiny_preset
 
 
 @pytest.fixture
@@ -126,3 +129,138 @@ class TestInitialFill:
         task = StandingTask(cpu=1.0, mem=2.0, duration=10.0, job_type=JobType.BATCH)
         with pytest.raises(AttributeError):
             task.cpu = 2.0  # type: ignore[misc]
+
+
+def scalar_loop_generate(preset, target_utilization, rng) -> list[StandingTask]:
+    """The oracle: ``InitialFill.generate`` as it was before it drew in
+    blocks, one scalar ``sample`` per field and one task per iteration."""
+    target_cpu = preset.total_cpu * target_utilization
+    tasks = []
+    filled = 0.0
+    service_budget = target_cpu * InitialFill.SERVICE_CPU_SHARE
+    service_filled = 0.0
+    while filled < target_cpu:
+        if service_filled < service_budget:
+            params, job_type = preset.service, JobType.SERVICE
+        else:
+            params, job_type = preset.batch, JobType.BATCH
+        cpu = params.cpu_per_task.sample(rng)
+        if job_type is JobType.SERVICE:
+            duration = InitialFill.SERVICE_RESIDUAL.sample(rng)
+        else:
+            duration = params.task_duration.sample(rng)
+        tasks.append(
+            StandingTask(
+                cpu=cpu,
+                mem=params.mem_per_task.sample(rng),
+                duration=duration,
+                job_type=job_type,
+            )
+        )
+        filled += cpu
+        if job_type is JobType.SERVICE:
+            service_filled += cpu
+    return tasks
+
+
+def bits(tasks) -> list[tuple]:
+    return [
+        (task.cpu.hex(), task.mem.hex(), task.duration.hex(), task.job_type)
+        for task in tasks
+    ]
+
+
+class SpyRng:
+    """A generator that notes the shape of each block drawn from it."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.blocks: list[tuple] = []
+
+    def lognormal(self, mean, sigma, size=None):
+        if size is not None:
+            self.blocks.append(size)
+        return self._rng.lognormal(mean, sigma, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def assert_same_fill(preset, utilization, seed) -> tuple[list[StandingTask], SpyRng]:
+    """Same tasks bit for bit, and the stream left where the scalar loop
+    leaves it (``populate`` goes on to draw the machine order from it)."""
+    rng, oracle_rng = SpyRng(seed), np.random.default_rng(seed)
+    tasks = InitialFill(preset, utilization).generate(rng)
+    assert bits(tasks) == bits(scalar_loop_generate(preset, utilization, oracle_rng))
+    assert rng.permutation(50).tolist() == oracle_rng.permutation(50).tolist()
+    return tasks, rng
+
+
+def with_cpu(preset, service_cpu=None, batch_cpu=None):
+    """``preset`` with the per-task CPU samplers swapped."""
+    service, batch = preset.service, preset.batch
+    if service_cpu is not None:
+        service = dataclasses.replace(service, cpu_per_task=service_cpu)
+    if batch_cpu is not None:
+        batch = dataclasses.replace(batch, cpu_per_task=batch_cpu)
+    return dataclasses.replace(preset, service=service, batch=batch)
+
+
+class TestInitialFillMatchesScalarLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("utilization", [0.0, 0.01, 0.25, 0.6, 0.8])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets(self, name, utilization, seed):
+        tasks, rng = assert_same_fill(PRESETS[name], utilization, seed)
+        assert bool(tasks) == bool(rng.blocks) == (utilization > 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_service_phase_overshoots_a_tiny_target(self, preset, seed):
+        tasks, _ = assert_same_fill(preset, 1e-6, seed)
+        assert [task.job_type for task in tasks] == [JobType.SERVICE]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overdrawn_first_block_is_rewound(self, preset, seed):
+        tasks, rng = assert_same_fill(preset, 0.5, seed)
+        service = sum(task.job_type is JobType.SERVICE for task in tasks)
+        # the block ran past the stopping round; exactly that many redrawn
+        assert rng.blocks[0][0] > service
+        assert rng.blocks[1] == (service, 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_underdrawn_first_block_is_topped_up(self, preset, seed):
+        # Clipped far below its analytic mean, so the size estimate is short.
+        small = LogNormal(median=1.0, sigma=0.5, high=0.2)
+        tasks, rng = assert_same_fill(with_cpu(preset, service_cpu=small), 0.5, seed)
+        service = sum(task.job_type is JobType.SERVICE for task in tasks)
+        assert rng.blocks[0][0] < rng.blocks[0][0] + rng.blocks[1][0] <= service
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_other_samplers_take_the_scalar_loop(self, preset, seed):
+        mixed = Mixture(
+            [LogNormal(median=0.3, sigma=0.4, low=0.1, high=1.0), Constant(1.6)],
+            [0.7, 0.3],
+        )
+        tasks, rng = assert_same_fill(with_cpu(preset, batch_cpu=mixed), 0.5, seed)
+        # the all-LogNormal service phase still draws blocks; batch does not
+        batch = [task for task in tasks if task.job_type is JobType.BATCH]
+        assert any(task.cpu == 1.6 for task in batch)
+        assert rng.blocks[-1] == (len(tasks) - len(batch), 3)
+        tasks, rng = assert_same_fill(mesos_pathology_preset(), 0.6, seed)
+        assert tasks and not rng.blocks
+
+    @pytest.mark.parametrize(
+        "stuck",
+        [
+            {"service_cpu": Constant(0.0)},  # scalar loop
+            {"batch_cpu": Constant(0.0)},
+            {"service_cpu": LogNormal(median=1.0, sigma=0.5, high=0.0)},  # blocks
+            {"batch_cpu": LogNormal(median=1.0, sigma=0.5, high=0.0)},
+        ],
+    )
+    def test_cpu_draw_that_cannot_advance_is_an_error(self, preset, stuck):
+        (sampler,) = stuck.values()
+        with pytest.raises(ValueError) as error:
+            InitialFill(with_cpu(preset, **stuck)).generate(np.random.default_rng(0))
+        assert repr(sampler) in str(error.value) and "\n" not in str(error.value)
