@@ -3,14 +3,15 @@
 
 The Omega paper's flexibility pitch is that new scheduling policies are
 plain new schedulers over the shared cell state — no changes to a
-central allocator. This example builds a *canary* scheduler: it places
-one task of a job first (the canary), waits for it to "survive" a probe
-period, and only then commits the rest of the job. It composes with a
-normal batch scheduler running in parallel on the same cell state.
+central allocator. Here a new scheduler is a *plan* function —
+``(snapshot, job, rng) -> claims`` — handed to :class:`OmegaScheduler`,
+which does the rest: snapshot, optimistic commit, bookkeeping, retries.
 
-This mirrors how real cluster managers roll out risky jobs, and shows
-the ingredients any custom scheduler uses: snapshots, placement
-planning, optimistic commit, and the simulator clock.
+This example builds a *canary* scheduler: it places one task of a job
+first (the canary), waits for it to "survive" a probe period, and only
+then commits the rest of the job. It composes with a normal batch
+scheduler running in parallel on the same cell state, and mirrors how
+real cluster managers roll out risky jobs.
 
 Usage::
 
@@ -30,49 +31,34 @@ from repro import (
     Simulator,
     randomized_first_fit,
 )
-from repro.core.transaction import commit
+
+PROBE_SECONDS = 30.0
+
+
+def canary_plan(snapshot, job, rng):
+    """Ask for one task while the job has none running, then the rest."""
+    canary = job.placed_tasks == 0 and job.num_tasks > 1
+    return randomized_first_fit(
+        snapshot.free_cpu,
+        snapshot.free_mem,
+        job.cpu_per_task,
+        job.mem_per_task,
+        1 if canary else job.unplaced_tasks,
+        rng,
+    )
 
 
 class CanaryScheduler(OmegaScheduler):
-    """Places one canary task, probes it, then commits the remainder."""
+    """Holds a job for the probe period once its canary is running."""
 
-    PROBE_SECONDS = 30.0
-
-    def attempt(self, job: Job) -> None:
-        snapshot = self._snapshot
-        self._snapshot = None
-        if job.placed_tasks == 0 and job.num_tasks > 1:
-            # Phase 1: commit only the canary.
-            claims = randomized_first_fit(
-                snapshot.free_cpu,
-                snapshot.free_mem,
-                job.cpu_per_task,
-                job.mem_per_task,
-                1,
-                self._rng,
-            )
-            if not claims:
-                self._resolve_attempt(job, had_conflict=False)
-                return
-            result = commit(self.state, claims, snapshot, self.conflict_mode)
-            self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
-            if result.accepted_tasks == 0:
-                self._resolve_attempt(job, had_conflict=True)
-                return
-            job.unplaced_tasks -= 1
-            self._start_tasks(self.state, job, result.accepted)
-            print(
-                f"[{self.sim.now:8.2f}s] canary for job {job.job_id} placed on "
-                f"machine {result.accepted[0].machine}; probing for "
-                f"{self.PROBE_SECONDS:.0f}s"
-            )
-            # Phase 2 happens after the probe period: requeue the job.
-            job.attempts += 1
-            self.sim.after(self.PROBE_SECONDS, self._requeue, job, False)
-            return
-        # Phase 2 (or single-task jobs): normal Omega placement of the rest.
-        self._snapshot = snapshot
-        super().attempt(job)
+    def requeue_delay(self, job: Job) -> float:
+        if job.placed_tasks != 1:
+            return 0.0
+        print(
+            f"[{self.sim.now:8.2f}s] canary for job {job.job_id} placed; "
+            f"probing for {PROBE_SECONDS:.0f}s"
+        )
+        return PROBE_SECONDS
 
 
 def main() -> None:
@@ -88,6 +74,7 @@ def main() -> None:
         state,
         np.random.default_rng(1),
         DecisionTimeModel(t_job=0.5),
+        placement=canary_plan,
     )
     batch = OmegaScheduler(
         "batch",
@@ -130,7 +117,7 @@ def main() -> None:
     print()
     print(f"risky job fully scheduled: {risky.is_fully_scheduled}")
     print(f"  canary phase + main phase attempts: {risky.attempts}")
-    print(f"  scheduled at t={risky.fully_scheduled_time:.2f}s")
+    print(f"  remainder scheduled at t={risky.fully_scheduled_time:.2f}s")
     print(f"cluster utilization now: {state.cpu_utilization:.1%}")
     print(
         "batch scheduler busyness: "

@@ -22,8 +22,7 @@ from repro.core.preemption import (
     AllocationRecord,
     commit_with_preemption,
 )
-from repro.core.scheduler import OmegaScheduler
-from repro.core.scheduler_preempting import PreemptingOmegaScheduler
+from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
 from repro.core.multi import SchedulerPool
 from repro.core.transaction import (
     Claim,

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.core.scheduler import OmegaScheduler, PlacementFn, _first_fit_placement
-from repro.core.transaction import Claim, CommitMode, ConflictMode
+from repro.core.scheduler import OmegaScheduler, PlacementFn
+from repro.core.transaction import Claim
 from repro.metrics import MetricsCollector
 from repro.schedulers.base import DecisionTimeModel
 from repro.sim import Simulator
@@ -58,7 +58,8 @@ class LimitedOmegaScheduler(OmegaScheduler):
     Tracks its own outstanding usage (claims minus completed tasks) and
     trims placement plans so a commit never takes it over its resource
     limits; jobs arriving past the admission limit are rejected and
-    counted in :attr:`jobs_rejected`.
+    counted in :attr:`jobs_rejected`. ``options`` are
+    :class:`OmegaScheduler`'s other keyword arguments.
     """
 
     def __init__(
@@ -70,25 +71,10 @@ class LimitedOmegaScheduler(OmegaScheduler):
         rng: np.random.Generator,
         decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
         limits: SchedulerLimits,
-        conflict_mode: ConflictMode = ConflictMode.FINE,
-        commit_mode: CommitMode = CommitMode.INCREMENTAL,
-        placement: PlacementFn = _first_fit_placement,
-        attempt_limit: int = 1000,
-        ledger: AllocationLedger | None = None,
+        **options,
     ) -> None:
-        super().__init__(
-            name,
-            sim,
-            metrics,
-            state,
-            rng,
-            decision_times,
-            conflict_mode=conflict_mode,
-            commit_mode=commit_mode,
-            placement=self._limited_placement(placement),
-            attempt_limit=attempt_limit,
-            ledger=ledger,
-        )
+        super().__init__(name, sim, metrics, state, rng, decision_times, **options)
+        self._placement = self._limited_placement(self._placement)
         self.limits = limits
         self.used_cpu = 0.0
         self.used_mem = 0.0

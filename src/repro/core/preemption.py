@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellState
-from repro.core.transaction import Claim
+from repro.core.transaction import Claim, CommitMode, CommitResult
+from repro.obs import recorder as _obs
 from repro.sim import Event, Simulator
 
 #: Called when an allocation is (partially) evicted: (record, count).
@@ -133,6 +134,15 @@ class AllocationLedger:
     def records_on(self, machine: int) -> list[AllocationRecord]:
         return list(self._by_machine.get(machine, {}).values())
 
+    def records(self) -> Iterator[AllocationRecord]:
+        """Every running allocation, by machine then record id: a pinned
+        order, so float accumulation over it is reproducible (omega-lint
+        DET003)."""
+        for machine in sorted(self._by_machine):
+            yield from sorted(
+                self._by_machine[machine].values(), key=lambda r: r.record_id
+            )
+
     def usage_by_owner(self) -> dict[str, tuple[float, float]]:
         """Aggregate (cpu, mem) currently held per owning scheduler.
 
@@ -140,16 +150,11 @@ class AllocationLedger:
         grouped under ``"<unowned>"``.
         """
         usage: dict[str, list[float]] = {}
-        # Iterate machines and records in a pinned order so float
-        # accumulation is reproducible (omega-lint DET003).
-        for machine in sorted(self._by_machine):
-            for record in sorted(
-                self._by_machine[machine].values(), key=lambda r: r.record_id
-            ):
-                key = record.owner or "<unowned>"
-                totals = usage.setdefault(key, [0.0, 0.0])
-                totals[0] += record.total_cpu
-                totals[1] += record.total_mem
+        for record in self.records():
+            key = record.owner or "<unowned>"
+            totals = usage.setdefault(key, [0.0, 0.0])
+            totals[0] += record.total_cpu
+            totals[1] += record.total_mem
         return {owner: (cpu, mem) for owner, (cpu, mem) in sorted(usage.items())}
 
     def preemptible(self, machine: int, below_precedence: int) -> tuple[float, float]:
@@ -260,19 +265,20 @@ def commit_with_preemption(
     ledger: AllocationLedger,
     claims: list[Claim] | tuple[Claim, ...],
     precedence: int,
-    all_or_nothing: bool = False,
-) -> tuple[list[Claim], list[Claim], int]:
+    commit_mode: CommitMode = CommitMode.INCREMENTAL,
+) -> CommitResult:
     """Commit ``claims`` at ``precedence``, evicting lower-precedence
     allocations where free resources alone do not suffice.
 
-    Returns ``(accepted, rejected, preempted_task_count)``. A claim is
+    The result carries ``preempted_tasks``. A claim is
     rejected (a conflict) only if even free + preemptible resources
     cannot hold it; partial acceptance splits at task granularity like
     incremental commits. Accepted claims are applied to the master cell
-    state (like :func:`repro.core.transaction.commit`); the caller then
+    state and the same ``txn.*`` records are emitted (like
+    :func:`repro.core.transaction.commit`); the caller then
     registers them in the ledger with ``already_claimed=True``.
 
-    ``all_or_nothing=True`` implements the paper's gang-scheduled
+    ``ALL_OR_NOTHING`` implements the paper's gang-scheduled
     preemption: either every claim lands (evicting victims as needed) or
     the whole transaction is rejected with *no* evictions — "a
     gang-scheduled job can preempt lower-priority tasks once sufficient
@@ -280,16 +286,25 @@ def commit_with_preemption(
     schedulers' jobs to use the resources in the meantime" (no
     hoarding).
     """
-    if all_or_nothing:
-        # Validate everything against free + preemptible space before
-        # touching anything: a failed gang transaction must not evict.
-        for claim in claims:
-            if _claim_headroom(state, ledger, claim, precedence) < claim.count:
-                return [], list(claims), 0
-
+    rec = _obs.RECORDER
+    if rec.enabled:
+        rec.event(
+            "txn.validate",
+            claims=len(claims),
+            tasks=sum(claim.count for claim in claims),
+            preempting=True,
+            commit_mode=commit_mode.value,
+        )
     accepted: list[Claim] = []
     rejected: list[Claim] = []
     preempted = 0
+    # Validate a gang against free + preemptible space before touching
+    # anything: a failed gang transaction must not evict.
+    if commit_mode is CommitMode.ALL_OR_NOTHING and any(
+        _claim_headroom(state, ledger, claim, precedence) < claim.count
+        for claim in claims
+    ):
+        rejected, claims = list(claims), ()
     for claim in claims:
         free_cpu = state.free_cpu[claim.machine]
         free_mem = state.free_mem[claim.machine]
@@ -309,4 +324,20 @@ def commit_with_preemption(
             rejected.append(
                 Claim(claim.machine, claim.cpu, claim.mem, claim.count - ok)
             )
-    return accepted, rejected, preempted
+    result = CommitResult(tuple(accepted), tuple(rejected), preempted)
+    if rec.enabled:
+        for claim in rejected:
+            rec.event(
+                "txn.conflict",
+                machine=claim.machine,
+                tasks=claim.count,
+                cause="capacity",
+            )
+        rec.event(
+            "txn.commit",
+            accepted=result.accepted_tasks,
+            rejected=result.rejected_tasks,
+            conflicted=result.conflicted,
+            preempted_tasks=preempted,
+        )
+    return result

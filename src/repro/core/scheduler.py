@@ -17,6 +17,12 @@ Schedulers never lock anything and never wait for each other: "Omega
 schedulers operate completely in parallel and do not have to wait for
 jobs in other schedulers, and there is no inter-scheduler head of line
 blocking."
+
+:meth:`OmegaScheduler.attempt` is that loop's only body. A specialized
+scheduler supplies the two things that differ: a *plan* (``placement``:
+which claims to ask for, given the snapshot) and, rarely, a *commit*
+(how the claims are applied). :class:`PreemptingOmegaScheduler` is one
+of each; :class:`repro.mapreduce.MapReduceScheduler` is a plan.
 """
 
 from __future__ import annotations
@@ -27,10 +33,21 @@ import numpy as np
 
 from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellSnapshot, CellState
-from repro.core.placement import randomized_first_fit, steered_placement
-from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
+from repro.core.placement import (
+    placement_fn,
+    randomized_first_fit,
+    steered_placement,
+)
+from repro.core.preemption import AllocationLedger, commit_with_preemption
+from repro.core.transaction import (
+    Claim,
+    CommitMode,
+    CommitResult,
+    ConflictMode,
+    commit,
+)
 from repro.faults.predictor import ConflictPredictor
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import ImmediateRetryPolicy, RetryPolicy
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
@@ -42,18 +59,10 @@ from repro.workload.job import Job, JobType
 #: simulator plugs in the constraint-aware scoring planner.
 PlacementFn = Callable[[CellSnapshot, Job, np.random.Generator], list[Claim]]
 
-
-def _first_fit_placement(
-    snapshot: CellSnapshot, job: Job, rng: np.random.Generator
-) -> list[Claim]:
-    return randomized_first_fit(
-        snapshot.free_cpu,
-        snapshot.free_mem,
-        job.cpu_per_task,
-        job.mem_per_task,
-        job.unplaced_tasks,
-        rng,
-    )
+#: Signature of a pluggable commit: (claims, snapshot, job, commit_mode)
+#: -> result. The claims are non-empty and were planned on ``snapshot``;
+#: ``commit_mode`` is the job's effective mode (escalation applied).
+CommitFn = Callable[[list[Claim], CellSnapshot, Job, CommitMode], CommitResult]
 
 
 class OmegaScheduler(QueueScheduler):
@@ -69,18 +78,20 @@ class OmegaScheduler(QueueScheduler):
         decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
         conflict_mode: ConflictMode = ConflictMode.FINE,
         commit_mode: CommitMode = CommitMode.INCREMENTAL,
-        placement: PlacementFn = _first_fit_placement,
+        placement: PlacementFn | None = None,
         attempt_limit: int = 1000,
         retry_conflicts_at_front: bool = True,
-        ledger: "AllocationLedger | None" = None,
+        ledger: AllocationLedger | None = None,
         conflict_avoidance_cooldown: float = 0.0,
-        retry_policy: "RetryPolicy | None" = None,
-        predictor: "ConflictPredictor | None" = None,
+        retry_policy: RetryPolicy = ImmediateRetryPolicy(),
+        predictor: ConflictPredictor | None = None,
+        commit: CommitFn | None = None,
     ) -> None:
         super().__init__(
             name,
             sim,
             metrics,
+            decision_times,
             attempt_limit,
             retry_conflicts_at_front=retry_conflicts_at_front,
             retry_policy=retry_policy,
@@ -92,15 +103,15 @@ class OmegaScheduler(QueueScheduler):
         #: tasks automatically re-enter this scheduler's queue.
         self.ledger = ledger
         self._rng = rng
-        if isinstance(decision_times, DecisionTimeModel):
-            decision_times = {job_type: decision_times for job_type in JobType}
-        missing = [t for t in JobType if t not in decision_times]
-        if missing:
-            raise ValueError(f"decision_times missing job types: {missing}")
-        self._decision_times = dict(decision_times)
         self.conflict_mode = conflict_mode
         self.commit_mode = commit_mode
-        self._placement = placement
+        #: The two seams of :meth:`attempt`: the plan (randomized first
+        #: fit unless given) and the commit (a given one shadows the
+        #: optimistic :meth:`_commit`; storing the bound method instead
+        #: would tie the scheduler, and its view, into a reference cycle).
+        self._placement = placement or placement_fn("random-first-fit")
+        if commit is not None:
+            self._commit = commit
         self._snapshot: CellSnapshot | None = None
         #: Hot-machine avoidance (the paper's section 8 future-work
         #: direction: "techniques from the database community ... to
@@ -129,9 +140,6 @@ class OmegaScheduler(QueueScheduler):
         self._view: CellSnapshot | None = None
 
     # ------------------------------------------------------------------
-    def decision_time(self, job: Job) -> float:
-        return self._decision_times[job.job_type].duration(job.unplaced_tasks)
-
     def begin_attempt(self, job: Job) -> None:
         """Sync: refresh the private copy of cell state.
 
@@ -188,6 +196,7 @@ class OmegaScheduler(QueueScheduler):
             self._hot_machines[claim.machine] = expiry
 
     def attempt(self, job: Job) -> None:
+        """One transaction: plan on the snapshot, commit, apply, resolve."""
         snapshot = self._snapshot
         self._snapshot = None
         if snapshot is None:  # pragma: no cover - loop always snapshots first
@@ -245,7 +254,30 @@ class OmegaScheduler(QueueScheduler):
             self._resolve_attempt(job, had_conflict=False)
             return
 
-        result = commit(
+        result = self._commit(claims, snapshot, job, commit_mode)
+        self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
+        if result.preempted_tasks:
+            self.metrics.record_preemption_caused(self.name, result.preempted_tasks)
+        if self.predictor is not None:
+            self.predictor.observe_commit(result.conflicted, self.sim.now)
+            self.metrics.record_predictor_commit(
+                self.name, steered=bool(hot), conflicted=result.conflicted
+            )
+        if result.conflicted:
+            self._note_conflicts(result.rejected)
+        self._apply(job, result)
+        self._start_tasks(self.state, job, result.accepted)
+        self._resolve_attempt(job, had_conflict=result.conflicted)
+
+    def _commit(
+        self,
+        claims: list[Claim],
+        snapshot: CellSnapshot,
+        job: Job,
+        commit_mode: CommitMode,
+    ) -> CommitResult:
+        """The default commit: validate against the live cell state."""
+        return commit(
             self.state,
             claims,
             snapshot,
@@ -255,17 +287,10 @@ class OmegaScheduler(QueueScheduler):
                 self._observe_conflict if self.predictor is not None else None
             ),
         )
-        self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
-        if self.predictor is not None:
-            self.predictor.observe_commit(result.conflicted, self.sim.now)
-            self.metrics.record_predictor_commit(
-                self.name, steered=bool(hot), conflicted=result.conflicted
-            )
-        if result.conflicted:
-            self._note_conflicts(result.rejected)
+
+    def _apply(self, job: Job, result: CommitResult) -> None:
+        """Book what the commit accepted against the job."""
         job.unplaced_tasks -= result.accepted_tasks
-        self._start_tasks(self.state, job, result.accepted)
-        self._resolve_attempt(job, had_conflict=result.conflicted)
 
     def _observe_conflict(self, machine: int, tasks: int, cause: str) -> None:
         """Commit's ``on_conflict`` hook: feed the contention model.
@@ -323,3 +348,63 @@ class OmegaScheduler(QueueScheduler):
             # The job was done scheduling; put it back in our queue so
             # the evicted tasks get re-placed.
             self._requeue(job, at_front=False)
+
+
+class PreemptingOmegaScheduler(OmegaScheduler):
+    """An Omega scheduler that uses its precedence to preempt.
+
+    Paper section 3.4: a scheduler "has complete freedom to lay claim to
+    any available cluster resources ... even ones that another scheduler
+    has already acquired", and "a gang-scheduled job can preempt
+    lower-priority tasks once sufficient resources are available".
+
+    It is a plan — first fit over free *plus reclaimable*
+    (lower-precedence) resources — and a commit —
+    :func:`~repro.core.preemption.commit_with_preemption`, which evicts.
+    ``options`` are :class:`OmegaScheduler`'s other keyword arguments.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        sim: Simulator,
+        metrics: MetricsCollector,
+        state: CellState,
+        rng: np.random.Generator,
+        decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
+        ledger: AllocationLedger,
+        **options,
+    ) -> None:
+        def plan(snapshot, job, rng) -> list[Claim]:
+            plan_cpu = snapshot.free_cpu.copy()
+            plan_mem = snapshot.free_mem.copy()
+            for record in ledger.records():
+                if record.precedence < job.precedence:
+                    plan_cpu[record.machine] += record.total_cpu
+                    plan_mem[record.machine] += record.total_mem
+            return randomized_first_fit(
+                plan_cpu,
+                plan_mem,
+                job.cpu_per_task,
+                job.mem_per_task,
+                job.unplaced_tasks,
+                rng,
+            )
+
+        def evict_and_commit(claims, snapshot, job, commit_mode) -> CommitResult:
+            return commit_with_preemption(
+                state, ledger, claims, job.precedence, commit_mode
+            )
+
+        super().__init__(
+            name,
+            sim,
+            metrics,
+            state,
+            rng,
+            decision_times,
+            placement=plan,
+            commit=evict_and_commit,
+            ledger=ledger,
+            **options,
+        )

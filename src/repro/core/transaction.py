@@ -64,6 +64,8 @@ class CommitResult:
 
     accepted: tuple[Claim, ...]
     rejected: tuple[Claim, ...]
+    #: Lower-precedence tasks evicted to make room (preempting commits).
+    preempted_tasks: int = 0
 
     @property
     def accepted_tasks(self) -> int:

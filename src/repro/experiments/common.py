@@ -17,12 +17,15 @@ from repro.core.fill import populate
 from repro.core.multi import SchedulerPool
 from repro.core.placement import placement_fn
 from repro.core.preemption import AllocationLedger
-from repro.core.scheduler import OmegaScheduler, PlacementFn
-from repro.core.scheduler_preempting import PreemptingOmegaScheduler
+from repro.core.scheduler import (
+    OmegaScheduler,
+    PlacementFn,
+    PreemptingOmegaScheduler,
+)
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.faults import FaultConfig
 from repro.faults.predictor import ConflictPredictor, PredictorConfig
-from repro.faults.retry import RetryPolicyConfig
+from repro.faults.retry import ImmediateRetryPolicy, RetryPolicyConfig
 from repro.metrics.results import RunSummary
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers.mesos import MesosAllocator, MesosFramework
@@ -53,14 +56,15 @@ def _route_by_type(
     return submit
 
 
-def _monolithic(world: World, factory: Callable, **models: DecisionTimeModel) -> None:
-    scheduler = factory(
+def _monolithic(world: World, name: str, decision_times) -> None:
+    scheduler = MonolithicScheduler(
+        name,
         world.sim,
         world.metrics,
         world.add_state(),
         world.streams.stream("placement.monolithic"),
+        decision_times,
         attempt_limit=world.config.attempt_limit,
-        **models,
     )
     world.register(scheduler, "batch", "service")
     world.submit = scheduler.submit
@@ -68,17 +72,16 @@ def _monolithic(world: World, factory: Callable, **models: DecisionTimeModel) ->
 
 def _monolithic_single(world: World) -> None:
     # Single code path: the (swept) service model applies to all jobs.
-    _monolithic(
-        world, MonolithicScheduler.single_path, model=world.config.service_model
-    )
+    _monolithic(world, "monolithic", world.config.service_model)
 
 
 def _monolithic_multi(world: World) -> None:
+    # A fast path for batch, a slow path for service (Figure 5b/6b).
+    config = world.config
     _monolithic(
         world,
-        MonolithicScheduler.multi_path,
-        batch_model=world.config.batch_model,
-        service_model=world.config.service_model,
+        "monolithic-multipath",
+        {JobType.BATCH: config.batch_model, JobType.SERVICE: config.service_model},
     )
 
 
@@ -160,8 +163,10 @@ def omega_schedulers(
         contention = (
             None if preempt or predictor is None else ConflictPredictor(predictor)
         )
+        # The retry stream exists only where a configured policy may
+        # draw from it.
         policy = (
-            None
+            ImmediateRetryPolicy()
             if retry is None
             else retry.build(streams.stream(f"retry.{base_name}"), predictor=contention)
         )
@@ -296,7 +301,7 @@ class LightweightConfig:
     utilization_sample_interval: float | None = None
     retry_conflicts_at_front: bool = True
     #: Omega only: run the service scheduler as a
-    #: :class:`~repro.core.scheduler_preempting.PreemptingOmegaScheduler`
+    #: :class:`~repro.core.scheduler.PreemptingOmegaScheduler`
     #: and register all allocations in a shared ledger so service jobs
     #: can evict batch tasks (Table 1: "priority preemption").
     enable_preemption: bool = False

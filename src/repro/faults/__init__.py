@@ -43,7 +43,6 @@ from repro.faults.retry import (
     CappedRetryPolicy,
     ExponentialBackoffPolicy,
     ImmediateRetryPolicy,
-    PredictiveEscalationPolicy,
     RetryAction,
     RetryDecision,
     RetryPolicy,
@@ -67,6 +66,5 @@ __all__ = [
     "CappedRetryPolicy",
     "ExponentialBackoffPolicy",
     "StarvationEscalationPolicy",
-    "PredictiveEscalationPolicy",
     "RETRY_POLICIES",
 ]

@@ -23,7 +23,7 @@ predictor for one Omega scheduler:
 * **Conflict probability.** Commit outcomes feed a pair of decayed
   attempt/conflict accumulators whose ratio estimates the scheduler's
   near-term conflict probability; the ``predictive`` retry policy
-  (:class:`repro.faults.retry.PredictiveEscalationPolicy`) escalates a
+  (:class:`repro.faults.retry.StarvationEscalationPolicy`) escalates a
   gang-scheduled job to incremental commits when that estimate crosses
   a configurable threshold — *before* the job has personally starved.
 

@@ -25,6 +25,9 @@ space a first-class, swappable policy:
     conflicts the job is switched to incremental commit mode (gang
     all-or-nothing semantics are dropped so partial progress lands),
     and a hard conflict cap still bounds the loop.
+``predictive``
+    ``starvation`` that also escalates as soon as the scheduler's
+    conflict predictor reports ``escalate_probability`` or more.
 
 Every policy is a deterministic function of (job state, its own RNG
 stream): two schedulers built from the same
@@ -197,9 +200,19 @@ class StarvationEscalationPolicy(RetryPolicy):
     cap (``max_conflict_retries``) still guarantees termination for
     adversarial conflict schedules where even incremental commits make
     no progress.
-    """
 
-    name = "starvation"
+    With ``escalate_probability`` set this is the ``predictive`` policy
+    (and reports that :attr:`name`): it also escalates as soon as the
+    scheduler's :class:`~repro.faults.predictor.ConflictPredictor`
+    estimates a conflict probability at or above the threshold — on the
+    job's first conflict if the commit path is already known-contended,
+    before it starves. ``escalate_after`` stays as the backstop, so the
+    predictive form is never later to escalate than the reactive one
+    and the two are identical in a quiet cell (predictor cold, or none
+    given); they share one escalation-latency histogram
+    (``jobs.attempts_until_escalation`` in ``run.metrics``). The whole
+    object — predictor included — pickles across ``--jobs N`` workers.
+    """
 
     def __init__(
         self,
@@ -210,10 +223,20 @@ class StarvationEscalationPolicy(RetryPolicy):
         max_delay: float = 30.0,
         jitter: float = 0.5,
         max_conflict_retries: int = 100,
+        predictor: "ConflictPredictor | None" = None,
+        escalate_probability: float | None = None,
     ) -> None:
         if escalate_after < 1:
             raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
+        if escalate_probability is not None and not 0.0 < escalate_probability <= 1.0:
+            raise ValueError(
+                "escalate_probability must be in (0, 1], got "
+                f"{escalate_probability}"
+            )
+        self.name = "starvation" if escalate_probability is None else "predictive"
         self.escalate_after = escalate_after
+        self.predictor = predictor
+        self.escalate_probability = escalate_probability
         self._backoff = ExponentialBackoffPolicy(
             rng,
             base_delay=base_delay,
@@ -226,96 +249,20 @@ class StarvationEscalationPolicy(RetryPolicy):
 
     def decide(self, job: Job) -> RetryDecision:
         decision = self._backoff.decide(job)
-        if decision.action is RetryAction.ABANDON:
+        if decision.action is RetryAction.ABANDON or job.escalated:
             return decision
-        if job.conflicts >= self.escalate_after and not job.escalated:
+        predicted_hot = (
+            self.predictor is not None
+            and self.escalate_probability is not None
+            and self.predictor.conflict_probability() >= self.escalate_probability
+        )
+        if predicted_hot or job.conflicts >= self.escalate_after:
             return RetryDecision(
                 action=RetryAction.RETRY,
                 delay=decision.delay,
                 at_front=decision.at_front,
                 escalate=True,
             )
-        return decision
-
-
-class PredictiveEscalationPolicy(RetryPolicy):
-    """Predictive gang→incremental escalation (proactive section 3.6).
-
-    :class:`StarvationEscalationPolicy` waits for a job to personally
-    rack up ``escalate_after`` conflicts before dropping its gang
-    semantics; this policy additionally consults the scheduler's
-    :class:`~repro.faults.predictor.ConflictPredictor` and escalates as
-    soon as the *predicted* conflict probability crosses
-    ``escalate_probability`` — the job escalates on its first conflict
-    if the commit path is already known-contended, before starving. The
-    reactive ``escalate_after`` trigger is kept as a backstop, so the
-    policy is never *later* to escalate than the starvation baseline:
-    in a quiet cell (predictor cold, probability near zero) the two
-    behave identically, and under contention the predictive trigger
-    fires first. Backoff delays and the hard conflict cap come from the
-    same machinery as the reactive policies, so the two are directly
-    comparable in the escalation-latency histogram
-    (``jobs.attempts_until_escalation`` in ``run.metrics``).
-
-    Like the other four policies it is a deterministic function of (job
-    state, predictor state, its own RNG stream), and the whole object —
-    predictor included — pickles across ``--jobs N`` workers.
-    """
-
-    name = "predictive"
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        predictor: "ConflictPredictor | None" = None,
-        escalate_probability: float = 0.25,
-        escalate_after: int = 3,
-        base_delay: float = 0.5,
-        factor: float = 2.0,
-        max_delay: float = 30.0,
-        jitter: float = 0.5,
-        max_conflict_retries: int = 100,
-    ) -> None:
-        if not 0.0 < escalate_probability <= 1.0:
-            raise ValueError(
-                "escalate_probability must be in (0, 1], got "
-                f"{escalate_probability}"
-            )
-        if escalate_after < 1:
-            raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
-        self.predictor = predictor
-        self.escalate_probability = escalate_probability
-        self.escalate_after = escalate_after
-        self._backoff = ExponentialBackoffPolicy(
-            rng,
-            base_delay=base_delay,
-            factor=factor,
-            max_delay=max_delay,
-            jitter=jitter,
-            max_conflict_retries=max_conflict_retries,
-        )
-        self.max_conflict_retries = max_conflict_retries
-
-    def decide(self, job: Job) -> RetryDecision:
-        decision = self._backoff.decide(job)
-        if decision.action is RetryAction.ABANDON:
-            return decision
-        if not job.escalated:
-            predicted = (
-                self.predictor.conflict_probability()
-                if self.predictor is not None
-                else 0.0
-            )
-            if (
-                predicted >= self.escalate_probability
-                or job.conflicts >= self.escalate_after
-            ):
-                return RetryDecision(
-                    action=RetryAction.RETRY,
-                    delay=decision.delay,
-                    at_front=decision.at_front,
-                    escalate=True,
-                )
         return decision
 
 
@@ -379,18 +326,7 @@ class RetryPolicyConfig:
                 jitter=self.jitter,
                 max_conflict_retries=self.max_conflict_retries,
             )
-        if self.kind == "predictive":
-            return PredictiveEscalationPolicy(
-                rng,
-                predictor=predictor,
-                escalate_probability=self.escalate_probability,
-                escalate_after=self.escalate_after,
-                base_delay=self.base_delay,
-                factor=self.factor,
-                max_delay=self.max_delay,
-                jitter=self.jitter,
-                max_conflict_retries=self.max_conflict_retries or 100,
-            )
+        predictive = self.kind == "predictive"
         return StarvationEscalationPolicy(
             rng,
             escalate_after=self.escalate_after,
@@ -399,4 +335,6 @@ class RetryPolicyConfig:
             max_delay=self.max_delay,
             jitter=self.jitter,
             max_conflict_retries=self.max_conflict_retries or 100,
+            predictor=predictor if predictive else None,
+            escalate_probability=self.escalate_probability if predictive else None,
         )

@@ -7,9 +7,10 @@ resources across those jobs according to some policy" (section 6).
 
 Adding it is deliberately easy — the case study's conclusion is that
 "adding a specialized functionality to the Omega system is
-straightforward": this subclass only overrides the placement attempt to
-size the worker pool before claiming, and everything else (snapshots,
-optimistic commit, retries, metrics) is inherited.
+straightforward": this subclass is a plan that sizes the worker pool
+before claiming, plus the step that books what was placed as that pool;
+everything else (snapshots, optimistic commit, retries, metrics) is
+:meth:`OmegaScheduler.attempt <repro.core.scheduler.OmegaScheduler.attempt>`.
 
 Simplification vs the paper (documented in DESIGN.md): resources are
 granted when the job is scheduled, not re-adjusted while it runs; the
@@ -24,10 +25,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.cellstate import CellState
+from repro.core.cellstate import CellSnapshot, CellState
 from repro.core.placement import randomized_first_fit
 from repro.core.scheduler import OmegaScheduler
-from repro.core.transaction import CommitMode, ConflictMode, commit
+from repro.core.transaction import Claim, CommitResult, ConflictMode
 from repro.mapreduce.model import MapReduceJob, sample_profile
 from repro.mapreduce.policies import AllocationPolicy, ClusterView, decide_workers
 from repro.metrics import MetricsCollector
@@ -59,7 +60,7 @@ class MapReduceScheduler(OmegaScheduler):
             rng,
             model,
             conflict_mode=conflict_mode,
-            commit_mode=CommitMode.INCREMENTAL,
+            placement=self._plan_workers,
             attempt_limit=attempt_limit,
         )
         self.policy = policy
@@ -78,53 +79,37 @@ class MapReduceScheduler(OmegaScheduler):
             total_mem=self.state.cell.total_mem,
         )
 
-    def attempt(self, job: Job) -> None:
-        if not isinstance(job, MapReduceJob):
-            # Non-MR work follows the plain Omega path.
-            super().attempt(job)
-            return
-        snapshot = self._snapshot
-        self._snapshot = None
-        if snapshot is None:  # pragma: no cover - loop always snapshots first
-            raise RuntimeError("attempt() without begin_attempt()")
-        profile = job.profile
-        assert profile is not None
-
-        target = decide_workers(profile, self.policy, self.cluster_view())
-        claims = randomized_first_fit(
+    def _plan_workers(
+        self, snapshot: CellSnapshot, job: Job, rng: np.random.Generator
+    ) -> list[Claim]:
+        """The plan: size a MapReduce job's worker pool (other work asks
+        for what it lacks), then first fit that many."""
+        workers = job.unplaced_tasks
+        if isinstance(job, MapReduceJob):
+            workers = decide_workers(job.profile, self.policy, self.cluster_view())
+        return randomized_first_fit(
             snapshot.free_cpu,
             snapshot.free_mem,
-            profile.cpu_per_worker,
-            profile.mem_per_worker,
-            target,
-            self._rng,
+            job.cpu_per_task,
+            job.mem_per_task,
+            workers,
+            rng,
         )
-        if not claims:
-            self._resolve_attempt(job, had_conflict=False)
-            return
-        result = commit(
-            self.state,
-            claims,
-            snapshot,
-            conflict_mode=self.conflict_mode,
-            commit_mode=self.commit_mode,
-        )
-        self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
-        placed = result.accepted_tasks
-        if placed == 0:
-            self._resolve_attempt(job, had_conflict=result.conflicted)
-            return
 
+    def _apply(self, job: Job, result: CommitResult) -> None:
+        placed = result.accepted_tasks
+        if not isinstance(job, MapReduceJob) or placed == 0:
+            super()._apply(job, result)
+            return
         # Workers are elastic: whatever was placed becomes the job's
         # worker pool, and the performance model predicts its runtime.
+        profile = job.profile
         job.granted_workers = placed
         job.unplaced_tasks = 0
         job.duration = profile.completion_time(placed)
         self.speedups.append(profile.speedup(placed))
         self.workers_granted_total += placed
         self.workers_configured_total += profile.workers_configured
-        self._start_tasks(self.state, job, result.accepted)
-        self._resolve_attempt(job, had_conflict=result.conflicted)
 
 
 class MapReduceWorkload:

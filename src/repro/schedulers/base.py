@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING
 from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.core.transaction import Claim
-from repro.faults.retry import RetryAction, RetryPolicy
+from repro.faults.retry import ImmediateRetryPolicy, RetryAction, RetryPolicy
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
 from repro.sim import Event, Simulator
-from repro.workload.job import Job
+from repro.workload.job import Job, JobType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.chaos import ChaosEngine
@@ -57,34 +57,44 @@ class DecisionTimeModel:
 class QueueScheduler(abc.ABC):
     """A serial scheduling server with a FIFO queue.
 
-    Subclasses implement :meth:`decision_time` (how long thinking about
-    a job takes) and :meth:`attempt` (what happens when thinking
-    finishes: place, commit, then call :meth:`_resolve_attempt`).
-    :meth:`begin_attempt` runs when thinking *starts* — Omega schedulers
-    take their cell-state snapshot there, because the paper's schedulers
-    "refresh their local copy of cell state ... when they start looking
-    at a job".
+    Thinking about a job takes its type's :class:`DecisionTimeModel`
+    (one model serves every type). Subclasses implement :meth:`attempt`
+    (what happens when thinking finishes: place, commit, then call
+    :meth:`_resolve_attempt`). :meth:`begin_attempt` runs when thinking
+    *starts* — Omega schedulers take their cell-state snapshot there,
+    because the paper's schedulers "refresh their local copy of cell
+    state ... when they start looking at a job".
     """
+
+    #: Trace span recorded around :meth:`attempt`; None records none.
+    attempt_span: str | None = "sched.attempt"
 
     def __init__(
         self,
         name: str,
         sim: Simulator,
         metrics: MetricsCollector,
+        decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
         attempt_limit: int = DEFAULT_ATTEMPT_LIMIT,
         retry_conflicts_at_front: bool = True,
-        retry_policy: RetryPolicy | None = None,
+        retry_policy: RetryPolicy = ImmediateRetryPolicy(),
     ) -> None:
         if attempt_limit < 1:
             raise ValueError(f"attempt_limit must be >= 1, got {attempt_limit}")
+        if isinstance(decision_times, DecisionTimeModel):
+            decision_times = {job_type: decision_times for job_type in JobType}
+        missing = [t for t in JobType if t not in decision_times]
+        if missing:
+            raise ValueError(f"decision_times missing job types: {missing}")
         self.name = name
         self.sim = sim
         self.metrics = metrics
+        self._decision_times = dict(decision_times)
         self.attempt_limit = attempt_limit
         self.retry_conflicts_at_front = retry_conflicts_at_front
-        #: Conflict-retry policy (see :mod:`repro.faults.retry`). None
-        #: keeps the paper's behaviour: retry immediately at the front,
-        #: bounded only by ``attempt_limit``.
+        #: Conflict-retry policy (see :mod:`repro.faults.retry`). The
+        #: default is the paper's behaviour: retry immediately at the
+        #: front, bounded only by ``attempt_limit``.
         self.retry_policy = retry_policy
         #: Chaos engine hook; set by
         #: :meth:`repro.faults.chaos.ChaosEngine.install` when commit
@@ -159,7 +169,7 @@ class QueueScheduler(abc.ABC):
                 job=job.job_id,
                 attempt=job.attempts + 1,
                 queue_depth=len(self._queue),
-                conflict_retry=conflict_retry,
+                **self._think_start_fields(conflict_retry),
             )
         with _san.acting_scope(self.name):
             self.begin_attempt(job)
@@ -197,9 +207,9 @@ class QueueScheduler(abc.ABC):
             )
         if drop:
             self._commit_dropped(job)
-        elif rec.enabled:
+        elif rec.enabled and self.attempt_span is not None:
             with rec.span(
-                "sched.attempt",
+                self.attempt_span,
                 t=self.sim.now,
                 sched=self.name,
                 job=job.job_id,
@@ -212,14 +222,16 @@ class QueueScheduler(abc.ABC):
                 self.attempt(job)
         self._maybe_start()
 
-    def _commit_dropped(self, job: Job) -> None:
+    def _commit_dropped(self, job: Job, conflicted: bool = True) -> None:
         """Chaos dropped this attempt's commit in flight.
 
         The thinking happened but its outcome never reached the cell
         state, so the work is accounted as a conflicted transaction and
-        the job goes back through the conflict-retry path.
+        the job goes back through the conflict-retry path
+        (``conflicted=False``: there was no transaction to count).
         """
-        self.metrics.record_commit(self.name, conflicted=True, time=self.sim.now)
+        if conflicted:
+            self.metrics.record_commit(self.name, conflicted=True, time=self.sim.now)
         self.metrics.record_commit_dropped(self.name)
         rec = _obs.RECORDER
         if rec.enabled:
@@ -231,7 +243,7 @@ class QueueScheduler(abc.ABC):
                 attempt=job.attempts + 1,
             )
         self._abort_attempt(job)
-        self._resolve_attempt(job, had_conflict=True)
+        self._resolve_attempt(job, had_conflict=conflicted)
 
     # ------------------------------------------------------------------
     # Crash/restart (driven by the chaos engine)
@@ -296,12 +308,22 @@ class QueueScheduler(abc.ABC):
     # ------------------------------------------------------------------
     # Architecture hooks
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def decision_time(self, job: Job) -> float:
         """How long this scheduler thinks about ``job`` (seconds)."""
+        return self._decision_times[job.job_type].duration(job.unplaced_tasks)
 
     def begin_attempt(self, job: Job) -> None:
         """Hook at the start of thinking (Omega snapshots here)."""
+
+    def requeue_delay(self, job: Job) -> float:
+        """Seconds a job that found too little room — no conflict — is
+        held before it rejoins the back of the queue (a policy's probe
+        or cool-off period; conflicts are the retry policy's)."""
+        return 0.0
+
+    def _think_start_fields(self, conflict_retry: bool) -> dict:
+        """What ``sched.think_start`` records beyond the common fields."""
+        return {"conflict_retry": conflict_retry}
 
     @abc.abstractmethod
     def attempt(self, job: Job) -> None:
@@ -314,13 +336,13 @@ class QueueScheduler(abc.ABC):
     def _resolve_attempt(self, job: Job, had_conflict: bool) -> None:
         """Advance the job's lifecycle after one attempt.
 
-        Default retry behaviour (no :attr:`retry_policy`): a
-        *conflicted* job retries immediately at the head of the queue
-        ("the scheduler resyncs its local copy of cell state ... and
-        tries again"); a job that simply found no room goes to the back
-        so other jobs are not blocked behind it. With a policy set, the
-        conflicted path is whatever the policy decides — delayed,
-        back-of-queue, escalated to incremental commits, or abandoned.
+        A job that simply found no room goes to the back so other jobs
+        are not blocked behind it. A *conflicted* job does whatever
+        :attr:`retry_policy` decides: by default it retries immediately
+        at the head of the queue ("the scheduler resyncs its local copy
+        of cell state ... and tries again"); other policies delay it,
+        send it to the back, escalate it to incremental commits, or
+        abandon it.
         """
         job.attempts += 1
         if had_conflict:
@@ -345,9 +367,7 @@ class QueueScheduler(abc.ABC):
         elif job.attempts >= self.attempt_limit:
             self._abandon(job, reason="attempt-limit")
         else:
-            at_front = had_conflict and self.retry_conflicts_at_front
-            delay = 0.0
-            if had_conflict and self.retry_policy is not None:
+            if had_conflict:
                 decision = self.retry_policy.decide(job)
                 if decision.action is RetryAction.ABANDON:
                     self._abandon(job, reason="conflict-cap")
@@ -356,6 +376,9 @@ class QueueScheduler(abc.ABC):
                     self._escalate(job)
                 at_front = decision.at_front and self.retry_conflicts_at_front
                 delay = decision.delay
+            else:
+                at_front = False
+                delay = self.requeue_delay(job)
             job.requeued_for_conflict = had_conflict
             if rec.enabled:
                 fields = dict(
@@ -395,7 +418,7 @@ class QueueScheduler(abc.ABC):
         repeatedly-conflicting jobs stop gang scheduling so partial
         progress lands). Schedulers honour the flag in attempt()."""
         job.escalated = True
-        policy = self.retry_policy.name if self.retry_policy is not None else None
+        policy = self.retry_policy.name
         self.metrics.record_escalated(
             self.name, attempts=job.attempts, policy=policy
         )

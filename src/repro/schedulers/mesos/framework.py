@@ -23,6 +23,9 @@ from repro.workload.job import Job
 class MesosFramework(QueueScheduler):
     """An offer-driven scheduler framework."""
 
+    #: The ``mesos.offer_*`` events are the record of an attempt.
+    attempt_span = None
+
     def __init__(
         self,
         name: str,
@@ -33,17 +36,16 @@ class MesosFramework(QueueScheduler):
         model: DecisionTimeModel,
         attempt_limit: int = 1000,
     ) -> None:
-        super().__init__(name, sim, metrics, attempt_limit)
+        super().__init__(name, sim, metrics, model, attempt_limit)
         self.allocator = allocator
         self._rng = rng
-        self._model = model
         #: The offer held by the in-flight attempt (returned to the
         #: allocator if the framework crashes mid-think).
         self._inflight_offer: Offer | None = None
         allocator.register(self)
 
     # ------------------------------------------------------------------
-    # Offer-driven service loop (replaces the queue-driven one)
+    # Offer-driven service loop: an offer, not a queued job, starts it
     # ------------------------------------------------------------------
     def wants_offers(self) -> bool:
         """Whether the allocator should send this framework an offer."""
@@ -71,68 +73,19 @@ class MesosFramework(QueueScheduler):
                 )
             self.allocator.return_offer(offer)
             return
-        job = self._queue.popleft()
-        if job.first_attempt_time is None:
-            job.mark_first_attempt(self.sim.now)
-            self.metrics.record_first_attempt(self.name, job)
-        self._busy = True
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "sched.think_start",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                queue_depth=len(self._queue),
-                offer=offer.offer_id,
-            )
-        think_time = self.decision_time(job)
-        drop = False
-        if self.chaos is not None:
-            delay, drop = self.chaos.commit_fault(self, job)
-            think_time += delay
         self._inflight_offer = offer
-        self._inflight_info = (job, self.sim.now, False)
-        self._inflight = self.sim.after(
-            think_time, self._offer_complete, job, offer, self.sim.now, drop
-        )
+        super()._maybe_start()
 
-    def _offer_complete(
-        self, job: Job, offer: Offer, busy_start: float, drop: bool = False
-    ) -> None:
-        self._inflight = None
-        self._inflight_info = None
+    # ------------------------------------------------------------------
+    # QueueScheduler hooks
+    # ------------------------------------------------------------------
+    def _think_start_fields(self, conflict_retry: bool) -> dict:
+        return {"offer": self._inflight_offer.offer_id}
+
+    def attempt(self, job: Job) -> None:
+        """Place within the held offer, launch, and hand the offer back."""
+        offer = self._inflight_offer
         self._inflight_offer = None
-        self.metrics.record_busy(self.name, busy_start, self.sim.now)
-        self._busy = False
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "sched.busy",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                t0=busy_start,
-                conflict_retry=False,
-            )
-        if drop:
-            # The launch message was lost in flight: nothing was placed,
-            # the offer goes back, and the job waits for a later offer.
-            # Pessimistic concurrency means there is no conflict retry.
-            self.metrics.record_commit_dropped(self.name)
-            if rec.enabled:
-                rec.event(
-                    "fault.commit_drop",
-                    t=self.sim.now,
-                    sched=self.name,
-                    job=job.job_id,
-                    attempt=job.attempts + 1,
-                )
-            self.allocator.return_offer(offer)
-            self._resolve_attempt(job, had_conflict=False)
-            return
         claims = randomized_first_fit(
             offer.free_cpu,
             offer.free_mem,
@@ -141,6 +94,7 @@ class MesosFramework(QueueScheduler):
             job.unplaced_tasks,
             self._rng,
         )
+        rec = _obs.RECORDER
         if rec.enabled:
             placed = sum(claim.count for claim in claims)
             rec.event(
@@ -163,9 +117,13 @@ class MesosFramework(QueueScheduler):
         # there are never conflicts to retry at the front.
         self._resolve_attempt(job, had_conflict=False)
 
-    # ------------------------------------------------------------------
-    # QueueScheduler hooks
-    # ------------------------------------------------------------------
+    def _commit_dropped(self, job: Job) -> None:
+        """The launch message was lost in flight: nothing was placed,
+        the offer goes back (:meth:`_abort_attempt`) and the job waits
+        for a later offer. Pessimistic concurrency means there is no
+        conflict to count or retry."""
+        super()._commit_dropped(job, conflicted=False)
+
     def _abort_attempt(self, job: Job) -> None:
         """Crash cleanup: the held offer goes back to the allocator so
         its resources are not stranded while the framework is down."""
@@ -173,9 +131,3 @@ class MesosFramework(QueueScheduler):
         self._inflight_offer = None
         if offer is not None:
             self.allocator.return_offer(offer)
-
-    def decision_time(self, job: Job) -> float:
-        return self._model.duration(job.unplaced_tasks)
-
-    def attempt(self, job: Job) -> None:  # pragma: no cover - offer-driven
-        raise RuntimeError("MesosFramework schedules via offers, not attempt()")

@@ -9,8 +9,8 @@ but a slow decision blocks everything behind it (head-of-line blocking).
 * **multi-path**: a fast code path for batch jobs and a slow one for
   service jobs — "it still schedules only one job at a time".
 
-Both variants are this one class; the difference is whether the per-type
-decision-time models are equal.
+Both variants are this one class; the difference is whether it is given
+one decision-time model or one per job type.
 """
 
 from __future__ import annotations
@@ -37,65 +37,12 @@ class MonolithicScheduler(QueueScheduler):
         metrics: MetricsCollector,
         state: CellState,
         rng: np.random.Generator,
-        decision_times: dict[JobType, DecisionTimeModel],
+        decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
         attempt_limit: int = 1000,
     ) -> None:
-        super().__init__(name, sim, metrics, attempt_limit)
-        missing = [t for t in JobType if t not in decision_times]
-        if missing:
-            raise ValueError(f"decision_times missing job types: {missing}")
+        super().__init__(name, sim, metrics, decision_times, attempt_limit)
         self.state = state
         self._rng = rng
-        self._decision_times = dict(decision_times)
-
-    @classmethod
-    def single_path(
-        cls,
-        sim: Simulator,
-        metrics: MetricsCollector,
-        state: CellState,
-        rng: np.random.Generator,
-        model: DecisionTimeModel,
-        name: str = "monolithic",
-        attempt_limit: int = 1000,
-    ) -> "MonolithicScheduler":
-        """One decision-time model for all job types (Figure 5a/6a)."""
-        return cls(
-            name,
-            sim,
-            metrics,
-            state,
-            rng,
-            {job_type: model for job_type in JobType},
-            attempt_limit=attempt_limit,
-        )
-
-    @classmethod
-    def multi_path(
-        cls,
-        sim: Simulator,
-        metrics: MetricsCollector,
-        state: CellState,
-        rng: np.random.Generator,
-        batch_model: DecisionTimeModel,
-        service_model: DecisionTimeModel,
-        name: str = "monolithic-multipath",
-        attempt_limit: int = 1000,
-    ) -> "MonolithicScheduler":
-        """A fast path for batch, a slow path for service (Figure 5b/6b)."""
-        return cls(
-            name,
-            sim,
-            metrics,
-            state,
-            rng,
-            {JobType.BATCH: batch_model, JobType.SERVICE: service_model},
-            attempt_limit=attempt_limit,
-        )
-
-    # ------------------------------------------------------------------
-    def decision_time(self, job: Job) -> float:
-        return self._decision_times[job.job_type].duration(job.unplaced_tasks)
 
     def attempt(self, job: Job) -> None:
         """Place directly against the authoritative state.

@@ -50,23 +50,23 @@ class StaticPartition:
         )
         self.batch_state = CellState(self.batch_cell)
         self.service_state = CellState(self.service_cell)
-        self.batch_scheduler = MonolithicScheduler.single_path(
+        self.batch_scheduler = MonolithicScheduler(
+            "partition-batch",
             sim,
             metrics,
             self.batch_state,
             rng_batch,
             batch_model,
-            name="partition-batch",
-            attempt_limit=attempt_limit,
+            attempt_limit,
         )
-        self.service_scheduler = MonolithicScheduler.single_path(
+        self.service_scheduler = MonolithicScheduler(
+            "partition-service",
             sim,
             metrics,
             self.service_state,
             rng_service,
             service_model,
-            name="partition-service",
-            attempt_limit=attempt_limit,
+            attempt_limit,
         )
 
     def submit(self, job: Job) -> None:

@@ -1,0 +1,112 @@
+"""The one attempt body serves every Omega variant.
+
+``OmegaScheduler.attempt`` used to be written three times; the copies
+had drifted (the preempting one ignored ``job.escalated``, the MapReduce
+one recorded no ``txn.skipped``, neither told the sanitizer it was about
+to read its snapshot). These tests pin what every variant now inherits.
+"""
+
+import numpy as np
+import pytest
+
+from repro.analysis import sanitizer as _san
+from repro.cluster import Cell
+from repro.core.cellstate import CellState
+from repro.core.preemption import AllocationLedger
+from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
+from repro.core.transaction import Claim, CommitMode
+from repro.faults.retry import StarvationEscalationPolicy
+from repro.mapreduce.model import MapReduceJob, MapReduceProfile
+from repro.mapreduce.policies import NoAccelerationPolicy
+from repro.mapreduce.scheduler import MapReduceScheduler
+from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
+from repro.schedulers.base import DecisionTimeModel
+from tests.conftest import make_job
+
+MODEL = DecisionTimeModel(t_job=0.1, t_task=0.0)
+
+
+def mr_job(workers=2):
+    profile = MapReduceProfile(
+        maps=20,
+        reduces=0,
+        map_duration=60.0,
+        reduce_duration=60.0,
+        workers_configured=workers,
+        cpu_per_worker=1.0,
+        mem_per_worker=2.0,
+    )
+    return MapReduceJob.from_profile(profile, submit_time=0.0, job_id=1)
+
+
+def build(kind, sim, metrics, state):
+    args = (kind, sim, metrics, state, np.random.default_rng(0), MODEL)
+    if kind == "plain":
+        return OmegaScheduler(*args)
+    if kind == "preempting":
+        return PreemptingOmegaScheduler(*args, ledger=AllocationLedger(state, sim))
+    return MapReduceScheduler(*args, NoAccelerationPolicy())
+
+
+def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
+    state = CellState(Cell.homogeneous(2, cpu_per_machine=4.0, mem_per_machine=16.0))
+    ledger = AllocationLedger(state, sim)
+    policy = StarvationEscalationPolicy(
+        np.random.default_rng(1), escalate_after=1, base_delay=0.5, jitter=0.0
+    )
+    scheduler = PreemptingOmegaScheduler(
+        "gang",
+        sim,
+        metrics,
+        state,
+        np.random.default_rng(0),
+        MODEL,
+        ledger=ledger,
+        commit_mode=CommitMode.ALL_OR_NOTHING,
+        retry_policy=policy,
+    )
+    job = make_job(num_tasks=2, cpu=3.0, mem=3.0, duration=100.0)
+    job.precedence = 10
+    scheduler.submit(job)
+    # While the scheduler thinks, an equal-precedence (not preemptible)
+    # allocation fills machine 1: the gang commit conflicts and the
+    # policy escalates the job.
+    sim.at(0.05, ledger.register, Claim(machine=1, cpu=4.0, mem=4.0, count=1), 10, 1000.0)
+    sim.run(until=2.0)
+    assert job.escalated and job.conflicts == 1
+    assert metrics.schedulers["gang"].jobs_escalated == 1
+    # Only machine 0 has room; an escalated job takes it instead of
+    # skipping every transaction for want of a full gang plan.
+    assert job.placed_tasks == 1
+
+
+def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
+    state = CellState(Cell.homogeneous(2, cpu_per_machine=4.0, mem_per_machine=16.0))
+    for machine in range(2):
+        state.claim(machine, cpu=4.0, mem=4.0)
+    scheduler = build("mapreduce", sim, metrics, state)
+    recorder = TraceRecorder()
+    set_recorder(recorder)
+    try:
+        scheduler.submit(mr_job())
+        sim.run(until=0.15)
+    finally:
+        reset_recorder()
+    skipped = [r for r in recorder.records if r.get("name") == "txn.skipped"]
+    assert [r["fields"]["reason"] for r in skipped] == ["no_placement"]
+    assert skipped[0]["sched"] == "mapreduce"
+
+
+@pytest.mark.parametrize("kind", ["plain", "preempting", "mapreduce"])
+def test_every_variant_reports_its_snapshot_read_to_the_sanitizer(kind, sim, metrics):
+    state = CellState(Cell.homogeneous(4, cpu_per_machine=4.0, mem_per_machine=16.0))
+    san = _san.install()
+    san.begin_run()
+    try:
+        scheduler = build(kind, sim, metrics, state)
+        scheduler.submit(mr_job() if kind == "mapreduce" else make_job(num_tasks=2))
+        sim.run(until=1.0)
+    finally:
+        _san.uninstall()
+    assert san.reads_checked == 1
+    assert san.violations == 0

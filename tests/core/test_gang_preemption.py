@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger, commit_with_preemption
-from repro.core.scheduler_preempting import PreemptingOmegaScheduler
+from repro.core.scheduler import PreemptingOmegaScheduler
 from repro.core.transaction import Claim, CommitMode
 from repro.schedulers.base import DecisionTimeModel
 from tests.conftest import make_job
@@ -32,15 +32,15 @@ def claim(machine=0, cpu=1.0, mem=1.0, count=1):
 class TestGangCommitWithPreemption:
     def test_gang_succeeds_with_eviction(self, state, ledger):
         ledger.register(claim(0, cpu=3.0, mem=3.0), precedence=0, duration=100.0)
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state,
             ledger,
             [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
             precedence=10,
-            all_or_nothing=True,
+            commit_mode=CommitMode.ALL_OR_NOTHING,
         )
-        assert len(accepted) == 2 and not rejected
-        assert preempted == 1
+        assert len(result.accepted) == 2 and not result.rejected
+        assert result.preempted_tasks == 1
 
     def test_failed_gang_evicts_nothing(self, state, ledger):
         """The crucial no-hoarding property: a gang transaction that
@@ -52,30 +52,30 @@ class TestGangCommitWithPreemption:
         # gang job cannot evict, so the transaction cannot fully commit.
         ledger.register(claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
         before_cpu = state.free_cpu.copy()
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state,
             ledger,
             [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
             precedence=10,
-            all_or_nothing=True,
+            commit_mode=CommitMode.ALL_OR_NOTHING,
         )
-        assert accepted == []
-        assert len(rejected) == 2
-        assert preempted == 0
+        assert result.accepted == ()
+        assert len(result.rejected) == 2
+        assert result.preempted_tasks == 0
         assert victim.count == 1  # untouched
         assert (state.free_cpu == before_cpu).all()
 
     def test_incremental_still_takes_partial(self, state, ledger):
         ledger.register(claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state,
             ledger,
             [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
             precedence=10,
-            all_or_nothing=False,
+            commit_mode=CommitMode.INCREMENTAL,
         )
-        assert len(accepted) == 1
-        assert len(rejected) == 1
+        assert len(result.accepted) == 1
+        assert len(result.rejected) == 1
 
 
 class TestGangPreemptingScheduler:

@@ -1,11 +1,10 @@
 """Differential property tests for the placement kernels, and invariant
 property tests for the one commit path.
 
-Every vectorized placement kernel keeps its pre-vectorization scalar
-implementation as a retained reference
-(:func:`repro.core.placement._pack_reference`,
-:func:`repro.core.placement.randomized_first_fit_reference`,
-:func:`repro.core.placement._ordered_fit_reference`). These tests drive
+Every vectorized placement kernel has its pre-vectorization scalar
+implementation as an oracle in :mod:`tests.core.placement_oracles`
+(``_pack_reference``, ``randomized_first_fit_reference``,
+``_ordered_fit_reference``). These tests drive
 both sides with Hypothesis-generated cells — deliberately including
 EPSILON-boundary free values (``k * demand`` plus sub-EPSILON dust) —
 and assert the outputs are *identical*, claim for claim.
@@ -23,16 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import EPSILON, CellState, OvercommitError
-from repro.core.placement import (
-    _ordered_fit,
-    _ordered_fit_reference,
-    _pack,
-    _pack_reference,
-    randomized_first_fit,
-    randomized_first_fit_reference,
-)
+from repro.core.placement import _ordered_fit, _pack, randomized_first_fit
 from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
 from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
+from tests.core.placement_oracles import (
+    _ordered_fit_reference,
+    _pack_reference,
+    randomized_first_fit_reference,
+)
 
 #: Per-task demands the strategies draw from; 0.0 exercises the
 #: "dimension not requested" branches.

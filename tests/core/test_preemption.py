@@ -7,8 +7,7 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger, commit_with_preemption
-from repro.core.scheduler import OmegaScheduler
-from repro.core.scheduler_preempting import PreemptingOmegaScheduler
+from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
 from repro.core.transaction import Claim
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
@@ -100,29 +99,29 @@ class TestEviction:
 class TestCommitWithPreemption:
     def test_free_resources_used_before_eviction(self, state, ledger):
         ledger.register(claim(cpu=1.0, mem=1.0), precedence=0, duration=100.0)
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=10
         )
-        assert len(accepted) == 1 and not rejected
-        assert preempted == 0  # 3 cores were still free
+        assert len(result.accepted) == 1 and not result.rejected
+        assert result.preempted_tasks == 0  # 3 cores were still free
 
     def test_eviction_when_needed(self, state, ledger):
         ledger.register(claim(cpu=3.0, mem=3.0), precedence=0, duration=100.0)
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=10
         )
-        assert len(accepted) == 1
-        assert preempted == 1
+        assert len(result.accepted) == 1
+        assert result.preempted_tasks == 1
         assert state.fits(0, 0.9, 0.9)  # victim's space partially free
 
     def test_equal_precedence_not_preemptible(self, state, ledger):
         ledger.register(claim(cpu=4.0, mem=4.0), precedence=5, duration=100.0)
-        accepted, rejected, preempted = commit_with_preemption(
+        result = commit_with_preemption(
             state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=5
         )
-        assert not accepted
-        assert len(rejected) == 1
-        assert preempted == 0
+        assert not result.accepted
+        assert len(result.rejected) == 1
+        assert result.preempted_tasks == 0
 
     def test_never_overcommits(self, state, ledger):
         ledger.register(claim(cpu=2.0, mem=2.0), precedence=0, duration=100.0)

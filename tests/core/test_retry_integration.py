@@ -29,11 +29,9 @@ class AlwaysConflicting(QueueScheduler):
     """A minimal scheduler whose first ``conflicts`` attempts conflict."""
 
     def __init__(self, sim, metrics, conflicts=10**9, **kwargs):
-        super().__init__("conflicting", sim, metrics, **kwargs)
+        model = DecisionTimeModel(t_job=1.0, t_task=0.0)
+        super().__init__("conflicting", sim, metrics, model, **kwargs)
         self.remaining_conflicts = conflicts
-
-    def decision_time(self, job):
-        return 1.0
 
     def attempt(self, job):
         if self.remaining_conflicts > 0:

@@ -14,15 +14,14 @@ from tests.conftest import make_job
 class CountingScheduler(QueueScheduler):
     """Instrumented scheduler: configurable attempt outcomes."""
 
-    def __init__(self, *args, tasks_per_attempt=None, conflict_on=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.model = DecisionTimeModel(t_job=1.0, t_task=0.0)
+    def __init__(
+        self, name, sim, metrics, tasks_per_attempt=None, conflict_on=(), **kwargs
+    ):
+        model = DecisionTimeModel(t_job=1.0, t_task=0.0)
+        super().__init__(name, sim, metrics, model, **kwargs)
         self.attempt_log = []
         self.tasks_per_attempt = tasks_per_attempt
         self.conflict_on = set(conflict_on)
-
-    def decision_time(self, job):
-        return self.model.duration(job.unplaced_tasks)
 
     def attempt(self, job):
         index = len(self.attempt_log)

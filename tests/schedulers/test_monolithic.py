@@ -17,8 +17,8 @@ def state():
 
 
 def single(sim, metrics, state, t_job=1.0):
-    return MonolithicScheduler.single_path(
-        sim, metrics, state, np.random.default_rng(0),
+    return MonolithicScheduler(
+        "monolithic", sim, metrics, state, np.random.default_rng(0),
         DecisionTimeModel(t_job=t_job, t_task=0.0),
     )
 
@@ -71,13 +71,16 @@ class TestSinglePath:
 
 class TestMultiPath:
     def test_per_type_decision_times(self, sim, metrics, state):
-        scheduler = MonolithicScheduler.multi_path(
+        scheduler = MonolithicScheduler(
+            "monolithic-multipath",
             sim,
             metrics,
             state,
             np.random.default_rng(0),
-            batch_model=DecisionTimeModel(t_job=0.1, t_task=0.0),
-            service_model=DecisionTimeModel(t_job=30.0, t_task=0.0),
+            {
+                JobType.BATCH: DecisionTimeModel(t_job=0.1, t_task=0.0),
+                JobType.SERVICE: DecisionTimeModel(t_job=30.0, t_task=0.0),
+            },
         )
         assert scheduler.decision_time(make_job(job_type=JobType.BATCH)) == 0.1
         assert scheduler.decision_time(make_job(job_type=JobType.SERVICE)) == 30.0
@@ -85,13 +88,16 @@ class TestMultiPath:
     def test_still_one_job_at_a_time(self, sim, metrics, state):
         """Multi-path reduces batch decision time but cannot overlap
         decisions: HOL blocking remains (Figure 5b)."""
-        scheduler = MonolithicScheduler.multi_path(
+        scheduler = MonolithicScheduler(
+            "monolithic-multipath",
             sim,
             metrics,
             state,
             np.random.default_rng(0),
-            batch_model=DecisionTimeModel(t_job=0.1, t_task=0.0),
-            service_model=DecisionTimeModel(t_job=10.0, t_task=0.0),
+            {
+                JobType.BATCH: DecisionTimeModel(t_job=0.1, t_task=0.0),
+                JobType.SERVICE: DecisionTimeModel(t_job=10.0, t_task=0.0),
+            },
         )
         service = make_job(job_type=JobType.SERVICE)
         batch = make_job(job_type=JobType.BATCH)

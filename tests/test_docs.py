@@ -122,3 +122,39 @@ def test_registered_command_is_documented(name):
         assert any(argument.flag in line for line in lines), (
             f"no doc line naming `omega-sim {name}` shows {argument.flag}"
         )
+
+
+def test_one_attempt_body_and_one_service_loop():
+    """DESIGN.md §3.4's structural claim: the sync → plan → commit →
+    resolve transaction is written once (one class whose ``attempt``
+    calls a commit; specialised schedulers are plans), and the think-
+    start / think-complete bookkeeping once, in ``schedulers/base.py``."""
+    import ast
+
+    committing, bookkeepers = [], []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(ROOT / "src" / "repro").as_posix()
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "attempt":
+                    callees = {
+                        getattr(call.func, "attr", getattr(call.func, "id", ""))
+                        for call in ast.walk(method)
+                        if isinstance(call, ast.Call)
+                    }
+                    if callees & {"commit", "_commit", "commit_with_preemption"}:
+                        committing.append(f"{where}:{cls.name}")
+        if where == "schedulers/base.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(ast.unparse(target) == "self._busy" for target in targets):
+                    bookkeepers.append(f"{where}:{node.lineno} assigns self._busy")
+            elif isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", "") == "record_busy"
+            ):
+                bookkeepers.append(f"{where}:{node.lineno} calls record_busy")
+    assert committing == ["core/scheduler.py:OmegaScheduler"]
+    assert not bookkeepers, "\n".join(bookkeepers)
