@@ -247,35 +247,44 @@ class CellState:
         Raises :class:`OvercommitError` if they do not fit — commit
         logic must check first; this is the last-line safety net that
         keeps the master copy consistent ("all must agree on ... a
-        common notion of whether a machine is full").
+        common notion of whether a machine is full"). A negative or NaN
+        size raises :class:`ValueError` with nothing written.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         total_cpu = cpu * count
         total_mem = mem * count
-        if (
-            self.free_cpu[machine] + EPSILON < total_cpu
-            or self.free_mem[machine] + EPSILON < total_mem
-        ):
+        if not (total_cpu >= 0.0 and total_mem >= 0.0):
+            raise ValueError(
+                f"claim sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
+            )
+        # ``item()`` reads a python float: each field is read once,
+        # worked on as an unboxed double (same IEEE-754 results as the
+        # ``np.float64`` scalars) and stored once.
+        free_cpu = self.free_cpu.item(machine)
+        free_mem = self.free_mem.item(machine)
+        if free_cpu + EPSILON < total_cpu or free_mem + EPSILON < total_mem:
             raise OvercommitError(
                 f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
-                f"machine {machine} (free: {self.free_cpu[machine]} cpu, "
-                f"{self.free_mem[machine]} mem)"
+                f"machine {machine} (free: {free_cpu} cpu, {free_mem} mem)"
             )
         if _san.ACTIVE is not None:
             _san.ACTIVE.on_master_write(self, "claim", machine, cpu, mem, count)
-        self.free_cpu[machine] -= total_cpu
-        self.free_mem[machine] -= total_mem
+        free_cpu -= total_cpu
+        free_mem -= total_mem
         # Clamp float dust so "exactly full" machines read as full, not
         # as negative free capacity.
-        if self.free_cpu[machine] < 0.0:
-            self.free_cpu[machine] = 0.0
-        if self.free_mem[machine] < 0.0:
-            self.free_mem[machine] = 0.0
+        if free_cpu < 0.0:
+            free_cpu = 0.0
+        if free_mem < 0.0:
+            free_mem = 0.0
+        self.free_cpu[machine] = free_cpu
+        self.free_mem[machine] = free_mem
         self._used_cpu += total_cpu
         self._used_mem += total_mem
-        self.seq[machine] += 1
-        self._touch(machine)
+        self.seq[machine] = self.seq.item(machine) + 1
+        self.version += 1
+        self._changelog.append(machine)
 
     def release(self, machine: int, cpu: float, mem: float, count: int = 1) -> None:
         """Return ``count`` tasks' resources on ``machine`` (task end or
@@ -284,12 +293,17 @@ class CellState:
             raise ValueError(f"count must be >= 1, got {count}")
         total_cpu = cpu * count
         total_mem = mem * count
-        new_free_cpu = self.free_cpu[machine] + total_cpu
-        new_free_mem = self.free_mem[machine] + total_mem
-        if (
-            new_free_cpu > self.cell.cpu_capacity[machine] + EPSILON
-            or new_free_mem > self.cell.mem_capacity[machine] + EPSILON
-        ):
+        if not (total_cpu >= 0.0 and total_mem >= 0.0):
+            raise ValueError(
+                f"release sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
+            )
+        old_free_cpu = self.free_cpu.item(machine)
+        old_free_mem = self.free_mem.item(machine)
+        cpu_capacity = self.cell.cpu_capacity.item(machine)
+        mem_capacity = self.cell.mem_capacity.item(machine)
+        new_free_cpu = old_free_cpu + total_cpu
+        new_free_mem = old_free_mem + total_mem
+        if new_free_cpu > cpu_capacity + EPSILON or new_free_mem > mem_capacity + EPSILON:
             raise OvercommitError(
                 f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
                 f"{machine} exceeds its capacity"
@@ -300,18 +314,23 @@ class CellState:
         # when the clamp below trims float dust off ``new_free_*``, the
         # used totals must shrink by the trimmed amount too, or they
         # drift away from ``capacity - free.sum()``.
-        old_free_cpu = float(self.free_cpu[machine])
-        old_free_mem = float(self.free_mem[machine])
-        self.free_cpu[machine] = min(new_free_cpu, self.cell.cpu_capacity[machine])
-        self.free_mem[machine] = min(new_free_mem, self.cell.mem_capacity[machine])
-        self._used_cpu -= float(self.free_cpu[machine]) - old_free_cpu
-        self._used_mem -= float(self.free_mem[machine]) - old_free_mem
-        if self._used_cpu < 0.0:
-            self._used_cpu = 0.0
-        if self._used_mem < 0.0:
-            self._used_mem = 0.0
-        self.seq[machine] += 1
-        self._touch(machine)
+        if new_free_cpu > cpu_capacity:
+            new_free_cpu = cpu_capacity
+        if new_free_mem > mem_capacity:
+            new_free_mem = mem_capacity
+        self.free_cpu[machine] = new_free_cpu
+        self.free_mem[machine] = new_free_mem
+        used_cpu = self._used_cpu - (new_free_cpu - old_free_cpu)
+        used_mem = self._used_mem - (new_free_mem - old_free_mem)
+        if used_cpu < 0.0:
+            used_cpu = 0.0
+        if used_mem < 0.0:
+            used_mem = 0.0
+        self._used_cpu = used_cpu
+        self._used_mem = used_mem
+        self.seq[machine] = self.seq.item(machine) + 1
+        self.version += 1
+        self._changelog.append(machine)
 
     def claim_batch(self, claims: "Sequence[Claim]") -> None:
         """Allocate every claim's resources, in order.
@@ -321,8 +340,3 @@ class CellState:
         """
         for claim in claims:
             self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
-
-    def _touch(self, machine: int) -> None:
-        """Record one mutation of ``machine`` in the bounded changelog."""
-        self.version += 1
-        self._changelog.append(int(machine))

@@ -37,8 +37,8 @@ def populate(
     num_machines = len(order)
     cursor = 0
     placed = 0
-    free_cpu = state.free_cpu
-    free_mem = state.free_mem
+    cpu_at = state.free_cpu.item
+    mem_at = state.free_mem.item
     claim = state.claim
     schedule = None if sim is None else sim.at
     san = _san.ACTIVE
@@ -47,10 +47,7 @@ def populate(
         for cpu, mem, duration, _ in tasks:
             for step in range(num_machines):
                 machine = order[(cursor + step) % num_machines]
-                if (
-                    free_cpu[machine] + EPSILON >= cpu
-                    and free_mem[machine] + EPSILON >= mem
-                ):
+                if cpu_at(machine) + EPSILON >= cpu and mem_at(machine) + EPSILON >= mem:
                     cursor = (cursor + step) % num_machines
                     break
             else:

@@ -54,7 +54,7 @@ def randomized_first_fit(
     O(tasks placed) machines on a mostly-free cell instead of shuffling
     all ``n`` candidates. If a whole block makes no progress, or
     :data:`MAX_SAMPLE_BLOCKS` blocks still leave tasks unplaced, the
-    exact fallback shuffles the not-yet-examined candidates and packs
+    exact fallback shuffles the not-yet-claimed candidates and packs
     them — so the kernel remains work-conserving: it places fewer than
     ``num_tasks`` only when the view truly lacks room.
     """
@@ -62,7 +62,7 @@ def randomized_first_fit(
     num_machines = free_cpu.shape[0]
     claims: list[Claim] = []
     remaining = num_tasks
-    examined: set[int] = set()
+    claimed: set[int] = set()
     # ``item()`` returns python floats, so the per-draw work below runs
     # on unboxed doubles (same IEEE-754 results as the array ufuncs,
     # several times faster at this size).
@@ -72,18 +72,20 @@ def randomized_first_fit(
         draws = (rng.random(SAMPLE_BLOCK) * num_machines).astype(np.int64)
         progressed = False
         for machine in draws.tolist():
-            if machine in examined:
-                continue
-            examined.add(machine)
             have_cpu = cpu_at(machine) + EPSILON
             have_mem = mem_at(machine) + EPSILON
-            if have_cpu < cpu or have_mem < mem:
+            if have_cpu < cpu or have_mem < mem or machine in claimed:
                 continue
+            claimed.add(machine)
             count = remaining
             if cpu > 0:
-                count = min(count, int(have_cpu // cpu))
+                limit = int(have_cpu // cpu)
+                if limit < count:
+                    count = limit
             if mem > 0:
-                count = min(count, int(have_mem // mem))
+                limit = int(have_mem // mem)
+                if limit < count:
+                    count = limit
             claims.append(Claim(machine, cpu, mem, count))
             remaining -= count
             progressed = True
@@ -91,13 +93,15 @@ def randomized_first_fit(
                 return claims
         if not progressed:
             break
-    # Exact fallback: every feasible machine not yet examined, in a
-    # uniformly random order. Machines already claimed from are full
-    # w.r.t. per-task limits (otherwise remaining would be 0), so
-    # excluding ``examined`` loses nothing.
+    # Exact fallback: every feasible machine not yet claimed from, in a
+    # uniformly random order. The views are never written here, so a
+    # machine that was infeasible when drawn is infeasible in the mask
+    # too and needs no remembering; machines already claimed from are
+    # full w.r.t. per-task limits (otherwise remaining would be 0), so
+    # excluding ``claimed`` loses nothing.
     mask = (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
-    if examined:
-        mask[sorted(examined)] = False
+    if claimed:
+        mask[sorted(claimed)] = False
     candidates = np.flatnonzero(mask)
     if candidates.size:
         rng.shuffle(candidates)

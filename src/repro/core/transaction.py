@@ -89,18 +89,6 @@ class CommitResult:
         return not self.rejected
 
 
-def _acceptable_count(state: CellState, claim: Claim) -> int:
-    """How many of the claim's tasks still fit on the live machine."""
-    per_task_limits = []
-    if claim.cpu > 0:
-        per_task_limits.append(int((state.free_cpu[claim.machine] + EPSILON) // claim.cpu))
-    if claim.mem > 0:
-        per_task_limits.append(int((state.free_mem[claim.machine] + EPSILON) // claim.mem))
-    if not per_task_limits:
-        return claim.count
-    return min(claim.count, *per_task_limits)
-
-
 def commit(
     state: CellState,
     claims: list[Claim] | tuple[Claim, ...],
@@ -146,49 +134,56 @@ def commit(
     accepted: list[Claim] = []
     rejected: list[Claim] = []
 
+    # Python floats and ints from ``item()``: the per-claim work runs on
+    # unboxed scalars (same IEEE-754 results as ``np.float64``).
+    coarse = conflict_mode is ConflictMode.COARSE
+    incremental = commit_mode is CommitMode.INCREMENTAL
+    cpu_at = state.free_cpu.item
+    mem_at = state.free_mem.item
+    live_seq = state.seq.item
+    seen_seq = snapshot.seq.item
     for claim in claims:
-        if conflict_mode is ConflictMode.COARSE and (
-            state.seq[claim.machine] != snapshot.seq[claim.machine]
-        ):
+        machine = claim.machine
+        count = claim.count
+        if coarse and live_seq(machine) != seen_seq(machine):
             # Coarse-grained: any change to the machine since sync is a
             # conflict, even if the claim would still fit.
             rejected.append(claim)
             if on_conflict is not None:
-                on_conflict(claim.machine, claim.count, "stale_sequence")
+                on_conflict(machine, count, "stale_sequence")
             if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count,
-                    cause="stale_sequence",
-                )
+                rec.event("txn.conflict", machine=machine, tasks=count, cause="stale_sequence")
             continue
-        ok = _acceptable_count(state, claim)
-        if ok >= claim.count:
+        # How many of the claim's tasks still fit on the live machine.
+        ok = count
+        if claim.cpu > 0:
+            limit = int((cpu_at(machine) + EPSILON) // claim.cpu)
+            if limit < ok:
+                ok = limit
+        if claim.mem > 0:
+            limit = int((mem_at(machine) + EPSILON) // claim.mem)
+            if limit < ok:
+                ok = limit
+        if ok >= count:
             accepted.append(claim)
-        elif ok > 0 and commit_mode is CommitMode.INCREMENTAL:
+        elif ok > 0 and incremental:
             accepted.append(replace(claim, count=ok))
-            rejected.append(replace(claim, count=claim.count - ok))
+            rejected.append(replace(claim, count=count - ok))
             if on_conflict is not None:
-                on_conflict(claim.machine, claim.count - ok, "partial_capacity")
+                on_conflict(machine, count - ok, "partial_capacity")
             if tracing:
                 rec.event(
                     "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count - ok,
+                    machine=machine,
+                    tasks=count - ok,
                     cause="partial_capacity",
                 )
         else:
             rejected.append(claim)
             if on_conflict is not None:
-                on_conflict(claim.machine, claim.count, "capacity")
+                on_conflict(machine, count, "capacity")
             if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=claim.machine,
-                    tasks=claim.count,
-                    cause="capacity",
-                )
+                rec.event("txn.conflict", machine=machine, tasks=count, cause="capacity")
 
     if commit_mode is CommitMode.ALL_OR_NOTHING and rejected:
         # Gang scheduling: one conflict rejects the entire transaction.

@@ -231,8 +231,18 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
+def _amount(record: dict, key: str) -> float:
+    """``record[key]``, refused unless it is a non-negative number."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+        raise ValueError(f"{key} must be a non-negative number, got {value!r}")
+    return value
+
+
 def read_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`write_trace`."""
+    """Read a trace written by :func:`write_trace`; a record it cannot
+    replay (missing field, negative or NaN amount, ``num_tasks < 1``)
+    raises ``ValueError("<path>:<line>: ...")``."""
     path = Path(path)
     name = path.stem
     horizon = 0.0
@@ -246,44 +256,54 @@ def read_trace(path: str | Path) -> Trace:
                 continue
             record = json.loads(line)
             kind = record.get("kind")
-            if kind == "header":
-                name = record["name"]
-                horizon = float(record["horizon"])
-            elif kind == "machine":
-                machines.append(
-                    TraceMachine(
-                        cpu=record["cpu"],
-                        mem=record["mem"],
-                        rack=record["rack"],
-                        attributes=record.get("attributes", {}),
+            try:
+                if kind == "header":
+                    name = record["name"]
+                    horizon = float(record["horizon"])
+                elif kind == "machine":
+                    machines.append(
+                        TraceMachine(
+                            cpu=_amount(record, "cpu"),
+                            mem=_amount(record, "mem"),
+                            rack=record["rack"],
+                            attributes=record.get("attributes", {}),
+                        )
                     )
-                )
-            elif kind == "initial_task":
-                initial_tasks.append(
-                    StandingTask(
-                        cpu=record["cpu"],
-                        mem=record["mem"],
-                        duration=record["duration"],
-                        job_type=JobType(record["job_type"]),
+                elif kind == "initial_task":
+                    initial_tasks.append(
+                        StandingTask(
+                            cpu=_amount(record, "cpu"),
+                            mem=_amount(record, "mem"),
+                            duration=_amount(record, "duration"),
+                            job_type=JobType(record["job_type"]),
+                        )
                     )
-                )
-            elif kind == "job":
-                jobs.append(
-                    TraceJob(
-                        submit_time=record["submit_time"],
-                        job_type=JobType(record["job_type"]),
-                        num_tasks=record["num_tasks"],
-                        cpu_per_task=record["cpu_per_task"],
-                        mem_per_task=record["mem_per_task"],
-                        duration=record["duration"],
-                        constraints=tuple(
-                            Constraint.from_tuple(c)
-                            for c in record.get("constraints", [])
-                        ),
+                elif kind == "job":
+                    num_tasks = record["num_tasks"]
+                    if not isinstance(num_tasks, int) or num_tasks < 1:
+                        raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks!r}")
+                    jobs.append(
+                        TraceJob(
+                            submit_time=_amount(record, "submit_time"),
+                            job_type=JobType(record["job_type"]),
+                            num_tasks=num_tasks,
+                            cpu_per_task=_amount(record, "cpu_per_task"),
+                            mem_per_task=_amount(record, "mem_per_task"),
+                            duration=_amount(record, "duration"),
+                            constraints=tuple(
+                                Constraint.from_tuple(c)
+                                for c in record.get("constraints", [])
+                            ),
+                        )
                     )
-                )
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown record kind {kind!r}")
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except KeyError as missing:
+                raise ValueError(
+                    f"{path}:{line_number}: {kind} record has no {missing} field"
+                ) from None
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_number}: {error}") from error
     return Trace(
         name=name,
         horizon=horizon,

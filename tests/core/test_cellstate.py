@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import sanitizer
 from repro.cluster import Cell
 from repro.core.cellstate import CellState, OvercommitError
 from repro.core.transaction import Claim
@@ -18,6 +19,18 @@ def cell():
 @pytest.fixture
 def state(cell):
     return CellState(cell)
+
+
+def _bits(state):
+    return (
+        state.free_cpu.tobytes(),
+        state.free_mem.tobytes(),
+        state.seq.tobytes(),
+        float(state.used_cpu).hex(),
+        float(state.used_mem).hex(),
+        state.version,
+        list(state._changelog),
+    )
 
 
 class TestClaimRelease:
@@ -63,6 +76,38 @@ class TestClaimRelease:
             state.claim(0, 1.0, 1.0, count=0)
         with pytest.raises(ValueError):
             state.release(0, 1.0, 1.0, count=-1)
+
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("claim", (0, -0.5, 0.1)),  # would leave free_cpu[0] == 1.5
+            ("release", (1, -0.5, 0.0)),  # would take capacity away
+            ("claim", (2, float("nan"), 0.1)),  # would poison free and used
+            ("claim", (0, 0.1, -0.5)),
+            ("release", (1, 0.0, float("nan"))),
+        ],
+    )
+    def test_negative_and_nan_sizes_raise_before_any_write(self, monkeypatch, op, args):
+        class NoWrites:
+            def on_master_write(self, *call):
+                raise AssertionError(f"sanitizer hook reached: {call}")
+
+        state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
+        state.claim(1, 0.5, 0.5)
+        before = _bits(state)
+        monkeypatch.setattr(sanitizer, "ACTIVE", NoWrites())
+        with pytest.raises(ValueError, match="non-negative"):
+            getattr(state, op)(*args)
+        assert _bits(state) == before
+
+    def test_zero_sizes_stay_legal(self, state):
+        # FailureRepairProcess.fail withholds whatever is free, which may
+        # be 0.0 in one dimension.
+        state.claim(0, 4.0, 0.0)
+        state.claim(0, 0.0, 16.0)
+        state.release(0, 0.0, 16.0)
+        assert state.free_cpu[0] == 0.0 and state.free_mem[0] == 16.0
+        assert state.seq[0] == 3
 
     def test_claim_batch_applies_in_order_up_to_the_first_misfit(self, state):
         claims = [

@@ -12,8 +12,9 @@ and assert the outputs are *identical*, claim for claim.
 :func:`repro.core.transaction.commit` has no second implementation to
 compare against; large transactions (duplicate machines, stale
 snapshots, a contended hot set, gang aborts) are checked against what
-any correct commit must leave behind. Exact float equality below is
-intentional.
+any correct commit must leave behind, and its accepted counts against
+the same division done as ``np.float64`` array arithmetic. Exact float
+equality below is intentional.
 """
 
 import numpy as np
@@ -86,6 +87,22 @@ class TestPackEquivalence:
             assert got[0].count == expected
 
 
+def _assert_same_plan_and_stream(free_cpu, free_mem, cpu, mem, num_tasks, seed):
+    """Kernel and reference return the same claims and leave the
+    generator at the same point of its stream."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    views = free_cpu.copy(), free_mem.copy()
+    got = randomized_first_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng)
+    want = randomized_first_fit_reference(
+        free_cpu, free_mem, cpu, mem, num_tasks, reference_rng
+    )
+    assert got == want
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    # The claimed-only set rests on this: the kernel never writes its views.
+    assert np.array_equal(free_cpu, views[0]) and np.array_equal(free_mem, views[1])
+    return got
+
+
 class TestRandomizedFirstFitEquivalence:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -104,13 +121,50 @@ class TestRandomizedFirstFitEquivalence:
         # free cells stay on the sampled path.
         free_cpu = np.where(setup.random(n) < fill, setup.random(n) * 4.0, 0.0)
         free_mem = np.where(setup.random(n) < fill, setup.random(n) * 8.0, 0.0)
-        got = randomized_first_fit(
-            free_cpu, free_mem, cpu, mem, num_tasks, np.random.default_rng(seed)
+        _assert_same_plan_and_stream(free_cpu, free_mem, cpu, mem, num_tasks, seed)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        unit=st.sampled_from(TASK_SIZES[1:]),
+        num_tasks=st.integers(1, 64),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tiny_cells_where_duplicate_draws_are_certain(
+        self, seed, n, unit, num_tasks, data
+    ):
+        # SAMPLE_BLOCK draws over <= 8 machines: every machine comes up
+        # many times, claimed and infeasible ones alike.
+        free_cpu = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
+        free_mem = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
+        claims = _assert_same_plan_and_stream(
+            free_cpu, free_mem, unit, unit, num_tasks, seed
         )
-        want = randomized_first_fit_reference(
-            free_cpu, free_mem, cpu, mem, num_tasks, np.random.default_rng(seed)
-        )
-        assert got == want
+        machines = [claim.machine for claim in claims]
+        assert len(set(machines)) == len(machines)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(40, 400),
+        full=st.floats(0.95, 1.0),
+        num_tasks=st.integers(1, 200),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_cells_at_least_95_percent_full(self, seed, n, full, num_tasks):
+        # Few machines have room, so the sampled blocks rarely finish the
+        # job: the shuffled fallback runs whenever demand outlasts them
+        # (always, when it exceeds what the cell holds).
+        setup = np.random.default_rng(seed ^ 0x5A5A)
+        room = setup.random(n) >= full
+        free_cpu = np.where(room, 0.5 + setup.random(n) * 2.0, setup.random(n) * 0.4)
+        free_mem = np.where(room, 1.0 + setup.random(n) * 4.0, setup.random(n) * 0.9)
+        claims = _assert_same_plan_and_stream(free_cpu, free_mem, 0.5, 1.0, num_tasks, seed)
+        # Work-conserving: short of num_tasks only when the view lacks room.
+        capacity = np.minimum(
+            (free_cpu[room] + EPSILON) // 0.5, (free_mem[room] + EPSILON) // 1.0
+        ).sum()
+        assert sum(claim.count for claim in claims) == min(num_tasks, int(capacity))
 
     def test_rejects_negative_requests(self):
         free = np.ones(4)
@@ -307,6 +361,64 @@ class TestCommitInvariants:
                 _assert_master_equals(
                     state, (free_cpu, free_mem, seq, version + len(result.accepted))
                 )
+
+    @given(
+        units=st.lists(
+            st.tuples(st.sampled_from(TASK_SIZES), st.sampled_from(TASK_SIZES)),
+            min_size=LARGE_TXN_CLAIMS,
+            max_size=20,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_counts_match_array_arithmetic(self, units, data):
+        # One claim per machine, each machine's free values sitting on
+        # the claim's own EPSILON boundary; every fourth machine is
+        # touched after the snapshot so COARSE has something to reject.
+        n = len(units)
+        claims = [
+            Claim(m, cpu if cpu or mem else 0.5, mem, data.draw(st.integers(1, 6)))
+            for m, (cpu, mem) in enumerate(units)
+        ]
+        targets = [
+            (data.draw(_boundary_free(c.cpu)), data.draw(_boundary_free(c.mem)))
+            for c in claims
+        ]
+        for conflict_mode in ConflictMode:
+            for commit_mode in CommitMode:
+                state = CellState(Cell.homogeneous(n, cpu_per_machine=16.0, mem_per_machine=16.0))
+                for m, (free_cpu, free_mem) in enumerate(targets):
+                    state.claim(m, 16.0 - free_cpu, 16.0 - free_mem, 1)
+                snapshot = state.snapshot()
+                for m in range(0, n, 4):
+                    state.claim(m, 0.0, 0.0, 1)
+                # The accepted count per claim, as np.float64 array arithmetic.
+                machines = np.array([c.machine for c in claims])
+                cpu = np.array([c.cpu for c in claims])
+                mem = np.array([c.mem for c in claims])
+                count = np.array([c.count for c in claims])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    by_cpu = np.floor_divide(state.free_cpu[machines] + EPSILON, cpu)
+                    by_mem = np.floor_divide(state.free_mem[machines] + EPSILON, mem)
+                ok = np.minimum(
+                    count,
+                    np.minimum(np.where(cpu > 0, by_cpu, np.inf), np.where(mem > 0, by_mem, np.inf)),
+                ).astype(np.int64)
+                if conflict_mode is ConflictMode.COARSE:
+                    ok[state.seq[machines] != snapshot.seq[machines]] = 0
+                if commit_mode is CommitMode.ALL_OR_NOTHING:
+                    ok = np.where(ok < count, 0, ok)
+                    if (ok < count).any():
+                        ok[:] = 0
+                want_accepted = [
+                    (c.machine, k) for c, k in zip(claims, ok.tolist()) if k
+                ]
+                want_rejected = [
+                    (c.machine, c.count - k) for c, k in zip(claims, ok.tolist()) if k < c.count
+                ]
+                result = commit(state, claims, snapshot, conflict_mode, commit_mode)
+                assert [(c.machine, c.count) for c in result.accepted] == want_accepted
+                assert [(c.machine, c.count) for c in result.rejected] == want_rejected
 
     def test_gang_abort_leaves_master_untouched(self):
         n = 12

@@ -93,6 +93,75 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="unknown record kind"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"kind": "machine", "cpu": -4.0, "mem": 16.0, "rack": 0}', "cpu must be"),
+            ('{"kind": "machine", "cpu": 4.0, "mem": NaN, "rack": 0}', "mem must be"),
+            ('{"kind": "machine", "cpu": 4.0, "rack": 0}', "machine record has no 'mem'"),
+            (
+                '{"kind": "initial_task", "cpu": "1", "mem": 1.0, "duration": 5.0,'
+                ' "job_type": "batch"}',
+                "cpu must be",
+            ),
+            (
+                '{"kind": "initial_task", "cpu": 1.0, "mem": -1.0, "duration": 5.0,'
+                ' "job_type": "batch"}',
+                "mem must be",
+            ),
+            (
+                '{"kind": "initial_task", "cpu": 1.0, "mem": 1.0, "duration": NaN,'
+                ' "job_type": "batch"}',
+                "duration must be",
+            ),
+            (
+                '{"kind": "initial_task", "cpu": 1.0, "mem": 1.0, "job_type": "batch"}',
+                "initial_task record has no 'duration'",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch", "num_tasks": 0,'
+                ' "cpu_per_task": 1.0, "mem_per_task": 1.0, "duration": 5.0}',
+                "num_tasks must be",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch", "num_tasks": 2.5,'
+                ' "cpu_per_task": 1.0, "mem_per_task": 1.0, "duration": 5.0}',
+                "num_tasks must be",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch", "num_tasks": 2,'
+                ' "cpu_per_task": -0.5, "mem_per_task": 1.0, "duration": 5.0}',
+                "cpu_per_task must be",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch", "num_tasks": 2,'
+                ' "cpu_per_task": 0.5, "mem_per_task": true, "duration": 5.0}',
+                "mem_per_task must be",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch", "num_tasks": 2,'
+                ' "cpu_per_task": 0.5, "mem_per_task": 1.0, "duration": -5.0}',
+                "duration must be",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "batch",'
+                ' "cpu_per_task": 0.5, "mem_per_task": 1.0, "duration": 5.0}',
+                "job record has no 'num_tasks'",
+            ),
+            (
+                '{"kind": "job", "submit_time": 1.0, "job_type": "nightly", "num_tasks": 2,'
+                ' "cpu_per_task": 0.5, "mem_per_task": 1.0, "duration": 5.0}',
+                "nightly",
+            ),
+        ],
+    )
+    def test_bad_records_are_refused_with_path_and_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "header", "name": "x", "horizon": 10}\n\n' + record + "\n")
+        with pytest.raises(ValueError, match=message) as raised:
+            read_trace(path)
+        assert str(raised.value).startswith(f"{path}:3: ")
+
     def test_blank_lines_skipped(self, trace, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)

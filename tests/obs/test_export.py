@@ -74,7 +74,10 @@ class TestAtomicMode:
         target = tmp_path / "trace.jsonl"
         writer = JsonlWriter(str(target), atomic=True)
         writer.write({"a": 1})
-        del writer  # simulate a crash: close() never runs
+        # Simulate a crash: close() never runs, so nothing is renamed.
+        assert not target.exists()
+        assert (tmp_path / "trace.jsonl.tmp").exists()
+        writer._file.close()  # the handle only; the writer stays abandoned
         assert not target.exists()
 
     def test_recorder_trace_is_atomic(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.obs import (
     NULL_RECORDER,
     NullRecorder,
@@ -163,7 +165,7 @@ class TestFileBacked:
         rec.close()
         assert rec.records == []  # keep_records defaults off with a path
         assert rec.records_emitted == 2
-        lines = [l for l in open(path).read().splitlines() if l]
+        lines = [l for l in Path(path).read_text().splitlines() if l]
         assert len(lines) == 2
 
     def test_keep_records_true_with_path_keeps_both(self, tmp_path):
@@ -172,7 +174,7 @@ class TestFileBacked:
         rec.event("a")
         rec.close()
         assert len(rec.records) == 1
-        assert open(path).read().strip()
+        assert Path(path).read_text().strip()
 
     def test_close_is_idempotent(self, tmp_path):
         rec = TraceRecorder(path=str(tmp_path / "t.jsonl"))
