@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -35,7 +36,7 @@ class Machine:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"machine index must be >= 0, got {self.index}")
-        if self.cpu <= 0 or self.mem <= 0:
+        if not (0 < self.cpu < math.inf and 0 < self.mem < math.inf):
             raise ValueError(
                 f"machine capacities must be positive (cpu={self.cpu}, mem={self.mem})"
             )

@@ -20,6 +20,16 @@ class TestMachineValidation:
         with pytest.raises(ValueError, match="positive"):
             Machine(index=0, cpu=cpu, mem=mem)
 
+    @pytest.mark.parametrize(
+        "cpu,mem",
+        [(float("nan"), 16.0), (4.0, float("nan")), (float("inf"), 16.0), (4.0, float("inf"))],
+    )
+    def test_nan_and_infinite_capacity_rejected(self, cpu, mem):
+        """A NaN capacity would make a NaN placement score, on which
+        ``np.partition`` and ``np.argsort`` disagree."""
+        with pytest.raises(ValueError, match="positive"):
+            Machine(index=0, cpu=cpu, mem=mem)
+
     def test_attributes_are_read_only(self):
         machine = Machine(index=0, cpu=4.0, mem=16.0, attributes={"arch": "x86"})
         with pytest.raises(TypeError):

@@ -23,7 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import EPSILON, CellState, OvercommitError
-from repro.core.placement import _ordered_fit, _pack, randomized_first_fit
+from repro.core.placement import (
+    _ordered_fit,
+    _pack,
+    _stable_prefix,
+    randomized_first_fit,
+)
 from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
 from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
 from tests.core.placement_oracles import (
@@ -203,6 +208,64 @@ class TestOrderedFitEquivalence:
             free_cpu, free_mem, cpu, mem, num_tasks, rng, descending
         )
         assert plain == reference
+
+    @given(
+        n=st.integers(1, 48),
+        unit=st.sampled_from(TASK_SIZES[1:]),
+        num_tasks=st.integers(1, 64),
+        descending=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_agree_on_heavy_ties_at_the_fit_boundary(
+        self, n, unit, num_tasks, descending, data
+    ):
+        # Free values are few multiples of the demand plus EPSILON dust,
+        # so many machines share a key and the prefix cut lands in ties.
+        free_cpu = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
+        free_mem = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
+        rng = np.random.default_rng(0)
+        plain = _ordered_fit(free_cpu, free_mem, unit, unit, num_tasks, rng, descending)
+        reference = _ordered_fit_reference(
+            free_cpu, free_mem, unit, unit, num_tasks, rng, descending
+        )
+        assert plain == reference
+
+
+class TestStablePrefix:
+    """``_stable_prefix`` is an exact prefix of the stable order: the
+    ``k`` smallest keys and every tie of the k-th, in argsort order."""
+
+    @given(
+        keys=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_of_stable_argsort_and_lexsort(self, keys, data):
+        keys = np.array(keys, dtype=np.float64)
+        n = keys.size
+        # k = 1, k on a tie boundary (the end of some key's run), and k >= n.
+        boundaries = np.cumsum(np.unique(keys, return_counts=True)[1]).tolist()
+        k = data.draw(
+            st.one_of(
+                st.just(1),
+                st.sampled_from(boundaries),
+                st.integers(1, n),
+                st.integers(n, n + 3),
+            )
+        )
+        prefix = _stable_prefix(keys, k)
+        full = np.argsort(keys, kind="stable")
+        assert prefix.tolist() == full[: prefix.size].tolist()
+        assert prefix.tolist() == np.lexsort((np.arange(n), keys))[: prefix.size].tolist()
+        if k >= n:
+            assert prefix.size == n
+        else:
+            # Exactly the keys up to the k-th smallest, ties included.
+            kth = np.sort(keys)[k - 1]
+            assert prefix.size == int((keys <= kth).sum()) >= k
+            if k in boundaries:
+                assert prefix.size == k
 
 
 # ----------------------------------------------------------------------
