@@ -12,9 +12,10 @@ package enforces them two ways:
   ``# omega-lint: disable=RULE`` suppressions, and ``[tool.omega-lint]``
   configuration in pyproject.toml;
 * **at runtime** — :mod:`repro.analysis.determinism` runs an experiment
-  twice with one master seed and fails on any trace divergence, and
-  :mod:`repro.analysis.sanitizer` ("omega-san") checks transaction
-  isolation live when a run is started with ``--sanitize``.
+  twice with one master seed and fails on any trace divergence.
+
+The simulator never imports this package: a run's own check is the
+post-point invariant gate, ``repro.world.World.check_invariants``.
 
 The per-file rules are joined by interprocedural ones
 (DET101/DET102/TXN101 in :mod:`repro.analysis.taint`) that propagate
@@ -32,8 +33,6 @@ from repro.analysis.taint import ALL_PROJECT_RULES, PROJECT_RULES_BY_ID
 # The determinism gate lives in repro.analysis.determinism and is not
 # re-exported here: importing it eagerly would shadow
 # ``python -m repro.analysis.determinism`` (runpy double-import).
-# repro.analysis.sanitizer is likewise imported lazily by its users:
-# the core hot paths guard every hook behind `sanitizer.ACTIVE is None`.
 
 __all__ = [
     "ALL_PROJECT_RULES",

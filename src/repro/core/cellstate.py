@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.cluster import Cell
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (transaction -> cellstate)
@@ -101,10 +100,7 @@ class CellSnapshot:
         :meth:`resync` restore those machines from the master copy even
         when the master itself did not touch them.
         """
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_snapshot_mutation(self)
-        machine = int(machine)
-        self._local_dirty.add(machine)
+        self._local_dirty.add(int(machine))
 
     def resync(self, state: "CellState", time: float | None = None) -> "CellSnapshot":
         """Refresh this snapshot to the master's current state, in place.
@@ -116,8 +112,6 @@ class CellSnapshot:
         element-wise identical to a fresh :meth:`CellState.snapshot`
         (property-tested in ``tests/core/test_resync.py``).
         """
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_snapshot_mutation(self)
         behind = state.version - self.version
         if behind < 0:
             raise ValueError(
@@ -268,8 +262,6 @@ class CellState:
                 f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
                 f"machine {machine} (free: {free_cpu} cpu, {free_mem} mem)"
             )
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_master_write(self, "claim", machine, cpu, mem, count)
         free_cpu -= total_cpu
         free_mem -= total_mem
         # Clamp float dust so "exactly full" machines read as full, not
@@ -308,8 +300,6 @@ class CellState:
                 f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
                 f"{machine} exceeds its capacity"
             )
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_master_write(self, "release", machine, cpu, mem, count)
         # Subtract only the delta actually applied to the free arrays:
         # when the clamp below trims float dust off ``new_free_*``, the
         # used totals must shrink by the trimmed amount too, or they

@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellState
 from repro.sim import Simulator
 from repro.workload.generator import StandingTask
@@ -41,20 +40,18 @@ def populate(
     mem_at = state.free_mem.item
     claim = state.claim
     schedule = None if sim is None else sim.at
-    san = _san.ACTIVE
-    release = state.release if san is None else san.scoped(state.release, "fill-end")
-    with _san.master_scope("fill"):
-        for cpu, mem, duration, _ in tasks:
-            for step in range(num_machines):
-                machine = order[(cursor + step) % num_machines]
-                if cpu_at(machine) + EPSILON >= cpu and mem_at(machine) + EPSILON >= mem:
-                    cursor = (cursor + step) % num_machines
-                    break
-            else:
-                # Cell cannot hold the rest of the fill; stop rather than spin.
+    release = state.release
+    for cpu, mem, duration, _ in tasks:
+        for step in range(num_machines):
+            machine = order[(cursor + step) % num_machines]
+            if cpu_at(machine) + EPSILON >= cpu and mem_at(machine) + EPSILON >= mem:
+                cursor = (cursor + step) % num_machines
                 break
-            claim(machine, cpu, mem, 1)
-            placed += 1
-            if schedule is not None and (horizon is None or duration <= horizon):
-                schedule(duration, release, machine, cpu, mem, 1)
+        else:
+            # Cell cannot hold the rest of the fill; stop rather than spin.
+            break
+        claim(machine, cpu, mem, 1)
+        placed += 1
+        if schedule is not None and (horizon is None or duration <= horizon):
+            schedule(duration, release, machine, cpu, mem, 1)
     return placed

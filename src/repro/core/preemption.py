@@ -30,7 +30,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellState
 from repro.core.transaction import Claim, CommitMode, CommitResult
 from repro.obs import recorder as _obs
@@ -103,8 +102,7 @@ class AllocationLedger:
         ledger should only take over lifetime bookkeeping.
         """
         if not already_claimed:
-            with _san.master_scope("ledger-register"):
-                self.state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
+            self.state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
         record = AllocationRecord(
             record_id=next(self._ids),
             machine=claim.machine,
@@ -125,8 +123,7 @@ class AllocationLedger:
         if record.record_id not in machine_records:  # pragma: no cover - guard
             return
         del machine_records[record.record_id]
-        with _san.master_scope("task-end"):
-            self.state.release(record.machine, record.cpu, record.mem, record.count)
+        self.state.release(record.machine, record.cpu, record.mem, record.count)
 
     # ------------------------------------------------------------------
     # Queries
@@ -228,8 +225,7 @@ class AllocationLedger:
 
     def _evict_tasks(self, record: AllocationRecord, count: int) -> None:
         machine_records = self._by_machine[record.machine]
-        with _san.master_scope("preemption-evict"):
-            self.state.release(record.machine, record.cpu, record.mem, count)
+        self.state.release(record.machine, record.cpu, record.mem, count)
         self.preempted_tasks += count
         if count >= record.count:
             del machine_records[record.record_id]
@@ -317,8 +313,7 @@ def commit_with_preemption(
         need_mem = max(0.0, claim.mem * ok - free_mem)
         preempted += ledger.evict(claim.machine, need_cpu, need_mem, precedence)
         take = claim if ok == claim.count else Claim(claim.machine, claim.cpu, claim.mem, ok)
-        with _san.master_scope("preemption-commit"):
-            state.claim(take.machine, take.cpu, take.mem, take.count)
+        state.claim(take.machine, take.cpu, take.mem, take.count)
         accepted.append(take)
         if ok < claim.count:
             rejected.append(

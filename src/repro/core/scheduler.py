@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellSnapshot, CellState
 from repro.core.placement import (
     placement_fn,
@@ -153,8 +152,6 @@ class OmegaScheduler(QueueScheduler):
         else:
             self._view.resync(self.state, self.sim.now)
         self._snapshot = self._view
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_sync(self.name, self._view, self.state)
         rec = _obs.RECORDER
         if rec.enabled:
             # "The time from state synchronization to the commit attempt
@@ -201,8 +198,6 @@ class OmegaScheduler(QueueScheduler):
         self._snapshot = None
         if snapshot is None:  # pragma: no cover - loop always snapshots first
             raise RuntimeError("attempt() without begin_attempt()")
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_snapshot_use(self.name, snapshot, self.state)
 
         if self.conflict_avoidance_cooldown > 0:
             self._mask_hot_machines(snapshot)

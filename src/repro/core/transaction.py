@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellSnapshot, CellState
 from repro.obs import recorder as _obs
 
@@ -116,10 +115,6 @@ def commit(
     if not claims:
         return CommitResult(accepted=(), rejected=())
 
-    san = _san.ACTIVE
-    if san is not None:
-        san.begin_commit(state, snapshot, claims)
-
     rec = _obs.RECORDER
     tracing = rec.enabled
     if tracing:
@@ -197,12 +192,7 @@ def commit(
             )
         return CommitResult(accepted=(), rejected=tuple(claims))
 
-    if san is None:
-        state.claim_batch(accepted)
-    else:
-        with san.scope("commit"):
-            state.claim_batch(accepted)
-        san.end_commit(state, snapshot, accepted)
+    state.claim_batch(accepted)
     result = CommitResult(accepted=tuple(accepted), rejected=tuple(rejected))
     if tracing:
         rec.event(

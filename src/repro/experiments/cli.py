@@ -52,7 +52,6 @@ import sys
 
 from repro import obs
 from repro.analysis import cli as lint
-from repro.analysis import sanitizer as _san
 from repro.experiments.common import format_table
 from repro.experiments.io import check_output_path, save_rows
 from repro.experiments.registry import EXPERIMENTS, Experiment, run, validated
@@ -151,15 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="sample timeline.* telemetry (cell utilization, queue "
             "depth, busy fraction, conflict rate) every this many "
             "simulated seconds; records land in the --trace file",
-        )
-        sub.add_argument(
-            "--sanitize",
-            action="store_true",
-            help="run under omega-san, the transaction-isolation "
-            "sanitizer: every run fails fast (exit 1) on a "
-            "write-outside-commit, stale-snapshot-read, "
-            "foreign-snapshot-write, or non-serializable commit "
-            "(see docs/STATIC_ANALYSIS.md)",
         )
         if experiment.points is not None:
             sub.add_argument(
@@ -482,15 +472,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
 
-    sanitizing = args.sanitize
-    saved_san_env = None
-    if sanitizing:
-        # The env var rides into --jobs N worker processes, which build
-        # their own sanitizer from it (see repro.world.RunContext).
-        saved_san_env = os.environ.get("OMEGA_SAN")
-        os.environ["OMEGA_SAN"] = "1"
-        _san.install()
-
     recorder = None
     if args.trace:
         try:
@@ -511,27 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PointFailure, CheckFailed) as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 1
-    except _san.IsolationViolation as exc:
-        print(f"omega-sim: {exc}", file=sys.stderr)
-        if exc.stack:
-            print(exc.stack, file=sys.stderr, end="")
-        return 1
     finally:
-        if sanitizing:
-            san = _san.ACTIVE
-            if san is not None and san.writes_checked:
-                print(
-                    f"omega-san: {san.writes_checked} writes, "
-                    f"{san.reads_checked} reads, "
-                    f"{san.commits_checked} commits checked, "
-                    f"{san.violations} violation(s)",
-                    file=sys.stderr,
-                )
-            _san.uninstall()
-            if saved_san_env is None:
-                os.environ.pop("OMEGA_SAN", None)
-            else:
-                os.environ["OMEGA_SAN"] = saved_san_env
         if recorder is not None:
             obs.reset_recorder()
             recorder.close()

@@ -194,8 +194,10 @@ def validated(experiment: Experiment, params: Mapping[str, Any]) -> dict:
     built: a bad value never costs a simulation."""
     params = dict(params)
     interval = params.get("timeline_interval")
-    if interval is not None and not interval > 0:
-        raise ValueError(f"timeline interval must be positive, got {interval}")
+    if interval is not None and not 0 < interval < math.inf:
+        raise ValueError(
+            f"--timeline-interval must be positive and finite, got {interval}"
+        )
     for argument in experiment.arguments:
         name = argument.param or argument.dest
         if argument.parse is not None and name in params:

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.sim import Simulator
 
@@ -124,8 +123,7 @@ class FailureRepairProcess:
         withheld_cpu = float(self.state.free_cpu[machine])
         withheld_mem = float(self.state.free_mem[machine])
         if withheld_cpu > 0 or withheld_mem > 0:
-            with _san.master_scope("machine-failure"):
-                self.state.claim(machine, withheld_cpu, withheld_mem, 1)
+            self.state.claim(machine, withheld_cpu, withheld_mem, 1)
         self._down[machine] = (withheld_cpu, withheld_mem)
         self.sim.after(self.repair_time, self.repair, machine)
         if self._on_fail is not None:
@@ -139,7 +137,6 @@ class FailureRepairProcess:
             return
         withheld_cpu, withheld_mem = withheld
         if withheld_cpu > 0 or withheld_mem > 0:
-            with _san.master_scope("machine-repair"):
-                self.state.release(machine, withheld_cpu, withheld_mem, 1)
+            self.state.release(machine, withheld_cpu, withheld_mem, 1)
         if self._on_repair is not None:
             self._on_repair(machine)

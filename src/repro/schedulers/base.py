@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.core.transaction import Claim
 from repro.faults.retry import ImmediateRetryPolicy, RetryAction, RetryPolicy
@@ -171,8 +170,7 @@ class QueueScheduler(abc.ABC):
                 queue_depth=len(self._queue),
                 **self._think_start_fields(conflict_retry),
             )
-        with _san.acting_scope(self.name):
-            self.begin_attempt(job)
+        self.begin_attempt(job)
         drop = False
         if self.chaos is not None:
             # A commit latency spike keeps the scheduler busy past its
@@ -215,11 +213,9 @@ class QueueScheduler(abc.ABC):
                 job=job.job_id,
                 attempt=job.attempts + 1,
             ):
-                with _san.acting_scope(self.name):
-                    self.attempt(job)
-        else:
-            with _san.acting_scope(self.name):
                 self.attempt(job)
+        else:
+            self.attempt(job)
         self._maybe_start()
 
     def _commit_dropped(self, job: Job, conflicted: bool = True) -> None:
@@ -439,9 +435,7 @@ class QueueScheduler(abc.ABC):
         one completion event per commit, since its tasks end together."""
         if not claims:
             return
-        san = _san.ACTIVE
-        task_end = _task_end if san is None else san.scoped(_task_end, "task-end")
-        self.sim.after(job.duration, task_end, state, claims)
+        self.sim.after(job.duration, _task_end, state, claims)
 
 
 def _task_end(state: CellState, claims: tuple[Claim, ...] | list[Claim]) -> None:

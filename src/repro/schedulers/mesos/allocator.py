@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.core.transaction import Claim
 from repro.obs import recorder as _obs
@@ -220,18 +219,16 @@ class MesosAllocator:
         construction.
         """
         totals = self._allocated[framework]
-        with _san.master_scope("mesos-launch"):
-            # One claim per machine within an offer, so the batch apply
-            # is order-equivalent to the old claim-by-claim loop.
-            self.state.claim_batch(claims)
+        # One claim per machine within an offer, so the batch apply
+        # is order-equivalent to the old claim-by-claim loop.
+        self.state.claim_batch(claims)
         for claim in claims:
             totals[0] += claim.cpu * claim.count
             totals[1] += claim.mem * claim.count
             self.sim.after(duration, self._task_end, framework, claim)
 
     def _task_end(self, framework: "MesosFramework", claim: Claim) -> None:
-        with _san.master_scope("task-end"):
-            self.state.release(claim.machine, claim.cpu, claim.mem, claim.count)
+        self.state.release(claim.machine, claim.cpu, claim.mem, claim.count)
         totals = self._allocated[framework]
         totals[0] -= claim.cpu * claim.count
         totals[1] -= claim.mem * claim.count

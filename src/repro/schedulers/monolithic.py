@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import CellState
 from repro.core.placement import randomized_first_fit
 from repro.metrics import MetricsCollector
@@ -58,8 +57,7 @@ class MonolithicScheduler(QueueScheduler):
             job.unplaced_tasks,
             self._rng,
         )
-        with _san.master_scope("monolithic-place"):
-            self.state.claim_batch(claims)
+        self.state.claim_batch(claims)
         placed = sum(claim.count for claim in claims)
         job.unplaced_tasks -= placed
         rec = _obs.RECORDER

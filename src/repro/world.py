@@ -1,16 +1,16 @@
 """One run, one world: the lifecycle every simulation shares.
 
 A :class:`RunContext` owns what exists once per *run*: the event loop,
-the job-id sequence, the sanitizer run, the ``run.start`` record and
-the one publication of engine statistics. A :class:`World` owns what
+the job-id sequence, the ``run.start`` record and the one publication
+of engine statistics. A :class:`World` owns what
 exists once per *cell*: cell states, schedulers and their roles, the
 metrics collector, the optional ledger and collectors, the invariant
 gate and result assembly. A stand-alone simulation is a context with
 one world, a federation a context with N; which schedulers, how the
 cell is filled and where jobs come from is :meth:`World.assemble`.
 
-``obs.RECORDER``, the metrics registry and the sanitizer stay
-process-wide on purpose: they observe a run and never steer its result.
+``obs.RECORDER`` and the metrics registry stay process-wide on
+purpose: they observe a run and never steer its result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 from typing import Callable, Iterator
 
-from repro.analysis import sanitizer as _san
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
@@ -41,12 +40,6 @@ class RunContext:
         #: Ids for every job of the run, whichever source creates it.
         #: Schedulers hash on them, so they start at 1 for each run.
         self.job_ids: Iterator[int] = itertools.count(1)
-        if _san.ACTIVE is None and _san.env_enabled():
-            # Workers spawned by ``--jobs N`` inherit OMEGA_SAN=1 from
-            # the parent's ``--sanitize`` but not its installed sanitizer.
-            _san.install()
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.begin_run(now=lambda: self.sim.now)
 
     def run(self, until: float, architecture: str, seed: int, **fields) -> dict:
         """Emit ``run.start``, run the loop to ``until`` and publish its
@@ -202,10 +195,8 @@ class World:
         return self.finalize(self.context.run(self.horizon, **self.run_fields))
 
     def finalize(self, stats: dict) -> RunSummary:
-        """Sanitizer end-of-run check, the ``run.metrics`` record and
-        result assembly, given the loop's final ``stats``."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.final_check(self.states)
+        """The ``run.metrics`` record and result assembly, given the
+        loop's final ``stats``."""
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event(

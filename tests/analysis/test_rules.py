@@ -666,7 +666,7 @@ class TestGLB001:
         """
         assert lint(source) == []
 
-    def test_shipped_tree_has_only_the_three_observers(self):
+    def test_shipped_tree_has_only_the_two_observers(self):
         """Every ``global`` left under src/ is a suppressed observer."""
         import pathlib
 
@@ -682,5 +682,4 @@ class TestGLB001:
         assert suppressed == {
             "repro/obs/recorder.py",
             "repro/obs/registry.py",
-            "repro/analysis/sanitizer.py",
         }

@@ -1,13 +1,12 @@
 """Boxed-scalar oracles for :meth:`CellState.claim` and ``release``.
 
 Each is the body the method had before it moved to python floats read
-through ``ndarray.item``: the same checks, hook and float operations in
+through ``ndarray.item``: the same checks and float operations in
 the same order, on ``np.float64`` scalars indexed out of the arrays.
 ``test_cellstate_oracle.py`` drives both sides through the same
 interleavings and requires bit-identical state and identical errors.
 """
 
-from repro.analysis import sanitizer as _san
 from repro.core.cellstate import EPSILON, CellState, OvercommitError
 
 
@@ -27,8 +26,6 @@ def claim_reference(
             f"machine {machine} (free: {state.free_cpu[machine]} cpu, "
             f"{state.free_mem[machine]} mem)"
         )
-    if _san.ACTIVE is not None:
-        _san.ACTIVE.on_master_write(state, "claim", machine, cpu, mem, count)
     state.free_cpu[machine] -= total_cpu
     state.free_mem[machine] -= total_mem
     if state.free_cpu[machine] < 0.0:
@@ -58,8 +55,6 @@ def release_reference(
             f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
             f"{machine} exceeds its capacity"
         )
-    if _san.ACTIVE is not None:
-        _san.ACTIVE.on_master_write(state, "release", machine, cpu, mem, count)
     old_free_cpu = float(state.free_cpu[machine])
     old_free_mem = float(state.free_mem[machine])
     state.free_cpu[machine] = min(new_free_cpu, state.cell.cpu_capacity[machine])

@@ -2,18 +2,16 @@
 
 ``OmegaScheduler.attempt`` used to be written three times; the copies
 had drifted (the preempting one ignored ``job.escalated``, the MapReduce
-one recorded no ``txn.skipped``, neither told the sanitizer it was about
-to read its snapshot). These tests pin what every variant now inherits.
+one recorded no ``txn.skipped``). These tests pin what every variant now
+inherits.
 """
 
 import numpy as np
-import pytest
 
-from repro.analysis import sanitizer as _san
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
+from repro.core.scheduler import PreemptingOmegaScheduler
 from repro.core.transaction import Claim, CommitMode
 from repro.faults.retry import StarvationEscalationPolicy
 from repro.mapreduce.model import MapReduceJob, MapReduceProfile
@@ -37,15 +35,6 @@ def mr_job(workers=2):
         mem_per_worker=2.0,
     )
     return MapReduceJob.from_profile(profile, submit_time=0.0, job_id=1)
-
-
-def build(kind, sim, metrics, state):
-    args = (kind, sim, metrics, state, np.random.default_rng(0), MODEL)
-    if kind == "plain":
-        return OmegaScheduler(*args)
-    if kind == "preempting":
-        return PreemptingOmegaScheduler(*args, ledger=AllocationLedger(state, sim))
-    return MapReduceScheduler(*args, NoAccelerationPolicy())
 
 
 def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
@@ -84,7 +73,15 @@ def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
     state = CellState(Cell.homogeneous(2, cpu_per_machine=4.0, mem_per_machine=16.0))
     for machine in range(2):
         state.claim(machine, cpu=4.0, mem=4.0)
-    scheduler = build("mapreduce", sim, metrics, state)
+    scheduler = MapReduceScheduler(
+        "mapreduce",
+        sim,
+        metrics,
+        state,
+        np.random.default_rng(0),
+        MODEL,
+        NoAccelerationPolicy(),
+    )
     recorder = TraceRecorder()
     set_recorder(recorder)
     try:
@@ -95,18 +92,3 @@ def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
     skipped = [r for r in recorder.records if r.get("name") == "txn.skipped"]
     assert [r["fields"]["reason"] for r in skipped] == ["no_placement"]
     assert skipped[0]["sched"] == "mapreduce"
-
-
-@pytest.mark.parametrize("kind", ["plain", "preempting", "mapreduce"])
-def test_every_variant_reports_its_snapshot_read_to_the_sanitizer(kind, sim, metrics):
-    state = CellState(Cell.homogeneous(4, cpu_per_machine=4.0, mem_per_machine=16.0))
-    san = _san.install()
-    san.begin_run()
-    try:
-        scheduler = build(kind, sim, metrics, state)
-        scheduler.submit(mr_job() if kind == "mapreduce" else make_job(num_tasks=2))
-        sim.run(until=1.0)
-    finally:
-        _san.uninstall()
-    assert san.reads_checked == 1
-    assert san.violations == 0

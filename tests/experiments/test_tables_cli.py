@@ -214,6 +214,7 @@ class TestBadArgumentsExitTwo:
             ("--hours", "nan"),
             ("--hours", "inf"),
             ("--samples", "0"),
+            ("--timeline-interval", "inf"),
         ],
         ids=" ".join,
     )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.analysis import sanitizer
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import synthesize_trace
@@ -78,14 +77,13 @@ class TestReplay:
 
 class TestSharedLifecycle:
     """The replay runs on the lifecycle every world shares, so it gets
-    the sanitizer run and the ``run.metrics`` record the lightweight
+    the ``run.start`` and ``run.metrics`` records the lightweight
     simulator always had."""
 
     @pytest.fixture(scope="class")
     def records(self, trace):
         recorder = obs.TraceRecorder(keep_records=True)
         obs.set_recorder(recorder)
-        sanitizer.install()
         try:
             for num_batch_schedulers in (1, 3):
                 run_hifi(
@@ -93,17 +91,13 @@ class TestSharedLifecycle:
                         trace=trace, num_batch_schedulers=num_batch_schedulers
                     )
                 )
-            assert sanitizer.ACTIVE.violations == 0
         finally:
-            sanitizer.uninstall()
             obs.reset_recorder()
         return recorder.records
 
-    def test_each_replay_begins_and_ends_a_sanitizer_run(self, records):
+    def test_each_replay_records_one_run_start_and_one_run_metrics(self, records):
         names = [record["name"] for record in records]
-        assert names.count("run.start") == 2
-        assert names.count("san.run") == names.count("san.final") == 2
-        assert sanitizer.ACTIVE is None
+        assert names.count("run.start") == names.count("run.metrics") == 2
 
     def test_trace_summary_has_wait_percentiles(self, records):
         rows = obs.TraceSummary.from_records(records).percentile_rows()

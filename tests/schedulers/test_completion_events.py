@@ -11,7 +11,6 @@ of ``CellState.release`` calls and end in the same state and result row.
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer as _san
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
@@ -31,13 +30,9 @@ class PerClaimCompletions:
 
     def _start_tasks(self, state, job, claims):
         end_time = self.sim.now + job.duration
-        san = _san.ACTIVE
-        release = (
-            state.release if san is None else san.scoped(state.release, "task-end")
-        )
         for claim in claims:
             self.sim.at(
-                end_time, release, claim.machine, claim.cpu, claim.mem, claim.count
+                end_time, state.release, claim.machine, claim.cpu, claim.mem, claim.count
             )
 
 
@@ -146,21 +141,6 @@ def test_release_sequence_is_identical_per_commit_and_per_claim(
     monkeypatch, release_log, name
 ):
     _assert_identical(*_both_ways(monkeypatch, release_log, CONFIGS[name]))
-
-
-def test_task_end_scope_covers_the_coalesced_release(monkeypatch, release_log):
-    monkeypatch.setenv("OMEGA_SAN", "1")
-    try:
-        per_commit, per_claim = _both_ways(
-            monkeypatch, release_log, CONFIGS["omega-coarse-gang-4-batch"]
-        )
-        # Each release is a master write: outside a scope it would have
-        # raised write-outside-commit.
-        assert _san.ACTIVE.violations == 0
-        assert _san.ACTIVE.writes_checked > len(per_commit["releases"])
-    finally:
-        _san.uninstall()
-    _assert_identical(per_commit, per_claim)
 
 
 def test_limited_scheduler_own_usage_per_commit_and_per_claim(
