@@ -373,10 +373,6 @@ class LightweightConfig:
             self.predictor = PredictorConfig(
                 escalate_probability=self.retry_policy.escalate_probability
             )
-        if self.timeline_interval is not None and self.timeline_interval <= 0:
-            raise ValueError(
-                f"timeline_interval must be positive, got {self.timeline_interval}"
-            )
 
     @property
     def period(self) -> float:

@@ -30,6 +30,7 @@ Consumers: ``omega-sim trace`` / ``trace --json`` summarize the series,
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs import recorder as _obs
@@ -62,8 +63,8 @@ class TimelineSampler:
         horizon: float | None = None,
         chaos: "ChaosEngine | None" = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"timeline interval must be positive, got {interval}")
+        if not 0 < interval < math.inf:
+            raise ValueError(f"timeline interval must be positive and finite, got {interval}")
         self.sim = sim
         self.metrics = metrics
         self.states = list(states)

@@ -104,6 +104,19 @@ class TestConfig:
             pytest.skip("not running from a source checkout")
         load_config(repo_root[0] / "pyproject.toml")
 
+    def test_fallback_parser_matches_tomllib(self):
+        # Python 3.10 has no tomllib; its parser must read the shipped
+        # section, multi-line lists included, exactly as tomllib does.
+        from pathlib import Path
+
+        from repro.analysis import config
+
+        if config.tomllib is None:
+            pytest.skip("tomllib needs Python >= 3.11")
+        text = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+        expected = config.tomllib.loads(text)["tool"]["omega-lint"]
+        assert config._parse_toml_fallback(text) == expected
+
 
 class TestLintPaths:
     def test_walks_directories_and_sorts(self, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -81,12 +82,11 @@ class TestSampling:
             assert entry["state"]["count"] == sum(entry["state"]["counts"])
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            _traced_run(interval=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            timeline.TimelineSampler(
-                None, None, [], [], interval=-1.0
-            )
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                _traced_run(interval=bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                timeline.TimelineSampler(None, None, [], [], interval=bad)
 
 
 class TestDeterminism:
