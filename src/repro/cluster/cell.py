@@ -15,7 +15,8 @@ class Cell:
     The capacity arrays (``cpu_capacity``, ``mem_capacity``) are the
     vectorized view used by placement algorithms and by
     :class:`repro.core.cellstate.CellState`; index ``i`` in the arrays is
-    machine ``i``.
+    machine ``i``. A :meth:`homogeneous` cell is built from the arrays
+    alone; its :attr:`machines` are made on first read.
     """
 
     def __init__(self, machines: Sequence[Machine], name: str = "cell") -> None:
@@ -28,17 +29,40 @@ class Cell:
                     "machine indices must match their position in the cell"
                 )
         self.name = name
-        self.machines: tuple[Machine, ...] = tuple(machines)
-        self.cpu_capacity = np.array([m.cpu for m in machines], dtype=np.float64)
-        self.mem_capacity = np.array([m.mem for m in machines], dtype=np.float64)
-        self.cpu_capacity.setflags(write=False)
-        self.mem_capacity.setflags(write=False)
-        self.racks = np.array([m.rack for m in machines], dtype=np.int64)
-        self.racks.setflags(write=False)
+        self._set_arrays(
+            np.array([m.cpu for m in machines], dtype=np.float64),
+            np.array([m.mem for m in machines], dtype=np.float64),
+            np.array([m.rack for m in machines], dtype=np.int64),
+        )
+        self._machines: tuple[Machine, ...] | None = tuple(machines)
+
+    def _set_arrays(self, cpu: np.ndarray, mem: np.ndarray, racks: np.ndarray) -> None:
+        self.cpu_capacity = cpu
+        self.mem_capacity = mem
+        self.racks = racks
+        for array in (cpu, mem, racks):
+            array.setflags(write=False)
 
     # ------------------------------------------------------------------
+    @property
+    def machines(self) -> tuple[Machine, ...]:
+        """One :class:`Machine` per machine, in index order."""
+        machines = self._machines
+        if machines is None:
+            machines = self._machines = tuple(
+                Machine(index=index, cpu=cpu, mem=mem, rack=rack)
+                for index, (cpu, mem, rack) in enumerate(
+                    zip(
+                        self.cpu_capacity.tolist(),
+                        self.mem_capacity.tolist(),
+                        self.racks.tolist(),
+                    )
+                )
+            )
+        return machines
+
     def __len__(self) -> int:
-        return len(self.machines)
+        return len(self.cpu_capacity)
 
     def __iter__(self) -> Iterator[Machine]:
         return iter(self.machines)
@@ -48,7 +72,7 @@ class Cell:
 
     @property
     def num_machines(self) -> int:
-        return len(self.machines)
+        return len(self.cpu_capacity)
 
     @property
     def total_cpu(self) -> float:
@@ -96,16 +120,17 @@ class Cell:
             raise ValueError("num_machines must be positive")
         if machines_per_rack <= 0:
             raise ValueError("machines_per_rack must be positive")
-        machines = [
-            Machine(
-                index=i,
-                cpu=cpu_per_machine,
-                mem=mem_per_machine,
-                rack=i // machines_per_rack,
-            )
-            for i in range(num_machines)
-        ]
-        return cls(machines, name=name)
+        # Every machine shares one capacity: validate it once, as Machine.
+        Machine(index=0, cpu=cpu_per_machine, mem=mem_per_machine)
+        cell = cls.__new__(cls)
+        cell.name = name
+        cell._set_arrays(
+            np.full(num_machines, cpu_per_machine, dtype=np.float64),
+            np.full(num_machines, mem_per_machine, dtype=np.float64),
+            np.arange(num_machines, dtype=np.int64) // machines_per_rack,
+        )
+        cell._machines = None
+        return cell
 
     @classmethod
     def heterogeneous(

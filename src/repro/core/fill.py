@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.cellstate import EPSILON, CellState
-from repro.sim import Simulator
+from repro.core.cellstate import EPSILON, CellState, free_after_claim
+from repro.sim import Event, Simulator
 from repro.workload.generator import StandingTask
 
 
@@ -31,27 +31,49 @@ def populate(
     When ``sim`` is given, each placed task's release is scheduled at
     its remaining duration; releases past ``horizon`` are skipped since
     they could never run.
+
+    The walk runs on Python copies of the free arrays. Its placements
+    are then written with one :meth:`CellState.claim_each` and their
+    releases queued with one :meth:`Simulator.at_all`, which leave the
+    state and the queue as one ``claim`` and one ``sim.at`` per task
+    would. A negative or NaN task size is refused with ``ValueError``
+    before anything is written.
     """
     order = rng.permutation(state.num_machines).tolist()
     num_machines = len(order)
-    cursor = 0
-    placed = 0
-    cpu_at = state.free_cpu.item
-    mem_at = state.free_mem.item
-    claim = state.claim
-    schedule = None if sim is None else sim.at
+    free_cpu = state.free_cpu.tolist()
+    free_mem = state.free_mem.tolist()
+    machines: list[int] = []
+    cpus: list[float] = []
+    mems: list[float] = []
+    releases: list[Event] = []
     release = state.release
-    for cpu, mem, duration, _ in tasks:
+    unqueued = Event.unqueued
+    cursor = 0
+    for index, (cpu, mem, duration, _) in enumerate(tasks):
+        if not (cpu >= 0.0 and mem >= 0.0):
+            raise ValueError(
+                f"standing task {index} has a negative or NaN size: "
+                f"cpu={cpu}, mem={mem}"
+            )
         for step in range(num_machines):
             machine = order[(cursor + step) % num_machines]
-            if cpu_at(machine) + EPSILON >= cpu and mem_at(machine) + EPSILON >= mem:
+            if free_cpu[machine] + EPSILON >= cpu and free_mem[machine] + EPSILON >= mem:
                 cursor = (cursor + step) % num_machines
                 break
         else:
             # Cell cannot hold the rest of the fill; stop rather than spin.
             break
-        claim(machine, cpu, mem, 1)
-        placed += 1
-        if schedule is not None and (horizon is None or duration <= horizon):
-            schedule(duration, release, machine, cpu, mem, 1)
-    return placed
+        free_cpu[machine] = free_after_claim(free_cpu[machine], cpu)
+        free_mem[machine] = free_after_claim(free_mem[machine], mem)
+        machines.append(machine)
+        cpus.append(cpu)
+        mems.append(mem)
+        if sim is not None and (horizon is None or duration <= horizon):
+            releases.append(unqueued(duration, release, machine, cpu, mem, 1))
+    # Releases first: the queue refuses a NaN or past time before it
+    # queues anything, so a bad duration leaves the state untouched too.
+    if sim is not None:
+        sim.at_all(releases)
+    state.claim_each(machines, cpus, mems)
+    return len(machines)

@@ -46,6 +46,19 @@ class Simulator:
             )
         return self._queue.push(time, fn, *args)
 
+    def at_all(self, entries: list[Event]) -> None:
+        """Schedule events made by :meth:`Event.unqueued` at their
+        absolute times, as one :meth:`at` per entry in list order would
+        (see :meth:`EventQueue.push_all`). A time before now is refused
+        before any entry is queued."""
+        now = self.now
+        for entry in entries:
+            if entry[0] < now:
+                raise SimulationError(
+                    f"cannot schedule event at t={entry[0]} before now={now}"
+                )
+        self._queue.push_all(entries)
+
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:

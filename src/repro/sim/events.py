@@ -8,7 +8,7 @@ runs fully deterministic for a given seed.
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -33,6 +33,12 @@ class Event(list):
     time = property(itemgetter(0))
     seq = property(itemgetter(1))
     fn = property(itemgetter(3))
+
+    @staticmethod
+    def unqueued(time: float, fn: Callable[..., Any], *args: Any) -> "Event":
+        """``fn(*args)`` at ``time``, for :meth:`EventQueue.push_all`,
+        which gives it its ``seq``."""
+        return Event((time, 0, None, fn, *args))
 
     @property
     def args(self) -> tuple:
@@ -74,6 +80,27 @@ class EventQueue:
         if live > self.peak:
             self.peak = live
         return event
+
+    def push_all(self, entries: list[Event]) -> None:
+        """Queue events made by :meth:`Event.unqueued`.
+
+        Each entry gets its ``seq`` in list order, exactly as one
+        :meth:`push` per entry would give it, and the heap is restored
+        with one ``heapify``: ``(time, seq)`` is unique, so the pop order
+        is the one the pushes would make. A NaN time is refused before
+        any entry is queued.
+        """
+        for entry in entries:
+            if entry[0] != entry[0]:
+                raise ValueError("event time must not be NaN")
+        for entry, seq in zip(entries, self._counter):
+            entry[1] = seq
+        heap = self._heap
+        heap.extend(entries)
+        heapify(heap)
+        self._live = live = self._live + len(entries)
+        if live > self.peak:
+            self.peak = live
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event. Cancelling an event twice, or one

@@ -36,6 +36,68 @@ class TestHomogeneousBuilder:
             Cell.homogeneous(5, 4.0, 16.0, machines_per_rack=0)
 
 
+def eager_homogeneous(num_machines, cpu, mem, machines_per_rack=40, name="cell"):
+    """The homogeneous cell as built from one ``Machine`` per machine."""
+    return Cell(
+        [
+            Machine(index=i, cpu=cpu, mem=mem, rack=i // machines_per_rack)
+            for i in range(num_machines)
+        ],
+        name=name,
+    )
+
+
+def cell_bytes(cell):
+    return (
+        cell.name,
+        len(cell),
+        cell.num_machines,
+        cell.cpu_capacity.dtype,
+        cell.cpu_capacity.tobytes(),
+        cell.mem_capacity.dtype,
+        cell.mem_capacity.tobytes(),
+        cell.racks.dtype,
+        cell.racks.tobytes(),
+        cell.total_cpu.hex(),
+        cell.total_mem.hex(),
+        [array.flags.writeable for array in (cell.cpu_capacity, cell.mem_capacity, cell.racks)],
+    )
+
+
+class TestLazyHomogeneousCell:
+    SHAPES = [(1, 4.0, 16.0, 40), (97, 0.1, 0.3, 40), (1000, 0.5, 0.5, 7), (12, 3, 5, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_arrays_and_totals_match_the_eager_cell(self, shape):
+        assert cell_bytes(Cell.homogeneous(*shape, name="c")) == cell_bytes(
+            eager_homogeneous(*shape, name="c")
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_machines_iteration_indexing_and_subcell_unchanged(self, shape):
+        lazy, eager = Cell.homogeneous(*shape), eager_homogeneous(*shape)
+        assert lazy.machines == eager.machines
+        assert list(lazy) == list(eager)
+        assert [lazy[i] for i in (0, -1, len(lazy) // 2)] == [
+            eager[i] for i in (0, -1, len(eager) // 2)
+        ]
+        picked = range(len(lazy) // 3, len(lazy))
+        sub_lazy, sub_eager = Cell.homogeneous(*shape).subcell(picked), eager.subcell(picked)
+        assert cell_bytes(sub_lazy) == cell_bytes(sub_eager)
+        assert sub_lazy.machines == sub_eager.machines
+
+    @pytest.mark.parametrize(
+        "cpu, mem",
+        [(0.0, 16.0), (4.0, 0.0), (-1.0, 16.0), (float("nan"), 16.0), (4.0, float("inf"))],
+    )
+    def test_bad_capacities_refused_with_machines_message(self, cpu, mem):
+        with pytest.raises(ValueError) as lazy:
+            Cell.homogeneous(3, cpu, mem)
+        with pytest.raises(ValueError) as eager:
+            Machine(index=0, cpu=cpu, mem=mem)
+        assert str(lazy.value) == str(eager.value)
+
+
 class TestHeterogeneousBuilder:
     def test_platform_mix(self):
         cell = Cell.heterogeneous(

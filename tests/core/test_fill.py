@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cell
-from repro.core.cellstate import EPSILON, CellState
+from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, EPSILON, CellState
 from repro.core.fill import populate
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.workload.generator import InitialFill, StandingTask
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
@@ -93,12 +94,21 @@ def index_walk_populate(state, tasks, rng, sim=None, horizon=None) -> int:
     return placed
 
 
+def queued_before_fill(*args):
+    """A callback that is no task release (never run: the queue is
+    drained by hand)."""
+
+
 def observed_fill(fill, machine_counts, tasks, seed, horizon):
     """Everything a fill leaves behind: the standing population split
     over one state per partition in proportion to its size, one stream
-    and one event queue shared, as ``_fill_initial_state`` does."""
+    and one event queue shared, as ``_fill_initial_state`` does. The
+    queue already holds a live and a cancelled event, and is drained in
+    pop order."""
     rng = np.random.default_rng(seed)
     sim = Simulator()
+    sim.at(1800.0, queued_before_fill, "live")
+    sim.cancel(sim.at(900.0, queued_before_fill, "cancelled"))
     states = [CellState(Cell.homogeneous(n, 4.0, 16.0)) for n in machine_counts]
     placed = []
     start = 0
@@ -106,21 +116,37 @@ def observed_fill(fill, machine_counts, tasks, seed, horizon):
         count = round(len(tasks) * state.num_machines / sum(machine_counts))
         placed.append(fill(state, tasks[start : start + count], rng, sim, horizon))
         start += count
-    queued = sorted(
-        (event.time.hex(), event.seq, states.index(event.fn.__self__), repr(event.args))
-        for event in sim._queue._heap
-    )
-    return (
-        placed,
-        [state.free_cpu.tobytes() for state in states],
-        [state.free_mem.tobytes() for state in states],
-        [state.seq.tolist() for state in states],
-        [state.version for state in states],
-        [list(state._changelog) for state in states],
-        [(state.used_cpu.hex(), state.used_mem.hex()) for state in states],
-        queued,
-        rng.random().hex(),
-    )
+    observed = {
+        "placed": placed,
+        "free_cpu": [state.free_cpu.tobytes() for state in states],
+        "free_mem": [state.free_mem.tobytes() for state in states],
+        "seq": [state.seq.tolist() for state in states],
+        "version": [state.version for state in states],
+        "changelog": [list(state._changelog) for state in states],
+        "used": [(state.used_cpu.hex(), state.used_mem.hex()) for state in states],
+        "next_draw": rng.random().hex(),
+        "pending": sim.pending(),
+        "peak_queue_depth": sim.peak_queue_depth,
+    }
+    drained = []
+    while (event := sim._queue.pop()) is not None:
+        fn = event.fn
+        owner = fn.__name__ if fn is queued_before_fill else states.index(fn.__self__)
+        drained.append((event.time.hex(), event.seq, owner, repr(event.args)))
+    observed["drained"] = drained
+    return observed
+
+
+def boundary_tasks(rng, count):
+    """Tasks of ``capacity / k`` plus or minus less than EPSILON in each
+    dimension, so ``k`` of them land on either side of the fit test and
+    of the clamp to zero."""
+    tasks = []
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        cpu_dust, mem_dust = rng.choice([-0.9, -0.4, 0.0, 0.4, 0.9], size=2) * EPSILON
+        tasks.append(standing(4.0 / k + cpu_dust, 16.0 / k + mem_dust, rng.uniform(1, 99)))
+    return tasks
 
 
 class TestPopulateMatchesIndexWalk:
@@ -140,7 +166,8 @@ class TestPopulateMatchesIndexWalk:
         new = observed_fill(populate, machine_counts, tasks, seed, horizon)
         old = observed_fill(index_walk_populate, machine_counts, tasks, seed, horizon)
         assert new == old
-        assert all(new[0]) and new[-2]  # every state took tasks; releases queued
+        assert all(new["placed"])  # every state took tasks
+        assert new["pending"] > 1  # releases queued besides the live event
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cell_that_cannot_hold_the_rest(self, seed):
@@ -148,4 +175,57 @@ class TestPopulateMatchesIndexWalk:
         tasks = InitialFill(tiny_preset(), 0.9).generate(np.random.default_rng(seed))
         new = observed_fill(populate, (8,), tasks, seed, 3600.0)
         assert new == observed_fill(index_walk_populate, (8,), tasks, seed, 3600.0)
-        assert 0 < new[0][0] < len(tasks)
+        assert 0 < new["placed"][0] < len(tasks)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_release_times_pop_in_task_order(self, seed):
+        tasks = InitialFill(tiny_preset(), 0.6).generate(np.random.default_rng(seed))
+        # Every third task ends at t=1800, with the event queued before
+        # the fill; every other third at t=60.
+        tasks = [
+            task._replace(duration=(1800.0, 60.0, task.duration)[i % 3])
+            for i, task in enumerate(tasks)
+        ]
+        new = observed_fill(populate, (13, 27), tasks, seed, 3600.0)
+        assert new == observed_fill(index_walk_populate, (13, 27), tasks, seed, 3600.0)
+        times = [entry[0] for entry in new["drained"]]
+        assert times.count((1800.0).hex()) > 2 and times.count((60.0).hex()) > 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sizes_on_the_epsilon_boundary(self, seed):
+        tasks = boundary_tasks(np.random.default_rng(seed), 60)
+        new = observed_fill(populate, (6, 10), tasks, seed, None)
+        assert new == observed_fill(index_walk_populate, (6, 10), tasks, seed, None)
+        # Some machine reads exactly full, by an exact fit or the clamp.
+        assert any((np.frombuffer(free) == 0.0).any() for free in new["free_cpu"])
+
+    def test_fill_longer_than_the_changelog(self):
+        tasks = InitialFill(tiny_preset(num_machines=1000), 0.6).generate(
+            np.random.default_rng(0)
+        )
+        new = observed_fill(populate, (1000,), tasks, 0, 3600.0)
+        assert new == observed_fill(index_walk_populate, (1000,), tasks, 0, 3600.0)
+        assert new["version"][0] > DEFAULT_CHANGELOG_CAPACITY
+        assert len(new["changelog"][0]) == DEFAULT_CHANGELOG_CAPACITY
+
+
+class TestPopulateRefusesBadSizes:
+    @pytest.mark.parametrize(
+        "cpu, mem", [(float("nan"), 1.0), (1.0, float("nan")), (-0.5, 1.0), (1.0, -0.5)]
+    )
+    def test_refused_before_anything_is_written(self, state, cpu, mem):
+        sim = Simulator()
+        tasks = [standing(), standing(), standing(cpu=cpu, mem=mem), standing()]
+        before = (state.free_cpu.tobytes(), state.free_mem.tobytes(), state.version)
+        with pytest.raises(ValueError, match="standing task 2 "):
+            populate(state, tasks, np.random.default_rng(0), sim)
+        assert (state.free_cpu.tobytes(), state.free_mem.tobytes(), state.version) == before
+        assert state.used_cpu == 0.0 and sim.pending() == 0
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0])
+    def test_bad_duration_is_refused_before_anything_is_written(self, state, duration):
+        sim = Simulator()
+        tasks = [standing(), standing(duration=duration), standing()]
+        with pytest.raises((ValueError, SimulationError)):
+            populate(state, tasks, np.random.default_rng(0), sim)
+        assert state.version == 0 and sim.pending() == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -41,6 +41,41 @@ class TestScheduling:
         sim.at(1.0, lambda a, b: seen.append((a, b)), 1, "two")
         sim.run()
         assert seen == [(1, "two")]
+
+
+def _drained(sim):
+    out = []
+    while (event := sim._queue.pop()) is not None:
+        out.append((event.time, event.seq, event.args))
+    return out
+
+
+class TestAtAll:
+    TIMES = [5.0, 1.0, 5.0, 3.0, 1.0, 9.0]
+
+    def _queued_before(self):
+        sim = Simulator()
+        sim.at(3.0, print, "before")
+        sim.cancel(sim.at(1.0, print, "cancelled"))
+        return sim
+
+    def test_same_queue_as_one_at_per_entry(self):
+        one_by_one, bulk = self._queued_before(), self._queued_before()
+        for i, time in enumerate(self.TIMES):
+            one_by_one.at(time, print, i)
+        bulk.at_all([Event.unqueued(time, print, i) for i, time in enumerate(self.TIMES)])
+        assert bulk.pending() == one_by_one.pending() == 7
+        assert bulk.peak_queue_depth == one_by_one.peak_queue_depth
+        assert _drained(bulk) == _drained(one_by_one)
+
+    @pytest.mark.parametrize(
+        "bad, error", [(-1.0, SimulationError), (float("nan"), ValueError)]
+    )
+    def test_refused_before_any_entry_is_queued(self, bad, error):
+        sim = self._queued_before()
+        with pytest.raises(error):
+            sim.at_all([Event.unqueued(time, print) for time in (2.0, bad, 4.0)])
+        assert sim.pending() == 1 and len(sim._queue._heap) == 2
 
 
 class TestRunControl:
