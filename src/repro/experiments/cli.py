@@ -11,12 +11,12 @@ Every command prints the same rows the corresponding benchmark emits;
 sets the simulated horizon.
 
 Observability (see ``docs/OBSERVABILITY.md``): every command accepts
-``--trace FILE`` to record a structured JSONL trace of the run,
+``--trace FILE`` to record a structured JSONL trace of the run and
 ``--timeline-interval SECONDS`` to sample ``timeline.*`` telemetry
 series (utilization, busy fraction, conflict rate) on the simulated
-clock, and ``--verbose`` to print engine statistics. ``omega-sim
-omega`` runs a single Omega operating point, the natural target for
-tracing. Consumers: ``omega-sim trace FILE`` summarizes a trace
+clock. ``omega-sim omega`` runs a single Omega operating point, the
+natural target for tracing. Consumers: ``omega-sim trace FILE``
+summarizes a trace, engine statistics of every run included
 (``--json`` for the machine-readable rollup), ``omega-sim perfetto
 FILE`` converts it to Chrome/Perfetto trace-event JSON for
 ui.perfetto.dev, and ``omega-sim report FILE...`` renders a
@@ -137,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(summarize it later with `omega-sim trace FILE`)",
         )
         sub.add_argument(
-            "--verbose",
-            action="store_true",
-            help="also print simulator engine statistics "
-            "(events processed, peak queue depth, wall seconds)",
-        )
-        sub.add_argument(
             "--timeline-interval",
             type=float,
             default=None,
@@ -255,21 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path (default: report.html)",
     )
     return parser
-
-
-def _verbose_stats_table(experiment: Experiment, jobs: int) -> str:
-    """Engine statistics accumulated over every run of this command
-    made in this process."""
-    snapshot = obs.get_registry().snapshot(prefix="sim.")
-    rows = [{"stat": name, "value": value} for name, value in snapshot.items()]
-    if rows:
-        return format_table(rows)
-    if experiment.points is not None and jobs != 1:
-        return (
-            f"(none in this process: with --jobs {jobs} the points ran in "
-            "worker processes, and engine statistics are kept per process)"
-        )
-    return "(no simulator statistics recorded)"
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -508,10 +487,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     print(format_table(rows))
-    if args.verbose:
-        print()
-        print("simulator statistics:")
-        print(_verbose_stats_table(experiment, args.jobs))
     if args.output:
         saved = save_rows(
             rows,

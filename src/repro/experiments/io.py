@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.recovery.artifacts import (
+    ArtifactError,
     atomic_write_text,
     load_json_artifact,
     write_json_artifact,
@@ -88,7 +89,8 @@ def load_rows(path: str | Path) -> list[dict]:
     """Read rows written by :func:`save_rows`.
 
     JSON restores the exact values (verifying the envelope's
-    ``content_hash`` when present; a mismatch raises
+    ``content_hash`` when present; a mismatch, or ``rows`` that are not
+    a list of objects, raises
     :class:`~repro.recovery.artifacts.ArtifactError`); CSV values come
     back as strings (or floats where they parse cleanly), which is
     sufficient for comparisons and plotting.
@@ -104,7 +106,12 @@ def load_rows(path: str | Path) -> list[dict]:
                 f"{path}: unsupported format_version {version!r} "
                 f"(expected {FORMAT_VERSION})"
             )
-        return envelope["rows"]
+        rows = envelope["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ArtifactError(
+                f"{path}: corrupt result table: 'rows' is not a list of objects"
+            )
+        return rows
     if path.suffix == ".csv":
         with path.open("r", newline="", encoding="utf-8") as handle:
             rows = []

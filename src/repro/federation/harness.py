@@ -25,7 +25,7 @@ from repro.federation.chaos import FederationChaosEngine
 from repro.federation.config import FederationConfig
 from repro.federation.router import FrontDoor
 from repro.metrics.results import PooledSummary, RunSummary
-from repro.obs.registry import Histogram
+from repro.obs.histogram import Histogram
 from repro.sim import RandomStreams
 from repro.sim.random import derive_seed
 from repro.world import RunContext
@@ -73,7 +73,7 @@ class FederatedResult(PooledSummary):
     def merged_wait_histogram(self) -> Histogram:
         """Every cell's per-scheduler ``jobs.wait_seconds`` histograms
         folded, in label order, into one federation-wide histogram via
-        :meth:`~repro.obs.registry.Histogram.merge_state`."""
+        :meth:`~repro.obs.histogram.Histogram.merge_state`."""
         merged = Histogram("jobs.wait_seconds", {"scope": "federation"})
         histograms = [
             histogram

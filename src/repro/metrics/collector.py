@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.metrics.stats import mad, median
-from repro.obs.registry import Histogram
+from repro.obs.histogram import Histogram
 from repro.workload.job import Job, JobType
 
 

@@ -9,9 +9,9 @@ provides the three layers that make those visible:
   structured span/event records (simulated time *and* wall time,
   scheduler id, job id, attempt number). The default recorder is a
   no-op whose cost on instrumented hot paths is one attribute check.
-* :mod:`repro.obs.registry` — counters, gauges, and fixed-bucket
-  histograms with percentile estimation; the one registry is
-  process-wide and holds engine and ``recovery.*`` statistics.
+* :mod:`repro.obs.histogram` — fixed-bucket histograms with
+  percentile estimation, serialized into each run's ``run.metrics``
+  record.
 * :mod:`repro.obs.profile` — per-callback wall-clock attribution for
   the event loop ("top-N hottest callbacks").
 
@@ -52,16 +52,7 @@ from repro.obs.recorder import (
     reset_recorder,
     set_recorder,
 )
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    publish_sim_stats,
-    reset_registry,
-)
+from repro.obs.histogram import DEFAULT_BUCKETS, Histogram
 from repro.obs.report import generate_report, write_report
 from repro.obs.summary import TraceSummary, json_safe, summarize_file
 from repro.obs.timeline import TimelineSampler
@@ -75,15 +66,9 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "reset_recorder",
-    # registry
+    # histograms
     "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "publish_sim_stats",
-    "reset_registry",
     # profiling
     "CallbackProfiler",
     "callback_name",

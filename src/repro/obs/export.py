@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 
 class JsonlWriter:
@@ -64,13 +64,23 @@ def write_jsonl(records: Iterable[dict[str, Any]], path: str) -> int:
     return count
 
 
-def read_jsonl(path: str) -> list[dict[str, Any]]:
-    """Load every record from a JSONL trace file.
+_NONE = type(None)
+#: The record envelope of docs/OBSERVABILITY.md, as the types a loaded
+#: value may have; ``None`` is accepted wherever the recorder writes it.
+_ENVELOPE: dict[str, tuple[type, ...]] = {
+    "kind": (str,), "name": (str,), "t": (int, float, _NONE), "sched": (str, _NONE),
+    "job": (int, str, _NONE), "attempt": (int, _NONE), "span": (int, _NONE),
+    "id": (int,), "parent": (int, _NONE), "wall_ms": (int, float), "fields": (dict,),
+}
 
-    Blank lines are skipped; a malformed line raises :class:`ValueError`
-    naming the offending line number.
+
+def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(line number, record)`` for every record of a JSONL trace.
+
+    Blank lines are skipped. A malformed line, or an envelope key whose
+    value has the wrong type, raises :class:`ValueError` naming
+    ``path:line``.
     """
-    records: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -82,5 +92,15 @@ def read_jsonl(path: str) -> list[dict[str, Any]]:
                 raise ValueError(f"{path}:{lineno}: malformed trace line: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: trace record is not an object")
-            records.append(record)
-    return records
+            for key, types in _ENVELOPE.items():
+                if key in record and not isinstance(record[key], types):
+                    raise ValueError(
+                        f"{path}:{lineno}: trace record field {key!r} has "
+                        f"{type(record[key]).__name__} value {record[key]!r}"
+                    )
+            yield lineno, record
+
+
+def read_jsonl(path: str) -> list[dict[str, Any]]:
+    """Load every record from a JSONL trace file (see :func:`iter_jsonl`)."""
+    return [record for _, record in iter_jsonl(path)]

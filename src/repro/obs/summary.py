@@ -22,7 +22,9 @@ Turns a stream of trace records (in memory or loaded from JSONL via
   :mod:`repro.obs.timeline` (utilization, busy fraction, conflict
   rate over simulated time), grouped per run and per scheduler;
 * **wait-time percentiles** — p50/p90/p99/p99.9 per scheduler, merged
-  from the histogram states each run's ``run.metrics`` record carries.
+  from the histogram states each run's ``run.metrics`` record carries;
+* **engine rows** — one per run, the event loop's own statistics from
+  its ``run.end`` record (events processed, peak queue depth, wall ms).
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.obs.registry import Histogram
+from repro.obs.histogram import Histogram
+
+#: The ``run.end`` fields an engine row shows: ``Simulator.stats()``,
+#: with wall time in milliseconds.
+ENGINE_FIELDS = ("events_processed", "pending_events", "peak_queue_depth", "sim_now", "wall_ms")
 
 
 @dataclass
@@ -62,10 +68,6 @@ class SchedulerSummary:
         if self.jobs_scheduled == 0:
             return float("nan")
         return self.txn_conflicted / self.jobs_scheduled
-
-    @property
-    def productive_busy_seconds(self) -> float:
-        return self.busy_seconds - self.busy_conflict_seconds
 
 
 @dataclass
@@ -130,18 +132,30 @@ class TraceSummary:
         #: Per-machine ``txn.conflict`` tallies:
         #: machine -> {"events", "tasks", "<cause>": events}.
         self.machine_conflicts: dict[int, dict[str, int]] = {}
+        #: One row per ``run.end`` record: ``{"run", *ENGINE_FIELDS}``.
+        self.engine_rows: list[dict[str, Any]] = []
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(cls, records: Iterable[dict[str, Any]]) -> "TraceSummary":
+    def from_records(
+        cls, records: Iterable[dict[str, Any]], origins: Iterable[str] = ()
+    ) -> "TraceSummary":
+        """Summarize ``records``; ``origins`` (``path:line`` per record)
+        prefix the ``ValueError`` of a record the summary cannot read."""
         summary = cls()
         records = list(records)
         total_runs = sum(
             1 for record in records if record.get("name") == "run.start"
         )
         summary._prefix_runs = total_runs > 1
-        for record in records:
-            summary._ingest(record)
+        origins = list(origins)
+        for index, record in enumerate(records):
+            try:
+                summary._ingest(record)
+            except ValueError as exc:
+                if not origins:
+                    raise
+                raise ValueError(f"{origins[index]}: {exc}") from exc
         return summary
 
     def _sched(self, name: str) -> SchedulerSummary:
@@ -170,6 +184,10 @@ class TraceSummary:
         if name == "run.start":
             self.runs += 1
             return
+        if name == "run.end":
+            row = {key: fields.get(key) for key in ENGINE_FIELDS}
+            self.engine_rows.append({"run": self.runs, **row})
+            return
         if self._prefix_runs:
             # Several runs share this trace: scheduler names and job ids
             # restart per run, so every rollup key gets its run index.
@@ -185,8 +203,11 @@ class TraceSummary:
             series.append({"t": t, "run": self.runs, **fields})
             return
         if name == "run.metrics":
-            for entry in fields.get("histograms", ()):
-                labels = entry.get("labels") or {}
+            entries = fields.get("histograms", [])
+            for entry in entries if isinstance(entries, list) else [None]:
+                labels = (entry.get("labels") or {}) if isinstance(entry, dict) else None
+                if not isinstance(labels, dict) or not isinstance(entry.get("name"), str):
+                    raise ValueError("run.metrics histograms need a name and labels each")
                 if self._prefix_runs and "scheduler" in labels:
                     labels = {
                         **labels,
@@ -196,10 +217,10 @@ class TraceSummary:
                 histogram = self.histograms.get(key)
                 if histogram is None:
                     self.histograms[key] = Histogram.from_state(
-                        entry["state"], name=entry["name"], labels=dict(labels)
+                        entry.get("state"), name=entry["name"], labels=dict(labels)
                     )
                 else:
-                    histogram.merge_state(entry["state"])
+                    histogram.merge_state(entry.get("state"))
             return
         if job_id is not None:
             self._job(job_id)._touch(t, sched, record.get("attempt"))
@@ -281,12 +302,6 @@ class TraceSummary:
     # ------------------------------------------------------------------
     def scheduler_names(self) -> list[str]:
         return sorted(self.schedulers)
-
-    def conflict_fraction(self, scheduler: str) -> float:
-        return self._sched(scheduler).conflict_fraction
-
-    def busy_seconds(self, scheduler: str) -> float:
-        return self._sched(scheduler).busy_seconds
 
     def conflict_timeline(
         self, scheduler: str, bins: int = 12, horizon: float | None = None
@@ -431,6 +446,10 @@ class TraceSummary:
             f"{name}={count}" for name, count in sorted(self.record_names.items())
         )
         lines.append(f"record counts: {names}")
+        if self.engine_rows:
+            lines.append("")
+            lines.append("engine statistics (one row per run):")
+            lines.append(_format_rows(self.engine_rows))
 
         if self.schedulers:
             lines.append("")
@@ -524,6 +543,7 @@ class TraceSummary:
             "runs": self.runs,
             "max_t": self.max_t,
             "record_names": dict(sorted(self.record_names.items())),
+            "engine_rows": self.engine_rows,
             "scheduler_rows": self.scheduler_rows(),
             "percentile_rows": self.percentile_rows(),
             "conflict_timelines": {
@@ -595,7 +615,12 @@ def _format_rows(rows: list[dict[str, Any]]) -> str:
 
 
 def summarize_file(path: str) -> TraceSummary:
-    """Load a JSONL trace and summarize it."""
-    from repro.obs.export import read_jsonl
+    """Load a JSONL trace and summarize it; a bad record raises
+    ``ValueError`` naming ``path:line``."""
+    from repro.obs.export import iter_jsonl
 
-    return TraceSummary.from_records(read_jsonl(path))
+    numbered = list(iter_jsonl(path))
+    return TraceSummary.from_records(
+        (record for _, record in numbered),
+        origins=(f"{path}:{lineno}" for lineno, _ in numbered),
+    )

@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.obs import recorder as _obs
-from repro.obs.registry import get_registry
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.supervisor import (
     DEFAULT_POLICY,
@@ -163,10 +162,8 @@ def execute_map(
     else:
         todo, done = list(range(n)), {}
 
-    if done:
-        if context is not None:
-            context.points_skipped += len(done)
-        get_registry().counter("recovery.points_skipped").inc(len(done))
+    if context is not None:
+        context.points_skipped += len(done)
 
     results: list[Any] = [None] * n
     traces: list[list[dict[str, Any]] | None] = [None] * n

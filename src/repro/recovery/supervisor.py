@@ -28,9 +28,9 @@ are deterministic results of the code under test, so they are shipped
 back over the pipe and re-raised in the parent immediately (after
 in-flight siblings are cancelled) rather than retried.
 
-Incidents surface as ``recovery.*`` trace events (when tracing is on)
-and ``recovery.*`` metrics counters; a healthy run emits none, so
-supervised traces stay byte-identical to unsupervised ones.
+Incidents surface as ``recovery.*`` trace events (when tracing is on);
+a healthy run emits none, so supervised traces stay byte-identical to
+unsupervised ones.
 
 Wall-clock reads here are intentional (timeouts and backoff are
 real-time concepts, not simulated-time ones) and allowlisted for
@@ -48,7 +48,6 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Sequence
 
 from repro.obs import recorder as _obs
-from repro.obs.registry import get_registry
 
 
 @dataclass(frozen=True)
@@ -164,13 +163,6 @@ def _run_inline(
     return fn(item), None
 
 
-def _note_incident(kind: str, label: str, attempt: int, **fields: Any) -> None:
-    get_registry().counter(f"recovery.{kind}").inc()
-    rec = _obs.RECORDER
-    if rec.enabled:
-        rec.event(f"recovery.point.{kind}", label=label, attempt=attempt, **fields)
-
-
 def supervised_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -245,7 +237,11 @@ def supervised_map(
     def requeue_or_fail(task: _Running, kind: str) -> None:
         nonlocal incidents
         incidents += 1
-        _note_incident(kind, labels[task.index], task.attempt)
+        rec = _obs.RECORDER
+        if rec.enabled:
+            rec.event(
+                f"recovery.point.{kind}", label=labels[task.index], attempt=task.attempt
+            )
         if task.attempt >= policy.max_attempts:
             kill_all()
             raise PointFailure(
@@ -262,7 +258,6 @@ def supervised_map(
     def degrade() -> None:
         nonlocal degraded
         degraded = True
-        get_registry().counter("recovery.degraded_serial").inc()
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event("recovery.degraded_serial", incidents=incidents)

@@ -1,16 +1,16 @@
 """One run, one world: the lifecycle every simulation shares.
 
 A :class:`RunContext` owns what exists once per *run*: the event loop,
-the job-id sequence, the ``run.start`` record and the one publication
-of engine statistics. A :class:`World` owns what
+the job-id sequence, and the ``run.start`` / ``run.end`` records that
+bracket the loop. A :class:`World` owns what
 exists once per *cell*: cell states, schedulers and their roles, the
 metrics collector, the optional ledger and collectors, the invariant
 gate and result assembly. A stand-alone simulation is a context with
 one world, a federation a context with N; which schedulers, how the
 cell is filled and where jobs come from is :meth:`World.assemble`.
 
-``obs.RECORDER`` and the metrics registry stay process-wide on
-purpose: they observe a run and never steer its result.
+``obs.RECORDER`` stays process-wide on purpose: it observes a run and
+never steers its result.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.faults import CellStateInvariantChecker, ChaosEngine, FaultConfig
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
 from repro.obs import recorder as _obs
-from repro.obs.registry import publish_sim_stats
 from repro.obs.timeline import TimelineSampler
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
@@ -42,8 +41,9 @@ class RunContext:
         self.job_ids: Iterator[int] = itertools.count(1)
 
     def run(self, until: float, architecture: str, seed: int, **fields) -> dict:
-        """Emit ``run.start``, run the loop to ``until`` and publish its
-        statistics; returns them for :meth:`World.finalize`."""
+        """Run the loop to ``until`` between a ``run.start`` and a
+        ``run.end`` record (the engine statistics, ``wall_seconds`` as
+        ``wall_ms``); returns the statistics for :meth:`World.finalize`."""
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event(
@@ -56,7 +56,10 @@ class RunContext:
             )
         self.sim.run(until=until)
         stats = self.sim.stats()
-        publish_sim_stats(stats)
+        if rec.enabled:
+            engine = dict(stats)
+            engine["wall_ms"] = engine.pop("wall_seconds") * 1000.0
+            rec.event("run.end", t=self.sim.now, **engine)
         return stats
 
 

@@ -667,7 +667,8 @@ class TestGLB001:
         assert lint(source) == []
 
     def test_shipped_tree_has_only_the_two_observers(self):
-        """Every ``global`` left under src/ is a suppressed observer."""
+        """Every ``global`` left under src/ is a suppressed observer:
+        the recorder's two."""
         import pathlib
 
         from repro.analysis import lint_paths
@@ -679,7 +680,19 @@ class TestGLB001:
             for path in src.rglob("*.py")
             if "disable=GLB001" in path.read_text(encoding="utf-8")
         }
-        assert suppressed == {
-            "repro/obs/recorder.py",
-            "repro/obs/registry.py",
-        }
+        assert suppressed == {"repro/obs/recorder.py"}
+
+    def test_only_globals_are_the_recorders(self):
+        """One process-wide mutable is left, ``obs.RECORDER``: the only
+        ``global`` statements under src/ are its setter's and resetter's."""
+        import ast
+        import pathlib
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        found = [
+            (path.relative_to(src).as_posix(), node.names)
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Global)
+        ]
+        assert found == [("repro/obs/recorder.py", ["RECORDER"])] * 2

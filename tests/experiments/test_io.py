@@ -53,6 +53,15 @@ class TestJsonRoundTrip:
         (row,) = load_rows(path)  # content_hash still verifies
         assert row["cells"] == 1 and row["policy"] == "round-robin"
 
+    @pytest.mark.parametrize("rows", [5, [1, "x"]])
+    def test_rows_not_a_list_of_objects_rejected(self, tmp_path, rows):
+        from repro.recovery.artifacts import ArtifactError
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION, "rows": rows}))
+        with pytest.raises(ArtifactError, match=f"{path}: .*list of objects"):
+            load_rows(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format_version": 99, "rows": []}))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.experiments import cli, registry
+from repro.experiments import registry
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.tables import (
@@ -16,7 +16,6 @@ from repro.experiments.tables import (
     table1_rows,
     table2_rows,
 )
-from repro.obs.registry import MetricsRegistry
 
 #: The grids that replay a trace: a ``HighFidelityConfig`` has no
 #: ``timeline_interval``, so they refuse ``--timeline-interval``.
@@ -133,6 +132,8 @@ class TestCli:
         rollup = json.loads(capsys.readouterr().out)
         assert rollup["timeline"]["cell"]
         assert rollup["percentile_rows"]
+        (engine,) = rollup["engine_rows"]  # one per run.start
+        assert rollup["runs"] == 1 and engine["events_processed"] > 0
         for row in rollup["percentile_rows"]:
             assert {"p50_s", "p90_s", "p99_s", "p999_s"} <= set(row)
 
@@ -163,18 +164,6 @@ class TestCli:
                     main([name, *flags])
                 cells = reached.value.args[0]
                 assert cells and all(c.timeline_interval == 60 for c in cells), name
-
-    def test_verbose_under_jobs_says_where_the_statistics_are(self, monkeypatch):
-        stats = MetricsRegistry()
-        monkeypatch.setattr(cli.obs, "get_registry", lambda: stats)
-        fig8, table1 = EXPERIMENTS["fig8"], EXPERIMENTS["table1"]
-        line = cli._verbose_stats_table(fig8, jobs=2)
-        assert "--jobs 2" in line and "kept per process" in line
-        unexplained = "(no simulator statistics recorded)"
-        assert cli._verbose_stats_table(fig8, jobs=1) == unexplained
-        assert cli._verbose_stats_table(table1, jobs=2) == unexplained
-        stats.counter("sim.runs").inc(18)
-        assert "sim.runs" in cli._verbose_stats_table(fig8, jobs=2)
 
     def test_trace_json_on_missing_file_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path / "absent.jsonl"), "--json"]) == 2

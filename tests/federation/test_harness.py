@@ -19,7 +19,7 @@ from repro.experiments.registry import DEGENERATE_GATE, EXPERIMENTS, run
 from repro.experiments.sweeps import CheckFailed
 from repro.federation import FederationFaultConfig
 from repro.metrics.stats import median, percentile
-from repro.obs.registry import Histogram
+from repro.obs.histogram import Histogram
 from repro.workload.job import JobType
 
 SCALE = 0.05

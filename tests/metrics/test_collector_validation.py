@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import MetricsCollector
-from repro.obs import MetricsRegistry
+from repro.obs import Histogram
 from tests.conftest import make_job
 
 
@@ -56,25 +56,33 @@ class TestDerivedHistograms:
     )
     def test_equal_to_observing_each_value_as_recorded(self, waits, escalations):
         collector = MetricsCollector(period=100.0)
-        observed = MetricsRegistry()
+        observed: dict[tuple, Histogram] = {}
+
+        def observe(name, value, **labels):
+            key = (name, tuple(sorted(labels.items())))
+            if key not in observed:
+                observed[key] = Histogram(name, labels)
+            observed[key].observe(value)
+
         for scheduler, wait in waits:
             job = make_job(submit_time=0.0)
             job.mark_first_attempt(wait)
             collector.record_first_attempt(scheduler, job)
-            observed.histogram("jobs.wait_seconds", scheduler=scheduler).observe(wait)
+            observe("jobs.wait_seconds", wait, scheduler=scheduler)
         for scheduler, policy, attempts in escalations:
             collector.record_escalated(scheduler, attempts=attempts, policy=policy)
-            observed.histogram(
+            observe(
                 "jobs.attempts_until_escalation",
+                float(attempts),
                 scheduler=scheduler,
                 policy=policy or "none",
-            ).observe(float(attempts))
+            )
 
         def flat(histograms):
             return [(h.name, h.labels, h.state()) for h in histograms]
 
         assert flat(collector.histograms()) == flat(
-            sorted(observed, key=lambda h: (h.name, sorted(h.labels.items())))
+            observed[key] for key in sorted(observed)
         )
 
     def test_series_with_no_observation_has_no_histogram(self, collector):

@@ -1,16 +1,14 @@
-"""Keep the process-global observability state isolated per test."""
+"""Keep the process-global trace recorder isolated per test."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import reset_recorder, reset_registry
+from repro.obs import reset_recorder
 
 
 @pytest.fixture(autouse=True)
-def _fresh_obs_globals():
+def _fresh_recorder():
     reset_recorder()
-    reset_registry()
     yield
     reset_recorder()
-    reset_registry()

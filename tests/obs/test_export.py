@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import cli
 from repro.obs import JsonlWriter, TraceRecorder, read_jsonl, write_jsonl
 
 
@@ -46,6 +47,31 @@ def test_non_object_line_rejected(tmp_path):
     path.write_text("[1,2,3]\n")
     with pytest.raises(ValueError, match="not an object"):
         read_jsonl(str(path))
+
+
+#: Records whose envelope or histogram state a trace loader cannot read.
+BAD_RECORDS = {
+    "string time": '{"name":"x","t":"a"}',
+    "list fields": '{"name":"txn.commit","sched":"s","fields":[1]}',
+    "stateless histogram": '{"name":"run.metrics","t":0.0,"fields":'
+    '{"histograms":[{"name":"jobs.wait_seconds","labels":{}}]}}',
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "report", "perfetto"])
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"kind":"event","name":"run.start","t":0.0}\n' + BAD_RECORDS[case])
+    argv = [command, str(trace)]
+    if command != "trace":
+        argv += ["--output", str(tmp_path / "out")]
+    if command == "perfetto" and case == "stateless histogram":
+        assert cli.main(argv) == 0  # the Perfetto export reads no histograms
+        return
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{trace}:2: " in err
 
 
 def test_write_after_close_raises(tmp_path):

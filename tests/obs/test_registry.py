@@ -1,4 +1,5 @@
-"""Metrics registry: counters, gauges, histogram percentile edges."""
+"""Fixed-bucket histograms (``repro.obs.histogram``): percentile edges,
+state round trips and merges."""
 
 from __future__ import annotations
 
@@ -6,42 +7,7 @@ import math
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    publish_sim_stats,
-    reset_registry,
-)
-
-
-class TestCounter:
-    def test_inc_accumulates(self):
-        counter = Counter("txns", {})
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_negative_inc_rejected(self):
-        counter = Counter("txns", {})
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1.0)
-
-
-class TestGauge:
-    def test_set_and_inc(self):
-        gauge = Gauge("depth", {})
-        gauge.set(4.0)
-        gauge.inc(-1.0)  # gauges may move both ways
-        assert gauge.value == 3.0
-
-    def test_set_max_keeps_high_water_mark(self):
-        gauge = Gauge("peak", {})
-        gauge.set_max(10.0)
-        gauge.set_max(3.0)
-        assert gauge.value == 10.0
+from repro.obs import Histogram
 
 
 class TestHistogram:
@@ -144,57 +110,26 @@ class TestHistogram:
         with pytest.raises(ValueError, match="bounds differ"):
             first.merge_state(second.state())
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"counts": None},
+            {"counts": [0, "1"]},
+            {"bounds": 1.0},
+            {"total": "2.0"},
+            {"min": []},
+        ],
+    )
+    def test_malformed_state_rejected(self, change):
+        state = {**Histogram("wait", {}, buckets=(1.0,)).state(), **change}
+        with pytest.raises(ValueError, match="histogram state needs numbers"):
+            Histogram.from_state(state)
+        with pytest.raises(ValueError, match="histogram state needs numbers"):
+            Histogram("wait", {}, buckets=(1.0,)).merge_state(state)
 
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_object(self):
-        registry = MetricsRegistry()
-        a = registry.counter("txns", scheduler="batch")
-        b = registry.counter("txns", scheduler="batch")
-        assert a is b
-        assert len(registry) == 1
-
-    def test_labels_distinguish_metrics(self):
-        registry = MetricsRegistry()
-        a = registry.counter("txns", scheduler="batch")
-        b = registry.counter("txns", scheduler="service")
-        assert a is not b
-        assert len(registry) == 2
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("busy")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("busy")
-
-    def test_snapshot_prefix_and_label_suffix(self):
-        registry = MetricsRegistry()
-        registry.counter("txn.attempted", scheduler="b0").inc(5)
-        registry.gauge("sim.peak_queue_depth").set(7)
-        registry.histogram("jobs.wait_seconds").observe(1.0)
-        snapshot = registry.snapshot()
-        assert snapshot["txn.attempted{scheduler=b0}"] == 5
-        assert snapshot["sim.peak_queue_depth"] == 7
-        assert snapshot["jobs.wait_seconds"]["count"] == 1
-        sim_only = registry.snapshot(prefix="sim.")
-        assert list(sim_only) == ["sim.peak_queue_depth"]
-
-
-class TestGlobalRegistry:
-    def test_reset_swaps_instance(self):
-        first = get_registry()
-        second = reset_registry()
-        assert second is not first
-        assert get_registry() is second
-
-    def test_publish_sim_stats_accumulates_across_runs(self):
-        publish_sim_stats(
-            {"events_processed": 100, "wall_seconds": 0.5, "peak_queue_depth": 10}
-        )
-        publish_sim_stats(
-            {"events_processed": 50, "wall_seconds": 0.25, "peak_queue_depth": 4}
-        )
-        snapshot = get_registry().snapshot(prefix="sim.")
-        assert snapshot["sim.runs"] == 2
-        assert snapshot["sim.events_processed"] == 150
-        assert snapshot["sim.wall_seconds"] == pytest.approx(0.75)
-        assert snapshot["sim.peak_queue_depth"] == 10  # max, not sum
+    @pytest.mark.parametrize(
+        "state", [None, [], "bounds", {"bounds": [1.0], "counts": [0, 0]}]
+    )
+    def test_state_without_every_key_rejected(self, state):
+        with pytest.raises(ValueError, match="histogram state needs numbers"):
+            Histogram.from_state(state)

@@ -152,6 +152,33 @@ def test_sim_stats_surface_on_result(traced):
     assert stats["wall_seconds"] > 0.0
 
 
+def test_run_end_carries_engine_stats(traced):
+    result, recorder, summary = traced
+    (end,) = [r for r in recorder.records if r["name"] == "run.end"]
+    stats = dict(result.sim_stats)
+    stats["wall_ms"] = stats.pop("wall_seconds") * 1000.0
+    assert end["fields"] == stats
+    assert summary.engine_rows == [{"run": 1, **stats}]
+
+
+def test_engine_rows_of_a_parallel_trace_equal_the_serial_ones(tmp_path, capsys):
+    """Worker traces are replayed into the parent's, so ``--jobs 2``
+    yields the serial trace's engine rows, wall time aside."""
+    rows = {}
+    for jobs in ("1", "2"):
+        path = str(tmp_path / f"jobs{jobs}.jsonl")
+        argv = ["fig8", "--scale", "0.05", "--hours", "0.3", "--jobs", jobs]
+        assert cli.main([*argv, "--trace", path]) == 0
+        rows[jobs] = [
+            {key: value for key, value in row.items() if key != "wall_ms"}
+            for row in obs.summarize_file(path).engine_rows
+        ]
+    capsys.readouterr()
+    assert [row["run"] for row in rows["1"]] == list(range(1, 19))
+    assert all(row["events_processed"] > 0 for row in rows["1"])
+    assert rows["2"] == rows["1"]
+
+
 def test_cli_trace_flag_and_trace_subcommand(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.jsonl")
     cli.main(["fig8", "--scale", "0.05", "--hours", "1", "--trace", trace_path])
@@ -165,13 +192,7 @@ def test_cli_trace_flag_and_trace_subcommand(tmp_path, capsys):
     assert "trace summary:" in out
     assert "per-scheduler rollup:" in out
     assert "omega-batch" in out
-
-
-def test_cli_verbose_prints_sim_stats(capsys):
-    cli.main(["fig8", "--scale", "0.05", "--hours", "1", "--verbose"])
-    out = capsys.readouterr().out
-    assert "sim.events_processed" in out
-    assert "sim.runs" in out
+    assert "engine statistics (one row per run):" in out
 
 
 def _escalation_metrics_record(scheduler: str, policy: str, attempts):

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.registry import get_registry
 from repro.recovery.supervisor import (
     PointFailure,
     SupervisorPolicy,
@@ -69,6 +68,17 @@ class Unpicklable(Exception):
 
 def _raise_unpicklable(x):
     raise Unpicklable(f"bad point {x}")
+
+
+def _incidents(run):
+    """Names of the ``recovery.*`` trace events ``run()`` emits."""
+    recorder = obs.TraceRecorder(keep_records=True)
+    obs.set_recorder(recorder)
+    try:
+        run()
+    finally:
+        obs.reset_recorder()
+    return [r["name"] for r in recorder.records if r["name"].startswith("recovery.")]
 
 
 def _traced(label):
@@ -136,9 +146,12 @@ class TestParallelPath:
 
     def test_crashed_worker_point_is_retried(self, tmp_path):
         items = [(1, str(tmp_path)), (2, str(tmp_path))]
-        results = supervised_map(_crash_once, items, jobs=2, policy=FAST)
+        results = []
+        incidents = _incidents(
+            lambda: results.extend(supervised_map(_crash_once, items, jobs=2, policy=FAST))
+        )
         assert [value for value, _ in results] == [10, 20]
-        assert get_registry().counter("recovery.crash").value >= 2
+        assert incidents.count("recovery.point.crash") >= 2
 
     def test_exhausted_attempts_raise_point_failure(self, tmp_path):
         policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0)
@@ -156,10 +169,12 @@ class TestParallelPath:
         assert time.monotonic() - start < 30.0  # killed, not waited out
 
     def test_worker_exception_propagates_without_retry(self):
-        with pytest.raises(ZeroDivisionError, match="deterministic bug"):
-            supervised_map(_raise_for_zero, [1, 0], jobs=2, policy=FAST)
-        # A raise is a result, not an incident: no retry counters.
-        assert get_registry().counter("recovery.crash").value == 0
+        def run():
+            with pytest.raises(ZeroDivisionError, match="deterministic bug"):
+                supervised_map(_raise_for_zero, [1, 0], jobs=2, policy=FAST)
+
+        # A raise is a result, not an incident: no recovery events.
+        assert _incidents(run) == []
 
     def test_unpicklable_exception_summarized(self):
         with pytest.raises(RuntimeError, match="Unpicklable: bad point"):
@@ -170,11 +185,14 @@ class TestParallelPath:
             degrade_after=1, max_attempts=10, backoff_base=0.0
         )
         items = [(i, os.getpid()) for i in range(4)]
-        results = supervised_map(
-            _crash_in_workers_only, items, jobs=2, policy=policy
+        results = []
+        incidents = _incidents(
+            lambda: results.extend(
+                supervised_map(_crash_in_workers_only, items, jobs=2, policy=policy)
+            )
         )
         assert [value for value, _ in results] == [100, 101, 102, 103]
-        assert get_registry().counter("recovery.degraded_serial").value == 1
+        assert incidents.count("recovery.degraded_serial") == 1
 
     def test_incidents_emit_trace_events(self, tmp_path):
         recorder = obs.TraceRecorder(keep_records=True)
@@ -185,8 +203,11 @@ class TestParallelPath:
                 [(1, str(tmp_path)), (2, str(tmp_path))],
                 jobs=2,
                 policy=FAST,
+                labels=["one", "two"],
             )
         finally:
             obs.reset_recorder()
-        names = [r["name"] for r in recorder.records]
-        assert names.count("recovery.point.crash") >= 2
+        crashes = [r for r in recorder.records if r["name"] == "recovery.point.crash"]
+        # Each point's first attempt died; the event names point and attempt.
+        assert sorted(r["fields"]["label"] for r in crashes) == ["one", "two"]
+        assert all(r["attempt"] == 1 for r in crashes)
