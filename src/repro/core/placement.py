@@ -241,75 +241,6 @@ def worst_fit(
     return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, True)
 
 
-def steered_placement(
-    placement: Callable,
-    snapshot,
-    job,
-    rng: np.random.Generator,
-    hot: tuple[int, ...] | list[int],
-) -> tuple[list[Claim], int]:
-    """Run ``placement`` steered away from predicted-hot machines.
-
-    The contention-avoidance kernel for
-    :class:`~repro.faults.predictor.ConflictPredictor`: the hot
-    machines' free resources are masked to zero in the snapshot (the
-    attempt's scratch space, same trick as the cooldown-based
-    hot-machine masking), the scheduler's regular placement kernel runs
-    over everything else, and then the mask is undone. Steering is
-    therefore a pure *reordering* of the candidate set: if the cold
-    machines cannot hold the whole job, the remainder is packed onto
-    the hot machines themselves — **coldest predicted-hot first** (the
-    reverse of ``hot``'s hottest-first order) — via the same vectorized
-    :func:`_pack` kernel the first-fit fallback uses. Feasibility is
-    never sacrificed: the steered plan places exactly as many tasks as
-    the unsteered plan would have (property-tested in
-    ``tests/core/test_steering.py``).
-
-    Returns ``(claims, fallback_tasks)`` where ``fallback_tasks`` is
-    how many tasks the work-conserving fallback had to put on hot
-    machines anyway.
-
-    Composes with every registered strategy: the mask goes through
-    :meth:`~repro.core.cellstate.CellSnapshot.note_local_write`, so the
-    next resync restores the masked machines from the master copy.
-    """
-    free_cpu = snapshot.free_cpu
-    free_mem = snapshot.free_mem
-    saved = [
-        (int(machine), float(free_cpu[machine]), float(free_mem[machine]))
-        for machine in hot
-    ]
-    for machine, _, _ in saved:
-        free_cpu[machine] = 0.0
-        free_mem[machine] = 0.0
-        snapshot.note_local_write(machine)
-    try:
-        claims = placement(snapshot, job, rng)
-    finally:
-        for machine, had_cpu, had_mem in saved:
-            free_cpu[machine] = had_cpu
-            free_mem[machine] = had_mem
-            snapshot.note_local_write(machine)
-    remaining = job.unplaced_tasks - sum(claim.count for claim in claims)
-    fallback_tasks = 0
-    if remaining > 0 and saved:
-        candidates = np.array(
-            [machine for machine, _, _ in reversed(saved)], dtype=np.intp
-        )
-        packed = _pack(
-            candidates,
-            free_cpu,
-            free_mem,
-            job.cpu_per_task,
-            job.mem_per_task,
-            remaining,
-        )
-        if packed:
-            fallback_tasks = sum(claim.count for claim in packed)
-            claims = list(claims) + packed
-    return claims, fallback_tasks
-
-
 #: Strategy registry for the lightweight simulator and its ablations.
 PLACEMENT_STRATEGIES: dict[str, Callable] = {
     "random-first-fit": randomized_first_fit,

@@ -32,11 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cellstate import CellSnapshot, CellState
-from repro.core.placement import (
-    placement_fn,
-    randomized_first_fit,
-    steered_placement,
-)
+from repro.core.placement import placement_fn, randomized_first_fit
 from repro.core.preemption import AllocationLedger, commit_with_preemption
 from repro.core.transaction import (
     Claim,
@@ -45,7 +41,6 @@ from repro.core.transaction import (
     ConflictMode,
     commit,
 )
-from repro.faults.predictor import ConflictPredictor
 from repro.faults.retry import ImmediateRetryPolicy, RetryPolicy
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
@@ -83,7 +78,6 @@ class OmegaScheduler(QueueScheduler):
         ledger: AllocationLedger | None = None,
         conflict_avoidance_cooldown: float = 0.0,
         retry_policy: RetryPolicy = ImmediateRetryPolicy(),
-        predictor: ConflictPredictor | None = None,
         commit: CommitFn | None = None,
     ) -> None:
         super().__init__(
@@ -124,15 +118,6 @@ class OmegaScheduler(QueueScheduler):
             )
         self.conflict_avoidance_cooldown = conflict_avoidance_cooldown
         self._hot_machines: dict[int, float] = {}
-        #: Predictive conflict avoidance (see
-        #: :mod:`repro.faults.predictor`). When set, commit conflicts
-        #: feed the predictor's contention model, placement steers away
-        #: from its predicted-hot machines, and a ``predictive`` retry
-        #: policy sharing this instance escalates on its probability
-        #: estimate. None (the default) leaves every code path —
-        #: placement, commit, trace — byte-identical to a build without
-        #: the predictor.
-        self.predictor = predictor
         #: Persistent private view of cell state, reused across attempts
         #: via incremental :meth:`~repro.core.cellstate.CellSnapshot.resync`
         #: instead of a fresh full copy per transaction.
@@ -203,25 +188,7 @@ class OmegaScheduler(QueueScheduler):
             self._mask_hot_machines(snapshot)
 
         rec = _obs.RECORDER
-        hot: tuple[int, ...] = ()
-        if self.predictor is not None:
-            hot = self.predictor.hot_machines(self.sim.now)
-        if hot:
-            claims, fallback = steered_placement(
-                self._placement, snapshot, job, self._rng, hot
-            )
-            self.metrics.record_steered(self.name, fallback)
-            if rec.enabled:
-                rec.event(
-                    "predict.steer",
-                    t=self.sim.now,
-                    sched=self.name,
-                    job=job.job_id,
-                    hot=len(hot),
-                    fallback=fallback,
-                )
-        else:
-            claims = self._placement(snapshot, job, self._rng)
+        claims = self._placement(snapshot, job, self._rng)
 
         # A starvation-escalated job (section 3.6) commits incrementally
         # from here on, so its non-conflicting tasks land even though
@@ -253,11 +220,6 @@ class OmegaScheduler(QueueScheduler):
         self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
         if result.preempted_tasks:
             self.metrics.record_preemption_caused(self.name, result.preempted_tasks)
-        if self.predictor is not None:
-            self.predictor.observe_commit(result.conflicted, self.sim.now)
-            self.metrics.record_predictor_commit(
-                self.name, steered=bool(hot), conflicted=result.conflicted
-            )
         if result.conflicted:
             self._note_conflicts(result.rejected)
         self._apply(job, result)
@@ -278,40 +240,16 @@ class OmegaScheduler(QueueScheduler):
             snapshot,
             conflict_mode=self.conflict_mode,
             commit_mode=commit_mode,
-            on_conflict=(
-                self._observe_conflict if self.predictor is not None else None
-            ),
         )
 
     def _apply(self, job: Job, result: CommitResult) -> None:
         """Book what the commit accepted against the job."""
         job.unplaced_tasks -= result.accepted_tasks
 
-    def _observe_conflict(self, machine: int, tasks: int, cause: str) -> None:
-        """Commit's ``on_conflict`` hook: feed the contention model.
-
-        Called machine-by-machine at exactly the points the
-        ``txn.conflict`` trace events fire, on the simulated clock."""
-        self.predictor.observe_conflict(machine, tasks, cause, self.sim.now)
-
     def _abort_attempt(self, job: Job) -> None:
         """Crash/commit-drop cleanup: discard the private snapshot (the
         in-flight transaction). The persistent view resyncs next time."""
         self._snapshot = None
-
-    def crash(self, requeue: bool = True) -> Job | None:
-        """Crash semantics for the predictor: the contention model is
-        in-memory scheduler state, so it dies with the process — the
-        restarted scheduler re-learns from post-restart conflicts (see
-        :meth:`repro.faults.predictor.ConflictPredictor.reset`)."""
-        was_down = self.is_down
-        lost = super().crash(requeue=requeue)
-        if not was_down and self.predictor is not None:
-            self.predictor.reset()
-            rec = _obs.RECORDER
-            if rec.enabled:
-                rec.event("predict.reset", t=self.sim.now, sched=self.name)
-        return lost
 
     # ------------------------------------------------------------------
     # Ledger integration (registration + preemption victims)

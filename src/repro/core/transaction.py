@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.core.cellstate import EPSILON, CellSnapshot, CellState
 from repro.obs import recorder as _obs
@@ -94,7 +93,6 @@ def commit(
     snapshot: CellSnapshot,
     conflict_mode: ConflictMode = ConflictMode.FINE,
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
-    on_conflict: Callable[[int, int, str], None] | None = None,
 ) -> CommitResult:
     """Attempt to commit a transaction's claims to the master cell state.
 
@@ -106,11 +104,9 @@ def commit(
     rejected. Accepted claims are applied atomically: an all-or-nothing
     transaction that fails leaves the master copy untouched.
 
-    ``on_conflict`` is the conflict-predictor feed (see
-    :mod:`repro.faults.predictor`): called as ``(machine, tasks,
-    cause)`` for every fine-grained rejection, at exactly the points the
-    ``txn.conflict`` trace events fire, but independent of whether
-    tracing is enabled.
+    With tracing on, every rejection emits one ``txn.conflict`` event
+    naming the machine, the rejected tasks and the cause
+    (``stale_sequence``, ``partial_capacity`` or ``capacity``).
     """
     if not claims:
         return CommitResult(accepted=(), rejected=())
@@ -144,8 +140,6 @@ def commit(
             # Coarse-grained: any change to the machine since sync is a
             # conflict, even if the claim would still fit.
             rejected.append(claim)
-            if on_conflict is not None:
-                on_conflict(machine, count, "stale_sequence")
             if tracing:
                 rec.event("txn.conflict", machine=machine, tasks=count, cause="stale_sequence")
             continue
@@ -164,8 +158,6 @@ def commit(
         elif ok > 0 and incremental:
             accepted.append(replace(claim, count=ok))
             rejected.append(replace(claim, count=count - ok))
-            if on_conflict is not None:
-                on_conflict(machine, count - ok, "partial_capacity")
             if tracing:
                 rec.event(
                     "txn.conflict",
@@ -175,8 +167,6 @@ def commit(
                 )
         else:
             rejected.append(claim)
-            if on_conflict is not None:
-                on_conflict(machine, count, "capacity")
             if tracing:
                 rec.event("txn.conflict", machine=machine, tasks=count, cause="capacity")
 

@@ -24,7 +24,6 @@ from repro.core.scheduler import (
 )
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.faults import FaultConfig
-from repro.faults.predictor import ConflictPredictor, PredictorConfig
 from repro.faults.retry import ImmediateRetryPolicy, RetryPolicyConfig
 from repro.metrics.results import RunSummary
 from repro.schedulers.base import DecisionTimeModel
@@ -139,7 +138,6 @@ def omega_schedulers(
     prefix: str = "",
     preempting: bool = False,
     retry: RetryPolicyConfig | None = None,
-    predictor: PredictorConfig | None = None,
     retry_conflicts_at_front: bool = True,
     cooldown: float = 0.0,
 ) -> None:
@@ -155,20 +153,12 @@ def omega_schedulers(
     streams = world.streams
 
     def scheduler(base_name: str, stream: str, model: DecisionTimeModel, preempt=False):
-        # Each scheduler gets its own conflict predictor and its own
-        # named retry stream: the paper's schedulers share nothing but
-        # the cell state, and a contention model must crash (and reset)
-        # with its scheduler alone. The ``predictive`` retry policy
-        # shares it, so escalation reads what placement steering writes.
-        contention = (
-            None if preempt or predictor is None else ConflictPredictor(predictor)
-        )
-        # The retry stream exists only where a configured policy may
-        # draw from it.
+        # Each scheduler has its own named retry stream, which exists
+        # only where a configured policy may draw from it.
         policy = (
             ImmediateRetryPolicy()
             if retry is None
-            else retry.build(streams.stream(f"retry.{base_name}"), predictor=contention)
+            else retry.build(streams.stream(f"retry.{base_name}"))
         )
         args = (
             prefix + base_name,
@@ -196,7 +186,6 @@ def omega_schedulers(
             ledger=ledger,
             conflict_avoidance_cooldown=cooldown,
             retry_policy=policy,
-            predictor=contention,
         )
 
     count = config.num_batch_schedulers
@@ -233,7 +222,6 @@ def _omega(world: World) -> None:
         prefix=config.name_prefix,
         preempting=config.enable_preemption,
         retry=config.retry_policy,
-        predictor=config.predictor,
         retry_conflicts_at_front=config.retry_conflicts_at_front,
         cooldown=config.conflict_avoidance_cooldown,
     )
@@ -319,13 +307,6 @@ class LightweightConfig:
     #: named random stream. ``None`` keeps the historical immediate
     #: front-of-queue retry untouched.
     retry_policy: RetryPolicyConfig | None = None
-    #: Omega only: predictive conflict avoidance
-    #: (:mod:`repro.faults.predictor`). ``None`` disables the predictor
-    #: entirely — every placement/commit/trace code path stays
-    #: byte-identical to a predictor-free build. Auto-enabled with
-    #: defaults when ``retry_policy.kind == "predictive"`` (the policy
-    #: is meaningless without the shared predictor instance).
-    predictor: PredictorConfig | None = None
     #: Run a :class:`~repro.faults.CellStateInvariantChecker` every this
     #: many seconds during the run; ``None`` disables continuous checks.
     invariant_check_interval: float | None = None
@@ -364,14 +345,6 @@ class LightweightConfig:
             raise ValueError(
                 "invariant_check_interval must be positive, got "
                 f"{self.invariant_check_interval}"
-            )
-        if (
-            self.predictor is None
-            and self.retry_policy is not None
-            and self.retry_policy.kind == "predictive"
-        ):
-            self.predictor = PredictorConfig(
-                escalate_probability=self.retry_policy.escalate_probability
             )
 
     @property

@@ -1,15 +1,15 @@
-"""Conflict-avoidance experiment: predictor on/off under contention.
+"""Conflict-avoidance experiment: escalate after 3 conflicts or after 1.
 
-``omega-sim conflict-avoidance`` measures what the predictive layer
-(:mod:`repro.faults.predictor`) buys: each point runs the same
-Figure-8-style Omega operating point (several gang-committing batch
-schedulers at a swept arrival-rate factor) twice — once with the
-reactive ``starvation`` retry policy (predictor **off**, the PR-4
-baseline) and once with the ``predictive`` policy plus contention-aware
-placement steering (predictor **on**) — across ``resilience``-style
-fault intensities. Rows report the paper's headline metrics plus the
-predictor counters, and every predictor-on row carries the deltas
-against its own off twin:
+``omega-sim conflict-avoidance`` is the executable form of one verdict:
+for a starving gang job, the paper's own section 3.6 remedy — switch it
+to incremental commits — pays most when applied on the first conflict.
+Each point runs the same Figure-8-style Omega operating point (several
+gang-committing batch schedulers at a swept arrival-rate factor) twice
+with the ``starvation`` retry policy — once with the default
+``escalate_after=3`` and once with ``escalate_after=1`` — across
+``resilience``-style fault intensities. Rows report the paper's
+headline metrics plus wasted work and escalations, and every
+``escalate_after=1`` row carries the deltas against its own 3 twin:
 
 * ``d_conflict`` — change in batch conflict fraction (conflicts per
   scheduled job);
@@ -18,14 +18,11 @@ against its own off twin:
   as a busy fraction);
 * ``d_abandoned`` — change in abandoned jobs.
 
-Negative deltas mean the predictor helped. Gang commits
-(``ALL_OR_NOTHING``) are used at every point so the predictive
-escalation path is live — escalating an incremental job is a no-op.
-
-The off rows install no predictor object at all, so they exercise the
-byte-identical predictor-off code path the determinism gates protect;
-the on/off pairing shares one master seed per point, so the deltas are
-attributable to the predictor alone.
+Negative deltas mean escalating early helped. Gang commits
+(``ALL_OR_NOTHING``) are used at every point so escalation is live —
+escalating an incremental job is a no-op. The pair shares one master
+seed per point, so the deltas are attributable to ``escalate_after``
+alone.
 """
 
 from __future__ import annotations
@@ -51,22 +48,21 @@ DEFAULT_INTENSITIES = (0.0, 5.0)
 
 DEFAULT_NUM_BATCH_SCHEDULERS = 4
 
-#: The delta columns attached to predictor-on rows (on minus off).
+#: ``escalate_after`` per point: the default first, then the variant.
+ESCALATE_AFTER = (3, 1)
+
+#: The delta columns attached to the variant's rows (1 minus 3).
 DELTA_COLUMNS = ("d_conflict", "d_wasted", "d_abandoned")
 
 
 def conflict_avoidance_columns(world: LightweightSimulation, result) -> dict:
-    """The table's additions to the standard row: wasted work and the
-    predictor counters."""
+    """The table's additions to the standard row: wasted work and
+    escalations."""
     metrics = result.metrics
     return dict(
         wasted_batch=result.busyness("batch")
         - result.noconflict_busyness("batch"),
         escalated=metrics.total("jobs_escalated"),
-        steered=metrics.total("placements_steered"),
-        steer_fallback=metrics.total("steer_fallback_tasks"),
-        avoided=metrics.total("predict_conflicts_avoided"),
-        incurred=metrics.total("predict_conflicts_incurred"),
         invariant_checks=world.invariant_checker.checks_run,
     )
 
@@ -80,15 +76,13 @@ def conflict_avoidance_points(
     seed: int = 3,
     faults: FaultConfig = BASELINE_FAULTS,
 ) -> list[SweepPoint]:
-    """The on/off x factor x intensity point grid, off rows first per
-    (factor, intensity) pair so :func:`attach_deltas` can pair them."""
+    """The factor x intensity x ``escalate_after`` point grid, the
+    3-row first per (factor, intensity) pair."""
     points: list[SweepPoint] = []
     for factor in factors:
         for intensity in intensities:
-            for predictor_on in (False, True):
-                retry = RetryPolicyConfig(
-                    kind="predictive" if predictor_on else "starvation"
-                )
+            for escalate_after in ESCALATE_AFTER:
+                retry = RetryPolicyConfig(kind="starvation", escalate_after=escalate_after)
                 (config, extra), = batch_load_points(
                     (factor,),
                     cluster="B",
@@ -102,7 +96,7 @@ def conflict_avoidance_points(
                     invariant_check_interval=horizon / 8.0,
                 )
                 extra = {
-                    "predictor": "on" if predictor_on else "off",
+                    "escalate_after": escalate_after,
                     "rate_factor": extra["rate_factor"],
                     "intensity": intensity,
                 }
@@ -111,25 +105,26 @@ def conflict_avoidance_points(
 
 
 def attach_deltas(rows: list[dict]) -> list[dict]:
-    """Add on-minus-off delta columns to every predictor-on row.
+    """Add 1-minus-3 delta columns to every ``escalate_after=1`` row.
 
-    Rows are paired by (rate_factor, intensity); off rows carry the
+    Rows are paired by (rate_factor, intensity); the 3-rows carry the
     columns too (as 0.0) so the text table renders one header set.
     """
-    off_rows = {
+    default, variant = ESCALATE_AFTER
+    base_rows = {
         (row["rate_factor"], row["intensity"]): row
         for row in rows
-        if row["predictor"] == "off"
+        if row["escalate_after"] == default
     }
     for row in rows:
-        if row["predictor"] != "on":
+        if row["escalate_after"] != variant:
             for column in DELTA_COLUMNS:
                 row[column] = 0.0
             continue
-        off = off_rows.get((row["rate_factor"], row["intensity"]))
-        if off is None:  # pragma: no cover - grid always emits pairs
+        base = base_rows.get((row["rate_factor"], row["intensity"]))
+        if base is None:  # pragma: no cover - grid always emits pairs
             continue
-        row["d_conflict"] = row["conflict_batch"] - off["conflict_batch"]
-        row["d_wasted"] = row["wasted_batch"] - off["wasted_batch"]
-        row["d_abandoned"] = row["abandoned"] - off["abandoned"]
+        row["d_conflict"] = row["conflict_batch"] - base["conflict_batch"]
+        row["d_wasted"] = row["wasted_batch"] - base["wasted_batch"]
+        row["d_abandoned"] = row["abandoned"] - base["abandoned"]
     return rows

@@ -13,7 +13,6 @@ Expected shapes (paper section 4.3):
 from __future__ import annotations
 
 from repro.experiments.common import DAY
-from repro.faults.retry import RetryPolicyConfig
 from repro.experiments.sweeps import (
     DEFAULT_SWEEP_CLUSTERS,
     SweepPoint,
@@ -60,7 +59,6 @@ def load_scaling_points(
 def single_run_points(
     cluster: str = "B",
     rate_factor: float = 1.0,
-    predictor: bool = False,
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
@@ -68,21 +66,10 @@ def single_run_points(
     """One Omega run at a single operating point: the right shape for
     recording a time-resolved trace (``--trace`` plus
     ``--timeline-interval``) and inspecting it with ``omega-sim trace``
-    / ``perfetto`` / ``report``. ``predictor`` turns on predictive
-    conflict avoidance (contention-aware placement steering plus the
-    ``predictive`` escalation policy, see :mod:`repro.faults.predictor`);
-    off, the run is byte-identical to a build without the predictor.
+    / ``perfetto`` / ``report``.
     """
-    config_kwargs = {}
-    if predictor:
-        config_kwargs["retry_policy"] = RetryPolicyConfig(kind="predictive")
     return batch_load_points(
-        (rate_factor,),
-        cluster=cluster,
-        horizon=horizon,
-        seed=seed,
-        scale=scale,
-        **config_kwargs,
+        (rate_factor,), cluster=cluster, horizon=horizon, seed=seed, scale=scale
     )
 
 

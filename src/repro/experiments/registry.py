@@ -438,12 +438,6 @@ _DECLARED = (
                 parse=_numbers(float, 0.0, strict=True, many=False),
             ),
             _smoke("5%% cell, 30 simulated minutes (ignores --scale/--hours)"),
-            Argument(
-                "--predictor",
-                "enable predictive conflict avoidance: contention-aware "
-                "placement steering plus the predictive escalation retry "
-                "policy (see docs/RESILIENCE.md)",
-            ),
         ),
     ),
     Experiment(
@@ -591,11 +585,6 @@ _DECLARED = (
                 intensities=(0.0, 5.0),
                 policy="starvation",
             ),
-            Argument(
-                "--predictor",
-                "also steer placement with a conflict predictor (independent "
-                "of --policy; --policy predictive implies it)",
-            ),
         ),
         plot=Plot(
             "architecture", "intensity", "wait_batch",
@@ -614,7 +603,7 @@ _DECLARED = (
     ),
     Experiment(
         "conflict-avoidance",
-        "predictive conflict avoidance: predictor on/off x operating "
+        "gang-job escalation after 3 conflicts vs after 1 x operating "
         "point x fault intensity",
         points=conflict_avoidance.conflict_avoidance_points,
         columns=conflict_avoidance.conflict_avoidance_columns,
@@ -634,14 +623,14 @@ _DECLARED = (
                 conflict_avoidance.DEFAULT_INTENSITIES,
             ),
             _smoke(
-                "tiny cell, short horizon, one operating point, predictor on and off",
+                "tiny cell, short horizon, one operating point, "
+                "escalate after 3 and after 1",
                 factors=(4.0,),
                 intensities=(0.0, 5.0),
             ),
         ),
-        # Score updates from the commit hook, hot-machine steering,
-        # predictive escalation and predictor crash-resets under chaos; the
-        # off half re-proves the off path is byte-stable.
+        # Gang commits, early and late escalation and the chaos engine
+        # must all replay exactly.
         gate=Gate({"factors": (4.0,), "intensities": (0.0, 5.0)}, jobs=2),
     ),
     Experiment(

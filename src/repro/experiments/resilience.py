@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import SweepPoint
-from repro.faults import FaultConfig, PredictorConfig
+from repro.faults import FaultConfig
 from repro.faults.retry import RetryPolicyConfig
 from repro.workload.clusters import CLUSTER_B
 
@@ -65,12 +65,6 @@ def resilience_columns(world: LightweightSimulation, result) -> dict:
         commit_drops=metrics.total("commits_dropped"),
         escalated=metrics.total("jobs_escalated"),
         abandoned_conflict=metrics.abandoned_for_reason("conflict-cap"),
-        # Predictor-on columns (zero on predictor-off rows and for the
-        # non-Omega architectures): steered placement attempts and the
-        # steered-commit outcome split (see repro.faults.predictor).
-        steered=metrics.total("placements_steered"),
-        avoided=metrics.total("predict_conflicts_avoided"),
-        incurred=metrics.total("predict_conflicts_incurred"),
         invariant_checks=world.invariant_checker.checks_run,
     )
 
@@ -79,7 +73,6 @@ def resilience_points(
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     architectures: Sequence[str] = RESILIENCE_ARCHITECTURES,
     policy: str | None = "immediate",
-    predictor: bool = False,
     scale: float = 0.2,
     horizon: float = 2 * 3600.0,
     seed: int = 3,
@@ -92,12 +85,7 @@ def resilience_points(
     built-in default). The default "immediate" policy reproduces the
     historical retry behavior exactly, which keeps the intensity-0 rows
     byte-identical to the fault-free experiments; pass "backoff" or
-    "starvation" to study the section 3.6 remedies under fault load, or
-    "predictive" for the proactive escalation driven by the conflict
-    predictor. ``predictor`` additionally turns on contention-aware
-    placement steering for the Omega rows regardless of ``policy``
-    (``policy="predictive"`` implies it); the ``steered`` /
-    ``avoided`` / ``incurred`` columns then report what steering did.
+    "starvation" to study the section 3.6 remedies under fault load.
 
     Every point shares one master seed so the fault-free workload is
     identical across the whole table — degradation is attributable to
@@ -105,7 +93,6 @@ def resilience_points(
     """
     preset = CLUSTER_B.scaled(scale)
     retry = RetryPolicyConfig(kind=policy) if policy is not None else None
-    predictor_config = PredictorConfig() if predictor else None
     points: list[SweepPoint] = []
     for architecture in architectures:
         for intensity in intensities:
@@ -116,7 +103,6 @@ def resilience_points(
                 seed=seed,
                 fault_config=faults.scaled(intensity),
                 retry_policy=retry,
-                predictor=predictor_config,
                 invariant_check_interval=horizon / 8.0,
             )
             points.append(

@@ -17,13 +17,8 @@ robustness territory the authors skipped (see ``docs/RESILIENCE.md``):
   commit-path latency spikes and drops;
 * :mod:`~repro.faults.retry` — pluggable Omega conflict-retry policies
   (immediate, capped, exponential backoff with deterministic jitter,
-  starvation escalation to incremental commits per paper section 3.6,
-  and predictive escalation driven by the conflict predictor);
-* :mod:`~repro.faults.predictor` — per-scheduler
-  :class:`~repro.faults.predictor.ConflictPredictor` with
-  exponentially-decayed per-machine contention scores, hot-machine
-  placement steering and the conflict-probability estimate behind the
-  ``predictive`` retry policy;
+  and starvation escalation to incremental commits per paper section
+  3.6);
 * :class:`~repro.faults.invariants.CellStateInvariantChecker` — the
   cell-state safety net that runs continuously in simulation or as a
   post-run CI gate.
@@ -36,7 +31,6 @@ runtime determinism gate).
 
 from repro.faults.chaos import ChaosEngine, FaultConfig
 from repro.faults.invariants import CellStateInvariantChecker, InvariantViolation
-from repro.faults.predictor import ConflictPredictor, PredictorConfig
 from repro.faults.processes import FailureRepairProcess
 from repro.faults.retry import (
     RETRY_POLICIES,
@@ -56,8 +50,6 @@ __all__ = [
     "FailureRepairProcess",
     "CellStateInvariantChecker",
     "InvariantViolation",
-    "ConflictPredictor",
-    "PredictorConfig",
     "RetryAction",
     "RetryDecision",
     "RetryPolicy",

@@ -147,7 +147,6 @@ class ChaosEngine:
         self._streams = streams
         self.processes: list[FailureRepairProcess] = []
         self._commit_rngs: dict[str, object] = {}
-        self._schedulers: list["QueueScheduler"] = []
         self._horizon: float | None = None
         self.crashes = 0
         self.commit_delays = 0
@@ -182,7 +181,6 @@ class ChaosEngine:
         index and scheduler name.
         """
         self._horizon = horizon
-        self._schedulers = list(schedulers)
         cfg = self.config
         if cfg.machine_mtbf is not None:
             for index, state in enumerate(states):
@@ -218,13 +216,6 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     def _machine_failed(self, cell_index: int, machine: int, killed: int) -> None:
         self.metrics.record_machine_failure(killed)
-        # A failed machine just lost every running task — whatever
-        # contention the conflict predictors had learned for it is stale,
-        # so their scores for it are dropped (not merely decayed).
-        for scheduler in self._schedulers:
-            predictor = getattr(scheduler, "predictor", None)
-            if predictor is not None:
-                predictor.note_machine_failed(machine)
         rec = _obs.RECORDER
         if rec.enabled:
             rec.event(

@@ -25,9 +25,6 @@ space a first-class, swappable policy:
     conflicts the job is switched to incremental commit mode (gang
     all-or-nothing semantics are dropped so partial progress lands),
     and a hard conflict cap still bounds the loop.
-``predictive``
-    ``starvation`` that also escalates as soon as the scheduler's
-    conflict predictor reports ``escalate_probability`` or more.
 
 Every policy is a deterministic function of (job state, its own RNG
 stream): two schedulers built from the same
@@ -199,20 +196,12 @@ class StarvationEscalationPolicy(RetryPolicy):
     landing the non-conflicting subset of its tasks. A hard conflict
     cap (``max_conflict_retries``) still guarantees termination for
     adversarial conflict schedules where even incremental commits make
-    no progress.
-
-    With ``escalate_probability`` set this is the ``predictive`` policy
-    (and reports that :attr:`name`): it also escalates as soon as the
-    scheduler's :class:`~repro.faults.predictor.ConflictPredictor`
-    estimates a conflict probability at or above the threshold — on the
-    job's first conflict if the commit path is already known-contended,
-    before it starves. ``escalate_after`` stays as the backstop, so the
-    predictive form is never later to escalate than the reactive one
-    and the two are identical in a quiet cell (predictor cold, or none
-    given); they share one escalation-latency histogram
-    (``jobs.attempts_until_escalation`` in ``run.metrics``). The whole
-    object — predictor included — pickles across ``--jobs N`` workers.
+    no progress. ``escalate_after=1`` escalates on the first conflict,
+    which beats any later trigger on contended gang workloads
+    (docs/RESILIENCE.md, "Escalate early").
     """
+
+    name = "starvation"
 
     def __init__(
         self,
@@ -223,20 +212,10 @@ class StarvationEscalationPolicy(RetryPolicy):
         max_delay: float = 30.0,
         jitter: float = 0.5,
         max_conflict_retries: int = 100,
-        predictor: "ConflictPredictor | None" = None,
-        escalate_probability: float | None = None,
     ) -> None:
         if escalate_after < 1:
             raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
-        if escalate_probability is not None and not 0.0 < escalate_probability <= 1.0:
-            raise ValueError(
-                "escalate_probability must be in (0, 1], got "
-                f"{escalate_probability}"
-            )
-        self.name = "starvation" if escalate_probability is None else "predictive"
         self.escalate_after = escalate_after
-        self.predictor = predictor
-        self.escalate_probability = escalate_probability
         self._backoff = ExponentialBackoffPolicy(
             rng,
             base_delay=base_delay,
@@ -251,12 +230,7 @@ class StarvationEscalationPolicy(RetryPolicy):
         decision = self._backoff.decide(job)
         if decision.action is RetryAction.ABANDON or job.escalated:
             return decision
-        predicted_hot = (
-            self.predictor is not None
-            and self.escalate_probability is not None
-            and self.predictor.conflict_probability() >= self.escalate_probability
-        )
-        if predicted_hot or job.conflicts >= self.escalate_after:
+        if job.conflicts >= self.escalate_after:
             return RetryDecision(
                 action=RetryAction.RETRY,
                 delay=decision.delay,
@@ -267,7 +241,7 @@ class StarvationEscalationPolicy(RetryPolicy):
 
 
 #: Policy names accepted by :class:`RetryPolicyConfig` and the CLI.
-RETRY_POLICIES = ("immediate", "capped", "backoff", "starvation", "predictive")
+RETRY_POLICIES = ("immediate", "capped", "backoff", "starvation")
 
 
 @dataclass(frozen=True)
@@ -286,10 +260,6 @@ class RetryPolicyConfig:
     max_delay: float = 60.0
     jitter: float = 0.5
     escalate_after: int = 3
-    #: ``predictive`` only: predicted conflict probability at which a
-    #: gang job escalates to incremental commits (the reactive
-    #: ``escalate_after`` trigger is kept as a backstop).
-    escalate_probability: float = 0.25
 
     def __post_init__(self) -> None:
         if self.kind not in RETRY_POLICIES:
@@ -297,20 +267,9 @@ class RetryPolicyConfig:
                 f"unknown retry policy {self.kind!r}; choose from {RETRY_POLICIES}"
             )
 
-    def build(
-        self,
-        rng: np.random.Generator,
-        predictor: "ConflictPredictor | None" = None,
-    ) -> RetryPolicy:
+    def build(self, rng: np.random.Generator) -> RetryPolicy:
         """Build the policy, drawing jitter from ``rng`` (a named
-        :class:`~repro.sim.random.RandomStreams` stream).
-
-        ``predictor`` is the owning scheduler's
-        :class:`~repro.faults.predictor.ConflictPredictor`; only the
-        ``predictive`` policy consumes it (the builders in
-        :mod:`repro.experiments.common` share one predictor instance
-        between a scheduler's placement steering and its retry policy).
-        """
+        :class:`~repro.sim.random.RandomStreams` stream)."""
         if self.kind == "immediate":
             return ImmediateRetryPolicy()
         if self.kind == "capped":
@@ -326,7 +285,6 @@ class RetryPolicyConfig:
                 jitter=self.jitter,
                 max_conflict_retries=self.max_conflict_retries,
             )
-        predictive = self.kind == "predictive"
         return StarvationEscalationPolicy(
             rng,
             escalate_after=self.escalate_after,
@@ -335,6 +293,4 @@ class RetryPolicyConfig:
             max_delay=self.max_delay,
             jitter=self.jitter,
             max_conflict_retries=self.max_conflict_retries or 100,
-            predictor=predictor if predictive else None,
-            escalate_probability=self.escalate_probability if predictive else None,
         )

@@ -51,18 +51,6 @@ class SchedulerMetrics:
     #: Jobs switched to incremental commit mode by a
     #: starvation-escalation retry policy (paper section 3.6).
     jobs_escalated: int = 0
-    #: Predictive conflict avoidance (see :mod:`repro.faults.predictor`):
-    #: attempts whose placement was steered away from predicted-hot
-    #: machines, and how many tasks the work-conserving fallback had to
-    #: put on hot machines anyway.
-    placements_steered: int = 0
-    steer_fallback_tasks: int = 0
-    #: Commit outcomes split by whether the attempt was steered: a
-    #: steered commit that lands clean is an *avoided* conflict
-    #: (prediction acted and no conflict materialized); a steered commit
-    #: that still conflicts is an *incurred* one.
-    predict_conflicts_avoided: int = 0
-    predict_conflicts_incurred: int = 0
 
 
 class MetricsCollector:
@@ -215,38 +203,12 @@ class MetricsCollector:
 
         ``attempts`` is the job's attempt count at escalation time; it
         feeds the per-policy escalation-latency histogram
-        (``jobs.attempts_until_escalation``), which is what makes
-        predictive escalation (early, on the model's forecast)
-        comparable against reactive starvation escalation (late, after
-        the job has personally conflicted ``escalate_after`` times).
+        (``jobs.attempts_until_escalation``), which shows how early each
+        ``escalate_after`` setting switches a job to incremental commits.
         """
         self.schedulers[scheduler].jobs_escalated += 1
         if attempts is not None:
             self._escalation_attempts[scheduler, policy or "none"].append(attempts)
-
-    def record_steered(self, scheduler: str, fallback_tasks: int) -> None:
-        """One placement attempt was steered away from predicted-hot
-        machines; ``fallback_tasks`` tasks still landed on them via the
-        work-conserving fallback."""
-        if fallback_tasks < 0:
-            raise ValueError(f"fallback_tasks must be >= 0, got {fallback_tasks}")
-        metrics = self.schedulers[scheduler]
-        metrics.placements_steered += 1
-        metrics.steer_fallback_tasks += fallback_tasks
-
-    def record_predictor_commit(
-        self, scheduler: str, steered: bool, conflicted: bool
-    ) -> None:
-        """Attribute one predictor-on commit outcome.
-
-        Steered-and-clean counts as an avoided conflict, steered-but-
-        conflicted as an incurred one; unsteered commits count as neither.
-        """
-        metrics = self.schedulers[scheduler]
-        if steered and conflicted:
-            metrics.predict_conflicts_incurred += 1
-        elif steered:
-            metrics.predict_conflicts_avoided += 1
 
     def record_preemption_caused(self, preemptor: str, tasks: int) -> None:
         """``preemptor`` evicted ``tasks`` lower-precedence tasks."""

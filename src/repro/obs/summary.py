@@ -15,9 +15,7 @@ Turns a stream of trace records (in memory or loaded from JSONL via
   attempts?";
 * **contended machines** — the top-K machines by fine-grained
   ``txn.conflict`` rejections (events, rejected tasks, and the
-  stale-sequence / partial-capacity / capacity cause split) — the
-  ground truth the :class:`repro.faults.predictor.ConflictPredictor`
-  hotness view estimates online;
+  stale-sequence / partial-capacity / capacity cause split);
 * **timeline series** — the ``timeline.*`` samples recorded by
   :mod:`repro.obs.timeline` (utilization, busy fraction, conflict
   rate over simulated time), grouped per run and per scheduler;
@@ -356,8 +354,7 @@ class TraceSummary:
         Sourced from the ``jobs.attempts_until_escalation`` histograms
         each run's ``run.metrics`` record serializes: how many attempts
         a job burned before its gang→incremental escalation, which is
-        how the reactive (``starvation``) and predictive policies are
-        compared head-to-head.
+        how two ``escalate_after`` settings are compared head-to-head.
         """
         rows = []
         for (name, label_items), histogram in sorted(self.histograms.items()):
@@ -383,10 +380,8 @@ class TraceSummary:
 
         Ranked by rejected tasks (events as the tie-break, machine id as
         the final deterministic tie-break), with the cause split the
-        ``txn.conflict`` vocabulary defines. This is the *measured*
-        contention the predictor's decayed hotness view estimates
-        online — ``omega-sim trace`` on a predictor-on run shows how
-        well the two agree.
+        ``txn.conflict`` vocabulary defines: where contention was
+        measured, machine by machine.
         """
         if top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")

@@ -148,7 +148,8 @@ class TimelineSampler:
             self._previous[name] = (busy, conflicts, abandoned)
             if not emit:
                 continue
-            fields = dict(
+            rec.event(
+                "timeline.sched",
                 t=now,
                 sched=name,
                 queue_depth=scheduler.queue_depth,
@@ -160,12 +161,3 @@ class TimelineSampler:
                 abandoned=abandoned,
                 abandon_rate=(abandoned - prev_abandoned) / interval,
             )
-            # Predictor gauges ride along only on predictor-on runs, so
-            # predictor-off records stay byte-identical. hot_machines()
-            # is a pure read — sampling must never perturb scheduling.
-            predictor = getattr(scheduler, "predictor", None)
-            if predictor is not None:
-                fields["predict_hot"] = len(predictor.hot_machines(now))
-                fields["predict_prob"] = predictor.conflict_probability()
-                fields["predict_tracked"] = predictor.tracked_machines
-            rec.event("timeline.sched", **fields)

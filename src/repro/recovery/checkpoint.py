@@ -51,6 +51,16 @@ MANIFEST_NAME = "manifest.json"
 LOG_NAME = "points.jsonl"
 
 
+#: Record keys whose JSON type is checked on load: (key, types, name).
+_RECORD_TYPES = (
+    ("sweep", int, "an integer"),
+    ("index", int, "an integer"),
+    ("label", str, "a string"),
+    ("row", dict, "an object"),
+    ("trace", (list, type(None)), "a list or null"),
+)
+
+
 class RecoveryError(ValueError):
     """A checkpoint cannot be created or resumed; one-line, exit 2."""
 
@@ -67,6 +77,10 @@ def _parse_log_line(line: str) -> dict[str, Any]:
         raise ValueError(f"checksum mismatch (stored {expected}, computed {actual})")
     if not isinstance(record, dict) or "sweep" not in record or "index" not in record:
         raise ValueError("checkpoint record is missing sweep/index")
+    for key, kinds, name in _RECORD_TYPES:
+        value = record.get(key)
+        if key in record and (not isinstance(value, kinds) or isinstance(value, bool)):
+            raise ValueError(f"{key!r} must be {name}, got {value!r}")
     return record
 
 

@@ -18,6 +18,14 @@ from repro.recovery.artifacts import ArtifactError
 #: Bump on incompatible changes to the manifest/checkpoint layout.
 CHECKPOINT_FORMAT_VERSION = 1
 
+#: Manifest keys whose JSON type is checked on load: (key, type, name).
+_TYPED_KEYS = (
+    ("experiment", str, "a string"),
+    ("seed", int, "an integer"),
+    ("parameters", dict, "an object"),
+    ("checkpoint_format", int, "an integer"),
+)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -54,11 +62,18 @@ class RunManifest:
                 f"{path}: not a checkpoint manifest "
                 f"(kind={doc.get('kind')!r}, expected 'omega-sim-checkpoint')"
             )
+        for key, kind, name in _TYPED_KEYS:
+            value = doc.get(key)
+            if key in doc and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise ArtifactError(
+                    f"{path}: corrupt checkpoint manifest: {key!r} must be "
+                    f"{name}, got {value!r}"
+                )
         return cls(
-            experiment=str(doc.get("experiment", "")),
-            seed=int(doc.get("seed", 0)),
+            experiment=doc.get("experiment", ""),
+            seed=doc.get("seed", 0),
             parameters=dict(doc.get("parameters", {})),
-            checkpoint_format=int(doc.get("checkpoint_format", -1)),
+            checkpoint_format=doc.get("checkpoint_format", -1),
             code_version=str(doc.get("code_version", "unknown")),
         )
 

@@ -355,19 +355,11 @@ def _assert_master_equals(state: CellState, copy) -> None:
 
 def _traced_commit(state, claims, snapshot, conflict_mode, commit_mode):
     """``commit`` under an in-memory recorder: (result or None if the
-    apply raised OvercommitError, on_conflict calls, txn.conflict events)."""
-    hook_calls = []
+    apply raised OvercommitError, txn.conflict events)."""
     recorder = TraceRecorder()
     set_recorder(recorder)
     try:
-        result = commit(
-            state,
-            claims,
-            snapshot,
-            conflict_mode,
-            commit_mode,
-            on_conflict=lambda *call: hook_calls.append(call),
-        )
+        result = commit(state, claims, snapshot, conflict_mode, commit_mode)
     except OvercommitError:
         result = None
     finally:
@@ -377,7 +369,7 @@ def _traced_commit(state, claims, snapshot, conflict_mode, commit_mode):
         for r in recorder.records
         if r["name"] == "txn.conflict"
     ]
-    return result, hook_calls, events
+    return result, events
 
 
 class TestCommitInvariants:
@@ -390,11 +382,9 @@ class TestCommitInvariants:
             for commit_mode in CommitMode:
                 state, snapshot = _build(n, prefill, perturb)
                 before = _master_copy(state)
-                result, hook_calls, events = _traced_commit(
+                result, events = _traced_commit(
                     state, claims, snapshot, conflict_mode, commit_mode
                 )
-                # The predictor feed and the trace say the same thing.
-                assert hook_calls == events
                 if result is None:
                     # Claims are validated one by one against pre-commit
                     # state, so only two claims on one machine can pass
@@ -407,12 +397,14 @@ class TestCommitInvariants:
                 if commit_mode is CommitMode.ALL_OR_NOTHING and result.rejected:
                     assert result.accepted == ()
                     assert result.rejected == tuple(claims)
-                    assert hook_calls  # something caused the abort
+                    assert events  # something caused the abort
                     _assert_master_equals(state, before)
                     continue
                 if commit_mode is CommitMode.INCREMENTAL:
-                    # Every rejected task is reported to the hook once.
-                    assert result.rejected_tasks == sum(c[1] for c in hook_calls)
+                    # Each rejected claim is one txn.conflict event, in order.
+                    assert [(c.machine, c.count) for c in result.rejected] == [
+                        (machine, tasks) for machine, tasks, _ in events
+                    ]
                 # Master afterwards == master before minus the accepted
                 # claims, applied in order with claim()'s dust clamp.
                 free_cpu, free_mem, seq, version = before

@@ -1,22 +1,24 @@
 """Integration tests for the conflict-avoidance experiment.
 
-The experiment's correctness claims: the predictor-off rows run the
-byte-identical predictor-off code path (no predictor objects exist at
-all), the predictor-on rows share one predictor instance between each
-scheduler's steering and its predictive retry policy, serial and
-``--jobs 2`` execution produce identical rows (picklable configs), and
-the delta pairing attaches on-minus-off columns correctly.
+The experiment's correctness claims: its ``escalate_after=3`` rows are
+a plain ``starvation`` run of the same Figure-8 operating point, its
+``escalate_after=1`` rows escalate more, serial and ``--jobs 2``
+execution produce identical rows (picklable configs), and the delta
+pairing attaches 1-minus-3 columns correctly.
 """
 
 import math
 
 from repro.core.transaction import CommitMode
-from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.experiments.conflict_avoidance import DELTA_COLUMNS, attach_deltas
-from repro.experiments.registry import EXPERIMENTS, run
-from repro.faults import PredictorConfig
+from repro.experiments.conflict_avoidance import (
+    DELTA_COLUMNS,
+    attach_deltas,
+    conflict_avoidance_columns,
+)
+from repro.experiments.registry import EXPERIMENTS, run, run_point
+from repro.experiments.resilience import BASELINE_FAULTS
+from repro.experiments.sweeps import batch_load_points
 from repro.faults.retry import RetryPolicyConfig
-from repro.workload.clusters import CLUSTER_B
 
 SCALE = 0.05
 HORIZON = 900.0
@@ -47,76 +49,23 @@ def assert_same(actual, expected, label=""):
     assert same, f"{label}: {actual!r} != {expected!r}"
 
 
-class TestPredictorWiring:
-    def _config(self, kind: str) -> LightweightConfig:
-        return LightweightConfig(
-            preset=CLUSTER_B.scaled(SCALE),
-            architecture="omega",
-            horizon=HORIZON,
-            seed=SEED,
-            num_batch_schedulers=2,
-            commit_mode=CommitMode.ALL_OR_NOTHING,
-            retry_policy=RetryPolicyConfig(kind=kind),
-        )
-
-    def test_off_rows_build_no_predictor_objects(self):
-        """The predictor-off path must be the pre-predictor code path:
-        no ConflictPredictor is ever constructed, so every ``predictor
-        is None`` guard short-circuits."""
-        sim = LightweightSimulation(self._config("starvation")).build()
-        assert sim.config.predictor is None
-        predictors = [
-            getattr(scheduler, "predictor", None) for scheduler in sim.schedulers
-        ]
-        assert predictors == [None] * len(predictors)
-
-    def test_predictive_policy_auto_enables_predictor(self):
-        config = self._config("predictive")
-        assert config.predictor == PredictorConfig(
-            escalate_probability=RetryPolicyConfig(
-                kind="predictive"
-            ).escalate_probability
-        )
-
-    def test_each_scheduler_shares_one_predictor_with_its_policy(self):
-        sim = LightweightSimulation(self._config("predictive")).build()
-        omega = [
-            scheduler
-            for scheduler in sim.schedulers
-            if getattr(scheduler, "predictor", None) is not None
-        ]
-        assert len(omega) >= 2
-        for scheduler in omega:
-            # Steering and escalation must consult the same model.
-            assert scheduler.retry_policy.predictor is scheduler.predictor
-        instances = {id(scheduler.predictor) for scheduler in omega}
-        assert len(instances) == len(omega)  # never shared across schedulers
-
-
 class TestRows:
     def test_grid_shape_and_columns(self):
         rows = small_rows()
-        assert len(rows) == 4  # (off, on) x (intensity 0, 5)
+        assert len(rows) == 4  # escalate_after (3, 1) x (intensity 0, 5)
         for row in rows:
             for column in DELTA_COLUMNS + (
                 "wasted_batch",
                 "escalated",
-                "steered",
-                "steer_fallback",
-                "avoided",
-                "incurred",
                 "invariant_checks",
             ):
                 assert column in row, column
             assert row["invariant_checks"] > 0
-        off = [row for row in rows if row["predictor"] == "off"]
-        on = [row for row in rows if row["predictor"] == "on"]
-        assert len(off) == len(on) == 2
-        for row in off:
-            assert row["steered"] == 0
+        late = [row for row in rows if row["escalate_after"] == 3]
+        early = [row for row in rows if row["escalate_after"] == 1]
+        assert len(late) == len(early) == 2
+        for row in late:
             assert all(row[column] == 0.0 for column in DELTA_COLUMNS)
-        # Predictor-on rows actually exercised steering.
-        assert all(row["steered"] > 0 for row in on)
 
     def test_jobs_2_rows_identical_to_serial(self):
         serial = small_rows(jobs=1)
@@ -130,15 +79,49 @@ class TestRows:
     def test_smoke_rows_cover_both_paths(self):
         experiment = EXPERIMENTS["conflict-avoidance"]
         rows = run(experiment, {**experiment.smoke, "seed": SEED})
-        assert {row["predictor"] for row in rows} == {"off", "on"}
+        assert {row["escalate_after"] for row in rows} == {3, 1}
         assert {row["intensity"] for row in rows} == {0.0, 5.0}
 
 
+class TestEscalateAfter:
+    def test_3_rows_are_plain_starvation_runs_and_1_rows_escalate_more(self):
+        rows = small_rows()
+        for intensity in (0.0, 5.0):
+            late, early = (
+                next(
+                    row
+                    for row in rows
+                    if row["intensity"] == intensity
+                    and row["escalate_after"] == escalate_after
+                )
+                for escalate_after in (3, 1)
+            )
+            ((config, extra),) = batch_load_points(
+                (4.0,),
+                cluster="B",
+                num_batch_schedulers=4,
+                horizon=HORIZON,
+                seed=SEED,
+                scale=SCALE,
+                commit_mode=CommitMode.ALL_OR_NOTHING,
+                fault_config=BASELINE_FAULTS.scaled(intensity),
+                retry_policy=RetryPolicyConfig(kind="starvation"),
+                invariant_check_interval=HORIZON / 8.0,
+            )
+            plain = run_point(
+                (config, {"rate_factor": extra["rate_factor"]}),
+                columns=conflict_avoidance_columns,
+            )
+            for key, value in plain.items():
+                assert_same(late[key], value, label=f"{intensity}/{key}")
+            assert early["escalated"] > late["escalated"]
+
+
 class TestAttachDeltas:
-    def test_deltas_pair_on_with_off(self):
+    def test_deltas_pair_each_1_row_with_its_3_row(self):
         rows = [
             {
-                "predictor": "off",
+                "escalate_after": 3,
                 "rate_factor": 4.0,
                 "intensity": 5.0,
                 "conflict_batch": 0.2,
@@ -146,7 +129,7 @@ class TestAttachDeltas:
                 "abandoned": 3,
             },
             {
-                "predictor": "on",
+                "escalate_after": 1,
                 "rate_factor": 4.0,
                 "intensity": 5.0,
                 "conflict_batch": 0.15,
@@ -155,8 +138,8 @@ class TestAttachDeltas:
             },
         ]
         attach_deltas(rows)
-        off, on = rows
-        assert all(off[column] == 0.0 for column in DELTA_COLUMNS)
-        assert on["d_conflict"] == 0.15 - 0.2
-        assert on["d_wasted"] == 0.07 - 0.10
-        assert on["d_abandoned"] == -2
+        late, early = rows
+        assert all(late[column] == 0.0 for column in DELTA_COLUMNS)
+        assert early["d_conflict"] == 0.15 - 0.2
+        assert early["d_wasted"] == 0.07 - 0.10
+        assert early["d_abandoned"] == -2

@@ -201,42 +201,27 @@ class TestCounters:
             MetricsCollector(period=0.0)
 
 
-class TestPredictorMetrics:
-    def test_steered_counters(self, collector):
-        collector.record_steered("s", 3)
-        collector.record_steered("s", 0)
-        assert collector.total("placements_steered") == 2
-        assert collector.total("steer_fallback_tasks") == 3
-        with pytest.raises(ValueError):
-            collector.record_steered("s", -1)
-
-    def test_predictor_commit_outcome_split(self, collector):
-        collector.record_predictor_commit("s", steered=True, conflicted=False)
-        collector.record_predictor_commit("s", steered=True, conflicted=True)
-        collector.record_predictor_commit("s", steered=False, conflicted=True)
-        assert collector.total("predict_conflicts_avoided") == 1
-        assert collector.total("predict_conflicts_incurred") == 1
-
+class TestEscalationMetrics:
     def test_escalation_latency_histogram_per_policy(self, collector):
-        collector.record_escalated("s", attempts=4, policy="predictive")
-        collector.record_escalated("s", attempts=6, policy="predictive")
-        collector.record_escalated("s", attempts=2, policy="starvation")
+        collector.record_escalated("s", attempts=4, policy="starvation")
+        collector.record_escalated("s", attempts=6, policy="starvation")
+        collector.record_escalated("s", attempts=2)
         histograms = {
             (metric.name, tuple(sorted(metric.labels.items()))): metric
             for metric in collector.histograms()
         }
-        predictive = histograms[
-            (
-                "jobs.attempts_until_escalation",
-                (("policy", "predictive"), ("scheduler", "s")),
-            )
-        ]
-        assert predictive.summary()["count"] == 2
-        assert predictive.summary()["mean"] == pytest.approx(5.0)
         starvation = histograms[
             (
                 "jobs.attempts_until_escalation",
                 (("policy", "starvation"), ("scheduler", "s")),
             )
         ]
-        assert starvation.summary()["count"] == 1
+        assert starvation.summary()["count"] == 2
+        assert starvation.summary()["mean"] == pytest.approx(5.0)
+        unlabelled = histograms[
+            (
+                "jobs.attempts_until_escalation",
+                (("policy", "none"), ("scheduler", "s")),
+            )
+        ]
+        assert unlabelled.summary()["count"] == 1

@@ -49,7 +49,7 @@ class TestDerivedHistograms:
         escalations=st.lists(
             st.tuples(
                 st.sampled_from("ab"),
-                st.sampled_from(["starvation", "predictive", None]),
+                st.sampled_from(["starvation", "backoff", None]),
                 st.integers(1, 2000),
             )
         ),

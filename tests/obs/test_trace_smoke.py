@@ -279,7 +279,7 @@ class TestEscalationRows:
         summary = obs.TraceSummary.from_records(
             [
                 _escalation_metrics_record(
-                    "omega-batch-0", "predictive", [2.0, 4.0]
+                    "omega-batch-0", "starvation", [2.0, 4.0]
                 ),
                 _escalation_metrics_record(
                     "omega-batch-1", "starvation", [10.0]
@@ -288,21 +288,21 @@ class TestEscalationRows:
         )
         rows = summary.escalation_rows()
         assert [(row["scheduler"], row["policy"]) for row in rows] == [
-            ("omega-batch-0", "predictive"),
+            ("omega-batch-0", "starvation"),
             ("omega-batch-1", "starvation"),
         ]
-        predictive, starvation = rows
-        assert predictive["escalations"] == 2
-        assert predictive["mean_attempts"] == pytest.approx(3.0)
-        assert starvation["escalations"] == 1
-        assert starvation["max"] == pytest.approx(10.0)
+        first, second = rows
+        assert first["escalations"] == 2
+        assert first["mean_attempts"] == pytest.approx(3.0)
+        assert second["escalations"] == 1
+        assert second["max"] == pytest.approx(10.0)
 
     def test_merge_across_runs(self):
         # Two runs of the same (scheduler, policy) fold into one row.
         summary = obs.TraceSummary.from_records(
             [
-                _escalation_metrics_record("omega-batch-0", "predictive", [2.0]),
-                _escalation_metrics_record("omega-batch-0", "predictive", [6.0]),
+                _escalation_metrics_record("omega-batch-0", "starvation", [2.0]),
+                _escalation_metrics_record("omega-batch-0", "starvation", [6.0]),
             ]
         )
         (row,) = summary.escalation_rows()
@@ -314,7 +314,7 @@ def test_render_and_rollup_surface_contention_sections():
     summary = obs.TraceSummary.from_records(
         [
             _conflict_record(3, 2, "capacity"),
-            _escalation_metrics_record("omega-batch-0", "predictive", [2.0]),
+            _escalation_metrics_record("omega-batch-0", "starvation", [2.0]),
         ]
     )
     text = summary.render()
@@ -322,4 +322,4 @@ def test_render_and_rollup_surface_contention_sections():
     assert "escalation latency (attempts until gang→incremental):" in text
     rollup = summary.json_rollup()
     assert rollup["contended_machines"][0]["machine"] == 3
-    assert rollup["escalation_rows"][0]["policy"] == "predictive"
+    assert rollup["escalation_rows"][0]["policy"] == "starvation"

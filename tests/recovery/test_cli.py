@@ -8,8 +8,11 @@ output) is exercised end-to-end by the kill-and-resume determinism gate
 
 import json
 
+import pytest
+
 from repro.experiments.cli import main
-from repro.recovery.checkpoint import CheckpointStore
+from repro.recovery.artifacts import canonical_json, checksum_line, write_json_artifact
+from repro.recovery.checkpoint import LOG_NAME, MANIFEST_NAME, CheckpointStore
 from repro.recovery.manifest import RunManifest
 
 ARGS = ["fig8", "--scale", "0.05", "--hours", "0.3"]
@@ -93,3 +96,61 @@ def test_resume_missing_manifest_exits_two(tmp_path, capsys):
 def test_bad_point_timeout_exits_two(tmp_path, capsys):
     assert main(ARGS + ["--point-timeout", "-1"]) == 2
     assert "point_timeout must be positive" in capsys.readouterr().err
+
+
+_GOOD_MANIFEST = RunManifest(
+    experiment="fig8", seed=0, parameters={"scale": 0.05, "hours": 0.3}
+).to_doc()
+_GOOD_RECORD = {"sweep": 0, "index": 0, "label": "p", "row": {}, "trace": None}
+
+
+@pytest.mark.parametrize(
+    "manifest, record",
+    [
+        ({"parameters": [1]}, None),
+        ({"checkpoint_format": None}, None),
+        ({"seed": "x"}, None),
+        ({"seed": True}, None),
+        ({"experiment": 8}, None),
+        (None, {"row": 5}),
+        (None, {"label": 3}),
+        (None, {"trace": {}}),
+        (None, {"index": "0"}),
+        (None, {"sweep": 0.5}),
+    ],
+    ids=[
+        "manifest-parameters",
+        "manifest-format",
+        "manifest-seed-str",
+        "manifest-seed-bool",
+        "manifest-experiment",
+        "record-row",
+        "record-label",
+        "record-trace",
+        "record-index",
+        "record-sweep",
+    ],
+)
+def test_wrong_typed_checkpoint_exits_two_naming_the_path(
+    tmp_path, capsys, manifest, record
+):
+    """A checksum-valid manifest or point record with a wrong-typed key
+    is refused in one line naming the file (and line), not a traceback."""
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    write_json_artifact(
+        directory / MANIFEST_NAME, {**_GOOD_MANIFEST, **(manifest or {})}
+    )
+    bad = {**_GOOD_RECORD, **(record or {})}
+    with open(directory / LOG_NAME, "w", encoding="utf-8") as log:
+        for entry in (bad, {**_GOOD_RECORD, "index": 1}):
+            sha = checksum_line(canonical_json(entry))
+            log.write(json.dumps({"record": entry, "sha256": sha}) + "\n")
+    rc = main(ARGS + ["--checkpoint", str(directory), "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if manifest:
+        assert f"{directory / MANIFEST_NAME}: corrupt checkpoint manifest" in err
+    else:
+        assert f"{directory / LOG_NAME}:1: corrupt checkpoint record" in err

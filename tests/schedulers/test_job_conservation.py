@@ -16,7 +16,6 @@ from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.faults import FaultConfig
-from repro.faults.predictor import PredictorConfig
 from repro.faults.retry import RetryPolicyConfig
 from repro.mapreduce import MapReduceScheduler, MapReduceWorkload, MaxParallelismPolicy
 from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
@@ -44,10 +43,9 @@ CONFIGS = {
     "omega": _config(),
     "omega-gang-coarse": _config(**_CONTENDED),
     "omega-cooldown": _config(**_CONTENDED, conflict_avoidance_cooldown=5.0),
-    "omega-predictive": _config(
+    "omega-escalate-first": _config(
         **_CONTENDED,
-        predictor=PredictorConfig(),
-        retry_policy=RetryPolicyConfig(kind="predictive"),
+        retry_policy=RetryPolicyConfig(kind="starvation", escalate_after=1),
     ),
     "omega-backoff": _config(
         **_CONTENDED, retry_policy=RetryPolicyConfig(kind="backoff")
