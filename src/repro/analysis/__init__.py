@@ -8,18 +8,14 @@ path, and resource comparisons tolerate EPSILON float dust. This
 package enforces them two ways:
 
 * **statically** — an AST rule engine (``python -m repro.analysis`` or
-  ``omega-sim lint``) with per-rule diagnostics, inline
-  ``# omega-lint: disable=RULE`` suppressions, and ``[tool.omega-lint]``
-  configuration in pyproject.toml;
+  ``omega-sim lint``) that checks one file at a time, with per-rule
+  diagnostics, inline ``# omega-lint: disable=RULE`` suppressions, and
+  ``[tool.omega-lint]`` configuration in pyproject.toml;
 * **at runtime** — :mod:`repro.analysis.determinism` runs an experiment
   twice with one master seed and fails on any trace divergence.
 
 The simulator never imports this package: a run's own check is the
 post-point invariant gate, ``repro.world.World.check_invariants``.
-
-The per-file rules are joined by interprocedural ones
-(DET101/DET102/TXN101 in :mod:`repro.analysis.taint`) that propagate
-taint over the project call graph (:mod:`repro.analysis.callgraph`).
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue.
 """
@@ -28,16 +24,13 @@ from repro.analysis.config import LintConfig, load_config
 from repro.analysis.diagnostics import Diagnostic, render_json, render_text
 from repro.analysis.engine import lint_paths, lint_source
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID, Rule
-from repro.analysis.taint import ALL_PROJECT_RULES, PROJECT_RULES_BY_ID
 
 # The determinism gate lives in repro.analysis.determinism and is not
 # re-exported here: importing it eagerly would shadow
 # ``python -m repro.analysis.determinism`` (runpy double-import).
 
 __all__ = [
-    "ALL_PROJECT_RULES",
     "ALL_RULES",
-    "PROJECT_RULES_BY_ID",
     "RULES_BY_ID",
     "Diagnostic",
     "LintConfig",

@@ -9,14 +9,11 @@ flag) with a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
-from pathlib import Path
 
 from repro.analysis.config import load_config
 from repro.analysis.diagnostics import render_json, render_text
 from repro.analysis.engine import lint_paths
-from repro.analysis.sarif import render_sarif
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -29,10 +26,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default: text; sarif is SARIF 2.1.0 "
-        "for GitHub code-scanning annotations)",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--config",
@@ -41,61 +37,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="pyproject.toml to read [tool.omega-lint] from "
         "(default: search upward from the current directory)",
     )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed vs --base (git diff --name-only); "
-        "falls back to the full tree outside a git checkout",
-    )
-    parser.add_argument(
-        "--base",
-        metavar="REF",
-        default="HEAD",
-        help="base ref for --changed (default: HEAD)",
-    )
-
-
-class _GitUnavailable(Exception):
-    """Not inside a git checkout (or no git binary) — fall back."""
-
-
-def _git_lines(args: list[str]) -> list[str]:
-    try:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, text=True, check=False
-        )
-    except OSError as exc:
-        raise _GitUnavailable(str(exc)) from exc
-    if proc.returncode != 0:
-        stderr = proc.stderr.strip()
-        if "not a git repository" in stderr.lower():
-            raise _GitUnavailable(stderr)
-        raise ValueError(stderr or f"git {' '.join(args)} failed")
-    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
-
-
-def changed_paths(paths: list[str], base: str) -> list[str]:
-    """The subset of changed ``*.py`` files (vs ``base``) under ``paths``.
-
-    Raises :class:`_GitUnavailable` outside a git checkout (caller
-    falls back to the full tree) and ``ValueError`` for a bad ref
-    (user error, exit 2).
-    """
-    toplevel = Path(_git_lines(["rev-parse", "--show-toplevel"])[0])
-    changed = _git_lines(["diff", "--name-only", base, "--"])
-    roots = [Path(path).resolve() for path in paths]
-    selected: list[str] = []
-    for name in changed:
-        if not name.endswith(".py"):
-            continue
-        candidate = (toplevel / name).resolve()
-        if not candidate.is_file():
-            continue  # deleted in the working tree
-        if any(
-            candidate == root or root in candidate.parents for root in roots
-        ):
-            selected.append(candidate.as_posix())
-    return sorted(selected)
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -105,21 +46,8 @@ def run_lint(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"omega-lint: bad config: {exc}", file=sys.stderr)
         return 2
-    paths = list(args.paths)
-    if getattr(args, "changed", False):
-        try:
-            paths = changed_paths(paths, args.base)
-        except _GitUnavailable:
-            print(
-                "omega-lint: warning: not a git checkout, "
-                "--changed falls back to the full tree",
-                file=sys.stderr,
-            )
-        except ValueError as exc:
-            print(f"omega-lint: bad --base ref: {exc}", file=sys.stderr)
-            return 2
     try:
-        findings = lint_paths(paths, config=config)
+        findings = lint_paths(args.paths, config=config)
     except FileNotFoundError as exc:
         print(f"omega-lint: {exc}", file=sys.stderr)
         return 2
@@ -128,8 +56,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
     if args.format == "json":
         print(render_json(findings))
-    elif args.format == "sarif":
-        print(render_sarif(findings))
     else:
         print(render_text(findings))
     return 1 if any(diag.severity == "error" for diag in findings) else 0

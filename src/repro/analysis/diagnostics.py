@@ -21,17 +21,6 @@ SEVERITIES = ("warning", "error")
 
 
 @dataclass(frozen=True, order=True)
-class RelatedLocation:
-    """A secondary location a finding refers to (e.g. one hop of a
-    call chain). Rendered as an indented note under the finding in the
-    text report and as a ``relatedLocation`` in SARIF."""
-
-    path: str
-    line: int
-    message: str
-
-
-@dataclass(frozen=True, order=True)
 class Diagnostic:
     """One finding, ordered by (path, line, col, rule)."""
 
@@ -41,8 +30,6 @@ class Diagnostic:
     rule: str
     severity: str
     message: str
-    #: secondary locations (call chains for the interprocedural rules).
-    related: tuple[RelatedLocation, ...] = ()
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
@@ -51,17 +38,11 @@ class Diagnostic:
             )
 
     def format_text(self) -> str:
-        """``path:line:col: RULE error: message`` (editor-clickable),
-        with one indented ``note:`` line per related location."""
-        head = (
+        """``path:line:col: RULE error: message`` (editor-clickable)."""
+        return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule} {self.severity}: {self.message}"
         )
-        notes = [
-            f"    {loc.path}:{loc.line}: note: {loc.message}"
-            for loc in self.related
-        ]
-        return "\n".join([head, *notes])
 
 
 def render_text(diagnostics: list[Diagnostic]) -> str:

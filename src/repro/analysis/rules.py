@@ -49,9 +49,8 @@ class ModuleContext:
     """One parsed module plus everything rules need to inspect it.
 
     The tree is walked exactly once, at construction: ``nodes`` caches
-    the full pre-order node list so every rule — and the project-wide
-    call-graph builder — iterates the same walk instead of re-walking
-    (or worse, re-parsing) the module.
+    the full breadth-first node list so every rule iterates the same
+    walk instead of re-walking (or worse, re-parsing) the module.
     """
 
     path: str
@@ -60,7 +59,7 @@ class ModuleContext:
     #: local alias -> canonical module name, for ``import numpy as np``
     #: style imports of the modules the rules care about.
     module_aliases: dict[str, str] = field(default_factory=dict)
-    #: cached pre-order walk of ``tree`` (includes ``tree`` itself).
+    #: cached breadth-first walk of ``tree`` (includes ``tree`` itself).
     nodes: list[ast.AST] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -95,6 +94,25 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def scopes(module: ModuleContext) -> list[ast.AST]:
+    """The module and every function in it, enclosing scopes first."""
+    return [module.tree] + [
+        node
+        for node in module.nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def owning_scope(node: ast.AST) -> ast.AST:
+    """The nearest function or module enclosing ``node``."""
+    current = parent(node)
+    while current is not None:
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+            return current
+        current = parent(current)
+    return node
 
 
 class Rule:
@@ -299,10 +317,10 @@ class UnorderedIterationRule(Rule):
         if not match_path(module.path, module.config.decision_paths):
             return
         unordered_attrs = self._unordered_self_attrs(module)
-        for scope in self._scopes(module):
+        for scope in scopes(module):
             local_unordered = self._unordered_locals(scope)
             for node in ast.walk(scope):
-                if self._owning_scope(node) is not scope:
+                if owning_scope(node) is not scope:
                     continue
                 for iter_expr, consumer in self._iteration_sites(node):
                     if consumer in self._ORDER_INSENSITIVE:
@@ -319,21 +337,6 @@ class UnorderedIterationRule(Rule):
                         )
 
     # -- helpers -------------------------------------------------------
-    def _scopes(self, module: ModuleContext) -> list[ast.AST]:
-        return [module.tree] + [
-            node
-            for node in module.nodes
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-
-    def _owning_scope(self, node: ast.AST) -> ast.AST:
-        current = parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
-                return current
-            current = parent(current)
-        return node
-
     def _iteration_sites(self, node: ast.AST) -> list[tuple[ast.expr, str | None]]:
         """(iterated expression, consuming builtin or None) pairs."""
         sites: list[tuple[ast.expr, str | None]] = []
@@ -447,27 +450,30 @@ class CellStateWriteRule(Rule):
         if match_path(module.path, config.txn_allow):
             return
         fields_guarded = set(config.resource_fields)
-        for scope in self._scopes(module):
-            aliases = self._field_aliases(scope, fields_guarded, config)
-            for node in ast.walk(scope):
-                targets: list[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    diag = self._check_target(
-                        module, node, target, fields_guarded, aliases, config
-                    )
-                    if diag is not None:
-                        yield diag
-
-    def _scopes(self, module: ModuleContext) -> list[ast.AST]:
-        return [module.tree] + [
-            node
-            for node in module.nodes
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
+        # Enclosing scopes come first, so a nested function starts from
+        # the aliases of the scope it closes over.
+        aliases_by_scope: dict[ast.AST, dict[str, str]] = {}
+        for scope in scopes(module):
+            aliases_by_scope[scope] = self._field_aliases(
+                scope,
+                aliases_by_scope.get(owning_scope(scope), {}),
+                fields_guarded,
+                config,
+            )
+        for node in module.nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            aliases = aliases_by_scope[owning_scope(node)]
+            for target in targets:
+                diag = self._check_target(
+                    module, node, target, fields_guarded, aliases, config
+                )
+                if diag is not None:
+                    yield diag
 
     def _check_target(
         self,
@@ -506,13 +512,18 @@ class CellStateWriteRule(Rule):
         )
 
     def _field_aliases(
-        self, scope: ast.AST, fields_guarded: set[str], config: LintConfig
+        self,
+        scope: ast.AST,
+        inherited: dict[str, str],
+        fields_guarded: set[str],
+        config: LintConfig,
     ) -> dict[str, str]:
-        """Local names bound directly to a guarded master-state array,
-        e.g. ``free = state.free_cpu`` (``.copy()`` breaks the alias)."""
-        aliases: dict[str, str] = {}
+        """Names bound directly to a guarded master-state array in
+        ``scope`` or a scope it closes over, e.g.
+        ``free = state.free_cpu`` (``.copy()`` breaks the alias)."""
+        aliases = dict(inherited)
         for node in ast.walk(scope):
-            if not isinstance(node, ast.Assign):
+            if not isinstance(node, ast.Assign) or owning_scope(node) is not scope:
                 continue
             value = node.value
             is_alias = (

@@ -7,7 +7,7 @@
 * **abandoned jobs** — jobs dropped at the 1,000-attempt retry limit.
 """
 
-from repro.metrics.ascii_chart import cdf_chart, line_chart
+from repro.metrics.ascii_chart import line_chart
 from repro.metrics.collector import MetricsCollector, SchedulerMetrics
 from repro.metrics.results import RunSummary
 from repro.metrics.stats import ecdf, mad, median, percentile
@@ -21,5 +21,4 @@ __all__ = [
     "median",
     "percentile",
     "line_chart",
-    "cdf_chart",
 ]

@@ -111,31 +111,3 @@ def line_chart(
     lines.append("  legend: " + legend + suffix)
     return "\n".join(lines)
 
-
-def cdf_chart(
-    values_by_label: Mapping[str, Sequence[float]],
-    width: int = 64,
-    height: int = 16,
-    title: str = "",
-    x_label: str = "",
-    log_x: bool = False,
-) -> str:
-    """Render empirical CDFs of one or more value collections."""
-    series: dict[str, list[Point]] = {}
-    for label, values in values_by_label.items():
-        ordered = sorted(values)
-        n = len(ordered)
-        if n == 0:
-            continue
-        series[label] = [
-            (value, (index + 1) / n) for index, value in enumerate(ordered)
-        ]
-    return line_chart(
-        series,
-        width=width,
-        height=height,
-        title=title,
-        x_label=x_label,
-        y_label="CDF",
-        log_x=log_x,
-    )

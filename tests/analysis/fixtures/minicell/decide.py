@@ -1,5 +1,5 @@
-"""The decision-path entry point: three tainted call chains, each
-three functions deep (plan -> helper -> source)."""
+"""The decision-path entry point: three call chains, each three
+functions deep (plan -> helper -> source)."""
 
 from tests.analysis.fixtures.minicell import helpers
 

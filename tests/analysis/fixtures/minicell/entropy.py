@@ -5,10 +5,10 @@ import time
 
 
 def _fresh_rng():
-    """A raw, unseeded-discipline RNG (DET101 source)."""
+    """A raw, unseeded-discipline RNG (flagged by DET001 at the import)."""
     return random.Random(1234)
 
 
 def stamp():
-    """A wall-clock read (DET102 source)."""
+    """A wall-clock read (DET002)."""
     return time.time()

@@ -1,4 +1,4 @@
-"""A master cell-state mutation (TXN101 source)."""
+"""A master cell-state mutation at the bottom of a call chain (TXN001)."""
 
 
 def poke(state):

@@ -284,6 +284,56 @@ class TestTXN001:
         """
         assert lint(source) == []
 
+    def test_write_in_a_function_reported_once(self):
+        source = """
+            def poke(state):
+                state.free_cpu[0] = 1.0
+        """
+        findings = lint(source, txn_allow=())
+        assert [(d.rule, d.line, d.col) for d in findings] == [("TXN001", 3, 5)]
+
+    def test_alias_does_not_leak_into_a_sibling_function(self):
+        source = """
+            def keep(state):
+                free = state.free_cpu
+                return free
+
+            def scratch(free):
+                free[0] = 0.0
+        """
+        assert lint(source) == []
+
+    def test_alias_reaches_a_nested_function(self):
+        source = """
+            def outer(state):
+                free = state.free_cpu
+                def inner():
+                    free[0] = 0.0
+                return inner
+        """
+        assert [(d.rule, d.line) for d in lint(source)] == [("TXN001", 5)]
+
+
+class TestMinicellFixture:
+    """Sources two helper layers below the decision-path caller
+    ``decide.plan`` are flagged in the module that holds them."""
+
+    def test_per_file_rules_flag_every_source_once(self):
+        import pathlib
+
+        from repro.analysis import lint_paths
+
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "minicell"
+        config = LintConfig(rng_allow=(), clock_allow=(), txn_allow=())
+        findings = lint_paths([fixture], config=config)
+        assert [
+            (pathlib.Path(d.path).name, d.line, d.rule) for d in findings
+        ] == [
+            ("entropy.py", 3, "DET001"),
+            ("entropy.py", 14, "DET002"),
+            ("statewrite.py", 6, "TXN001"),
+        ]
+
 
 # ----------------------------------------------------------------------
 # FLT001 — exact float comparison on resources

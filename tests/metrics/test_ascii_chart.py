@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.ascii_chart import cdf_chart, line_chart
+from repro.metrics.ascii_chart import line_chart
 
 
 class TestLineChart:
@@ -61,22 +61,3 @@ class TestLineChart:
         chart = line_chart({"flat": [(0.0, 5.0), (1.0, 5.0)]}, width=20, height=5)
         assert "*" in chart
 
-
-class TestCdfChart:
-    def test_monotone_rendering(self):
-        chart = cdf_chart({"x": [1.0, 2.0, 3.0, 4.0]}, width=20, height=6)
-        assert "CDF" in chart
-        assert "*" in chart
-
-    def test_multiple_distributions(self):
-        chart = cdf_chart(
-            {"batch": [1, 2, 3], "service": [10, 20, 30]},
-            width=30,
-            height=6,
-            log_x=True,
-        )
-        assert "batch" in chart and "service" in chart
-
-    def test_empty_collection_skipped(self):
-        chart = cdf_chart({"empty": [], "full": [1.0, 2.0]}, width=20, height=5)
-        assert "full" in chart
