@@ -14,8 +14,6 @@ object") and are bumped on every state change.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -120,12 +118,14 @@ class CellSnapshot:
     def resync(self, state: "CellState", time: float | None = None) -> "CellSnapshot":
         """Refresh this snapshot to the master's current state, in place.
 
-        Applies only the machines recorded in the master's changelog
-        since this snapshot's :attr:`version` (plus locally-dirtied
-        ones); falls back to a full three-array copy when the bounded
-        changelog no longer covers the gap. Either way the result is
-        element-wise identical to a fresh :meth:`CellState.snapshot`
-        (property-tested in ``tests/core/test_resync.py``).
+        Applies only the machines the master changed since this
+        snapshot's :attr:`version` (:meth:`CellState.changed_since`),
+        plus locally-dirtied ones; falls back to a full three-array copy
+        when the delta would touch a quarter of the cell or more, or
+        when the bounded changelog no longer covers the gap. Either way
+        the result is element-wise identical to a fresh
+        :meth:`CellState.snapshot` (property-tested in
+        ``tests/core/test_resync.py``).
         """
         behind = state.version - self.version
         if behind < 0:
@@ -136,22 +136,18 @@ class CellSnapshot:
             )
         if time is not None:
             self.time = time
-        log = state._changelog
-        if behind > len(log) or behind >= state.num_machines:
+        num_machines = state.num_machines
+        if behind * 4 >= num_machines:
             self._full_sync(state)
         elif behind or self._local_dirty:
-            # The last ``behind`` changelog entries, iterated from the
-            # back so this is O(behind), not O(changelog capacity).
             # Duplicate indices are harmless — every write copies the
             # master's value for that machine — so no dedup/sort pass.
-            index = np.fromiter(
-                islice(reversed(log), behind), dtype=np.intp, count=behind
-            )
-            if self._local_dirty:
+            index = state.changed_since(self.version)
+            if index is not None and self._local_dirty:
                 index = np.concatenate(
                     [index, np.fromiter(sorted(self._local_dirty), dtype=np.intp)]
                 )
-            if index.size * 4 >= state.num_machines:
+            if index is None or index.size * 4 >= num_machines:
                 self._full_sync(state)
             else:
                 self.free_cpu[index] = state.free_cpu[index]
@@ -188,15 +184,29 @@ class CellState:
         self.free_cpu = cell.cpu_capacity.copy()
         self.free_mem = cell.mem_capacity.copy()
         self.seq = np.zeros(len(cell), dtype=np.int64)
+        # Buffer views of the same memory: the scalar paths (claim,
+        # release, commit) index these and get Python floats and ints,
+        # with none of ``ndarray`` indexing's boxing; every vector path
+        # uses the arrays.
+        self._cpu_view = memoryview(self.free_cpu)
+        self._mem_view = memoryview(self.free_mem)
+        self._seq_view = memoryview(self.seq)
+        self._cpu_capacity_view = memoryview(cell.cpu_capacity)
+        self._mem_capacity_view = memoryview(cell.mem_capacity)
         self._used_cpu = 0.0
         self._used_mem = 0.0
-        #: Global mutation counter: bumped once per claim/release. The
-        #: changelog holds the machine index of each of the last
-        #: ``changelog_capacity`` mutations, in version order, so a
-        #: snapshot at version ``v`` can delta-sync iff
-        #: ``version - v <= len(changelog)``.
+        #: Global mutation counter: bumped once per claim/release.
         self.version = 0
-        self._changelog: deque[int] = deque(maxlen=changelog_capacity)
+        #: How many of the latest mutations :meth:`changed_since` can
+        #: list; a snapshot at version ``v`` can delta-sync iff
+        #: ``version - v <= changelog_capacity``.
+        self.changelog_capacity = changelog_capacity
+        # The changelog: a ring holding the machine of mutation ``v``
+        # (the one that made ``version`` ``v + 1``) at ``v % len``. At
+        # capacity 0 its one slot is written and never read.
+        self._ring_size = max(changelog_capacity, 1)
+        self._ring = np.zeros(self._ring_size, dtype=np.intp)
+        self._ring_view = memoryview(self._ring)
 
     # ------------------------------------------------------------------
     # Reads
@@ -240,6 +250,28 @@ class CellState:
             version=self.version,
         )
 
+    def changed_since(self, version: int) -> np.ndarray | None:
+        """The machines mutated since ``version``, oldest first, one
+        entry per mutation (a machine mutated twice is listed twice).
+
+        ``None`` when more than :attr:`changelog_capacity` mutations
+        happened since: the changelog no longer covers the gap.
+        """
+        behind = self.version - version
+        if behind < 0:
+            raise ValueError(
+                f"version {version} is ahead of master version {self.version}"
+            )
+        if behind > self.changelog_capacity:
+            return None
+        ring = self._ring
+        size = self._ring_size
+        start = version % size
+        end = start + behind
+        if end <= size:
+            return ring[start:end].copy()
+        return np.concatenate((ring[start:], ring[: end - size]))
+
     def fits(self, machine: int, cpu: float, mem: float, count: int = 1) -> bool:
         """Whether ``count`` tasks of the given size fit on ``machine`` now."""
         return (
@@ -267,11 +299,13 @@ class CellState:
             raise ValueError(
                 f"claim sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
             )
-        # ``item()`` reads a python float: each field is read once,
-        # worked on as an unboxed double (same IEEE-754 results as the
+        # The views read Python floats: each field is read once, worked
+        # on as an unboxed double (same IEEE-754 results as the
         # ``np.float64`` scalars) and stored once.
-        free_cpu = self.free_cpu.item(machine)
-        free_mem = self.free_mem.item(machine)
+        cpu_view = self._cpu_view
+        mem_view = self._mem_view
+        free_cpu = cpu_view[machine]
+        free_mem = mem_view[machine]
         if free_cpu + EPSILON < total_cpu or free_mem + EPSILON < total_mem:
             raise OvercommitError(
                 f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
@@ -284,13 +318,14 @@ class CellState:
             free_cpu = 0.0
         if free_mem < 0.0:
             free_mem = 0.0
-        self.free_cpu[machine] = free_cpu
-        self.free_mem[machine] = free_mem
+        cpu_view[machine] = free_cpu
+        mem_view[machine] = free_mem
         self._used_cpu += total_cpu
         self._used_mem += total_mem
-        self.seq[machine] = self.seq.item(machine) + 1
-        self.version += 1
-        self._changelog.append(machine)
+        self._seq_view[machine] += 1
+        version = self.version
+        self._ring_view[version % self._ring_size] = machine
+        self.version = version + 1
 
     def release(self, machine: int, cpu: float, mem: float, count: int = 1) -> None:
         """Return ``count`` tasks' resources on ``machine`` (task end or
@@ -303,10 +338,12 @@ class CellState:
             raise ValueError(
                 f"release sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
             )
-        old_free_cpu = self.free_cpu.item(machine)
-        old_free_mem = self.free_mem.item(machine)
-        cpu_capacity = self.cell.cpu_capacity.item(machine)
-        mem_capacity = self.cell.mem_capacity.item(machine)
+        cpu_view = self._cpu_view
+        mem_view = self._mem_view
+        old_free_cpu = cpu_view[machine]
+        old_free_mem = mem_view[machine]
+        cpu_capacity = self._cpu_capacity_view[machine]
+        mem_capacity = self._mem_capacity_view[machine]
         new_free_cpu = old_free_cpu + total_cpu
         new_free_mem = old_free_mem + total_mem
         if new_free_cpu > cpu_capacity + EPSILON or new_free_mem > mem_capacity + EPSILON:
@@ -322,8 +359,8 @@ class CellState:
             new_free_cpu = cpu_capacity
         if new_free_mem > mem_capacity:
             new_free_mem = mem_capacity
-        self.free_cpu[machine] = new_free_cpu
-        self.free_mem[machine] = new_free_mem
+        cpu_view[machine] = new_free_cpu
+        mem_view[machine] = new_free_mem
         used_cpu = self._used_cpu - (new_free_cpu - old_free_cpu)
         used_mem = self._used_mem - (new_free_mem - old_free_mem)
         if used_cpu < 0.0:
@@ -332,9 +369,10 @@ class CellState:
             used_mem = 0.0
         self._used_cpu = used_cpu
         self._used_mem = used_mem
-        self.seq[machine] = self.seq.item(machine) + 1
-        self.version += 1
-        self._changelog.append(machine)
+        self._seq_view[machine] += 1
+        version = self.version
+        self._ring_view[version % self._ring_size] = machine
+        self.version = version + 1
 
     def claim_batch(self, claims: "Sequence[Claim]") -> None:
         """Allocate every claim's resources, in order.
@@ -382,5 +420,13 @@ class CellState:
         self._used_cpu = used_cpu
         self._used_mem = used_mem
         np.add.at(self.seq, machines, 1)
+        # Only the last ``changelog_capacity`` entries can be read back:
+        # write those, in at most two slices (the second at the wrap).
+        ring = self._ring
+        kept = min(len(machines), self.changelog_capacity)
+        start = (self.version + len(machines) - kept) % self._ring_size
+        split = min(kept, self._ring_size - start)
+        tail = machines[len(machines) - kept :]
+        ring[start : start + split] = tail[:split]
+        ring[: kept - split] = tail[split:]
         self.version += len(machines)
-        self._changelog.extend(machines)

@@ -63,17 +63,17 @@ def randomized_first_fit(
     claims: list[Claim] = []
     remaining = num_tasks
     claimed: set[int] = set()
-    # ``item()`` returns python floats, so the per-draw work below runs
-    # on unboxed doubles (same IEEE-754 results as the array ufuncs,
-    # several times faster at this size).
-    cpu_at = free_cpu.item
-    mem_at = free_mem.item
+    # Buffer views index to python floats, so the per-draw work below
+    # runs on unboxed doubles (same IEEE-754 results as the array
+    # ufuncs, several times faster at this size).
+    cpu_at = memoryview(free_cpu)
+    mem_at = memoryview(free_mem)
     for _ in range(MAX_SAMPLE_BLOCKS):
         draws = (rng.random(SAMPLE_BLOCK) * num_machines).astype(np.int64)
         progressed = False
         for machine in draws.tolist():
-            have_cpu = cpu_at(machine) + EPSILON
-            have_mem = mem_at(machine) + EPSILON
+            have_cpu = cpu_at[machine] + EPSILON
+            have_mem = mem_at[machine] + EPSILON
             if have_cpu < cpu or have_mem < mem or machine in claimed:
                 continue
             claimed.add(machine)

@@ -52,8 +52,10 @@ class Claim:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"claim count must be >= 1, got {self.count}")
-        if self.cpu < 0 or self.mem < 0:
+        if not (self.cpu >= 0 and self.mem >= 0):
             raise ValueError("claim resources must be non-negative")
+        if self.machine < 0:
+            raise ValueError(f"claim machine must be >= 0, got {self.machine}")
 
 
 @dataclass(frozen=True)
@@ -125,18 +127,18 @@ def commit(
     accepted: list[Claim] = []
     rejected: list[Claim] = []
 
-    # Python floats and ints from ``item()``: the per-claim work runs on
-    # unboxed scalars (same IEEE-754 results as ``np.float64``).
+    # Python floats and ints from buffer views: the per-claim work runs
+    # on unboxed scalars (same IEEE-754 results as ``np.float64``).
     coarse = conflict_mode is ConflictMode.COARSE
     incremental = commit_mode is CommitMode.INCREMENTAL
-    cpu_at = state.free_cpu.item
-    mem_at = state.free_mem.item
-    live_seq = state.seq.item
-    seen_seq = snapshot.seq.item
+    cpu_at = state._cpu_view
+    mem_at = state._mem_view
+    live_seq = state._seq_view
+    seen_seq = memoryview(snapshot.seq)
     for claim in claims:
         machine = claim.machine
         count = claim.count
-        if coarse and live_seq(machine) != seen_seq(machine):
+        if coarse and live_seq[machine] != seen_seq[machine]:
             # Coarse-grained: any change to the machine since sync is a
             # conflict, even if the claim would still fit.
             rejected.append(claim)
@@ -146,11 +148,11 @@ def commit(
         # How many of the claim's tasks still fit on the live machine.
         ok = count
         if claim.cpu > 0:
-            limit = int((cpu_at(machine) + EPSILON) // claim.cpu)
+            limit = int((cpu_at[machine] + EPSILON) // claim.cpu)
             if limit < ok:
                 ok = limit
         if claim.mem > 0:
-            limit = int((mem_at(machine) + EPSILON) // claim.mem)
+            limit = int((mem_at[machine] + EPSILON) // claim.mem)
             if limit < ok:
                 ok = limit
         if ok >= count:

@@ -1,8 +1,9 @@
-"""Boxed-scalar oracles for :meth:`CellState.claim` and ``release``.
+"""Boxed-scalar oracles for :meth:`CellState.claim` and ``release``,
+and the one fingerprint of a cell state that tests compare.
 
-Each is the body the method had before it moved to python floats read
-through ``ndarray.item``: the same checks and float operations in
-the same order, on ``np.float64`` scalars indexed out of the arrays.
+Each oracle is the boxed-scalar form of its method: the same checks and
+float operations in the same order, on ``np.float64`` scalars indexed
+out of the arrays.
 ``test_cellstate_oracle.py`` drives both sides through the same
 interleavings and requires bit-identical state and identical errors.
 """
@@ -70,5 +71,20 @@ def release_reference(
 
 
 def _touch(state: CellState, machine: int) -> None:
+    state._ring[state.version % state._ring.size] = machine
     state.version += 1
-    state._changelog.append(int(machine))
+
+
+def state_bits(state: CellState) -> dict:
+    """Everything a mutation can change, bit for bit: every free value
+    and the used totals as ``float.hex``, ``seq``, ``version``, and the
+    changelog as far back as it reaches."""
+    retained = min(state.version, state.changelog_capacity)
+    return {
+        "free_cpu": [value.hex() for value in state.free_cpu.tolist()],
+        "free_mem": [value.hex() for value in state.free_mem.tolist()],
+        "used": (float(state.used_cpu).hex(), float(state.used_mem).hex()),
+        "seq": state.seq.tolist(),
+        "version": state.version,
+        "changelog": state.changed_since(state.version - retained).tolist(),
+    }

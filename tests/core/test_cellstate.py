@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Cell
 from repro.core.cellstate import CellState, OvercommitError
 from repro.core.transaction import Claim
+from tests.core.cellstate_oracles import state_bits
 
 
 @pytest.fixture
@@ -18,18 +19,6 @@ def cell():
 @pytest.fixture
 def state(cell):
     return CellState(cell)
-
-
-def _bits(state):
-    return (
-        state.free_cpu.tobytes(),
-        state.free_mem.tobytes(),
-        state.seq.tobytes(),
-        float(state.used_cpu).hex(),
-        float(state.used_mem).hex(),
-        state.version,
-        list(state._changelog),
-    )
 
 
 class TestClaimRelease:
@@ -89,10 +78,10 @@ class TestClaimRelease:
     def test_negative_and_nan_sizes_raise_before_any_write(self, op, args):
         state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
         state.claim(1, 0.5, 0.5)
-        before = _bits(state)
+        before = state_bits(state)
         with pytest.raises(ValueError, match="non-negative"):
             getattr(state, op)(*args)
-        assert _bits(state) == before
+        assert state_bits(state) == before
 
     @pytest.mark.parametrize(
         "cpu, mem, error",
@@ -101,10 +90,10 @@ class TestClaimRelease:
     def test_claim_each_refuses_with_claims_message_before_any_write(self, cpu, mem, error):
         state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
         state.claim(1, 0.5, 0.5)
-        before = _bits(state)
+        before = state_bits(state)
         with pytest.raises(error) as refused:
             state.claim_each([0, 2, 2], [0.5, cpu, 0.1], [0.5, mem, 0.1])
-        assert _bits(state) == before
+        assert state_bits(state) == before
         with pytest.raises(error) as claimed:
             state.claim(2, cpu, mem)
         assert str(refused.value) == str(claimed.value)
@@ -114,10 +103,10 @@ class TestClaimRelease:
     )
     def test_claim_each_refuses_unequal_lengths_before_any_write(self, cpus, mems):
         state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
-        before = _bits(state)
+        before = state_bits(state)
         with pytest.raises(ValueError):
             state.claim_each([0, 2], cpus, mems)
-        assert _bits(state) == before
+        assert state_bits(state) == before
 
     def test_zero_sizes_stay_legal(self, state):
         # FailureRepairProcess.fail withholds whatever is free, which may

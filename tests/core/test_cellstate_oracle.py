@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
-from tests.core.cellstate_oracles import claim_reference, release_reference
+from tests.core.cellstate_oracles import claim_reference, release_reference, state_bits
 from tests.core.test_kernel_equivalence import DUST, TASK_SIZES
 
 #: Two machine classes, so release reads per-machine capacities.
@@ -42,18 +42,6 @@ operations = st.lists(
     min_size=1,
     max_size=30,
 )
-
-
-def _bits(state: CellState) -> tuple:
-    return (
-        [value.hex() for value in state.free_cpu.tolist()],
-        [value.hex() for value in state.free_mem.tolist()],
-        float(state.used_cpu).hex(),
-        float(state.used_mem).hex(),
-        state.seq.tolist(),
-        state.version,
-        list(state._changelog),
-    )
 
 
 def _outcome(call, *args) -> tuple | None:
@@ -105,7 +93,7 @@ def test_claim_and_release_match_their_oracles_bit_for_bit(ops):
             method = state.claim if op == "claim" else state.release
             got = _outcome(method, machine, cpu, mem, count)
             assert got == want
-            assert _bits(state) == _bits(oracle)
+            assert state_bits(state) == state_bits(oracle)
             raised += want is not None
             applied += want is None
     # Invariants, on the side under test: nothing negative, nothing
@@ -125,7 +113,7 @@ def test_claim_each_matches_one_claim_oracle_per_task(tasks):
     nothing written instead of the tasks before it."""
     cell = Cell.heterogeneous(PLATFORMS)
     state, oracle = CellState(cell, changelog_capacity=16), CellState(cell, changelog_capacity=16)
-    before = _bits(state)
+    before = state_bits(state)
     machines, cpus, mems = [], [], []
     want = None
     for machine, cpu, mem, dust_cpu, dust_mem in tasks:
@@ -137,7 +125,7 @@ def test_claim_each_matches_one_claim_oracle_per_task(tasks):
         if want is None:
             want = _outcome(claim_reference, oracle, machine, cpu, mem, 1)
     assert _outcome(state.claim_each, machines, cpus, mems) == want
-    assert _bits(state) == (before if want is not None else _bits(oracle))
+    assert state_bits(state) == (before if want is not None else state_bits(oracle))
 
 
 def test_the_strategy_reaches_every_branch():

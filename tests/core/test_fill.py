@@ -11,6 +11,7 @@ from repro.sim.engine import SimulationError
 from repro.workload.generator import InitialFill, StandingTask
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
+from tests.core.cellstate_oracles import state_bits
 
 
 def standing(cpu=1.0, mem=2.0, duration=100.0, job_type=JobType.BATCH):
@@ -118,12 +119,7 @@ def observed_fill(fill, machine_counts, tasks, seed, horizon):
         start += count
     observed = {
         "placed": placed,
-        "free_cpu": [state.free_cpu.tobytes() for state in states],
-        "free_mem": [state.free_mem.tobytes() for state in states],
-        "seq": [state.seq.tolist() for state in states],
-        "version": [state.version for state in states],
-        "changelog": [list(state._changelog) for state in states],
-        "used": [(state.used_cpu.hex(), state.used_mem.hex()) for state in states],
+        "states": [state_bits(state) for state in states],
         "next_draw": rng.random().hex(),
         "pending": sim.pending(),
         "peak_queue_depth": sim.peak_queue_depth,
@@ -197,7 +193,7 @@ class TestPopulateMatchesIndexWalk:
         new = observed_fill(populate, (6, 10), tasks, seed, None)
         assert new == observed_fill(index_walk_populate, (6, 10), tasks, seed, None)
         # Some machine reads exactly full, by an exact fit or the clamp.
-        assert any((np.frombuffer(free) == 0.0).any() for free in new["free_cpu"])
+        assert any((0.0).hex() in bits["free_cpu"] for bits in new["states"])
 
     def test_fill_longer_than_the_changelog(self):
         tasks = InitialFill(tiny_preset(num_machines=1000), 0.6).generate(
@@ -205,8 +201,8 @@ class TestPopulateMatchesIndexWalk:
         )
         new = observed_fill(populate, (1000,), tasks, 0, 3600.0)
         assert new == observed_fill(index_walk_populate, (1000,), tasks, 0, 3600.0)
-        assert new["version"][0] > DEFAULT_CHANGELOG_CAPACITY
-        assert len(new["changelog"][0]) == DEFAULT_CHANGELOG_CAPACITY
+        assert new["states"][0]["version"] > DEFAULT_CHANGELOG_CAPACITY
+        assert len(new["states"][0]["changelog"]) == DEFAULT_CHANGELOG_CAPACITY
 
 
 class TestPopulateRefusesBadSizes:

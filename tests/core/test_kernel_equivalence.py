@@ -31,6 +31,7 @@ from repro.core.placement import (
 )
 from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
 from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
+from tests.core.cellstate_oracles import state_bits
 from tests.core.placement_oracles import (
     _ordered_fit_reference,
     _pack_reference,
@@ -480,8 +481,7 @@ class TestCommitInvariants:
         state = CellState(Cell.homogeneous(n, cpu_per_machine=4.0, mem_per_machine=8.0))
         snapshot = state.snapshot()
         state.claim(3, 1.0, 1.0, 1)  # stale seq on machine 3
-        before = _master_copy(state)
-        changelog = list(state._changelog)
+        before = state_bits(state)
         claims = [Claim(machine=m, cpu=0.5, mem=0.5, count=2) for m in range(n)]
         got = commit(
             state,
@@ -492,6 +492,5 @@ class TestCommitInvariants:
         )
         assert got.accepted == ()
         assert got.rejected == tuple(claims)
-        _assert_master_equals(state, before)
-        assert list(state._changelog) == changelog
+        assert state_bits(state) == before
         assert state.used_cpu == 1.0 and state.used_mem == 1.0

@@ -2,12 +2,14 @@
 accounting clamp: delta-synced views must be indistinguishable from
 fresh snapshots, and used totals must track capacity - free exactly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
-from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, CellState
+from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, CellSnapshot, CellState
 
 
 @pytest.fixture
@@ -116,8 +118,22 @@ class TestResync:
         view.resync(state)
         assert_snapshots_identical(view, state.snapshot(0.0))
 
+    def test_changed_since_lists_mutations_oldest_first(self, cell):
+        state = CellState(cell, changelog_capacity=4)
+        for machine in (0, 1, 2):
+            state.claim(machine, 0.1, 0.1)
+        assert state.changed_since(0).tolist() == [0, 1, 2]
+        assert state.changed_since(3).tolist() == []
+        state.claim_each([3, 4, 5], [0.1] * 3, [0.1] * 3)  # wraps the ring
+        state.release(0, 0.1, 0.1)
+        assert state.changed_since(3).tolist() == [3, 4, 5, 0]
+        assert state.changed_since(5).tolist() == [5, 0]
+        assert state.changed_since(2) is None  # 5 mutations ago, 4 kept
+        with pytest.raises(ValueError, match="ahead"):
+            state.changed_since(8)
+
     def test_default_capacity(self, state):
-        assert state._changelog.maxlen == DEFAULT_CHANGELOG_CAPACITY
+        assert state.changelog_capacity == DEFAULT_CHANGELOG_CAPACITY
 
     def test_repeated_resync_tracks_master(self, state):
         view = state.snapshot(0.0)
@@ -228,3 +244,73 @@ class TestResyncProperty:
                 assert_snapshots_identical(view, state.snapshot(0.0))
         view.resync(state)
         assert_snapshots_identical(view, state.snapshot(0.0))
+
+    def test_long_deltas_across_the_ring_wrap_match_fresh_snapshot(self):
+        """On 64 machines a delta of up to 15 entries stays a delta, so
+        resyncs here read ``changed_since`` slices that cross the ring's
+        wrap point; ``claim_each`` bursts longer than the ring force the
+        full copy. Across the examples both branches, and the wrap, must
+        be taken."""
+        taken = {"full": 0, "delta": 0, "wrap": 0}
+        full_sync = CellSnapshot._full_sync
+
+        def counted_full_sync(view, state):
+            taken["full"] += 1
+            full_sync(view, state)
+
+        machine = st.integers(min_value=0, max_value=63)
+
+        @given(
+            # Rounds of mutations, each followed by a resync.
+            rounds=st.lists(
+                st.lists(
+                    st.one_of(
+                        st.tuples(st.sampled_from(["claim", "release", "local"]), machine),
+                        st.tuples(st.just("burst"), st.lists(machine, min_size=1, max_size=17)),
+                    ),
+                    max_size=4,
+                ),
+                min_size=1,
+                max_size=20,
+            ),
+            capacity=st.integers(min_value=0, max_value=9),
+        )
+        @settings(max_examples=150, deadline=None)
+        def check(rounds, capacity):
+            cell = Cell.homogeneous(64, cpu_per_machine=4.0, mem_per_machine=16.0)
+            state = CellState(cell, changelog_capacity=capacity)
+            view = state.snapshot(0.0)
+            claimed = [0] * state.num_machines
+
+            def resync():
+                behind = state.version - view.version
+                has_work = behind or view._local_dirty
+                start = view.version % max(capacity, 1)
+                full_before = taken["full"]
+                view.resync(state)
+                if has_work and taken["full"] == full_before:
+                    taken["delta"] += 1
+                    taken["wrap"] += start + behind > capacity
+                assert_snapshots_identical(view, state.snapshot(0.0))
+
+            for ops in rounds:
+                for op, arg in ops:
+                    if op == "claim" and claimed[arg] < 100:
+                        state.claim(arg, 0.04, 0.16)
+                        claimed[arg] += 1
+                    elif op == "release" and claimed[arg]:
+                        state.release(arg, 0.04, 0.16)
+                        claimed[arg] -= 1
+                    elif op == "burst" and all(claimed[m] + arg.count(m) <= 100 for m in arg):
+                        state.claim_each(arg, [0.04] * len(arg), [0.16] * len(arg))
+                        for m in arg:
+                            claimed[m] += 1
+                    elif op == "local":
+                        view.free_cpu[arg] = -1.0
+                        view.seq[arg] = -1
+                        view.note_local_write(arg)
+                resync()
+
+        with mock.patch.object(CellSnapshot, "_full_sync", counted_full_sync):
+            check()
+        assert taken["full"] and taken["delta"] and taken["wrap"], taken

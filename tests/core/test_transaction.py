@@ -14,6 +14,7 @@ from repro.core.transaction import (
     ConflictMode,
     commit,
 )
+from tests.core.cellstate_oracles import state_bits
 
 
 @pytest.fixture
@@ -33,6 +34,25 @@ class TestClaimValidation:
     def test_rejects_negative_resources(self):
         with pytest.raises(ValueError):
             claim(cpu=-1.0)
+
+    @pytest.mark.parametrize("cpu, mem", [(float("nan"), 0.1), (0.1, float("nan"))])
+    def test_rejects_nan_resources_before_a_commit_can_start(self, state, cpu, mem):
+        """A NaN size used to pass ``Claim`` and raise from ``claim_batch``
+        mid-commit, with the claims before it already applied."""
+        snapshot = state.snapshot()
+        before = state_bits(state)
+        with pytest.raises(ValueError, match="non-negative"):
+            commit(state, [claim(0, 0.5, 0.5), claim(1, cpu, mem)], snapshot)
+        assert state_bits(state) == before
+
+    def test_rejects_negative_machine(self, state):
+        """``Claim(-1, ...)`` used to commit to the last machine and log
+        machine -1."""
+        snapshot = state.snapshot()
+        before = state_bits(state)
+        with pytest.raises(ValueError, match="machine must be >= 0, got -1"):
+            commit(state, [claim(machine=-1, cpu=0.5, mem=0.5)], snapshot)
+        assert state_bits(state) == before
 
 
 class TestConflictFreeCommit:
