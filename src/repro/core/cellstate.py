@@ -34,21 +34,6 @@ EPSILON = 1e-9
 DEFAULT_CHANGELOG_CAPACITY = 4096
 
 
-def free_after_claim(free: float, size: float) -> float:
-    """What is left of ``free`` once ``size`` is claimed from it.
-
-    The one float rule of every claim: subtract, then clamp float dust
-    below zero so "exactly full" machines read as full, not as negative
-    free capacity. :meth:`CellState.claim_each` stores it, the initial
-    fill's walk (:func:`repro.core.fill.populate`) reads it to see what
-    ``claim_each`` will store, and :meth:`CellState.claim` inlines it
-    (``tests/core/test_cellstate_oracle.py`` holds both methods to one
-    boxed-scalar reference).
-    """
-    left = free - size
-    return 0.0 if left < 0.0 else left
-
-
 class OvercommitError(RuntimeError):
     """Raised when an operation would over-commit a machine.
 
@@ -311,7 +296,7 @@ class CellState:
                 f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
                 f"machine {machine} (free: {free_cpu} cpu, {free_mem} mem)"
             )
-        # free_after_claim, inlined: this is the commit path's hot loop.
+        # Clamp float dust: an "exactly full" machine reads as full.
         free_cpu -= total_cpu
         free_mem -= total_mem
         if free_cpu < 0.0:
@@ -383,38 +368,19 @@ class CellState:
         for claim in claims:
             self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
 
-    def claim_each(
-        self, machines: Sequence[int], cpus: Sequence[float], mems: Sequence[float]
+    def store_fill(
+        self, machines: list[int], free_cpu: list[float], free_mem: list[float],
+        used_cpu: float, used_mem: float
     ) -> None:
-        """Allocate one task of size ``(cpus[i], mems[i])`` on
-        ``machines[i]`` for each ``i``, in order (the initial fill's
-        placements). The three sequences must be equally long.
+        """Store the initial fill's walk.
 
-        The same float operations, checks and messages as one
-        :meth:`claim` per task, applied to Python copies of the free
-        arrays that are stored back once; a task that is refused, or a
-        length mismatch, raises with nothing written.
+        :func:`repro.core.fill.populate` claims one task on each of
+        ``machines``, in order, with :meth:`claim`'s fit test, float rule
+        and used-total additions applied to whole-array Python copies.
+        This stores the free arrays and used totals the walk ended with
+        and does the rest of what those claims do: one ``seq`` bump each,
+        and ``version`` and the changelog advanced by their count.
         """
-        free_cpu = self.free_cpu.tolist()
-        free_mem = self.free_mem.tolist()
-        used_cpu = self._used_cpu
-        used_mem = self._used_mem
-        for machine, cpu, mem in zip(machines, cpus, mems, strict=True):
-            if not (cpu >= 0.0 and mem >= 0.0):
-                raise ValueError(
-                    f"claim sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
-                )
-            machine_cpu = free_cpu[machine]
-            machine_mem = free_mem[machine]
-            if machine_cpu + EPSILON < cpu or machine_mem + EPSILON < mem:
-                raise OvercommitError(
-                    f"claim of 1 x ({cpu} cpu, {mem} mem) does not fit on "
-                    f"machine {machine} (free: {machine_cpu} cpu, {machine_mem} mem)"
-                )
-            free_cpu[machine] = free_after_claim(machine_cpu, cpu)
-            free_mem[machine] = free_after_claim(machine_mem, mem)
-            used_cpu += cpu
-            used_mem += mem
         self.free_cpu[:] = free_cpu
         self.free_mem[:] = free_mem
         self._used_cpu = used_cpu

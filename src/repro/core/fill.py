@@ -8,18 +8,16 @@ cluster resources" (paper section 4).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.cellstate import EPSILON, CellState, free_after_claim
+from repro.core.cellstate import EPSILON, CellState
 from repro.sim import Event, Simulator
-from repro.workload.generator import StandingTask
+from repro.workload.generator import StandingTasks
 
 
 def populate(
     state: CellState,
-    tasks: Sequence[StandingTask],
+    tasks: StandingTasks,
     rng: np.random.Generator,
     sim: Simulator | None = None,
     horizon: float | None = None,
@@ -32,48 +30,58 @@ def populate(
     its remaining duration; releases past ``horizon`` are skipped since
     they could never run.
 
-    The walk runs on Python copies of the free arrays. Its placements
-    are then written with one :meth:`CellState.claim_each` and their
-    releases queued with one :meth:`Simulator.at_all`, which leave the
-    state and the queue as one ``claim`` and one ``sim.at`` per task
-    would. A negative or NaN task size is refused with ``ValueError``
-    before anything is written.
+    One walk over the columns, on Python copies of the free arrays, does
+    what one :meth:`CellState.claim` and one ``sim.at`` per task would;
+    one :meth:`Simulator.at_all` queues the releases and one
+    :meth:`CellState.store_fill` stores the walk. A negative or NaN task
+    size is refused with ``ValueError`` before anything is written.
     """
     order = rng.permutation(state.num_machines).tolist()
     num_machines = len(order)
     free_cpu = state.free_cpu.tolist()
     free_mem = state.free_mem.tolist()
+    used_cpu = state.used_cpu
+    used_mem = state.used_mem
     machines: list[int] = []
-    cpus: list[float] = []
-    mems: list[float] = []
     releases: list[Event] = []
     release = state.release
     unqueued = Event.unqueued
     cursor = 0
-    for index, (cpu, mem, duration, _) in enumerate(tasks):
+    for cpu, mem, duration in zip(tasks.cpu, tasks.mem, tasks.duration):
         if not (cpu >= 0.0 and mem >= 0.0):
+            # Every task before this one was placed.
             raise ValueError(
-                f"standing task {index} has a negative or NaN size: "
+                f"standing task {len(machines)} has a negative or NaN size: "
                 f"cpu={cpu}, mem={mem}"
             )
-        for step in range(num_machines):
-            machine = order[(cursor + step) % num_machines]
-            if free_cpu[machine] + EPSILON >= cpu and free_mem[machine] + EPSILON >= mem:
-                cursor = (cursor + step) % num_machines
+        # The cursor's machine nearly always fits: scan only when not.
+        machine = order[cursor]
+        room_cpu = free_cpu[machine]
+        room_mem = free_mem[machine]
+        if not (room_cpu + EPSILON >= cpu and room_mem + EPSILON >= mem):
+            for step in range(1, num_machines):
+                machine = order[(cursor + step) % num_machines]
+                room_cpu = free_cpu[machine]
+                room_mem = free_mem[machine]
+                if room_cpu + EPSILON >= cpu and room_mem + EPSILON >= mem:
+                    cursor = (cursor + step) % num_machines
+                    break
+            else:
+                # Cell cannot hold the rest of the fill; stop rather than spin.
                 break
-        else:
-            # Cell cannot hold the rest of the fill; stop rather than spin.
-            break
-        free_cpu[machine] = free_after_claim(free_cpu[machine], cpu)
-        free_mem[machine] = free_after_claim(free_mem[machine], mem)
+        # claim's float rule: subtract, then clamp float dust below zero.
+        room_cpu -= cpu
+        free_cpu[machine] = 0.0 if room_cpu < 0.0 else room_cpu
+        room_mem -= mem
+        free_mem[machine] = 0.0 if room_mem < 0.0 else room_mem
+        used_cpu += cpu
+        used_mem += mem
         machines.append(machine)
-        cpus.append(cpu)
-        mems.append(mem)
         if sim is not None and (horizon is None or duration <= horizon):
             releases.append(unqueued(duration, release, machine, cpu, mem, 1))
     # Releases first: the queue refuses a NaN or past time before it
     # queues anything, so a bad duration leaves the state untouched too.
     if sim is not None:
         sim.at_all(releases)
-    state.claim_each(machines, cpus, mems)
+    state.store_fill(machines, free_cpu, free_mem, used_cpu, used_mem)
     return len(machines)

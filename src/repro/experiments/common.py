@@ -9,6 +9,7 @@ is what makes the section 4 comparisons apples-to-apples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -334,8 +335,10 @@ class LightweightConfig:
                 f"unknown architecture {self.architecture!r}; "
                 f"choose from {tuple(ARCHITECTURES)}"
             )
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        for name in ("horizon", "batch_rate_factor", "service_rate_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.num_batch_schedulers < 1:
             raise ValueError("need at least one batch scheduler")
         if (
@@ -403,9 +406,7 @@ class LightweightSimulation(World):
         start = 0
         for state in self.states:
             count = round(len(tasks) * (state.cell.total_cpu / total_cpu))
-            populate(
-                state, tasks[start : start + count], rng, self.sim, self.horizon
-            )
+            populate(state, tasks.rows(start, start + count), rng, self.sim, self.horizon)
             start += count
 
 

@@ -22,7 +22,7 @@ from repro.cluster import Cell, Machine
 from repro.hifi.constraints import Constraint, ConstraintOp
 from repro.sim import RandomStreams
 from repro.workload.clusters import ClusterPreset
-from repro.workload.generator import InitialFill, StandingTask
+from repro.workload.generator import InitialFill, StandingTasks
 from repro.workload.job import JobType
 
 #: Machine platforms for synthetic cells: (weight, cpu, mem, attributes).
@@ -71,7 +71,7 @@ class Trace:
     name: str
     horizon: float
     machines: list[TraceMachine]
-    initial_tasks: list[StandingTask]
+    initial_tasks: StandingTasks
     jobs: list[TraceJob]
 
     def cell(self) -> Cell:
@@ -208,13 +208,16 @@ def write_trace(trace: Trace, path: str | Path) -> None:
                 "attributes": dict(machine.attributes),
             }
             handle.write(json.dumps(record) + "\n")
-        for task in trace.initial_tasks:
+        tasks = trace.initial_tasks
+        for cpu, mem, duration, job_type in zip(
+            tasks.cpu, tasks.mem, tasks.duration, tasks.job_type
+        ):
             record = {
                 "kind": "initial_task",
-                "cpu": task.cpu,
-                "mem": task.mem,
-                "duration": task.duration,
-                "job_type": task.job_type.value,
+                "cpu": cpu,
+                "mem": mem,
+                "duration": duration,
+                "job_type": job_type.value,
             }
             handle.write(json.dumps(record) + "\n")
         for job in trace.jobs:
@@ -247,7 +250,7 @@ def read_trace(path: str | Path) -> Trace:
     name = path.stem
     horizon = 0.0
     machines: list[TraceMachine] = []
-    initial_tasks: list[StandingTask] = []
+    task_rows: list[tuple] = []
     jobs: list[TraceJob] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -270,12 +273,12 @@ def read_trace(path: str | Path) -> Trace:
                         )
                     )
                 elif kind == "initial_task":
-                    initial_tasks.append(
-                        StandingTask(
-                            cpu=_amount(record, "cpu"),
-                            mem=_amount(record, "mem"),
-                            duration=_amount(record, "duration"),
-                            job_type=JobType(record["job_type"]),
+                    task_rows.append(
+                        (
+                            _amount(record, "cpu"),
+                            _amount(record, "mem"),
+                            _amount(record, "duration"),
+                            JobType(record["job_type"]),
                         )
                     )
                 elif kind == "job":
@@ -308,6 +311,6 @@ def read_trace(path: str | Path) -> Trace:
         name=name,
         horizon=horizon,
         machines=machines,
-        initial_tasks=initial_tasks,
+        initial_tasks=StandingTasks(*map(list, zip(*task_rows))),
         jobs=jobs,
     )

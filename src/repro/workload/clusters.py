@@ -34,6 +34,7 @@ Each preset carries two parameter sets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.cluster import Cell
@@ -83,8 +84,8 @@ class WorkloadParams:
     def scaled_rate(self, factor: float) -> "WorkloadParams":
         """A copy with the arrival rate multiplied by ``factor``
         (Figure 8/9's relative lambda_jobs knob)."""
-        if factor <= 0:
-            raise ValueError(f"rate factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"rate factor must be positive and finite, got {factor}")
         return replace(self, arrival_rate=self.arrival_rate * factor)
 
 
@@ -143,8 +144,8 @@ class ClusterPreset:
         scheduler load while making simulations cheaper; benchmark
         defaults use factors < 1 so the suite runs on one CPU.
         """
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {factor}")
         machines = max(1, round(self.num_machines * factor))
         achieved = machines / self.num_machines
         return replace(

@@ -37,6 +37,8 @@ class Constant:
     """Degenerate distribution: always ``value``."""
 
     def __init__(self, value: float) -> None:
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"value must be a finite number, got {value}")
         self.value = float(value)
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -60,8 +62,8 @@ class Exponential:
     """
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.rate = float(rate)
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -93,20 +95,20 @@ class LogNormal:
         low: float | None = None,
         high: float | None = None,
     ) -> None:
-        if median <= 0:
-            raise ValueError(f"median must be positive, got {median}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        if low is not None and high is not None and low > high:
-            raise ValueError(f"low={low} > high={high}")
+        if not 0 < median < math.inf:
+            raise ValueError(f"median must be positive and finite, got {median}")
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+        # The bounds as floats; an absent one never binds.
+        self._floor = -math.inf if low is None else float(low)
+        self._ceiling = math.inf if high is None else float(high)
+        if not self._floor <= self._ceiling:
+            raise ValueError(f"need low <= high, got low={low}, high={high}")
         self.median = float(median)
         self.sigma = float(sigma)
         self.low = low
         self.high = high
         self._mu = math.log(median)
-        # The bounds as floats; an absent one never binds.
-        self._floor = -math.inf if low is None else float(low)
-        self._ceiling = math.inf if high is None else float(high)
 
     def sample(self, rng: np.random.Generator) -> float:
         # One float straight from the C generator: the same bits, value
@@ -172,9 +174,9 @@ class DiscretizedLogNormal:
         self, median: float, sigma: float, low: int = 1, high: int | None = None
     ) -> None:
         self._inner = LogNormal(median, sigma)
-        if low < 1:
-            raise ValueError(f"low must be >= 1, got {low}")
-        if high is not None and high < low:
+        if not 1 <= low < math.inf:
+            raise ValueError(f"low must be >= 1 and finite, got {low}")
+        if high is not None and not low <= high:
             raise ValueError(f"high={high} < low={low}")
         self.low = int(low)
         self.high = high
@@ -209,8 +211,8 @@ class Uniform:
     """Uniform distribution on ``[low, high)``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if high < low:
-            raise ValueError(f"high={high} < low={low}")
+        if not -math.inf < low <= high < math.inf:
+            raise ValueError(f"need finite low <= high, got low={low}, high={high}")
         self.low = float(low)
         self.high = float(high)
 
@@ -240,8 +242,8 @@ class WeightedChoice:
         if not values:
             raise ValueError("need at least one value")
         weight_array = np.asarray(weights, dtype=np.float64)
-        if (weight_array < 0).any() or weight_array.sum() <= 0:
-            raise ValueError("weights must be non-negative and sum to > 0")
+        if not (weight_array >= 0).all() or not 0 < weight_array.sum() < math.inf:
+            raise ValueError("weights must be non-negative, finite and sum to > 0")
         self.values = np.asarray(values, dtype=np.float64)
         self.probabilities = weight_array / weight_array.sum()
 
@@ -267,8 +269,8 @@ class Mixture:
         if not components:
             raise ValueError("need at least one component")
         weight_array = np.asarray(weights, dtype=np.float64)
-        if (weight_array < 0).any() or weight_array.sum() <= 0:
-            raise ValueError("weights must be non-negative and sum to > 0")
+        if not (weight_array >= 0).all() or not 0 < weight_array.sum() < math.inf:
+            raise ValueError("weights must be non-negative, finite and sum to > 0")
         self.components = list(components)
         self.probabilities = weight_array / weight_array.sum()
 

@@ -9,8 +9,9 @@ extracted from the relevant trace".
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,10 +46,10 @@ class WorkloadGenerator:
         job_ids: Iterator[int],
         rate_factor: float = 1.0,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if rate_factor <= 0:
-            raise ValueError(f"rate_factor must be positive, got {rate_factor}")
+        if not 0 < horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        if not 0 < rate_factor < math.inf:
+            raise ValueError(f"rate_factor must be positive and finite, got {rate_factor}")
         self._sim = sim
         self._params = params
         self._job_type = job_type
@@ -91,13 +92,24 @@ class WorkloadGenerator:
         )
 
 
-class StandingTask(NamedTuple):
-    """A pre-existing task occupying resources at simulation start."""
+@dataclass(frozen=True)
+class StandingTasks:
+    """The tasks occupying resources at simulation start, as columns:
+    task ``i`` holds ``cpu[i]`` and ``mem[i]`` for its first
+    ``duration[i]`` seconds and belongs to a ``job_type[i]`` job."""
 
-    cpu: float
-    mem: float
-    duration: float  # remaining lifetime from t=0
-    job_type: JobType
+    cpu: list[float] = field(default_factory=list)
+    mem: list[float] = field(default_factory=list)
+    duration: list[float] = field(default_factory=list)
+    job_type: list[JobType] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.cpu)
+
+    def rows(self, start: int, stop: int) -> "StandingTasks":
+        """Tasks ``start`` to ``stop - 1``, as new columns."""
+        columns = (self.cpu, self.mem, self.duration, self.job_type)
+        return StandingTasks(*(column[start:stop] for column in columns))
 
 
 class InitialFill:
@@ -135,12 +147,12 @@ class InitialFill:
                 f"target utilization must be in [0, 1), got {self.target_utilization}"
             )
 
-    def generate(self, rng: np.random.Generator) -> list[StandingTask]:
+    def generate(self, rng: np.random.Generator) -> StandingTasks:
         """Sample standing tasks until the CPU target is reached: service
         tasks up to their share of it, then batch tasks."""
         target_cpu = self._preset.total_cpu * self.target_utilization
         service, batch = self._preset.service, self._preset.batch
-        tasks: list[StandingTask] = []
+        tasks = StandingTasks()
         filled = _fill_phase(
             rng,
             tasks,
@@ -162,7 +174,7 @@ class InitialFill:
 
 def _fill_phase(
     rng: np.random.Generator,
-    tasks: list[StandingTask],
+    tasks: StandingTasks,
     job_type: JobType,
     samplers: tuple[Sampler, Sampler, Sampler],
     filled: float,
@@ -184,10 +196,10 @@ def _fill_phase(
             cpu = cpu_sampler.sample(rng)
             if cpu <= 0.0:
                 raise _stalled(cpu_sampler, cpu)
-            duration = duration_sampler.sample(rng)
-            tasks.append(
-                StandingTask(cpu, mem_sampler.sample(rng), duration, job_type)
-            )
+            tasks.cpu.append(cpu)
+            tasks.duration.append(duration_sampler.sample(rng))
+            tasks.mem.append(mem_sampler.sample(rng))
+            tasks.job_type.append(job_type)
             filled += cpu
         return filled
 
@@ -206,9 +218,10 @@ def _fill_phase(
         cpu, duration, mem = block[:used].T.tolist()
         if min(cpu) <= 0.0:
             raise _stalled(cpu_sampler, min(cpu))
-        tasks.extend(
-            map(StandingTask._make, zip(cpu, mem, duration, repeat(job_type)))
-        )
+        tasks.cpu.extend(cpu)
+        tasks.mem.extend(mem)
+        tasks.duration.extend(duration)
+        tasks.job_type.extend([job_type] * used)
         filled = float(totals[used])
     return filled
 

@@ -83,31 +83,6 @@ class TestClaimRelease:
             getattr(state, op)(*args)
         assert state_bits(state) == before
 
-    @pytest.mark.parametrize(
-        "cpu, mem, error",
-        [(float("nan"), 0.1, ValueError), (0.1, -0.5, ValueError), (5.0, 0.1, OvercommitError)],
-    )
-    def test_claim_each_refuses_with_claims_message_before_any_write(self, cpu, mem, error):
-        state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
-        state.claim(1, 0.5, 0.5)
-        before = state_bits(state)
-        with pytest.raises(error) as refused:
-            state.claim_each([0, 2, 2], [0.5, cpu, 0.1], [0.5, mem, 0.1])
-        assert state_bits(state) == before
-        with pytest.raises(error) as claimed:
-            state.claim(2, cpu, mem)
-        assert str(refused.value) == str(claimed.value)
-
-    @pytest.mark.parametrize(
-        "cpus, mems", [([0.5], [0.5, 0.1]), ([0.5, 0.1], [0.5]), ([0.5, 0.1, 0.1], [0.5, 0.1, 0.1])]
-    )
-    def test_claim_each_refuses_unequal_lengths_before_any_write(self, cpus, mems):
-        state = CellState(Cell.homogeneous(3, cpu_per_machine=1.0, mem_per_machine=1.0))
-        before = state_bits(state)
-        with pytest.raises(ValueError):
-            state.claim_each([0, 2], cpus, mems)
-        assert state_bits(state) == before
-
     def test_zero_sizes_stay_legal(self, state):
         # FailureRepairProcess.fail withholds whatever is free, which may
         # be 0.0 in one dimension.

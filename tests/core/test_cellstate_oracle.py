@@ -105,29 +105,6 @@ def test_claim_and_release_match_their_oracles_bit_for_bit(ops):
     assert raised + applied >= len(ops)
 
 
-@given(st.lists(st.tuples(_machine, _size, _size, _dust, _dust), min_size=1, max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_claim_each_matches_one_claim_oracle_per_task(tasks):
-    """``claim_each`` ends where one oracle claim per task ends, bit for
-    bit; where the oracle refuses a task it raises the same error, with
-    nothing written instead of the tasks before it."""
-    cell = Cell.heterogeneous(PLATFORMS)
-    state, oracle = CellState(cell, changelog_capacity=16), CellState(cell, changelog_capacity=16)
-    before = state_bits(state)
-    machines, cpus, mems = [], [], []
-    want = None
-    for machine, cpu, mem, dust_cpu, dust_mem in tasks:
-        # Dust only on non-zero sizes: sizes stay non-negative.
-        cpu, mem = cpu and cpu + dust_cpu, mem and mem + dust_mem
-        machines.append(machine)
-        cpus.append(cpu)
-        mems.append(mem)
-        if want is None:
-            want = _outcome(claim_reference, oracle, machine, cpu, mem, 1)
-    assert _outcome(state.claim_each, machines, cpus, mems) == want
-    assert state_bits(state) == (before if want is not None else state_bits(oracle))
-
-
 def test_the_strategy_reaches_every_branch():
     """The edge operations do what their names say: on a fresh machine
     each dust value lands on the intended side of the boundary."""

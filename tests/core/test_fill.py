@@ -1,5 +1,7 @@
 """Tests for populating cell state with standing tasks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,20 @@ from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, EPSILON, CellState
 from repro.core.fill import populate
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
-from repro.workload.generator import InitialFill, StandingTask
+from repro.workload.generator import InitialFill, StandingTasks
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
 from tests.core.cellstate_oracles import state_bits
 
 
 def standing(cpu=1.0, mem=2.0, duration=100.0, job_type=JobType.BATCH):
-    return StandingTask(cpu=cpu, mem=mem, duration=duration, job_type=job_type)
+    """One task's row: ``(cpu, mem, duration, job_type)``."""
+    return cpu, mem, duration, job_type
+
+
+def columns(rows) -> StandingTasks:
+    """The columns of ``standing`` rows."""
+    return StandingTasks(*map(list, zip(*rows)))
 
 
 @pytest.fixture
@@ -25,19 +33,19 @@ def state():
 
 class TestPopulate:
     def test_places_all_when_room(self, state):
-        placed = populate(state, [standing() for _ in range(8)], np.random.default_rng(0))
+        placed = populate(state, columns([standing()] * 8), np.random.default_rng(0))
         assert placed == 8
         assert state.used_cpu == 8.0
 
     def test_stops_when_full(self, state):
-        tasks = [standing(cpu=4.0, mem=4.0) for _ in range(10)]
+        tasks = columns([standing(cpu=4.0, mem=4.0)] * 10)
         placed = populate(state, tasks, np.random.default_rng(0))
         assert placed == 4  # one per machine
         assert state.cpu_utilization == pytest.approx(1.0)
 
     def test_schedules_releases(self, state):
         sim = Simulator()
-        populate(state, [standing(duration=50.0)], np.random.default_rng(0), sim)
+        populate(state, columns([standing(duration=50.0)]), np.random.default_rng(0), sim)
         sim.run(until=49.0)
         assert state.used_cpu == 1.0
         sim.run(until=51.0)
@@ -47,7 +55,7 @@ class TestPopulate:
         sim = Simulator()
         populate(
             state,
-            [standing(duration=1000.0), standing(duration=10.0)],
+            columns([standing(duration=1000.0), standing(duration=10.0)]),
             np.random.default_rng(0),
             sim,
             horizon=100.0,
@@ -56,14 +64,14 @@ class TestPopulate:
         assert sim.pending() == 1
 
     def test_no_sim_no_releases(self, state):
-        populate(state, [standing()], np.random.default_rng(0))
+        populate(state, columns([standing()]), np.random.default_rng(0))
         assert state.used_cpu == 1.0  # nothing will ever release it
 
     def test_empty_tasks(self, state):
-        assert populate(state, [], np.random.default_rng(0)) == 0
+        assert populate(state, StandingTasks(), np.random.default_rng(0)) == 0
 
     def test_mixed_sizes_pack(self, state):
-        tasks = [standing(cpu=3.0, mem=3.0), standing(cpu=1.0, mem=1.0)] * 4
+        tasks = columns([standing(cpu=3.0, mem=3.0), standing(cpu=1.0, mem=1.0)] * 4)
         placed = populate(state, tasks, np.random.default_rng(1))
         assert placed == 8
         assert state.used_cpu == 16.0
@@ -71,27 +79,28 @@ class TestPopulate:
 
 def index_walk_populate(state, tasks, rng, sim=None, horizon=None) -> int:
     """The oracle: ``populate`` as it was, indexing the NumPy machine
-    order and reading ``num_machines`` and the task's fields per step."""
+    order, reading ``num_machines`` per step and making one ``claim``
+    and one ``sim.at`` per task."""
     order = rng.permutation(state.num_machines)
     cursor = 0
     placed = 0
-    for task in tasks:
+    for cpu, mem, duration in zip(tasks.cpu, tasks.mem, tasks.duration):
         found = None
         for step in range(state.num_machines):
             machine = order[(cursor + step) % state.num_machines]
             if (
-                state.free_cpu[machine] + EPSILON >= task.cpu
-                and state.free_mem[machine] + EPSILON >= task.mem
+                state.free_cpu[machine] + EPSILON >= cpu
+                and state.free_mem[machine] + EPSILON >= mem
             ):
                 found = int(machine)
                 cursor = (cursor + step) % state.num_machines
                 break
         if found is None:
             break
-        state.claim(found, task.cpu, task.mem, 1)
+        state.claim(found, cpu, mem, 1)
         placed += 1
-        if sim is not None and (horizon is None or task.duration <= horizon):
-            sim.at(task.duration, state.release, found, task.cpu, task.mem, 1)
+        if sim is not None and (horizon is None or duration <= horizon):
+            sim.at(duration, state.release, found, cpu, mem, 1)
     return placed
 
 
@@ -115,7 +124,7 @@ def observed_fill(fill, machine_counts, tasks, seed, horizon):
     start = 0
     for state in states:
         count = round(len(tasks) * state.num_machines / sum(machine_counts))
-        placed.append(fill(state, tasks[start : start + count], rng, sim, horizon))
+        placed.append(fill(state, tasks.rows(start, start + count), rng, sim, horizon))
         start += count
     observed = {
         "placed": placed,
@@ -137,12 +146,12 @@ def boundary_tasks(rng, count):
     """Tasks of ``capacity / k`` plus or minus less than EPSILON in each
     dimension, so ``k`` of them land on either side of the fit test and
     of the clamp to zero."""
-    tasks = []
+    rows = []
     for _ in range(count):
         k = int(rng.integers(1, 5))
         cpu_dust, mem_dust = rng.choice([-0.9, -0.4, 0.0, 0.4, 0.9], size=2) * EPSILON
-        tasks.append(standing(4.0 / k + cpu_dust, 16.0 / k + mem_dust, rng.uniform(1, 99)))
-    return tasks
+        rows.append(standing(4.0 / k + cpu_dust, 16.0 / k + mem_dust, rng.uniform(1, 99)))
+    return columns(rows)
 
 
 class TestPopulateMatchesIndexWalk:
@@ -178,10 +187,12 @@ class TestPopulateMatchesIndexWalk:
         tasks = InitialFill(tiny_preset(), 0.6).generate(np.random.default_rng(seed))
         # Every third task ends at t=1800, with the event queued before
         # the fill; every other third at t=60.
-        tasks = [
-            task._replace(duration=(1800.0, 60.0, task.duration)[i % 3])
-            for i, task in enumerate(tasks)
-        ]
+        tasks = dataclasses.replace(
+            tasks,
+            duration=[
+                (1800.0, 60.0, duration)[i % 3] for i, duration in enumerate(tasks.duration)
+            ],
+        )
         new = observed_fill(populate, (13, 27), tasks, seed, 3600.0)
         assert new == observed_fill(index_walk_populate, (13, 27), tasks, seed, 3600.0)
         times = [entry[0] for entry in new["drained"]]
@@ -211,7 +222,7 @@ class TestPopulateRefusesBadSizes:
     )
     def test_refused_before_anything_is_written(self, state, cpu, mem):
         sim = Simulator()
-        tasks = [standing(), standing(), standing(cpu=cpu, mem=mem), standing()]
+        tasks = columns([standing(), standing(), standing(cpu=cpu, mem=mem), standing()])
         before = (state.free_cpu.tobytes(), state.free_mem.tobytes(), state.version)
         with pytest.raises(ValueError, match="standing task 2 "):
             populate(state, tasks, np.random.default_rng(0), sim)
@@ -221,7 +232,7 @@ class TestPopulateRefusesBadSizes:
     @pytest.mark.parametrize("duration", [float("nan"), -1.0])
     def test_bad_duration_is_refused_before_anything_is_written(self, state, duration):
         sim = Simulator()
-        tasks = [standing(), standing(duration=duration), standing()]
+        tasks = columns([standing(), standing(duration=duration), standing()])
         with pytest.raises((ValueError, SimulationError)):
             populate(state, tasks, np.random.default_rng(0), sim)
         assert state.version == 0 and sim.pending() == 0

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, CellSnapshot, CellState
+from repro.core.fill import populate
+from repro.workload.generator import StandingTasks
+from repro.workload.job import JobType
 
 
 @pytest.fixture
@@ -20,6 +23,12 @@ def cell():
 @pytest.fixture
 def state(cell):
     return CellState(cell)
+
+
+def fill(state, count, cpu, mem, seed):
+    """``count`` standing tasks of one size, placed by the initial fill."""
+    tasks = StandingTasks([cpu] * count, [mem] * count, [1.0] * count, [JobType.BATCH] * count)
+    populate(state, tasks, np.random.default_rng(seed))
 
 
 def assert_snapshots_identical(synced, fresh):
@@ -124,10 +133,13 @@ class TestResync:
             state.claim(machine, 0.1, 0.1)
         assert state.changed_since(0).tolist() == [0, 1, 2]
         assert state.changed_since(3).tolist() == []
-        state.claim_each([3, 4, 5], [0.1] * 3, [0.1] * 3)  # wraps the ring
+        # Whole machines: the fill walks past 0-2 and takes the other
+        # three in its shuffled order, which wraps the ring.
+        fill(state, 3, 4.0, 16.0, seed=7)
+        filled = [m for m in np.random.default_rng(7).permutation(6).tolist() if m > 2]
         state.release(0, 0.1, 0.1)
-        assert state.changed_since(3).tolist() == [3, 4, 5, 0]
-        assert state.changed_since(5).tolist() == [5, 0]
+        assert state.changed_since(3).tolist() == filled + [0]
+        assert state.changed_since(5).tolist() == [filled[2], 0]
         assert state.changed_since(2) is None  # 5 mutations ago, 4 kept
         with pytest.raises(ValueError, match="ahead"):
             state.changed_since(8)
@@ -248,7 +260,7 @@ class TestResyncProperty:
     def test_long_deltas_across_the_ring_wrap_match_fresh_snapshot(self):
         """On 64 machines a delta of up to 15 entries stays a delta, so
         resyncs here read ``changed_since`` slices that cross the ring's
-        wrap point; ``claim_each`` bursts longer than the ring force the
+        wrap point; initial-fill bursts longer than the ring force the
         full copy. Across the examples both branches, and the wrap, must
         be taken."""
         taken = {"full": 0, "delta": 0, "wrap": 0}
@@ -266,7 +278,8 @@ class TestResyncProperty:
                 st.lists(
                     st.one_of(
                         st.tuples(st.sampled_from(["claim", "release", "local"]), machine),
-                        st.tuples(st.just("burst"), st.lists(machine, min_size=1, max_size=17)),
+                        # A fill of 1-17 tasks, its machine order from a seed.
+                        st.tuples(st.just("burst"), st.tuples(st.integers(1, 17), machine)),
                     ),
                     max_size=4,
                 ),
@@ -301,10 +314,12 @@ class TestResyncProperty:
                     elif op == "release" and claimed[arg]:
                         state.release(arg, 0.04, 0.16)
                         claimed[arg] -= 1
-                    elif op == "burst" and all(claimed[m] + arg.count(m) <= 100 for m in arg):
-                        state.claim_each(arg, [0.04] * len(arg), [0.16] * len(arg))
-                        for m in arg:
-                            claimed[m] += 1
+                    elif op == "burst":
+                        count, seed = arg
+                        seq = state.seq.tolist()
+                        fill(state, count, 0.04, 0.16, seed)
+                        for m, (old, new) in enumerate(zip(seq, state.seq.tolist())):
+                            claimed[m] += new - old
                     elif op == "local":
                         view.free_cpu[arg] = -1.0
                         view.seq[arg] = -1

@@ -10,6 +10,7 @@ from repro.hifi.trace import (
     synthesize_trace,
     write_trace,
 )
+from repro.workload.generator import StandingTasks
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
 
@@ -77,6 +78,38 @@ class TestTraceIO:
         assert loaded.machines == trace.machines
         assert loaded.jobs == trace.jobs
         assert loaded.initial_tasks == trace.initial_tasks
+
+    def test_standing_task_columns_round_trip_bit_for_bit(self, trace, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        tasks, loaded = trace.initial_tasks, read_trace(path).initial_tasks
+        assert len(tasks) > 100 and set(tasks.job_type) == {JobType.SERVICE, JobType.BATCH}
+        for column in ("cpu", "mem", "duration"):
+            assert [value.hex() for value in getattr(loaded, column)] == [
+                value.hex() for value in getattr(tasks, column)
+            ]
+        assert loaded.job_type == tasks.job_type
+        # One record per task, in order.
+        records = [line for line in path.read_text().splitlines() if "initial_task" in line]
+        assert len(records) == len(tasks)
+
+    def test_initial_task_records_load_as_columns(self, tmp_path):
+        path = tmp_path / "three.jsonl"
+        path.write_text(
+            '{"kind": "header", "name": "three", "horizon": 60.0}\n'
+            '{"kind": "initial_task", "cpu": 0.5, "mem": 1.25, "duration": 30.0,'
+            ' "job_type": "service"}\n'
+            '{"kind": "initial_task", "cpu": 2, "mem": 0.0, "duration": 1e9,'
+            ' "job_type": "batch"}\n'
+            '{"kind": "initial_task", "cpu": 0.1, "mem": 0.2, "duration": 0.0,'
+            ' "job_type": "batch"}\n'
+        )
+        assert read_trace(path).initial_tasks == StandingTasks(
+            cpu=[0.5, 2, 0.1],
+            mem=[1.25, 0.0, 0.2],
+            duration=[30.0, 1e9, 0.0],
+            job_type=[JobType.SERVICE, JobType.BATCH, JobType.BATCH],
+        )
 
     def test_constraints_survive_round_trip(self, tmp_path):
         trace = synthesize_trace(tiny_preset(), horizon=20000.0, seed=1)

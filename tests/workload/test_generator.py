@@ -9,7 +9,7 @@ import pytest
 from repro.sim import Simulator
 from repro.workload.clusters import PRESETS
 from repro.workload.distributions import Constant, LogNormal, Mixture
-from repro.workload.generator import InitialFill, StandingTask, WorkloadGenerator
+from repro.workload.generator import InitialFill, StandingTasks, WorkloadGenerator
 from repro.workload.job import JobType
 from tests.conftest import mesos_pathology_preset, tiny_preset
 
@@ -88,16 +88,19 @@ class TestInitialFill:
     def test_reaches_cpu_target(self, preset):
         fill = InitialFill(preset)
         tasks = fill.generate(np.random.default_rng(0))
-        total_cpu = sum(task.cpu for task in tasks)
+        total_cpu = sum(tasks.cpu)
         target = preset.total_cpu * preset.initial_utilization
         assert total_cpu >= target
         # Overshoot is at most one task.
-        assert total_cpu - target < max(task.cpu for task in tasks) + 1e-9
+        assert total_cpu - target < max(tasks.cpu) + 1e-9
 
     def test_service_majority_of_standing_cpu(self, preset):
         tasks = InitialFill(preset).generate(np.random.default_rng(1))
-        service_cpu = sum(t.cpu for t in tasks if t.job_type is JobType.SERVICE)
-        total_cpu = sum(t.cpu for t in tasks)
+        service_cpu = sum(
+            cpu for cpu, job_type in zip(tasks.cpu, tasks.job_type)
+            if job_type is JobType.SERVICE
+        )
+        total_cpu = sum(tasks.cpu)
         assert service_cpu / total_cpu == pytest.approx(
             InitialFill.SERVICE_CPU_SHARE, abs=0.1
         )
@@ -107,35 +110,32 @@ class TestInitialFill:
         horizon, or utilization decays unrealistically."""
         tasks = InitialFill(preset).generate(np.random.default_rng(2))
         service_durations = [
-            t.duration for t in tasks if t.job_type is JobType.SERVICE
+            duration
+            for duration, job_type in zip(tasks.duration, tasks.job_type)
+            if job_type is JobType.SERVICE
         ]
         assert np.median(service_durations) > 86400.0
 
     def test_target_override(self, preset):
         fill = InitialFill(preset, target_utilization=0.2)
         tasks = fill.generate(np.random.default_rng(3))
-        total_cpu = sum(task.cpu for task in tasks)
+        total_cpu = sum(tasks.cpu)
         assert total_cpu == pytest.approx(preset.total_cpu * 0.2, rel=0.2)
 
     def test_zero_target_is_empty(self, preset):
         fill = InitialFill(preset, target_utilization=0.0)
-        assert fill.generate(np.random.default_rng(0)) == []
+        assert fill.generate(np.random.default_rng(0)) == StandingTasks()
 
     def test_invalid_target(self, preset):
         with pytest.raises(ValueError):
             InitialFill(preset, target_utilization=1.0)
 
-    def test_standing_task_is_frozen(self):
-        task = StandingTask(cpu=1.0, mem=2.0, duration=10.0, job_type=JobType.BATCH)
-        with pytest.raises(AttributeError):
-            task.cpu = 2.0  # type: ignore[misc]
 
-
-def scalar_loop_generate(preset, target_utilization, rng) -> list[StandingTask]:
+def scalar_loop_generate(preset, target_utilization, rng) -> StandingTasks:
     """The oracle: ``InitialFill.generate`` as it was before it drew in
     blocks, one scalar ``sample`` per field and one task per iteration."""
     target_cpu = preset.total_cpu * target_utilization
-    tasks = []
+    tasks = StandingTasks()
     filled = 0.0
     service_budget = target_cpu * InitialFill.SERVICE_CPU_SHARE
     service_filled = 0.0
@@ -149,14 +149,10 @@ def scalar_loop_generate(preset, target_utilization, rng) -> list[StandingTask]:
             duration = InitialFill.SERVICE_RESIDUAL.sample(rng)
         else:
             duration = params.task_duration.sample(rng)
-        tasks.append(
-            StandingTask(
-                cpu=cpu,
-                mem=params.mem_per_task.sample(rng),
-                duration=duration,
-                job_type=job_type,
-            )
-        )
+        tasks.cpu.append(cpu)
+        tasks.mem.append(params.mem_per_task.sample(rng))
+        tasks.duration.append(duration)
+        tasks.job_type.append(job_type)
         filled += cpu
         if job_type is JobType.SERVICE:
             service_filled += cpu
@@ -165,8 +161,10 @@ def scalar_loop_generate(preset, target_utilization, rng) -> list[StandingTask]:
 
 def bits(tasks) -> list[tuple]:
     return [
-        (task.cpu.hex(), task.mem.hex(), task.duration.hex(), task.job_type)
-        for task in tasks
+        (cpu.hex(), mem.hex(), duration.hex(), job_type)
+        for cpu, mem, duration, job_type in zip(
+            tasks.cpu, tasks.mem, tasks.duration, tasks.job_type, strict=True
+        )
     ]
 
 
@@ -187,7 +185,7 @@ class SpyRng:
         return getattr(self._rng, name)
 
 
-def assert_same_fill(preset, utilization, seed) -> tuple[list[StandingTask], SpyRng]:
+def assert_same_fill(preset, utilization, seed) -> tuple[StandingTasks, SpyRng]:
     """Same tasks bit for bit, and the stream left where the scalar loop
     leaves it (``populate`` goes on to draw the machine order from it)."""
     rng, oracle_rng = SpyRng(seed), np.random.default_rng(seed)
@@ -218,12 +216,12 @@ class TestInitialFillMatchesScalarLoop:
     @pytest.mark.parametrize("seed", range(5))
     def test_service_phase_overshoots_a_tiny_target(self, preset, seed):
         tasks, _ = assert_same_fill(preset, 1e-6, seed)
-        assert [task.job_type for task in tasks] == [JobType.SERVICE]
+        assert tasks.job_type == [JobType.SERVICE]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_overdrawn_first_block_is_rewound(self, preset, seed):
         tasks, rng = assert_same_fill(preset, 0.5, seed)
-        service = sum(task.job_type is JobType.SERVICE for task in tasks)
+        service = tasks.job_type.count(JobType.SERVICE)
         # the block ran past the stopping round; exactly that many redrawn
         assert rng.blocks[0][0] > service
         assert rng.blocks[1] == (service, 3)
@@ -233,7 +231,7 @@ class TestInitialFillMatchesScalarLoop:
         # Clipped far below its analytic mean, so the size estimate is short.
         small = LogNormal(median=1.0, sigma=0.5, high=0.2)
         tasks, rng = assert_same_fill(with_cpu(preset, service_cpu=small), 0.5, seed)
-        service = sum(task.job_type is JobType.SERVICE for task in tasks)
+        service = tasks.job_type.count(JobType.SERVICE)
         assert rng.blocks[0][0] < rng.blocks[0][0] + rng.blocks[1][0] <= service
 
     @pytest.mark.parametrize("seed", range(3))
@@ -244,8 +242,9 @@ class TestInitialFillMatchesScalarLoop:
         )
         tasks, rng = assert_same_fill(with_cpu(preset, batch_cpu=mixed), 0.5, seed)
         # the all-LogNormal service phase still draws blocks; batch does not
-        batch = [task for task in tasks if task.job_type is JobType.BATCH]
-        assert any(task.cpu == 1.6 for task in batch)
+        batch = tasks.rows(tasks.job_type.index(JobType.BATCH), len(tasks))
+        assert set(batch.job_type) == {JobType.BATCH}
+        assert 1.6 in batch.cpu
         assert rng.blocks[-1] == (len(tasks) - len(batch), 3)
         tasks, rng = assert_same_fill(mesos_pathology_preset(), 0.6, seed)
         assert tasks and not rng.blocks
