@@ -55,6 +55,7 @@ class LintConfig:
         "repro/hifi/*",
         "repro/mapreduce/*",
         "repro/faults/*",
+        "repro/invariants.py",
     )
     #: FIJ001: fault-injection modules. Fault schedules must be driven
     #: by simulated time and RNG streams forked from the run's master
@@ -62,6 +63,8 @@ class LintConfig:
     fault_injector_paths: tuple[str, ...] = (
         "repro/faults/*",
         "repro/hifi/failures.py",
+        "repro/core/retry.py",
+        "repro/invariants.py",
     )
     #: RBS001: recovery-critical paths (parallel workers, checkpoint
     #: and artifact writers) where broad exception handlers without a
@@ -69,7 +72,6 @@ class LintConfig:
     #: crash-safety guarantees of repro.recovery.
     recovery_paths: tuple[str, ...] = (
         "repro/recovery/*",
-        "repro/perf/parallel.py",
         "repro/experiments/io.py",
         "repro/obs/export.py",
     )

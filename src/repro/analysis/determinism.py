@@ -10,7 +10,7 @@ be byte-identical. The returned experiment rows are compared too.
 
 A second mode (:func:`run_parallel_gate`, ``--compare-jobs N``)
 compares a *serial* run against the same experiment fanned out over N
-worker processes (see :mod:`repro.perf.parallel`): parallel execution
+worker processes (see :mod:`repro.recovery.runner`): parallel execution
 is only admissible because it is observationally identical to serial,
 and this gate is where that claim is enforced end-to-end — rows and
 traces both.

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.cellstate import CellSnapshot, CellState
 from repro.core.placement import placement_fn, randomized_first_fit
 from repro.core.preemption import AllocationLedger, commit_with_preemption
+from repro.core.retry import StarvationEscalationPolicy
 from repro.core.transaction import (
     Claim,
     CommitMode,
@@ -41,7 +42,6 @@ from repro.core.transaction import (
     ConflictMode,
     commit,
 )
-from repro.faults.retry import ImmediateRetryPolicy, RetryPolicy
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
@@ -77,7 +77,7 @@ class OmegaScheduler(QueueScheduler):
         retry_conflicts_at_front: bool = True,
         ledger: AllocationLedger | None = None,
         conflict_avoidance_cooldown: float = 0.0,
-        retry_policy: RetryPolicy = ImmediateRetryPolicy(),
+        retry_policy: StarvationEscalationPolicy | None = None,
         commit: CommitFn | None = None,
     ) -> None:
         super().__init__(

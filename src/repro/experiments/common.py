@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.cellstate import CellState
 from repro.core.fill import populate
 from repro.core.multi import SchedulerPool
 from repro.core.placement import placement_fn
 from repro.core.preemption import AllocationLedger
+from repro.core.retry import RetryPolicyConfig, StarvationEscalationPolicy
 from repro.core.scheduler import (
     OmegaScheduler,
     PlacementFn,
     PreemptingOmegaScheduler,
 )
 from repro.core.transaction import CommitMode, ConflictMode
-from repro.faults import FaultConfig
-from repro.faults.retry import ImmediateRetryPolicy, RetryPolicyConfig
 from repro.metrics.results import RunSummary
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers.mesos import MesosAllocator, MesosFramework
@@ -36,6 +35,9 @@ from repro.workload.clusters import ClusterPreset
 from repro.workload.generator import InitialFill, WorkloadGenerator
 from repro.workload.job import Job, JobType
 from repro.world import RunContext, World
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.chaos import FaultConfig
 
 DAY = 86400.0
 
@@ -155,11 +157,13 @@ def omega_schedulers(
 
     def scheduler(base_name: str, stream: str, model: DecisionTimeModel, preempt=False):
         # Each scheduler has its own named retry stream, which exists
-        # only where a configured policy may draw from it.
+        # only where the starvation policy draws from it.
         policy = (
-            ImmediateRetryPolicy()
-            if retry is None
-            else retry.build(streams.stream(f"retry.{base_name}"))
+            None
+            if retry is None or retry.kind == "immediate"
+            else StarvationEscalationPolicy(
+                streams.stream(f"retry.{base_name}"), retry.escalate_after
+            )
         )
         args = (
             prefix + base_name,
@@ -301,14 +305,15 @@ class LightweightConfig:
     #: lightweight algorithm — "best-fit", or "worst-fit"); see
     #: :data:`repro.core.placement.PLACEMENT_STRATEGIES`.
     placement_strategy: str = "random-first-fit"
-    #: Deterministic fault injection (:mod:`repro.faults`). The default
-    #: config is disabled, keeping every fault-free run byte-identical.
-    fault_config: FaultConfig = field(default_factory=FaultConfig)
+    #: Deterministic fault injection (:mod:`repro.faults`). ``None``, or
+    #: a config that injects nothing, runs the fault-free path, which
+    #: loads no fault module.
+    fault_config: FaultConfig | None = None
     #: Omega only: conflict-retry policy built per scheduler from its own
     #: named random stream. ``None`` keeps the historical immediate
     #: front-of-queue retry untouched.
     retry_policy: RetryPolicyConfig | None = None
-    #: Run a :class:`~repro.faults.CellStateInvariantChecker` every this
+    #: Run a :class:`~repro.invariants.CellStateInvariantChecker` every this
     #: many seconds during the run; ``None`` disables continuous checks.
     invariant_check_interval: float | None = None
     #: Emit ``timeline.*`` trace records every this many simulated

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.retry import RetryPolicyConfig
 from repro.core.transaction import CommitMode
 from repro.experiments.common import LightweightSimulation
 from repro.experiments.resilience import BASELINE_FAULTS
 from repro.experiments.sweeps import SweepPoint, batch_load_points
 from repro.faults import FaultConfig
-from repro.faults.retry import RetryPolicyConfig
 
 #: Figure-8 operating points (relative lambda(batch)) swept by default:
 #: one around cluster B's knee and one past it, where section 3.6 says

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
+from repro.core.retry import RETRY_POLICIES
 from repro.experiments import (
     ablations,
     conflict_avoidance,
@@ -41,11 +42,9 @@ from repro.experiments.sweeps import (
     result_row,
     service_decision_points,
 )
-from repro.faults.retry import RETRY_POLICIES
 from repro.federation import ROUTING_POLICIES, FederationConfig
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
-from repro.perf.parallel import parallel_map
-from repro.recovery.runner import RecoveryContext
+from repro.recovery.runner import RecoveryContext, execute_map
 from repro.workload.clusters import preset_by_name
 from repro.workload.validation import validate_all
 
@@ -242,14 +241,14 @@ def run(
         for cell in cells:
             if cell.timeline_interval is None:
                 cell.timeline_interval = interval
-    rows = parallel_map(
+    rows = execute_map(
         functools.partial(
             run_point, columns=experiment.columns, table=experiment.table
         ),
         points,
         jobs=jobs,
         labels=[point_label(extra) for _, extra in points],
-        recovery=recovery,
+        context=recovery,
     )
     return experiment.finish(rows) if experiment.finish is not None else rows
 

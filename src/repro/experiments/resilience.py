@@ -15,7 +15,7 @@ architectures serialize everything behind the failure.
 Intensity 0 rows install no fault machinery at all and are byte-
 identical to the corresponding fault-free experiment at the same seed
 (tested in ``tests/experiments/test_resilience.py``). Every run also
-carries a continuous :class:`~repro.faults.CellStateInvariantChecker`
+carries a continuous :class:`~repro.invariants.CellStateInvariantChecker`
 plus a post-run gate, so a fault path that corrupts shared cell state
 fails the experiment instead of silently skewing the numbers.
 """
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.retry import RetryPolicyConfig
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import SweepPoint
 from repro.faults import FaultConfig
-from repro.faults.retry import RetryPolicyConfig
 from repro.workload.clusters import CLUSTER_B
 
 #: The architectures compared in the degradation table. The single-path
@@ -81,11 +81,11 @@ def resilience_points(
     """Degradation grid: architectures x fault intensities.
 
     ``policy`` selects the Omega conflict-retry policy (one of
-    :data:`repro.faults.retry.RETRY_POLICIES`, or ``None`` for the
+    :data:`repro.core.retry.RETRY_POLICIES`, or ``None`` for the
     built-in default). The default "immediate" policy reproduces the
     historical retry behavior exactly, which keeps the intensity-0 rows
-    byte-identical to the fault-free experiments; pass "backoff" or
-    "starvation" to study the section 3.6 remedies under fault load.
+    byte-identical to the fault-free experiments; pass "starvation" to
+    study the section 3.6 remedy under fault load.
 
     Every point shares one master seed so the fault-free workload is
     identical across the whole table — degradation is attributable to

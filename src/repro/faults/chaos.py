@@ -4,7 +4,7 @@ Injects three fault classes into any of the section 4 architectures
 (monolithic, partitioned, Mesos, Omega):
 
 * **machine failure/repair** — a Poisson process per cell (shared
-  :class:`~repro.faults.processes.FailureRepairProcess`), evicting
+  :class:`~repro.hifi.failures.FailureRepairProcess`), evicting
   ledgered tasks and withholding capacity until repair;
 * **scheduler crash/restart** — a Poisson process per scheduler; a
   crash loses the in-flight transaction (the job's private snapshot and
@@ -29,7 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cellstate import CellState
-from repro.faults.processes import FailureRepairProcess
+from repro.hifi.failures import FailureRepairProcess
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
 from repro.sim import RandomStreams, Simulator

@@ -15,8 +15,7 @@ three layers (see ``docs/RECOVERY.md`` for the formats and semantics):
   versions) plus an append-then-fsync JSONL checkpoint log with
   per-record checksums. ``omega-sim <sweep> --checkpoint DIR --resume``
   skips already-completed sweep points; because every point is
-  self-seeded (:func:`repro.perf.parallel.point_seed` and the per-point
-  ``LightweightConfig.seed``), a resumed run's result table and
+  self-seeded (the per-point ``LightweightConfig.seed``), a resumed run's result table and
   stitched trace are identical to an uninterrupted run's.
 * :mod:`repro.recovery.supervisor` / :mod:`repro.recovery.runner` — a
   supervised replacement for the bare ``Pool.map`` fan-out: per-point

@@ -2,9 +2,13 @@
 supervisor.
 
 The experiment driver (:func:`repro.experiments.registry.run`) calls
-:func:`repro.perf.parallel.parallel_map`, which delegates here. Without
-a :class:`RecoveryContext` this is a plain supervised map and behaves
-exactly like the historical ``Pool.map`` fan-out. When the CLI passes a
+:func:`execute_map` with its ``--jobs`` value. Without a
+:class:`RecoveryContext` this is a plain supervised map and behaves
+exactly like the historical ``Pool.map`` fan-out: results in item
+order, serial in this process when ``jobs <= 1`` or there is one item.
+Each point must already be self-seeded (every sweep point carries its
+master seed), so serial and parallel runs produce identical tables.
+When the CLI passes a
 context (``--checkpoint DIR`` and friends), every completed sweep point
 is durably appended to the context's
 :class:`~repro.recovery.checkpoint.CheckpointStore` as it finishes, and
@@ -35,6 +39,7 @@ fields.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, Sequence
 
 from repro.obs import recorder as _obs
@@ -45,7 +50,16 @@ from repro.recovery.supervisor import (
     supervised_map,
 )
 
-__all__ = ["RecoveryContext", "execute_map"]
+__all__ = ["RecoveryContext", "execute_map", "resolve_jobs"]
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value: None/0 means one worker per CPU."""
+    if jobs is None or jobs == 0:
+        return max(1, os.cpu_count() or 1)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 class RecoveryContext:
@@ -127,17 +141,19 @@ def _plan_resume(
 def execute_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
-    jobs: int = 1,
+    jobs: int | None = 1,
     labels: Sequence[str] | None = None,
     policy: SupervisorPolicy | None = None,
     context: RecoveryContext | None = None,
 ) -> list[Any]:
     """Run one sweep under ``context`` (if any).
 
-    Results come back in item order. Without a context this is
-    supervised execution with default policy — behaviourally identical
-    to the old ``Pool.map`` path for healthy runs.
+    Results come back in item order; ``jobs`` goes through
+    :func:`resolve_jobs`. Without a context this is supervised
+    execution with default policy — behaviourally identical to the old
+    ``Pool.map`` path for healthy runs.
     """
+    jobs = resolve_jobs(jobs)
     store = context.store if context is not None else None
     if policy is None:
         policy = context.policy if context is not None else DEFAULT_POLICY

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.cellstate import CellState
+from repro.core.retry import StarvationEscalationPolicy
 from repro.core.transaction import Claim
-from repro.faults.retry import ImmediateRetryPolicy, RetryAction, RetryPolicy
 from repro.metrics import MetricsCollector
 from repro.obs import recorder as _obs
 from repro.sim import Event, Simulator
@@ -76,7 +76,7 @@ class QueueScheduler(abc.ABC):
         decision_times: dict[JobType, DecisionTimeModel] | DecisionTimeModel,
         attempt_limit: int = DEFAULT_ATTEMPT_LIMIT,
         retry_conflicts_at_front: bool = True,
-        retry_policy: RetryPolicy = ImmediateRetryPolicy(),
+        retry_policy: StarvationEscalationPolicy | None = None,
     ) -> None:
         if attempt_limit < 1:
             raise ValueError(f"attempt_limit must be >= 1, got {attempt_limit}")
@@ -91,9 +91,9 @@ class QueueScheduler(abc.ABC):
         self._decision_times = dict(decision_times)
         self.attempt_limit = attempt_limit
         self.retry_conflicts_at_front = retry_conflicts_at_front
-        #: Conflict-retry policy (see :mod:`repro.faults.retry`). The
-        #: default is the paper's behaviour: retry immediately at the
-        #: front, bounded only by ``attempt_limit``.
+        #: Conflict-retry policy (see :mod:`repro.core.retry`). None is
+        #: the paper's behaviour: retry immediately at the front,
+        #: bounded only by ``attempt_limit``.
         self.retry_policy = retry_policy
         #: Chaos engine hook; set by
         #: :meth:`repro.faults.chaos.ChaosEngine.install` when commit
@@ -336,9 +336,9 @@ class QueueScheduler(abc.ABC):
         are not blocked behind it. A *conflicted* job does whatever
         :attr:`retry_policy` decides: by default it retries immediately
         at the head of the queue ("the scheduler resyncs its local copy
-        of cell state ... and tries again"); other policies delay it,
-        send it to the back, escalate it to incremental commits, or
-        abandon it.
+        of cell state ... and tries again"); the starvation policy
+        delays it to the back, escalates it to incremental commits, or
+        abandons it.
         """
         job.attempts += 1
         if had_conflict:
@@ -363,15 +363,18 @@ class QueueScheduler(abc.ABC):
         elif job.attempts >= self.attempt_limit:
             self._abandon(job, reason="attempt-limit")
         else:
-            if had_conflict:
-                decision = self.retry_policy.decide(job)
-                if decision.action is RetryAction.ABANDON:
+            policy = self.retry_policy
+            if had_conflict and policy is None:
+                at_front = self.retry_conflicts_at_front
+                delay = 0.0
+            elif had_conflict:
+                delay = policy.delay(job)
+                if delay is None:
                     self._abandon(job, reason="conflict-cap")
                     return
-                if decision.escalate:
+                if policy.escalates(job):
                     self._escalate(job)
-                at_front = decision.at_front and self.retry_conflicts_at_front
-                delay = decision.delay
+                at_front = False
             else:
                 at_front = False
                 delay = self.requeue_delay(job)

@@ -211,21 +211,31 @@ class MesosAllocator:
         framework: "MesosFramework",
         claims: list[Claim],
         duration: float,
-    ) -> None:
-        """Commit a framework's placements and schedule their completion.
+    ) -> list[Claim]:
+        """Commit a framework's placements and schedule their completion;
+        returns the claims launched.
 
-        Claims come from within an offer the framework holds, so they
-        always fit: pessimistic concurrency means no conflicts by
-        construction.
+        Claims come from within an offer the framework holds, so other
+        frameworks never conflict with them: pessimistic concurrency.
+        Only a machine that failed while the offer was held can have
+        lost the room: its claim is dropped and its tasks stay unplaced
+        for a later offer, the way Mesos rescinds offers from lost
+        agents.
         """
+        fits = self.state.fits
+        launched = [
+            claim for claim in claims
+            if fits(claim.machine, claim.cpu, claim.mem, claim.count)
+        ]
         totals = self._allocated[framework]
         # One claim per machine within an offer, so the batch apply
         # is order-equivalent to the old claim-by-claim loop.
-        self.state.claim_batch(claims)
-        for claim in claims:
+        self.state.claim_batch(launched)
+        for claim in launched:
             totals[0] += claim.cpu * claim.count
             totals[1] += claim.mem * claim.count
             self.sim.after(duration, self._task_end, framework, claim)
+        return launched
 
     def _task_end(self, framework: "MesosFramework", claim: Claim) -> None:
         self.state.release(claim.machine, claim.cpu, claim.mem, claim.count)

@@ -94,9 +94,12 @@ class MesosFramework(QueueScheduler):
             job.unplaced_tasks,
             self._rng,
         )
+        if claims:
+            claims = self.allocator.launch(self, claims, job.duration)
+        placed = sum(claim.count for claim in claims)
+        job.unplaced_tasks -= placed
         rec = _obs.RECORDER
         if rec.enabled:
-            placed = sum(claim.count for claim in claims)
             rec.event(
                 "mesos.offer_accepted" if claims else "mesos.offer_declined",
                 t=self.sim.now,
@@ -106,9 +109,6 @@ class MesosFramework(QueueScheduler):
                 offer=offer.offer_id,
                 placed=placed,
             )
-        if claims:
-            self.allocator.launch(self, claims, job.duration)
-            job.unplaced_tasks -= sum(claim.count for claim in claims)
         # "Resources not used at the end of scheduling a job are
         # returned to the allocator."
         self.allocator.return_offer(offer)

@@ -17,18 +17,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.faults import CellStateInvariantChecker, ChaosEngine, FaultConfig
+from repro.invariants import CellStateInvariantChecker
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
 from repro.obs import recorder as _obs
 from repro.obs.timeline import TimelineSampler
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.chaos import ChaosEngine, FaultConfig
 
 
 class RunContext:
@@ -125,15 +128,18 @@ class World:
 
     def install_collectors(
         self,
-        faults: FaultConfig,
+        faults: FaultConfig | None,
         invariant_interval: float | None,
         utilization_interval: float | None,
         timeline_interval: float | None,
     ) -> None:
         """The optional fault processes and periodic observers, in the
-        order that fixes their event sequence numbers."""
+        order that fixes their event sequence numbers. The fault layer
+        is imported only when ``faults`` injects something."""
         sim, horizon = self.sim, self.horizon
-        if faults.enabled:
+        if faults is not None and faults.enabled:
+            from repro.faults.chaos import ChaosEngine
+
             self.chaos = ChaosEngine(
                 sim, self.streams.fork("chaos"), faults, self.metrics
             )
@@ -182,7 +188,7 @@ class World:
     def check_invariants(self) -> list[str]:
         """Post-run invariant gate over every cell state (and ledger).
 
-        Raises :class:`repro.faults.InvariantViolation` on any
+        Raises :class:`repro.invariants.InvariantViolation` on any
         inconsistency; returns the (empty) violation list otherwise.
         """
         return self.invariant_checker.check(self.sim.now)

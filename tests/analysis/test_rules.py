@@ -419,7 +419,8 @@ class TestGEN001:
 # ----------------------------------------------------------------------
 class TestFIJ001:
     """FIJ001 only fires inside the configured fault-injector paths
-    (``repro/faults/*`` and the hifi failure injector by default);
+    (``repro/faults/*``, the hifi failure injector, the retry policy and
+    the invariant checker by default);
     DET001/DET002 may fire alongside it, so the assertions check
     membership, not the full rule list."""
 
@@ -439,7 +440,7 @@ class TestFIJ001:
             def schedule():
                 return np.random.default_rng(0).exponential(60.0)
         """
-        assert "FIJ001" in rules_of(lint(source, path="repro/faults/processes.py"))
+        assert "FIJ001" in rules_of(lint(source, path="repro/core/retry.py"))
 
     def test_stdlib_random_flagged_in_fault_path(self):
         source = """
@@ -466,7 +467,7 @@ class TestFIJ001:
             def stamp():
                 return datetime.datetime.now()
         """
-        assert "FIJ001" in rules_of(lint(source, path="repro/faults/invariants.py"))
+        assert "FIJ001" in rules_of(lint(source, path="repro/invariants.py"))
 
     def test_hifi_failure_injector_covered_by_default(self):
         source = """
@@ -496,7 +497,7 @@ class TestFIJ001:
                 def gap(self, mtbf: float) -> float:
                     return float(self.rng.exponential(mtbf))
         """
-        assert lint(source, path="repro/faults/processes.py") == []
+        assert lint(source, path="repro/hifi/failures.py") == []
 
     def test_custom_fault_injector_paths_honored(self):
         source = """
@@ -519,7 +520,12 @@ class TestFIJ001:
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         findings = lint_paths(
-            [src / "repro" / "faults", src / "repro" / "hifi" / "failures.py"]
+            [
+                src / "repro" / "faults",
+                src / "repro" / "hifi" / "failures.py",
+                src / "repro" / "core" / "retry.py",
+                src / "repro" / "invariants.py",
+            ]
         )
         assert findings == []
 
@@ -646,7 +652,6 @@ class TestRBS001:
         findings = lint_paths(
             [
                 src / "repro" / "recovery",
-                src / "repro" / "perf" / "parallel.py",
                 src / "repro" / "experiments" / "io.py",
                 src / "repro" / "obs" / "export.py",
             ]

@@ -11,9 +11,9 @@ import numpy as np
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
+from repro.core.retry import StarvationEscalationPolicy
 from repro.core.scheduler import PreemptingOmegaScheduler
 from repro.core.transaction import Claim, CommitMode
-from repro.faults.retry import StarvationEscalationPolicy
 from repro.mapreduce.model import MapReduceJob, MapReduceProfile
 from repro.mapreduce.policies import NoAccelerationPolicy
 from repro.mapreduce.scheduler import MapReduceScheduler
@@ -40,9 +40,7 @@ def mr_job(workers=2):
 def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
     state = CellState(Cell.homogeneous(2, cpu_per_machine=4.0, mem_per_machine=16.0))
     ledger = AllocationLedger(state, sim)
-    policy = StarvationEscalationPolicy(
-        np.random.default_rng(1), escalate_after=1, base_delay=0.5, jitter=0.0
-    )
+    policy = StarvationEscalationPolicy(np.random.default_rng(1), escalate_after=1)
     scheduler = PreemptingOmegaScheduler(
         "gang",
         sim,

@@ -14,12 +14,7 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.scheduler import OmegaScheduler
 from repro.core.transaction import CommitMode
-from repro.faults.retry import (
-    CappedRetryPolicy,
-    ExponentialBackoffPolicy,
-    ImmediateRetryPolicy,
-    StarvationEscalationPolicy,
-)
+from repro.core.retry import MAX_CONFLICT_RETRIES, StarvationEscalationPolicy
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.sim.random import RandomStreams
 from tests.conftest import make_job
@@ -42,23 +37,26 @@ class AlwaysConflicting(QueueScheduler):
             self._resolve_attempt(job, had_conflict=False)
 
 
+def starvation(escalate_after=3):
+    return StarvationEscalationPolicy(
+        RandomStreams(0).stream("retry.conflicting"), escalate_after
+    )
+
+
 class TestAbandonment:
-    def test_capped_policy_abandons_with_conflict_cap_reason(self, sim, metrics):
-        scheduler = AlwaysConflicting(
-            sim, metrics, retry_policy=CappedRetryPolicy(max_conflict_retries=3)
-        )
+    def test_starvation_abandons_with_conflict_cap_reason(self, sim, metrics):
+        scheduler = AlwaysConflicting(sim, metrics, retry_policy=starvation())
         job = make_job(num_tasks=2)
         scheduler.submit(job)
         sim.run()
         assert job.abandoned
-        assert job.conflicts == 4  # 3 retries + the abandoning attempt
+        # MAX_CONFLICT_RETRIES retries + the abandoning attempt
+        assert job.conflicts == MAX_CONFLICT_RETRIES + 1
         assert metrics.abandoned_for_reason("conflict-cap") == 1
         assert metrics.abandoned_for_reason("attempt-limit") == 0
 
     def test_attempt_limit_reason_still_distinct(self, sim, metrics):
-        scheduler = AlwaysConflicting(
-            sim, metrics, attempt_limit=5, retry_policy=ImmediateRetryPolicy()
-        )
+        scheduler = AlwaysConflicting(sim, metrics, attempt_limit=5)
         job = make_job(num_tasks=2)
         scheduler.submit(job)
         sim.run()
@@ -67,9 +65,7 @@ class TestAbandonment:
         assert metrics.abandoned_for_reason("conflict-cap") == 0
 
     def test_abandoned_job_stops_consuming_the_scheduler(self, sim, metrics):
-        scheduler = AlwaysConflicting(
-            sim, metrics, retry_policy=CappedRetryPolicy(max_conflict_retries=2)
-        )
+        scheduler = AlwaysConflicting(sim, metrics, retry_policy=starvation())
         scheduler.submit(make_job(num_tasks=2))
         sim.run()
         assert scheduler.queue_depth == 0
@@ -78,33 +74,27 @@ class TestAbandonment:
 
 class TestBackoffRequeue:
     def test_delayed_requeue_leaves_scheduler_idle(self, sim, metrics):
-        policy = ExponentialBackoffPolicy(
-            RandomStreams(0).stream("retry.conflicting"),
-            base_delay=5.0,
-            factor=2.0,
-            max_delay=60.0,
-            jitter=0.0,
+        scheduler = AlwaysConflicting(
+            sim, metrics, conflicts=1, retry_policy=starvation()
         )
-        scheduler = AlwaysConflicting(sim, metrics, conflicts=1, retry_policy=policy)
         job = make_job(num_tasks=2)
         scheduler.submit(job)
         # Attempt 1 finishes (and conflicts) at t=1; the retry is held
-        # back 5 s, so the scheduler sits idle until t=6.
-        sim.run(until=3.0)
+        # back 1-1.5 s (BASE_DELAY plus jitter), so the scheduler sits
+        # idle until t=2-2.5.
+        sim.run(until=1.9)
         assert not scheduler.is_busy
         assert scheduler.queue_depth == 0
         assert not job.is_fully_scheduled
-        sim.run(until=7.5)  # retry started at t=6, finishes at t=7
+        sim.run(until=4.0)  # the retry takes 1 s
         assert job.is_fully_scheduled
-        assert job.fully_scheduled_time == pytest.approx(7.0)
+        assert 3.0 <= job.fully_scheduled_time < 3.5
+        assert not job.escalated
 
     def test_backoff_requeues_at_the_back(self, sim, metrics):
-        policy = ExponentialBackoffPolicy(
-            RandomStreams(0).stream("retry.conflicting"),
-            base_delay=0.5,
-            jitter=0.0,
+        scheduler = AlwaysConflicting(
+            sim, metrics, conflicts=1, retry_policy=starvation()
         )
-        scheduler = AlwaysConflicting(sim, metrics, conflicts=1, retry_policy=policy)
         first = make_job(num_tasks=2)
         second = make_job(num_tasks=2)
         scheduler.submit(first)
@@ -117,13 +107,9 @@ class TestBackoffRequeue:
 
 class TestEscalation:
     def test_starvation_policy_marks_job_and_metrics(self, sim, metrics):
-        policy = StarvationEscalationPolicy(
-            RandomStreams(0).stream("retry.conflicting"),
-            escalate_after=2,
-            jitter=0.0,
-            base_delay=0.1,
+        scheduler = AlwaysConflicting(
+            sim, metrics, conflicts=3, retry_policy=starvation(escalate_after=2)
         )
-        scheduler = AlwaysConflicting(sim, metrics, conflicts=3, retry_policy=policy)
         job = make_job(num_tasks=2)
         scheduler.submit(job)
         sim.run()

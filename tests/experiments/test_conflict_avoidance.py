@@ -9,6 +9,7 @@ pairing attaches 1-minus-3 columns correctly.
 
 import math
 
+from repro.core.retry import RetryPolicyConfig
 from repro.core.transaction import CommitMode
 from repro.experiments.conflict_avoidance import (
     DELTA_COLUMNS,
@@ -18,7 +19,6 @@ from repro.experiments.conflict_avoidance import (
 from repro.experiments.registry import EXPERIMENTS, run, run_point
 from repro.experiments.resilience import BASELINE_FAULTS
 from repro.experiments.sweeps import batch_load_points
-from repro.faults.retry import RetryPolicyConfig
 
 SCALE = 0.05
 HORIZON = 900.0

@@ -148,10 +148,10 @@ class TestCli:
         class Reached(Exception):
             pass
 
-        def parallel_map(fn, points, **kwargs):
+        def execute_map(fn, points, **kwargs):
             raise Reached([getattr(c, "cell_config", c) for c, _ in points])
 
-        monkeypatch.setattr(registry, "parallel_map", parallel_map)
+        monkeypatch.setattr(registry, "execute_map", execute_map)
         flags = ["--scale", "0.05", "--hours", "0.1", "--timeline-interval", "60"]
         grids = [name for name, e in EXPERIMENTS.items() if e.points is not None]
         assert set(HIFI_REPLAYS) < set(grids)
@@ -181,7 +181,7 @@ class TestBadArgumentsExitTwo:
         def ran(*args, **kwargs):
             raise AssertionError("a point ran despite bad arguments")
 
-        monkeypatch.setattr(registry, "parallel_map", ran)
+        monkeypatch.setattr(registry, "execute_map", ran)
         for name, experiment in list(EXPERIMENTS.items()):
             if experiment.points is not None:
                 monkeypatch.setitem(

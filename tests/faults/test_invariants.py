@@ -7,7 +7,7 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
 from repro.core.transaction import Claim
-from repro.faults import CellStateInvariantChecker, InvariantViolation
+from repro.invariants import CellStateInvariantChecker, InvariantViolation
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
 from repro.core.transaction import Claim
-from repro.faults.processes import FailureRepairProcess
+from repro.hifi.failures import FailureRepairProcess
 from repro.sim import Simulator
 from repro.sim.random import derive_seed
 

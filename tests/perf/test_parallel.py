@@ -1,5 +1,6 @@
-"""Parallel sweep executor: order preservation, serial/parallel
-equivalence, worker isolation, and trace capture/replay."""
+"""Parallel sweep executor (:func:`repro.recovery.runner.execute_map`):
+order preservation, serial/parallel equivalence, worker isolation, and
+trace capture/replay."""
 
 import json
 
@@ -7,8 +8,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.determinism import canonical_record
-from repro.perf.parallel import parallel_map, point_seed, resolve_jobs
-from repro.sim.random import derive_seed
+from repro.recovery.runner import execute_map, resolve_jobs
 
 
 def _square(x):
@@ -39,32 +39,23 @@ class TestResolveJobs:
             resolve_jobs(-2)
 
 
-class TestPointSeed:
-    def test_matches_derive_seed(self):
-        assert point_seed(7, "a") == derive_seed(7, "sweep-point:a")
-
-    def test_distinct_labels_distinct_seeds(self):
-        seeds = {point_seed(0, f"p{i}") for i in range(20)}
-        assert len(seeds) == 20
-
-
 class TestParallelMap:
     def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+        assert execute_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
 
     def test_parallel_matches_serial_in_order(self):
         items = list(range(12))
-        assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
+        assert execute_map(_square, items, jobs=3) == [x * x for x in items]
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [5], jobs=8) == [25]
+        assert execute_map(_square, [5], jobs=8) == [25]
 
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert execute_map(_square, [], jobs=4) == []
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ZeroDivisionError):
-            parallel_map(lambda x: 1 // x, [1, 0], jobs=1)
+            execute_map(lambda x: 1 // x, [1, 0], jobs=1)
 
 
 class TestTraceReplay:
@@ -72,7 +63,7 @@ class TestTraceReplay:
         recorder = obs.TraceRecorder(keep_records=True)
         obs.set_recorder(recorder)
         try:
-            results = parallel_map(_traced_point, ["a", "b", "c"], jobs=jobs)
+            results = execute_map(_traced_point, ["a", "b", "c"], jobs=jobs)
         finally:
             obs.reset_recorder()
         return results, recorder.records
@@ -94,7 +85,7 @@ class TestTraceReplay:
         try:
             with recorder.span("before", t=0.0):
                 pass
-            parallel_map(_traced_point, ["a", "b"], jobs=2)
+            execute_map(_traced_point, ["a", "b"], jobs=2)
             with recorder.span("after", t=0.0):
                 pass
         finally:

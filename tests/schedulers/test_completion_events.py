@@ -18,7 +18,7 @@ from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import result_row
 from repro.faults import FaultConfig
-from repro.faults.invariants import TOLERANCE
+from repro.invariants import TOLERANCE
 from repro.metrics import MetricsCollector
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.sim import Simulator

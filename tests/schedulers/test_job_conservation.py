@@ -13,10 +13,10 @@ interrupt an attempt: a dropped commit and a crash mid-think.
 import pytest
 
 from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
+from repro.core.retry import RetryPolicyConfig
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.faults import FaultConfig
-from repro.faults.retry import RetryPolicyConfig
 from repro.mapreduce import MapReduceScheduler, MapReduceWorkload, MaxParallelismPolicy
 from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
 from repro.schedulers.base import DecisionTimeModel
@@ -47,8 +47,11 @@ CONFIGS = {
         **_CONTENDED,
         retry_policy=RetryPolicyConfig(kind="starvation", escalate_after=1),
     ),
+    # The starvation policy's backoff: delayed requeues at the back of
+    # the queue before escalation.
     "omega-backoff": _config(
-        **_CONTENDED, retry_policy=RetryPolicyConfig(kind="backoff")
+        **_CONTENDED,
+        retry_policy=RetryPolicyConfig(kind="starvation", escalate_after=3),
     ),
     "omega-preempting": _config(enable_preemption=True, initial_utilization=0.9),
     "omega-commit-drop": _config(
@@ -90,7 +93,7 @@ def test_every_submitted_job_is_scheduled_or_abandoned(name):
         _drain_and_check(world)
     finally:
         reset_recorder()
-    faults = CONFIGS[name].fault_config
+    faults = CONFIGS[name].fault_config or FaultConfig()
     if faults.commit_drop_prob:
         assert world.metrics.total("commits_dropped") > 0
     if faults.crash_mtbf:

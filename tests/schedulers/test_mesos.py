@@ -6,6 +6,8 @@ import pytest
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
+from repro.hifi.failures import FailureRepairProcess
+from repro.invariants import CellStateInvariantChecker
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers.mesos import MesosAllocator, MesosFramework
 from repro.workload.job import JobType
@@ -114,6 +116,29 @@ class TestPessimisticLocking:
         sim.run(until=100.0)
         assert all(job.conflicts == 0 for job in jobs)
         assert all(job.is_fully_scheduled for job in jobs)
+
+    def test_machine_failed_under_held_offer_is_not_launched(
+        self, sim, metrics, allocator, state
+    ):
+        """A machine that fails while its offer is held loses the room
+        the offer still lists: its claim is dropped at launch (Mesos
+        rescinds offers from lost agents) and its task waits for a later
+        offer, instead of overcommitting the failed machine."""
+        failures = FailureRepairProcess(
+            sim, state, np.random.default_rng(0), mtbf=1e9, repair_time=100.0
+        )
+        fw = framework(sim, metrics, allocator, t_job=1.0)
+        job = make_job(num_tasks=6, cpu=4.0, mem=1.0, duration=1000.0)
+        fw.submit(job)  # one task per machine: the offer covers all six
+        sim.at(0.5, failures.fail, 2)  # while the offer is held
+        sim.run(until=2.0)
+        assert job.unplaced_tasks == 1
+        assert state.free_cpu[2] == 0.0 and failures.is_down(2)
+        assert allocator.allocated(fw) == (20.0, 5.0)
+        sim.run(until=200.0)  # repaired at t=100.5, then offered again
+        assert job.is_fully_scheduled
+        assert allocator.allocated(fw) == (24.0, 6.0)
+        CellStateInvariantChecker([state]).check(sim.now)
 
     def test_abandonment_under_starvation(self, sim, metrics, state):
         """A job that can never fit within offers is dropped at the
