@@ -199,7 +199,8 @@ def _ordered_fit(
     function of the free arrays. ``rng`` is unused but kept so all
     placement strategies share one signature. For ``size > 0``,
     ``free + EPSILON >= size`` holds exactly when ``_pack``'s
-    ``floor_divide(free + EPSILON, size) >= 1`` does, so every candidate
+    ``floor_divide(free + EPSILON, size) >= 1`` does (a property test in
+    ``tests/hifi/test_scoring_placement.py`` pins it), so every candidate
     takes a task and the first ``num_tasks`` of the order are all the
     walk can reach.
     """

@@ -15,9 +15,12 @@ the section 5 experiments exercise (DESIGN.md, "Substitutions"):
   models the production scheduler's failure-tolerant placement
   (section 2.1's chance-constrained placement problem, simplified).
 
-Only machines with room for a task after headroom are ranked, and for a
-batch job only the best-fit prefix the walk can reach is sorted; the
-claims are those of sorting every feasible machine.
+Only machines with room for a task after headroom are ranked (a
+comparison per dimension, ``usable + EPSILON >= size``) and only they
+are scored; for a batch job only the best-fit prefix the walk can reach
+is sorted. The jitter is still drawn for every feasible machine, so the
+claims and the generator state are those of scoring and sorting every
+feasible machine.
 """
 
 from __future__ import annotations
@@ -84,23 +87,15 @@ class ScoringPlacer:
         if candidates.size == 0:
             return []
 
-        # Best-fit score: prefer machines whose remaining free capacity
-        # after one task is smallest (normalized by machine capacity),
-        # i.e. pack tight, keep big machines open for big tasks. A small
-        # per-scheduler jitter reorders near-equal machines: without it,
-        # concurrent schedulers would pick byte-identical machine lists
-        # and conflict on nearly every overlapping decision, which the
-        # production algorithm's diversity (many score terms, per-job
-        # state) avoids. The jitter scale (2.5 % of the normalized
-        # score range) is small enough to preserve best-fit behaviour.
-        leftover_cpu = (snapshot.free_cpu[candidates] - cpu) / self.cell.cpu_capacity[
-            candidates
-        ]
-        leftover_mem = (snapshot.free_mem[candidates] - mem) / self.cell.mem_capacity[
-            candidates
-        ]
-        scores = leftover_cpu + leftover_mem
-        scores = scores + rng.uniform(0.0, 0.05, size=scores.shape)
+        # A small per-scheduler jitter reorders near-equal machines:
+        # without it, concurrent schedulers would pick byte-identical
+        # machine lists and conflict on nearly every overlapping
+        # decision, which the production algorithm's diversity (many
+        # score terms, per-job state) avoids. The jitter scale (2.5 % of
+        # the normalized score range) is small enough to preserve
+        # best-fit behaviour. It is drawn for every fitting machine, so
+        # the generator advances by the candidate count.
+        jitter = rng.uniform(0.0, 0.05, size=candidates.shape)
         remaining = job.unplaced_tasks
         if remaining == 0:
             return []
@@ -111,15 +106,25 @@ class ScoringPlacer:
         # fine-grained commits forgive most overlaps. Best fit ranks the
         # fullest machines first and the headroom leaves exactly those
         # without room, so only machines with room for one task are
-        # ranked: the walk skips every other one anyway.
+        # ranked: the walk skips every other one anyway. For a size > 0,
+        # ``usable + EPSILON >= size`` is the walk's
+        # ``(usable + EPSILON) // size >= 1``.
         usable_cpu = snapshot.free_cpu - self._headroom_cpu
         usable_mem = snapshot.free_mem - self._headroom_mem
         room = np.ones(candidates.shape, dtype=bool)
         if cpu > 0:
-            room &= np.floor_divide(usable_cpu[candidates] + EPSILON, cpu) >= 1
+            room &= usable_cpu[candidates] + EPSILON >= cpu
         if mem > 0:
-            room &= np.floor_divide(usable_mem[candidates] + EPSILON, mem) >= 1
-        ranked, scores = candidates[room], scores[room]
+            room &= usable_mem[candidates] + EPSILON >= mem
+        ranked = candidates[room]
+
+        # Best-fit score: prefer machines whose remaining free capacity
+        # after one task is smallest (normalized by machine capacity),
+        # i.e. pack tight, keep big machines open for big tasks.
+        scores = (
+            (snapshot.free_cpu[ranked] - cpu) / self.cell.cpu_capacity[ranked]
+            + (snapshot.free_mem[ranked] - mem) / self.cell.mem_capacity[ranked]
+        ) + jitter[room]
         if job.job_type is not JobType.SERVICE:
             # Batch jobs just pack: no cap can bind before the job runs
             # out, and each ranked machine takes a task, so the first

@@ -55,6 +55,9 @@ class HighFidelityConfig:
     #: machine failures; see :mod:`repro.hifi.failures`.
     machine_mtbf: float | None = None
     repair_time: float = 1800.0
+    #: Emit ``timeline.*`` trace records every this many simulated
+    #: seconds (see :mod:`repro.obs.timeline`); ``None`` disables it.
+    timeline_interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_batch_schedulers < 1:
@@ -113,6 +116,7 @@ class HighFidelitySimulation(World):
                 mtbf=config.machine_mtbf,
                 repair_time=config.repair_time,
             ).start(self.horizon)
+        self.install_collectors(None, None, None, timeline_interval=config.timeline_interval)
 
     def _submit_trace_job(self, trace_job: TraceJob) -> None:
         job = Job(

@@ -13,6 +13,7 @@ a deterministic synthetic trace from a cluster preset (DESIGN.md,
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -242,10 +243,44 @@ def _amount(record: dict, key: str) -> float:
     return value
 
 
+def _count(record: dict, key: str, minimum: int) -> int:
+    """``record[key]``, refused unless it is an integer >= ``minimum``."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _positive(record: dict, key: str) -> float:
+    """``record[key]``, refused unless it is a positive finite number."""
+    value = _amount(record, key)
+    if not 0 < value <= sys.float_info.max:
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _constraints(record: dict) -> tuple[Constraint, ...]:
+    """A job's constraints: a list of ``[attribute, op, value]`` strings."""
+    constraints = record.get("constraints", [])
+    if not isinstance(constraints, list) or not all(
+        isinstance(constraint, list)
+        and len(constraint) == 3
+        and all(isinstance(part, str) for part in constraint)
+        for constraint in constraints
+    ):
+        raise ValueError(
+            "constraints must be a list of [attribute, op, value] strings, "
+            f"got {constraints!r}"
+        )
+    return tuple(Constraint.from_tuple(constraint) for constraint in constraints)
+
+
 def read_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`write_trace`; a record it cannot
-    replay (missing field, negative or NaN amount, ``num_tasks < 1``)
-    raises ``ValueError("<path>:<line>: ...")``."""
+    """Read a trace written by :func:`write_trace`; a line it cannot
+    replay (malformed JSON, a record that is not an object, a missing or
+    wrong-typed field, a negative or NaN amount, ``num_tasks < 1``, a
+    machine capacity or horizon that is not positive and finite) raises
+    ``ValueError("<path>:<line>: ...")``."""
     path = Path(path)
     name = path.stem
     horizon = 0.0
@@ -257,19 +292,33 @@ def read_trace(path: str | Path) -> Trace:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            kind = record.get("kind")
+            kind = None
             try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"a record must be a JSON object, got {type(record).__name__}"
+                    )
+                kind = record.get("kind")
                 if kind == "header":
-                    name = record["name"]
-                    horizon = float(record["horizon"])
+                    name, horizon = record["name"], _positive(record, "horizon")
+                    if not isinstance(name, str):
+                        raise ValueError(f"name must be a string, got {name!r}")
                 elif kind == "machine":
+                    attributes = record.get("attributes", {})
+                    if not isinstance(attributes, dict) or not all(
+                        isinstance(key, str) and isinstance(value, str)
+                        for key, value in attributes.items()
+                    ):
+                        raise ValueError(
+                            f"attributes must map strings to strings, got {attributes!r}"
+                        )
                     machines.append(
                         TraceMachine(
-                            cpu=_amount(record, "cpu"),
-                            mem=_amount(record, "mem"),
-                            rack=record["rack"],
-                            attributes=record.get("attributes", {}),
+                            cpu=_positive(record, "cpu"),
+                            mem=_positive(record, "mem"),
+                            rack=_count(record, "rack", 0),
+                            attributes=attributes,
                         )
                     )
                 elif kind == "initial_task":
@@ -282,25 +331,24 @@ def read_trace(path: str | Path) -> Trace:
                         )
                     )
                 elif kind == "job":
-                    num_tasks = record["num_tasks"]
-                    if not isinstance(num_tasks, int) or num_tasks < 1:
-                        raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks!r}")
                     jobs.append(
                         TraceJob(
                             submit_time=_amount(record, "submit_time"),
                             job_type=JobType(record["job_type"]),
-                            num_tasks=num_tasks,
+                            num_tasks=_count(record, "num_tasks", 1),
                             cpu_per_task=_amount(record, "cpu_per_task"),
                             mem_per_task=_amount(record, "mem_per_task"),
                             duration=_amount(record, "duration"),
-                            constraints=tuple(
-                                Constraint.from_tuple(c)
-                                for c in record.get("constraints", [])
-                            ),
+                            constraints=_constraints(record),
                         )
                     )
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
+            except json.JSONDecodeError as error:
+                # Still a JSONDecodeError (a ValueError), now naming the line.
+                raise json.JSONDecodeError(
+                    f"{path}:{line_number}: not JSON: {error.msg}", error.doc, error.pos
+                ) from None
             except KeyError as missing:
                 raise ValueError(
                     f"{path}:{line_number}: {kind} record has no {missing} field"

@@ -172,7 +172,7 @@ class TestNewEntryNeedsNoOtherEdit:
 
 
 class TestGateMatrix:
-    def test_no_argument_run_is_the_twelve_ci_checks(self):
+    def test_no_argument_run_is_the_sixteen_ci_checks(self):
         gates = {
             name: experiment.gate
             for name, experiment in EXPERIMENTS.items()
@@ -189,6 +189,10 @@ class TestGateMatrix:
             "--experiment fig8 --timeline-interval 120.0 --compare-jobs 4",
             "--experiment fig8 --timeline-interval 120.0 --kill-resume "
             "--artifacts-dir artifacts/fig8",
+            "--experiment fig14",
+            "--experiment fig14 --compare-jobs 2",
+            "--experiment fig14 --timeline-interval 120.0",
+            "--experiment fig14 --timeline-interval 120.0 --compare-jobs 2",
             "--experiment resilience",
             "--experiment resilience --compare-jobs 4",
             "--experiment conflict-avoidance",

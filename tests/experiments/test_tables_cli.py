@@ -17,11 +17,8 @@ from repro.experiments.tables import (
     table2_rows,
 )
 
-#: The grids that replay a trace: a ``HighFidelityConfig`` has no
-#: ``timeline_interval``, so they refuse ``--timeline-interval``.
+#: The grids that replay a trace through the high-fidelity simulator.
 HIFI_REPLAYS = ("fig11", "fig12", "fig13", "fig14")
-#: The experiments as declared, whatever a fixture has patched in since.
-_DECLARED = dict(EXPERIMENTS)
 
 
 class TestTable1:
@@ -141,9 +138,9 @@ class TestCli:
         assert main(["omega", "--smoke", "--timeline-interval", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
-    def test_timeline_interval_lands_on_every_other_grid(self, monkeypatch, capsys):
-        """Every grid either takes ``--timeline-interval`` on all of its
-        configs or refuses it with one line — never a traceback."""
+    def test_timeline_interval_lands_on_every_other_grid(self, monkeypatch):
+        """Every grid, the trace replays included, takes
+        ``--timeline-interval`` on all of its configs."""
 
         class Reached(Exception):
             pass
@@ -156,14 +153,27 @@ class TestCli:
         grids = [name for name, e in EXPERIMENTS.items() if e.points is not None]
         assert set(HIFI_REPLAYS) < set(grids)
         for name in grids:
-            if name in HIFI_REPLAYS:
-                assert main([name, *flags]) == 2, name
-                assert name in capsys.readouterr().err
-            else:
-                with pytest.raises(Reached) as reached:
-                    main([name, *flags])
-                cells = reached.value.args[0]
-                assert cells and all(c.timeline_interval == 60 for c in cells), name
+            with pytest.raises(Reached) as reached:
+                main([name, *flags])
+            cells = reached.value.args[0]
+            assert cells and all(c.timeline_interval == 60 for c in cells), name
+
+    @pytest.mark.parametrize("command", HIFI_REPLAYS)
+    def test_timeline_interval_on_a_trace_replay(self, tmp_path, capsys, command):
+        """A trace replay writes ``timeline.*`` records at the interval,
+        and sampling leaves its table as it was."""
+        import json
+
+        flags = [command, "--scale", "0.05", "--hours", "0.1"]
+        assert main(flags) == 0
+        rows = capsys.readouterr().out
+        trace = tmp_path / "replay.jsonl"
+        assert main([*flags, "--timeline-interval", "60", "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == rows
+        assert main(["trace", str(trace), "--json"]) == 0
+        rollup = json.loads(capsys.readouterr().out)
+        # Six samples per point: every 60 s of a 360 s horizon.
+        assert len(rollup["timeline"]["cell"]) == 6 * rollup["runs"] > 0
 
     def test_trace_json_on_missing_file_exits_2(self, tmp_path):
         assert main(["trace", str(tmp_path / "absent.jsonl"), "--json"]) == 2
@@ -226,17 +236,6 @@ class TestBadArgumentsExitTwo:
     def test_declared_argument_out_of_range(self, capsys, argv):
         command, flag, _ = argv
         assert flag in self._rejects(capsys, *argv[1:], command=command)
-
-    @pytest.mark.parametrize("command", HIFI_REPLAYS)
-    def test_timeline_interval_on_a_trace_replay(self, capsys, monkeypatch, command):
-        """A hifi config has no timeline interval: refused, not ignored —
-        by the built grid (how ``run`` knows), before any point runs."""
-        monkeypatch.setitem(EXPERIMENTS, command, _DECLARED[command])
-        err = self._rejects(
-            capsys, "--scale", "0.05", "--hours", "0.1", "--timeline-interval", "60",
-            command=command,
-        )
-        assert "--timeline-interval" in err and command in err
 
     def test_output_directory_missing(self, capsys, tmp_path):
         target = tmp_path / "absent" / "rows.json"

@@ -1,5 +1,6 @@
 """Tests for the constraint-aware scoring placer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -202,6 +203,52 @@ def place_reference(placer, snapshot, job, rng):
 #: Free share of a machine: mostly roomy, with exact 0 (full) and 1 (untouched).
 _FRACTION = st.one_of(st.sampled_from([0.0, 1.0, 1.0]), st.floats(0.3, 1.0))
 
+#: Where a machine's ``usable + EPSILON`` lands against ``k * size``:
+#: on it, a step either side, or ``usable`` off it by dust below EPSILON.
+_EDGES = ("at", "ulp below", "ulp above", "dust below", "dust above")
+
+
+def _free_on_edge(capacity, headroom, size, k, edge):
+    """A free value whose ``usable + EPSILON``, rounded as the placer
+    rounds it, sits on the ``edge`` of ``k * size``: the least value at or
+    above it ("at"), the nearest values below it and above "at", or
+    ``usable`` a quarter EPSILON off ``k * size``. Without headroom these
+    are ``k * size`` and one ulp either side; rounding the headroom off
+    can make the steps a little coarser."""
+    boundary = k * size
+    reserve = capacity * headroom
+    dust = {"dust below": -EPSILON / 4, "dust above": EPSILON / 4}.get(edge)
+    target = boundary if dust is None else (boundary + dust) + EPSILON
+    frees = [target - EPSILON + reserve]
+    for _ in range(64):
+        frees = [math.nextafter(frees[0], -math.inf), *frees, math.nextafter(frees[-1], math.inf)]
+    room = {free: (free - reserve) + EPSILON for free in frees}
+    if dust is not None:
+        return min(frees, key=lambda free: abs(room[free] - target))
+    at = min((free for free in frees if room[free] >= boundary), key=room.get)
+    if edge == "at":
+        return at
+    if edge == "ulp below":
+        return max((free for free in frees if room[free] < boundary), key=room.get)
+    return min((free for free in frees if room[free] > room[at]), key=room.get)
+
+
+def _on_every_edge(test):
+    """Pin the room test on its boundary: every edge, in cpu, mem or
+    both, with and without headroom, on six machines that each sit on
+    the edge of 1, 2 or 3 tasks. Batch and service jobs take turns, and
+    so do jobs that fill those machines and jobs whose best-fit prefix
+    holds one or two of them."""
+    cases = itertools.product((0.0, 0.1), ("cpu", "mem", "both"), _EDGES)
+    for seed, (headroom, dimension, edge) in enumerate(cases):
+        test = example(
+            free=[(1.0, 1.0)] * 6, machines_per_rack=2, headroom=headroom, cpu=0.3,
+            mem=2.0, tasks=(12, 2, 1)[seed % 3], placed=0,
+            job_type=(JobType.BATCH, JobType.SERVICE)[seed % 2], picky=False, seed=seed,
+            edge=(dimension, edge),
+        )(test)
+    return test
+
 
 class TestAgainstScalarReference:
     """``place`` plans what the scalar walk planned, and leaves the
@@ -212,8 +259,9 @@ class TestAgainstScalarReference:
     # the room test must skip the zero-size dimension, as the walk does.
     @example(
         free=[(0.0, 1.0)], machines_per_rack=1, headroom=0.1, cpu=0.0, mem=0.0,
-        tasks=1, placed=0, job_type=JobType.BATCH, picky=False, seed=0,
+        tasks=1, placed=0, job_type=JobType.BATCH, picky=False, seed=0, edge=None,
     )
+    @_on_every_edge
     @given(
         free=st.lists(st.tuples(_FRACTION, _FRACTION), min_size=1, max_size=24),
         machines_per_rack=st.integers(1, 6),
@@ -225,9 +273,14 @@ class TestAgainstScalarReference:
         job_type=st.sampled_from([JobType.BATCH, JobType.SERVICE]),
         picky=st.sampled_from([False, False, True]),
         seed=st.integers(0, 2**32 - 1),
+        edge=st.one_of(
+            st.none(),
+            st.tuples(st.sampled_from(["cpu", "mem", "both"]), st.sampled_from(_EDGES)),
+        ),
     )
     def test_same_claims_and_same_generator_state(
-        self, free, machines_per_rack, headroom, cpu, mem, tasks, placed, job_type, picky, seed
+        self, free, machines_per_rack, headroom, cpu, mem, tasks, placed, job_type, picky, seed,
+        edge,
     ):
         if cpu == 0.0 and mem == 0.0:
             mem = 0.25  # a task must request something
@@ -243,6 +296,18 @@ class TestAgainstScalarReference:
             np.zeros(len(free), dtype=np.int64),
             time=0.0,
         )
+        if edge is not None:
+            # Machine i sits on the edge of 1, 2 or 3 tasks.
+            dimension, where = edge
+            for name, size, free_now, capacity in (
+                ("cpu", cpu, snapshot.free_cpu, cell.cpu_capacity),
+                ("mem", mem, snapshot.free_mem, cell.mem_capacity),
+            ):
+                if size > 0 and dimension in (name, "both"):
+                    for i in range(len(free)):
+                        free_now[i] = _free_on_edge(
+                            float(capacity[i]), headroom, size, 1 + i % 3, where
+                        )
         constraints = (Constraint("kernel", ConstraintOp.EQ, "3.8"),) if picky else ()
         job = make_job(
             job_type=job_type, num_tasks=tasks, cpu=cpu, mem=mem, constraints=constraints
@@ -254,3 +319,25 @@ class TestAgainstScalarReference:
         assert claims == place_reference(placer, snapshot, job, reference_rng)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert sum(claim.count for claim in claims) <= job.unplaced_tasks
+
+
+@settings(max_examples=2000, deadline=None)
+@example(a=1.0, size=1.0)
+@example(a=math.nextafter(1.0, 0.0), size=1.0)
+@example(a=0.3, size=0.1)  # 0.3 / 0.1 rounds to 2.9999999999999996
+@example(a=5e-324, size=5e-324)
+@example(a=-5e-324, size=1e300)
+@example(a=1e308, size=5e-324)  # the quotient overflows to inf
+@example(a=-1e308, size=5e-324)
+@example(a=-0.0, size=1.0)
+@given(
+    a=st.floats(allow_nan=False, allow_infinity=False),
+    size=st.floats(min_value=0.0, exclude_min=True),
+)
+def test_room_test_is_a_comparison(a, size):
+    """``ScoringPlacer`` and ``_ordered_fit`` test room with ``a >= size``;
+    the walk counts tasks with ``a // size``. For every finite ``a`` and
+    every ``size > 0`` the two agree on whether one task fits."""
+    with np.errstate(all="ignore"):
+        assert bool(np.floor_divide(a, size) >= 1) is (a >= size)
+    assert (a // size >= 1) is (a >= size)
