@@ -67,8 +67,13 @@ class FrontDoor:
         self.failures = [0] * len(self.cells)
         self.suspended_until = [0.0] * len(self.cells)
         # -- accounting -------------------------------------------------
-        #: Every job that ever entered the federation, in arrival order.
+        #: Every job that entered the federation, in arrival order, less
+        #: the ``pruned`` ones: each time the list doubles, the jobs in it
+        #: that are scheduled (a final state, and the class that wins in
+        #: :meth:`accounting`) are dropped and counted instead.
         self.jobs: list[Job] = []
+        self.pruned = 0
+        self._prune_at = 1
         self.submitted = 0
         self.jobs_migrated = 0
         self.jobs_rerouted = 0
@@ -84,7 +89,13 @@ class FrontDoor:
     def submit(self, job: Job) -> None:
         """A new job arrived at the federation (workload-generator hook)."""
         self.submitted += 1
-        self.jobs.append(job)
+        jobs = self.jobs
+        jobs.append(job)
+        if len(jobs) >= self._prune_at:
+            kept = [queued for queued in jobs if queued.fully_scheduled_time is None]
+            self.pruned += len(jobs) - len(kept)
+            self.jobs = kept
+            self._prune_at = max(2 * len(kept), 1)
         self._route(job)
 
     def migrate(self, jobs: Sequence[Job], from_cell: FederatedCell) -> None:
@@ -251,14 +262,16 @@ class FrontDoor:
     # Accounting
     # ------------------------------------------------------------------
     def accounting(self) -> dict[str, int]:
-        """Classify every job the federation ever accepted.
+        """Classify every job the federation ever accepted (the pruned
+        ones are scheduled).
 
         Classification priority handles overlap deterministically: a
         job that eventually scheduled counts as scheduled even if an
         earlier home for it blacked out; an abandoned job counts as
         abandoned even if it once sat in a dead cell's queue.
         """
-        scheduled = pending = abandoned = lost = 0
+        scheduled = self.pruned
+        pending = abandoned = lost = 0
         for job in self.jobs:
             if job.fully_scheduled_time is not None:
                 scheduled += 1
@@ -294,9 +307,9 @@ class FrontDoor:
                 f"{counts['abandoned']} + lost_to_blackout "
                 f"{counts['lost_to_blackout']} (= {total})"
             )
-        if counts["submitted"] != len(self.jobs):
+        if counts["submitted"] != len(self.jobs) + self.pruned:
             raise FederationAccountingError(
                 f"submission ledger out of sync: counted {counts['submitted']} "
-                f"but tracked {len(self.jobs)} jobs"
+                f"but tracked {len(self.jobs)} jobs and pruned {self.pruned}"
             )
         return counts

@@ -285,7 +285,7 @@ def read_trace(path: str | Path) -> Trace:
     name = path.stem
     horizon = 0.0
     machines: list[TraceMachine] = []
-    task_rows: list[tuple] = []
+    tasks = StandingTasks()
     jobs: list[TraceJob] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -322,14 +322,14 @@ def read_trace(path: str | Path) -> Trace:
                         )
                     )
                 elif kind == "initial_task":
-                    task_rows.append(
-                        (
-                            _amount(record, "cpu"),
-                            _amount(record, "mem"),
-                            _amount(record, "duration"),
-                            JobType(record["job_type"]),
-                        )
+                    cpu, mem, duration = (
+                        _amount(record, key) for key in ("cpu", "mem", "duration")
                     )
+                    job_type = JobType(record["job_type"])
+                    tasks.cpu.append(cpu)
+                    tasks.mem.append(mem)
+                    tasks.duration.append(duration)
+                    tasks.job_type.append(job_type)
                 elif kind == "job":
                     jobs.append(
                         TraceJob(
@@ -353,12 +353,13 @@ def read_trace(path: str | Path) -> Trace:
                 raise ValueError(
                     f"{path}:{line_number}: {kind} record has no {missing} field"
                 ) from None
-            except ValueError as error:
+            except (ValueError, OverflowError) as error:
+                # OverflowError: an integer amount no double can hold.
                 raise ValueError(f"{path}:{line_number}: {error}") from error
     return Trace(
         name=name,
         horizon=horizon,
         machines=machines,
-        initial_tasks=StandingTasks(*map(list, zip(*task_rows))),
+        initial_tasks=tasks,
         jobs=jobs,
     )

@@ -15,6 +15,7 @@ structure either way.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -53,6 +54,10 @@ class SchedulerMetrics:
     jobs_escalated: int = 0
 
 
+def _doubles() -> array:
+    return array("d")
+
+
 class MetricsCollector:
     """Collects and aggregates the paper's evaluation metrics."""
 
@@ -61,10 +66,11 @@ class MetricsCollector:
             raise ValueError(f"period must be positive, got {period}")
         self.period = period
         self.schedulers: dict[str, SchedulerMetrics] = defaultdict(SchedulerMetrics)
-        self._wait_times: dict[JobType, list[float]] = {
-            job_type: [] for job_type in JobType
+        # Waits as packed C doubles (8 B each, no float object per job).
+        self._wait_times: dict[JobType, array] = {
+            job_type: array("d") for job_type in JobType
         }
-        self._per_scheduler_waits: dict[str, list[float]] = defaultdict(list)
+        self._per_scheduler_waits: dict[str, array] = defaultdict(_doubles)
         #: Attempt counts at escalation per ``(scheduler, policy)``.
         self._escalation_attempts: dict[tuple[str, str], list[int]] = defaultdict(list)
         self.jobs_submitted = 0
@@ -277,11 +283,13 @@ class MetricsCollector:
             return float("nan")
         return sum(metrics.conflicts.values()) / scheduled
 
-    def wait_times(self, job_type: JobType) -> list[float]:
-        return list(self._wait_times[job_type])
+    def wait_times(self, job_type: JobType) -> array:
+        """The waits of ``job_type`` jobs in recorded order, as a packed copy."""
+        return array("d", self._wait_times[job_type])
 
-    def scheduler_wait_times(self, scheduler: str) -> list[float]:
-        return list(self._per_scheduler_waits[scheduler])
+    def scheduler_wait_times(self, scheduler: str) -> array:
+        """The waits of ``scheduler``'s jobs in recorded order, as a packed copy."""
+        return array("d", self._per_scheduler_waits[scheduler])
 
     def histograms(self) -> list[Histogram]:
         """The per-scheduler ``jobs.wait_seconds`` and per-(scheduler,

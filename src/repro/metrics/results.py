@@ -11,6 +11,7 @@ federation returns the single-cell result float for float.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -25,12 +26,15 @@ class PooledSummary:
     cell_results: "list[RunSummary]"
     sim_stats: dict[str, float | int]
 
-    def _waits(self, job_type: JobType) -> list[float]:
-        return [
-            wait
-            for cell in self.cell_results
-            for wait in cell.metrics.wait_times(job_type)
-        ]
+    def _waits(self, job_type: JobType) -> array:
+        """Every cell's ``job_type`` waits, pooled in cell order: the
+        first cell's packed copy, extended by the others' (one copy of
+        a one-cell run's waits, not two)."""
+        first, *others = self.cell_results
+        waits = first.metrics.wait_times(job_type)
+        for cell in others:
+            waits += cell.metrics.wait_times(job_type)
+        return waits
 
     def mean_wait(self, job_type: JobType) -> float:
         """Overall average job wait time for a job type (paper's Fig 5)."""

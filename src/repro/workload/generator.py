@@ -10,6 +10,7 @@ extracted from the relevant trace".
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -96,20 +97,42 @@ class WorkloadGenerator:
 class StandingTasks:
     """The tasks occupying resources at simulation start, as columns:
     task ``i`` holds ``cpu[i]`` and ``mem[i]`` for its first
-    ``duration[i]`` seconds and belongs to a ``job_type[i]`` job."""
+    ``duration[i]`` seconds and belongs to a ``job_type[i]`` job.
 
-    cpu: list[float] = field(default_factory=list)
-    mem: list[float] = field(default_factory=list)
-    duration: list[float] = field(default_factory=list)
+    The three amounts are packed C doubles (``array('d')``, or a
+    ``memoryview`` of one from :meth:`rows`), 8 bytes a value; any other
+    sequence given is packed. Columns of unequal length are refused.
+    """
+
+    cpu: array | memoryview = field(default_factory=lambda: array("d"))
+    mem: array | memoryview = field(default_factory=lambda: array("d"))
+    duration: array | memoryview = field(default_factory=lambda: array("d"))
     job_type: list[JobType] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for name in ("cpu", "mem", "duration"):
+            column = getattr(self, name)
+            if not isinstance(column, (array, memoryview)):
+                object.__setattr__(self, name, array("d", column))
+        lengths = [len(self.cpu), len(self.mem), len(self.duration), len(self.job_type)]
+        if len(set(lengths)) > 1:
+            raise ValueError(
+                "standing task columns differ in length: cpu, mem, duration, "
+                f"job_type have {', '.join(map(str, lengths))}"
+            )
 
     def __len__(self) -> int:
         return len(self.cpu)
 
     def rows(self, start: int, stop: int) -> "StandingTasks":
-        """Tasks ``start`` to ``stop - 1``, as new columns."""
-        columns = (self.cpu, self.mem, self.duration, self.job_type)
-        return StandingTasks(*(column[start:stop] for column in columns))
+        """Tasks ``start`` to ``stop - 1``: views of these columns'
+        buffers (no copy), and a new ``job_type`` list."""
+        return StandingTasks(
+            memoryview(self.cpu)[start:stop],
+            memoryview(self.mem)[start:stop],
+            memoryview(self.duration)[start:stop],
+            self.job_type[start:stop],
+        )
 
 
 class InitialFill:
@@ -215,12 +238,13 @@ def _fill_phase(
         if used < rounds:
             rng.bit_generator.state = state
             LogNormal.sample_rounds(rng, samplers, used)
-        cpu, duration, mem = block[:used].T.tolist()
-        if min(cpu) <= 0.0:
-            raise _stalled(cpu_sampler, min(cpu))
-        tasks.cpu.extend(cpu)
-        tasks.mem.extend(mem)
-        tasks.duration.extend(duration)
+        cpu = block[:used, 0]
+        if cpu.min() <= 0.0:
+            raise _stalled(cpu_sampler, float(cpu.min()))
+        # Columns are (cpu, duration, mem); each packs as raw doubles.
+        tasks.cpu.frombytes(cpu.tobytes())
+        tasks.mem.frombytes(block[:used, 2].tobytes())
+        tasks.duration.frombytes(block[:used, 1].tobytes())
         tasks.job_type.extend([job_type] * used)
         filled = float(totals[used])
     return filled

@@ -17,7 +17,7 @@ from repro.experiments.federation import (
 )
 from repro.experiments.registry import DEGENERATE_GATE, EXPERIMENTS, run
 from repro.experiments.sweeps import CheckFailed
-from repro.federation import FederationFaultConfig
+from repro.federation import FederationFaultConfig, FrontDoor
 from repro.metrics.stats import median, percentile
 from repro.obs.histogram import Histogram
 from repro.workload.job import JobType
@@ -156,6 +156,57 @@ class TestGracefulDegradation:
 
     def test_federation_still_schedules_most_jobs(self, hostile):
         assert hostile.unscheduled_fraction < 0.5
+
+
+class TestBoundedLedger:
+    """The front door keeps only jobs it has not yet seen scheduled; the
+    accounting of a long faulted run still equals a full classification
+    of every job it was ever handed."""
+
+    @pytest.fixture(scope="class")
+    def ledger(self):
+        every_job, longest = [], [0]
+        submit = FrontDoor.submit
+
+        def keep_every_job(door, job):
+            every_job.append(job)
+            submit(door, job)
+            longest[0] = max(longest[0], len(door.jobs))
+
+        point = federation_points(
+            cells=(2,),
+            staleness_values=(60.0,),
+            intensities=(8.0,),
+            scale=SCALE,
+            horizon=24 * 3600.0,
+            seed=SEED,
+        )[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FrontDoor, "submit", keep_every_job)
+            federation = build_federation(point[0])
+            result = federation.run()
+        return federation.front_door, result, every_job, longest[0]
+
+    def test_accounting_equals_a_full_classification(self, ledger):
+        door, result, every_job, _ = ledger
+        full = dict.fromkeys(("scheduled", "pending", "abandoned", "lost_to_blackout"), 0)
+        for job in every_job:
+            if job.fully_scheduled_time is not None:
+                full["scheduled"] += 1
+            elif job.abandoned:
+                full["abandoned"] += 1
+            elif job.job_id in door.lost_to_blackout:
+                full["lost_to_blackout"] += 1
+            else:
+                full["pending"] += 1
+        assert result.accounting == {"submitted": len(every_job), **full}
+        assert min(full.values()) > 0, "every class should occur in this run"
+
+    def test_ledger_stays_bounded(self, ledger):
+        door, _, every_job, longest = ledger
+        assert len(every_job) > 5_000
+        assert longest < len(every_job) / 10
+        assert len(door.jobs) + door.pruned == len(every_job)
 
 
 class TestMergedWaitPercentiles:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,10 +161,24 @@ class TestWaitTimes:
         job = make_job(job_type=JobType.SERVICE, submit_time=5.0)
         job.mark_first_attempt(15.0)
         collector.record_first_attempt("s", job)
-        assert collector.wait_times(JobType.SERVICE) == [10.0]
+        assert list(collector.wait_times(JobType.SERVICE)) == [10.0]
         assert summary(collector).mean_wait(JobType.SERVICE) == 10.0
-        assert collector.scheduler_wait_times("s") == [10.0]
+        assert list(collector.scheduler_wait_times("s")) == [10.0]
         assert summary(collector).scheduler_wait_mean("s") == 10.0
+
+    def test_waits_are_packed_copies(self, collector):
+        for submit_time in (5.0, 7.0):
+            job = make_job(job_type=JobType.BATCH, submit_time=submit_time)
+            job.mark_first_attempt(15.0)
+            collector.record_first_attempt("s", job)
+        for read in (
+            lambda: collector.wait_times(JobType.BATCH),
+            lambda: collector.scheduler_wait_times("s"),
+        ):
+            waits = read()
+            assert type(waits) is array and waits.typecode == "d"
+            waits[0] = -1.0
+            assert list(read()) == [10.0, 8.0]
 
     def test_mean_wait_nan_when_empty(self, collector):
         assert math.isnan(summary(collector).mean_wait(JobType.BATCH))

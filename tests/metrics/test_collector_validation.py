@@ -86,6 +86,6 @@ class TestDerivedHistograms:
         )
 
     def test_series_with_no_observation_has_no_histogram(self, collector):
-        assert collector.scheduler_wait_times("only-read") == []
+        assert list(collector.scheduler_wait_times("only-read")) == []
         collector.record_escalated("s")  # no attempt count given
         assert collector.histograms() == []

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
 from repro.sim import Simulator
-from repro.workload.clusters import PRESETS
+from repro.workload.clusters import PRESETS, preset_by_name
 from repro.workload.distributions import Constant, LogNormal, Mixture
 from repro.workload.generator import InitialFill, StandingTasks, WorkloadGenerator
 from repro.workload.job import JobType
@@ -263,3 +265,63 @@ class TestInitialFillMatchesScalarLoop:
         with pytest.raises(ValueError) as error:
             InitialFill(with_cpu(preset, **stuck)).generate(np.random.default_rng(0))
         assert repr(sampler) in str(error.value) and "\n" not in str(error.value)
+
+
+class TestPackedColumns:
+    """The amounts are packed C doubles, and :meth:`StandingTasks.rows`
+    views them without copying."""
+
+    @pytest.mark.parametrize("make_preset", [tiny_preset, mesos_pathology_preset])
+    def test_generated_columns_are_packed_doubles(self, make_preset):
+        # tiny: LogNormal blocks; mesos pathology: the scalar loop
+        tasks = InitialFill(make_preset()).generate(np.random.default_rng(0))
+        assert len(tasks) > 0
+        for column in (tasks.cpu, tasks.mem, tasks.duration):
+            assert type(column) is array and column.typecode == "d"
+
+    def test_rows_share_the_parents_buffer(self, preset):
+        tasks = InitialFill(preset).generate(np.random.default_rng(0))
+        part = tasks.rows(2, 5)
+        assert len(part) == 3 and part.job_type == tasks.job_type[2:5]
+        for name in ("cpu", "mem", "duration"):
+            column, view = getattr(tasks, name), getattr(part, name)
+            assert type(view) is memoryview and view.obj is column
+            column[3] = 1234.5
+            assert view[1] == 1234.5
+            assert list(view) == list(column[2:5])
+
+    def test_sequences_are_packed(self):
+        tasks = StandingTasks([1, 2.5], (0.5, 0.25), np.array([10.0, 20.0]), [JobType.BATCH] * 2)
+        for column in (tasks.cpu, tasks.mem, tasks.duration):
+            assert type(column) is array and column.typecode == "d"
+        assert list(tasks.cpu) == [1.0, 2.5]
+        assert list(tasks.duration) == [10.0, 20.0]
+
+    @pytest.mark.parametrize("short", ["cpu", "mem", "duration", "job_type"])
+    def test_columns_of_unequal_length_are_refused(self, short):
+        columns = {
+            "cpu": [1.0] * 3,
+            "mem": [2.0] * 3,
+            "duration": [3.0] * 3,
+            "job_type": [JobType.BATCH] * 3,
+        }
+        columns[short] = columns[short][:2]
+        lengths = ", ".join("2" if name == short else "3" for name in columns)
+        with pytest.raises(ValueError, match=f"job_type have {lengths}$"):
+            StandingTasks(**columns)
+
+    def test_paper_scale_fill_allocates_under_70_bytes_per_task(self):
+        """A 10k-machine cell's fill peaks at about 57 B a task (8 B per
+        packed amount, one ``job_type`` pointer, the block's transients);
+        three lists of boxed floats peaked at 132 B."""
+        b = preset_by_name("B")
+        fill = InitialFill(b.scaled(10_000 / b.num_machines))
+        fill.generate(np.random.default_rng(1))  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            tasks = fill.generate(np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tasks) > 40_000
+        assert peak / len(tasks) < 70
