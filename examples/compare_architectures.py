@@ -22,6 +22,7 @@ import sys
 
 from repro import CLUSTER_A, DecisionTimeModel, JobType, LightweightConfig, obs, run_lightweight
 from repro.experiments.common import ARCHITECTURES, format_table
+from repro.obs.summary import TraceSummary
 
 
 def main() -> None:
@@ -61,7 +62,7 @@ def main() -> None:
     )
     obs.reset_recorder()
 
-    summary = obs.TraceSummary.from_records(recorder.records)
+    summary = TraceSummary.from_records(recorder.records)
     print(
         f"\ntrace: {recorder.records_emitted} records across "
         f"{summary.runs} runs; per-scheduler busy time:"

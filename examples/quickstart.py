@@ -14,6 +14,8 @@ Usage::
 
 from repro import CLUSTER_B, JobType, LightweightConfig, obs
 from repro.experiments.common import LightweightSimulation
+from repro.obs.profile import CallbackProfiler
+from repro.obs.summary import TraceSummary
 
 
 def main() -> None:
@@ -30,7 +32,7 @@ def main() -> None:
     recorder = obs.TraceRecorder()
     obs.set_recorder(recorder)
     simulation = LightweightSimulation(config)
-    profiler = obs.CallbackProfiler()
+    profiler = CallbackProfiler()
     simulation.sim.profiler = profiler
     try:
         result = simulation.run()
@@ -59,7 +61,7 @@ def main() -> None:
 
     # What the trace saw: per-scheduler conflict/busyness rollup, which
     # agrees with the MetricsCollector aggregates above by construction.
-    summary = obs.TraceSummary.from_records(recorder.records)
+    summary = TraceSummary.from_records(recorder.records)
     print()
     print(f"trace: {recorder.records_emitted} records")
     for name in summary.scheduler_names():

@@ -19,25 +19,3 @@ post-point invariant gate, ``repro.world.World.check_invariants``.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue.
 """
-
-from repro.analysis.config import LintConfig, load_config
-from repro.analysis.diagnostics import Diagnostic, render_json, render_text
-from repro.analysis.engine import lint_paths, lint_source
-from repro.analysis.rules import ALL_RULES, RULES_BY_ID, Rule
-
-# The determinism gate lives in repro.analysis.determinism and is not
-# re-exported here: importing it eagerly would shadow
-# ``python -m repro.analysis.determinism`` (runpy double-import).
-
-__all__ = [
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "Diagnostic",
-    "LintConfig",
-    "Rule",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "render_json",
-    "render_text",
-]

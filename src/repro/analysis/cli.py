@@ -11,10 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.config import load_config
-from repro.analysis.diagnostics import render_json, render_text
-from repro.analysis.engine import lint_paths
-
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the lint flags on ``parser`` (shared with omega-sim)."""
@@ -41,6 +37,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
+    from repro.analysis.config import load_config
+    from repro.analysis.diagnostics import render_json, render_text
+    from repro.analysis.engine import lint_paths
+
     try:
         config = load_config(args.config)
     except (OSError, ValueError) as exc:

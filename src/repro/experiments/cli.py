@@ -57,15 +57,10 @@ from repro.experiments.io import check_output_path, save_rows
 from repro.experiments.registry import EXPERIMENTS, Experiment, run, validated
 from repro.experiments.sweeps import CheckFailed
 from repro.metrics.ascii_chart import line_chart
-from repro.recovery import (
-    DEFAULT_POLICY,
-    CheckpointStore,
-    PointFailure,
-    RecoveryContext,
-    RecoveryError,
-    RunManifest,
-    SupervisorPolicy,
-)
+from repro.recovery.checkpoint import CheckpointStore, RecoveryError
+from repro.recovery.manifest import RunManifest
+from repro.recovery.runner import RecoveryContext
+from repro.recovery.supervisor import DEFAULT_POLICY, PointFailure, SupervisorPolicy
 
 
 def render_plot(command: str, rows: list[dict]) -> str | None:
@@ -252,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.summary import summarize_file
+
     try:
-        summary = obs.summarize_file(args.file)
+        summary = summarize_file(args.file)
         if args.json:
             import json
 
@@ -411,8 +408,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     """Why an experiment command's arguments cannot run, or None.
 
     Checked before any simulation starts, so a bad value costs one line
-    and exit 2 rather than a traceback — or, for ``--output``, a
-    finished sweep whose rows cannot be saved.
+    and exit 2 rather than a traceback — or, for ``--output`` and
+    ``--trace``, a finished sweep whose rows or trace cannot be saved.
     """
     if not 0 < args.scale < math.inf:
         return f"--scale must be positive and finite, got {args.scale}"
@@ -427,6 +424,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             check_output_path(args.output)
         except ValueError as exc:
             return f"--output {exc}"
+    if args.trace and os.path.isdir(args.trace):
+        return f"--trace {args.trace} is a directory, not a file"
     return None
 
 

@@ -20,7 +20,7 @@ their tables match byte-for-byte (``omega-sim federation
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.experiments.common import format_table
 from repro.experiments.sweeps import (
@@ -29,13 +29,11 @@ from repro.experiments.sweeps import (
     batch_load_points,
     result_row,
 )
-from repro.federation import (
-    FederatedResult,
-    FederatedSimulation,
-    FederationConfig,
-    FederationFaultConfig,
-)
+from repro.federation.config import FederationConfig, FederationFaultConfig
 from repro.sim import RandomStreams
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.federation.harness import FederatedResult, FederatedSimulation
 
 #: One federation sweep point: full config plus extra row fields.
 FederationPoint = tuple[FederationConfig, dict]
@@ -84,6 +82,8 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
     which sits under the fault-injection lint discipline (FIJ001) and
     must only ever *receive* entropy derived from the run's master seed.
     """
+    from repro.federation.harness import FederatedSimulation
+
     return FederatedSimulation(
         config, streams=RandomStreams(config.cell_config.seed)
     )
@@ -92,11 +92,12 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
 def federation_columns(world, result) -> dict:
     """What a federated row adds to the standard columns: the
     federation-wide merged wait percentiles (``Histogram.merge_state``)
-    and the explicit job ledger. Empty for a single-cell result, so the
-    degenerate grid's baseline point can share the runner."""
-    if not isinstance(result, FederatedResult):
+    and the explicit job ledger. Empty for a single-cell result, which
+    keeps no ledger, so the degenerate grid's baseline point can share
+    the runner."""
+    accounting = getattr(result, "accounting", None)
+    if accounting is None:
         return {}
-    accounting = result.accounting
     return dict(
         result.wait_percentiles(),
         submitted=accounting["submitted"],

@@ -42,7 +42,7 @@ from repro.experiments.sweeps import (
     result_row,
     service_decision_points,
 )
-from repro.federation import ROUTING_POLICIES, FederationConfig
+from repro.federation.config import ROUTING_POLICIES, FederationConfig
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
 from repro.recovery.runner import RecoveryContext, execute_map
 from repro.workload.clusters import preset_by_name

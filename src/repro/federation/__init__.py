@@ -3,26 +3,3 @@ an eventually-consistent front-door router, with whole-cell fault
 tolerance (blackouts, aggregate-feed partitions, link flaps) and
 cross-cell job migration. See docs/FEDERATION.md.
 """
-
-from repro.federation.cells import CellDigest, FederatedCell
-from repro.federation.chaos import FederationChaosEngine
-from repro.federation.config import (
-    ROUTING_POLICIES,
-    FederationConfig,
-    FederationFaultConfig,
-)
-from repro.federation.harness import FederatedResult, FederatedSimulation
-from repro.federation.router import FederationAccountingError, FrontDoor
-
-__all__ = [
-    "CellDigest",
-    "FederatedCell",
-    "FederationAccountingError",
-    "FederationChaosEngine",
-    "FederationConfig",
-    "FederationFaultConfig",
-    "FederatedResult",
-    "FederatedSimulation",
-    "FrontDoor",
-    "ROUTING_POLICIES",
-]

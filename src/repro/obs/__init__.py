@@ -2,28 +2,30 @@
 
 The paper's evaluation hinges on *per-decision* quantities — which
 commit conflicted, where a scheduler's busy time went, how many times a
-job retried — that end-of-run aggregates cannot explain. This package
-provides the three layers that make those visible:
+job retried — that end-of-run aggregates cannot explain.
 
-* :mod:`repro.obs.recorder` — a process-global trace recorder emitting
-  structured span/event records (simulated time *and* wall time,
-  scheduler id, job id, attempt number). The default recorder is a
-  no-op whose cost on instrumented hot paths is one attribute check.
-* :mod:`repro.obs.histogram` — fixed-bucket histograms with
-  percentile estimation, serialized into each run's ``run.metrics``
-  record.
+This package exports only the trace recorder of
+:mod:`repro.obs.recorder`: :class:`TraceRecorder`, :class:`NullRecorder`
+and its instance ``NULL_RECORDER``, :class:`Span`, and ``set_recorder``
+/ ``get_recorder`` / ``reset_recorder``, which install the
+process-global recorder every instrumented hot path reads. The default
+recorder is a no-op whose cost on those paths is one attribute check.
+Everything else is imported from the module that defines it, so a run
+loads none of the consumers:
+
+* :mod:`repro.obs.histogram` — fixed-bucket histograms with percentile
+  estimation, serialized into each run's ``run.metrics`` record;
+* :mod:`repro.obs.timeline` — the config-gated ``timeline.*`` sampler
+  on the simulated clock;
 * :mod:`repro.obs.profile` — per-callback wall-clock attribution for
-  the event loop ("top-N hottest callbacks").
-
-Traces export to JSONL (:mod:`repro.obs.export`) and summarize into
-conflict timelines, retry chains, and busy-time breakdowns
-(:mod:`repro.obs.summary`, surfaced as ``omega-sim trace``). On top of
-the raw records sit the time-resolved consumers: the config-gated
-:mod:`repro.obs.timeline` sampler records ``timeline.*`` telemetry
-series on the simulated clock, :mod:`repro.obs.perfetto` converts any
-trace to Chrome/Perfetto trace-event JSON (``omega-sim perfetto``), and
-:mod:`repro.obs.report` renders self-contained HTML reports with inline
-SVG charts (``omega-sim report``).
+  the event loop ("top-N hottest callbacks");
+* :mod:`repro.obs.export` — JSONL writing and reading;
+* :mod:`repro.obs.summary` — conflict timelines, retry chains and
+  busy-time breakdowns (``omega-sim trace``);
+* :mod:`repro.obs.perfetto` — Chrome/Perfetto trace-event JSON
+  (``omega-sim perfetto``);
+* :mod:`repro.obs.report` — self-contained HTML reports with inline SVG
+  charts (``omega-sim report``).
 
 Enable tracing around any run::
 
@@ -40,9 +42,6 @@ Enable tracing around any run::
 See ``docs/OBSERVABILITY.md`` for the record schema and a walkthrough.
 """
 
-from repro.obs.export import JsonlWriter, read_jsonl, write_jsonl
-from repro.obs.perfetto import export_perfetto
-from repro.obs.profile import CallbackProfiler, callback_name
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -52,36 +51,13 @@ from repro.obs.recorder import (
     reset_recorder,
     set_recorder,
 )
-from repro.obs.histogram import DEFAULT_BUCKETS, Histogram
-from repro.obs.report import generate_report, write_report
-from repro.obs.summary import TraceSummary, json_safe, summarize_file
-from repro.obs.timeline import TimelineSampler
 
 __all__ = [
-    # recorder
     "NULL_RECORDER",
     "NullRecorder",
-    "TraceRecorder",
     "Span",
+    "TraceRecorder",
     "get_recorder",
-    "set_recorder",
     "reset_recorder",
-    # histograms
-    "DEFAULT_BUCKETS",
-    "Histogram",
-    # profiling
-    "CallbackProfiler",
-    "callback_name",
-    # export + summary
-    "JsonlWriter",
-    "read_jsonl",
-    "write_jsonl",
-    "TraceSummary",
-    "json_safe",
-    "summarize_file",
-    # time-resolved consumers
-    "TimelineSampler",
-    "export_perfetto",
-    "generate_report",
-    "write_report",
+    "set_recorder",
 ]

@@ -77,13 +77,16 @@ _ENVELOPE: dict[str, tuple[type, ...]] = {
 def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield ``(line number, record)`` for every record of a JSONL trace.
 
-    Blank lines are skipped. A malformed line, or an envelope key whose
-    value has the wrong type, raises :class:`ValueError` naming
-    ``path:line``.
+    Blank lines are skipped. A line that is not UTF-8 or not JSON, or an
+    envelope key whose value has the wrong type, raises
+    :class:`ValueError` naming ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             try:

@@ -30,42 +30,3 @@ kill-and-resume mode (``python -m repro.analysis.determinism
 --kill-resume``): it SIGKILLs a checkpointed sweep mid-run, resumes it,
 and asserts the final table and trace match an uninterrupted run.
 """
-
-from repro.recovery.artifacts import (
-    ArtifactError,
-    atomic_write_text,
-    content_hash,
-    load_json_artifact,
-    write_json_artifact,
-)
-from repro.recovery.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointStore,
-    RecoveryError,
-)
-from repro.recovery.manifest import RunManifest
-from repro.recovery.runner import RecoveryContext, execute_map
-from repro.recovery.supervisor import (
-    DEFAULT_POLICY,
-    PointFailure,
-    SupervisorPolicy,
-    supervised_map,
-)
-
-__all__ = [
-    "ArtifactError",
-    "RecoveryError",
-    "PointFailure",
-    "atomic_write_text",
-    "content_hash",
-    "load_json_artifact",
-    "write_json_artifact",
-    "CHECKPOINT_FORMAT_VERSION",
-    "CheckpointStore",
-    "RunManifest",
-    "RecoveryContext",
-    "execute_map",
-    "DEFAULT_POLICY",
-    "SupervisorPolicy",
-    "supervised_map",
-]

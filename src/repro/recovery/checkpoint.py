@@ -117,7 +117,13 @@ class CheckpointStore:
                 "--resume to continue it or point --checkpoint at a fresh "
                 "directory"
             )
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc.__class__.__name__
+            raise RecoveryError(
+                f"{self.directory}: cannot create checkpoint directory: {reason}"
+            ) from exc
         write_json_artifact(self.manifest_path, manifest.to_doc())
         self.manifest = manifest
         self._open_log()

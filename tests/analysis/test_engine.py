@@ -6,14 +6,9 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
-    LintConfig,
-    lint_paths,
-    lint_source,
-    load_config,
-    render_json,
-    render_text,
-)
+from repro.analysis.config import LintConfig, load_config
+from repro.analysis.diagnostics import render_json, render_text
+from repro.analysis.engine import lint_paths, lint_source
 from repro.analysis.cli import main as lint_main
 
 FLAGGED = "def f(items=[]):\n    return items\n"

@@ -2,7 +2,8 @@
 
 import textwrap
 
-from repro.analysis import LintConfig, lint_source
+from repro.analysis.config import LintConfig
+from repro.analysis.engine import lint_source
 
 
 def lint(source: str, path: str = "repro/core/example.py", **config_kwargs):
@@ -321,7 +322,7 @@ class TestMinicellFixture:
     def test_per_file_rules_flag_every_source_once(self):
         import pathlib
 
-        from repro.analysis import lint_paths
+        from repro.analysis.engine import lint_paths
 
         fixture = pathlib.Path(__file__).parent / "fixtures" / "minicell"
         config = LintConfig(rng_allow=(), clock_allow=(), txn_allow=())
@@ -516,7 +517,7 @@ class TestFIJ001:
     def test_shipped_fault_modules_are_clean(self):
         import pathlib
 
-        from repro.analysis import lint_paths
+        from repro.analysis.engine import lint_paths
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         findings = lint_paths(
@@ -646,7 +647,7 @@ class TestRBS001:
     def test_shipped_recovery_modules_are_clean(self):
         import pathlib
 
-        from repro.analysis import lint_paths
+        from repro.analysis.engine import lint_paths
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         findings = lint_paths(
@@ -726,7 +727,7 @@ class TestGLB001:
         the recorder's two."""
         import pathlib
 
-        from repro.analysis import lint_paths
+        from repro.analysis.engine import lint_paths
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         assert "GLB001" not in rules_of(lint_paths([src]))

@@ -245,6 +245,11 @@ class TestBadArgumentsExitTwo:
         target = tmp_path / "rows.txt"
         assert "use .json or .csv" in self._rejects(capsys, "--output", str(target))
 
+    def test_trace_path_is_a_directory(self, capsys, tmp_path):
+        err = self._rejects(capsys, "--trace", str(tmp_path))
+        assert "--trace" in err and "is a directory" in err
+        assert list(tmp_path.parent.glob(tmp_path.name + ".tmp")) == []
+
     @pytest.mark.skipif(os.geteuid() == 0, reason="root can write to a read-only directory")
     def test_output_directory_read_only(self, capsys, tmp_path):
         tmp_path.chmod(0o555)

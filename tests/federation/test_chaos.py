@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.experiments.common import LightweightConfig
 from repro.experiments.federation import build_federation, federation_points
-from repro.federation import FederatedCell, FederationFaultConfig
+from repro.federation.cells import FederatedCell
+from repro.federation.config import FederationFaultConfig
 from repro.sim import RandomStreams
 from repro.workload.clusters import CLUSTER_B
 from repro.world import RunContext

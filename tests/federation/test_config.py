@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.federation import (
+from repro.federation.config import (
     ROUTING_POLICIES,
     FederationConfig,
     FederationFaultConfig,

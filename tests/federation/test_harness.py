@@ -17,7 +17,8 @@ from repro.experiments.federation import (
 )
 from repro.experiments.registry import DEGENERATE_GATE, EXPERIMENTS, run
 from repro.experiments.sweeps import CheckFailed
-from repro.federation import FederationFaultConfig, FrontDoor
+from repro.federation.config import FederationFaultConfig
+from repro.federation.router import FrontDoor
 from repro.metrics.stats import median, percentile
 from repro.obs.histogram import Histogram
 from repro.workload.job import JobType

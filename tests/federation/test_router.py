@@ -4,12 +4,9 @@ failover, migration caps, and the job accounting invariant."""
 import pytest
 
 from repro.experiments.common import LightweightConfig
-from repro.federation import (
-    CellDigest,
-    FederationAccountingError,
-    FederationConfig,
-    FrontDoor,
-)
+from repro.federation.cells import CellDigest
+from repro.federation.config import FederationConfig
+from repro.federation.router import FederationAccountingError, FrontDoor
 from repro.sim import RandomStreams, Simulator
 from repro.workload.clusters import CLUSTER_B
 from tests.conftest import make_job

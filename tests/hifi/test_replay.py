@@ -6,6 +6,7 @@ from repro import obs
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hifi
 from repro.hifi.trace import synthesize_trace
+from repro.obs.summary import TraceSummary
 from repro.schedulers.base import DecisionTimeModel
 from tests.conftest import tiny_preset
 
@@ -100,7 +101,7 @@ class TestSharedLifecycle:
         assert names.count("run.start") == names.count("run.metrics") == 2
 
     def test_trace_summary_has_wait_percentiles(self, records):
-        rows = obs.TraceSummary.from_records(records).percentile_rows()
+        rows = TraceSummary.from_records(records).percentile_rows()
         assert {row["scheduler"].split("/")[-1] for row in rows} >= {
             "hifi-batch",
             "hifi-service",

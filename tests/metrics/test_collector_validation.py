@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import MetricsCollector
-from repro.obs import Histogram
+from repro.obs.histogram import Histogram
 from tests.conftest import make_job
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import cli
-from repro.obs import JsonlWriter, TraceRecorder, read_jsonl, write_jsonl
+from repro.obs import TraceRecorder
+from repro.obs.export import JsonlWriter, read_jsonl, write_jsonl
 
 
 def test_round_trip_preserves_records(tmp_path):
@@ -42,6 +43,13 @@ def test_malformed_line_names_line_number(tmp_path):
         read_jsonl(str(path))
 
 
+def test_non_utf8_line_names_line_number(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b'{"ok":1}\n{"name":"\xff"}\n')
+    with pytest.raises(ValueError, match=r"trace\.jsonl:2: not UTF-8 text$"):
+        read_jsonl(str(path))
+
+
 def test_non_object_line_rejected(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text("[1,2,3]\n")
@@ -51,10 +59,11 @@ def test_non_object_line_rejected(tmp_path):
 
 #: Records whose envelope or histogram state a trace loader cannot read.
 BAD_RECORDS = {
-    "string time": '{"name":"x","t":"a"}',
-    "list fields": '{"name":"txn.commit","sched":"s","fields":[1]}',
-    "stateless histogram": '{"name":"run.metrics","t":0.0,"fields":'
-    '{"histograms":[{"name":"jobs.wait_seconds","labels":{}}]}}',
+    "string time": b'{"name":"x","t":"a"}',
+    "list fields": b'{"name":"txn.commit","sched":"s","fields":[1]}',
+    "stateless histogram": b'{"name":"run.metrics","t":0.0,"fields":'
+    b'{"histograms":[{"name":"jobs.wait_seconds","labels":{}}]}}',
+    "not UTF-8": b'{"name":"\xff"}',
 }
 
 
@@ -62,7 +71,7 @@ BAD_RECORDS = {
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
     trace = tmp_path / "bad.jsonl"
-    trace.write_text('{"kind":"event","name":"run.start","t":0.0}\n' + BAD_RECORDS[case])
+    trace.write_bytes(b'{"kind":"event","name":"run.start","t":0.0}\n' + BAD_RECORDS[case])
     argv = [command, str(trace)]
     if command != "trace":
         argv += ["--output", str(tmp_path / "out")]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import CallbackProfiler, callback_name
+from repro.obs.profile import CallbackProfiler, callback_name
 from repro.sim import Simulator
 
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.obs import Histogram
+from repro.obs.histogram import Histogram
 
 
 class TestHistogram:

@@ -2,7 +2,7 @@
 summary prefixes scheduler and job keys with the run index so runs
 never alias; a single-run trace stays byte-identical to before."""
 
-from repro import obs
+from repro.obs.summary import TraceSummary
 
 
 def run_start(architecture="omega", seed=0):
@@ -48,7 +48,7 @@ class TestMultiRunPrefixing:
             busy("omega-batch", t=1.0),
             commit("omega-batch", job=1, t=2.0),
         ]
-        summary = obs.TraceSummary.from_records(records)
+        summary = TraceSummary.from_records(records)
         assert summary.runs == 2
         assert set(summary.scheduler_names()) == {
             "run1/omega-batch",
@@ -64,7 +64,7 @@ class TestMultiRunPrefixing:
             run_start(seed=1),
             commit("omega-batch", job=17),
         ]
-        summary = obs.TraceSummary.from_records(records)
+        summary = TraceSummary.from_records(records)
         assert set(summary.jobs) == {"run1/17", "run2/17"}
 
     def test_single_run_keys_stay_bare(self):
@@ -75,14 +75,14 @@ class TestMultiRunPrefixing:
             busy("omega-batch"),
             commit("omega-batch", job=3),
         ]
-        summary = obs.TraceSummary.from_records(records)
+        summary = TraceSummary.from_records(records)
         assert summary.runs == 1
         assert set(summary.scheduler_names()) == {"omega-batch"}
         assert set(summary.jobs) == {3}
 
     def test_records_without_run_start_stay_bare(self):
         """Fragment traces (no run.start at all) keep bare keys too."""
-        summary = obs.TraceSummary.from_records([commit("omega-batch", job=3)])
+        summary = TraceSummary.from_records([commit("omega-batch", job=3)])
         assert set(summary.scheduler_names()) == {"omega-batch"}
         assert set(summary.jobs) == {3}
 
@@ -95,7 +95,7 @@ class TestMultiRunPrefixing:
             busy("omega-batch"),
             commit("omega-batch", job=1),
         ]
-        summary = obs.TraceSummary.from_records(records)
+        summary = TraceSummary.from_records(records)
         text = summary.render()
         assert "run1/omega-batch" in text
         assert "run2/omega-batch" in text

@@ -13,6 +13,9 @@ import pytest
 
 from repro import CLUSTER_B, LightweightConfig, obs, run_lightweight
 from repro.experiments import cli
+from repro.obs.export import read_jsonl
+from repro.obs.histogram import Histogram
+from repro.obs.summary import TraceSummary, summarize_file
 from repro.schedulers import DecisionTimeModel
 
 
@@ -37,7 +40,7 @@ def _traced_run(**overrides):
 @pytest.fixture(scope="module")
 def traced():
     result, recorder = _traced_run()
-    return result, recorder, obs.TraceSummary.from_records(recorder.records)
+    return result, recorder, TraceSummary.from_records(recorder.records)
 
 
 def test_every_record_is_well_formed(traced):
@@ -107,7 +110,7 @@ def test_conflicted_runs_trace_the_conflicts():
         num_batch_schedulers=4,
         batch_rate_factor=4.0,
     )
-    summary = obs.TraceSummary.from_records(recorder.records)
+    summary = TraceSummary.from_records(recorder.records)
     metrics = result.metrics
     total_conflicts = sum(e.txn_conflicted for e in summary.schedulers.values())
     assert total_conflicts > 0, "expected at least one conflict in this setup"
@@ -171,7 +174,7 @@ def test_engine_rows_of_a_parallel_trace_equal_the_serial_ones(tmp_path, capsys)
         assert cli.main([*argv, "--trace", path]) == 0
         rows[jobs] = [
             {key: value for key, value in row.items() if key != "wall_ms"}
-            for row in obs.summarize_file(path).engine_rows
+            for row in summarize_file(path).engine_rows
         ]
     capsys.readouterr()
     assert [row["run"] for row in rows["1"]] == list(range(1, 19))
@@ -183,7 +186,7 @@ def test_cli_trace_flag_and_trace_subcommand(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.jsonl")
     cli.main(["fig8", "--scale", "0.05", "--hours", "1", "--trace", trace_path])
     capsys.readouterr()
-    records = obs.read_jsonl(trace_path)
+    records = read_jsonl(trace_path)
     assert records, "trace file should not be empty"
     assert any(r["name"] == "txn.commit" for r in records)
 
@@ -197,7 +200,7 @@ def test_cli_trace_flag_and_trace_subcommand(tmp_path, capsys):
 
 def _escalation_metrics_record(scheduler: str, policy: str, attempts):
     """A minimal ``run.metrics`` record carrying one escalation histogram."""
-    histogram = obs.Histogram(
+    histogram = Histogram(
         "jobs.attempts_until_escalation",
         {"scheduler": scheduler, "policy": policy},
     )
@@ -229,7 +232,7 @@ def _conflict_record(machine: int, tasks: int, cause: str, sched="omega-batch-0"
 
 class TestContendedMachineRows:
     def test_ranked_by_tasks_with_cause_split(self):
-        summary = obs.TraceSummary.from_records(
+        summary = TraceSummary.from_records(
             [
                 _conflict_record(3, 2, "capacity"),
                 _conflict_record(3, 2, "stale_sequence"),
@@ -252,7 +255,7 @@ class TestContendedMachineRows:
         assert rows[1]["stale_sequence"] == rows[1]["capacity"] == 1
 
     def test_events_then_machine_id_break_ties(self):
-        summary = obs.TraceSummary.from_records(
+        summary = TraceSummary.from_records(
             [
                 _conflict_record(5, 4, "capacity"),
                 _conflict_record(2, 2, "capacity"),
@@ -268,7 +271,7 @@ class TestContendedMachineRows:
 
     def test_top_n_truncates_and_validates(self):
         records = [_conflict_record(m, m + 1, "capacity") for m in range(5)]
-        summary = obs.TraceSummary.from_records(records)
+        summary = TraceSummary.from_records(records)
         assert len(summary.contended_machine_rows(top_n=2)) == 2
         with pytest.raises(ValueError):
             summary.contended_machine_rows(top_n=0)
@@ -276,7 +279,7 @@ class TestContendedMachineRows:
 
 class TestEscalationRows:
     def test_rows_from_run_metrics_histograms(self):
-        summary = obs.TraceSummary.from_records(
+        summary = TraceSummary.from_records(
             [
                 _escalation_metrics_record(
                     "omega-batch-0", "starvation", [2.0, 4.0]
@@ -299,7 +302,7 @@ class TestEscalationRows:
 
     def test_merge_across_runs(self):
         # Two runs of the same (scheduler, policy) fold into one row.
-        summary = obs.TraceSummary.from_records(
+        summary = TraceSummary.from_records(
             [
                 _escalation_metrics_record("omega-batch-0", "starvation", [2.0]),
                 _escalation_metrics_record("omega-batch-0", "starvation", [6.0]),
@@ -311,7 +314,7 @@ class TestEscalationRows:
 
 
 def test_render_and_rollup_surface_contention_sections():
-    summary = obs.TraceSummary.from_records(
+    summary = TraceSummary.from_records(
         [
             _conflict_record(3, 2, "capacity"),
             _escalation_metrics_record("omega-batch-0", "starvation", [2.0]),

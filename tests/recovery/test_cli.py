@@ -93,6 +93,15 @@ def test_resume_missing_manifest_exits_two(tmp_path, capsys):
     assert "cannot read checkpoint manifest" in capsys.readouterr().err
 
 
+def test_checkpoint_at_a_regular_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "ck"
+    path.write_text("not a directory\n")
+    assert main(ARGS + ["--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"omega-sim: {path}: cannot create checkpoint directory: File exists\n"
+    assert path.read_text() == "not a directory\n"
+
+
 def test_bad_point_timeout_exits_two(tmp_path, capsys):
     assert main(ARGS + ["--point-timeout", "-1"]) == 2
     assert "point_timeout must be positive" in capsys.readouterr().err
