@@ -1,12 +1,13 @@
 """Runtime determinism gate: same seed, same trace — or hard failure.
 
-Static rules (DET001-003) catch the *sources* of nondeterminism; this
-gate catches the *symptom* end-to-end: it runs an experiment twice with
-the same master seed, records both runs through :mod:`repro.obs`, and
-diffs the traces event-by-event. Wall-clock fields (``wall_ms`` — the
-only real-time value in a trace record) are ignored; everything else,
-including simulated times, scheduler/job ids, and commit outcomes, must
-be byte-identical. The returned experiment rows are compared too.
+Static checks (``tests/test_source_invariants.py``) catch the *sources*
+of nondeterminism; this gate catches the *symptom* end-to-end: it runs
+an experiment twice with the same master seed, records both runs
+through :mod:`repro.obs`, and diffs the traces event-by-event.
+Wall-clock fields (``wall_ms`` — the only real-time value in a trace
+record) are ignored; everything else, including simulated times,
+scheduler/job ids, and commit outcomes, must be byte-identical. The
+returned experiment rows are compared too.
 
 A second mode (:func:`run_parallel_gate`, ``--compare-jobs N``)
 compares a *serial* run against the same experiment fanned out over N
@@ -26,8 +27,9 @@ each; ``--experiment NAME`` runs the one check the mode flags select.
 
 Note the gate runs both passes in one process, so it cannot see
 ``PYTHONHASHSEED``-dependent divergence between *processes* — that is
-DET003's job; the gate catches everything else (stateful module
-globals, unseeded draws, iteration over identity-keyed containers).
+the ``unordered_iteration`` check's job; the gate catches everything
+else (stateful module globals, unseeded draws, iteration over
+identity-keyed containers).
 """
 
 from __future__ import annotations
@@ -327,6 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         "are durably checkpointed",
     )
     args = parser.parse_args(argv)
+    if args.kill_after < 1:
+        print(
+            f"determinism gate: --kill-after must be >= 1, got {args.kill_after}",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.experiment is not None:
         checks = [{}]

@@ -133,8 +133,8 @@ class AllocationLedger:
 
     def records(self) -> Iterator[AllocationRecord]:
         """Every running allocation, by machine then record id: a pinned
-        order, so float accumulation over it is reproducible (omega-lint
-        DET003)."""
+        order, so float accumulation over it is reproducible (the
+        ``unordered_iteration`` check)."""
         for machine in sorted(self._by_machine):
             yield from sorted(
                 self._by_machine[machine].values(), key=lambda r: r.record_id

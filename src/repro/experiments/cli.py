@@ -22,12 +22,6 @@ FILE`` converts it to Chrome/Perfetto trace-event JSON for
 ui.perfetto.dev, and ``omega-sim report FILE...`` renders a
 self-contained HTML report with SVG charts and percentile tables.
 
-Static analysis (see ``docs/STATIC_ANALYSIS.md``): ``omega-sim lint
-[PATHS]`` runs the omega-lint rule pass (determinism,
-transaction-safety and resource-arithmetic invariants) and exits
-non-zero on findings; ``--format json`` emits a machine-readable
-report.
-
 Performance (see ``docs/PERFORMANCE.md``): sweep commands accept
 ``--jobs N`` to fan independent sweep points across worker processes
 (results are byte-identical to ``--jobs 1``). How fast the simulator
@@ -51,7 +45,6 @@ import os
 import sys
 
 from repro import obs
-from repro.analysis import cli as lint
 from repro.experiments.common import format_table
 from repro.experiments.io import check_output_path, save_rows
 from repro.experiments.registry import EXPERIMENTS, Experiment, run, validated
@@ -185,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=argument.help,
                 )
 
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="run omega-lint, the domain static-analysis pass "
-        "(determinism, transaction-safety, and resource-arithmetic "
-        "rules; see docs/STATIC_ANALYSIS.md)",
-    )
-    lint.add_lint_arguments(lint_parser)
-
     trace_parser = subparsers.add_parser(
         "trace",
         help="summarize a JSONL trace recorded with --trace: per-scheduler "
@@ -246,9 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_file_error(path: str) -> str | None:
+    """Why a trace consumer cannot write ``--output path``, or None;
+    checked before any input is read."""
+    if os.path.isdir(path):
+        return f"--output {path} is a directory, not a file"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"--output directory {parent} does not exist"
+    return None
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.summary import summarize_file
 
+    if args.bins < 1:
+        print(f"omega-sim trace: --bins must be >= 1, got {args.bins}", file=sys.stderr)
+        return 2
     try:
         summary = summarize_file(args.file)
         if args.json:
@@ -276,6 +275,10 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
     from repro.obs.perfetto import export_file
 
     output = args.output or f"{args.file}.perfetto.json"
+    error = _output_file_error(output)
+    if error is not None:
+        print(f"omega-sim perfetto: {error}", file=sys.stderr)
+        return 2
     try:
         count = export_file(args.file, output)
     except (OSError, ValueError) as exc:
@@ -292,6 +295,10 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report import write_report
 
+    error = _output_file_error(args.output)
+    if error is not None:
+        print(f"omega-sim report: {error}", file=sys.stderr)
+        return 2
     try:
         size = write_report(args.files, args.output)
     except (OSError, ValueError) as exc:
@@ -431,8 +438,6 @@ def _argument_error(args: argparse.Namespace) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "lint":
-        return lint.run_lint(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "perfetto":

@@ -79,8 +79,9 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
     """Construct a federation with its master streams.
 
     The streams are created here — not inside ``repro.federation``,
-    which sits under the fault-injection lint discipline (FIJ001) and
-    must only ever *receive* entropy derived from the run's master seed.
+    which ``tests/test_source_invariants.py`` holds to the fault-injector
+    checks and must only ever *receive* entropy derived from the run's
+    master seed.
     """
     from repro.federation.harness import FederatedSimulation
 

@@ -15,8 +15,8 @@ The paper's simulators never load this package: a world imports the
 chaos engine only when its :class:`FaultConfig` injects something.
 Everything here draws exclusively from :class:`repro.sim.random.
 RandomStreams` streams, so fault timelines are a deterministic function
-of the master seed (enforced by ``omega-lint`` rule FIJ001 and the
-runtime determinism gate).
+of the master seed (enforced by ``tests/test_source_invariants.py``
+and the runtime determinism gate).
 """
 
 from repro.faults.chaos import ChaosEngine, FaultConfig

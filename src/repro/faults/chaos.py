@@ -18,7 +18,7 @@ Every draw comes from a named :class:`repro.sim.random.RandomStreams`
 stream — one per cell (``machine-failures.{i}``) and per scheduler
 (``crash.{name}``, ``commit.{name}``) — so each fault timeline is a
 deterministic function of the master seed and independent of event
-interleaving (``omega-lint`` rule FIJ001 rejects anything else). All
+interleaving (``tests/test_source_invariants.py`` rejects anything else). All
 injections emit ``fault.*`` trace events for ``omega-sim trace``.
 """
 

@@ -11,7 +11,7 @@ eventually-consistent digests.
 
 The caller supplies the master :class:`~repro.sim.RandomStreams`
 (see :func:`repro.experiments.federation.build_federation`): this
-module is covered by the fault-injection lint discipline (FIJ001) and
+module is a fault injector to ``tests/test_source_invariants.py`` and
 therefore never constructs its own entropy source.
 """
 

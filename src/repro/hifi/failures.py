@@ -51,8 +51,8 @@ class FailureRepairProcess:
     ``rng`` must be a named :class:`repro.sim.random.RandomStreams`
     stream (or a generator derived via ``derive_seed``) so the fault
     timeline is a deterministic function of the master seed — never a
-    freshly constructed or wall-clock-seeded generator (``omega-lint``
-    rule FIJ001).
+    freshly constructed or wall-clock-seeded generator (checked by
+    ``tests/test_source_invariants.py``).
     """
 
     def __init__(

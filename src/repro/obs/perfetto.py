@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.obs.summary import json_safe
+from repro.obs.summary import json_safe, write_atomically
 
 #: Simulated seconds -> trace-event microseconds.
 _US = 1_000_000.0
@@ -205,11 +205,5 @@ def export_file(input_path: str, output_path: str) -> int:
     from repro.obs.export import read_jsonl
 
     document = export_perfetto(read_jsonl(input_path))
-    tmp = output_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.write("\n")
-    import os
-
-    os.replace(tmp, output_path)
+    write_atomically(output_path, json.dumps(document, separators=(",", ":")) + "\n")
     return len(document["traceEvents"])

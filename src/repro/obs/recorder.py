@@ -262,13 +262,13 @@ def get_recorder() -> NullRecorder | TraceRecorder:
 
 def set_recorder(recorder: NullRecorder | TraceRecorder | None):
     """Install ``recorder`` globally (None restores the null recorder)."""
-    global RECORDER  # omega-lint: disable=GLB001 -- ambient observer: read by hot-path guards, never steers a run
+    global RECORDER  # ambient observer: read by hot-path guards, never steers a run
     RECORDER = recorder if recorder is not None else NULL_RECORDER
     return RECORDER
 
 
 def reset_recorder() -> NullRecorder:
     """Restore the zero-overhead null recorder and return it."""
-    global RECORDER  # omega-lint: disable=GLB001 -- ambient observer: read by hot-path guards, never steers a run
+    global RECORDER  # ambient observer: read by hot-path guards, never steers a run
     RECORDER = NULL_RECORDER
     return NULL_RECORDER

@@ -21,7 +21,7 @@ import html
 import math
 from typing import Any, Iterable, Sequence
 
-from repro.obs.summary import TraceSummary, summarize_file
+from repro.obs.summary import TraceSummary, summarize_file, write_atomically
 
 _PALETTE = (
     "#1f77b4",
@@ -389,8 +389,5 @@ def write_report(trace_paths: Sequence[str], output_path: str) -> int:
 
     traces = [(os.path.basename(path), summarize_file(path)) for path in trace_paths]
     document = generate_report(traces)
-    tmp = output_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(document)
-    os.replace(tmp, output_path)
+    write_atomically(output_path, document)
     return len(document.encode("utf-8"))

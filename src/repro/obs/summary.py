@@ -619,3 +619,18 @@ def summarize_file(path: str) -> TraceSummary:
         (record for _, record in numbered),
         origins=(f"{path}:{lineno}" for lineno, _ in numbered),
     )
+
+
+def write_atomically(path: str, text: str) -> None:
+    """Write an exported ``text`` to ``<path>.tmp``, then rename it onto
+    ``path``; a failed rename removes the ``.tmp``."""
+    import os
+
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise

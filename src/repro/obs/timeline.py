@@ -17,7 +17,7 @@ record those series as first-class trace records:
 Because sampling rides the event loop, the records are a deterministic
 function of the master seed — the determinism gates compare them like
 any other record, checkpoint/resume stitching covers them for free, and
-wall-clock time never appears (``omega-lint`` DET002 holds). Sampling
+wall-clock time never appears (the ``wall_clock`` check holds). Sampling
 is opt-in per run (``LightweightConfig.timeline_interval``, surfaced as
 ``omega-sim ... --timeline-interval SECONDS``); an enabled sampler adds
 events to the loop, so it is part of the run's configuration rather

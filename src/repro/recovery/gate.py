@@ -20,7 +20,7 @@ records are set aside. Everything the three runs produced is left in
 
 Subprocesses + wall-clock polling are intentional here: the gate's
 entire point is surviving a real SIGKILL, which an in-process harness
-cannot fake. ``repro/recovery/*`` is allowlisted for omega-lint DET002.
+cannot fake. ``repro/recovery/`` is allowlisted by the ``wall_clock`` check.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ a healthy run emits none, so supervised traces stay byte-identical to
 unsupervised ones.
 
 Wall-clock reads here are intentional (timeouts and backoff are
-real-time concepts, not simulated-time ones) and allowlisted for
-omega-lint DET002 in ``pyproject.toml``.
+real-time concepts, not simulated-time ones) and allowlisted by the
+``wall_clock`` check in ``tests/test_source_invariants.py``.
 """
 
 from __future__ import annotations
@@ -104,7 +104,9 @@ def _encode_error(exc: Exception) -> Exception:
     """The exception itself when picklable, else a summary stand-in."""
     try:
         pickle.dumps(exc)
-    except Exception:  # omega-lint: disable=RBS001 -- picklability probe; the original failure is preserved in the summary re-raised by the parent
+    except Exception:
+        # picklability probe; the original failure is preserved in the
+        # summary re-raised by the parent
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
 
@@ -136,7 +138,9 @@ def _child_main(fn: Callable[[Any], Any], item: Any, capture: bool, conn) -> Non
         else:
             result, records = fn(item), None
         payload = ("ok", result, records)
-    except Exception as exc:  # omega-lint: disable=RBS001 -- worker boundary: the failure crosses the pipe and is re-raised by the supervisor in the parent
+    except Exception as exc:
+        # worker boundary: the failure crosses the pipe and is re-raised
+        # by the supervisor in the parent
         payload = ("err", _encode_error(exc), None)
     try:
         conn.send(payload)

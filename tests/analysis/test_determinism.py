@@ -172,3 +172,13 @@ class TestGateCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kill_after", ["0", "-1"])
+    def test_main_kill_after_rejects_below_one(self, capsys, kill_after):
+        code = main(
+            ["--experiment", "fig8", "--kill-resume", "--kill-after", kill_after]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"determinism gate: --kill-after must be >= 1, got {kill_after}\n"

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments import cli
 from repro.obs import TraceRecorder
 from repro.obs.export import JsonlWriter, read_jsonl, write_jsonl
+from repro.obs.summary import write_atomically
 
 
 def test_round_trip_preserves_records(tmp_path):
@@ -81,6 +84,41 @@ def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{trace}:2: " in err
+
+
+@pytest.mark.parametrize("command", ["report", "perfetto"])
+@pytest.mark.parametrize("output", ["a directory", "in a missing directory"])
+def test_unwritable_output_exits_two_before_reading(tmp_path, capsys, command, output):
+    target = tmp_path / "out"
+    if output == "a directory":
+        target.mkdir()
+    else:
+        target = tmp_path / "absent" / "out"
+    # The trace does not exist either: the output is checked first.
+    assert cli.main([command, str(tmp_path / "run.jsonl"), "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"omega-sim {command}: --output ")
+    assert [path.name for path in tmp_path.iterdir()] == (["out"] if target.exists() else [])
+
+
+def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise IsADirectoryError(dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IsADirectoryError):
+        write_atomically(str(tmp_path / "out.html"), "<html>")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_trace_bins_below_one_exits_two(tmp_path, capsys, bins):
+    trace = tmp_path / "run.jsonl"
+    trace.write_text('{"kind":"event","name":"run.start","t":0.0}\n')
+    assert cli.main(["trace", str(trace), "--bins", bins]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"omega-sim trace: --bins must be >= 1, got {bins}\n"
 
 
 def test_write_after_close_raises(tmp_path):

@@ -1,7 +1,7 @@
 """The paper's simulators load no optional layer, and a command loads
 only what it runs.
 
-``repro.analysis`` checks the simulator's source, ``repro.faults``
+``repro.analysis`` gates determinism, ``repro.faults``
 injects faults, ``repro.federation`` routes between cells and
 ``repro.recovery`` checkpoints sweeps: the paper's two simulators must
 run without any of them. A fresh interpreter builds and runs one
@@ -10,8 +10,8 @@ must not have loaded a module of those layers (nor of the deleted
 ``repro.perf``) along the way.
 
 Through ``omega-sim`` a run still loads the registry and the sweep
-supervisor, but no lint rule, no federation machinery and no trace
-consumer: one fresh interpreter per architecture runs its command at
+supervisor, but not the determinism gate, no federation machinery and
+no trace consumer: one fresh interpreter per architecture runs its command at
 smoke scale and must not have loaded any module of
 :data:`NOT_IN_A_RUN`. The trace consumers load their own module.
 
@@ -70,12 +70,12 @@ ARCHITECTURE_COMMANDS = {
     "hifi": ("fig14", "--scale", "0.05", "--hours", "0.1"),
 }
 
-#: Modules a simulation run through ``omega-sim`` never needs: the lint
-#: rules, the federation machinery and the trace consumers.
+#: Modules a simulation run through ``omega-sim`` never needs: the
+#: determinism gate, the federation machinery and the trace consumers.
 NOT_IN_A_RUN = tuple(
     f"repro.{layer}.{name}"
     for layer, names in (
-        ("analysis", ("engine", "rules", "config", "diagnostics", "determinism")),
+        ("analysis", ("determinism",)),
         ("federation", ("harness", "router", "cells", "chaos")),
         ("obs", ("summary", "report", "perfetto", "profile")),
     )
