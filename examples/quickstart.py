@@ -27,8 +27,9 @@ def main() -> None:
     )
 
     # Observability: record a structured trace of every scheduling
-    # decision (spans + events, kept in memory here; pass path=... to
-    # stream JSONL) and profile where the event loop's wall time goes.
+    # decision (one sched.attempt record per attempt, kept in memory
+    # here; pass path=... to stream JSONL) and profile where the event
+    # loop's wall time goes.
     recorder = obs.TraceRecorder()
     obs.set_recorder(recorder)
     simulation = LightweightSimulation(config)

@@ -270,9 +270,10 @@ def commit_with_preemption(
     rejected (a conflict) only if even free + preemptible resources
     cannot hold it; partial acceptance splits at task granularity like
     incremental commits. Accepted claims are applied to the master cell
-    state and the same ``txn.*`` records are emitted (like
-    :func:`repro.core.transaction.commit`); the caller then
-    registers them in the ledger with ``already_claimed=True``.
+    state, and with tracing on every rejection is a ``capacity``
+    conflict of the result (like :func:`repro.core.transaction.commit`);
+    the caller then registers them in the ledger with
+    ``already_claimed=True``.
 
     ``ALL_OR_NOTHING`` implements the paper's gang-scheduled
     preemption: either every claim lands (evicting victims as needed) or
@@ -282,15 +283,6 @@ def commit_with_preemption(
     schedulers' jobs to use the resources in the meantime" (no
     hoarding).
     """
-    rec = _obs.RECORDER
-    if rec.enabled:
-        rec.event(
-            "txn.validate",
-            claims=len(claims),
-            tasks=sum(claim.count for claim in claims),
-            preempting=True,
-            commit_mode=commit_mode.value,
-        )
     accepted: list[Claim] = []
     rejected: list[Claim] = []
     preempted = 0
@@ -319,20 +311,7 @@ def commit_with_preemption(
             rejected.append(
                 Claim(claim.machine, claim.cpu, claim.mem, claim.count - ok)
             )
-    result = CommitResult(tuple(accepted), tuple(rejected), preempted)
-    if rec.enabled:
-        for claim in rejected:
-            rec.event(
-                "txn.conflict",
-                machine=claim.machine,
-                tasks=claim.count,
-                cause="capacity",
-            )
-        rec.event(
-            "txn.commit",
-            accepted=result.accepted_tasks,
-            rejected=result.rejected_tasks,
-            conflicted=result.conflicted,
-            preempted_tasks=preempted,
-        )
-    return result
+    conflicts = ()
+    if _obs.RECORDER.enabled:
+        conflicts = [[claim.machine, claim.count, "capacity"] for claim in rejected]
+    return CommitResult(tuple(accepted), tuple(rejected), preempted, conflicts)

@@ -43,7 +43,6 @@ from repro.core.transaction import (
     commit,
 )
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.sim import Simulator
 from repro.workload.job import Job, JobType
@@ -137,18 +136,6 @@ class OmegaScheduler(QueueScheduler):
         else:
             self._view.resync(self.state, self.sim.now)
         self._snapshot = self._view
-        rec = _obs.RECORDER
-        if rec.enabled:
-            # "The time from state synchronization to the commit attempt
-            # is a transaction" — this marks its start.
-            rec.event(
-                "txn.begin",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                unplaced=job.unplaced_tasks,
-            )
 
     def _mask_hot_machines(self, snapshot: CellSnapshot) -> None:
         """Blank out recently-conflicted machines in the private copy.
@@ -187,7 +174,7 @@ class OmegaScheduler(QueueScheduler):
         if self.conflict_avoidance_cooldown > 0:
             self._mask_hot_machines(snapshot)
 
-        rec = _obs.RECORDER
+        record = self._attempt_record
         claims = self._placement(snapshot, job, self._rng)
 
         # A starvation-escalated job (section 3.6) commits incrementally
@@ -203,20 +190,32 @@ class OmegaScheduler(QueueScheduler):
                 # Gang scheduling needs room for every task; the private
                 # copy showed too little, so no transaction is issued.
                 # No hoarding: the resources stay usable by others.
-                if rec.enabled:
-                    rec.event("txn.skipped", reason="gang_insufficient_plan")
+                if record is not None:
+                    record["skip"] = "gang_insufficient_plan"
                 self._resolve_attempt(job, had_conflict=False)
                 return
 
         if not claims:
             # "Assuming at least one task got scheduled, a transaction
             # ... is issued" — nothing could be planned, so no commit.
-            if rec.enabled:
-                rec.event("txn.skipped", reason="no_placement")
+            if record is not None:
+                record["skip"] = "no_placement"
             self._resolve_attempt(job, had_conflict=False)
             return
 
         result = self._commit(claims, snapshot, job, commit_mode)
+        if record is not None:
+            record["claims"] = len(claims)
+            record["tasks"] = sum(claim.count for claim in claims)
+            record["accepted"] = result.accepted_tasks
+            record["rejected"] = result.rejected_tasks
+            record["conflicted"] = result.conflicted
+            if result.preempted_tasks:
+                record["preempted"] = result.preempted_tasks
+            if result.conflicted and commit_mode is CommitMode.ALL_OR_NOTHING:
+                record["gang_aborted"] = True
+            if result.conflicts:
+                record["conflicts"] = result.conflicts
         self.metrics.record_commit(self.name, result.conflicted, self.sim.now)
         if result.preempted_tasks:
             self.metrics.record_preemption_caused(self.name, result.preempted_tasks)

@@ -66,6 +66,9 @@ class CommitResult:
     rejected: tuple[Claim, ...]
     #: Lower-precedence tasks evicted to make room (preempting commits).
     preempted_tasks: int = 0
+    #: With tracing on, one ``[machine, tasks, cause]`` per rejection,
+    #: for the attempt's ``sched.attempt`` record; empty otherwise.
+    conflicts: list | tuple = ()
 
     @property
     def accepted_tasks(self) -> int:
@@ -106,24 +109,15 @@ def commit(
     rejected. Accepted claims are applied atomically: an all-or-nothing
     transaction that fails leaves the master copy untouched.
 
-    With tracing on, every rejection emits one ``txn.conflict`` event
-    naming the machine, the rejected tasks and the cause
-    (``stale_sequence``, ``partial_capacity`` or ``capacity``).
+    With tracing on, the result's ``conflicts`` name each rejection's
+    machine, rejected tasks and cause (``stale_sequence``,
+    ``partial_capacity`` or ``capacity``).
     """
     if not claims:
         return CommitResult(accepted=(), rejected=())
 
-    rec = _obs.RECORDER
-    tracing = rec.enabled
-    if tracing:
-        rec.event(
-            "txn.validate",
-            claims=len(claims),
-            tasks=sum(claim.count for claim in claims),
-            conflict_mode=conflict_mode.value,
-            commit_mode=commit_mode.value,
-        )
-
+    tracing = _obs.RECORDER.enabled
+    conflicts: list[list] | tuple = [] if tracing else ()
     accepted: list[Claim] = []
     rejected: list[Claim] = []
 
@@ -143,7 +137,7 @@ def commit(
             # conflict, even if the claim would still fit.
             rejected.append(claim)
             if tracing:
-                rec.event("txn.conflict", machine=machine, tasks=count, cause="stale_sequence")
+                conflicts.append([machine, count, "stale_sequence"])
             continue
         # How many of the claim's tasks still fit on the live machine.
         ok = count
@@ -161,36 +155,17 @@ def commit(
             accepted.append(replace(claim, count=ok))
             rejected.append(replace(claim, count=count - ok))
             if tracing:
-                rec.event(
-                    "txn.conflict",
-                    machine=machine,
-                    tasks=count - ok,
-                    cause="partial_capacity",
-                )
+                conflicts.append([machine, count - ok, "partial_capacity"])
         else:
             rejected.append(claim)
             if tracing:
-                rec.event("txn.conflict", machine=machine, tasks=count, cause="capacity")
+                conflicts.append([machine, count, "capacity"])
 
     if commit_mode is CommitMode.ALL_OR_NOTHING and rejected:
         # Gang scheduling: one conflict rejects the entire transaction.
-        if tracing:
-            rec.event(
-                "txn.commit",
-                accepted=0,
-                rejected=sum(claim.count for claim in claims),
-                conflicted=True,
-                gang_aborted=True,
-            )
-        return CommitResult(accepted=(), rejected=tuple(claims))
+        return CommitResult(accepted=(), rejected=tuple(claims), conflicts=conflicts)
 
     state.claim_batch(accepted)
-    result = CommitResult(accepted=tuple(accepted), rejected=tuple(rejected))
-    if tracing:
-        rec.event(
-            "txn.commit",
-            accepted=result.accepted_tasks,
-            rejected=result.rejected_tasks,
-            conflicted=result.conflicted,
-        )
-    return result
+    return CommitResult(
+        accepted=tuple(accepted), rejected=tuple(rejected), conflicts=conflicts
+    )

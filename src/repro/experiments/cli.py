@@ -202,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     perfetto_parser = subparsers.add_parser(
         "perfetto",
         help="convert a JSONL trace to Chrome/Perfetto trace-event JSON "
-        "(open the result in ui.perfetto.dev): spans and sched.busy "
-        "intervals become duration events, timeline.* samples become "
-        "counter tracks",
+        "(open the result in ui.perfetto.dev): sched.attempt records "
+        "become duration events, timeline.* samples become counter "
+        "tracks",
     )
     perfetto_parser.add_argument("file", help="JSONL trace file to convert")
     perfetto_parser.add_argument(

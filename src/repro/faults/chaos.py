@@ -286,14 +286,5 @@ class ChaosEngine:
         if cfg.commit_delay_prob > 0 and rng.random() < cfg.commit_delay_prob:
             delay = float(rng.exponential(cfg.commit_delay_mean))
             self.commit_delays += 1
-            rec = _obs.RECORDER
-            if rec.enabled:
-                rec.event(
-                    "fault.commit_delay",
-                    t=self.sim.now,
-                    sched=scheduler.name,
-                    job=job.job_id,
-                    delay=delay,
-                )
             return delay, False
         return 0.0, False

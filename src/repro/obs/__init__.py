@@ -6,8 +6,8 @@ job retried — that end-of-run aggregates cannot explain.
 
 This package exports only the trace recorder of
 :mod:`repro.obs.recorder`: :class:`TraceRecorder`, :class:`NullRecorder`
-and its instance ``NULL_RECORDER``, :class:`Span`, and ``set_recorder``
-/ ``get_recorder`` / ``reset_recorder``, which install the
+and its instance ``NULL_RECORDER``, and ``set_recorder`` /
+``get_recorder`` / ``reset_recorder``, which install the
 process-global recorder every instrumented hot path reads. The default
 recorder is a no-op whose cost on those paths is one attribute check.
 Everything else is imported from the module that defines it, so a run
@@ -45,7 +45,6 @@ See ``docs/OBSERVABILITY.md`` for the record schema and a walkthrough.
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
-    Span,
     TraceRecorder,
     get_recorder,
     reset_recorder,
@@ -55,7 +54,6 @@ from repro.obs.recorder import (
 __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
-    "Span",
     "TraceRecorder",
     "get_recorder",
     "reset_recorder",

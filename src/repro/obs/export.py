@@ -64,22 +64,28 @@ def write_jsonl(records: Iterable[dict[str, Any]], path: str) -> int:
     return count
 
 
+#: The trace format each ``run.start`` record names as ``trace_version``:
+#: 2 is one ``sched.attempt`` record per scheduling attempt.
+TRACE_VERSION = 2
+
 _NONE = type(None)
 #: The record envelope of docs/OBSERVABILITY.md, as the types a loaded
 #: value may have; ``None`` is accepted wherever the recorder writes it.
 _ENVELOPE: dict[str, tuple[type, ...]] = {
-    "kind": (str,), "name": (str,), "t": (int, float, _NONE), "sched": (str, _NONE),
-    "job": (int, str, _NONE), "attempt": (int, _NONE), "span": (int, _NONE),
-    "id": (int,), "parent": (int, _NONE), "wall_ms": (int, float), "fields": (dict,),
+    "name": (str,), "t": (int, float, _NONE), "sched": (str, _NONE),
+    "job": (int, str, _NONE), "attempt": (int, _NONE), "fields": (dict,),
 }
 
 
 def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield ``(line number, record)`` for every record of a JSONL trace.
 
-    Blank lines are skipped. A line that is not UTF-8 or not JSON, or an
-    envelope key whose value has the wrong type, raises
-    :class:`ValueError` naming ``path:line``.
+    Blank lines are skipped. A line that is not UTF-8 or not JSON, an
+    envelope key whose value has the wrong type, a ``run.start`` record
+    of another :data:`TRACE_VERSION`, or a ``sched.attempt`` record
+    without a numeric ``t0`` or with a ``conflicts`` entry that is not a
+    ``[machine, tasks, cause]`` triple raises :class:`ValueError`
+    naming ``path:line``.
     """
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -101,7 +107,36 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
                         f"{path}:{lineno}: trace record field {key!r} has "
                         f"{type(record[key]).__name__} value {record[key]!r}"
                     )
+            problem = _record_problem(record)
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno}: {problem}")
             yield lineno, record
+
+
+def _record_problem(record: dict[str, Any]) -> str | None:
+    """What makes a ``run.start`` or ``sched.attempt`` record unreadable
+    to the trace tools, or None."""
+    name = record.get("name")
+    fields = record.get("fields") or {}
+    if name == "run.start":
+        version = fields.get("trace_version")
+        if version != TRACE_VERSION:
+            return (
+                f"trace format version {version!r}, expected {TRACE_VERSION}: "
+                "record the run again"
+            )
+    elif name == "sched.attempt":
+        start = fields.get("t0")
+        if not isinstance(start, (int, float)):
+            return f"sched.attempt t0 {start!r} is not a time"
+        conflicts = fields.get("conflicts", [])
+        if not isinstance(conflicts, list) or not all(
+            isinstance(c, list) and len(c) == 3 and isinstance(c[0], int)
+            and isinstance(c[1], int) and isinstance(c[2], str)
+            for c in conflicts
+        ):
+            return "sched.attempt conflicts must be [machine, tasks, cause] triples"
+    return None
 
 
 def read_jsonl(path: str) -> list[dict[str, Any]]:

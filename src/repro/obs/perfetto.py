@@ -8,22 +8,22 @@
   ``run.start`` record (architecture, cluster, seed);
 * each scheduler becomes a *thread* (``tid``) inside its run, plus a
   ``run`` thread for run-level records;
-* ``sched.busy`` intervals and recorded spans become duration ("X")
-  events, every other point record an instant ("i") event;
+* each ``sched.attempt`` record becomes a duration ("X") event from
+  its think start ``t0`` to its end ``t``, every other record an
+  instant ("i") event;
 * ``timeline.*`` samples (see :mod:`repro.obs.timeline`) become counter
   ("C") tracks — cell utilization, pending jobs, per-scheduler busy
   fraction / queue depth / conflict rate.
 
 Timestamps are *simulated* microseconds (the trace-event unit), so the
-Perfetto timeline reads in simulated time; span duration uses the
-span's recorded wall time, the only place wall clock appears.
+Perfetto timeline reads in simulated time.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.obs.summary import json_safe, write_atomically
+from repro.obs.summary import json_safe
 
 #: Simulated seconds -> trace-event microseconds.
 _US = 1_000_000.0
@@ -162,23 +162,10 @@ def export_perfetto(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 if value is not None
             },
         }
-        if record.get("kind") == "span":
-            # Simulated instant, wall-clock width: the recorded span.
+        if name == "sched.attempt" and fields.get("t0") is not None and t is not None:
             events.append(
                 {
                     **base,
-                    "ph": "X",
-                    "ts": _ts(t),
-                    "dur": max(0.0, float(record.get("wall_ms") or 0.0) * 1000.0),
-                }
-            )
-        elif name == "sched.busy" and fields.get("t0") is not None and t is not None:
-            events.append(
-                {
-                    **base,
-                    "name": "think (conflict retry)"
-                    if fields.get("conflict_retry")
-                    else "think",
                     "ph": "X",
                     "ts": _ts(fields["t0"]),
                     "dur": max(0.0, (float(t) - float(fields["t0"])) * _US),
@@ -203,7 +190,8 @@ def export_file(input_path: str, output_path: str) -> int:
     import json
 
     from repro.obs.export import read_jsonl
+    from repro.recovery.artifacts import atomic_write_text
 
     document = export_perfetto(read_jsonl(input_path))
-    write_atomically(output_path, json.dumps(document, separators=(",", ":")) + "\n")
+    atomic_write_text(output_path, json.dumps(document, separators=(",", ":")) + "\n")
     return len(document["traceEvents"])

@@ -21,7 +21,7 @@ import html
 import math
 from typing import Any, Iterable, Sequence
 
-from repro.obs.summary import TraceSummary, summarize_file, write_atomically
+from repro.obs.summary import TraceSummary, summarize_file
 
 _PALETTE = (
     "#1f77b4",
@@ -387,7 +387,9 @@ def write_report(trace_paths: Sequence[str], output_path: str) -> int:
     """Summarize JSONL traces into an HTML report file; returns bytes written."""
     import os
 
+    from repro.recovery.artifacts import atomic_write_text
+
     traces = [(os.path.basename(path), summarize_file(path)) for path in trace_paths]
     document = generate_report(traces)
-    write_atomically(output_path, document)
+    atomic_write_text(output_path, document)
     return len(document.encode("utf-8"))

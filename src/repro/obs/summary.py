@@ -13,9 +13,10 @@ Turns a stream of trace records (in memory or loaded from JSONL via
 * **retry chains** — the per-job sequence of attempts with outcomes,
   ranked by length, which is how you answer "*why* did job 17 take 14
   attempts?";
-* **contended machines** — the top-K machines by fine-grained
-  ``txn.conflict`` rejections (events, rejected tasks, and the
-  stale-sequence / partial-capacity / capacity cause split);
+* **contended machines** — the top-K machines by fine-grained commit
+  rejections, the ``conflicts`` of ``sched.attempt`` records (events,
+  rejected tasks, and the stale-sequence / partial-capacity / capacity
+  cause split);
 * **timeline series** — the ``timeline.*`` samples recorded by
   :mod:`repro.obs.timeline` (utilization, busy fraction, conflict
   rate over simulated time), grouped per run and per scheduler;
@@ -127,7 +128,7 @@ class TraceSummary:
         #: Wait-time (etc.) histograms merged from ``run.metrics``
         #: records, keyed by (metric name, sorted label items).
         self.histograms: dict[tuple[str, tuple[tuple[str, str], ...]], Histogram] = {}
-        #: Per-machine ``txn.conflict`` tallies:
+        #: Per-machine conflict tallies (``sched.attempt`` ``conflicts``):
         #: machine -> {"events", "tasks", "<cause>": events}.
         self.machine_conflicts: dict[int, dict[str, int]] = {}
         #: One row per ``run.end`` record: ``{"run", *ENGINE_FIELDS}``.
@@ -220,80 +221,89 @@ class TraceSummary:
                 else:
                     histogram.merge_state(entry.get("state"))
             return
+        attempt = record.get("attempt")
+        if name == "sched.attempt":
+            self._ingest_attempt(t, sched, job_id, attempt, fields)
+            return
         if job_id is not None:
-            self._job(job_id)._touch(t, sched, record.get("attempt"))
+            self._job(job_id)._touch(t, sched, attempt)
+        if name == "mesos.offer_issued":
+            framework = fields.get("framework")
+            if framework is not None:
+                if self._prefix_runs:
+                    framework = f"run{self.runs}/{framework}"
+                self._sched(framework).offers_issued += 1
+        elif name == "mesos.offer_declined" and sched is not None:
+            self._sched(sched).offers_declined += 1
 
-        if name == "txn.commit" and sched is not None:
-            entry = self._sched(sched)
+    def _ingest_attempt(
+        self,
+        t: float | None,
+        sched: str | None,
+        job_id: int | str | None,
+        attempt: int | None,
+        fields: dict[str, Any],
+    ) -> None:
+        """One ``sched.attempt`` record: busy time, the commit (if one
+        was issued), its conflicts, and the outcome."""
+        start = fields.get("t0")
+        job = None
+        if job_id is not None:
+            job = self._job(job_id)
+            job._touch(start, sched, attempt)
+            job._touch(t, sched, attempt)
+        if sched is None:
+            return
+        entry = self._sched(sched)
+        if t is not None and start is not None:
+            entry.busy_seconds += t - start
+            if fields.get("conflict_retry"):
+                entry.busy_conflict_seconds += t - start
+        if "claims" in fields:
             entry.txn_attempts += 1
             conflicted = bool(fields.get("conflicted"))
             if conflicted:
                 entry.txn_conflicted += 1
                 if t is not None:
                     entry.conflict_times.append(t)
-            if job_id is not None:
-                job = self._job(job_id)
+            if job is not None:
                 if conflicted:
                     job.conflicts += 1
                 job.chain.append(
                     {
                         "t": t,
-                        "attempt": record.get("attempt"),
+                        "attempt": attempt,
                         "outcome": "conflict" if conflicted else "commit",
                         "accepted": fields.get("accepted"),
                         "rejected": fields.get("rejected"),
                     }
                 )
-        elif name == "txn.conflict" and sched is not None:
-            self._sched(sched).conflict_claims += 1
-            machine = fields.get("machine")
-            if machine is not None:
-                entry = self.machine_conflicts.get(machine)
-                if entry is None:
-                    entry = self.machine_conflicts[machine] = {
-                        "events": 0,
-                        "tasks": 0,
-                    }
-                entry["events"] += 1
-                entry["tasks"] += int(fields.get("tasks") or 0)
-                cause = fields.get("cause")
-                if cause is not None:
-                    entry[cause] = entry.get(cause, 0) + 1
-        elif name == "sched.busy" and sched is not None:
-            start = fields.get("t0")
-            if t is not None and start is not None:
-                entry = self._sched(sched)
-                entry.busy_seconds += t - start
-                if fields.get("conflict_retry"):
-                    entry.busy_conflict_seconds += t - start
-        elif name == "job.scheduled":
-            if sched is not None:
-                self._sched(sched).jobs_scheduled += 1
-            if job_id is not None:
-                job = self._job(job_id)
+        for machine, tasks, cause in fields.get("conflicts", ()):
+            entry.conflict_claims += 1
+            tally = self.machine_conflicts.get(machine)
+            if tally is None:
+                tally = self.machine_conflicts[machine] = {"events": 0, "tasks": 0}
+            tally["events"] += 1
+            tally["tasks"] += tasks
+            tally[cause] = tally.get(cause, 0) + 1
+        if "offer" in fields:
+            if fields.get("placed"):
+                entry.offers_accepted += 1
+            else:
+                entry.offers_declined += 1
+        outcome = fields.get("outcome")
+        if outcome == "scheduled":
+            entry.jobs_scheduled += 1
+            if job is not None:
                 job.scheduled = True
-                job.chain.append(
-                    {"t": t, "attempt": record.get("attempt"), "outcome": "scheduled"}
-                )
-        elif name == "job.abandoned":
-            if sched is not None:
-                self._sched(sched).jobs_abandoned += 1
-            if job_id is not None:
-                job = self._job(job_id)
+        elif outcome == "abandoned":
+            entry.jobs_abandoned += 1
+            if job is not None:
                 job.abandoned = True
-                job.chain.append(
-                    {"t": t, "attempt": record.get("attempt"), "outcome": "abandoned"}
-                )
-        elif name == "mesos.offer_issued":
-            framework = fields.get("framework")
-            if framework is not None:
-                if self._prefix_runs:
-                    framework = f"run{self.runs}/{framework}"
-                self._sched(framework).offers_issued += 1
-        elif name == "mesos.offer_accepted" and sched is not None:
-            self._sched(sched).offers_accepted += 1
-        elif name == "mesos.offer_declined" and sched is not None:
-            self._sched(sched).offers_declined += 1
+        else:
+            return
+        if job is not None:
+            job.chain.append({"t": t, "attempt": attempt, "outcome": outcome})
 
     # ------------------------------------------------------------------
     # Views
@@ -380,7 +390,7 @@ class TraceSummary:
 
         Ranked by rejected tasks (events as the tie-break, machine id as
         the final deterministic tie-break), with the cause split the
-        ``txn.conflict`` vocabulary defines: where contention was
+        ``sched.attempt`` conflicts name: where contention was
         measured, machine by machine.
         """
         if top_n < 1:
@@ -484,7 +494,7 @@ class TraceSummary:
         contended = self.contended_machine_rows()
         if contended:
             lines.append("")
-            lines.append("top contended machines (txn.conflict rejections):")
+            lines.append("top contended machines (commit conflict rejections):")
             lines.append(_format_rows(contended))
 
         chains = [job for job in self.retry_chains(top_jobs) if job.attempts > 0]
@@ -619,18 +629,3 @@ def summarize_file(path: str) -> TraceSummary:
         (record for _, record in numbered),
         origins=(f"{path}:{lineno}" for lineno, _ in numbered),
     )
-
-
-def write_atomically(path: str, text: str) -> None:
-    """Write an exported ``text`` to ``<path>.tmp``, then rename it onto
-    ``path``; a failed rename removes the ``.tmp``."""
-    import os
-
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    try:
-        os.replace(tmp, path)
-    except OSError:
-        os.remove(tmp)
-        raise

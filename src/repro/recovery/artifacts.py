@@ -73,7 +73,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     The temp file lives in the same directory (same filesystem, so the
     rename is atomic) and is named ``<name>.tmp.<pid>``; an interrupted
     write leaves only that clearly-labelled temp file behind, never a
-    truncated ``path``.
+    truncated ``path``. A failed rename removes the temp file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
@@ -81,7 +81,11 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
     fsync_directory(path.parent)
     return path
 

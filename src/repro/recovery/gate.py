@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -115,6 +116,10 @@ def run_kill_resume_gate(
     artifacts = Path(artifacts_dir)
     artifacts.mkdir(parents=True, exist_ok=True)
     checkpoint = artifacts / "checkpoint"
+    if checkpoint.exists():
+        # An earlier gate's checkpoint would pass the kill threshold
+        # before the victim starts, and be resumed in place of its own.
+        shutil.rmtree(checkpoint)
     ref_out, ref_trace = artifacts / "ref.json", artifacts / "ref.jsonl"
     vic_out, vic_trace = artifacts / "victim.json", artifacts / "victim.jsonl"
     res_out, res_trace = artifacts / "resumed.json", artifacts / "resumed.jsonl"

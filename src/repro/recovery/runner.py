@@ -30,8 +30,7 @@ Trace stitching: when tracing is on and capture is needed (parallel
 workers, or any checkpointed run), each point's records are captured in
 a private recorder and replayed into the parent recorder in submission
 order after the sweep — producing the same record sequence a serial
-untraced-capture run would emit inline (span ids are renumbered by
-:meth:`~repro.obs.recorder.TraceRecorder.replay`). Stored records from
+untraced-capture run would emit inline. Stored records from
 skipped points are replayed the same way, so a resumed run's stitched
 trace is identical to an uninterrupted run's apart from wall-clock
 fields.

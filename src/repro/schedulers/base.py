@@ -63,10 +63,13 @@ class QueueScheduler(abc.ABC):
     *starts* — Omega schedulers take their cell-state snapshot there,
     because the paper's schedulers "refresh their local copy of cell
     state ... when they start looking at a job".
-    """
 
-    #: Trace span recorded around :meth:`attempt`; None records none.
-    attempt_span: str | None = "sched.attempt"
+    With tracing on, every attempt ends in one ``sched.attempt`` record
+    (docs/OBSERVABILITY.md). Its fields are gathered in
+    :attr:`_attempt_record` while the attempt runs: :meth:`attempt`
+    adds its plan and commit facts, :meth:`_resolve_attempt` the
+    outcome.
+    """
 
     def __init__(
         self,
@@ -104,10 +107,14 @@ class QueueScheduler(abc.ABC):
         #: Crash state: a down scheduler serves nothing until restart().
         self._down = False
         #: The pending end-of-think event and its (job, busy_start,
-        #: conflict_retry) context — the scheduler's in-flight
-        #: transaction, lost if it crashes mid-think.
+        #: conflict_retry, trace fields) context — the scheduler's
+        #: in-flight transaction, lost if it crashes mid-think. The
+        #: trace fields are None when tracing is off.
         self._inflight: Event | None = None
-        self._inflight_info: tuple[Job, float, bool] | None = None
+        self._inflight_info: tuple[Job, float, bool, dict | None] | None = None
+        #: The ``sched.attempt`` fields of the attempt being resolved;
+        #: None outside :meth:`_think_complete` or with tracing off.
+        self._attempt_record: dict | None = None
 
     # ------------------------------------------------------------------
     # Submission and the serial service loop
@@ -159,17 +166,16 @@ class QueueScheduler(abc.ABC):
         job.requeued_for_conflict = False
         self._busy = True
         think_time = self.decision_time(job)
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "sched.think_start",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                queue_depth=len(self._queue),
-                **self._think_start_fields(conflict_retry),
-            )
+        record = None
+        if _obs.RECORDER.enabled:
+            # "The time from state synchronization to the commit attempt
+            # is a transaction": its record starts here.
+            record = {
+                "t0": self.sim.now,
+                "queue_depth": len(self._queue),
+                "conflict_retry": conflict_retry,
+                "unplaced": job.unplaced_tasks,
+            }
         self.begin_attempt(job)
         drop = False
         if self.chaos is not None:
@@ -178,7 +184,9 @@ class QueueScheduler(abc.ABC):
             # loses the attempt's work in flight (see _think_complete).
             delay, drop = self.chaos.commit_fault(self, job)
             think_time += delay
-        self._inflight_info = (job, self.sim.now, conflict_retry)
+            if record is not None and delay:
+                record["commit_delay"] = delay
+        self._inflight_info = (job, self.sim.now, conflict_retry, record)
         self._inflight = self.sim.after(
             think_time, self._think_complete, job, self.sim.now, conflict_retry, drop
         )
@@ -186,37 +194,34 @@ class QueueScheduler(abc.ABC):
     def _think_complete(
         self, job: Job, busy_start: float, conflict_retry: bool, drop: bool = False
     ) -> None:
+        record = self._inflight_info[3]
         self._inflight = None
         self._inflight_info = None
         self.metrics.record_busy(
             self.name, busy_start, self.sim.now, conflict_retry=conflict_retry
         )
         self._busy = False
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "sched.busy",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                t0=busy_start,
-                conflict_retry=conflict_retry,
-            )
+        # Set before the attempt runs: resolving it may start the next
+        # think, which brings its own record.
+        self._attempt_record = record
         if drop:
             self._commit_dropped(job)
-        elif rec.enabled and self.attempt_span is not None:
-            with rec.span(
-                self.attempt_span,
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-            ):
-                self.attempt(job)
         else:
             self.attempt(job)
+        if record is not None:
+            self._attempt_record = None
+            self._emit_attempt(job, job.attempts, record)
         self._maybe_start()
+
+    def _emit_attempt(self, job: Job, attempt: int, record: dict) -> None:
+        _obs.RECORDER.event(
+            "sched.attempt",
+            t=self.sim.now,
+            sched=self.name,
+            job=job.job_id,
+            attempt=attempt,
+            **record,
+        )
 
     def _commit_dropped(self, job: Job, conflicted: bool = True) -> None:
         """Chaos dropped this attempt's commit in flight.
@@ -229,15 +234,11 @@ class QueueScheduler(abc.ABC):
         if conflicted:
             self.metrics.record_commit(self.name, conflicted=True, time=self.sim.now)
         self.metrics.record_commit_dropped(self.name)
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "fault.commit_drop",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-            )
+        record = self._attempt_record
+        if record is not None:
+            record["dropped"] = True
+            if conflicted:
+                record["conflicted"] = True
         self._abort_attempt(job)
         self._resolve_attempt(job, had_conflict=conflicted)
 
@@ -255,7 +256,8 @@ class QueueScheduler(abc.ABC):
         already spent. With ``requeue=False`` (a whole-cell blackout)
         the in-flight job is *not* requeued: the caller owns its fate,
         e.g. the federation front door counting it as lost to the
-        blackout.
+        blackout. Either way the cut attempt's ``sched.attempt`` record
+        ends here, with outcome ``crashed``.
         """
         if self._down:
             return None
@@ -264,7 +266,7 @@ class QueueScheduler(abc.ABC):
         if self._inflight is not None:
             self.sim.cancel(self._inflight)
             self._inflight = None
-            job, busy_start, conflict_retry = self._inflight_info
+            job, busy_start, conflict_retry, record = self._inflight_info
             self._inflight_info = None
             lost = job
             # The wasted planning work still counts as busyness.
@@ -273,6 +275,9 @@ class QueueScheduler(abc.ABC):
             )
             self._busy = False
             self._abort_attempt(job)
+            if record is not None:
+                record["outcome"] = "crashed"
+                self._emit_attempt(job, job.attempts + 1, record)
             if requeue:
                 self._requeue(job, at_front=True)
         return lost
@@ -317,10 +322,6 @@ class QueueScheduler(abc.ABC):
         or cool-off period; conflicts are the retry policy's)."""
         return 0.0
 
-    def _think_start_fields(self, conflict_retry: bool) -> dict:
-        """What ``sched.think_start`` records beyond the common fields."""
-        return {"conflict_retry": conflict_retry}
-
     @abc.abstractmethod
     def attempt(self, job: Job) -> None:
         """Placement attempt at the end of thinking. Implementations
@@ -343,27 +344,22 @@ class QueueScheduler(abc.ABC):
         job.attempts += 1
         if had_conflict:
             job.conflicts += 1
-        rec = _obs.RECORDER
+        record = self._attempt_record
         if job.is_fully_scheduled:
+            outcome = "rescheduled"
             if job.fully_scheduled_time is None:
                 # Count each job once, even if preemption later sends it
                 # back through scheduling.
                 self.metrics.record_scheduled(self.name, job, self.sim.now)
-                if rec.enabled:
-                    rec.event(
-                        "job.scheduled",
-                        t=self.sim.now,
-                        sched=self.name,
-                        job=job.job_id,
-                        attempt=job.attempts,
-                        tasks=job.num_tasks,
-                        conflicts=job.conflicts,
-                    )
+                outcome = "scheduled"
             job.fully_scheduled_time = self.sim.now
+            if record is not None:
+                record["outcome"] = outcome
         elif job.attempts >= self.attempt_limit:
             self._abandon(job, reason="attempt-limit")
         else:
             policy = self.retry_policy
+            outcome = "requeued"
             if had_conflict and policy is None:
                 at_front = self.retry_conflicts_at_front
                 delay = 0.0
@@ -374,23 +370,17 @@ class QueueScheduler(abc.ABC):
                     return
                 if policy.escalates(job):
                     self._escalate(job)
+                    outcome = "escalated"
                 at_front = False
             else:
                 at_front = False
                 delay = self.requeue_delay(job)
             job.requeued_for_conflict = had_conflict
-            if rec.enabled:
-                fields = dict(
-                    t=self.sim.now,
-                    sched=self.name,
-                    job=job.job_id,
-                    attempt=job.attempts,
-                    conflict=had_conflict,
-                    at_front=at_front,
-                )
+            if record is not None:
+                record["outcome"] = outcome
+                record["at_front"] = at_front
                 if delay > 0:
-                    fields["delay"] = delay
-                rec.event("job.requeued", **fields)
+                    record["delay"] = delay
             if delay > 0:
                 self.sim.after(delay, self._requeue, job, at_front)
             else:
@@ -400,38 +390,19 @@ class QueueScheduler(abc.ABC):
         """Terminal failure: the job stops being retried, explicitly."""
         job.abandoned = True
         self.metrics.record_abandoned(self.name, job, reason=reason)
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "job.abandoned",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts,
-                unplaced=job.unplaced_tasks,
-                reason=reason,
-            )
+        record = self._attempt_record
+        if record is not None:
+            record["outcome"] = "abandoned"
+            record["reason"] = reason
 
     def _escalate(self, job: Job) -> None:
         """Switch ``job`` to incremental commit mode (paper section 3.6:
         repeatedly-conflicting jobs stop gang scheduling so partial
         progress lands). Schedulers honour the flag in attempt()."""
         job.escalated = True
-        policy = self.retry_policy.name
         self.metrics.record_escalated(
-            self.name, attempts=job.attempts, policy=policy
+            self.name, attempts=job.attempts, policy=self.retry_policy.name
         )
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "job.escalated",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts,
-                conflicts=job.conflicts,
-                policy=policy,
-            )
 
     def _start_tasks(self, state: CellState, job: Job, claims: tuple[Claim, ...] | list[Claim]) -> None:
         """Schedule the resource release for tasks that just started:

@@ -23,9 +23,6 @@ from repro.workload.job import Job
 class MesosFramework(QueueScheduler):
     """An offer-driven scheduler framework."""
 
-    #: The ``mesos.offer_*`` events are the record of an attempt.
-    attempt_span = None
-
     def __init__(
         self,
         name: str,
@@ -79,9 +76,6 @@ class MesosFramework(QueueScheduler):
     # ------------------------------------------------------------------
     # QueueScheduler hooks
     # ------------------------------------------------------------------
-    def _think_start_fields(self, conflict_retry: bool) -> dict:
-        return {"offer": self._inflight_offer.offer_id}
-
     def attempt(self, job: Job) -> None:
         """Place within the held offer, launch, and hand the offer back."""
         offer = self._inflight_offer
@@ -98,17 +92,10 @@ class MesosFramework(QueueScheduler):
             claims = self.allocator.launch(self, claims, job.duration)
         placed = sum(claim.count for claim in claims)
         job.unplaced_tasks -= placed
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "mesos.offer_accepted" if claims else "mesos.offer_declined",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                offer=offer.offer_id,
-                placed=placed,
-            )
+        record = self._attempt_record
+        if record is not None:
+            record["offer"] = offer.offer_id
+            record["placed"] = placed
         # "Resources not used at the end of scheduling a job are
         # returned to the allocator."
         self.allocator.return_offer(offer)

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.cellstate import CellState
 from repro.core.placement import randomized_first_fit
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.sim import Simulator
 from repro.workload.job import Job, JobType
@@ -60,16 +59,9 @@ class MonolithicScheduler(QueueScheduler):
         self.state.claim_batch(claims)
         placed = sum(claim.count for claim in claims)
         job.unplaced_tasks -= placed
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
-                "sched.placed",
-                t=self.sim.now,
-                sched=self.name,
-                job=job.job_id,
-                attempt=job.attempts + 1,
-                placed=placed,
-                remaining=job.unplaced_tasks,
-            )
+        record = self._attempt_record
+        if record is not None:
+            record["placed"] = placed
+            record["remaining"] = job.unplaced_tasks
         self._start_tasks(self.state, job, claims)
         self._resolve_attempt(job, had_conflict=False)

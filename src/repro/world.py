@@ -26,6 +26,7 @@ from repro.invariants import CellStateInvariantChecker
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
 from repro.obs import recorder as _obs
+from repro.obs.export import TRACE_VERSION
 from repro.obs.timeline import TimelineSampler
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
@@ -52,6 +53,7 @@ class RunContext:
             rec.event(
                 "run.start",
                 t=self.sim.now,
+                trace_version=TRACE_VERSION,
                 architecture=architecture,
                 horizon=until,
                 seed=seed,

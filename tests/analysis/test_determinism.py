@@ -182,3 +182,17 @@ class TestGateCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"determinism gate: --kill-after must be >= 1, got {kill_after}\n"
+
+    def test_kill_resume_ignores_a_stale_checkpoint(self, tmp_path):
+        """A checkpoint left in the artifacts directory by an earlier
+        gate is removed, so the victim is really killed mid-run and
+        its own checkpoint is the one resumed."""
+        from repro.recovery.gate import DEFAULT_KILL_AFTER, run_kill_resume_gate
+
+        stale = tmp_path / "checkpoint"
+        stale.mkdir()
+        (stale / "points.jsonl").write_text("{}\n" * DEFAULT_KILL_AFTER)
+        report = run_kill_resume_gate(
+            experiment="fig8", scale=0.05, hours=0.3, artifacts_dir=tmp_path
+        )
+        assert report.identical, report.render()

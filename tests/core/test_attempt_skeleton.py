@@ -2,7 +2,7 @@
 
 ``OmegaScheduler.attempt`` used to be written three times; the copies
 had drifted (the preempting one ignored ``job.escalated``, the MapReduce
-one recorded no ``txn.skipped``). These tests pin what every variant now
+one recorded no skipped transaction). These tests pin what every variant now
 inherits.
 """
 
@@ -87,6 +87,7 @@ def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
         sim.run(until=0.15)
     finally:
         reset_recorder()
-    skipped = [r for r in recorder.records if r.get("name") == "txn.skipped"]
-    assert [r["fields"]["reason"] for r in skipped] == ["no_placement"]
-    assert skipped[0]["sched"] == "mapreduce"
+    (attempt,) = [r for r in recorder.records if r.get("name") == "sched.attempt"]
+    assert attempt["fields"]["skip"] == "no_placement"
+    assert "claims" not in attempt["fields"]
+    assert attempt["sched"] == "mapreduce"

@@ -355,22 +355,16 @@ def _assert_master_equals(state: CellState, copy) -> None:
 
 
 def _traced_commit(state, claims, snapshot, conflict_mode, commit_mode):
-    """``commit`` under an in-memory recorder: (result or None if the
-    apply raised OvercommitError, txn.conflict events)."""
-    recorder = TraceRecorder()
-    set_recorder(recorder)
+    """``commit`` with tracing on: (result or None if the apply raised
+    OvercommitError, the result's conflicts)."""
+    set_recorder(TraceRecorder())
     try:
         result = commit(state, claims, snapshot, conflict_mode, commit_mode)
     except OvercommitError:
-        result = None
+        return None, []
     finally:
         reset_recorder()
-    events = [
-        (r["fields"]["machine"], r["fields"]["tasks"], r["fields"]["cause"])
-        for r in recorder.records
-        if r["name"] == "txn.conflict"
-    ]
-    return result, events
+    return result, result.conflicts
 
 
 class TestCommitInvariants:
@@ -402,7 +396,7 @@ class TestCommitInvariants:
                     _assert_master_equals(state, before)
                     continue
                 if commit_mode is CommitMode.INCREMENTAL:
-                    # Each rejected claim is one txn.conflict event, in order.
+                    # Each rejected claim is one conflict, in order.
                     assert [(c.machine, c.count) for c in result.rejected] == [
                         (machine, tasks) for machine, tasks, _ in events
                     ]

@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments import cli
 from repro.obs import TraceRecorder
 from repro.obs.export import JsonlWriter, read_jsonl, write_jsonl
-from repro.obs.summary import write_atomically
 
 
 def test_round_trip_preserves_records(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     records = [
-        {"kind": "event", "name": "txn.begin", "t": 1.0, "job": 3},
-        {"kind": "span", "name": "sched.attempt", "id": 1, "parent": None,
-         "wall_ms": 0.25, "fields": {"outcome": "scheduled"}},
+        {"name": "run.start", "t": 0.0, "fields": {"trace_version": 2}},
+        {"name": "sched.attempt", "t": 1.0, "job": 3,
+         "fields": {"t0": 0.5, "outcome": "scheduled", "conflicts": [[4, 1, "capacity"]]}},
     ]
     assert write_jsonl(records, path) == 2
     assert read_jsonl(path) == records
@@ -26,9 +23,8 @@ def test_round_trip_preserves_records(tmp_path):
 def test_recorder_stream_round_trips(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     rec = TraceRecorder(path=path, keep_records=True)
-    rec.event("txn.begin", t=1.5, sched="s", job=1, attempt=1)
-    with rec.span("sched.attempt", t=1.5, sched="s", job=1, attempt=1):
-        rec.event("txn.commit", conflicted=False)
+    rec.event("sched.attempt", t=1.5, sched="s", job=1, attempt=1, t0=1.0)
+    rec.event("run.end", t=2.0, wall_ms=0.5)
     rec.close()
     assert read_jsonl(path) == rec.records
 
@@ -60,10 +56,17 @@ def test_non_object_line_rejected(tmp_path):
         read_jsonl(str(path))
 
 
-#: Records whose envelope or histogram state a trace loader cannot read.
+#: The first line of a trace this version writes.
+RUN_START = b'{"name":"run.start","t":0.0,"fields":{"trace_version":2}}'
+
+#: Records whose envelope, attempt fields or histogram state a trace
+#: loader cannot read.
 BAD_RECORDS = {
     "string time": b'{"name":"x","t":"a"}',
-    "list fields": b'{"name":"txn.commit","sched":"s","fields":[1]}',
+    "list fields": b'{"name":"sched.attempt","sched":"s","fields":[1]}',
+    "bad conflicts": b'{"name":"sched.attempt","sched":"s",'
+    b'"fields":{"t0":0.0,"conflicts":[[[1],2,"x"]]}}',
+    "string t0": b'{"name":"sched.attempt","t":1.0,"sched":"s","fields":{"t0":"a"}}',
     "stateless histogram": b'{"name":"run.metrics","t":0.0,"fields":'
     b'{"histograms":[{"name":"jobs.wait_seconds","labels":{}}]}}',
     "not UTF-8": b'{"name":"\xff"}',
@@ -74,7 +77,7 @@ BAD_RECORDS = {
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
     trace = tmp_path / "bad.jsonl"
-    trace.write_bytes(b'{"kind":"event","name":"run.start","t":0.0}\n' + BAD_RECORDS[case])
+    trace.write_bytes(RUN_START + b"\n" + BAD_RECORDS[case])
     argv = [command, str(trace)]
     if command != "trace":
         argv += ["--output", str(tmp_path / "out")]
@@ -84,6 +87,35 @@ def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{trace}:2: " in err
+
+
+#: A trace written before ``trace_version``: spans, ``kind`` and the
+#: seven records per attempt.
+PARENT_FORMAT = (
+    b'{"kind":"event","name":"run.start","t":0.0,"sched":null,"job":null,'
+    b'"attempt":null,"span":null,"fields":{"architecture":"omega","seed":0}}\n'
+    b'{"kind":"event","name":"sched.busy","t":1.0,"sched":"s","job":1,'
+    b'"attempt":1,"span":null,"fields":{"t0":0.5,"conflict_retry":false}}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["trace", "report", "perfetto"])
+@pytest.mark.parametrize(
+    "first", [PARENT_FORMAT, b'{"name":"run.start","t":0.0,"fields":{"trace_version":1}}\n'],
+    ids=["unversioned", "version 1"],
+)
+def test_older_trace_exits_two_naming_its_line(tmp_path, capsys, command, first):
+    trace = tmp_path / "old.jsonl"
+    trace.write_bytes(first)
+    argv = [command, str(trace)]
+    if command != "trace":
+        argv += ["--output", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{trace}:1: trace format version " in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["report", "perfetto"])
@@ -101,20 +133,10 @@ def test_unwritable_output_exits_two_before_reading(tmp_path, capsys, command, o
     assert [path.name for path in tmp_path.iterdir()] == (["out"] if target.exists() else [])
 
 
-def test_failed_rename_leaves_no_tmp(tmp_path, monkeypatch):
-    def refuse(src, dst):
-        raise IsADirectoryError(dst)
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(IsADirectoryError):
-        write_atomically(str(tmp_path / "out.html"), "<html>")
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_trace_bins_below_one_exits_two(tmp_path, capsys, bins):
     trace = tmp_path / "run.jsonl"
-    trace.write_text('{"kind":"event","name":"run.start","t":0.0}\n')
+    trace.write_bytes(RUN_START + b"\n")
     assert cli.main(["trace", str(trace), "--bins", bins]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -156,12 +178,12 @@ class TestAtomicMode:
     def test_recorder_trace_is_atomic(self, tmp_path):
         target = tmp_path / "trace.jsonl"
         rec = TraceRecorder(path=str(target))
-        rec.event("txn.begin", t=0.0)
+        rec.event("run.end", t=0.0)
         assert not target.exists()  # still streaming to .tmp
         rec.close()
         records = read_jsonl(str(target))
         assert len(records) == 1
-        assert records[0]["name"] == "txn.begin"
+        assert records[0]["name"] == "run.end"
 
     def test_double_close_renames_once(self, tmp_path):
         target = tmp_path / "trace.jsonl"

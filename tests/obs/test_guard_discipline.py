@@ -25,7 +25,7 @@ class StrictDisabledRecorder(obs.NullRecorder):
     def _unguarded(self, name, **fields):
         raise AssertionError(f"recorder reached for {name!r} with tracing off")
 
-    event = span = _unguarded
+    event = _unguarded
 
 
 @pytest.fixture

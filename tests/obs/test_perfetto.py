@@ -9,39 +9,19 @@ from repro.obs.perfetto import export_perfetto
 
 RECORDS = [
     {
-        "kind": "event",
         "name": "run.start",
         "t": 0.0,
-        "fields": {"architecture": "omega", "cluster": "B", "seed": 3},
+        "fields": {"trace_version": 2, "architecture": "omega", "cluster": "B", "seed": 3},
     },
     {
-        "kind": "span",
         "name": "sched.attempt",
-        "t": 5.0,
-        "sched": "s1",
-        "job": 1,
-        "attempt": 1,
-        "wall_ms": 0.5,
-        "fields": {},
-    },
-    {
-        "kind": "event",
-        "name": "sched.busy",
-        "t": 10.0,
-        "sched": "s1",
-        "fields": {"t0": 5.0, "conflict_retry": False},
-    },
-    {
-        "kind": "event",
-        "name": "job.scheduled",
         "t": 10.0,
         "sched": "s1",
         "job": 1,
         "attempt": 1,
-        "fields": {},
+        "fields": {"t0": 5.0, "conflict_retry": False, "outcome": "scheduled"},
     },
     {
-        "kind": "event",
         "name": "timeline.cell",
         "t": 60.0,
         "fields": {
@@ -54,7 +34,6 @@ RECORDS = [
         },
     },
     {
-        "kind": "event",
         "name": "timeline.sched",
         "t": 60.0,
         "sched": "s1",
@@ -104,15 +83,13 @@ class TestExport:
         }
         assert "s1" in threads
 
-    def test_spans_and_busy_intervals_are_duration_events(self):
+    def test_attempts_are_duration_events(self):
         document = export_perfetto(RECORDS)
-        durations = _events(document, "X")
-        assert {e["name"] for e in durations} == {"sched.attempt", "think"}
-        for event in durations:
-            assert event["dur"] >= 0.0
-        think = next(e for e in durations if e["name"] == "think")
-        assert think["ts"] == 5.0 * 1e6
-        assert think["dur"] == 5.0 * 1e6
+        (attempt,) = _events(document, "X")
+        assert attempt["name"] == "sched.attempt"
+        assert attempt["ts"] == 5.0 * 1e6
+        assert attempt["dur"] == 5.0 * 1e6
+        assert attempt["args"]["outcome"] == "scheduled"
 
     def test_timeline_samples_become_counters(self):
         document = export_perfetto(RECORDS)
@@ -160,8 +137,7 @@ class TestExport:
 
     def test_non_finite_values_are_sanitized(self):
         record = {
-            "kind": "event",
-            "name": "x",
+                "name": "x",
             "t": 1.0,
             "sched": "s1",
             "fields": {"bad": float("inf")},

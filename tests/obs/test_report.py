@@ -63,12 +63,11 @@ class TestGenerateReport:
     def test_trace_without_timeline_still_gets_conflict_chart(self):
         records = [
             {
-                "kind": "event",
-                "name": "txn.commit",
+                "name": "sched.attempt",
                 "t": float(i),
                 "sched": "s1",
                 "job": i,
-                "fields": {"conflicted": True},
+                "fields": {"t0": float(i), "claims": 1, "conflicted": True},
             }
             for i in range(4)
         ]

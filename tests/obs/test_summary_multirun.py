@@ -7,32 +7,34 @@ from repro.obs.summary import TraceSummary
 
 def run_start(architecture="omega", seed=0):
     return {
-        "kind": "event",
         "name": "run.start",
         "t": 0.0,
-        "fields": {"architecture": architecture, "seed": seed},
+        "fields": {"trace_version": 2, "architecture": architecture, "seed": seed},
     }
 
 
 def commit(sched, job, t=1.0, attempt=1):
+    """An attempt whose commit went through."""
     return {
-        "kind": "event",
-        "name": "txn.commit",
+        "name": "sched.attempt",
         "t": t,
         "sched": sched,
         "job": job,
         "attempt": attempt,
-        "fields": {"accepted": 4, "rejected": 0, "outcome": "success"},
+        "fields": {
+            "t0": t - 0.5, "claims": 1, "tasks": 4, "accepted": 4, "rejected": 0,
+            "conflicted": False, "outcome": "scheduled",
+        },
     }
 
 
 def busy(sched, t=1.0):
+    """An attempt that planned nothing, so issued no commit."""
     return {
-        "kind": "event",
-        "name": "sched.busy",
+        "name": "sched.attempt",
         "t": t,
         "sched": sched,
-        "fields": {"busy_s": 0.5, "conflict_retry": False},
+        "fields": {"t0": t - 0.5, "conflict_retry": False, "skip": "no_placement"},
     }
 
 

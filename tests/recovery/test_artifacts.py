@@ -30,6 +30,15 @@ class TestAtomicWriteText:
         atomic_write_text(target, "new")
         assert target.read_text() == "new"
 
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise IsADirectoryError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(tmp_path / "out.html", "<html>")
+        assert list(tmp_path.iterdir()) == []
+
     def test_temp_name_is_labelled(self, tmp_path):
         # The documented crash signature: an interrupted write leaves
         # only a clearly-labelled temp file, never a truncated target.

@@ -22,8 +22,8 @@ def _explode(x):
 
 def _traced(x):
     rec = obs.get_recorder()
-    with rec.span("point", value=x, t=0.0):
-        rec.event("work", t=0.0, value=x)
+    rec.event("work", t=0.0, value=x)
+    rec.event("point", t=0.0, value=x)
     return {"value": x * 2}
 
 

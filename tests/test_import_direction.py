@@ -138,7 +138,9 @@ def test_a_command_loads_only_what_it_runs(architecture):
 )
 def test_a_trace_consumer_loads_its_own_module(tmp_path, command, module):
     trace = tmp_path / "run.jsonl"
-    trace.write_text('{"kind":"event","name":"run.start","t":0.0}\n', encoding="utf-8")
+    trace.write_text(
+        '{"name":"run.start","t":0.0,"fields":{"trace_version":2}}\n', encoding="utf-8"
+    )
     argv = [command, str(trace)]
     if command != "trace":
         argv += ["--output", str(tmp_path / "out")]
