@@ -23,6 +23,7 @@ import sys
 from repro import CLUSTER_A, DecisionTimeModel, JobType, LightweightConfig, obs, run_lightweight
 from repro.experiments.common import ARCHITECTURES, format_table
 from repro.obs.summary import TraceSummary
+from repro.world import RunContext
 
 
 def main() -> None:
@@ -31,7 +32,6 @@ def main() -> None:
     # One trace recorder across all five architectures: the per-run
     # `run.start` markers and scheduler names keep the records apart.
     recorder = obs.TraceRecorder()
-    obs.set_recorder(recorder)
     rows = []
     for architecture in ARCHITECTURES:
         result = run_lightweight(
@@ -41,7 +41,8 @@ def main() -> None:
                 horizon=2 * 3600.0,
                 seed=7,
                 service_model=DecisionTimeModel(t_job=t_job_service),
-            )
+            ),
+            RunContext(recorder=recorder),
         )
         rows.append(
             {
@@ -60,7 +61,6 @@ def main() -> None:
         "\nNote how the shared-state row keeps batch wait times low and "
         "abandons nothing even with slow service decisions."
     )
-    obs.reset_recorder()
 
     summary = TraceSummary.from_records(recorder.records)
     print(

@@ -16,6 +16,7 @@ from repro import CLUSTER_B, JobType, LightweightConfig, obs
 from repro.experiments.common import LightweightSimulation
 from repro.obs.profile import CallbackProfiler
 from repro.obs.summary import TraceSummary
+from repro.world import RunContext
 
 
 def main() -> None:
@@ -31,14 +32,10 @@ def main() -> None:
     # here; pass path=... to stream JSONL) and profile where the event
     # loop's wall time goes.
     recorder = obs.TraceRecorder()
-    obs.set_recorder(recorder)
-    simulation = LightweightSimulation(config)
+    simulation = LightweightSimulation(config, RunContext(recorder=recorder))
     profiler = CallbackProfiler()
     simulation.sim.profiler = profiler
-    try:
-        result = simulation.run()
-    finally:
-        obs.reset_recorder()
+    result = simulation.run()
 
     print(f"cluster: {config.preset.name} ({config.preset.num_machines} machines)")
     print(f"simulated horizon: {config.horizon / 3600:.1f} h")

@@ -35,12 +35,13 @@ identity-keyed containers).
 from __future__ import annotations
 
 import argparse
+import functools
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro import obs
+from repro.obs.recorder import TraceRecorder
 
 #: Trace-record fields carrying wall-clock time, never compared.
 WALL_FIELDS = ("wall_ms",)
@@ -123,27 +124,21 @@ def diff_traces(
     return divergences
 
 
-def _run_traced(experiment: Callable[[], Any]) -> tuple[Any, list[dict[str, Any]]]:
-    recorder = obs.TraceRecorder(keep_records=True)
-    obs.set_recorder(recorder)
-    try:
-        result = experiment()
-    finally:
-        obs.reset_recorder()
-        recorder.close()
-    return result, recorder.records
+def _run_traced(experiment: Callable[..., Any], *args) -> tuple[Any, list[dict[str, Any]]]:
+    recorder = TraceRecorder()
+    return experiment(*args, recorder=recorder), recorder.records
 
 
 def run_gate(
-    experiment: Callable[[], Any],
+    experiment: Callable[..., Any],
     ignore_fields: Sequence[str] = WALL_FIELDS,
 ) -> DeterminismReport:
-    """Run ``experiment`` twice under fresh trace recorders and diff.
+    """Run ``experiment`` twice, each on a fresh trace recorder, and diff.
 
-    ``experiment`` must be self-seeding (take no arguments and fix its
-    own master seed). Divergent *return values* are reported as well as
-    divergent traces: a run whose trace matches but whose rows differ
-    is still nondeterministic.
+    ``experiment`` takes the keyword ``recorder`` to trace to and must
+    be self-seeding (fix its own master seed). Divergent *return
+    values* are reported as well as divergent traces: a run whose trace
+    matches but whose rows differ is still nondeterministic.
     """
     result_a, trace_a = _run_traced(experiment)
     result_b, trace_b = _run_traced(experiment)
@@ -156,22 +151,22 @@ def run_gate(
 
 
 def run_parallel_gate(
-    experiment: Callable[[int], Any],
+    experiment: Callable[..., Any],
     jobs: int,
     ignore_fields: Sequence[str] = WALL_FIELDS,
 ) -> DeterminismReport:
     """Diff a serial run against a ``jobs``-worker parallel run.
 
-    ``experiment`` takes the worker count and must otherwise be
-    self-seeding; it is called with ``1`` and then with ``jobs``. The
-    comparison is exactly the double-run gate's: traces modulo wall
-    time, plus return values — parallel execution must be
-    observationally indistinguishable from serial.
+    ``experiment`` takes the worker count and the keyword ``recorder``,
+    and must otherwise be self-seeding; it is called with ``1`` and then
+    with ``jobs``. The comparison is exactly the double-run gate's:
+    traces modulo wall time, plus return values — parallel execution
+    must be observationally indistinguishable from serial.
     """
     if jobs < 2:
         raise ValueError(f"--compare-jobs needs >= 2 workers, got {jobs}")
-    result_serial, trace_serial = _run_traced(lambda: experiment(1))
-    result_parallel, trace_parallel = _run_traced(lambda: experiment(jobs))
+    result_serial, trace_serial = _run_traced(experiment, 1)
+    result_parallel, trace_parallel = _run_traced(experiment, jobs)
     divergences = diff_traces(trace_serial, trace_parallel, ignore_fields)
     if not values_equal(result_serial, result_parallel):
         divergences.append(
@@ -216,11 +211,10 @@ def _run_check(options: argparse.Namespace) -> DeterminismReport:
         "timeline_interval": options.timeline_interval,
     }
     params = {**experiment.accepted(pool), **experiment.gate.overrides}
+    gated = functools.partial(run, experiment, params)
     if options.compare_jobs:
-        return run_parallel_gate(
-            lambda jobs: run(experiment, params, jobs=jobs), options.compare_jobs
-        )
-    return run_gate(lambda: run(experiment, params))
+        return run_parallel_gate(gated, options.compare_jobs)
+    return run_gate(gated)
 
 
 def _declared_checks(gates: dict, artifacts_dir: str):

@@ -32,7 +32,6 @@ from typing import Callable, Iterator
 
 from repro.core.cellstate import EPSILON, CellState
 from repro.core.transaction import Claim, CommitMode, CommitResult
-from repro.obs import recorder as _obs
 from repro.sim import Event, Simulator
 
 #: Called when an allocation is (partially) evicted: (record, count).
@@ -262,6 +261,8 @@ def commit_with_preemption(
     claims: list[Claim] | tuple[Claim, ...],
     precedence: int,
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
+    *,
+    tracing: bool = False,
 ) -> CommitResult:
     """Commit ``claims`` at ``precedence``, evicting lower-precedence
     allocations where free resources alone do not suffice.
@@ -270,7 +271,7 @@ def commit_with_preemption(
     rejected (a conflict) only if even free + preemptible resources
     cannot hold it; partial acceptance splits at task granularity like
     incremental commits. Accepted claims are applied to the master cell
-    state, and with tracing on every rejection is a ``capacity``
+    state, and with ``tracing`` every rejection is a ``capacity``
     conflict of the result (like :func:`repro.core.transaction.commit`);
     the caller then registers them in the ledger with
     ``already_claimed=True``.
@@ -312,6 +313,6 @@ def commit_with_preemption(
                 Claim(claim.machine, claim.cpu, claim.mem, claim.count - ok)
             )
     conflicts = ()
-    if _obs.RECORDER.enabled:
+    if tracing:
         conflicts = [[claim.machine, claim.count, "capacity"] for claim in rejected]
     return CommitResult(tuple(accepted), tuple(rejected), preempted, conflicts)

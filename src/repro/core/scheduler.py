@@ -239,6 +239,7 @@ class OmegaScheduler(QueueScheduler):
             snapshot,
             conflict_mode=self.conflict_mode,
             commit_mode=commit_mode,
+            tracing=self.sim.recorder.enabled,
         )
 
     def _apply(self, job: Job, result: CommitResult) -> None:
@@ -325,7 +326,7 @@ class PreemptingOmegaScheduler(OmegaScheduler):
 
         def evict_and_commit(claims, snapshot, job, commit_mode) -> CommitResult:
             return commit_with_preemption(
-                state, ledger, claims, job.precedence, commit_mode
+                state, ledger, claims, job.precedence, commit_mode, tracing=sim.recorder.enabled
             )
 
         super().__init__(

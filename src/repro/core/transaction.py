@@ -23,7 +23,6 @@ import enum
 from dataclasses import dataclass, replace
 
 from repro.core.cellstate import EPSILON, CellSnapshot, CellState
-from repro.obs import recorder as _obs
 
 
 class ConflictMode(enum.Enum):
@@ -98,6 +97,8 @@ def commit(
     snapshot: CellSnapshot,
     conflict_mode: ConflictMode = ConflictMode.FINE,
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
+    *,
+    tracing: bool = False,
 ) -> CommitResult:
     """Attempt to commit a transaction's claims to the master cell state.
 
@@ -109,14 +110,13 @@ def commit(
     rejected. Accepted claims are applied atomically: an all-or-nothing
     transaction that fails leaves the master copy untouched.
 
-    With tracing on, the result's ``conflicts`` name each rejection's
-    machine, rejected tasks and cause (``stale_sequence``,
-    ``partial_capacity`` or ``capacity``).
+    With ``tracing`` (the caller's recorder is on), the result's
+    ``conflicts`` name each rejection's machine, rejected tasks and
+    cause (``stale_sequence``, ``partial_capacity`` or ``capacity``).
     """
     if not claims:
         return CommitResult(accepted=(), rejected=())
 
-    tracing = _obs.RECORDER.enabled
     conflicts: list[list] | tuple = [] if tracing else ()
     accepted: list[Claim] = []
     rejected: list[Claim] = []

@@ -455,17 +455,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
 
-    recorder = None
+    recorder = obs.NULL_RECORDER
     if args.trace:
         try:
             recorder = obs.TraceRecorder(path=args.trace, keep_records=False)
         except OSError as exc:
             print(f"omega-sim: cannot open trace file: {exc}", file=sys.stderr)
             return 2
-        obs.set_recorder(recorder)
     try:
         with context or contextlib.nullcontext():
-            rows = run(experiment, params, jobs=args.jobs, recovery=context)
+            rows = run(experiment, params, jobs=args.jobs, recovery=context, recorder=recorder)
         if experiment.note is not None:
             print(experiment.note(rows), file=sys.stderr)
     except (ValueError, RecoveryError) as exc:
@@ -476,8 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 1
     finally:
-        if recorder is not None:
-            obs.reset_recorder()
+        if recorder.enabled:
             recorder.close()
             print(
                 f"trace: {recorder.records_emitted} records written to {args.trace}",

@@ -415,9 +415,12 @@ class LightweightSimulation(World):
             start += count
 
 
-def run_lightweight(config: LightweightConfig) -> RunSummary:
-    """Build and run one lightweight-simulator experiment."""
-    return LightweightSimulation(config).run()
+def run_lightweight(
+    config: LightweightConfig, context: RunContext | None = None
+) -> RunSummary:
+    """Build and run one lightweight-simulator experiment (on
+    ``context``, if given: ``RunContext(recorder=...)`` traces it)."""
+    return LightweightSimulation(config, context).run()
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.experiments.sweeps import (
 )
 from repro.federation.config import FederationConfig, FederationFaultConfig
 from repro.sim import RandomStreams
+from repro.world import RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.harness import FederatedResult, FederatedSimulation
@@ -75,8 +76,11 @@ SHARED_COLUMNS = [
 ]
 
 
-def build_federation(config: FederationConfig) -> FederatedSimulation:
-    """Construct a federation with its master streams.
+def build_federation(
+    config: FederationConfig, context: RunContext | None = None
+) -> FederatedSimulation:
+    """Construct a federation with its master streams (on ``context``,
+    if given).
 
     The streams are created here — not inside ``repro.federation``,
     which ``tests/test_source_invariants.py`` holds to the fault-injector
@@ -86,7 +90,7 @@ def build_federation(config: FederationConfig) -> FederatedSimulation:
     from repro.federation.harness import FederatedSimulation
 
     return FederatedSimulation(
-        config, streams=RandomStreams(config.cell_config.seed)
+        config, RandomStreams(config.cell_config.seed), context or RunContext()
     )
 
 

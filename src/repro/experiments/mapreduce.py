@@ -26,8 +26,10 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.model import REFERENCE_CELL_MACHINES
 from repro.metrics.stats import ecdf
+from repro.obs.recorder import NULL_RECORDER
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.clusters import preset_by_name
+from repro.world import RunContext
 
 DEFAULT_CLUSTERS = ("A", "C", "D")
 
@@ -73,6 +75,7 @@ def run_mapreduce_experiment(
     utilization_sample_interval: float = 300.0,
     initial_utilization: float | None = None,
     timeline_interval: float | None = None,
+    recorder=NULL_RECORDER,
 ) -> MapReduceRun:
     """Run the Omega architecture plus the specialized MapReduce
     scheduler under one allocation policy.
@@ -81,7 +84,7 @@ def run_mapreduce_experiment(
     (the paper's MR jobs were a subset of the existing workload), with
     configured worker counts shrunk to the cell size (see
     :data:`repro.mapreduce.model.REFERENCE_CELL_MACHINES`) so the extra
-    load stays proportionate.
+    load stays proportionate. The run traces to ``recorder``.
     """
     preset = preset_by_name(cluster)
     if scale != 1.0:
@@ -95,7 +98,7 @@ def run_mapreduce_experiment(
         initial_utilization=initial_utilization,
         timeline_interval=timeline_interval,
     )
-    simulation = LightweightSimulation(config).build()
+    simulation = LightweightSimulation(config, RunContext(recorder)).build()
     scheduler = MapReduceScheduler(
         "mapreduce",
         simulation.sim,
@@ -143,6 +146,7 @@ def figure15_rows(
     seed: int = 0,
     scale: float = 1.0,
     timeline_interval: float | None = None,
+    recorder=NULL_RECORDER,
 ) -> list[dict]:
     """Per-job speedup distribution per cluster and policy."""
     if policies is None:
@@ -158,6 +162,7 @@ def figure15_rows(
                 scale=scale,
                 initial_utilization=_mr_fill(cluster),
                 timeline_interval=timeline_interval,
+                recorder=recorder,
             )
             rows.append(
                 {
@@ -180,6 +185,7 @@ def figure16_rows(
     scale: float = 1.0,
     sample_interval: float = 300.0,
     timeline_interval: float | None = None,
+    recorder=NULL_RECORDER,
 ) -> list[dict]:
     """Utilization time series, normal vs max-parallelism, plus the
     dispersion summary (max-parallelism should be higher and more
@@ -195,6 +201,7 @@ def figure16_rows(
             utilization_sample_interval=sample_interval,
             initial_utilization=_mr_fill(cluster),
             timeline_interval=timeline_interval,
+            recorder=recorder,
         )
         cpu = np.array([u for _, u, _ in run.utilization_series])
         mem = np.array([u for _, _, u in run.utilization_series])

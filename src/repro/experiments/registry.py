@@ -44,9 +44,11 @@ from repro.experiments.sweeps import (
 )
 from repro.federation.config import ROUTING_POLICIES, FederationConfig
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
+from repro.obs.recorder import NULL_RECORDER
 from repro.recovery.runner import RecoveryContext, execute_map
 from repro.workload.clusters import preset_by_name
 from repro.workload.validation import validate_all
+from repro.world import RunContext
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +150,8 @@ class Experiment:
 
     def accepted(self, pool: Mapping[str, Any]) -> dict:
         """The set entries of ``pool`` (horizon, seed, scale, samples,
-        timeline_interval) this experiment takes; a grid always takes a
-        ``timeline_interval``, which :func:`run` puts on the configs."""
+        timeline_interval, recorder) this experiment takes; a grid always
+        takes a ``timeline_interval``, which :func:`run` puts on the configs."""
         names = set(self.parameters)
         if self.points is not None:
             names.add("timeline_interval")
@@ -163,20 +165,21 @@ class Experiment:
 # ----------------------------------------------------------------------
 # The one driver
 # ----------------------------------------------------------------------
-def run_point(point, columns=None, table=()) -> dict:
-    """Run one grid point to its row (the parallel-worker body).
+def run_point(point, recorder=NULL_RECORDER, columns=None, table=()) -> dict:
+    """Run one grid point to its row on ``recorder`` (the parallel-worker body).
 
     The post-run ``check_invariants()`` gate raises on any cell-state
     inconsistency, failing the whole sweep: a fault path that corrupts
     shared state must not silently skew a table.
     """
     config, extra = point
+    context = RunContext(recorder)
     if isinstance(config, FederationConfig):
-        world = federation.build_federation(config)
+        world = federation.build_federation(config, context)
     elif isinstance(config, HighFidelityConfig):
-        world = HighFidelitySimulation(config)
+        world = HighFidelitySimulation(config, context)
     else:
-        world = LightweightSimulation(config)
+        world = LightweightSimulation(config, context)
     result = world.run()
     world.check_invariants()
     row = result_row(result, **extra)
@@ -212,8 +215,10 @@ def run(
     params: Mapping[str, Any] | None = None,
     jobs: int | None = 1,
     recovery: RecoveryContext | None = None,
+    recorder=NULL_RECORDER,
 ) -> list[dict]:
-    """Run ``experiment`` with ``params`` and return its rows.
+    """Run ``experiment`` with ``params`` and return its rows, tracing
+    every simulation to ``recorder``.
 
     ``params`` are keyword arguments of the experiment's ``points`` (or
     ``rows``) function, plus — for a grid — an optional
@@ -225,7 +230,7 @@ def run(
     """
     params = validated(experiment, params or {})
     if experiment.rows is not None:
-        return experiment.rows(**params)
+        return experiment.rows(**params, **experiment.accepted({"recorder": recorder}))
     interval = params.pop("timeline_interval", None)
     points = experiment.points(**params)
     if interval is not None:
@@ -241,6 +246,7 @@ def run(
         jobs=jobs,
         labels=[point_label(extra) for _, extra in points],
         context=recovery,
+        recorder=recorder,
     )
     return experiment.finish(rows) if experiment.finish is not None else rows
 

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.cellstate import CellState
 from repro.hifi.failures import FailureRepairProcess
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.sim import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -216,7 +215,7 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     def _machine_failed(self, cell_index: int, machine: int, killed: int) -> None:
         self.metrics.record_machine_failure(killed)
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fault.machine_down",
@@ -227,7 +226,7 @@ class ChaosEngine:
             )
 
     def _machine_repaired(self, cell_index: int, machine: int) -> None:
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fault.machine_up", t=self.sim.now, cell=cell_index, machine=machine
@@ -247,7 +246,7 @@ class ChaosEngine:
             lost = scheduler.crash()
             self.crashes += 1
             self.metrics.record_scheduler_crash(scheduler.name)
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event(
                     "fault.sched_crash",
@@ -261,7 +260,7 @@ class ChaosEngine:
         self._schedule_crash(scheduler, rng)
 
     def _restart_scheduler(self, scheduler: "QueueScheduler") -> None:
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event("fault.sched_restart", t=self.sim.now, sched=scheduler.name)
         scheduler.restart()

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.obs import recorder as _obs
 from repro.sim import RandomStreams
 from repro.workload.job import Job
 from repro.world import RunContext
@@ -104,7 +103,7 @@ class FederatedCell:
         if self.partitioned:
             return
         self._published = self.live_digest()
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fed.digest",

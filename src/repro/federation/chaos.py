@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.federation.cells import FederatedCell
 from repro.federation.config import FederationFaultConfig
 from repro.federation.router import FrontDoor
-from repro.obs import recorder as _obs
 from repro.sim import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,7 +112,7 @@ class FederationChaosEngine:
                 drained.extend(scheduler.drain_pending())
             self.jobs_lost += lost
             self.jobs_drained += len(drained)
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event(
                     "fault.cell_blackout",
@@ -131,7 +130,7 @@ class FederationChaosEngine:
 
     def _recover(self, cell: FederatedCell) -> None:
         cell.blacked_out = False
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event("fault.cell_recover", t=self.sim.now, cell=cell.name)
         for scheduler in cell.world.schedulers:
@@ -145,7 +144,7 @@ class FederationChaosEngine:
             cell.freeze_digest()
             cell.partitioned = True
             self.partitions += 1
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event("fault.feed_partition", t=self.sim.now, cell=cell.name)
             self.sim.after(self.config.partition_duration, self._heal, cell)
@@ -154,7 +153,7 @@ class FederationChaosEngine:
     def _heal(self, cell: FederatedCell) -> None:
         cell.partitioned = False
         cell.thaw_digest()
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event("fault.feed_heal", t=self.sim.now, cell=cell.name)
 
@@ -165,7 +164,7 @@ class FederationChaosEngine:
         if not cell.link_down:
             cell.link_down = True
             self.flaps += 1
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event("fault.link_down", t=self.sim.now, cell=cell.name)
             self.sim.after(self.config.flap_duration, self._link_up, cell)
@@ -173,6 +172,6 @@ class FederationChaosEngine:
 
     def _link_up(self, cell: FederatedCell) -> None:
         cell.link_down = False
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event("fault.link_up", t=self.sim.now, cell=cell.name)

@@ -100,11 +100,14 @@ class FederatedSimulation:
     ``streams`` is the run's master :class:`~repro.sim.RandomStreams`,
     created by the caller from the cell template's seed; cell 0 shares
     it directly (the degenerate-baseline identity), higher cells fork.
+    Every cell runs on ``context``.
     """
 
-    def __init__(self, config: FederationConfig, streams: RandomStreams) -> None:
+    def __init__(
+        self, config: FederationConfig, streams: RandomStreams, context: RunContext
+    ) -> None:
         self.config = config
-        self.context = RunContext()
+        self.context = context
         self.sim = self.context.sim
         self.streams = streams
         self.cells: list[FederatedCell] = []

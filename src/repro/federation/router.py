@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.federation.cells import FederatedCell
 from repro.federation.config import FederationConfig
-from repro.obs import recorder as _obs
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
 
@@ -100,7 +99,7 @@ class FrontDoor:
 
     def migrate(self, jobs: Sequence[Job], from_cell: FederatedCell) -> None:
         """Re-home a dead cell's drained backlog, bounded per job."""
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         for job in jobs:
             count = self._migrations.get(job.job_id, 0) + 1
             self._migrations[job.job_id] = count
@@ -121,7 +120,7 @@ class FrontDoor:
     def record_lost(self, job: Job, cell: FederatedCell) -> None:
         """A blackout destroyed this job's in-flight transaction."""
         self.lost_to_blackout.add(job.job_id)
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fed.job_lost", t=self.sim.now, job=job.job_id, cell=cell.name
@@ -137,7 +136,7 @@ class FrontDoor:
             # suspension expires, charging its reroute budget so a
             # permanently-dead federation abandons instead of spinning.
             wake = max(min(self.suspended_until), self.sim.now)
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event(
                     "fed.route_stalled", t=self.sim.now, job=job.job_id, until=wake
@@ -169,7 +168,7 @@ class FrontDoor:
             self.config.backoff_base * 2.0 ** (self.failures[index] - 1),
         )
         self.suspended_until[index] = self.sim.now + backoff
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fed.route_timeout",
@@ -198,7 +197,7 @@ class FrontDoor:
         self.abandoned_by_reason[reason] = (
             self.abandoned_by_reason.get(reason, 0) + 1
         )
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "fed.abandoned",

@@ -27,7 +27,6 @@ from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
 from repro.hifi.trace import Trace, TraceJob
 from repro.metrics.results import RunSummary
-from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel
 from repro.sim import RandomStreams
 from repro.workload.job import Job
@@ -78,10 +77,12 @@ class HighFidelitySimulation(World):
     """One trace replay: the Omega schedulers under the scoring placer,
     filled and fed from the trace."""
 
-    def __init__(self, config: HighFidelityConfig) -> None:
+    def __init__(
+        self, config: HighFidelityConfig, context: RunContext | None = None
+    ) -> None:
         super().__init__(
             config,
-            RunContext(),
+            context or RunContext(),
             RandomStreams(config.seed),
             config.trace.cell(),
             config.effective_horizon,
@@ -129,7 +130,7 @@ class HighFidelitySimulation(World):
             job_id=next(self.context.job_ids),
             constraints=trace_job.constraints,
         )
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "hifi.job_submitted",

@@ -6,10 +6,10 @@ job retried — that end-of-run aggregates cannot explain.
 
 This package exports only the trace recorder of
 :mod:`repro.obs.recorder`: :class:`TraceRecorder`, :class:`NullRecorder`
-and its instance ``NULL_RECORDER``, and ``set_recorder`` /
-``get_recorder`` / ``reset_recorder``, which install the
-process-global recorder every instrumented hot path reads. The default
-recorder is a no-op whose cost on those paths is one attribute check.
+and its instance ``NULL_RECORDER``. A recorder belongs to one run: it
+enters as ``RunContext(recorder=...)`` and every instrumented hot path
+reads it as ``sim.recorder``. The default is ``NULL_RECORDER``, a no-op
+whose cost on those paths is one attribute check.
 Everything else is imported from the module that defines it, so a run
 loads none of the consumers:
 
@@ -27,35 +27,20 @@ loads none of the consumers:
 * :mod:`repro.obs.report` — self-contained HTML reports with inline SVG
   charts (``omega-sim report``).
 
-Enable tracing around any run::
+Trace a run by giving it a recorder::
 
-    from repro import obs
+    from repro import obs, run_lightweight
+    from repro.world import RunContext
 
     recorder = obs.TraceRecorder(path="run.jsonl", keep_records=False)
-    obs.set_recorder(recorder)
     try:
-        ...  # run any simulation
+        run_lightweight(config, RunContext(recorder=recorder))
     finally:
-        obs.reset_recorder()
         recorder.close()
 
 See ``docs/OBSERVABILITY.md`` for the record schema and a walkthrough.
 """
 
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    TraceRecorder,
-    get_recorder,
-    reset_recorder,
-    set_recorder,
-)
+from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
-__all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
-    "TraceRecorder",
-    "get_recorder",
-    "reset_recorder",
-    "set_recorder",
-]
+__all__ = ["NULL_RECORDER", "NullRecorder", "TraceRecorder"]

@@ -1,12 +1,14 @@
-"""The process-local trace recorder.
+"""The trace recorder of a run.
 
-One global recorder receives structured *events*, each a point in
-simulated time. By default the global recorder is a
+Each run owns one recorder, given as ``RunContext(recorder=...)``
+(:mod:`repro.world`) and read by every instrumented component as
+``sim.recorder``; it receives structured *events*, each a point in
+simulated time. By default it is ``NULL_RECORDER``, a
 :class:`NullRecorder` whose :attr:`~NullRecorder.enabled` flag is
 ``False``; every instrumented hot path guards emission with a single
 attribute check::
 
-    rec = recorder.RECORDER
+    rec = self.sim.recorder
     if rec.enabled:
         rec.event("run.start", t=sim.now, seed=seed)
 
@@ -111,27 +113,5 @@ class TraceRecorder:
             self._writer = None
 
 
-#: The process-global recorder. Instrumented code reads this module
-#: attribute directly (``recorder.RECORDER``) so swapping recorders
-#: takes effect everywhere immediately.
+#: The default recorder of every run: tracing off.
 NULL_RECORDER = NullRecorder()
-RECORDER: NullRecorder | TraceRecorder = NULL_RECORDER
-
-
-def get_recorder() -> NullRecorder | TraceRecorder:
-    """Return the current global recorder."""
-    return RECORDER
-
-
-def set_recorder(recorder: NullRecorder | TraceRecorder | None):
-    """Install ``recorder`` globally (None restores the null recorder)."""
-    global RECORDER  # ambient observer: read by hot-path guards, never steers a run
-    RECORDER = recorder if recorder is not None else NULL_RECORDER
-    return RECORDER
-
-
-def reset_recorder() -> NullRecorder:
-    """Restore the zero-overhead null recorder and return it."""
-    global RECORDER  # ambient observer: read by hot-path guards, never steers a run
-    RECORDER = NULL_RECORDER
-    return NULL_RECORDER

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from repro.obs import recorder as _obs
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cellstate import CellState
     from repro.faults.chaos import ChaosEngine
@@ -108,7 +106,7 @@ class TimelineSampler:
 
     def sample(self) -> None:
         """Emit one ``timeline.cell`` + per-scheduler ``timeline.sched``."""
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         self.samples_taken += 1
         now = self.sim.now
         interval = self.interval

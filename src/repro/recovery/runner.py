@@ -26,9 +26,10 @@ numbers sweeps in call order and points in item order, keys checkpoint
 records by ``(sweep, index)``, and refuses to resume when a stored
 label no longer matches the recomputed one.
 
-Trace stitching: when tracing is on and capture is needed (parallel
+Trace stitching: each point is called as ``fn(item, recorder)``. When
+the caller's ``recorder`` is on and capture is needed (parallel
 workers, or any checkpointed run), each point's records are captured in
-a private recorder and replayed into the parent recorder in submission
+a private recorder and replayed into the caller's in submission
 order after the sweep — producing the same record sequence a serial
 untraced-capture run would emit inline. Stored records from
 skipped points are replayed the same way, so a resumed run's stitched
@@ -41,7 +42,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Sequence
 
-from repro.obs import recorder as _obs
+from repro.obs.recorder import NULL_RECORDER
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.supervisor import (
     DEFAULT_POLICY,
@@ -138,14 +139,15 @@ def _plan_resume(
 
 
 def execute_map(
-    fn: Callable[[Any], Any],
+    fn: Callable[[Any, Any], Any],
     items: Sequence[Any],
     jobs: int | None = 1,
     labels: Sequence[str] | None = None,
     policy: SupervisorPolicy | None = None,
     context: RecoveryContext | None = None,
+    recorder=NULL_RECORDER,
 ) -> list[Any]:
-    """Run one sweep under ``context`` (if any).
+    """Run one sweep under ``context`` (if any), tracing to ``recorder``.
 
     Results come back in item order; ``jobs`` goes through
     :func:`resolve_jobs`. Without a context this is supervised
@@ -164,7 +166,6 @@ def execute_map(
         raise ValueError(f"got {len(labels)} labels for {n} items")
     sweep = context.next_sweep() if context is not None else 0
 
-    recorder = _obs.RECORDER
     tracing = recorder.enabled
     # Private-recorder capture is needed whenever records cannot simply
     # be emitted inline: parallel workers have no access to the parent
@@ -210,6 +211,7 @@ def execute_map(
             capture=capture,
             on_result=on_result,
             labels=[labels[index] for index in todo],
+            recorder=recorder,
         )
         for position, (result, records) in enumerate(executed):
             index = todo[position]

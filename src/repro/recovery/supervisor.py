@@ -28,9 +28,9 @@ are deterministic results of the code under test, so they are shipped
 back over the pipe and re-raised in the parent immediately (after
 in-flight siblings are cancelled) rather than retried.
 
-Incidents surface as ``recovery.*`` trace events (when tracing is on);
-a healthy run emits none, so supervised traces stay byte-identical to
-unsupervised ones.
+Incidents surface as ``recovery.*`` trace events on the recorder the
+caller passes (when tracing is on); a healthy run emits none, so
+supervised traces stay byte-identical to unsupervised ones.
 
 Wall-clock reads here are intentional (timeouts and backoff are
 real-time concepts, not simulated-time ones) and allowlisted by the
@@ -47,7 +47,7 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Sequence
 
-from repro.obs import recorder as _obs
+from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -111,33 +111,22 @@ def _encode_error(exc: Exception) -> Exception:
     return exc
 
 
-def _capture(fn: Callable[[Any], Any], item: Any) -> tuple[Any, list[dict]]:
-    """Run ``fn`` under a private in-memory recorder; return its records."""
-    from repro.obs.recorder import TraceRecorder
+def _run(
+    fn: Callable[[Any, Any], Any], item: Any, capture: bool, recorder
+) -> tuple[Any, list[dict] | None]:
+    """Run one point on ``recorder``, or with ``capture`` on a private
+    in-memory recorder whose records come back with the result."""
+    if not capture:
+        return fn(item, recorder), None
+    private = TraceRecorder()
+    return fn(item, private), private.records
 
-    previous = _obs.RECORDER
-    recorder = TraceRecorder(keep_records=True)
-    _obs.set_recorder(recorder)
+
+def _child_main(fn: Callable[[Any, Any], Any], item: Any, capture: bool, conn) -> None:
+    """Worker body: run one point, ship (status, value, records) back.
+    The parent's recorder never reaches a worker."""
     try:
-        result = fn(item)
-    finally:
-        _obs.set_recorder(previous if previous is not recorder else None)
-        recorder.close()
-    return result, recorder.records
-
-
-def _child_main(fn: Callable[[Any], Any], item: Any, capture: bool, conn) -> None:
-    """Worker body: run one point, ship (status, value, records) back."""
-    # A forked worker inherits the parent's global recorder; writing
-    # through it (worse: through its file descriptor) would corrupt the
-    # parent's trace, so always drop to the null recorder first.
-    _obs.reset_recorder()
-    try:
-        if capture:
-            result, records = _capture(fn, item)
-        else:
-            result, records = fn(item), None
-        payload = ("ok", result, records)
+        payload = ("ok", *_run(fn, item, capture, NULL_RECORDER))
     except Exception as exc:
         # worker boundary: the failure crosses the pipe and is re-raised
         # by the supervisor in the parent
@@ -159,24 +148,21 @@ class _Running:
     deadline: float | None
 
 
-def _run_inline(
-    fn: Callable[[Any], Any], item: Any, capture: bool
-) -> tuple[Any, list[dict] | None]:
-    if capture:
-        return _capture(fn, item)
-    return fn(item), None
-
-
 def supervised_map(
-    fn: Callable[[Any], Any],
+    fn: Callable[[Any, Any], Any],
     items: Sequence[Any],
     jobs: int = 1,
     policy: SupervisorPolicy = DEFAULT_POLICY,
     capture: bool = False,
     on_result: Callable[[int, Any, list[dict] | None], None] | None = None,
     labels: Sequence[str] | None = None,
+    recorder=NULL_RECORDER,
 ) -> list[tuple[Any, list[dict] | None]]:
-    """Map ``fn`` over ``items`` under supervision.
+    """Map ``fn(item, recorder)`` over ``items`` under supervision.
+
+    A point writes its records to a private recorder when ``capture``
+    is set, to ``recorder`` when it runs inline, and nowhere in a worker
+    otherwise; ``recovery.*`` incidents go to ``recorder``.
 
     Returns ``(result, captured_trace_records_or_None)`` per item, in
     item order. ``on_result(index, result, records)`` fires as each
@@ -202,7 +188,7 @@ def supervised_map(
 
     if jobs <= 1 or n <= 1:
         for index, item in enumerate(items):
-            result, records = _run_inline(fn, item, capture)
+            result, records = _run(fn, item, capture, recorder)
             finish(index, result, records)
         return results  # type: ignore[return-value]
 
@@ -241,9 +227,8 @@ def supervised_map(
     def requeue_or_fail(task: _Running, kind: str) -> None:
         nonlocal incidents
         incidents += 1
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event(
+        if recorder.enabled:
+            recorder.event(
                 f"recovery.point.{kind}", label=labels[task.index], attempt=task.attempt
             )
         if task.attempt >= policy.max_attempts:
@@ -262,9 +247,8 @@ def supervised_map(
     def degrade() -> None:
         nonlocal degraded
         degraded = True
-        rec = _obs.RECORDER
-        if rec.enabled:
-            rec.event("recovery.degraded_serial", incidents=incidents)
+        if recorder.enabled:
+            recorder.event("recovery.degraded_serial", incidents=incidents)
         # Reclaim in-flight points for the serial path.
         for conn, task in list(running.items()):
             reap(conn, task)
@@ -275,7 +259,7 @@ def supervised_map(
         while pending or running:
             if degraded:
                 for index, _attempt in sorted(pending):
-                    result, records = _run_inline(fn, items[index], capture)
+                    result, records = _run(fn, items[index], capture, recorder)
                     finish(index, result, records)
                 pending.clear()
                 break

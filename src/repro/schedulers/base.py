@@ -22,7 +22,6 @@ from repro.core.cellstate import CellState
 from repro.core.retry import StarvationEscalationPolicy
 from repro.core.transaction import Claim
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.sim import Event, Simulator
 from repro.workload.job import Job, JobType
 
@@ -167,7 +166,7 @@ class QueueScheduler(abc.ABC):
         self._busy = True
         think_time = self.decision_time(job)
         record = None
-        if _obs.RECORDER.enabled:
+        if self.sim.recorder.enabled:
             # "The time from state synchronization to the commit attempt
             # is a transaction": its record starts here.
             record = {
@@ -214,7 +213,7 @@ class QueueScheduler(abc.ABC):
         self._maybe_start()
 
     def _emit_attempt(self, job: Job, attempt: int, record: dict) -> None:
-        _obs.RECORDER.event(
+        self.sim.recorder.event(
             "sched.attempt",
             t=self.sim.now,
             sched=self.name,

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.cellstate import CellState
 from repro.core.transaction import Claim
-from repro.obs import recorder as _obs
 from repro.schedulers.mesos.drf import dominant_share, pick_next_framework
 from repro.sim import Simulator
 
@@ -177,7 +176,7 @@ class MesosAllocator:
         offer = Offer(self.offers_made, available_cpu.copy(), available_mem.copy())
         self._offered_cpu += offer.free_cpu
         self._offered_mem += offer.free_mem
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "mesos.offer_issued",

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.placement import randomized_first_fit
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.schedulers.mesos.allocator import MesosAllocator, Offer
 from repro.sim import Simulator
@@ -59,7 +58,7 @@ class MesosFramework(QueueScheduler):
         if self._busy:  # pragma: no cover - allocator checks wants_offers()
             raise RuntimeError(f"framework {self.name} offered while busy")
         if not self._queue or self._down:
-            rec = _obs.RECORDER
+            rec = self.sim.recorder
             if rec.enabled:
                 rec.event(
                     "mesos.offer_declined",

@@ -15,7 +15,6 @@ import numpy as np
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.metrics import MetricsCollector
-from repro.obs import recorder as _obs
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers.monolithic import MonolithicScheduler
 from repro.sim import Simulator
@@ -76,7 +75,7 @@ class StaticPartition:
             if job.job_type is JobType.BATCH
             else self.service_scheduler
         )
-        rec = _obs.RECORDER
+        rec = target.sim.recorder
         if rec.enabled:
             rec.event(
                 "partition.route",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable
 
+from repro.obs.recorder import NULL_RECORDER
 from repro.sim.events import Event, EventQueue
 
 
@@ -32,6 +33,9 @@ class Simulator:
         #: :class:`repro.obs.profile.CallbackProfiler`). When None —
         #: the default — dispatch pays only this None check.
         self.profiler: Any | None = None
+        #: The run's trace recorder, set by its :class:`repro.world.RunContext`;
+        #: components emit through it behind one ``enabled`` check.
+        self.recorder: Any = NULL_RECORDER
         #: Wall-clock seconds spent inside :meth:`run` so far.
         self.wall_seconds = 0.0
 

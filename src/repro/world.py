@@ -1,16 +1,17 @@
 """One run, one world: the lifecycle every simulation shares.
 
 A :class:`RunContext` owns what exists once per *run*: the event loop,
-the job-id sequence, and the ``run.start`` / ``run.end`` records that
-bracket the loop. A :class:`World` owns what
+the job-id sequence, the trace recorder, and the ``run.start`` /
+``run.end`` records that bracket the loop. A :class:`World` owns what
 exists once per *cell*: cell states, schedulers and their roles, the
 metrics collector, the optional ledger and collectors, the invariant
 gate and result assembly. A stand-alone simulation is a context with
 one world, a federation a context with N; which schedulers, how the
 cell is filled and where jobs come from is :meth:`World.assemble`.
 
-``obs.RECORDER`` stays process-wide on purpose: it observes a run and
-never steers its result.
+The recorder enters only as ``RunContext(recorder=...)``; the context
+hands it to its simulator as ``sim.recorder``, where every instrumented
+component reads it. Two runs in one process trace to two recorders.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.core.preemption import AllocationLedger
 from repro.invariants import CellStateInvariantChecker
 from repro.metrics import MetricsCollector
 from repro.metrics.results import RunSummary
-from repro.obs import recorder as _obs
 from repro.obs.export import TRACE_VERSION
+from repro.obs.recorder import NULL_RECORDER
 from repro.obs.timeline import TimelineSampler
 from repro.sim import RandomStreams, Simulator
 from repro.workload.job import Job
@@ -38,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RunContext:
     """What one run owns, shared by every world built under it."""
 
-    def __init__(self) -> None:
+    def __init__(self, recorder=NULL_RECORDER) -> None:
         self.sim = Simulator()
+        self.sim.recorder = recorder
         #: Ids for every job of the run, whichever source creates it.
         #: Schedulers hash on them, so they start at 1 for each run.
         self.job_ids: Iterator[int] = itertools.count(1)
@@ -48,7 +50,7 @@ class RunContext:
         """Run the loop to ``until`` between a ``run.start`` and a
         ``run.end`` record (the engine statistics, ``wall_seconds`` as
         ``wall_ms``); returns the statistics for :meth:`World.finalize`."""
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "run.start",
@@ -208,7 +210,7 @@ class World:
     def finalize(self, stats: dict) -> RunSummary:
         """The ``run.metrics`` record and result assembly, given the
         loop's final ``stats``."""
-        rec = _obs.RECORDER
+        rec = self.sim.recorder
         if rec.enabled:
             rec.event(
                 "run.metrics",

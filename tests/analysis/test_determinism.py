@@ -2,7 +2,6 @@
 
 import math
 
-from repro import obs
 import pytest
 
 from repro.analysis.determinism import (
@@ -70,23 +69,26 @@ class TestDiffTraces:
 class TestRunGate:
     def test_deterministic_experiment_passes(self):
         report = run_gate(
-            lambda: run(
+            lambda recorder: run(
                 EXPERIMENTS["fig5c"],
                 dict(t_jobs=(1.0,), clusters=("A",), horizon=600.0, seed=7, scale=0.02),
+                recorder=recorder,
             )
         )
         assert report.identical, report.render()
         assert report.records_a == report.records_b > 0
 
-    def test_restores_null_recorder(self):
-        run_gate(lambda: None)
-        assert obs.get_recorder() is obs.recorder.NULL_RECORDER
+    def test_each_run_gets_a_fresh_recorder(self):
+        recorders = []
+        run_gate(lambda recorder: recorders.append(recorder))
+        first, second = recorders
+        assert first is not second and first.enabled and second.enabled
 
     def test_nondeterministic_experiment_fails(self):
         calls = iter([1, 2])
 
-        def flaky():
-            obs.get_recorder().event("step", value=next(calls))
+        def flaky(recorder):
+            recorder.event("step", value=next(calls))
             return []
 
         report = run_gate(flaky)
@@ -96,8 +98,8 @@ class TestRunGate:
     def test_divergent_return_value_fails(self):
         calls = iter(["a", "b"])
 
-        def quiet_flaky():
-            obs.get_recorder().event("step", value=1)
+        def quiet_flaky(recorder):
+            recorder.event("step", value=1)
             return next(calls)
 
         report = run_gate(quiet_flaky)
@@ -114,7 +116,7 @@ class TestRunGate:
 
 class TestRunParallelGate:
     @staticmethod
-    def _experiment(jobs=1):
+    def _experiment(jobs, recorder):
         return run(
             EXPERIMENTS["fig5c"],
             dict(
@@ -125,6 +127,7 @@ class TestRunParallelGate:
                 scale=0.02,
             ),
             jobs=jobs,
+            recorder=recorder,
         )
 
     def test_serial_vs_parallel_identical(self):
@@ -137,7 +140,7 @@ class TestRunParallelGate:
             run_parallel_gate(self._experiment, jobs=1)
 
     def test_divergent_parallel_rows_fail(self):
-        def experiment(jobs=1):
+        def experiment(jobs, recorder):
             # A fake "experiment" whose result depends on the worker
             # count — exactly what the gate exists to catch.
             return [{"jobs": jobs}]

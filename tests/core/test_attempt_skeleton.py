@@ -17,7 +17,7 @@ from repro.core.transaction import Claim, CommitMode
 from repro.mapreduce.model import MapReduceJob, MapReduceProfile
 from repro.mapreduce.policies import NoAccelerationPolicy
 from repro.mapreduce.scheduler import MapReduceScheduler
-from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
+from repro.obs.recorder import TraceRecorder
 from repro.schedulers.base import DecisionTimeModel
 from tests.conftest import make_job
 
@@ -54,6 +54,7 @@ def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
     )
     job = make_job(num_tasks=2, cpu=3.0, mem=3.0, duration=100.0)
     job.precedence = 10
+    sim.recorder = recorder = TraceRecorder()
     scheduler.submit(job)
     # While the scheduler thinks, an equal-precedence (not preemptible)
     # allocation fills machine 1: the gang commit conflicts and the
@@ -65,6 +66,9 @@ def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
     # Only machine 0 has room; an escalated job takes it instead of
     # skipping every transaction for want of a full gang plan.
     assert job.placed_tasks == 1
+    # The preempting commit names the gang's conflicts while tracing.
+    first = next(r for r in recorder.records if r["name"] == "sched.attempt")
+    assert first["fields"]["conflicts"] == [[1, 1, "capacity"], [0, 1, "capacity"]]
 
 
 def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
@@ -80,13 +84,9 @@ def test_mapreduce_attempt_that_plans_nothing_records_txn_skipped(sim, metrics):
         MODEL,
         NoAccelerationPolicy(),
     )
-    recorder = TraceRecorder()
-    set_recorder(recorder)
-    try:
-        scheduler.submit(mr_job())
-        sim.run(until=0.15)
-    finally:
-        reset_recorder()
+    sim.recorder = recorder = TraceRecorder()
+    scheduler.submit(mr_job())
+    sim.run(until=0.15)
     (attempt,) = [r for r in recorder.records if r.get("name") == "sched.attempt"]
     assert attempt["fields"]["skip"] == "no_placement"
     assert "claims" not in attempt["fields"]

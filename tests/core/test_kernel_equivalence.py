@@ -30,7 +30,6 @@ from repro.core.placement import (
     randomized_first_fit,
 )
 from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
-from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
 from tests.core.cellstate_oracles import state_bits
 from tests.core.placement_oracles import (
     _ordered_fit_reference,
@@ -357,13 +356,12 @@ def _assert_master_equals(state: CellState, copy) -> None:
 def _traced_commit(state, claims, snapshot, conflict_mode, commit_mode):
     """``commit`` with tracing on: (result or None if the apply raised
     OvercommitError, the result's conflicts)."""
-    set_recorder(TraceRecorder())
     try:
-        result = commit(state, claims, snapshot, conflict_mode, commit_mode)
+        result = commit(
+            state, claims, snapshot, conflict_mode, commit_mode, tracing=True
+        )
     except OvercommitError:
         return None, []
-    finally:
-        reset_recorder()
     return result, result.conflicts
 
 

@@ -14,6 +14,7 @@ from repro.experiments.common import (
 from repro.experiments.sweeps import result_row
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
+from repro.world import RunContext
 from tests.conftest import tiny_preset
 
 
@@ -177,21 +178,18 @@ class TestRunIsolation:
         assert first and first == live_record_ids()
 
     def test_mesos_worlds_each_number_offers_from_one(self, preset):
+        recorder = obs.TraceRecorder()
         worlds = [
             LightweightSimulation(
                 LightweightConfig(
                     preset=preset, architecture="mesos", horizon=300.0, seed=seed
-                )
+                ),
+                RunContext(recorder),
             ).build()
             for seed in (1, 2)
         ]
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            for world in worlds:
-                world.run()
-        finally:
-            obs.reset_recorder()
+        for world in worlds:
+            world.run()
         offers = [
             record["fields"]["offer"]
             for record in recorder.records

@@ -82,19 +82,16 @@ class TestRunExperiment:
     def test_timeline_samples_the_mapreduce_scheduler(self):
         """The extension scheduler is registered on the world, so the
         experiment's subject has a ``timeline.sched`` series."""
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            run_mapreduce_experiment(
-                "D",
-                MaxParallelismPolicy(),
-                horizon=1800.0,
-                seed=1,
-                scale=0.3,
-                timeline_interval=600.0,
-            )
-        finally:
-            obs.reset_recorder()
+        recorder = obs.TraceRecorder()
+        run_mapreduce_experiment(
+            "D",
+            MaxParallelismPolicy(),
+            horizon=1800.0,
+            seed=1,
+            scale=0.3,
+            timeline_interval=600.0,
+            recorder=recorder,
+        )
         sampled = [
             record["sched"]
             for record in recorder.records

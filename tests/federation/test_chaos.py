@@ -37,12 +37,9 @@ def fault_schedule(seed, intensity=6.0):
     """Run one faulted federation with the in-memory recorder and return
     the (name, time, cell) sequence of every cell-scoped fault event."""
     recorder = obs.TraceRecorder()
-    obs.set_recorder(recorder)
-    try:
-        federation = build_federation(build_point(seed=seed, intensity=intensity))
-        federation.run()
-    finally:
-        obs.reset_recorder()
+    build_federation(
+        build_point(seed=seed, intensity=intensity), RunContext(recorder)
+    ).run()
     return [
         (record["name"], record["t"], record["fields"]["cell"])
         for record in recorder.records

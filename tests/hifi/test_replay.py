@@ -8,6 +8,7 @@ from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation, run_hi
 from repro.hifi.trace import synthesize_trace
 from repro.obs.summary import TraceSummary
 from repro.schedulers.base import DecisionTimeModel
+from repro.world import RunContext
 from tests.conftest import tiny_preset
 
 
@@ -83,17 +84,12 @@ class TestSharedLifecycle:
 
     @pytest.fixture(scope="class")
     def records(self, trace):
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            for num_batch_schedulers in (1, 3):
-                run_hifi(
-                    HighFidelityConfig(
-                        trace=trace, num_batch_schedulers=num_batch_schedulers
-                    )
-                )
-        finally:
-            obs.reset_recorder()
+        recorder = obs.TraceRecorder()
+        for num_batch_schedulers in (1, 3):
+            HighFidelitySimulation(
+                HighFidelityConfig(trace=trace, num_batch_schedulers=num_batch_schedulers),
+                RunContext(recorder),
+            ).run()
         return recorder.records
 
     def test_each_replay_records_one_run_start_and_one_run_metrics(self, records):

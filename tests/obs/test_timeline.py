@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.registry import EXPERIMENTS, Experiment, run
 from repro.obs import timeline
 from repro.workload import preset_by_name
+from repro.world import RunContext
 
 
 def _traced_run(seed: int = 1, interval: float | None = 120.0,
@@ -24,14 +26,10 @@ def _traced_run(seed: int = 1, interval: float | None = 120.0,
         timeline_interval=interval,
         **kwargs,
     )
-    recorder = obs.TraceRecorder(keep_records=True)
-    obs.set_recorder(recorder)
-    try:
-        simulation = LightweightSimulation(config)
-        simulation.build()
-        simulation.run()
-    finally:
-        obs.reset_recorder()
+    recorder = obs.TraceRecorder()
+    simulation = LightweightSimulation(config, RunContext(recorder))
+    simulation.build()
+    simulation.run()
     return recorder.records, simulation
 
 
@@ -106,9 +104,7 @@ class TestDeterminism:
             t_jobs=(1.0,), clusters=("A",), horizon=900.0, seed=3, scale=0.05,
             timeline_interval=120.0,
         )
-        report = run_parallel_gate(
-            lambda jobs: run(EXPERIMENTS["fig5c"], params, jobs=jobs), jobs=2
-        )
+        report = run_parallel_gate(partial(run, EXPERIMENTS["fig5c"], params), jobs=2)
         assert report.identical, report.render()
         assert report.records_a > 0
 
@@ -129,7 +125,7 @@ class TestDefaultInterval:
         preset = preset_by_name("A").scaled(0.02)
         configs = [LightweightConfig(preset=preset, horizon=60.0) for _ in range(2)]
         assert [config.timeline_interval for config in configs] == [None, None]
-        monkeypatch.setattr(registry, "run_point", lambda point, **_: {})
+        monkeypatch.setattr(registry, "run_point", lambda point, recorder, **_: {})
         run(self._experiment(configs), {"timeline_interval": 45.0})
         assert [config.timeline_interval for config in configs] == [45.0, 45.0]
         # Nothing lingers: a config built afterwards does not sample.
@@ -141,7 +137,7 @@ class TestDefaultInterval:
         config = LightweightConfig(
             preset=preset_by_name("A").scaled(0.02), timeline_interval=10.0
         )
-        monkeypatch.setattr(registry, "run_point", lambda point, **_: {})
+        monkeypatch.setattr(registry, "run_point", lambda point, recorder, **_: {})
         run(self._experiment([config]), {"timeline_interval": 45.0})
         assert config.timeline_interval == 10.0
 

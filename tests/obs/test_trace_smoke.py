@@ -17,12 +17,14 @@ from repro import CLUSTER_B, LightweightConfig, obs, run_lightweight
 from repro.experiments import cli
 from repro.experiments.common import LightweightSimulation
 from repro.experiments.resilience import resilience_points
-from repro.hifi import HighFidelityConfig, run_hifi, synthesize_trace
+from repro.hifi import HighFidelityConfig, synthesize_trace
+from repro.hifi.replay import HighFidelitySimulation
 from repro.obs.export import read_jsonl
 from repro.obs.histogram import Histogram
 from repro.obs.summary import TraceSummary, summarize_file
 from repro.schedulers import DecisionTimeModel
 from repro.schedulers.base import QueueScheduler
+from repro.world import RunContext
 from tests.conftest import tiny_preset
 
 
@@ -36,12 +38,7 @@ def _traced_run(**overrides):
         **overrides,
     )
     recorder = obs.TraceRecorder()
-    obs.set_recorder(recorder)
-    try:
-        result = run_lightweight(config)
-    finally:
-        obs.reset_recorder()
-    return result, recorder
+    return run_lightweight(config, RunContext(recorder)), recorder
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +63,8 @@ def test_every_record_is_well_formed(traced):
 
 
 def _jobs_and_trace(run):
-    """Call ``run()`` traced in memory; returns its result, every job
-    any scheduler was handed, and the records."""
+    """Call ``run(recorder)`` traced in memory; returns its result,
+    every job any scheduler was handed, and the records."""
     jobs = {}
     submit = QueueScheduler.submit
 
@@ -76,35 +73,33 @@ def _jobs_and_trace(run):
         submit(scheduler, job)
 
     recorder = obs.TraceRecorder()
-    obs.set_recorder(recorder)
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(QueueScheduler, "submit", remember)
-            result = run()
-    finally:
-        obs.reset_recorder()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueueScheduler, "submit", remember)
+        result = run(recorder)
     return result, list(jobs.values()), recorder.records
 
 
 def _lightweight(architecture):
-    return lambda: run_lightweight(
+    return lambda recorder: run_lightweight(
         LightweightConfig(
             preset=CLUSTER_B.scaled(0.05), architecture=architecture,
             horizon=2 * 3600.0, seed=11,
-        )
+        ),
+        RunContext(recorder),
     )
 
 
-def _hifi():
+def _hifi(recorder):
     trace = synthesize_trace(tiny_preset(num_machines=60), horizon=1800.0, seed=5)
-    return run_hifi(HighFidelityConfig(trace=trace, seed=0))
+    config = HighFidelityConfig(trace=trace, seed=0)
+    return HighFidelitySimulation(config, RunContext(recorder)).run()
 
 
-def _chaos():
+def _chaos(recorder):
     """Omega under intensity-10 faults: commit drops and two
     scheduler crashes that each cut an attempt short."""
     ((config, _),) = resilience_points(intensities=(10.0,), architectures=("omega",), seed=1)
-    return LightweightSimulation(config).run()
+    return LightweightSimulation(config, RunContext(recorder)).run()
 
 
 CLOSURE_RUNS = {
@@ -182,6 +177,14 @@ def test_conflicted_runs_trace_the_conflicts():
     metrics = result.metrics
     total_conflicts = sum(e.txn_conflicted for e in summary.schedulers.values())
     assert total_conflicts > 0, "expected at least one conflict in this setup"
+    # Each conflicted commit names its conflicts: the scheduler passes
+    # its recorder's ``enabled`` to ``commit(tracing=...)``.
+    conflicted = [
+        r["fields"] for r in recorder.records
+        if r["name"] == "sched.attempt" and r["fields"].get("conflicted")
+    ]
+    assert len(conflicted) == total_conflicts
+    assert all(fields["conflicts"] for fields in conflicted)
     for name in summary.scheduler_names():
         entry = summary.schedulers[name]
         fraction = metrics.overall_conflict_fraction(name)
@@ -200,7 +203,6 @@ def test_tracing_does_not_change_the_simulation():
         preset=CLUSTER_B.scaled(0.05), architecture="omega",
         horizon=2 * 3600.0, seed=11,
     )
-    assert obs.get_recorder().enabled is False
     plain = run_lightweight(config)
     assert plain.jobs_submitted == traced_result.jobs_submitted
     assert plain.jobs_scheduled == traced_result.jobs_scheduled

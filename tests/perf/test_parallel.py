@@ -11,14 +11,13 @@ from repro.analysis.determinism import canonical_record
 from repro.recovery.runner import execute_map, resolve_jobs
 
 
-def _square(x):
+def _square(x, _recorder):
     return x * x
 
 
-def _traced_point(label):
-    rec = obs.get_recorder()
-    rec.event("work", t=0.0, sched=label, step=1)
-    rec.event("point", t=0.0, sched=label)
+def _traced_point(label, recorder):
+    recorder.event("work", t=0.0, sched=label, step=1)
+    recorder.event("point", t=0.0, sched=label)
     return label
 
 
@@ -55,17 +54,15 @@ class TestParallelMap:
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ZeroDivisionError):
-            execute_map(lambda x: 1 // x, [1, 0], jobs=1)
+            execute_map(lambda x, _recorder: 1 // x, [1, 0], jobs=1)
 
 
 class TestTraceReplay:
     def _run(self, jobs):
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            results = execute_map(_traced_point, ["a", "b", "c"], jobs=jobs)
-        finally:
-            obs.reset_recorder()
+        recorder = obs.TraceRecorder()
+        results = execute_map(
+            _traced_point, ["a", "b", "c"], jobs=jobs, recorder=recorder
+        )
         return results, recorder.records
 
     def test_parallel_trace_identical_to_serial(self):

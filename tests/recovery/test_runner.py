@@ -2,6 +2,7 @@
 structure-change refusal, and trace stitching."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -12,18 +13,17 @@ from repro.recovery.manifest import RunManifest
 from repro.recovery.runner import RecoveryContext, execute_map
 
 
-def _double(x):
+def _double(x, _recorder):
     return {"value": x * 2}
 
 
-def _explode(x):
+def _explode(x, _recorder):
     raise AssertionError("a skipped point must not re-run")
 
 
-def _traced(x):
-    rec = obs.get_recorder()
-    rec.event("work", t=0.0, value=x)
-    rec.event("point", t=0.0, value=x)
+def _traced(x, recorder):
+    recorder.event("work", t=0.0, value=x)
+    recorder.event("point", t=0.0, value=x)
     return {"value": x * 2}
 
 
@@ -31,11 +31,15 @@ MANIFEST = dict(experiment="test", seed=0, parameters={})
 LABELS = ["a", "b", "c"]
 
 
-def checkpointed_run(tmp_path, fn=_double, labels=LABELS, items=(1, 2, 3)):
+def checkpointed_run(
+    tmp_path, fn=_double, labels=LABELS, items=(1, 2, 3), recorder=obs.NULL_RECORDER
+):
     store = CheckpointStore(tmp_path / "ck")
     store.initialize(RunManifest(**MANIFEST))
     with RecoveryContext(store=store) as context:
-        rows = execute_map(fn, list(items), labels=labels, context=context)
+        rows = execute_map(
+            fn, list(items), labels=labels, context=context, recorder=recorder
+        )
     return rows, context
 
 
@@ -150,41 +154,35 @@ class TestStructureChangeRefusal:
 
 class TestTraceStitching:
     def _records(self, run):
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            run()
-        finally:
-            obs.reset_recorder()
+        recorder = obs.TraceRecorder()
+        run(recorder=recorder)
         return [canonical_record(r) for r in recorder.records]
 
     def test_checkpointed_trace_matches_plain_serial(self, tmp_path):
-        plain = self._records(lambda: execute_map(_traced, [1, 2, 3]))
-        checkpointed = self._records(
-            lambda: checkpointed_run(tmp_path, fn=_traced)
-        )
+        plain = self._records(partial(execute_map, _traced, [1, 2, 3]))
+        checkpointed = self._records(partial(checkpointed_run, tmp_path, fn=_traced))
         assert plain  # non-vacuous
         assert json.dumps(plain) == json.dumps(checkpointed)
 
     def test_resumed_trace_matches_uninterrupted(self, tmp_path):
-        uninterrupted = self._records(
-            lambda: checkpointed_run(tmp_path, fn=_traced)
-        )
+        uninterrupted = self._records(partial(checkpointed_run, tmp_path, fn=_traced))
         # Simulate a crash after two points: drop the third record and
         # resume in a second "process".
         log = tmp_path / "ck" / "points.jsonl"
         lines = log.read_text().splitlines(keepends=True)
         log.write_text("".join(lines[:2]))
 
-        def resume():
+        def resume(recorder):
             with resuming_context(tmp_path) as context:
-                execute_map(_traced, [1, 2, 3], labels=LABELS, context=context)
+                execute_map(
+                    _traced, [1, 2, 3], labels=LABELS, context=context, recorder=recorder
+                )
 
         stitched = self._records(resume)
         assert json.dumps(stitched) == json.dumps(uninterrupted)
 
     def test_stored_traces_round_trip_through_log(self, tmp_path):
-        self._records(lambda: checkpointed_run(tmp_path, fn=_traced))
+        self._records(partial(checkpointed_run, tmp_path, fn=_traced))
         records = [
             json.loads(line)["record"]
             for line in (tmp_path / "ck" / "points.jsonl").read_text().splitlines()

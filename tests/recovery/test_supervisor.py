@@ -22,11 +22,11 @@ from repro.recovery.supervisor import (
 FAST = SupervisorPolicy(backoff_base=0.0)  # no sleeping in tests
 
 
-def _square(x):
+def _square(x, _recorder):
     return x * x
 
 
-def _crash_once(item):
+def _crash_once(item, _recorder):
     """SIGKILL the worker on the first attempt at each point."""
     value, sentinel_dir = item
     sentinel = os.path.join(sentinel_dir, f"attempted-{value}")
@@ -37,11 +37,11 @@ def _crash_once(item):
     return value * 10
 
 
-def _crash_always(item):
+def _crash_always(item, _recorder):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _crash_in_workers_only(item):
+def _crash_in_workers_only(item, _recorder):
     """Die in any worker process; succeed inline in the parent."""
     value, parent_pid = item
     if os.getpid() != parent_pid:
@@ -49,13 +49,13 @@ def _crash_in_workers_only(item):
     return value + 100
 
 
-def _hang_if_odd(x):
+def _hang_if_odd(x, _recorder):
     if x % 2:
         time.sleep(60.0)
     return x
 
 
-def _raise_for_zero(x):
+def _raise_for_zero(x, _recorder):
     if x == 0:
         raise ZeroDivisionError("deterministic bug")
     return x
@@ -66,25 +66,20 @@ class Unpicklable(Exception):
         raise TypeError("deliberately unpicklable")
 
 
-def _raise_unpicklable(x):
+def _raise_unpicklable(x, _recorder):
     raise Unpicklable(f"bad point {x}")
 
 
 def _incidents(run):
-    """Names of the ``recovery.*`` trace events ``run()`` emits."""
-    recorder = obs.TraceRecorder(keep_records=True)
-    obs.set_recorder(recorder)
-    try:
-        run()
-    finally:
-        obs.reset_recorder()
+    """Names of the ``recovery.*`` trace events ``run(recorder)`` emits."""
+    recorder = obs.TraceRecorder()
+    run(recorder)
     return [r["name"] for r in recorder.records if r["name"].startswith("recovery.")]
 
 
-def _traced(label):
-    rec = obs.get_recorder()
-    rec.event("work", t=0.0, label=label)
-    rec.event("point", t=0.0, label=label)
+def _traced(label, recorder):
+    recorder.event("work", t=0.0, label=label)
+    recorder.event("point", t=0.0, label=label)
     return label
 
 
@@ -148,7 +143,9 @@ class TestParallelPath:
         items = [(1, str(tmp_path)), (2, str(tmp_path))]
         results = []
         incidents = _incidents(
-            lambda: results.extend(supervised_map(_crash_once, items, jobs=2, policy=FAST))
+            lambda recorder: results.extend(
+                supervised_map(_crash_once, items, jobs=2, policy=FAST, recorder=recorder)
+            )
         )
         assert [value for value, _ in results] == [10, 20]
         assert incidents.count("recovery.point.crash") >= 2
@@ -169,9 +166,11 @@ class TestParallelPath:
         assert time.monotonic() - start < 30.0  # killed, not waited out
 
     def test_worker_exception_propagates_without_retry(self):
-        def run():
+        def run(recorder):
             with pytest.raises(ZeroDivisionError, match="deterministic bug"):
-                supervised_map(_raise_for_zero, [1, 0], jobs=2, policy=FAST)
+                supervised_map(
+                    _raise_for_zero, [1, 0], jobs=2, policy=FAST, recorder=recorder
+                )
 
         # A raise is a result, not an incident: no recovery events.
         assert _incidents(run) == []
@@ -187,26 +186,25 @@ class TestParallelPath:
         items = [(i, os.getpid()) for i in range(4)]
         results = []
         incidents = _incidents(
-            lambda: results.extend(
-                supervised_map(_crash_in_workers_only, items, jobs=2, policy=policy)
+            lambda recorder: results.extend(
+                supervised_map(
+                    _crash_in_workers_only, items, jobs=2, policy=policy, recorder=recorder
+                )
             )
         )
         assert [value for value, _ in results] == [100, 101, 102, 103]
         assert incidents.count("recovery.degraded_serial") == 1
 
     def test_incidents_emit_trace_events(self, tmp_path):
-        recorder = obs.TraceRecorder(keep_records=True)
-        obs.set_recorder(recorder)
-        try:
-            supervised_map(
-                _crash_once,
-                [(1, str(tmp_path)), (2, str(tmp_path))],
-                jobs=2,
-                policy=FAST,
-                labels=["one", "two"],
-            )
-        finally:
-            obs.reset_recorder()
+        recorder = obs.TraceRecorder()
+        supervised_map(
+            _crash_once,
+            [(1, str(tmp_path)), (2, str(tmp_path))],
+            jobs=2,
+            policy=FAST,
+            labels=["one", "two"],
+            recorder=recorder,
+        )
         crashes = [r for r in recorder.records if r["name"] == "recovery.point.crash"]
         # Each point's first attempt died; the event names point and attempt.
         assert sorted(r["fields"]["label"] for r in crashes) == ["one", "two"]

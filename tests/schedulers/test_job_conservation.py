@@ -18,8 +18,9 @@ from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.faults import FaultConfig
 from repro.mapreduce import MapReduceScheduler, MapReduceWorkload, MaxParallelismPolicy
-from repro.obs.recorder import TraceRecorder, reset_recorder, set_recorder
+from repro.obs.recorder import TraceRecorder
 from repro.schedulers.base import DecisionTimeModel
+from repro.world import RunContext
 from tests.conftest import make_job, tiny_preset
 
 
@@ -86,13 +87,9 @@ def _drain_and_check(world) -> None:
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_every_submitted_job_is_scheduled_or_abandoned(name):
-    world = LightweightSimulation(CONFIGS[name])
     recorder = TraceRecorder()
-    set_recorder(recorder)
-    try:
-        _drain_and_check(world)
-    finally:
-        reset_recorder()
+    world = LightweightSimulation(CONFIGS[name], RunContext(recorder))
+    _drain_and_check(world)
     faults = CONFIGS[name].fault_config or FaultConfig()
     if faults.commit_drop_prob:
         assert world.metrics.total("commits_dropped") > 0

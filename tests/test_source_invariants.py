@@ -357,10 +357,7 @@ def applies(check, path: str) -> bool:
 
 #: The only sites under ``src/`` that break a check, as (check, file,
 #: function), each with the reason it stands (also a comment there).
-OBSERVER = "ambient observer: read by hot-path guards, never steers a run"
 KNOWN = {
-    ("process_wide_state", "repro/obs/recorder.py", "set_recorder"): OBSERVER,
-    ("process_wide_state", "repro/obs/recorder.py", "reset_recorder"): OBSERVER,
     ("swallowed_exception", "repro/recovery/supervisor.py", "_encode_error"): (
         "picklability probe; the original failure is preserved in the summary re-raised by "
         "the parent"
@@ -428,22 +425,21 @@ def test_recovery_paths_break_only_the_worker_boundary():
     assert {path for _, path, _ in found} == {"repro/recovery/supervisor.py"}
 
 
-def test_process_wide_state_is_only_the_two_observers():
-    found = sorted(site[:3] for site in violations() if site[0] == "process_wide_state")
-    assert found == known_sites("process_wide_state")
-    assert {path for _, path, _ in found} == {"repro/obs/recorder.py"}
+def test_no_process_wide_state():
+    """Every mutable lives on its run or an owner, the trace recorder
+    included (``RunContext(recorder=...)``): no site stands."""
+    assert [site for site in violations() if site[0] == "process_wide_state"] == []
+    assert known_sites("process_wide_state") == []
 
 
-def test_only_globals_are_the_recorders():
-    """One process-wide mutable is left, ``obs.RECORDER``: the only
-    ``global`` statements under src/ are its setter's and resetter's."""
+def test_no_global_statement():
     found = [
         (file.relative_to(SRC).as_posix(), node.names)
         for file in sorted((SRC / "repro").rglob("*.py"))
         for node in ast.walk(ast.parse(file.read_text(encoding="utf-8")))
         if isinstance(node, ast.Global)
     ]
-    assert found == [("repro/obs/recorder.py", ["RECORDER"])] * 2
+    assert found == []
 
 
 NP = "import numpy as np\n"
