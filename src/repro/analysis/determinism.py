@@ -9,7 +9,7 @@ record) are ignored; everything else, including simulated times,
 scheduler/job ids, and commit outcomes, must be byte-identical. The
 returned experiment rows are compared too.
 
-A second mode (:func:`run_parallel_gate`, ``--compare-jobs N``)
+A second mode (:func:`run_gate` with ``jobs``, ``--compare-jobs N``)
 compares a *serial* run against the same experiment fanned out over N
 worker processes (see :mod:`repro.recovery.runner`): parallel execution
 is only admissible because it is observationally identical to serial,
@@ -131,51 +131,34 @@ def _run_traced(experiment: Callable[..., Any], *args) -> tuple[Any, list[dict[s
 
 def run_gate(
     experiment: Callable[..., Any],
+    jobs: int = 0,
     ignore_fields: Sequence[str] = WALL_FIELDS,
 ) -> DeterminismReport:
     """Run ``experiment`` twice, each on a fresh trace recorder, and diff.
 
     ``experiment`` takes the keyword ``recorder`` to trace to and must
-    be self-seeding (fix its own master seed). Divergent *return
-    values* are reported as well as divergent traces: a run whose trace
-    matches but whose rows differ is still nondeterministic.
+    be self-seeding (fix its own master seed). With ``jobs`` 0 it is
+    called with no other argument both times; otherwise it also takes a
+    worker count and is called with ``1`` and then with ``jobs``, so a
+    parallel run must be observationally indistinguishable from serial.
+    Divergent *return values* are reported as well as divergent traces:
+    a run whose trace matches but whose rows differ is still
+    nondeterministic.
     """
-    result_a, trace_a = _run_traced(experiment)
-    result_b, trace_b = _run_traced(experiment)
+    if jobs and jobs < 2:
+        raise ValueError(f"--compare-jobs needs >= 2 workers, got {jobs}")
+    first, second = ((1,), (jobs,)) if jobs else ((), ())
+    result_a, trace_a = _run_traced(experiment, *first)
+    result_b, trace_b = _run_traced(experiment, *second)
     divergences = diff_traces(trace_a, trace_b, ignore_fields)
     if not values_equal(result_a, result_b):
-        divergences.append("experiment return values differ between runs")
-    return DeterminismReport(
-        records_a=len(trace_a), records_b=len(trace_b), divergences=divergences
-    )
-
-
-def run_parallel_gate(
-    experiment: Callable[..., Any],
-    jobs: int,
-    ignore_fields: Sequence[str] = WALL_FIELDS,
-) -> DeterminismReport:
-    """Diff a serial run against a ``jobs``-worker parallel run.
-
-    ``experiment`` takes the worker count and the keyword ``recorder``,
-    and must otherwise be self-seeding; it is called with ``1`` and then
-    with ``jobs``. The comparison is exactly the double-run gate's:
-    traces modulo wall time, plus return values — parallel execution
-    must be observationally indistinguishable from serial.
-    """
-    if jobs < 2:
-        raise ValueError(f"--compare-jobs needs >= 2 workers, got {jobs}")
-    result_serial, trace_serial = _run_traced(experiment, 1)
-    result_parallel, trace_parallel = _run_traced(experiment, jobs)
-    divergences = diff_traces(trace_serial, trace_parallel, ignore_fields)
-    if not values_equal(result_serial, result_parallel):
         divergences.append(
             f"experiment rows differ between --jobs 1 and --jobs {jobs}"
+            if jobs
+            else "experiment return values differ between runs"
         )
     return DeterminismReport(
-        records_a=len(trace_serial),
-        records_b=len(trace_parallel),
-        divergences=divergences,
+        records_a=len(trace_a), records_b=len(trace_b), divergences=divergences
     )
 
 
@@ -211,10 +194,7 @@ def _run_check(options: argparse.Namespace) -> DeterminismReport:
         "timeline_interval": options.timeline_interval,
     }
     params = {**experiment.accepted(pool), **experiment.gate.overrides}
-    gated = functools.partial(run, experiment, params)
-    if options.compare_jobs:
-        return run_parallel_gate(gated, options.compare_jobs)
-    return run_gate(gated)
+    return run_gate(functools.partial(run, experiment, params), options.compare_jobs)
 
 
 def _declared_checks(gates: dict, artifacts_dir: str):

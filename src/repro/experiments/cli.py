@@ -15,12 +15,12 @@ Observability (see ``docs/OBSERVABILITY.md``): every command accepts
 ``--timeline-interval SECONDS`` to sample ``timeline.*`` telemetry
 series (utilization, busy fraction, conflict rate) on the simulated
 clock. ``omega-sim omega`` runs a single Omega operating point, the
-natural target for tracing. Consumers: ``omega-sim trace FILE``
+natural target for tracing. Consumers: ``omega-sim trace FILE...``
 summarizes a trace, engine statistics of every run included
-(``--json`` for the machine-readable rollup), ``omega-sim perfetto
-FILE`` converts it to Chrome/Perfetto trace-event JSON for
-ui.perfetto.dev, and ``omega-sim report FILE...`` renders a
-self-contained HTML report with SVG charts and percentile tables.
+(``--json`` for the machine-readable rollup; several files read as
+one trace, so their runs compare side by side), and ``omega-sim
+perfetto FILE`` converts it to Chrome/Perfetto trace-event JSON for
+ui.perfetto.dev.
 
 Performance (see ``docs/PERFORMANCE.md``): sweep commands accept
 ``--jobs N`` to fan independent sweep points across worker processes
@@ -112,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="also save the rows to FILE (.json or .csv)",
         )
         sub.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for independent sweep points "
-            "(0 = all cores; results are identical to --jobs 1)",
-        )
-        sub.add_argument(
             "--trace",
             metavar="FILE",
             help="record a structured JSONL trace of every simulation run "
@@ -134,6 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
             "simulated seconds; records land in the --trace file",
         )
         if experiment.points is not None:
+            sub.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="worker processes for independent sweep points "
+                "(0 = all cores; results are identical to --jobs 1)",
+            )
             sub.add_argument(
                 "--checkpoint",
                 metavar="DIR",
@@ -184,7 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         "conflict fraction, busy-time breakdown, conflict timelines, "
         "retry chains",
     )
-    trace_parser.add_argument("file", help="JSONL trace file to summarize")
+    trace_parser.add_argument(
+        "files",
+        nargs="+",
+        metavar="FILE",
+        help="JSONL trace file(s) to summarize, read in order as one trace",
+    )
     trace_parser.add_argument(
         "--jobs", type=int, default=5, help="retry chains to show (longest first)"
     )
@@ -212,22 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="output path (default: INPUT.perfetto.json)",
     )
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help="render JSONL trace(s) as a self-contained static HTML "
-        "report: timeline charts (inline SVG), per-scheduler percentile "
-        "tables, conflict timelines; several traces compare side by side",
-    )
-    report_parser.add_argument(
-        "files", nargs="+", metavar="FILE", help="JSONL trace file(s)"
-    )
-    report_parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default="report.html",
-        help="output path (default: report.html)",
-    )
     return parser
 
 
@@ -245,11 +234,12 @@ def _output_file_error(path: str) -> str | None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.summary import summarize_file
 
-    if args.bins < 1:
-        print(f"omega-sim trace: --bins must be >= 1, got {args.bins}", file=sys.stderr)
-        return 2
+    for flag, value in (("--jobs", args.jobs), ("--bins", args.bins)):
+        if value < 1:
+            print(f"omega-sim trace: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     try:
-        summary = summarize_file(args.file)
+        summary = summarize_file(*args.files)
         if args.json:
             import json
 
@@ -287,26 +277,6 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
     print(
         f"perfetto: {count} trace events written to {output} "
         "(open in ui.perfetto.dev)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import write_report
-
-    error = _output_file_error(args.output)
-    if error is not None:
-        print(f"omega-sim report: {error}", file=sys.stderr)
-        return 2
-    try:
-        size = write_report(args.files, args.output)
-    except (OSError, ValueError) as exc:
-        print(f"omega-sim report: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"report: {len(args.files)} trace(s) rendered to {args.output} "
-        f"({size} bytes)",
         file=sys.stderr,
     )
     return 0
@@ -422,7 +392,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         return f"--scale must be positive and finite, got {args.scale}"
     if not 0 < args.hours < math.inf:
         return f"--hours must be positive and finite, got {args.hours}"
-    if args.jobs < 0:
+    if getattr(args, "jobs", 1) < 0:
         return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
     if args.samples < 1:
         return f"--samples must be >= 1, got {args.samples}"
@@ -442,8 +412,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_trace(args)
     if args.command == "perfetto":
         return _cmd_perfetto(args)
-    if args.command == "report":
-        return _cmd_report(args)
     error = _argument_error(args)
     if error is not None:
         print(f"omega-sim: {error}", file=sys.stderr)
@@ -464,7 +432,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         with context or contextlib.nullcontext():
-            rows = run(experiment, params, jobs=args.jobs, recovery=context, recorder=recorder)
+            rows = run(
+                experiment,
+                params,
+                jobs=getattr(args, "jobs", 1),
+                recovery=context,
+                recorder=recorder,
+            )
         if experiment.note is not None:
             print(experiment.note(rows), file=sys.stderr)
     except (ValueError, RecoveryError) as exc:

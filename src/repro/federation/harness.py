@@ -63,10 +63,6 @@ class FederatedResult(PooledSummary):
         (reroute-cap / migration-cap)."""
         return super().jobs_abandoned + sum(self.abandoned_by_reason.values())
 
-    @property
-    def jobs_lost_to_blackout(self) -> int:
-        return self.accounting["lost_to_blackout"]
-
     # ------------------------------------------------------------------
     # Federation-wide wait-time percentiles (Histogram.merge_state)
     # ------------------------------------------------------------------

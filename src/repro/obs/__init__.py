@@ -21,11 +21,10 @@ loads none of the consumers:
   the event loop ("top-N hottest callbacks");
 * :mod:`repro.obs.export` — JSONL writing and reading;
 * :mod:`repro.obs.summary` — conflict timelines, retry chains and
-  busy-time breakdowns (``omega-sim trace``);
-* :mod:`repro.obs.perfetto` — Chrome/Perfetto trace-event JSON
-  (``omega-sim perfetto``);
-* :mod:`repro.obs.report` — self-contained HTML reports with inline SVG
-  charts (``omega-sim report``).
+  busy-time breakdowns (``omega-sim trace``, which reads several traces
+  as one to compare their runs);
+* :mod:`repro.obs.perfetto` — Chrome/Perfetto trace-event JSON whose
+  counter tracks chart the ``timeline.*`` series (``omega-sim perfetto``).
 
 Trace a run by giving it a recorder::
 

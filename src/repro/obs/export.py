@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 
 class JsonlWriter:
@@ -52,16 +52,6 @@ class JsonlWriter:
     def __exit__(self, *exc: Any) -> bool:
         self.close()
         return False
-
-
-def write_jsonl(records: Iterable[dict[str, Any]], path: str) -> int:
-    """Write ``records`` to ``path``; returns the number written."""
-    count = 0
-    with JsonlWriter(path) as writer:
-        for record in records:
-            writer.write(record)
-            count += 1
-    return count
 
 
 #: The trace format each ``run.start`` record names as ``trace_version``:

@@ -519,7 +519,7 @@ class TraceSummary:
             lines.append(
                 f"timeline: {len(self.timeline_cell)} samples over "
                 f"{len(self.timeline_sched)} scheduler series "
-                "(chart them with `omega-sim report`)"
+                "(chart them with `omega-sim perfetto`)"
             )
         return "\n".join(lines)
 
@@ -619,13 +619,16 @@ def _format_rows(rows: list[dict[str, Any]]) -> str:
     return "\n".join([header, separator, *body])
 
 
-def summarize_file(path: str) -> TraceSummary:
-    """Load a JSONL trace and summarize it; a bad record raises
-    ``ValueError`` naming ``path:line``."""
+def summarize_file(*paths: str) -> TraceSummary:
+    """Load JSONL traces, in order, as one trace and summarize it (the
+    summary of their concatenation); a bad record raises ``ValueError``
+    naming ``path:line``."""
     from repro.obs.export import iter_jsonl
 
-    numbered = list(iter_jsonl(path))
+    numbered = [
+        (f"{path}:{lineno}", record) for path in paths for lineno, record in iter_jsonl(path)
+    ]
     return TraceSummary.from_records(
         (record for _, record in numbered),
-        origins=(f"{path}:{lineno}" for lineno, _ in numbered),
+        origins=(origin for origin, _ in numbered),
     )

@@ -24,8 +24,8 @@ events to the loop, so it is part of the run's configuration rather
 than a recorder side effect.
 
 Consumers: ``omega-sim trace`` / ``trace --json`` summarize the series,
-:mod:`repro.obs.perfetto` turns them into Perfetto counter tracks, and
-``omega-sim report`` charts them (see ``docs/OBSERVABILITY.md``).
+and ``omega-sim perfetto`` (:mod:`repro.obs.perfetto`) turns them into
+counter tracks to chart (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

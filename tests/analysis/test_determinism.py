@@ -10,7 +10,6 @@ from repro.analysis.determinism import (
     diff_traces,
     main,
     run_gate,
-    run_parallel_gate,
     values_equal,
 )
 from repro.experiments.registry import EXPERIMENTS, run
@@ -131,13 +130,13 @@ class TestRunParallelGate:
         )
 
     def test_serial_vs_parallel_identical(self):
-        report = run_parallel_gate(self._experiment, jobs=2)
+        report = run_gate(self._experiment, jobs=2)
         assert report.identical
         assert report.records_a == report.records_b > 0
 
     def test_rejects_degenerate_worker_count(self):
-        with pytest.raises(ValueError):
-            run_parallel_gate(self._experiment, jobs=1)
+        with pytest.raises(ValueError, match="needs >= 2 workers, got 1"):
+            run_gate(self._experiment, jobs=1)
 
     def test_divergent_parallel_rows_fail(self):
         def experiment(jobs, recorder):
@@ -145,8 +144,10 @@ class TestRunParallelGate:
             # count — exactly what the gate exists to catch.
             return [{"jobs": jobs}]
 
-        report = run_parallel_gate(experiment, jobs=2)
-        assert not report.identical
+        report = run_gate(experiment, jobs=2)
+        assert report.divergences == [
+            "experiment rows differ between --jobs 1 and --jobs 2"
+        ]
 
 
 class TestGateCli:

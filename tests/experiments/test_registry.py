@@ -52,6 +52,14 @@ class TestDeclarations:
         )
         assert (args.jobs, args.checkpoint, args.resume) == (2, "d", True)
 
+    @pytest.mark.parametrize("name", [n for n in EXPERIMENTS if n not in GRIDS])
+    def test_rows_commands_refuse_jobs(self, capsys, name):
+        """A ``rows`` command runs no grid, so it takes no ``--jobs``."""
+        with pytest.raises(SystemExit) as exited:
+            main([name, "--jobs", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "experiment", [*EXPERIMENTS.values(), DEGENERATE_GATE], ids=lambda e: e.name
     )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import cli
 from repro.obs import TraceRecorder
-from repro.obs.export import JsonlWriter, read_jsonl, write_jsonl
+from repro.obs.export import JsonlWriter, read_jsonl
 
 
 def test_round_trip_preserves_records(tmp_path):
@@ -16,7 +16,9 @@ def test_round_trip_preserves_records(tmp_path):
         {"name": "sched.attempt", "t": 1.0, "job": 3,
          "fields": {"t0": 0.5, "outcome": "scheduled", "conflicts": [[4, 1, "capacity"]]}},
     ]
-    assert write_jsonl(records, path) == 2
+    with JsonlWriter(path) as writer:
+        for record in records:
+            writer.write(record)
     assert read_jsonl(path) == records
 
 
@@ -73,14 +75,24 @@ BAD_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("command", ["trace", "report", "perfetto"])
+def _argv(tmp_path, command, trace):
+    """The argv by which ``command`` reads ``trace``: ``trace second``
+    reads it after a good trace, as the second of two files."""
+    if command == "trace second":
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(RUN_START + b"\n")
+        return ["trace", str(good), str(trace)]
+    if command == "perfetto":
+        return [command, str(trace), "--output", str(tmp_path / "out")]
+    return [command, str(trace)]
+
+
+@pytest.mark.parametrize("command", ["trace", "trace second", "perfetto"])
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_bad_record_exits_two_naming_its_line(tmp_path, capsys, command, case):
     trace = tmp_path / "bad.jsonl"
     trace.write_bytes(RUN_START + b"\n" + BAD_RECORDS[case])
-    argv = [command, str(trace)]
-    if command != "trace":
-        argv += ["--output", str(tmp_path / "out")]
+    argv = _argv(tmp_path, command, trace)
     if command == "perfetto" and case == "stateless histogram":
         assert cli.main(argv) == 0  # the Perfetto export reads no histograms
         return
@@ -99,7 +111,7 @@ PARENT_FORMAT = (
 )
 
 
-@pytest.mark.parametrize("command", ["trace", "report", "perfetto"])
+@pytest.mark.parametrize("command", ["trace", "trace second", "perfetto"])
 @pytest.mark.parametrize(
     "first", [PARENT_FORMAT, b'{"name":"run.start","t":0.0,"fields":{"trace_version":1}}\n'],
     ids=["unversioned", "version 1"],
@@ -107,10 +119,7 @@ PARENT_FORMAT = (
 def test_older_trace_exits_two_naming_its_line(tmp_path, capsys, command, first):
     trace = tmp_path / "old.jsonl"
     trace.write_bytes(first)
-    argv = [command, str(trace)]
-    if command != "trace":
-        argv += ["--output", str(tmp_path / "out")]
-    assert cli.main(argv) == 2
+    assert cli.main(_argv(tmp_path, command, trace)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
@@ -118,7 +127,8 @@ def test_older_trace_exits_two_naming_its_line(tmp_path, capsys, command, first)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["report", "perfetto"])
+# One consumer takes --output; the parameter keeps the cases' ids.
+@pytest.mark.parametrize("command", ["perfetto"])
 @pytest.mark.parametrize("output", ["a directory", "in a missing directory"])
 def test_unwritable_output_exits_two_before_reading(tmp_path, capsys, command, output):
     target = tmp_path / "out"
@@ -133,14 +143,18 @@ def test_unwritable_output_exits_two_before_reading(tmp_path, capsys, command, o
     assert [path.name for path in tmp_path.iterdir()] == (["out"] if target.exists() else [])
 
 
-@pytest.mark.parametrize("bins", ["0", "-3"])
-def test_trace_bins_below_one_exits_two(tmp_path, capsys, bins):
+@pytest.mark.parametrize(
+    "flag, value", [("--bins", "0"), ("--bins", "-3"), ("--jobs", "0")], ids=["0", "-3", "jobs 0"]
+)
+def test_trace_bins_below_one_exits_two(tmp_path, capsys, flag, value):
+    """``--bins`` or ``--jobs`` (retry chains to show) below one exits 2
+    with one line naming the flag."""
     trace = tmp_path / "run.jsonl"
     trace.write_bytes(RUN_START + b"\n")
-    assert cli.main(["trace", str(trace), "--bins", bins]) == 2
+    assert cli.main(["trace", str(trace), flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"omega-sim trace: --bins must be >= 1, got {bins}\n"
+    assert captured.err == f"omega-sim trace: {flag} must be >= 1, got {value}\n"
 
 
 def test_write_after_close_raises(tmp_path):

@@ -2,6 +2,9 @@
 summary prefixes scheduler and job keys with the run index so runs
 never alias; a single-run trace stays byte-identical to before."""
 
+import pytest
+
+from repro.experiments import cli
 from repro.obs.summary import TraceSummary
 
 
@@ -103,3 +106,30 @@ class TestMultiRunPrefixing:
         assert "run2/omega-batch" in text
         rollup = summary.json_rollup()
         assert rollup["runs"] == 2
+
+
+class TestSeveralFiles:
+    """``omega-sim trace a b`` reads its files as one trace: runs are
+    numbered across files, as in ``cat a b``, so two runs compare side
+    by side."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("runs")
+        paths = [directory / f"seed{seed}.jsonl" for seed in (0, 1)]
+        for seed, path in enumerate(paths):
+            argv = ["omega", "--smoke", "--seed", str(seed), "--timeline-interval", "300"]
+            assert cli.main([*argv, "--trace", str(path)]) == 0
+        joined = directory / "cat.jsonl"
+        joined.write_bytes(b"".join(path.read_bytes() for path in paths))
+        return [str(path) for path in paths], str(joined)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_output_is_that_of_the_concatenation(self, capsys, traces, flags):
+        paths, joined = traces
+        capsys.readouterr()
+        assert cli.main(["trace", *paths, *flags]) == 0
+        several = capsys.readouterr().out
+        assert cli.main(["trace", joined, *flags]) == 0
+        assert several == capsys.readouterr().out
+        assert "run1/omega-batch" in several and "run2/omega-batch" in several

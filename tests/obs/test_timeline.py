@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from repro import obs
-from repro.analysis.determinism import run_parallel_gate
+from repro.analysis.determinism import run_gate
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.registry import EXPERIMENTS, Experiment, run
 from repro.obs import timeline
@@ -104,7 +104,7 @@ class TestDeterminism:
             t_jobs=(1.0,), clusters=("A",), horizon=900.0, seed=3, scale=0.05,
             timeline_interval=120.0,
         )
-        report = run_parallel_gate(partial(run, EXPERIMENTS["fig5c"], params), jobs=2)
+        report = run_gate(partial(run, EXPERIMENTS["fig5c"], params), jobs=2)
         assert report.identical, report.render()
         assert report.records_a > 0
 

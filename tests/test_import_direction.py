@@ -77,7 +77,7 @@ NOT_IN_A_RUN = tuple(
     for layer, names in (
         ("analysis", ("determinism",)),
         ("federation", ("harness", "router", "cells", "chaos")),
-        ("obs", ("summary", "report", "perfetto", "profile")),
+        ("obs", ("summary", "perfetto", "profile")),
     )
     for name in names
 )
@@ -134,7 +134,7 @@ def test_a_command_loads_only_what_it_runs(architecture):
 
 @pytest.mark.parametrize(
     "command, module",
-    [("trace", "summary"), ("perfetto", "perfetto"), ("report", "report")],
+    [("trace", "summary"), ("perfetto", "perfetto")],
 )
 def test_a_trace_consumer_loads_its_own_module(tmp_path, command, module):
     trace = tmp_path / "run.jsonl"
@@ -142,7 +142,7 @@ def test_a_trace_consumer_loads_its_own_module(tmp_path, command, module):
         '{"name":"run.start","t":0.0,"fields":{"trace_version":2}}\n', encoding="utf-8"
     )
     argv = [command, str(trace)]
-    if command != "trace":
+    if command == "perfetto":
         argv += ["--output", str(tmp_path / "out")]
     assert f"repro.obs.{module}" in loaded_modules(*argv)
 
