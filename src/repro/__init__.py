@@ -34,11 +34,11 @@ from repro.cluster import Cell, Machine
 from repro.core import (
     CellSnapshot,
     CellState,
-    Claim,
     CommitMode,
     CommitResult,
     ConflictMode,
     OmegaScheduler,
+    Plan,
     SchedulerPool,
     commit,
     randomized_first_fit,
@@ -84,7 +84,7 @@ __all__ = [
     # core
     "CellState",
     "CellSnapshot",
-    "Claim",
+    "Plan",
     "CommitMode",
     "ConflictMode",
     "CommitResult",

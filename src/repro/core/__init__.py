@@ -25,10 +25,10 @@ from repro.core.preemption import (
 from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
 from repro.core.multi import SchedulerPool
 from repro.core.transaction import (
-    Claim,
     CommitMode,
     CommitResult,
     ConflictMode,
+    Plan,
     commit,
 )
 
@@ -36,7 +36,7 @@ __all__ = [
     "CellState",
     "CellSnapshot",
     "OvercommitError",
-    "Claim",
+    "Plan",
     "CommitMode",
     "ConflictMode",
     "CommitResult",

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cluster import Cell
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (transaction -> cellstate)
-    from repro.core.transaction import Claim
+    from repro.core.transaction import Plan
 
 #: Tolerance for floating-point resource accounting. A machine is
 #: considered able to hold a task if the request exceeds the free amount
@@ -278,95 +278,106 @@ class CellState:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        total_cpu = cpu * count
-        total_mem = mem * count
-        if not (total_cpu >= 0.0 and total_mem >= 0.0):
+        self._claim(cpu, mem, (machine,), (count,))
+
+    def claim_batch(self, plan: "Plan") -> None:
+        """:meth:`claim` every entry of ``plan``, in order, in one walk: a
+        misfit raises :class:`OvercommitError` with the entries before
+        it applied."""
+        self._claim(plan.cpu, plan.mem, plan.machines, plan.counts)
+
+    def _claim(
+        self, cpu: float, mem: float, machines: Sequence[int], counts: Sequence[int]
+    ) -> None:
+        # The one body of claim and claim_batch. Each view field is read
+        # once as a Python float (``np.float64``'s IEEE-754 results) and
+        # stored once; used totals and version are stored even on a raise.
+        if not (cpu >= 0.0 and mem >= 0.0):
             raise ValueError(
                 f"claim sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
             )
-        # The views read Python floats: each field is read once, worked
-        # on as an unboxed double (same IEEE-754 results as the
-        # ``np.float64`` scalars) and stored once.
-        cpu_view = self._cpu_view
-        mem_view = self._mem_view
-        free_cpu = cpu_view[machine]
-        free_mem = mem_view[machine]
-        if free_cpu + EPSILON < total_cpu or free_mem + EPSILON < total_mem:
-            raise OvercommitError(
-                f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
-                f"machine {machine} (free: {free_cpu} cpu, {free_mem} mem)"
-            )
-        # Clamp float dust: an "exactly full" machine reads as full.
-        free_cpu -= total_cpu
-        free_mem -= total_mem
-        if free_cpu < 0.0:
-            free_cpu = 0.0
-        if free_mem < 0.0:
-            free_mem = 0.0
-        cpu_view[machine] = free_cpu
-        mem_view[machine] = free_mem
-        self._used_cpu += total_cpu
-        self._used_mem += total_mem
-        self._seq_view[machine] += 1
-        version = self.version
-        self._ring_view[version % self._ring_size] = machine
-        self.version = version + 1
+        cpu_view, mem_view, seq_view = self._cpu_view, self._mem_view, self._seq_view
+        ring, ring_size, version = self._ring_view, self._ring_size, self.version
+        used_cpu, used_mem = self._used_cpu, self._used_mem
+        try:
+            for machine, count in zip(machines, counts):
+                total_cpu = cpu * count
+                total_mem = mem * count
+                free_cpu = cpu_view[machine]
+                free_mem = mem_view[machine]
+                if free_cpu + EPSILON < total_cpu or free_mem + EPSILON < total_mem:
+                    raise OvercommitError(
+                        f"claim of {count} x ({cpu} cpu, {mem} mem) does not fit on "
+                        f"machine {machine} (free: {free_cpu} cpu, {free_mem} mem)"
+                    )
+                # Clamp float dust: an "exactly full" machine reads as full.
+                free_cpu -= total_cpu
+                free_mem -= total_mem
+                cpu_view[machine] = 0.0 if free_cpu < 0.0 else free_cpu
+                mem_view[machine] = 0.0 if free_mem < 0.0 else free_mem
+                used_cpu += total_cpu
+                used_mem += total_mem
+                seq_view[machine] += 1
+                ring[version % ring_size] = machine
+                version += 1
+        finally:
+            self._used_cpu, self._used_mem, self.version = used_cpu, used_mem, version
 
     def release(self, machine: int, cpu: float, mem: float, count: int = 1) -> None:
         """Return ``count`` tasks' resources on ``machine`` (task end or
         preemption)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        total_cpu = cpu * count
-        total_mem = mem * count
-        if not (total_cpu >= 0.0 and total_mem >= 0.0):
+        self._release(cpu, mem, (machine,), (count,))
+
+    def release_batch(self, plan: "Plan") -> None:
+        """:meth:`release` every entry of ``plan`` (its tasks ended), in
+        order, in one walk."""
+        self._release(plan.cpu, plan.mem, plan.machines, plan.counts)
+
+    def _release(
+        self, cpu: float, mem: float, machines: Sequence[int], counts: Sequence[int]
+    ) -> None:
+        # The one body of release and release_batch, on locals as _claim.
+        if not (cpu >= 0.0 and mem >= 0.0):
             raise ValueError(
                 f"release sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
             )
-        cpu_view = self._cpu_view
-        mem_view = self._mem_view
-        old_free_cpu = cpu_view[machine]
-        old_free_mem = mem_view[machine]
-        cpu_capacity = self._cpu_capacity_view[machine]
-        mem_capacity = self._mem_capacity_view[machine]
-        new_free_cpu = old_free_cpu + total_cpu
-        new_free_mem = old_free_mem + total_mem
-        if new_free_cpu > cpu_capacity + EPSILON or new_free_mem > mem_capacity + EPSILON:
-            raise OvercommitError(
-                f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
-                f"{machine} exceeds its capacity"
-            )
-        # Subtract only the delta actually applied to the free arrays:
-        # when the clamp below trims float dust off ``new_free_*``, the
-        # used totals must shrink by the trimmed amount too, or they
-        # drift away from ``capacity - free.sum()``.
-        if new_free_cpu > cpu_capacity:
-            new_free_cpu = cpu_capacity
-        if new_free_mem > mem_capacity:
-            new_free_mem = mem_capacity
-        cpu_view[machine] = new_free_cpu
-        mem_view[machine] = new_free_mem
-        used_cpu = self._used_cpu - (new_free_cpu - old_free_cpu)
-        used_mem = self._used_mem - (new_free_mem - old_free_mem)
-        if used_cpu < 0.0:
-            used_cpu = 0.0
-        if used_mem < 0.0:
-            used_mem = 0.0
-        self._used_cpu = used_cpu
-        self._used_mem = used_mem
-        self._seq_view[machine] += 1
-        version = self.version
-        self._ring_view[version % self._ring_size] = machine
-        self.version = version + 1
-
-    def claim_batch(self, claims: "Sequence[Claim]") -> None:
-        """Allocate every claim's resources, in order.
-
-        One :meth:`claim` per claim: a claim that does not fit raises
-        :class:`OvercommitError` with the claims before it applied.
-        """
-        for claim in claims:
-            self.claim(claim.machine, claim.cpu, claim.mem, claim.count)
+        cpu_view, mem_view, seq_view = self._cpu_view, self._mem_view, self._seq_view
+        cpu_capacities, mem_capacities = self._cpu_capacity_view, self._mem_capacity_view
+        ring, ring_size, version = self._ring_view, self._ring_size, self.version
+        used_cpu, used_mem = self._used_cpu, self._used_mem
+        try:
+            for machine, count in zip(machines, counts):
+                old_free_cpu = cpu_view[machine]
+                old_free_mem = mem_view[machine]
+                cpu_capacity = cpu_capacities[machine]
+                mem_capacity = mem_capacities[machine]
+                new_free_cpu = old_free_cpu + cpu * count
+                new_free_mem = old_free_mem + mem * count
+                if new_free_cpu > cpu_capacity + EPSILON or new_free_mem > mem_capacity + EPSILON:
+                    raise OvercommitError(
+                        f"release of {count} x ({cpu} cpu, {mem} mem) on machine "
+                        f"{machine} exceeds its capacity"
+                    )
+                # Clamp float dust at capacity, and shrink the used totals by
+                # the delta actually applied to the free arrays, or they drift
+                # away from ``capacity - free.sum()``.
+                if new_free_cpu > cpu_capacity:
+                    new_free_cpu = cpu_capacity
+                if new_free_mem > mem_capacity:
+                    new_free_mem = mem_capacity
+                cpu_view[machine] = new_free_cpu
+                mem_view[machine] = new_free_mem
+                used_cpu -= new_free_cpu - old_free_cpu
+                used_mem -= new_free_mem - old_free_mem
+                used_cpu = 0.0 if used_cpu < 0.0 else used_cpu
+                used_mem = 0.0 if used_mem < 0.0 else used_mem
+                seq_view[machine] += 1
+                ring[version % ring_size] = machine
+                version += 1
+        finally:
+            self._used_cpu, self._used_mem, self.version = used_cpu, used_mem, version
 
     def store_fill(
         self, machines: list[int], free_cpu: list[float], free_mem: list[float],

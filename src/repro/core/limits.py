@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
 from repro.core.scheduler import OmegaScheduler, PlacementFn
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from repro.metrics import MetricsCollector
 from repro.schedulers.base import DecisionTimeModel
 from repro.sim import Simulator
@@ -119,24 +119,20 @@ class LimitedOmegaScheduler(OmegaScheduler):
         return remaining
 
     def _limited_placement(self, inner: PlacementFn) -> PlacementFn:
-        def placement(snapshot, job, rng) -> list[Claim]:
+        def placement(snapshot, job, rng) -> Plan:
             allowed = self._headroom_tasks(job)
             if allowed <= 0:
-                return []
-            claims = inner(snapshot, job, rng)
-            trimmed: list[Claim] = []
-            remaining = allowed
-            for claim in claims:
-                if remaining <= 0:
+                return Plan(job.cpu_per_task, job.mem_per_task, [], [])
+            plan = inner(snapshot, job, rng)
+            if plan.tasks <= allowed:
+                return plan
+            counts: list[int] = []  # the plan's first ``allowed`` tasks
+            for count in plan.counts:
+                counts.append(min(count, allowed))
+                allowed -= count
+                if allowed <= 0:
                     break
-                count = min(claim.count, remaining)
-                trimmed.append(
-                    claim
-                    if count == claim.count
-                    else Claim(claim.machine, claim.cpu, claim.mem, count)
-                )
-                remaining -= count
-            return trimmed
+            return Plan(plan.cpu, plan.mem, plan.machines[: len(counts)], counts)
 
         return placement
 
@@ -144,18 +140,18 @@ class LimitedOmegaScheduler(OmegaScheduler):
     # Own-usage accounting (ledger-less path; with a ledger the usage
     # is read from it, see current_usage())
     # ------------------------------------------------------------------
-    def _start_tasks(self, state: CellState, job: Job, claims) -> None:
-        if self.ledger is None and claims:
-            for claim in claims:
-                self.used_cpu += claim.cpu * claim.count
-                self.used_mem += claim.mem * claim.count
-            self.sim.after(job.duration, self._own_usage_released, claims)
-        super()._start_tasks(state, job, claims)
+    def _start_tasks(self, state: CellState, job: Job, plan: Plan) -> None:
+        if self.ledger is None and plan.machines:
+            for count in plan.counts:
+                self.used_cpu += plan.cpu * count
+                self.used_mem += plan.mem * count
+            self.sim.after(job.duration, self._own_usage_released, plan)
+        super()._start_tasks(state, job, plan)
 
-    def _own_usage_released(self, claims: tuple[Claim, ...] | list[Claim]) -> None:
-        for claim in claims:
-            self.used_cpu -= claim.cpu * claim.count
-            self.used_mem -= claim.mem * claim.count
+    def _own_usage_released(self, plan: Plan) -> None:
+        for count in plan.counts:
+            self.used_cpu -= plan.cpu * count
+            self.used_mem -= plan.mem * count
 
 
 @dataclass(frozen=True)

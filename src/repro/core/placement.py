@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cellstate import EPSILON
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 
 #: Machine draws per sampling round of :func:`randomized_first_fit`.
 SAMPLE_BLOCK = 64
@@ -40,12 +40,12 @@ def randomized_first_fit(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-) -> list[Claim]:
+) -> Plan:
     """Plan placements for ``num_tasks`` identical tasks.
 
     Reads (does not mutate) the free arrays — typically a scheduler's
-    private snapshot. Returns at most one :class:`Claim` per machine;
-    the total claimed count is ``<= num_tasks`` (fewer when the view has
+    private snapshot. Returns a :class:`Plan` (one entry per machine)
+    whose task total is ``<= num_tasks`` (fewer when the view has
     insufficient room, in which case the scheduler retries the job
     later, per the paper's incremental-placement policy).
 
@@ -60,7 +60,8 @@ def randomized_first_fit(
     """
     _validate(cpu, mem, num_tasks)
     num_machines = free_cpu.shape[0]
-    claims: list[Claim] = []
+    machines: list[int] = []
+    counts: list[int] = []
     remaining = num_tasks
     claimed: set[int] = set()
     # Buffer views index to python floats, so the per-draw work below
@@ -86,11 +87,12 @@ def randomized_first_fit(
                 limit = int(have_mem // mem)
                 if limit < count:
                     count = limit
-            claims.append(Claim(machine, cpu, mem, count))
+            machines.append(machine)
+            counts.append(count)
             remaining -= count
             progressed = True
             if remaining == 0:
-                return claims
+                return Plan(cpu, mem, machines, counts)
         if not progressed:
             break
     # Exact fallback: every feasible machine not yet claimed from, in a
@@ -105,8 +107,10 @@ def randomized_first_fit(
     candidates = np.flatnonzero(mask)
     if candidates.size:
         rng.shuffle(candidates)
-        claims.extend(_pack(candidates, free_cpu, free_mem, cpu, mem, remaining))
-    return claims
+        tail = _pack(candidates, free_cpu, free_mem, cpu, mem, remaining)
+        machines += tail.machines
+        counts += tail.counts
+    return Plan(cpu, mem, machines, counts)
 
 
 def _validate(cpu: float, mem: float, num_tasks: int) -> None:
@@ -128,7 +132,7 @@ def _pack(
     cpu: float,
     mem: float,
     num_tasks: int,
-) -> list[Claim]:
+) -> Plan:
     """Pack tasks onto candidates in order (cumulative-capacity kernel).
 
     Vectorized equivalent of the scalar first-fit walk (the oracle in
@@ -137,7 +141,7 @@ def _pack(
     machine on which the job's demand runs out.
     """
     if candidates.size == 0 or num_tasks <= 0:
-        return []
+        return Plan(cpu, mem, [], [])
     limits = np.full(candidates.shape, float(num_tasks))
     if cpu > 0:
         np.minimum(
@@ -153,17 +157,14 @@ def _pack(
         candidates = candidates[positive]
         counts = counts[positive]
         if counts.size == 0:
-            return []
+            return Plan(cpu, mem, [], [])
     cumulative = np.cumsum(counts)
     cut = int(np.searchsorted(cumulative, num_tasks, side="left"))
     if cut < counts.size:
         candidates = candidates[: cut + 1]
         counts = counts[: cut + 1].copy()
         counts[cut] = num_tasks - (int(cumulative[cut - 1]) if cut else 0)
-    return [
-        Claim(machine=machine, cpu=cpu, mem=mem, count=count)
-        for machine, count in zip(candidates.tolist(), counts.tolist())
-    ]
+    return Plan(cpu, mem, candidates.tolist(), counts.tolist())
 
 
 def _stable_prefix(keys: np.ndarray, k: int) -> np.ndarray:
@@ -190,7 +191,7 @@ def _ordered_fit(
     num_tasks: int,
     rng: np.random.Generator,
     descending_free: bool,
-) -> list[Claim]:
+) -> Plan:
     """First fit over candidates ordered by free capacity.
 
     ``descending_free=False`` is best fit (fullest machines first),
@@ -210,7 +211,7 @@ def _ordered_fit(
         (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
     )
     if candidates.size == 0:
-        return []
+        return Plan(cpu, mem, [], [])
     keys = free_cpu[candidates] + free_mem[candidates]
     order = _stable_prefix(-keys if descending_free else keys, num_tasks)
     return _pack(candidates[order], free_cpu, free_mem, cpu, mem, num_tasks)
@@ -223,7 +224,7 @@ def best_fit(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-) -> list[Claim]:
+) -> Plan:
     """Pack the fullest feasible machines first (tight packing;
     concurrent schedulers collide often)."""
     return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, False)
@@ -236,7 +237,7 @@ def worst_fit(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-) -> list[Claim]:
+) -> Plan:
     """Fill the emptiest machines first (load spreading; concurrent
     schedulers naturally steer apart)."""
     return _ordered_fit(free_cpu, free_mem, cpu, mem, num_tasks, rng, True)

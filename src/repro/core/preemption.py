@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.core.cellstate import EPSILON, CellState
-from repro.core.transaction import Claim, CommitMode, CommitResult
+from repro.core.transaction import CommitMode, CommitResult, Plan
 from repro.sim import Event, Simulator
 
 #: Called when an allocation is (partially) evicted: (record, count).
@@ -86,14 +86,18 @@ class AllocationLedger:
     # ------------------------------------------------------------------
     def register(
         self,
-        claim: Claim,
+        machine: int,
+        cpu: float,
+        mem: float,
+        count: int,
         precedence: int,
         duration: float,
         on_preempt: VictimCallback | None = None,
         already_claimed: bool = False,
         owner: str | None = None,
     ) -> AllocationRecord:
-        """Claim resources for ``claim`` and register the allocation.
+        """Register ``count`` tasks of ``cpu`` x ``mem`` on ``machine``,
+        claiming their resources.
 
         Schedules the normal end-of-task release ``duration`` seconds
         from now; eviction cancels it. Pass ``already_claimed=True``
@@ -101,19 +105,19 @@ class AllocationLedger:
         ledger should only take over lifetime bookkeeping.
         """
         if not already_claimed:
-            self.state.claim(claim.machine, claim.cpu, claim.mem, claim.count)
+            self.state.claim(machine, cpu, mem, count)
         record = AllocationRecord(
             record_id=next(self._ids),
-            machine=claim.machine,
-            cpu=claim.cpu,
-            mem=claim.mem,
-            count=claim.count,
+            machine=machine,
+            cpu=cpu,
+            mem=mem,
+            count=count,
             precedence=precedence,
             on_preempt=on_preempt,
             owner=owner,
         )
         record.end_event = self.sim.after(duration, self._finish, record)
-        self._by_machine.setdefault(claim.machine, {})[record.record_id] = record
+        self._by_machine.setdefault(machine, {})[record.record_id] = record
         return record
 
     def _finish(self, record: AllocationRecord) -> None:
@@ -236,83 +240,71 @@ class AllocationLedger:
             record.on_preempt(record, count)
 
 
-def _claim_headroom(
-    state: CellState, ledger: AllocationLedger, claim: Claim, precedence: int
-) -> int:
-    """How many of the claim's tasks fit into free + preemptible space."""
-    free_cpu = state.free_cpu[claim.machine]
-    free_mem = state.free_mem[claim.machine]
-    reclaimable_cpu, reclaimable_mem = ledger.preemptible(claim.machine, precedence)
-    per_task = claim.count
-    if claim.cpu > 0:
-        per_task = min(
-            per_task, int((free_cpu + reclaimable_cpu + EPSILON) // claim.cpu)
-        )
-    if claim.mem > 0:
-        per_task = min(
-            per_task, int((free_mem + reclaimable_mem + EPSILON) // claim.mem)
-        )
-    return per_task
-
-
 def commit_with_preemption(
     state: CellState,
     ledger: AllocationLedger,
-    claims: list[Claim] | tuple[Claim, ...],
+    plan: Plan,
     precedence: int,
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
     *,
     tracing: bool = False,
 ) -> CommitResult:
-    """Commit ``claims`` at ``precedence``, evicting lower-precedence
+    """Commit ``plan`` at ``precedence``, evicting lower-precedence
     allocations where free resources alone do not suffice.
 
-    The result carries ``preempted_tasks``. A claim is
+    The result carries ``preempted_tasks``. A machine's tasks are
     rejected (a conflict) only if even free + preemptible resources
-    cannot hold it; partial acceptance splits at task granularity like
-    incremental commits. Accepted claims are applied to the master cell
+    cannot hold them; partial acceptance splits at task granularity like
+    incremental commits. Accepted tasks are applied to the master cell
     state, and with ``tracing`` every rejection is a ``capacity``
     conflict of the result (like :func:`repro.core.transaction.commit`);
     the caller then registers them in the ledger with
     ``already_claimed=True``.
 
     ``ALL_OR_NOTHING`` implements the paper's gang-scheduled
-    preemption: either every claim lands (evicting victims as needed) or
+    preemption: either every task lands (evicting victims as needed) or
     the whole transaction is rejected with *no* evictions — "a
     gang-scheduled job can preempt lower-priority tasks once sufficient
     resources are available and its transaction commits, and allow other
     schedulers' jobs to use the resources in the meantime" (no
     hoarding).
     """
-    accepted: list[Claim] = []
-    rejected: list[Claim] = []
+    cpu, mem, rows = plan.cpu, plan.mem, list(zip(plan.machines, plan.counts))
+
+    def headroom(machine: int, count: int) -> int:
+        """How many of ``count`` tasks fit into free + preemptible space."""
+        reclaimable_cpu, reclaimable_mem = ledger.preemptible(machine, precedence)
+        if cpu > 0:
+            count = min(count, int((state.free_cpu[machine] + reclaimable_cpu + EPSILON) // cpu))
+        if mem > 0:
+            count = min(count, int((state.free_mem[machine] + reclaimable_mem + EPSILON) // mem))
+        return count
+
+    ok_machines, ok_counts, bad_machines, bad_counts = [], [], [], []
     preempted = 0
     # Validate a gang against free + preemptible space before touching
     # anything: a failed gang transaction must not evict.
     if commit_mode is CommitMode.ALL_OR_NOTHING and any(
-        _claim_headroom(state, ledger, claim, precedence) < claim.count
-        for claim in claims
+        headroom(machine, count) < count for machine, count in rows
     ):
-        rejected, claims = list(claims), ()
-    for claim in claims:
-        free_cpu = state.free_cpu[claim.machine]
-        free_mem = state.free_mem[claim.machine]
-        per_task = _claim_headroom(state, ledger, claim, precedence)
-        if per_task <= 0:
-            rejected.append(claim)
+        bad_machines, bad_counts, rows = plan.machines, plan.counts, []
+    for machine, count in rows:
+        free_cpu = state.free_cpu[machine]
+        free_mem = state.free_mem[machine]
+        ok = headroom(machine, count)
+        if ok <= 0:
+            bad_machines.append(machine)
+            bad_counts.append(count)
             continue
-        ok = min(claim.count, per_task)
-        need_cpu = max(0.0, claim.cpu * ok - free_cpu)
-        need_mem = max(0.0, claim.mem * ok - free_mem)
-        preempted += ledger.evict(claim.machine, need_cpu, need_mem, precedence)
-        take = claim if ok == claim.count else Claim(claim.machine, claim.cpu, claim.mem, ok)
-        state.claim(take.machine, take.cpu, take.mem, take.count)
-        accepted.append(take)
-        if ok < claim.count:
-            rejected.append(
-                Claim(claim.machine, claim.cpu, claim.mem, claim.count - ok)
-            )
-    conflicts = ()
-    if tracing:
-        conflicts = [[claim.machine, claim.count, "capacity"] for claim in rejected]
-    return CommitResult(tuple(accepted), tuple(rejected), preempted, conflicts)
+        need_cpu = max(0.0, cpu * ok - free_cpu)
+        need_mem = max(0.0, mem * ok - free_mem)
+        preempted += ledger.evict(machine, need_cpu, need_mem, precedence)
+        state.claim(machine, cpu, mem, ok)
+        ok_machines.append(machine)
+        ok_counts.append(ok)
+        if ok < count:
+            bad_machines.append(machine)
+            bad_counts.append(count - ok)
+    conflicts = [[m, c, "capacity"] for m, c in zip(bad_machines, bad_counts)] if tracing else ()
+    accepted = Plan(cpu, mem, ok_machines, ok_counts)
+    return CommitResult(accepted, Plan(cpu, mem, bad_machines, bad_counts), preempted, conflicts)

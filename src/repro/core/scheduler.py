@@ -21,7 +21,7 @@ blocking."
 :meth:`OmegaScheduler.attempt` is that loop's only body. A specialized
 scheduler supplies the two things that differ: a *plan* (``placement``:
 which claims to ask for, given the snapshot) and, rarely, a *commit*
-(how the claims are applied). :class:`PreemptingOmegaScheduler` is one
+(how the plan is applied). :class:`PreemptingOmegaScheduler` is one
 of each; :class:`repro.mapreduce.MapReduceScheduler` is a plan.
 """
 
@@ -36,10 +36,10 @@ from repro.core.placement import placement_fn, randomized_first_fit
 from repro.core.preemption import AllocationLedger, commit_with_preemption
 from repro.core.retry import StarvationEscalationPolicy
 from repro.core.transaction import (
-    Claim,
     CommitMode,
     CommitResult,
     ConflictMode,
+    Plan,
     commit,
 )
 from repro.metrics import MetricsCollector
@@ -47,15 +47,15 @@ from repro.schedulers.base import DecisionTimeModel, QueueScheduler
 from repro.sim import Simulator
 from repro.workload.job import Job, JobType
 
-#: Signature of a pluggable placement planner: (snapshot, job, rng) -> claims.
+#: Signature of a pluggable placement planner: (snapshot, job, rng) -> plan.
 #: The lightweight simulator uses randomized first fit; the high-fidelity
 #: simulator plugs in the constraint-aware scoring planner.
-PlacementFn = Callable[[CellSnapshot, Job, np.random.Generator], list[Claim]]
+PlacementFn = Callable[[CellSnapshot, Job, np.random.Generator], Plan]
 
-#: Signature of a pluggable commit: (claims, snapshot, job, commit_mode)
-#: -> result. The claims are non-empty and were planned on ``snapshot``;
+#: Signature of a pluggable commit: (plan, snapshot, job, commit_mode)
+#: -> result. The plan is non-empty and was made on ``snapshot``;
 #: ``commit_mode`` is the job's effective mode (escalation applied).
-CommitFn = Callable[[list[Claim], CellSnapshot, Job, CommitMode], CommitResult]
+CommitFn = Callable[[Plan, CellSnapshot, Job, CommitMode], CommitResult]
 
 
 class OmegaScheduler(QueueScheduler):
@@ -161,8 +161,8 @@ class OmegaScheduler(QueueScheduler):
         if self.conflict_avoidance_cooldown <= 0:
             return
         expiry = self.sim.now + self.conflict_avoidance_cooldown
-        for claim in rejected:
-            self._hot_machines[claim.machine] = expiry
+        for machine in rejected.machines:
+            self._hot_machines[machine] = expiry
 
     def attempt(self, job: Job) -> None:
         """One transaction: plan on the snapshot, commit, apply, resolve."""
@@ -175,7 +175,7 @@ class OmegaScheduler(QueueScheduler):
             self._mask_hot_machines(snapshot)
 
         record = self._attempt_record
-        claims = self._placement(snapshot, job, self._rng)
+        plan = self._placement(snapshot, job, self._rng)
 
         # A starvation-escalated job (section 3.6) commits incrementally
         # from here on, so its non-conflicting tasks land even though
@@ -185,8 +185,7 @@ class OmegaScheduler(QueueScheduler):
             commit_mode = CommitMode.INCREMENTAL
 
         if commit_mode is CommitMode.ALL_OR_NOTHING:
-            planned = sum(claim.count for claim in claims)
-            if planned < job.unplaced_tasks:
+            if plan.tasks < job.unplaced_tasks:
                 # Gang scheduling needs room for every task; the private
                 # copy showed too little, so no transaction is issued.
                 # No hoarding: the resources stay usable by others.
@@ -195,7 +194,7 @@ class OmegaScheduler(QueueScheduler):
                 self._resolve_attempt(job, had_conflict=False)
                 return
 
-        if not claims:
+        if not plan.machines:
             # "Assuming at least one task got scheduled, a transaction
             # ... is issued" — nothing could be planned, so no commit.
             if record is not None:
@@ -203,10 +202,10 @@ class OmegaScheduler(QueueScheduler):
             self._resolve_attempt(job, had_conflict=False)
             return
 
-        result = self._commit(claims, snapshot, job, commit_mode)
+        result = self._commit(plan, snapshot, job, commit_mode)
         if record is not None:
-            record["claims"] = len(claims)
-            record["tasks"] = sum(claim.count for claim in claims)
+            record["claims"] = len(plan)
+            record["tasks"] = plan.tasks
             record["accepted"] = result.accepted_tasks
             record["rejected"] = result.rejected_tasks
             record["conflicted"] = result.conflicted
@@ -227,7 +226,7 @@ class OmegaScheduler(QueueScheduler):
 
     def _commit(
         self,
-        claims: list[Claim],
+        plan: Plan,
         snapshot: CellSnapshot,
         job: Job,
         commit_mode: CommitMode,
@@ -235,7 +234,7 @@ class OmegaScheduler(QueueScheduler):
         """The default commit: validate against the live cell state."""
         return commit(
             self.state,
-            claims,
+            plan,
             snapshot,
             conflict_mode=self.conflict_mode,
             commit_mode=commit_mode,
@@ -254,15 +253,15 @@ class OmegaScheduler(QueueScheduler):
     # ------------------------------------------------------------------
     # Ledger integration (registration + preemption victims)
     # ------------------------------------------------------------------
-    def _start_tasks(self, state: CellState, job: Job, claims) -> None:
+    def _start_tasks(self, state: CellState, job: Job, plan: Plan) -> None:
         if self.ledger is None:
-            super()._start_tasks(state, job, claims)
+            super()._start_tasks(state, job, plan)
             return
         # Commit already claimed the resources; the ledger only takes
         # over lifetime bookkeeping (end events, preemption victims).
-        for claim in claims:
+        for machine, count in zip(plan.machines, plan.counts):
             self.ledger.register(
-                claim,
+                machine, plan.cpu, plan.mem, count,
                 precedence=job.precedence,
                 duration=job.duration,
                 on_preempt=lambda record, count, job=job: self._on_preempted(
@@ -308,7 +307,7 @@ class PreemptingOmegaScheduler(OmegaScheduler):
         ledger: AllocationLedger,
         **options,
     ) -> None:
-        def plan(snapshot, job, rng) -> list[Claim]:
+        def plan(snapshot, job, rng) -> Plan:
             plan_cpu = snapshot.free_cpu.copy()
             plan_mem = snapshot.free_mem.copy()
             for record in ledger.records():
@@ -324,9 +323,9 @@ class PreemptingOmegaScheduler(OmegaScheduler):
                 rng,
             )
 
-        def evict_and_commit(claims, snapshot, job, commit_mode) -> CommitResult:
+        def evict_and_commit(planned, snapshot, job, commit_mode) -> CommitResult:
             return commit_with_preemption(
-                state, ledger, claims, job.precedence, commit_mode, tracing=sim.recorder.enabled
+                state, ledger, planned, job.precedence, commit_mode, tracing=sim.recorder.enabled
             )
 
         super().__init__(

@@ -20,7 +20,9 @@ Two orthogonal choices are modeled, matching section 5.2:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from collections import namedtuple
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.core.cellstate import EPSILON, CellSnapshot, CellState
 
@@ -39,30 +41,64 @@ class CommitMode(enum.Enum):
     ALL_OR_NOTHING = "all_or_nothing"
 
 
-@dataclass(frozen=True)
-class Claim:
-    """A planned allocation: ``count`` identical tasks on one machine."""
-
-    machine: int
-    cpu: float
-    mem: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"claim count must be >= 1, got {self.count}")
-        if not (self.cpu >= 0 and self.mem >= 0):
-            raise ValueError("claim resources must be non-negative")
-        if self.machine < 0:
-            raise ValueError(f"claim machine must be >= 0, got {self.machine}")
+#: One machine of a :class:`Plan`, as iterating the plan yields it.
+PlanRow = namedtuple("PlanRow", "machine count")
 
 
-@dataclass(frozen=True)
-class CommitResult:
+class Plan:
+    """One transaction's planned allocation: ``counts[i]`` identical tasks
+    of ``cpu`` x ``mem`` on ``machines[i]`` (a job's tasks are identical,
+    :mod:`repro.workload.job`, so the size is stored once).
+
+    Construction refuses, with one ``ValueError`` before anything is
+    written, a non-finite or negative size, a count below 1, a negative
+    machine and a machine named twice, so every walk over a plan meets
+    each machine once. Iterating yields read-only ``PlanRow`` rows.
+    """
+
+    __slots__ = ("cpu", "mem", "machines", "counts")
+
+    def __init__(
+        self, cpu: float, mem: float, machines: Sequence[int], counts: Sequence[int]
+    ) -> None:
+        # Comparisons (NaN fails each), and min and set at C speed.
+        if not (0.0 <= cpu < math.inf and 0.0 <= mem < math.inf):
+            raise ValueError(
+                f"plan sizes must be finite, non-negative numbers, got cpu={cpu}, mem={mem}"
+            )
+        size = len(machines)
+        if size != len(counts):
+            raise ValueError(f"{size} machines but {len(counts)} counts")
+        if size:
+            if min(counts) < 1:
+                raise ValueError(f"plan count must be >= 1, got {min(counts)}")
+            if min(machines) < 0:
+                raise ValueError(f"plan machine must be >= 0, got {min(machines)}")
+            if size > 1 and len(set(machines)) != size:
+                twice = next(m for i, m in enumerate(machines) if m in machines[:i])
+                raise ValueError(f"plan names machine {twice} twice")
+        self.cpu, self.mem, self.machines, self.counts = cpu, mem, machines, counts
+
+    def __len__(self) -> int:
+        return len(self.machines)
+
+    def __iter__(self) -> Iterator[PlanRow]:
+        return map(PlanRow, self.machines, self.counts)
+
+    @property
+    def tasks(self) -> int:
+        return sum(self.counts)
+
+
+#: What a commit accepts or rejects when that part is empty.
+EMPTY_PLAN = Plan(0.0, 0.0, (), ())
+
+
+class CommitResult(NamedTuple):
     """Outcome of one commit attempt."""
 
-    accepted: tuple[Claim, ...]
-    rejected: tuple[Claim, ...]
+    accepted: Plan
+    rejected: Plan
     #: Lower-precedence tasks evicted to make room (preempting commits).
     preempted_tasks: int = 0
     #: With tracing on, one ``[machine, tasks, cause]`` per rejection,
@@ -71,11 +107,11 @@ class CommitResult:
 
     @property
     def accepted_tasks(self) -> int:
-        return sum(claim.count for claim in self.accepted)
+        return sum(self.accepted.counts)
 
     @property
     def rejected_tasks(self) -> int:
-        return sum(claim.count for claim in self.rejected)
+        return sum(self.rejected.counts)
 
     @property
     def conflicted(self) -> bool:
@@ -84,88 +120,87 @@ class CommitResult:
         The paper's *conflict fraction* counts, per job, how many commit
         attempts conflicted; a value of 3 means four attempts.
         """
-        return bool(self.rejected)
-
-    @property
-    def fully_accepted(self) -> bool:
-        return not self.rejected
+        return bool(self.rejected.machines)
 
 
 def commit(
     state: CellState,
-    claims: list[Claim] | tuple[Claim, ...],
+    plan: Plan,
     snapshot: CellSnapshot,
     conflict_mode: ConflictMode = ConflictMode.FINE,
     commit_mode: CommitMode = CommitMode.INCREMENTAL,
     *,
     tracing: bool = False,
 ) -> CommitResult:
-    """Attempt to commit a transaction's claims to the master cell state.
+    """Attempt to commit a transaction's plan to the master cell state.
 
-    The claims were planned against ``snapshot``; the master copy may
-    have moved on since. Returns which claims (or parts of claims —
-    incremental commits split partially-fitting claims at task
-    granularity, "only those changes that do not result in an
-    overcommitted machine are accepted") were applied and which were
-    rejected. Accepted claims are applied atomically: an all-or-nothing
-    transaction that fails leaves the master copy untouched.
+    The plan was made against ``snapshot``; the master copy may have
+    moved on since. Returns the plans of the tasks applied and rejected
+    (incremental commits split a machine at task granularity, "only
+    those changes that do not result in an overcommitted machine are
+    accepted"). One walk tests and splits the plan, and
+    :meth:`CellState.claim_batch` applies the accepted part: a plan
+    names each machine once, so the commit is exactly a serial
+    application of it, and a failed all-or-nothing transaction leaves
+    the master copy untouched.
 
     With ``tracing`` (the caller's recorder is on), the result's
     ``conflicts`` name each rejection's machine, rejected tasks and
     cause (``stale_sequence``, ``partial_capacity`` or ``capacity``).
     """
-    if not claims:
-        return CommitResult(accepted=(), rejected=())
+    cpu, mem, machines, counts = plan.cpu, plan.mem, plan.machines, plan.counts
+    if not machines:
+        return CommitResult(plan, plan)
 
     conflicts: list[list] | tuple = [] if tracing else ()
-    accepted: list[Claim] = []
-    rejected: list[Claim] = []
+    ok_machines, ok_counts, bad_machines, bad_counts = [], [], [], []
 
-    # Python floats and ints from buffer views: the per-claim work runs
+    # Python floats and ints from buffer views: the per-machine work runs
     # on unboxed scalars (same IEEE-754 results as ``np.float64``).
     coarse = conflict_mode is ConflictMode.COARSE
     incremental = commit_mode is CommitMode.INCREMENTAL
-    cpu_at = state._cpu_view
-    mem_at = state._mem_view
-    live_seq = state._seq_view
-    seen_seq = memoryview(snapshot.seq)
-    for claim in claims:
-        machine = claim.machine
-        count = claim.count
+    cpu_at, mem_at, live_seq = state._cpu_view, state._mem_view, state._seq_view
+    seen_seq = memoryview(snapshot.seq) if coarse else None
+    for machine, count in zip(machines, counts):
         if coarse and live_seq[machine] != seen_seq[machine]:
             # Coarse-grained: any change to the machine since sync is a
-            # conflict, even if the claim would still fit.
-            rejected.append(claim)
+            # conflict, even if the tasks would still fit.
+            bad_machines.append(machine)
+            bad_counts.append(count)
             if tracing:
                 conflicts.append([machine, count, "stale_sequence"])
             continue
-        # How many of the claim's tasks still fit on the live machine.
+        # How many of the machine's tasks still fit on the live machine.
         ok = count
-        if claim.cpu > 0:
-            limit = int((cpu_at[machine] + EPSILON) // claim.cpu)
+        if cpu > 0:
+            limit = int((cpu_at[machine] + EPSILON) // cpu)
             if limit < ok:
                 ok = limit
-        if claim.mem > 0:
-            limit = int((mem_at[machine] + EPSILON) // claim.mem)
+        if mem > 0:
+            limit = int((mem_at[machine] + EPSILON) // mem)
             if limit < ok:
                 ok = limit
         if ok >= count:
-            accepted.append(claim)
-        elif ok > 0 and incremental:
-            accepted.append(replace(claim, count=ok))
-            rejected.append(replace(claim, count=count - ok))
-            if tracing:
-                conflicts.append([machine, count - ok, "partial_capacity"])
+            ok_machines.append(machine)
+            ok_counts.append(count)
+            continue
+        if ok > 0 and incremental:
+            ok_machines.append(machine)
+            ok_counts.append(ok)
         else:
-            rejected.append(claim)
-            if tracing:
-                conflicts.append([machine, count, "capacity"])
+            ok = 0
+        bad_machines.append(machine)
+        bad_counts.append(count - ok)
+        if tracing:
+            conflicts.append([machine, count - ok, "partial_capacity" if ok else "capacity"])
 
-    if commit_mode is CommitMode.ALL_OR_NOTHING and rejected:
+    if not bad_machines:
+        accepted, rejected = plan, EMPTY_PLAN
+    elif not incremental:
         # Gang scheduling: one conflict rejects the entire transaction.
-        return CommitResult(accepted=(), rejected=tuple(claims), conflicts=conflicts)
-
+        return CommitResult(EMPTY_PLAN, plan, 0, conflicts)
+    else:
+        accepted = Plan(cpu, mem, ok_machines, ok_counts)
+        rejected = Plan(cpu, mem, bad_machines, bad_counts)
     state.claim_batch(accepted)
-    return CommitResult(
-        accepted=tuple(accepted), rejected=tuple(rejected), conflicts=conflicts
-    )
+    return CommitResult(accepted, rejected, 0, conflicts)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.cluster import Cell
 from repro.core.cellstate import EPSILON, CellSnapshot
 from repro.core.placement import _pack, _stable_prefix
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from repro.hifi.constraints import AttributeIndex
 from repro.workload.job import Job, JobType
 
@@ -68,13 +68,13 @@ class ScoringPlacer:
     # ------------------------------------------------------------------
     def __call__(
         self, snapshot: CellSnapshot, job: Job, rng: np.random.Generator
-    ) -> list[Claim]:
+    ) -> Plan:
         return self.place(snapshot, job, rng)
 
     def place(
         self, snapshot: CellSnapshot, job: Job, rng: np.random.Generator
-    ) -> list[Claim]:
-        """Plan claims for the job's unplaced tasks on the snapshot."""
+    ) -> Plan:
+        """Plan the job's unplaced tasks on the snapshot."""
         cpu = job.cpu_per_task
         mem = job.mem_per_task
         feasible = self.index.feasible_mask(job.constraints)
@@ -85,7 +85,7 @@ class ScoringPlacer:
         )
         candidates = np.flatnonzero(fits)
         if candidates.size == 0:
-            return []
+            return Plan(cpu, mem, [], [])
 
         # A small per-scheduler jitter reorders near-equal machines:
         # without it, concurrent schedulers would pick byte-identical
@@ -98,7 +98,7 @@ class ScoringPlacer:
         jitter = rng.uniform(0.0, 0.05, size=candidates.shape)
         remaining = job.unplaced_tasks
         if remaining == 0:
-            return []
+            return Plan(cpu, mem, [], [])
 
         # Leave per-machine headroom: the production scheduler does not
         # pack machines to the brim (system overhead, usage variation),
@@ -135,7 +135,8 @@ class ScoringPlacer:
         order = ranked[np.argsort(scores, kind="stable")]
         per_machine_cap, per_rack_cap = self._spreading_caps(remaining, candidates.size)
         rack_counts: dict[int, int] = {}
-        claims: list[Claim] = []
+        machines: list[int] = []
+        counts: list[int] = []
         for machine in order:
             rack = int(self._racks[machine])
             rack_room = per_rack_cap - rack_counts.get(rack, 0)
@@ -148,12 +149,13 @@ class ScoringPlacer:
                 count = min(count, int((usable_mem[machine] + EPSILON) // mem))
             if count <= 0:
                 continue
-            claims.append(Claim(machine=int(machine), cpu=cpu, mem=mem, count=count))
+            machines.append(int(machine))
+            counts.append(count)
             rack_counts[rack] = rack_counts.get(rack, 0) + count
             remaining -= count
             if remaining == 0:
                 break
-        return claims
+        return Plan(cpu, mem, machines, counts)
 
     # ------------------------------------------------------------------
     def _spreading_caps(self, tasks: int, num_candidates: int) -> tuple[int, int]:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.cellstate import CellSnapshot, CellState
 from repro.core.placement import randomized_first_fit
 from repro.core.scheduler import OmegaScheduler
-from repro.core.transaction import Claim, CommitResult, ConflictMode
+from repro.core.transaction import CommitResult, ConflictMode, Plan
 from repro.mapreduce.model import MapReduceJob, sample_profile
 from repro.mapreduce.policies import AllocationPolicy, ClusterView, decide_workers
 from repro.metrics import MetricsCollector
@@ -81,7 +81,7 @@ class MapReduceScheduler(OmegaScheduler):
 
     def _plan_workers(
         self, snapshot: CellSnapshot, job: Job, rng: np.random.Generator
-    ) -> list[Claim]:
+    ) -> Plan:
         """The plan: size a MapReduce job's worker pool (other work asks
         for what it lacks), then first fit that many."""
         workers = job.unplaced_tasks

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.cellstate import CellState
 from repro.core.retry import StarvationEscalationPolicy
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from repro.metrics import MetricsCollector
 from repro.sim import Event, Simulator
 from repro.workload.job import Job, JobType
@@ -403,16 +403,14 @@ class QueueScheduler(abc.ABC):
             self.name, attempts=job.attempts, policy=self.retry_policy.name
         )
 
-    def _start_tasks(self, state: CellState, job: Job, claims: tuple[Claim, ...] | list[Claim]) -> None:
+    def _start_tasks(self, state: CellState, job: Job, plan: Plan) -> None:
         """Schedule the resource release for tasks that just started:
         one completion event per commit, since its tasks end together."""
-        if not claims:
+        if not plan.machines:
             return
-        self.sim.after(job.duration, _task_end, state, claims)
+        self.sim.after(job.duration, _task_end, state, plan)
 
 
-def _task_end(state: CellState, claims: tuple[Claim, ...] | list[Claim]) -> None:
-    """The tasks one commit started have ended: free them in claim order."""
-    release = state.release
-    for claim in claims:
-        release(claim.machine, claim.cpu, claim.mem, claim.count)
+def _task_end(state: CellState, plan: Plan) -> None:
+    """The tasks one commit started have ended: free them in plan order."""
+    state.release_batch(plan)

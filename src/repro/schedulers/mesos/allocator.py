@@ -23,12 +23,13 @@ fair-share offers") as an ablation.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.cellstate import CellState
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from repro.schedulers.mesos.drf import dominant_share, pick_next_framework
 from repro.sim import Simulator
 
@@ -208,37 +209,37 @@ class MesosAllocator:
     def launch(
         self,
         framework: "MesosFramework",
-        claims: list[Claim],
+        plan: Plan,
         duration: float,
-    ) -> list[Claim]:
-        """Commit a framework's placements and schedule their completion;
-        returns the claims launched.
+    ) -> Plan:
+        """Commit a framework's placements and schedule their completion
+        (one event: the launched tasks end together); returns the plan
+        launched.
 
-        Claims come from within an offer the framework holds, so other
-        frameworks never conflict with them: pessimistic concurrency.
+        The plan comes from within an offer the framework holds, so
+        other frameworks never conflict with it: pessimistic concurrency.
         Only a machine that failed while the offer was held can have
-        lost the room: its claim is dropped and its tasks stay unplaced
+        lost the room: its entry is dropped and its tasks stay unplaced
         for a later offer, the way Mesos rescinds offers from lost
         agents.
         """
-        fits = self.state.fits
-        launched = [
-            claim for claim in claims
-            if fits(claim.machine, claim.cpu, claim.mem, claim.count)
-        ]
+        fits, cpu, mem = self.state.fits, plan.cpu, plan.mem
+        kept = [fits(m, cpu, mem, count) for m, count in zip(plan.machines, plan.counts)]
+        if not all(kept):
+            plan = Plan(cpu, mem, [*compress(plan.machines, kept)], [*compress(plan.counts, kept)])
+        self.state.claim_batch(plan)
         totals = self._allocated[framework]
-        # One claim per machine within an offer, so the batch apply
-        # is order-equivalent to the old claim-by-claim loop.
-        self.state.claim_batch(launched)
-        for claim in launched:
-            totals[0] += claim.cpu * claim.count
-            totals[1] += claim.mem * claim.count
-            self.sim.after(duration, self._task_end, framework, claim)
-        return launched
+        for count in plan.counts:
+            totals[0] += cpu * count
+            totals[1] += mem * count
+        if plan.machines:
+            self.sim.after(duration, self._task_end, framework, plan)
+        return plan
 
-    def _task_end(self, framework: "MesosFramework", claim: Claim) -> None:
-        self.state.release(claim.machine, claim.cpu, claim.mem, claim.count)
+    def _task_end(self, framework: "MesosFramework", plan: Plan) -> None:
+        self.state.release_batch(plan)
         totals = self._allocated[framework]
-        totals[0] -= claim.cpu * claim.count
-        totals[1] -= claim.mem * claim.count
+        for count in plan.counts:
+            totals[0] -= plan.cpu * count
+            totals[1] -= plan.mem * count
         self._kick()

@@ -79,7 +79,7 @@ class MesosFramework(QueueScheduler):
         """Place within the held offer, launch, and hand the offer back."""
         offer = self._inflight_offer
         self._inflight_offer = None
-        claims = randomized_first_fit(
+        plan = randomized_first_fit(
             offer.free_cpu,
             offer.free_mem,
             job.cpu_per_task,
@@ -87,9 +87,9 @@ class MesosFramework(QueueScheduler):
             job.unplaced_tasks,
             self._rng,
         )
-        if claims:
-            claims = self.allocator.launch(self, claims, job.duration)
-        placed = sum(claim.count for claim in claims)
+        if plan.machines:
+            plan = self.allocator.launch(self, plan, job.duration)
+        placed = plan.tasks
         job.unplaced_tasks -= placed
         record = self._attempt_record
         if record is not None:

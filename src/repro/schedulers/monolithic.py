@@ -48,7 +48,7 @@ class MonolithicScheduler(QueueScheduler):
         The monolithic scheduler is the only writer, so every planned
         claim fits by construction and there are never conflicts.
         """
-        claims = randomized_first_fit(
+        plan = randomized_first_fit(
             self.state.free_cpu,
             self.state.free_mem,
             job.cpu_per_task,
@@ -56,12 +56,12 @@ class MonolithicScheduler(QueueScheduler):
             job.unplaced_tasks,
             self._rng,
         )
-        self.state.claim_batch(claims)
-        placed = sum(claim.count for claim in claims)
+        self.state.claim_batch(plan)
+        placed = plan.tasks
         job.unplaced_tasks -= placed
         record = self._attempt_record
         if record is not None:
             record["placed"] = placed
             record["remaining"] = job.unplaced_tasks
-        self._start_tasks(self.state, job, claims)
+        self._start_tasks(self.state, job, plan)
         self._resolve_attempt(job, had_conflict=False)

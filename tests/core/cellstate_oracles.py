@@ -1,5 +1,6 @@
-"""Boxed-scalar oracles for :meth:`CellState.claim` and ``release``,
-and the one fingerprint of a cell state that tests compare.
+"""Boxed-scalar oracles for :meth:`CellState.claim` and ``release`` (and,
+row by row, their batch forms), and the one fingerprint of a cell state
+that tests compare.
 
 Each oracle is the boxed-scalar form of its method: the same checks and
 float operations in the same order, on ``np.float64`` scalars indexed
@@ -68,6 +69,14 @@ def release_reference(
         state._used_mem = 0.0
     state.seq[machine] += 1
     _touch(state, machine)
+
+
+def batch_reference(reference, state: CellState, plan) -> None:
+    """``claim_batch`` / ``release_batch`` as their oracle: ``reference``
+    (:func:`claim_reference` or :func:`release_reference`) once per
+    ``(machine, count)`` row of the plan's columns, in order."""
+    for machine, count in zip(plan.machines, plan.counts):
+        reference(state, machine, plan.cpu, plan.mem, count)
 
 
 def _touch(state: CellState, machine: int) -> None:

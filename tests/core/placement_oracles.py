@@ -3,14 +3,14 @@
 Each is the pre-vectorization implementation of a kernel in
 :mod:`repro.core.placement`, with the identical RNG draw schedule and
 EPSILON arithmetic; ``test_kernel_equivalence.py`` asserts the kernels
-match them claim for claim.
+match them column for column (:func:`columns`).
 """
 
 import numpy as np
 
 from repro.core.cellstate import EPSILON
 from repro.core.placement import MAX_SAMPLE_BLOCKS, SAMPLE_BLOCK, _validate
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 
 
 def randomized_first_fit_reference(
@@ -20,17 +20,18 @@ def randomized_first_fit_reference(
     mem: float,
     num_tasks: int,
     rng: np.random.Generator,
-) -> list[Claim]:
+) -> Plan:
     """Retained scalar reference for :func:`randomized_first_fit`.
 
     Independent re-implementation with the identical RNG draw schedule
     and EPSILON arithmetic, but packing via the scalar
     :func:`_pack_reference` walk. The differential property tests assert
-    the vectorized kernel matches this claim-for-claim.
+    the vectorized kernel matches this column for column.
     """
     _validate(cpu, mem, num_tasks)
     num_machines = free_cpu.shape[0]
-    claims: list[Claim] = []
+    machines: list[int] = []
+    counts: list[int] = []
     remaining = num_tasks
     examined: set[int] = set()
     for _ in range(MAX_SAMPLE_BLOCKS):
@@ -49,11 +50,12 @@ def randomized_first_fit_reference(
                 count = min(count, int(have_cpu // cpu))
             if mem > 0:
                 count = min(count, int(have_mem // mem))
-            claims.append(Claim(machine=machine, cpu=cpu, mem=mem, count=count))
+            machines.append(machine)
+            counts.append(count)
             remaining -= count
             progressed = True
             if remaining == 0:
-                return claims
+                return Plan(cpu, mem, machines, counts)
         if not progressed:
             break
     mask = (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
@@ -62,10 +64,10 @@ def randomized_first_fit_reference(
     candidates = np.flatnonzero(mask)
     if candidates.size:
         rng.shuffle(candidates)
-        claims.extend(
-            _pack_reference(candidates, free_cpu, free_mem, cpu, mem, remaining)
-        )
-    return claims
+        tail = _pack_reference(candidates, free_cpu, free_mem, cpu, mem, remaining)
+        machines += tail.machines
+        counts += tail.counts
+    return Plan(cpu, mem, machines, counts)
 
 
 def _pack_reference(
@@ -75,10 +77,11 @@ def _pack_reference(
     cpu: float,
     mem: float,
     num_tasks: int,
-) -> list[Claim]:
+) -> Plan:
     """Retained scalar reference for :func:`_pack`: walk candidates in
     order, packing as many tasks as fit on each."""
-    claims: list[Claim] = []
+    machines: list[int] = []
+    counts: list[int] = []
     remaining = num_tasks
     for machine in candidates:
         per_machine = remaining
@@ -88,13 +91,12 @@ def _pack_reference(
             per_machine = min(per_machine, int((free_mem[machine] + EPSILON) // mem))
         if per_machine <= 0:
             continue
-        claims.append(
-            Claim(machine=int(machine), cpu=cpu, mem=mem, count=per_machine)
-        )
+        machines.append(int(machine))
+        counts.append(per_machine)
         remaining -= per_machine
         if remaining == 0:
             break
-    return claims
+    return Plan(cpu, mem, machines, counts)
 
 
 def _ordered_fit_reference(
@@ -105,7 +107,7 @@ def _ordered_fit_reference(
     num_tasks: int,
     rng: np.random.Generator,
     descending_free: bool,
-) -> list[Claim]:
+) -> Plan:
     """Retained scalar reference for :func:`_ordered_fit`: full sort of
     all candidates, scalar pack."""
     del rng
@@ -114,7 +116,12 @@ def _ordered_fit_reference(
         (free_cpu + EPSILON >= cpu) & (free_mem + EPSILON >= mem)
     )
     if candidates.size == 0:
-        return []
+        return Plan(cpu, mem, [], [])
     keys = free_cpu[candidates] + free_mem[candidates]
     order = np.lexsort((candidates, -keys if descending_free else keys))
     return _pack_reference(candidates[order], free_cpu, free_mem, cpu, mem, num_tasks)
+
+
+def columns(plan: Plan) -> tuple:
+    """Everything a plan says: its size and both columns, for ``==``."""
+    return plan.cpu, plan.mem, plan.machines, plan.counts

@@ -13,7 +13,7 @@ from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
 from repro.core.retry import StarvationEscalationPolicy
 from repro.core.scheduler import PreemptingOmegaScheduler
-from repro.core.transaction import Claim, CommitMode
+from repro.core.transaction import CommitMode
 from repro.mapreduce.model import MapReduceJob, MapReduceProfile
 from repro.mapreduce.policies import NoAccelerationPolicy
 from repro.mapreduce.scheduler import MapReduceScheduler
@@ -59,7 +59,7 @@ def test_escalated_gang_job_commits_incrementally_when_preempting(sim, metrics):
     # While the scheduler thinks, an equal-precedence (not preemptible)
     # allocation fills machine 1: the gang commit conflicts and the
     # policy escalates the job.
-    sim.at(0.05, ledger.register, Claim(machine=1, cpu=4.0, mem=4.0, count=1), 10, 1000.0)
+    sim.at(0.05, ledger.register, 1, 4.0, 4.0, 1, 10, 1000.0)
     sim.run(until=2.0)
     assert job.escalated and job.conflicts == 1
     assert metrics.schedulers["gang"].jobs_escalated == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState, OvercommitError
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from tests.core.cellstate_oracles import state_bits
 
 
@@ -93,17 +93,26 @@ class TestClaimRelease:
         assert state.seq[0] == 3
 
     def test_claim_batch_applies_in_order_up_to_the_first_misfit(self, state):
-        claims = [
-            Claim(machine=0, cpu=1.0, mem=2.0, count=2),
-            Claim(machine=0, cpu=1.0, mem=2.0, count=1),  # same machine stacks
-            Claim(machine=1, cpu=5.0, mem=1.0, count=1),  # cannot fit
-            Claim(machine=2, cpu=1.0, mem=1.0, count=1),
-        ]
+        state.claim(1, 3.5, 1.0)
+        plan = Plan(1.0, 2.0, [0, 1, 2], [3, 1, 1])  # machine 1 cannot fit
         with pytest.raises(OvercommitError, match="machine 1"):
-            state.claim_batch(claims)
-        assert state.free_cpu.tolist() == [1.0, 4.0, 4.0, 4.0]
-        assert state.seq.tolist() == [2, 0, 0, 0]
+            state.claim_batch(plan)
+        assert state.free_cpu.tolist() == [1.0, 0.5, 4.0, 4.0]
+        assert state.seq.tolist() == [1, 1, 0, 0]
+        # The walk's locals are stored even though it raised.
         assert state.version == 2
+        assert (state.used_cpu, state.used_mem) == (6.5, 7.0)
+
+    def test_release_batch_matches_release_per_machine(self, state):
+        plan = Plan(0.5, 1.5, [3, 0, 2], [2, 1, 4])
+        state.claim_batch(plan)
+        scalar = CellState(state.cell)
+        scalar.claim_batch(plan)
+        state.release_batch(plan)
+        for machine, count in zip(plan.machines, plan.counts):
+            scalar.release(machine, plan.cpu, plan.mem, count)
+        assert state_bits(state) == state_bits(scalar)
+        assert state.version == 6 and state.used_cpu == 0.0
 
 
 class TestSequenceNumbers:

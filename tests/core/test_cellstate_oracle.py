@@ -1,5 +1,6 @@
-"""Differential property test: :meth:`CellState.claim` / ``release``
-against their boxed-scalar oracles in :mod:`tests.core.cellstate_oracles`.
+"""Differential property test: :meth:`CellState.claim` / ``release``, and
+``claim_batch`` / ``release_batch``, against their boxed-scalar oracles in
+:mod:`tests.core.cellstate_oracles`.
 
 Random interleavings of claims, releases, misfits and over-releases —
 with sizes built so free and used amounts sit on the EPSILON boundary
@@ -14,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
-from tests.core.cellstate_oracles import claim_reference, release_reference, state_bits
+from repro.core.transaction import Plan
+from tests.core.cellstate_oracles import (
+    batch_reference,
+    claim_reference,
+    release_reference,
+    state_bits,
+)
 from tests.core.test_kernel_equivalence import DUST, TASK_SIZES
 
 #: Two machine classes, so release reads per-machine capacities.
@@ -130,3 +137,39 @@ def test_the_strategy_reaches_every_branch():
         for kind in ("claim-edge", "release-edge")
         for branch in ("raise", "clamp", "plain")
     }
+
+
+#: Batch operations: one size, distinct machines, a count each.
+batches = st.lists(
+    st.tuples(
+        st.sampled_from(("claim", "release")),
+        _size,
+        _size,
+        st.lists(
+            st.tuples(_machine, st.integers(1, 4)),
+            min_size=1,
+            max_size=NUM_MACHINES,
+            unique_by=lambda row: row[0],
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(batches)
+@settings(max_examples=200, deadline=None)
+def test_batches_match_their_oracles_row_for_row(ops):
+    """One walk over a plan is its rows applied one by one: the same
+    state after every batch, bit for bit, and a misfit or over-release
+    raises the same error with the rows before it applied."""
+    cell = Cell.heterogeneous(PLATFORMS)
+    state, oracle = CellState(cell, changelog_capacity=16), CellState(cell, changelog_capacity=16)
+    for op, cpu, mem, rows in ops:
+        plan = Plan(cpu, mem, [machine for machine, _ in rows], [count for _, count in rows])
+        reference = claim_reference if op == "claim" else release_reference
+        want = _outcome(batch_reference, reference, oracle, plan)
+        got = _outcome(state.claim_batch if op == "claim" else state.release_batch, plan)
+        assert got == want
+        assert state_bits(state) == state_bits(oracle)
+    assert state.version == oracle.version <= sum(len(rows) for _, _, _, rows in ops)

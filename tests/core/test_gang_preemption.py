@@ -10,7 +10,7 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger, commit_with_preemption
 from repro.core.scheduler import PreemptingOmegaScheduler
-from repro.core.transaction import Claim, CommitMode
+from repro.core.transaction import CommitMode, Plan
 from repro.schedulers.base import DecisionTimeModel
 from tests.conftest import make_job
 
@@ -26,16 +26,17 @@ def ledger(state, sim):
 
 
 def claim(machine=0, cpu=1.0, mem=1.0, count=1):
-    return Claim(machine=machine, cpu=cpu, mem=mem, count=count)
+    """One plan row's arguments to ``AllocationLedger.register``."""
+    return machine, cpu, mem, count
 
 
 class TestGangCommitWithPreemption:
     def test_gang_succeeds_with_eviction(self, state, ledger):
-        ledger.register(claim(0, cpu=3.0, mem=3.0), precedence=0, duration=100.0)
+        ledger.register(*claim(0, cpu=3.0, mem=3.0), precedence=0, duration=100.0)
         result = commit_with_preemption(
             state,
             ledger,
-            [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
+            Plan(2.0, 2.0, [0, 1], [1, 1]),
             precedence=10,
             commit_mode=CommitMode.ALL_OR_NOTHING,
         )
@@ -46,31 +47,31 @@ class TestGangCommitWithPreemption:
         """The crucial no-hoarding property: a gang transaction that
         cannot fully commit leaves victims running."""
         victim = ledger.register(
-            claim(0, cpu=3.0, mem=3.0), precedence=0, duration=100.0
+            *claim(0, cpu=3.0, mem=3.0), precedence=0, duration=100.0
         )
         # Machine 1 is filled by an equal-precedence allocation that the
         # gang job cannot evict, so the transaction cannot fully commit.
-        ledger.register(claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
+        ledger.register(*claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
         before_cpu = state.free_cpu.copy()
         result = commit_with_preemption(
             state,
             ledger,
-            [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
+            Plan(2.0, 2.0, [0, 1], [1, 1]),
             precedence=10,
             commit_mode=CommitMode.ALL_OR_NOTHING,
         )
-        assert result.accepted == ()
+        assert len(result.accepted) == 0
         assert len(result.rejected) == 2
         assert result.preempted_tasks == 0
         assert victim.count == 1  # untouched
         assert (state.free_cpu == before_cpu).all()
 
     def test_incremental_still_takes_partial(self, state, ledger):
-        ledger.register(claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
+        ledger.register(*claim(1, cpu=4.0, mem=4.0), precedence=10, duration=100.0)
         result = commit_with_preemption(
             state,
             ledger,
-            [claim(0, cpu=2.0, mem=2.0), claim(1, cpu=2.0, mem=2.0)],
+            Plan(2.0, 2.0, [0, 1], [1, 1]),
             precedence=10,
             commit_mode=CommitMode.INCREMENTAL,
         )
@@ -95,7 +96,7 @@ class TestGangPreemptingScheduler:
         # Low-precedence tasks occupy both machines almost fully.
         for machine in (0, 1):
             ledger.register(
-                Claim(machine=machine, cpu=3.0, mem=3.0, count=1),
+                machine, 3.0, 3.0, 1,
                 precedence=0,
                 duration=1000.0,
             )
@@ -122,10 +123,10 @@ class TestGangPreemptingScheduler:
         # Equal precedence: not preemptible, and it fills the cell too
         # much for the gang job to place all tasks.
         ledger.register(
-            Claim(machine=0, cpu=4.0, mem=4.0, count=1), precedence=10, duration=5.0
+            0, 4.0, 4.0, 1, precedence=10, duration=5.0
         )
         ledger.register(
-            Claim(machine=1, cpu=4.0, mem=4.0, count=1), precedence=10, duration=5.0
+            1, 4.0, 4.0, 1, precedence=10, duration=5.0
         )
         gang_job = make_job(num_tasks=2, cpu=3.0, mem=3.0, duration=100.0)
         gang_job.precedence = 10

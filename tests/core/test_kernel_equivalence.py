@@ -7,14 +7,15 @@ implementation as an oracle in :mod:`tests.core.placement_oracles`
 ``_ordered_fit_reference``). These tests drive
 both sides with Hypothesis-generated cells — deliberately including
 EPSILON-boundary free values (``k * demand`` plus sub-EPSILON dust) —
-and assert the outputs are *identical*, claim for claim.
+and assert the outputs are *identical*, column for column.
 
 :func:`repro.core.transaction.commit` has no second implementation to
-compare against; large transactions (duplicate machines, stale
-snapshots, a contended hot set, gang aborts) are checked against what
-any correct commit must leave behind, and its accepted counts against
-the same division done as ``np.float64`` array arithmetic. Exact float
-equality below is intentional.
+compare against; large transactions (stale snapshots, a contended hot
+set, gang aborts) are checked against what any correct commit must
+leave behind — a serial application of the accepted plan — and its
+accepted counts against the same division done as ``np.float64`` array
+arithmetic. A plan naming a machine twice is refused before any write.
+Exact float equality below is intentional.
 """
 
 import numpy as np
@@ -22,18 +23,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cell
-from repro.core.cellstate import EPSILON, CellState, OvercommitError
+from repro.core.cellstate import EPSILON, CellState
 from repro.core.placement import (
     _ordered_fit,
     _pack,
     _stable_prefix,
     randomized_first_fit,
 )
-from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
+from repro.core.transaction import CommitMode, ConflictMode, Plan, commit
 from tests.core.cellstate_oracles import state_bits
 from tests.core.placement_oracles import (
     _ordered_fit_reference,
     _pack_reference,
+    columns,
     randomized_first_fit_reference,
 )
 
@@ -76,7 +78,7 @@ class TestPackEquivalence:
         free_cpu, free_mem, cpu, mem, candidates, num_tasks = case
         got = _pack(candidates, free_cpu, free_mem, cpu, mem, num_tasks)
         want = _pack_reference(candidates, free_cpu, free_mem, cpu, mem, num_tasks)
-        assert got == want
+        assert columns(got) == columns(want)
 
     def test_pack_epsilon_boundary_exact(self):
         # free + EPSILON straddles 3 tasks of 0.5: half-EPSILON short
@@ -88,12 +90,12 @@ class TestPackEquivalence:
             candidates = np.arange(1, dtype=np.intp)
             got = _pack(candidates, free_cpu, free_mem, 0.5, 1.0, 5)
             want = _pack_reference(candidates, free_cpu, free_mem, 0.5, 1.0, 5)
-            assert got == want
-            assert got[0].count == expected
+            assert columns(got) == columns(want)
+            assert got.counts[0] == expected
 
 
 def _assert_same_plan_and_stream(free_cpu, free_mem, cpu, mem, num_tasks, seed):
-    """Kernel and reference return the same claims and leave the
+    """Kernel and reference return the same plan and leave the
     generator at the same point of its stream."""
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     views = free_cpu.copy(), free_mem.copy()
@@ -101,7 +103,7 @@ def _assert_same_plan_and_stream(free_cpu, free_mem, cpu, mem, num_tasks, seed):
     want = randomized_first_fit_reference(
         free_cpu, free_mem, cpu, mem, num_tasks, reference_rng
     )
-    assert got == want
+    assert columns(got) == columns(want)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     # The claimed-only set rests on this: the kernel never writes its views.
     assert np.array_equal(free_cpu, views[0]) and np.array_equal(free_mem, views[1])
@@ -143,11 +145,10 @@ class TestRandomizedFirstFitEquivalence:
         # many times, claimed and infeasible ones alike.
         free_cpu = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
         free_mem = np.array([data.draw(_boundary_free(unit)) for _ in range(n)])
-        claims = _assert_same_plan_and_stream(
+        plan = _assert_same_plan_and_stream(
             free_cpu, free_mem, unit, unit, num_tasks, seed
         )
-        machines = [claim.machine for claim in claims]
-        assert len(set(machines)) == len(machines)
+        assert len(set(plan.machines)) == len(plan.machines)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -164,12 +165,12 @@ class TestRandomizedFirstFitEquivalence:
         room = setup.random(n) >= full
         free_cpu = np.where(room, 0.5 + setup.random(n) * 2.0, setup.random(n) * 0.4)
         free_mem = np.where(room, 1.0 + setup.random(n) * 4.0, setup.random(n) * 0.9)
-        claims = _assert_same_plan_and_stream(free_cpu, free_mem, 0.5, 1.0, num_tasks, seed)
+        plan = _assert_same_plan_and_stream(free_cpu, free_mem, 0.5, 1.0, num_tasks, seed)
         # Work-conserving: short of num_tasks only when the view lacks room.
         capacity = np.minimum(
             (free_cpu[room] + EPSILON) // 0.5, (free_mem[room] + EPSILON) // 1.0
         ).sum()
-        assert sum(claim.count for claim in claims) == min(num_tasks, int(capacity))
+        assert plan.tasks == min(num_tasks, int(capacity))
 
     def test_rejects_negative_requests(self):
         free = np.ones(4)
@@ -207,7 +208,7 @@ class TestOrderedFitEquivalence:
         reference = _ordered_fit_reference(
             free_cpu, free_mem, cpu, mem, num_tasks, rng, descending
         )
-        assert plain == reference
+        assert columns(plain) == columns(reference)
 
     @given(
         n=st.integers(1, 48),
@@ -229,7 +230,7 @@ class TestOrderedFitEquivalence:
         reference = _ordered_fit_reference(
             free_cpu, free_mem, unit, unit, num_tasks, rng, descending
         )
-        assert plain == reference
+        assert columns(plain) == columns(reference)
 
 
 class TestStablePrefix:
@@ -272,14 +273,14 @@ class TestStablePrefix:
 # Commit: invariants of large transactions
 # ----------------------------------------------------------------------
 #: Smallest transaction the strategy below generates: "large" here means
-#: many claims per commit, which is where most claims are (55-88 % of
+#: many machines per plan, which is where most claims are (55-88 % of
 #: them on the repo benchmark's workloads).
 LARGE_TXN_CLAIMS = 8
 
 
 @st.composite
 def commit_cases(draw):
-    n = draw(st.integers(2, 24))
+    n = draw(st.integers(LARGE_TXN_CLAIMS, 24))
     prefill = draw(
         st.lists(
             st.tuples(
@@ -304,23 +305,14 @@ def commit_cases(draw):
             max_size=8,
         )
     )
-    txn = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),  # duplicates allowed
-                st.sampled_from(TASK_SIZES),
-                st.sampled_from(TASK_SIZES),
-                st.integers(1, 6),
-            ),
-            min_size=LARGE_TXN_CLAIMS,
-            max_size=20,
-        )
-    )
-    claims = [
-        Claim(machine=m, cpu=c if c or r else 0.5, mem=r, count=k)
-        for m, c, r, k in txn
-    ]
-    return n, prefill, perturb, claims
+    # One size per plan, each machine at most once.
+    cpu = draw(st.sampled_from(TASK_SIZES))
+    mem = draw(st.sampled_from(TASK_SIZES))
+    size = draw(st.integers(LARGE_TXN_CLAIMS, min(20, n)))
+    machines = draw(st.permutations(range(n)))[:size]
+    counts = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    plan = Plan(cpu if cpu or mem else 0.5, mem, machines, counts)
+    return n, prefill, perturb, plan
 
 
 def _build(n, prefill, perturb):
@@ -353,43 +345,31 @@ def _assert_master_equals(state: CellState, copy) -> None:
     assert state.version == version
 
 
-def _traced_commit(state, claims, snapshot, conflict_mode, commit_mode):
-    """``commit`` with tracing on: (result or None if the apply raised
-    OvercommitError, the result's conflicts)."""
-    try:
-        result = commit(
-            state, claims, snapshot, conflict_mode, commit_mode, tracing=True
-        )
-    except OvercommitError:
-        return None, []
-    return result, result.conflicts
-
-
 class TestCommitInvariants:
     @given(commit_cases())
     @settings(max_examples=150, deadline=None)
     def test_large_transactions_all_modes(self, case):
-        n, prefill, perturb, claims = case
-        planned_tasks = sum(claim.count for claim in claims)
+        n, prefill, perturb, plan = case
+        planned_tasks = plan.tasks
         for conflict_mode in ConflictMode:
             for commit_mode in CommitMode:
                 state, snapshot = _build(n, prefill, perturb)
                 before = _master_copy(state)
-                result, events = _traced_commit(
-                    state, claims, snapshot, conflict_mode, commit_mode
+                # The same plan naming one of its machines twice is
+                # refused before commit can write anything.
+                with pytest.raises(ValueError, match="twice"):
+                    Plan(plan.cpu, plan.mem, plan.machines + plan.machines[-1:], plan.counts + [1])
+                _assert_master_equals(state, before)
+                result = commit(
+                    state, plan, snapshot, conflict_mode, commit_mode, tracing=True
                 )
-                if result is None:
-                    # Claims are validated one by one against pre-commit
-                    # state, so only two claims on one machine can pass
-                    # validation and still trip claim()'s safety net.
-                    assert len({claim.machine for claim in claims}) < len(claims)
-                    assert (state.free_cpu >= 0.0).all()
-                    assert (state.free_mem >= 0.0).all()
-                    continue
+                events = result.conflicts
                 assert result.accepted_tasks + result.rejected_tasks == planned_tasks
+                if not result.rejected:
+                    assert result.accepted is plan  # no copy
                 if commit_mode is CommitMode.ALL_OR_NOTHING and result.rejected:
-                    assert result.accepted == ()
-                    assert result.rejected == tuple(claims)
+                    assert len(result.accepted) == 0
+                    assert result.rejected is plan
                     assert events  # something caused the abort
                     _assert_master_equals(state, before)
                     continue
@@ -399,38 +379,37 @@ class TestCommitInvariants:
                         (machine, tasks) for machine, tasks, _ in events
                     ]
                 # Master afterwards == master before minus the accepted
-                # claims, applied in order with claim()'s dust clamp.
+                # plan, applied in order with claim()'s dust clamp.
                 free_cpu, free_mem, seq, version = before
                 for claim in result.accepted:
                     m = claim.machine
-                    free_cpu[m] = max(free_cpu[m] - claim.cpu * claim.count, 0.0)
-                    free_mem[m] = max(free_mem[m] - claim.mem * claim.count, 0.0)
+                    free_cpu[m] = max(free_cpu[m] - plan.cpu * claim.count, 0.0)
+                    free_mem[m] = max(free_mem[m] - plan.mem * claim.count, 0.0)
                     seq[m] += 1
                 _assert_master_equals(
                     state, (free_cpu, free_mem, seq, version + len(result.accepted))
                 )
 
     @given(
-        units=st.lists(
-            st.tuples(st.sampled_from(TASK_SIZES), st.sampled_from(TASK_SIZES)),
-            min_size=LARGE_TXN_CLAIMS,
-            max_size=20,
-        ),
+        unit=st.tuples(st.sampled_from(TASK_SIZES), st.sampled_from(TASK_SIZES)),
+        n=st.integers(LARGE_TXN_CLAIMS, 20),
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_accepted_counts_match_array_arithmetic(self, units, data):
-        # One claim per machine, each machine's free values sitting on
-        # the claim's own EPSILON boundary; every fourth machine is
+    def test_accepted_counts_match_array_arithmetic(self, unit, n, data):
+        # One plan over n machines, each machine's free values sitting
+        # on the plan size's EPSILON boundary; every fourth machine is
         # touched after the snapshot so COARSE has something to reject.
-        n = len(units)
-        claims = [
-            Claim(m, cpu if cpu or mem else 0.5, mem, data.draw(st.integers(1, 6)))
-            for m, (cpu, mem) in enumerate(units)
-        ]
+        cpu, mem = unit
+        plan = Plan(
+            cpu if cpu or mem else 0.5,
+            mem,
+            list(range(n)),
+            [data.draw(st.integers(1, 6)) for _ in range(n)],
+        )
         targets = [
-            (data.draw(_boundary_free(c.cpu)), data.draw(_boundary_free(c.mem)))
-            for c in claims
+            (data.draw(_boundary_free(plan.cpu)), data.draw(_boundary_free(plan.mem)))
+            for _ in range(n)
         ]
         for conflict_mode in ConflictMode:
             for commit_mode in CommitMode:
@@ -440,11 +419,11 @@ class TestCommitInvariants:
                 snapshot = state.snapshot()
                 for m in range(0, n, 4):
                     state.claim(m, 0.0, 0.0, 1)
-                # The accepted count per claim, as np.float64 array arithmetic.
-                machines = np.array([c.machine for c in claims])
-                cpu = np.array([c.cpu for c in claims])
-                mem = np.array([c.mem for c in claims])
-                count = np.array([c.count for c in claims])
+                # The accepted count per machine, as np.float64 array arithmetic.
+                machines = np.array(plan.machines)
+                cpu = np.full(n, plan.cpu)
+                mem = np.full(n, plan.mem)
+                count = np.array(plan.counts)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     by_cpu = np.floor_divide(state.free_cpu[machines] + EPSILON, cpu)
                     by_mem = np.floor_divide(state.free_mem[machines] + EPSILON, mem)
@@ -459,12 +438,12 @@ class TestCommitInvariants:
                     if (ok < count).any():
                         ok[:] = 0
                 want_accepted = [
-                    (c.machine, k) for c, k in zip(claims, ok.tolist()) if k
+                    (c.machine, k) for c, k in zip(plan, ok.tolist()) if k
                 ]
                 want_rejected = [
-                    (c.machine, c.count - k) for c, k in zip(claims, ok.tolist()) if k < c.count
+                    (c.machine, c.count - k) for c, k in zip(plan, ok.tolist()) if k < c.count
                 ]
-                result = commit(state, claims, snapshot, conflict_mode, commit_mode)
+                result = commit(state, plan, snapshot, conflict_mode, commit_mode)
                 assert [(c.machine, c.count) for c in result.accepted] == want_accepted
                 assert [(c.machine, c.count) for c in result.rejected] == want_rejected
 
@@ -474,15 +453,29 @@ class TestCommitInvariants:
         snapshot = state.snapshot()
         state.claim(3, 1.0, 1.0, 1)  # stale seq on machine 3
         before = state_bits(state)
-        claims = [Claim(machine=m, cpu=0.5, mem=0.5, count=2) for m in range(n)]
+        plan = Plan(0.5, 0.5, list(range(n)), [2] * n)
         got = commit(
             state,
-            claims,
+            plan,
             snapshot,
             ConflictMode.COARSE,
             CommitMode.ALL_OR_NOTHING,
         )
-        assert got.accepted == ()
-        assert got.rejected == tuple(claims)
+        assert len(got.accepted) == 0
+        assert got.rejected is plan
         assert state_bits(state) == before
         assert state.used_cpu == 1.0 and state.used_mem == 1.0
+
+    def test_duplicate_machine_is_refused_before_any_write(self):
+        """Two entries on one machine used to pass validation against the
+        pre-commit state and then trip ``claim``'s safety net half-way
+        through the apply. A plan refuses them at construction."""
+        state = CellState(Cell.homogeneous(4, cpu_per_machine=4.0, mem_per_machine=8.0))
+        snapshot = state.snapshot()
+        before = _master_copy(state)
+        bits = state_bits(state)
+        # Each entry fits on its own; together they overfill machine 1.
+        with pytest.raises(ValueError, match="names machine 1 twice"):
+            commit(state, Plan(1.0, 1.0, [0, 1, 2, 1], [1, 3, 1, 3]), snapshot)
+        _assert_master_equals(state, before)
+        assert state_bits(state) == bits

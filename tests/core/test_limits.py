@@ -14,7 +14,6 @@ from repro.core.limits import (
 )
 from repro.core.preemption import AllocationLedger
 from repro.core.scheduler import OmegaScheduler
-from repro.core.transaction import Claim
 from repro.schedulers.base import DecisionTimeModel
 from tests.conftest import make_job
 
@@ -137,7 +136,7 @@ class TestPolicyMonitor:
         )
         monitor.start(until=100.0)
         ledger.register(
-            Claim(machine=0, cpu=1.0, mem=1.0, count=3),
+            0, 1.0, 1.0, 3,
             precedence=0,
             duration=1000.0,
             owner="greedy",
@@ -160,7 +159,7 @@ class TestPolicyMonitor:
         )
         monitor.start(until=50.0)
         ledger.register(
-            Claim(machine=0, cpu=1.0, mem=1.0, count=2),
+            0, 1.0, 1.0, 2,
             precedence=0,
             duration=1000.0,
             owner="modest",
@@ -178,7 +177,7 @@ class TestPolicyMonitor:
         )
         monitor.start(until=100.0)
         ledger.register(
-            Claim(machine=0, cpu=2.0, mem=2.0, count=1),
+            0, 2.0, 2.0, 1,
             precedence=0,
             duration=15.0,
             owner="bursty",
@@ -190,7 +189,7 @@ class TestPolicyMonitor:
     def test_usage_by_owner_groups_unowned(self, sim, state):
         ledger = AllocationLedger(state, sim)
         ledger.register(
-            Claim(machine=0, cpu=1.0, mem=2.0, count=1), precedence=0, duration=10.0
+            0, 1.0, 2.0, 1, precedence=0, duration=10.0
         )
         usage = ledger.usage_by_owner()
         assert usage["<unowned>"] == (1.0, 2.0)

@@ -39,7 +39,7 @@ class TestFirstFit:
         )
         # 4 tasks of 1 core fit on a single 4-core machine.
         assert len(claims) == 1
-        assert claims[0].count == 4
+        assert claims.counts[0] == 4
 
     def test_partial_placement_when_short(self, state, rng):
         # Cell holds 20 cores; 30 one-core tasks cannot all fit.
@@ -52,7 +52,7 @@ class TestFirstFit:
         claims = randomized_first_fit(
             state.free_cpu, state.free_mem, 8.0, 1.0, 1, rng
         )
-        assert claims == []
+        assert len(claims) == 0
 
     def test_does_not_mutate_input_arrays(self, state, rng):
         before = state.free_cpu.copy()
@@ -79,7 +79,7 @@ class TestFirstFit:
                 1,
                 np.random.default_rng(seed),
             )
-            picks.add(claims[0].machine)
+            picks.add(claims.machines[0])
         assert len(picks) > 1  # different seeds pick different machines
 
     def test_validation(self, state, rng):
@@ -113,8 +113,8 @@ class TestFirstFitProperties:
         )
         assert sum(c.count for c in claims) <= num_tasks
         for claim in claims:
-            assert claim.cpu * claim.count <= state.free_cpu[claim.machine] + 1e-6
-            assert claim.mem * claim.count <= state.free_mem[claim.machine] + 1e-6
+            assert cpu * claim.count <= state.free_cpu[claim.machine] + 1e-6
+            assert mem * claim.count <= state.free_mem[claim.machine] + 1e-6
 
     @given(
         num_tasks=st.integers(min_value=1, max_value=50),

@@ -8,7 +8,7 @@ from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger, commit_with_preemption
 from repro.core.scheduler import OmegaScheduler, PreemptingOmegaScheduler
-from repro.core.transaction import Claim
+from repro.core.transaction import Plan
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
 from tests.conftest import make_job
@@ -25,29 +25,30 @@ def ledger(state, sim):
 
 
 def claim(machine=0, cpu=1.0, mem=1.0, count=1):
-    return Claim(machine=machine, cpu=cpu, mem=mem, count=count)
+    """One plan row's arguments to ``AllocationLedger.register``."""
+    return machine, cpu, mem, count
 
 
 class TestLedgerLifecycle:
     def test_register_claims_resources(self, state, ledger):
-        ledger.register(claim(count=2), precedence=0, duration=50.0)
+        ledger.register(*claim(count=2), precedence=0, duration=50.0)
         assert state.used_cpu == 2.0
         assert len(ledger.records_on(0)) == 1
 
     def test_normal_completion_releases(self, state, ledger, sim):
-        ledger.register(claim(), precedence=0, duration=50.0)
+        ledger.register(*claim(), precedence=0, duration=50.0)
         sim.run(until=60.0)
         assert state.used_cpu == 0.0
         assert ledger.records_on(0) == []
 
     def test_already_claimed_skips_claim(self, state, ledger):
         state.claim(0, 1.0, 1.0)
-        ledger.register(claim(), precedence=0, duration=50.0, already_claimed=True)
+        ledger.register(*claim(), precedence=0, duration=50.0, already_claimed=True)
         assert state.used_cpu == 1.0  # not double-counted
 
     def test_preemptible_respects_precedence(self, state, ledger):
-        ledger.register(claim(cpu=1.0, mem=2.0), precedence=0, duration=50.0)
-        ledger.register(claim(cpu=0.5, mem=1.0), precedence=5, duration=50.0)
+        ledger.register(*claim(cpu=1.0, mem=2.0), precedence=0, duration=50.0)
+        ledger.register(*claim(cpu=0.5, mem=1.0), precedence=5, duration=50.0)
         assert ledger.preemptible(0, below_precedence=10) == (1.5, 3.0)
         assert ledger.preemptible(0, below_precedence=5) == (1.0, 2.0)
         assert ledger.preemptible(0, below_precedence=0) == (0.0, 0.0)
@@ -57,13 +58,13 @@ class TestEviction:
     def test_evicts_lowest_precedence_first(self, state, ledger, sim):
         evictions = []
         ledger.register(
-            claim(cpu=1.0, mem=1.0),
+            *claim(cpu=1.0, mem=1.0),
             precedence=3,
             duration=100.0,
             on_preempt=lambda r, n: evictions.append(("mid", n)),
         )
         ledger.register(
-            claim(cpu=1.0, mem=1.0),
+            *claim(cpu=1.0, mem=1.0),
             precedence=0,
             duration=100.0,
             on_preempt=lambda r, n: evictions.append(("low", n)),
@@ -73,60 +74,60 @@ class TestEviction:
         assert evictions == [("low", 1)]
 
     def test_partial_eviction_keeps_survivors(self, state, ledger):
-        record = ledger.register(claim(count=4), precedence=0, duration=100.0)
+        record = ledger.register(*claim(count=4), precedence=0, duration=100.0)
         evicted = ledger.evict(0, need_cpu=2.0, need_mem=0.0, below_precedence=5)
         assert evicted == 2
         assert record.count == 2
         assert state.free_cpu[0] == 2.0
 
     def test_eviction_cancels_end_event(self, state, ledger, sim):
-        ledger.register(claim(), precedence=0, duration=50.0)
+        ledger.register(*claim(), precedence=0, duration=50.0)
         ledger.evict(0, need_cpu=1.0, need_mem=1.0, below_precedence=5)
         assert state.used_cpu == 0.0
         sim.run(until=60.0)  # the cancelled end event must not re-release
         assert state.used_cpu == 0.0
 
     def test_evict_nothing_needed(self, state, ledger):
-        ledger.register(claim(), precedence=0, duration=50.0)
+        ledger.register(*claim(), precedence=0, duration=50.0)
         assert ledger.evict(0, 0.0, 0.0, below_precedence=5) == 0
 
     def test_preempted_counter(self, state, ledger):
-        ledger.register(claim(count=3), precedence=0, duration=50.0)
+        ledger.register(*claim(count=3), precedence=0, duration=50.0)
         ledger.evict(0, need_cpu=3.0, need_mem=0.0, below_precedence=5)
         assert ledger.preempted_tasks == 3
 
 
 class TestCommitWithPreemption:
     def test_free_resources_used_before_eviction(self, state, ledger):
-        ledger.register(claim(cpu=1.0, mem=1.0), precedence=0, duration=100.0)
+        ledger.register(*claim(cpu=1.0, mem=1.0), precedence=0, duration=100.0)
         result = commit_with_preemption(
-            state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=10
+            state, ledger, Plan(2.0, 2.0, [0], [1]), precedence=10
         )
         assert len(result.accepted) == 1 and not result.rejected
         assert result.preempted_tasks == 0  # 3 cores were still free
 
     def test_eviction_when_needed(self, state, ledger):
-        ledger.register(claim(cpu=3.0, mem=3.0), precedence=0, duration=100.0)
+        ledger.register(*claim(cpu=3.0, mem=3.0), precedence=0, duration=100.0)
         result = commit_with_preemption(
-            state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=10
+            state, ledger, Plan(2.0, 2.0, [0], [1]), precedence=10
         )
         assert len(result.accepted) == 1
         assert result.preempted_tasks == 1
         assert state.fits(0, 0.9, 0.9)  # victim's space partially free
 
     def test_equal_precedence_not_preemptible(self, state, ledger):
-        ledger.register(claim(cpu=4.0, mem=4.0), precedence=5, duration=100.0)
+        ledger.register(*claim(cpu=4.0, mem=4.0), precedence=5, duration=100.0)
         result = commit_with_preemption(
-            state, ledger, [claim(cpu=2.0, mem=2.0)], precedence=5
+            state, ledger, Plan(2.0, 2.0, [0], [1]), precedence=5
         )
         assert not result.accepted
         assert len(result.rejected) == 1
         assert result.preempted_tasks == 0
 
     def test_never_overcommits(self, state, ledger):
-        ledger.register(claim(cpu=2.0, mem=2.0), precedence=0, duration=100.0)
+        ledger.register(*claim(cpu=2.0, mem=2.0), precedence=0, duration=100.0)
         commit_with_preemption(
-            state, ledger, [claim(cpu=3.0, mem=3.0, count=2)], precedence=10
+            state, ledger, Plan(3.0, 3.0, [0], [2]), precedence=10
         )
         assert state.free_cpu[0] >= -1e-9
         assert state.free_mem[0] >= -1e-9

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import Cell
 from repro.core.cellstate import EPSILON, CellState
-from repro.core.transaction import Claim, CommitMode, ConflictMode, commit
+from repro.core.transaction import CommitMode, ConflictMode, Plan, commit
 
 ALL_MODES = [
     (conflict, commit_mode)
@@ -33,12 +33,12 @@ class TestExactCapacity:
         """A claim consuming every last unit must commit in all modes."""
         result = commit(
             state,
-            [Claim(machine=0, cpu=CPU, mem=MEM, count=1)],
+            Plan(CPU, MEM, [0], [1]),
             state.snapshot(),
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
-        assert result.fully_accepted
+        assert not result.conflicted
         assert state.free_cpu[0] == 0.0
         assert state.free_mem[0] == 0.0
 
@@ -46,7 +46,7 @@ class TestExactCapacity:
         """Four tasks of capacity/4 each fill the machine exactly."""
         result = commit(
             state,
-            [Claim(machine=0, cpu=CPU / 4, mem=MEM / 4, count=4)],
+            Plan(CPU / 4, MEM / 4, [0], [4]),
             state.snapshot(),
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
@@ -60,12 +60,12 @@ class TestExactCapacity:
         """Overshoot below the tolerance is float dust, not overcommit."""
         result = commit(
             state,
-            [Claim(machine=0, cpu=CPU + EPSILON / 2, mem=MEM, count=1)],
+            Plan(CPU + EPSILON / 2, MEM, [0], [1]),
             state.snapshot(),
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
-        assert result.fully_accepted
+        assert not result.conflicted
         # The clamp keeps the master copy consistent: free never dips
         # below zero even though the claim nominally exceeded capacity.
         assert state.free_cpu[0] == 0.0
@@ -74,24 +74,24 @@ class TestExactCapacity:
         """Overshoot above the tolerance is a real conflict in every mode."""
         result = commit(
             state,
-            [Claim(machine=0, cpu=CPU + 1e-6, mem=MEM, count=1)],
+            Plan(CPU + 1e-6, MEM, [0], [1]),
             state.snapshot(),
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
-        assert result.accepted == ()
+        assert len(result.accepted) == 0
         assert result.conflicted
         assert state.free_cpu[0] == CPU
 
     def test_mem_boundary_checked_independently(self, state, conflict_mode, commit_mode):
         result = commit(
             state,
-            [Claim(machine=0, cpu=1.0, mem=MEM + 1e-6, count=1)],
+            Plan(1.0, MEM + 1e-6, [0], [1]),
             state.snapshot(),
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
-        assert result.accepted == ()
+        assert len(result.accepted) == 0
 
 
 @pytest.mark.parametrize("conflict_mode,commit_mode", ALL_MODES)
@@ -104,17 +104,17 @@ class TestEpsilonUnderContention:
         state.claim(0, CPU / 2, MEM / 2, 1)
         result = commit(
             state,
-            [Claim(machine=0, cpu=CPU / 2, mem=MEM / 2, count=1)],
+            Plan(CPU / 2, MEM / 2, [0], [1]),
             snapshot,
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
         if conflict_mode is ConflictMode.COARSE:
             # The sequence number moved: spurious conflict by design.
-            assert result.accepted == ()
+            assert len(result.accepted) == 0
         else:
             # Fine-grained: the remaining half fits exactly.
-            assert result.fully_accepted
+            assert not result.conflicted
             assert state.free_cpu[0] == 0.0
 
     def test_over_by_epsilon_under_contention(self, state, conflict_mode, commit_mode):
@@ -122,32 +122,25 @@ class TestEpsilonUnderContention:
         state.claim(0, CPU / 2, MEM / 2, 1)
         result = commit(
             state,
-            [
-                Claim(
-                    machine=0,
-                    cpu=CPU / 2 + EPSILON / 2,
-                    mem=MEM / 2,
-                    count=1,
-                )
-            ],
+            Plan(CPU / 2 + EPSILON / 2, MEM / 2, [0], [1]),
             snapshot,
             conflict_mode=conflict_mode,
             commit_mode=commit_mode,
         )
         if conflict_mode is ConflictMode.COARSE:
-            assert result.accepted == ()
+            assert len(result.accepted) == 0
         else:
-            assert result.fully_accepted
+            assert not result.conflicted
 
 
 class TestIncrementalSplitAtBoundary:
     def test_partial_acceptance_counts_epsilon_fits(self, state):
         """Five capacity/4 tasks: exactly four fit; INCREMENTAL splits
         the claim at the boundary, ALL_OR_NOTHING aborts whole."""
-        claims = [Claim(machine=0, cpu=CPU / 4, mem=MEM / 4, count=5)]
+        plan = Plan(CPU / 4, MEM / 4, [0], [5])
         incremental = commit(
             state,
-            claims,
+            plan,
             state.snapshot(),
             conflict_mode=ConflictMode.FINE,
             commit_mode=CommitMode.INCREMENTAL,
@@ -156,13 +149,13 @@ class TestIncrementalSplitAtBoundary:
         assert incremental.rejected_tasks == 1
 
     def test_all_or_nothing_aborts_whole_transaction(self, state):
-        claims = [Claim(machine=0, cpu=CPU / 4, mem=MEM / 4, count=5)]
+        plan = Plan(CPU / 4, MEM / 4, [0], [5])
         gang = commit(
             state,
-            claims,
+            plan,
             state.snapshot(),
             conflict_mode=ConflictMode.FINE,
             commit_mode=CommitMode.ALL_OR_NOTHING,
         )
-        assert gang.accepted == ()
+        assert len(gang.accepted) == 0
         assert state.free_cpu[0] == CPU  # master copy untouched

@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.core.transaction import Claim
 from repro.invariants import CellStateInvariantChecker, InvariantViolation
 
 
@@ -84,7 +83,7 @@ class TestLedgerInvariants:
     def test_registered_allocations_agree(self, sim, state):
         ledger = AllocationLedger(state, sim)
         ledger.register(
-            Claim(machine=0, cpu=1.0, mem=2.0, count=2), precedence=0, duration=100.0
+            0, 1.0, 2.0, 2, precedence=0, duration=100.0
         )
         checker = CellStateInvariantChecker([state], ledger=ledger)
         assert checker.check() == []
@@ -92,7 +91,7 @@ class TestLedgerInvariants:
     def test_orphaned_record_detected(self, sim, state):
         ledger = AllocationLedger(state, sim)
         record = ledger.register(
-            Claim(machine=0, cpu=1.0, mem=2.0, count=2), precedence=0, duration=100.0
+            0, 1.0, 2.0, 2, precedence=0, duration=100.0
         )
         record.count = 0  # simulate a bookkeeping bug
         checker = CellStateInvariantChecker(
@@ -104,7 +103,7 @@ class TestLedgerInvariants:
     def test_ledger_exceeding_allocation_detected(self, sim, state):
         ledger = AllocationLedger(state, sim)
         ledger.register(
-            Claim(machine=0, cpu=2.0, mem=4.0, count=1), precedence=0, duration=100.0
+            0, 2.0, 4.0, 1, precedence=0, duration=100.0
         )
         # Release the resources behind the ledger's back: the ledger now
         # registers more than the cell state says is allocated.

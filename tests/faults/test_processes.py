@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.core.transaction import Claim
 from repro.hifi.failures import FailureRepairProcess
 from repro.sim import Simulator
 from repro.sim.random import derive_seed
@@ -85,7 +84,7 @@ class TestFailRepair:
     def test_evict_callback_counts_killed_tasks(self, sim, state):
         ledger = AllocationLedger(state, sim)
         ledger.register(
-            Claim(machine=1, cpu=1.0, mem=2.0, count=3),
+            1, 1.0, 2.0, 3,
             precedence=0,
             duration=10_000.0,
         )

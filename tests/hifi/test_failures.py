@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.preemption import AllocationLedger
-from repro.core.transaction import Claim
 from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.replay import HighFidelityConfig, run_hifi
 from repro.hifi.trace import synthesize_trace
@@ -34,7 +33,7 @@ class TestFailureMechanics:
         failures = injector(sim, state, ledger)
         killed_log = []
         ledger.register(
-            Claim(machine=0, cpu=1.0, mem=2.0, count=3),
+            0, 1.0, 2.0, 3,
             precedence=10,
             duration=10_000.0,
             on_preempt=lambda record, count: killed_log.append(count),
@@ -70,7 +69,7 @@ class TestFailureMechanics:
     def test_partially_used_machine_fails_cleanly(self, sim, state, ledger):
         failures = injector(sim, state, ledger)
         ledger.register(
-            Claim(machine=1, cpu=2.0, mem=4.0, count=1), precedence=0, duration=1e6
+            1, 2.0, 4.0, 1, precedence=0, duration=1e6
         )
         failures.fail(1)
         # Victim evicted and the rest withheld: machine fully unusable.

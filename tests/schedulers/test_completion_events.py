@@ -5,7 +5,8 @@ claim released.
 bookkeeping) used to push one event per claim, all at one ``end_time``
 with consecutive sequence numbers. :class:`PerClaimCompletions` restores
 that; every world below runs both ways and must make the same sequence
-of ``CellState.release`` calls and end in the same state and result row.
+of releases (``CellState.release`` calls and ``release_batch`` rows)
+and end in the same state and result row.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
 from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
-from repro.core.transaction import CommitMode, ConflictMode
+from repro.core.transaction import CommitMode, ConflictMode, Plan
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import result_row
 from repro.faults import FaultConfig
@@ -28,29 +29,34 @@ from tests.conftest import make_job, tiny_preset
 class PerClaimCompletions:
     """The per-claim pushes this repository used to make, as a mix-in."""
 
-    def _start_tasks(self, state, job, claims):
+    def _start_tasks(self, state, job, plan):
         end_time = self.sim.now + job.duration
-        for claim in claims:
+        for claim in plan:
             self.sim.at(
-                end_time, state.release, claim.machine, claim.cpu, claim.mem, claim.count
+                end_time, state.release, claim.machine, plan.cpu, plan.mem, claim.count
             )
 
 
 class PerClaimOwnUsage:
     """``LimitedOmegaScheduler``'s former event per claim."""
 
-    def _start_tasks(self, state, job, claims):
+    def _start_tasks(self, state, job, plan):
         if self.ledger is None:
-            for claim in claims:
-                self.used_cpu += claim.cpu * claim.count
-                self.used_mem += claim.mem * claim.count
-                self.sim.after(job.duration, self._own_usage_released, (claim,))
-        super(LimitedOmegaScheduler, self)._start_tasks(state, job, claims)
+            for claim in plan:
+                self.used_cpu += plan.cpu * claim.count
+                self.used_mem += plan.mem * claim.count
+                self.sim.after(
+                    job.duration,
+                    self._own_usage_released,
+                    Plan(plan.cpu, plan.mem, [claim.machine], [claim.count]),
+                )
+        super(LimitedOmegaScheduler, self)._start_tasks(state, job, plan)
 
 
 @pytest.fixture
 def release_log(monkeypatch):
-    """Every ``CellState.release`` as ``(now, machine, cpu, mem, count)``;
+    """Every ``CellState.release``, and every row of a
+    ``CellState.release_batch``, as ``(now, machine, cpu, mem, count)``;
     the test sets ``log.sim`` once it has a simulator."""
 
     class Log(list):
@@ -58,12 +64,19 @@ def release_log(monkeypatch):
 
     log = Log()
     release = CellState.release
+    release_batch = CellState.release_batch
 
     def logged(self, machine, cpu, mem, count=1):
         log.append((log.sim.now, int(machine), cpu, mem, count))
         return release(self, machine, cpu, mem, count)
 
+    def logged_batch(self, plan):
+        for claim in plan:
+            log.append((log.sim.now, claim.machine, plan.cpu, plan.mem, claim.count))
+        return release_batch(self, plan)
+
     monkeypatch.setattr(CellState, "release", logged)
+    monkeypatch.setattr(CellState, "release_batch", logged_batch)
     return log
 
 
@@ -187,12 +200,18 @@ def test_every_claim_is_released_exactly_once_at_quiescence(monkeypatch, release
     machine short of, or over, its capacity."""
     started = []
     claim = CellState.claim
+    claim_batch = CellState.claim_batch
 
     def counted(self, machine, cpu, mem, count=1):
         claim(self, machine, cpu, mem, count)
         started.append(count)
 
+    def counted_batch(self, plan):
+        claim_batch(self, plan)
+        started.extend(plan.counts)
+
     monkeypatch.setattr(CellState, "claim", counted)
+    monkeypatch.setattr(CellState, "claim_batch", counted_batch)
     world = LightweightSimulation(
         _base(num_batch_schedulers=4, batch_rate_factor=4.0, initial_utilization=0.0)
     )
