@@ -33,9 +33,6 @@ def test_fig10_busyness_surfaces(report):
             horizon=bench_horizon(1.0),
             seed=0,
             scale=scale,
-            # Keep the full-size service arrival rate: the surfaces
-            # measure service-scheduler behaviour.
-            service_rate_factor=1.0 / scale,
         ),
         "Figure 10: busyness over t_job x t_task, five schemes",
         columns=COLUMNS,

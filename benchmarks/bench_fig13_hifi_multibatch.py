@@ -7,11 +7,10 @@ the conflict fraction stays low (around 0.1 at moderate decision
 times) and all schedulers share the work evenly.
 """
 
-from repro.experiments.hifi_perf import (
-    figure13_saturation_shift,
-    make_trace,
-)
+from repro.experiments.hifi_perf import figure13_saturation_shift
 from repro.experiments.sweeps import WAIT_TIME_SLO
+from repro.hifi.trace import synthesize_trace
+from repro.workload.clusters import preset_by_name
 
 from conftest import bench_horizon, bench_scale, figure
 
@@ -28,8 +27,9 @@ COLUMNS = [
 
 def test_fig13_three_batch_schedulers(report, benchmark):
     horizon = bench_horizon(1.5)
-    trace = make_trace(
-        "C", horizon=horizon, seed=0, scale=bench_scale(0.5), service_rate_factor=1.0
+    # Service arrivals scale with the cell here, unlike make_trace's.
+    trace = synthesize_trace(
+        preset_by_name("C").scaled(bench_scale(0.5)), horizon=horizon, seed=0
     )
     t_jobs = (0.5, 1.0, 2.0, 4.0, 8.0, 15.0)
     rows = report(

@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Cluster-wide behaviours over shared state: precedence preemption,
-per-scheduler quotas, and post-facto policy auditing (paper section 3.4).
+"""Cluster-wide behaviour over shared state: precedence preemption
+(paper section 3.4).
 
-Omega has no central policy engine. Instead:
+Omega has no central policy engine. Instead, schedulers agree on a
+*precedence* scale, and high-precedence work may preempt
+lower-precedence tasks ("free-for-all, priority preemption", Table 1).
+The paper's other section 3.4 mechanisms, per-scheduler quotas and
+post-facto auditing, are described there but evaluated nowhere, and
+this reproduction does not implement them.
 
-* schedulers agree on a *precedence* scale, and high-precedence work
-  may preempt lower-precedence tasks ("free-for-all, priority
-  preemption", Table 1);
-* "individual schedulers have configuration settings to limit the total
-  amount of resources they may claim, and to limit the number of jobs
-  they admit";
-* compliance is "audited post facto to eliminate the need for checks in
-  a scheduler's critical code path".
-
-This example runs all three mechanisms together on one shared cell.
+This example runs a batch and a preempting service scheduler on one
+shared cell.
 
 Usage::
 
@@ -31,8 +28,7 @@ from repro import (
     MetricsCollector,
     Simulator,
 )
-from repro.core import AllocationLedger, PreemptingOmegaScheduler
-from repro.core.limits import LimitedOmegaScheduler, PolicyMonitor, SchedulerLimits
+from repro.core import AllocationLedger, OmegaScheduler, PreemptingOmegaScheduler
 
 
 def main() -> None:
@@ -41,15 +37,14 @@ def main() -> None:
     state = CellState(Cell.homogeneous(20, cpu_per_machine=4.0, mem_per_machine=16.0))
     ledger = AllocationLedger(state, sim)
 
-    # A batch scheduler capped at 40 cores and 30 admitted jobs.
-    batch = LimitedOmegaScheduler(
+    # A batch scheduler whose tasks sit at the lowest precedence.
+    batch = OmegaScheduler(
         "batch",
         sim,
         metrics,
         state,
         np.random.default_rng(0),
         DecisionTimeModel(),
-        limits=SchedulerLimits(max_cpu=40.0, max_admitted_jobs=30),
         ledger=ledger,  # registered tasks are visible — and preemptible
     )
     # A high-precedence service scheduler that may preempt batch tasks.
@@ -62,16 +57,7 @@ def main() -> None:
         DecisionTimeModel(t_job=1.0),
         ledger=ledger,
     )
-    # The post-facto auditor: nothing on the fast path, just monitoring.
-    monitor = PolicyMonitor(
-        sim,
-        ledger,
-        limits={"service": SchedulerLimits(max_cpu=30.0)},
-        interval=60.0,
-    )
-    monitor.start(until=1800.0)
-
-    # Flood the batch scheduler: 50 submissions against a 30-job limit.
+    # Flood the batch scheduler: 50 jobs of 2 cores against 80 cores.
     for index in range(50):
         sim.at(
             float(index),
@@ -102,13 +88,6 @@ def main() -> None:
 
     sim.run(until=1800.0)
 
-    print("batch scheduler (quota: 40 cores, 30 jobs):")
-    print(f"  admitted {batch.jobs_admitted}, rejected {batch.jobs_rejected}")
-    print(
-        f"  holding {batch.current_usage()[0]:.1f} cores "
-        "(never exceeds the quota)"
-    )
-    print()
     print("service scheduler (precedence 10, may preempt):")
     print(f"  big job fully scheduled: {big_service.is_fully_scheduled}")
     print(
@@ -116,16 +95,11 @@ def main() -> None:
         f"{metrics.schedulers['service'].preemptions_caused}"
     )
     print()
-    print(f"post-facto monitor ({monitor.samples} audits):")
-    for violation in monitor.violations[:3]:
-        print(
-            f"  t={violation.time:6.0f}s {violation.scheduler} held "
-            f"{violation.used_cpu:.1f} cores (limit {violation.limit_cpu})"
-        )
-    if len(monitor.violations) > 3:
-        print(f"  ... and {len(monitor.violations) - 3} more")
-    if not monitor.violations:
-        print("  no violations recorded")
+    print("batch scheduler (precedence 0):")
+    print(
+        f"  tasks lost to preemption and requeued: "
+        f"{metrics.schedulers['batch'].tasks_lost_to_preemption}"
+    )
 
 
 if __name__ == "__main__":

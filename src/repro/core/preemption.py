@@ -52,9 +52,6 @@ class AllocationRecord:
     precedence: int
     on_preempt: VictimCallback | None = None
     end_event: Event | None = None
-    #: Name of the scheduler that owns this allocation (used by the
-    #: post-facto policy monitor, :mod:`repro.core.limits`).
-    owner: str | None = None
 
     @property
     def total_cpu(self) -> float:
@@ -94,7 +91,6 @@ class AllocationLedger:
         duration: float,
         on_preempt: VictimCallback | None = None,
         already_claimed: bool = False,
-        owner: str | None = None,
     ) -> AllocationRecord:
         """Register ``count`` tasks of ``cpu`` x ``mem`` on ``machine``,
         claiming their resources.
@@ -114,7 +110,6 @@ class AllocationLedger:
             count=count,
             precedence=precedence,
             on_preempt=on_preempt,
-            owner=owner,
         )
         record.end_event = self.sim.after(duration, self._finish, record)
         self._by_machine.setdefault(machine, {})[record.record_id] = record
@@ -142,20 +137,6 @@ class AllocationLedger:
             yield from sorted(
                 self._by_machine[machine].values(), key=lambda r: r.record_id
             )
-
-    def usage_by_owner(self) -> dict[str, tuple[float, float]]:
-        """Aggregate (cpu, mem) currently held per owning scheduler.
-
-        Unowned allocations (e.g. the initial standing population) are
-        grouped under ``"<unowned>"``.
-        """
-        usage: dict[str, list[float]] = {}
-        for record in self.records():
-            key = record.owner or "<unowned>"
-            totals = usage.setdefault(key, [0.0, 0.0])
-            totals[0] += record.total_cpu
-            totals[1] += record.total_mem
-        return {owner: (cpu, mem) for owner, (cpu, mem) in sorted(usage.items())}
 
     def preemptible(self, machine: int, below_precedence: int) -> tuple[float, float]:
         """(cpu, mem) reclaimable on ``machine`` from allocations whose

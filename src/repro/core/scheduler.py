@@ -268,7 +268,6 @@ class OmegaScheduler(QueueScheduler):
                     job, count
                 ),
                 already_claimed=True,
-                owner=self.name,
             )
 
     def _on_preempted(self, job: Job, count: int) -> None:

@@ -51,17 +51,19 @@ class Plan:
     :mod:`repro.workload.job`, so the size is stored once).
 
     Construction refuses, with one ``ValueError`` before anything is
-    written, a non-finite or negative size, a count below 1, a negative
-    machine and a machine named twice, so every walk over a plan meets
-    each machine once. Iterating yields read-only ``PlanRow`` rows.
+    written, a non-finite or negative size, a machine or count that is
+    not an ``int`` (a float, a NumPy scalar), a count below 1, a negative machine and a machine
+    named twice, so every walk over a plan meets each machine once and
+    claims whole tasks. ``tasks`` is the sum of ``counts``. Iterating
+    yields read-only ``PlanRow`` rows.
     """
 
-    __slots__ = ("cpu", "mem", "machines", "counts")
+    __slots__ = ("cpu", "mem", "machines", "counts", "tasks")
 
     def __init__(
         self, cpu: float, mem: float, machines: Sequence[int], counts: Sequence[int]
     ) -> None:
-        # Comparisons (NaN fails each), and min and set at C speed.
+        # Comparisons (NaN fails each), and sum, min and set at C speed.
         if not (0.0 <= cpu < math.inf and 0.0 <= mem < math.inf):
             raise ValueError(
                 f"plan sizes must be finite, non-negative numbers, got cpu={cpu}, mem={mem}"
@@ -69,7 +71,13 @@ class Plan:
         size = len(machines)
         if size != len(counts):
             raise ValueError(f"{size} machines but {len(counts)} counts")
+        tasks = sum(counts)
         if size:
+            # A sum of ints is an int; one float or NumPy scalar makes
+            # it another type.
+            if type(tasks) is not int or type(sum(machines)) is not int:
+                bad = next(v for v in (*machines, *counts) if type(v) is not int)
+                raise ValueError(f"plan machines and counts must be int, got {bad!r}")
             if min(counts) < 1:
                 raise ValueError(f"plan count must be >= 1, got {min(counts)}")
             if min(machines) < 0:
@@ -78,16 +86,13 @@ class Plan:
                 twice = next(m for i, m in enumerate(machines) if m in machines[:i])
                 raise ValueError(f"plan names machine {twice} twice")
         self.cpu, self.mem, self.machines, self.counts = cpu, mem, machines, counts
+        self.tasks = tasks
 
     def __len__(self) -> int:
         return len(self.machines)
 
     def __iter__(self) -> Iterator[PlanRow]:
         return map(PlanRow, self.machines, self.counts)
-
-    @property
-    def tasks(self) -> int:
-        return sum(self.counts)
 
 
 #: What a commit accepts or rejects when that part is empty.
@@ -107,11 +112,11 @@ class CommitResult(NamedTuple):
 
     @property
     def accepted_tasks(self) -> int:
-        return sum(self.accepted.counts)
+        return self.accepted.tasks
 
     @property
     def rejected_tasks(self) -> int:
-        return sum(self.rejected.counts)
+        return self.rejected.tasks
 
     @property
     def conflicted(self) -> bool:

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="SECONDS",
                 help="kill and retry any sweep point running longer than "
-                "this many wall seconds (requires --jobs >= 2)",
+                "this many wall seconds",
             )
             sub.add_argument(
                 "--point-attempts",
@@ -394,6 +394,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         return f"--hours must be positive and finite, got {args.hours}"
     if getattr(args, "jobs", 1) < 0:
         return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
+    if getattr(args, "point_attempts", 1) < 1:
+        return f"--point-attempts must be >= 1, got {args.point_attempts}"
     if args.samples < 1:
         return f"--samples must be >= 1, got {args.samples}"
     if args.output:

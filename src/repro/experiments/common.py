@@ -97,7 +97,6 @@ def _partitioned(world: World) -> None:
         world.streams.stream("placement.partition-service"),
         batch_model=config.batch_model,
         service_model=config.service_model,
-        batch_share=config.batch_partition_share,
         attempt_limit=config.attempt_limit,
     )
     world.states.extend(partition.states)
@@ -257,7 +256,7 @@ def start_workload(
     """
     for job_type, params, factor in (
         (JobType.BATCH, config.preset.batch, config.batch_rate_factor),
-        (JobType.SERVICE, config.preset.service, config.service_rate_factor),
+        (JobType.SERVICE, config.preset.service, 1.0),
     ):
         WorkloadGenerator(
             context.sim,
@@ -282,14 +281,11 @@ class LightweightConfig:
     batch_model: DecisionTimeModel = field(default_factory=DecisionTimeModel)
     service_model: DecisionTimeModel = field(default_factory=DecisionTimeModel)
     batch_rate_factor: float = 1.0  # Figure 8/9's relative lambda(batch)
-    service_rate_factor: float = 1.0
     num_batch_schedulers: int = 1  # Figure 9: 1..32
     conflict_mode: ConflictMode = ConflictMode.FINE
     commit_mode: CommitMode = CommitMode.INCREMENTAL
     attempt_limit: int = 1000
-    metrics_period: float | None = None
     initial_utilization: float | None = None
-    batch_partition_share: float = 0.5
     mesos_offer_policy: str = "all"
     utilization_sample_interval: float | None = None
     retry_conflicts_at_front: bool = True
@@ -340,7 +336,7 @@ class LightweightConfig:
                 f"unknown architecture {self.architecture!r}; "
                 f"choose from {tuple(ARCHITECTURES)}"
             )
-        for name in ("horizon", "batch_rate_factor", "service_rate_factor"):
+        for name in ("horizon", "batch_rate_factor"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -359,8 +355,6 @@ class LightweightConfig:
     def period(self) -> float:
         """Aggregation period for 'daily' statistics: real days for long
         runs, quarters of the horizon for scaled-down ones."""
-        if self.metrics_period is not None:
-            return self.metrics_period
         return min(DAY, self.horizon / 4.0)
 
 

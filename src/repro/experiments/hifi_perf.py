@@ -36,25 +36,18 @@ def make_trace(
     horizon: float,
     seed: int = 0,
     scale: float = 1.0,
-    service_rate_factor: float | None = None,
 ) -> Trace:
     """Synthesize the stand-in production trace for a cluster.
 
-    ``service_rate_factor`` defaults to 1/scale when the cell is scaled
-    down: the section 5 figures study *service-scheduler* behaviour, so
-    scaled traces keep the full-size service arrival rate (the service
-    stream's resource footprint is small) while batch scales with the
-    cell.
+    A scaled-down cell keeps the full-size service arrival rate (its
+    service rate is multiplied by 1/scale): the section 5 figures study
+    *service-scheduler* behaviour, and the service stream's resource
+    footprint is small. Batch scales with the cell.
     """
     preset = preset_by_name(cluster)
     if scale != 1.0:
         preset = preset.scaled(scale)
-        if service_rate_factor is None:
-            service_rate_factor = 1.0 / scale
-    if service_rate_factor is not None and service_rate_factor != 1.0:
-        preset = replace(
-            preset, service=preset.service.scaled_rate(service_rate_factor)
-        )
+        preset = replace(preset, service=preset.service.scaled_rate(1.0 / scale))
     return synthesize_trace(preset, horizon=horizon, seed=seed)
 
 

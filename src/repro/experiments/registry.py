@@ -374,8 +374,8 @@ _DECLARED = (
         gate=Gate({"t_jobs": (1.0,)}),
     ),
     # Beyond the paper's plots: Table 1's statically partitioned scheduler
-    # under the same sweep, exposing the fragmentation cost
-    # (``batch_partition_share`` sets the split).
+    # under the same sweep, exposing the fragmentation cost (the split
+    # is ``repro.schedulers.partitioned.BATCH_SHARE``).
     _service_sweep(
         "partitioned", "statically partitioned scheduler sweep", "partitioned"
     ),

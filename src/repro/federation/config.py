@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.experiments.common import LightweightConfig
 
-#: Front-door routing policies (Sliwko's taxonomy: static round-robin,
-#: dynamic least-loaded, and randomized load-proportional spreading).
-ROUTING_POLICIES = ("round-robin", "least-loaded", "weighted-random")
+#: Front-door routing policies (Sliwko's taxonomy: static round-robin
+#: and dynamic least-loaded). Neither draws a random number.
+ROUTING_POLICIES = ("round-robin", "least-loaded")
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,6 @@ class FederationConfig:
     fault_config: FederationFaultConfig = field(
         default_factory=FederationFaultConfig
     )
-    #: How long the front door waits before declaring a submission to an
-    #: unreachable cell failed (deterministic health-check timeout).
-    route_timeout: float = 5.0
-    #: Exponential backoff for a failed cell: suspension doubles from
-    #: ``backoff_base`` per consecutive failure, capped at
-    #: ``backoff_cap``. A successful delivery resets the counter.
-    backoff_base: float = 10.0
-    backoff_cap: float = 300.0
-    #: Re-route budget per job before the front door abandons it
-    #: ("reroute-cap").
-    max_reroutes: int = 8
-    #: Cross-cell migration budget per job before the front door
-    #: abandons it ("migration-cap").
-    max_migrations: int = 4
 
     def __post_init__(self) -> None:
         if self.num_cells < 1:
@@ -144,18 +130,3 @@ class FederationConfig:
             )
         if self.staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {self.staleness}")
-        if self.route_timeout <= 0:
-            raise ValueError(
-                f"route_timeout must be positive, got {self.route_timeout}"
-            )
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                "need 0 < backoff_base <= backoff_cap, got "
-                f"{self.backoff_base}, {self.backoff_cap}"
-            )
-        if self.max_reroutes < 1:
-            raise ValueError(f"max_reroutes must be >= 1, got {self.max_reroutes}")
-        if self.max_migrations < 1:
-            raise ValueError(
-                f"max_migrations must be >= 1, got {self.max_migrations}"
-            )

@@ -139,7 +139,7 @@ class FederatedSimulation:
                     staleness=config.staleness,
                 )
             )
-        self.front_door = FrontDoor(self.sim, self.cells, config, self.streams)
+        self.front_door = FrontDoor(self.sim, self.cells, config)
         if config.staleness > 0:
             for cell in self.cells:
                 cell.publish_digest()

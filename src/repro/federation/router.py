@@ -6,10 +6,10 @@ enters here and is routed to a member cell under one of the pluggable
 policies of :data:`~repro.federation.config.ROUTING_POLICIES`, driven
 only by the cells' eventually-consistent digests. Health checking is
 deterministic: a submission to an unreachable cell fails after a fixed
-``route_timeout``, the cell is suspended under exponential backoff, and
-the job is re-routed — bounded by ``max_reroutes`` with explicit
+:data:`ROUTE_TIMEOUT`, the cell is suspended under exponential backoff,
+and the job is re-routed — bounded by :data:`MAX_REROUTES` with explicit
 abandonment ("reroute-cap"). When the chaos engine blacks out a cell,
-its drained backlog is migrated here — bounded by ``max_migrations``
+its drained backlog is migrated here — bounded by :data:`MAX_MIGRATIONS`
 ("migration-cap") — and its lost in-flight jobs are recorded so that
 
     submitted == scheduled + pending + abandoned + lost_to_blackout
@@ -19,15 +19,12 @@ holds as a checked invariant (:meth:`FrontDoor.check_accounting`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.federation.cells import FederatedCell
 from repro.federation.config import FederationConfig
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator
 from repro.workload.job import Job
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 class FederationAccountingError(AssertionError):
@@ -36,10 +33,19 @@ class FederationAccountingError(AssertionError):
     and the cells."""
 
 
-#: Smallest weight a cell keeps under weighted-random routing, so a
-#: fully-utilized cell still receives a trickle of load (and the walk
-#: over weights never divides by zero).
-MIN_WEIGHT = 0.01
+#: Seconds the front door waits before declaring a submission to an
+#: unreachable cell failed (a deterministic health-check timeout).
+ROUTE_TIMEOUT = 5.0
+#: A failed cell's suspension doubles from ``BACKOFF_BASE`` seconds per
+#: consecutive failure, capped at ``BACKOFF_CAP``; a successful delivery
+#: resets the count.
+BACKOFF_BASE = 10.0
+BACKOFF_CAP = 300.0
+#: Re-routes per job before the front door abandons it ("reroute-cap").
+MAX_REROUTES = 8
+#: Cross-cell migrations per job before the front door abandons it
+#: ("migration-cap").
+MAX_MIGRATIONS = 4
 
 
 class FrontDoor:
@@ -50,18 +56,11 @@ class FrontDoor:
         sim: Simulator,
         cells: Sequence[FederatedCell],
         config: FederationConfig,
-        streams: RandomStreams,
     ) -> None:
         self.sim = sim
         self.cells = list(cells)
         self.config = config
         self._rr_next = 0
-        self._router_rng: "np.random.Generator | None" = None
-        if config.policy == "weighted-random":
-            # Only the randomized policy draws; the deterministic
-            # policies never touch a stream, so switching between them
-            # cannot perturb any other stochastic process in the run.
-            self._router_rng = streams.stream("fed.router")
         # -- health state, per cell index ------------------------------
         self.failures = [0] * len(self.cells)
         self.suspended_until = [0.0] * len(self.cells)
@@ -103,7 +102,7 @@ class FrontDoor:
         for job in jobs:
             count = self._migrations.get(job.job_id, 0) + 1
             self._migrations[job.job_id] = count
-            if count > self.config.max_migrations:
+            if count > MAX_MIGRATIONS:
                 self._abandon(job, "migration-cap")
                 continue
             self.jobs_migrated += 1
@@ -157,16 +156,13 @@ class FrontDoor:
             return
         # The cell is dark: the submission hangs for the deterministic
         # health-check timeout before the front door gives up on it.
-        self.sim.after(self.config.route_timeout, self._route_failed, job, cell)
+        self.sim.after(ROUTE_TIMEOUT, self._route_failed, job, cell)
 
     def _route_failed(self, job: Job, cell: FederatedCell) -> None:
         index = cell.index
         self.failures[index] += 1
         self.route_timeouts += 1
-        backoff = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * 2.0 ** (self.failures[index] - 1),
-        )
+        backoff = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (self.failures[index] - 1))
         self.suspended_until[index] = self.sim.now + backoff
         rec = self.sim.recorder
         if rec.enabled:
@@ -185,7 +181,7 @@ class FrontDoor:
     def _charge_reroute(self, job: Job) -> bool:
         count = self._reroutes.get(job.job_id, 0) + 1
         self._reroutes[job.job_id] = count
-        if count > self.config.max_reroutes:
+        if count > MAX_REROUTES:
             self._abandon(job, "reroute-cap")
             return False
         self.jobs_rerouted += 1
@@ -219,12 +215,9 @@ class FrontDoor:
         eligible = self._eligible()
         if not eligible:
             return None
-        policy = self.config.policy
-        if policy == "round-robin":
+        if self.config.policy == "round-robin":
             return self._pick_round_robin(eligible)
-        if policy == "least-loaded":
-            return self._pick_least_loaded(eligible)
-        return self._pick_weighted_random(eligible)
+        return self._pick_least_loaded(eligible)
 
     def _pick_round_robin(self, eligible: list[FederatedCell]) -> FederatedCell:
         """The next eligible cell in fixed rotation order."""
@@ -240,22 +233,6 @@ class FrontDoor:
     def _pick_least_loaded(self, eligible: list[FederatedCell]) -> FederatedCell:
         """Lowest advertised utilization; ties go to the lowest index."""
         return min(eligible, key=lambda cell: (cell.digest().utilization, cell.index))
-
-    def _pick_weighted_random(
-        self, eligible: list[FederatedCell]
-    ) -> FederatedCell:
-        """Randomized spread proportional to advertised free capacity."""
-        assert self._router_rng is not None
-        weights = [
-            max(MIN_WEIGHT, 1.0 - cell.digest().utilization) for cell in eligible
-        ]
-        target = float(self._router_rng.random()) * sum(weights)
-        cumulative = 0.0
-        for cell, weight in zip(eligible, weights):
-            cumulative += weight
-            if target < cumulative:
-                return cell
-        return eligible[-1]
 
     # ------------------------------------------------------------------
     # Accounting

@@ -47,7 +47,6 @@ class HighFidelityConfig:
     conflict_mode: ConflictMode = ConflictMode.FINE
     commit_mode: CommitMode = CommitMode.INCREMENTAL
     attempt_limit: int = 1000
-    metrics_period: float | None = None
     horizon: float | None = None  # default: the trace's horizon
     #: Mean time between failures per machine (seconds); None disables
     #: failure injection. An extension beyond the paper, which skipped
@@ -68,8 +67,6 @@ class HighFidelityConfig:
 
     @property
     def period(self) -> float:
-        if self.metrics_period is not None:
-            return self.metrics_period
         return min(DAY, self.effective_horizon / 4.0)
 
 

@@ -62,7 +62,7 @@ _NONE = type(None)
 #: The record envelope of docs/OBSERVABILITY.md, as the types a loaded
 #: value may have; ``None`` is accepted wherever the recorder writes it.
 _ENVELOPE: dict[str, tuple[type, ...]] = {
-    "name": (str,), "t": (int, float, _NONE), "sched": (str, _NONE),
+    "t": (int, float, _NONE), "sched": (str, _NONE),
     "job": (int, str, _NONE), "attempt": (int, _NONE), "fields": (dict,),
 }
 
@@ -70,10 +70,11 @@ _ENVELOPE: dict[str, tuple[type, ...]] = {
 def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield ``(line number, record)`` for every record of a JSONL trace.
 
-    Blank lines are skipped. A line that is not UTF-8 or not JSON, an
-    envelope key whose value has the wrong type, a ``run.start`` record
-    of another :data:`TRACE_VERSION`, or a ``sched.attempt`` record
-    without a numeric ``t0`` or with a ``conflicts`` entry that is not a
+    Blank lines are skipped. A line that is not UTF-8 or not JSON, a
+    record without a string ``name``, an envelope key whose value has
+    the wrong type, a ``run.start`` record of another
+    :data:`TRACE_VERSION`, or a ``sched.attempt`` record without a
+    numeric ``t0`` or with a ``conflicts`` entry that is not a
     ``[machine, tasks, cause]`` triple raises :class:`ValueError`
     naming ``path:line``.
     """
@@ -91,6 +92,8 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
                 raise ValueError(f"{path}:{lineno}: malformed trace line: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: trace record is not an object")
+            if not isinstance(record.get("name"), str):
+                raise ValueError(f"{path}:{lineno}: trace record has no string 'name'")
             for key, types in _ENVELOPE.items():
                 if key in record and not isinstance(record[key], types):
                     raise ValueError(
@@ -132,3 +135,16 @@ def _record_problem(record: dict[str, Any]) -> str | None:
 def read_jsonl(path: str) -> list[dict[str, Any]]:
     """Load every record from a JSONL trace file (see :func:`iter_jsonl`)."""
     return [record for _, record in iter_jsonl(path)]
+
+
+def read_trace(*paths: str) -> list[tuple[str, dict[str, Any]]]:
+    """``(path:line, record)`` for every record of the trace files, read
+    in order as one trace: :func:`iter_jsonl`'s refusals, and a
+    ``ValueError`` when no file holds a ``run.start`` record (an empty
+    file, or JSONL that no run wrote)."""
+    numbered = [
+        (f"{path}:{lineno}", record) for path in paths for lineno, record in iter_jsonl(path)
+    ]
+    if not any(record["name"] == "run.start" for _, record in numbered):
+        raise ValueError(f"{' '.join(paths)}: no run.start record: not an omega-sim trace")
+    return numbered

@@ -189,9 +189,9 @@ def export_file(input_path: str, output_path: str) -> int:
     """Convert a JSONL trace file; returns the trace-event count."""
     import json
 
-    from repro.obs.export import read_jsonl
+    from repro.obs.export import read_trace
     from repro.recovery.artifacts import atomic_write_text
 
-    document = export_perfetto(read_jsonl(input_path))
+    document = export_perfetto([record for _, record in read_trace(input_path)])
     atomic_write_text(output_path, json.dumps(document, separators=(",", ":")) + "\n")
     return len(document["traceEvents"])

@@ -445,7 +445,7 @@ class TraceSummary:
         """The full ``omega-sim trace`` report as text."""
         lines = [
             f"trace summary: {self.records} records, "
-            f"{self.runs or 1} run(s), max sim time t={self.max_t:.1f}s"
+            f"{self.runs} run(s), max sim time t={self.max_t:.1f}s"
         ]
         names = ", ".join(
             f"{name}={count}" for name, count in sorted(self.record_names.items())
@@ -622,12 +622,11 @@ def _format_rows(rows: list[dict[str, Any]]) -> str:
 def summarize_file(*paths: str) -> TraceSummary:
     """Load JSONL traces, in order, as one trace and summarize it (the
     summary of their concatenation); a bad record raises ``ValueError``
-    naming ``path:line``."""
-    from repro.obs.export import iter_jsonl
+    naming ``path:line``, and input without a run ``ValueError`` naming
+    the files."""
+    from repro.obs.export import read_trace
 
-    numbered = [
-        (f"{path}:{lineno}", record) for path in paths for lineno, record in iter_jsonl(path)
-    ]
+    numbered = read_trace(*paths)
     return TraceSummary.from_records(
         (record for _, record in numbered),
         origins=(origin for origin, _ in numbered),

@@ -17,16 +17,14 @@ and resuming from it would silently corrupt the result table.
 
 Record schema (written by :func:`repro.recovery.runner.execute_map`)::
 
-    {"sweep": 0, "index": 3, "label": "...", "row": {...},
-     "trace": [...] | null}
+    {"index": 3, "label": "...", "row": {...}, "trace": [...] | null}
 
-``sweep`` counts :func:`~repro.recovery.runner.execute_map` calls
-within the run (a driver may run several sweeps), ``index`` is the
-point's position within that sweep, and ``label`` is a deterministic
-description of the point used to refuse resumes whose sweep structure
-changed. ``trace`` holds the point's captured trace records when the
-run is traced, so a resumed run can re-emit them and produce a
-stitched trace identical to an uninterrupted run's.
+``index`` is the point's position within the command's one sweep, and
+``label`` is a deterministic description of the point used to refuse
+resumes whose sweep structure changed. ``trace`` holds the point's
+captured trace records when the run is traced, so a resumed run can
+re-emit them and produce a stitched trace identical to an
+uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ LOG_NAME = "points.jsonl"
 
 #: Record keys whose JSON type is checked on load: (key, types, name).
 _RECORD_TYPES = (
-    ("sweep", int, "an integer"),
     ("index", int, "an integer"),
     ("label", str, "a string"),
     ("row", dict, "an object"),
@@ -75,8 +72,8 @@ def _parse_log_line(line: str) -> dict[str, Any]:
     actual = checksum_line(canonical_json(record))
     if expected != actual:
         raise ValueError(f"checksum mismatch (stored {expected}, computed {actual})")
-    if not isinstance(record, dict) or "sweep" not in record or "index" not in record:
-        raise ValueError("checkpoint record is missing sweep/index")
+    if not isinstance(record, dict) or "index" not in record:
+        raise ValueError("checkpoint record is missing its index")
     for key, kinds, name in _RECORD_TYPES:
         value = record.get(key)
         if key in record and (not isinstance(value, kinds) or isinstance(value, bool)):
@@ -90,8 +87,8 @@ class CheckpointStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.manifest: RunManifest | None = None
-        #: (sweep, index) -> stored record for every durable point.
-        self.completed: dict[tuple[int, int], dict[str, Any]] = {}
+        #: Point index -> stored record for every durable point.
+        self.completed: dict[int, dict[str, Any]] = {}
         #: Records appended by this process (new completions).
         self.appended = 0
         #: 1-based line number of a salvaged (truncated) tail, if any.
@@ -174,7 +171,7 @@ class CheckpointStore:
         self._handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self.completed[(record["sweep"], record["index"])] = record
+        self.completed[record["index"]] = record
         self.appended += 1
 
     def _open_log(self) -> None:
@@ -212,7 +209,7 @@ class CheckpointStore:
                     "damaged after it was written — remove the checkpoint "
                     "directory and rerun"
                 ) from exc
-            self.completed[(record["sweep"], record["index"])] = record
+            self.completed[record["index"]] = record
             offset += len(raw_bytes)
 
     def _truncate_log(self, offset: int) -> None:

@@ -16,7 +16,7 @@ from typing import Any
 from repro.recovery.artifacts import ArtifactError
 
 #: Bump on incompatible changes to the manifest/checkpoint layout.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Manifest keys whose JSON type is checked on load: (key, type, name).
 _TYPED_KEYS = (

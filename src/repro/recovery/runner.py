@@ -5,7 +5,8 @@ The experiment driver (:func:`repro.experiments.registry.run`) calls
 :func:`execute_map` with its ``--jobs`` value. Without a
 :class:`RecoveryContext` this is a plain supervised map and behaves
 exactly like the historical ``Pool.map`` fan-out: results in item
-order, serial in this process when ``jobs <= 1`` or there is one item.
+order, serial in this process when ``jobs <= 1`` or there is one item
+(unless a point timeout needs workers).
 Each point must already be self-seeded (every sweep point carries its
 master seed), so serial and parallel runs produce identical tables.
 When the CLI passes a
@@ -18,13 +19,13 @@ rows (and captured trace records) are used instead of re-running them.
 The context is an argument, not process state: one driver sits between
 the CLI and the points, so there is nothing to thread it through.
 
-Determinism contract: a driver must materialize the same sweeps, in the
+Determinism contract: a driver must materialize the same sweep, in the
 same order, with the same per-point labels, on every run with the same
 parameters — which they do, because sweep structure is a pure function
-of the CLI arguments recorded in the run manifest. ``execute_map``
-numbers sweeps in call order and points in item order, keys checkpoint
-records by ``(sweep, index)``, and refuses to resume when a stored
-label no longer matches the recomputed one.
+of the CLI arguments recorded in the run manifest. A command runs one
+sweep: ``execute_map`` keys checkpoint records by the point's index,
+and refuses to resume when a stored label no longer matches the
+recomputed one.
 
 Trace stitching: each point is called as ``fn(item, recorder)``. When
 the caller's ``recorder`` is on and capture is needed (parallel
@@ -85,13 +86,6 @@ class RecoveryContext:
         self.points_completed = 0
         #: Points skipped because the checkpoint already held them.
         self.points_skipped = 0
-        self._sweep_counter = 0
-
-    def next_sweep(self) -> int:
-        """Sweep number for the next ``execute_map`` call (call order)."""
-        sweep = self._sweep_counter
-        self._sweep_counter += 1
-        return sweep
 
     def close(self) -> None:
         if self.store is not None:
@@ -106,30 +100,27 @@ class RecoveryContext:
 
 def _plan_resume(
     store: CheckpointStore,
-    sweep: int,
     n: int,
     labels: Sequence[str],
 ) -> tuple[list[int], dict[int, dict[str, Any]]]:
     """Split a sweep into (to-run indices, already-completed records)."""
-    stale = [
-        key for key in store.completed if key[0] == sweep and key[1] >= n
-    ]
+    stale = [index for index in store.completed if index >= n]
     if stale:
         raise RecoveryError(
             f"{store.directory}: cannot resume: checkpoint holds point "
-            f"{stale[0]} beyond this run's sweep {sweep} size {n}; the "
+            f"{stale[0]} beyond this run's sweep size {n}; the "
             "sweep structure changed"
         )
     todo: list[int] = []
     done: dict[int, dict[str, Any]] = {}
     for index in range(n):
-        record = store.completed.get((sweep, index))
+        record = store.completed.get(index)
         if record is None:
             todo.append(index)
             continue
         if record.get("label") != labels[index]:
             raise RecoveryError(
-                f"{store.directory}: cannot resume: sweep {sweep} point "
+                f"{store.directory}: cannot resume: point "
                 f"{index} was recorded as {record.get('label')!r} but this "
                 f"run computes {labels[index]!r}; the sweep structure "
                 "changed"
@@ -164,17 +155,17 @@ def execute_map(
         labels = [str(index) for index in range(n)]
     elif len(labels) != n:
         raise ValueError(f"got {len(labels)} labels for {n} items")
-    sweep = context.next_sweep() if context is not None else 0
 
     tracing = recorder.enabled
     # Private-recorder capture is needed whenever records cannot simply
-    # be emitted inline: parallel workers have no access to the parent
-    # recorder, and checkpointed points must store their records so a
-    # resumed run can re-emit them.
-    capture = tracing and ((jobs > 1 and n > 1) or store is not None)
+    # be emitted inline: workers (parallel, or enforcing a timeout) have
+    # no access to the parent recorder, and checkpointed points must
+    # store their records so a resumed run can re-emit them.
+    in_workers = (jobs > 1 and n > 1) or policy.point_timeout is not None
+    capture = tracing and (in_workers or store is not None)
 
     if store is not None and store.completed:
-        todo, done = _plan_resume(store, sweep, n, labels)
+        todo, done = _plan_resume(store, n, labels)
     else:
         todo, done = list(range(n)), {}
 
@@ -192,7 +183,6 @@ def execute_map(
         if store is not None:
             store.append(
                 {
-                    "sweep": sweep,
                     "index": index,
                     "label": labels[index],
                     "row": result,

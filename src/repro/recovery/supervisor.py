@@ -12,16 +12,17 @@ point:
   point retried;
 * **bounded retry with deterministic backoff** — crashes and timeouts
   requeue the point up to :attr:`SupervisorPolicy.max_attempts` times,
-  sleeping ``backoff_base * 2**(attempt-1)`` (capped) between attempts.
+  sleeping ``BACKOFF_BASE * 2**(attempt-1)`` seconds (capped at
+  ``BACKOFF_CAP``) between attempts.
   Because every sweep point is self-seeded, a retried point produces
   exactly the row the original attempt would have;
 * **crashed-worker salvage** — a worker that dies (SIGKILL, OOM,
   segfault) loses only its own in-flight point; completed results are
   kept and surviving points keep running;
-* **graceful degradation** — after :attr:`SupervisorPolicy.
-  degrade_after` incidents the pool is deemed unhealthy (e.g. the
-  machine is out of memory for workers): remaining points run serially
-  in the supervisor's own process.
+* **graceful degradation** — after ``DEGRADE_AFTER`` incidents the
+  pool is deemed unhealthy (e.g. the machine is out of memory for
+  workers): remaining points run serially in the supervisor's own
+  process.
 
 A point that *raises* is different from one that crashes: exceptions
 are deterministic results of the code under test, so they are shipped
@@ -50,9 +51,19 @@ from typing import Any, Callable, Sequence
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 
+#: Deterministic retry backoff: ``BACKOFF_BASE * 2**(attempt-1)``
+#: seconds, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Pool incidents (crashes + timeouts) after which remaining points run
+#: serially in-process instead of in workers.
+DEGRADE_AFTER = 4
+
+
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Knobs governing supervised execution (see docs/RECOVERY.md)."""
+    """The per-command knobs of supervised execution (see
+    docs/RECOVERY.md)."""
 
     #: Wall-seconds one attempt of one point may take before it is
     #: killed and retried; ``None`` disables timeouts.
@@ -60,13 +71,6 @@ class SupervisorPolicy:
     #: Total attempts per point for crashes/timeouts before the sweep
     #: fails with :class:`PointFailure`.
     max_attempts: int = 3
-    #: Deterministic retry backoff: ``backoff_base * 2**(attempt-1)``
-    #: seconds, capped at ``backoff_cap``. Zero disables sleeping.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: Pool incidents (crashes + timeouts) after which remaining points
-    #: run serially in-process instead of in workers.
-    degrade_after: int = 4
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -75,14 +79,11 @@ class SupervisorPolicy:
             raise ValueError(
                 f"point_timeout must be positive, got {self.point_timeout}"
             )
-        if self.degrade_after < 1:
-            raise ValueError(f"degrade_after must be >= 1, got {self.degrade_after}")
 
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before retry number ``attempt + 1``."""
-        if self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_cap, self.backoff_base * (2.0 ** (attempt - 1)))
+
+def backoff(attempt: int) -> float:
+    """Seconds to wait before retry number ``attempt + 1``."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** (attempt - 1)))
 
 
 DEFAULT_POLICY = SupervisorPolicy()
@@ -167,10 +168,11 @@ def supervised_map(
     Returns ``(result, captured_trace_records_or_None)`` per item, in
     item order. ``on_result(index, result, records)`` fires as each
     point completes (completion order — used for crash-durable
-    checkpoint appends). With ``jobs <= 1`` (or a single item) points
-    run inline in this process: exceptions propagate unchanged and
-    timeouts cannot be enforced, but trace capture still applies when
-    requested.
+    checkpoint appends). With ``jobs <= 1`` (or a single item) and no
+    ``point_timeout``, points run inline in this process: exceptions
+    propagate unchanged, and trace capture still applies when
+    requested. A timeout is only enforceable on a worker, so with one
+    set every point runs in one, ``jobs`` at a time.
 
     ``fn`` must be a module-level (picklable-by-reference) function and
     each item must be picklable, exactly as for ``Pool.map`` before.
@@ -186,7 +188,7 @@ def supervised_map(
         if on_result is not None:
             on_result(index, result, records)
 
-    if jobs <= 1 or n <= 1:
+    if (jobs <= 1 or n <= 1) and policy.point_timeout is None:
         for index, item in enumerate(items):
             result, records = _run(fn, item, capture, recorder)
             finish(index, result, records)
@@ -239,7 +241,7 @@ def supervised_map(
                 f"{kind}. Completed points are preserved"
                 " (resume with --checkpoint/--resume)."
             )
-        delay = policy.backoff(task.attempt)
+        delay = backoff(task.attempt)
         if delay > 0:
             time.sleep(delay)
         pending.append((task.index, task.attempt + 1))
@@ -303,7 +305,7 @@ def supervised_map(
                         reap(conn, task)
                         requeue_or_fail(task, "timeout")
 
-            if incidents >= policy.degrade_after and (pending or running):
+            if incidents >= DEGRADE_AFTER and (pending or running):
                 degrade()
     except BaseException:
         kill_all()

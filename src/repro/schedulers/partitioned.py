@@ -21,12 +21,14 @@ from repro.sim import Simulator
 from repro.workload.job import Job, JobType
 
 
-class StaticPartition:
-    """Two monolithic schedulers over disjoint fixed partitions.
+#: The fraction of machines dedicated to the batch partition; the rest
+#: serve the service workload.
+BATCH_SHARE = 0.5
 
-    ``batch_share`` is the fraction of machines dedicated to the batch
-    partition; the rest serve the service workload.
-    """
+
+class StaticPartition:
+    """Two monolithic schedulers over disjoint fixed partitions, split
+    by :data:`BATCH_SHARE`."""
 
     def __init__(
         self,
@@ -37,12 +39,9 @@ class StaticPartition:
         rng_service: np.random.Generator,
         batch_model: DecisionTimeModel,
         service_model: DecisionTimeModel,
-        batch_share: float = 0.5,
         attempt_limit: int = 1000,
     ) -> None:
-        if not 0.0 < batch_share < 1.0:
-            raise ValueError(f"batch_share must be in (0, 1), got {batch_share}")
-        split = max(1, min(len(cell) - 1, round(len(cell) * batch_share)))
+        split = max(1, min(len(cell) - 1, round(len(cell) * BATCH_SHARE)))
         self.batch_cell = cell.subcell(range(split), name=f"{cell.name}/batch")
         self.service_cell = cell.subcell(
             range(split, len(cell)), name=f"{cell.name}/service"

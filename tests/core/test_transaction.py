@@ -65,6 +65,8 @@ class TestClaimValidation:
             (0.5, 0.5, [0, 1], [1, 0], "count must be >= 1, got 0"),
             (0.5, 0.5, [0, 2, 1, 2], [1, 1, 1, 1], "names machine 2 twice"),
             (0.5, 0.5, [0, 1], [1], "2 machines but 1 counts"),
+            (1.0, 1.0, [1], [2.5], "must be int, got 2.5"),
+            (0.5, 0.5, [0, 0.5], [1, 1], "must be int, got 0.5"),
         ],
     )
     def test_a_bad_plan_is_refused_before_any_write(

@@ -41,10 +41,6 @@ class TestConfig:
         config = LightweightConfig(preset=preset, horizon=10 * 86400.0)
         assert config.period == 86400.0
 
-    def test_explicit_period_wins(self, preset):
-        config = LightweightConfig(preset=preset, metrics_period=500.0)
-        assert config.period == 500.0
-
 
 class TestHarness:
     @pytest.mark.parametrize("architecture", ARCHITECTURES)

@@ -1,22 +1,17 @@
-"""Tests for the extension wiring: preemption in the harness, ledger-
-aware quotas, ablation drivers, CLI additions."""
+"""Tests for the extension wiring: preemption in the harness, ablation
+drivers, CLI additions."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cluster import Cell
-from repro.core.cellstate import CellState
-from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
-from repro.core.preemption import AllocationLedger
 from repro.experiments.cli import main, render_plot
 from repro.experiments.common import LightweightConfig, run_lightweight
 from repro.experiments.mesos import pathology_points, pathology_preset
 from repro.experiments.registry import EXPERIMENTS, run, run_point
-from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import DEFAULT_PRECEDENCE, JobType
-from tests.conftest import make_job, tiny_preset
+from tests.conftest import tiny_preset
 
 
 class TestHarnessPreemption:
@@ -55,38 +50,6 @@ class TestHarnessPreemption:
 
     def test_generator_assigns_precedence_bands(self):
         assert DEFAULT_PRECEDENCE[JobType.SERVICE] > DEFAULT_PRECEDENCE[JobType.BATCH]
-
-
-class TestLedgerAwareQuota:
-    def test_quota_freed_by_eviction(self, sim, metrics):
-        """With a shared ledger, a scheduler's quota usage drops the
-        moment its tasks are preempted, not at their original end."""
-        state = CellState(Cell.homogeneous(10, 4.0, 16.0))
-        ledger = AllocationLedger(state, sim)
-        limited = LimitedOmegaScheduler(
-            "limited",
-            sim,
-            metrics,
-            state,
-            np.random.default_rng(0),
-            DecisionTimeModel(t_job=0.1, t_task=0.0),
-            limits=SchedulerLimits(max_cpu=4.0),
-            ledger=ledger,
-        )
-        job = make_job(num_tasks=4, cpu=1.0, mem=1.0, duration=10_000.0)
-        limited.submit(job)
-        sim.run(until=1.0)
-        assert limited.current_usage()[0] == pytest.approx(4.0)
-        # Evict two of its tasks (as a preemptor would).
-        evicted = 0
-        for machine in range(10):
-            evicted += ledger.evict(
-                machine, need_cpu=2.0 - evicted, need_mem=0.0, below_precedence=99
-            )
-            if evicted >= 2:
-                break
-        assert evicted >= 2
-        assert limited.current_usage()[0] <= 2.0 + 1e-9
 
 
 class TestAblationDrivers:

@@ -4,10 +4,11 @@ failover, migration caps, and the job accounting invariant."""
 import pytest
 
 from repro.experiments.common import LightweightConfig
+from repro.federation import router
 from repro.federation.cells import CellDigest
 from repro.federation.config import FederationConfig
 from repro.federation.router import FederationAccountingError, FrontDoor
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator
 from repro.workload.clusters import CLUSTER_B
 from tests.conftest import make_job
 
@@ -35,20 +36,19 @@ class StubCell:
         )
 
 
-def make_front_door(cells, policy="round-robin", seed=0, **overrides):
+def make_front_door(cells, policy="round-robin"):
     sim = Simulator()
     config = FederationConfig(
         cell_config=LightweightConfig(
             preset=CLUSTER_B.scaled(0.05),
             architecture="omega",
             horizon=3600.0,
-            seed=seed,
+            seed=0,
         ),
         num_cells=len(cells),
         policy=policy,
-        **overrides,
     )
-    return sim, FrontDoor(sim, cells, config, RandomStreams(seed))
+    return sim, FrontDoor(sim, cells, config)
 
 
 class TestPolicies:
@@ -79,30 +79,12 @@ class TestPolicies:
         door.submit(make_job())
         assert len(cells[0].received) == 1
 
-    def test_weighted_random_is_seed_deterministic(self):
-        def spread(seed):
-            cells = [StubCell(0, 0.1), StubCell(1, 0.8)]
-            _, door = make_front_door(cells, policy="weighted-random", seed=seed)
-            for _ in range(40):
-                door.submit(make_job())
-            return [len(cell.received) for cell in cells]
-
-        assert spread(7) == spread(7)
-        # Free capacity 0.9 vs 0.2: the lighter cell gets most of it.
-        counts = spread(7)
-        assert counts[0] > counts[1]
-
-    def test_deterministic_policies_never_touch_a_stream(self):
-        for policy in ("round-robin", "least-loaded"):
-            _, door = make_front_door([StubCell(0)], policy=policy)
-            assert door._router_rng is None
-
 
 class TestHealthChecking:
     def test_unreachable_cell_times_out_and_fails_over(self):
         cells = [StubCell(0), StubCell(1)]
         cells[0].reachable = False
-        sim, door = make_front_door(cells, route_timeout=5.0)
+        sim, door = make_front_door(cells)
         door.submit(make_job())
         assert cells[1].received == []  # still hanging on cell 0
         sim.run()
@@ -111,16 +93,13 @@ class TestHealthChecking:
         assert door.jobs_rerouted == 1
         assert door.failures[0] == 1
 
-    def test_backoff_doubles_and_caps(self):
+    def test_backoff_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(router, "ROUTE_TIMEOUT", 1.0)
+        monkeypatch.setattr(router, "BACKOFF_CAP", 35.0)
+        monkeypatch.setattr(router, "MAX_REROUTES", 6)
         cells = [StubCell(0)]
         cells[0].reachable = False
-        sim, door = make_front_door(
-            cells,
-            route_timeout=1.0,
-            backoff_base=10.0,
-            backoff_cap=35.0,
-            max_reroutes=6,
-        )
+        sim, door = make_front_door(cells)
         door.submit(make_job())
         sim.run()
         # Timeouts at t=1, 12, 33, 69: suspensions 10, 20, 35 (capped),
@@ -131,10 +110,11 @@ class TestHealthChecking:
         assert door.suspended_until[0] == pytest.approx(104.0)
         assert door.abandoned_by_reason == {"reroute-cap": 1}
 
-    def test_reroute_cap_abandons_explicitly(self):
+    def test_reroute_cap_abandons_explicitly(self, monkeypatch):
+        monkeypatch.setattr(router, "MAX_REROUTES", 2)
         cells = [StubCell(0)]
         cells[0].reachable = False
-        sim, door = make_front_door(cells, route_timeout=1.0, max_reroutes=2)
+        sim, door = make_front_door(cells)
         job = make_job()
         door.submit(job)
         sim.run()
@@ -147,9 +127,9 @@ class TestHealthChecking:
     def test_successful_delivery_resets_failure_count(self):
         cells = [StubCell(0)]
         cells[0].reachable = False
-        sim, door = make_front_door(cells, route_timeout=1.0, max_reroutes=8)
+        sim, door = make_front_door(cells)
         door.submit(make_job())
-        sim.run(until=1.5)  # one timeout has fired
+        sim.run(until=router.ROUTE_TIMEOUT + 0.5)  # one timeout has fired
         assert door.failures[0] == 1
         cells[0].reachable = True
         sim.run()
@@ -160,7 +140,7 @@ class TestHealthChecking:
 class TestMigration:
     def test_migration_within_budget_reroutes(self):
         cells = [StubCell(0), StubCell(1)]
-        _, door = make_front_door(cells, max_migrations=2)
+        _, door = make_front_door(cells)
         job = make_job()
         door.submit(job)
         door.migrate([job], cells[0])
@@ -169,12 +149,12 @@ class TestMigration:
 
     def test_migration_cap_abandons(self):
         cells = [StubCell(0), StubCell(1)]
-        _, door = make_front_door(cells, max_migrations=2)
+        _, door = make_front_door(cells)
         job = make_job()
         door.submit(job)
-        for _ in range(3):
+        for _ in range(router.MAX_MIGRATIONS + 1):
             door.migrate([job], cells[0])
-        assert door.jobs_migrated == 2
+        assert door.jobs_migrated == router.MAX_MIGRATIONS
         assert job.abandoned
         assert door.abandoned_by_reason == {"migration-cap": 1}
 

@@ -33,20 +33,20 @@ def test_recorder_stream_round_trips(tmp_path):
 
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_text('{"a":1}\n\n  \n{"b":2}\n')
-    assert read_jsonl(str(path)) == [{"a": 1}, {"b": 2}]
+    path.write_text('{"name":"a"}\n\n  \n{"name":"b"}\n')
+    assert read_jsonl(str(path)) == [{"name": "a"}, {"name": "b"}]
 
 
 def test_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_text('{"ok":1}\nnot json\n')
+    path.write_text('{"name":"ok"}\nnot json\n')
     with pytest.raises(ValueError, match=r"trace\.jsonl:2"):
         read_jsonl(str(path))
 
 
 def test_non_utf8_line_names_line_number(tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_bytes(b'{"ok":1}\n{"name":"\xff"}\n')
+    path.write_bytes(b'{"name":"ok"}\n{"name":"\xff"}\n')
     with pytest.raises(ValueError, match=r"trace\.jsonl:2: not UTF-8 text$"):
         read_jsonl(str(path))
 
@@ -127,6 +127,33 @@ def test_older_trace_exits_two_naming_its_line(tmp_path, capsys, command, first)
     assert not (tmp_path / "out").exists()
 
 
+#: Input no run wrote: each is refused in one line, and nothing is
+#: printed or exported.
+NOT_TRACES = {
+    "empty file": b"",
+    "nameless record": b'{"a": 1}\n',
+    "checkpoint log": b'{"record":{"index":0,"label":"p","row":{},"trace":null},'
+    b'"sha256":"sha256:00"}\n',
+    "no run.start": b'{"name":"sched.attempt","t":1.0,"sched":"s","fields":{"t0":0.5}}\n',
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "perfetto"])
+@pytest.mark.parametrize("case", sorted(NOT_TRACES))
+def test_input_that_is_not_a_trace_exits_two(tmp_path, capsys, command, case):
+    trace = tmp_path / "in.jsonl"
+    trace.write_bytes(NOT_TRACES[case])
+    assert cli.main(_argv(tmp_path, command, trace)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    if NOT_TRACES[case].startswith(b'{"name"') or not NOT_TRACES[case]:
+        assert f"{trace}: no run.start record" in captured.err
+    else:
+        assert f"{trace}:1: trace record has no string 'name'" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 # One consumer takes --output; the parameter keeps the cases' ids.
 @pytest.mark.parametrize("command", ["perfetto"])
 @pytest.mark.parametrize("output", ["a directory", "in a missing directory"])
@@ -171,18 +198,18 @@ class TestAtomicMode:
     def test_final_path_absent_until_close(self, tmp_path):
         target = tmp_path / "trace.jsonl"
         writer = JsonlWriter(str(target), atomic=True)
-        writer.write({"a": 1})
+        writer.write({"name": "a"})
         assert not target.exists()
         assert (tmp_path / "trace.jsonl.tmp").exists()
         writer.close()
         assert target.exists()
         assert not (tmp_path / "trace.jsonl.tmp").exists()
-        assert read_jsonl(str(target)) == [{"a": 1}]
+        assert read_jsonl(str(target)) == [{"name": "a"}]
 
     def test_abandoned_writer_leaves_only_tmp(self, tmp_path):
         target = tmp_path / "trace.jsonl"
         writer = JsonlWriter(str(target), atomic=True)
-        writer.write({"a": 1})
+        writer.write({"name": "a"})
         # Simulate a crash: close() never runs, so nothing is renamed.
         assert not target.exists()
         assert (tmp_path / "trace.jsonl.tmp").exists()

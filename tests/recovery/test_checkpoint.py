@@ -16,9 +16,8 @@ def manifest(**overrides):
     return RunManifest(**defaults)
 
 
-def record(sweep=0, index=0, label="p", row=None, trace=None):
+def record(index=0, label="p", row=None, trace=None):
     return {
-        "sweep": sweep,
         "index": index,
         "label": label,
         "row": row if row is not None else {"x": 1.0},
@@ -57,7 +56,7 @@ class TestAppendAndResume:
         fresh_store(tmp_path, points)
         resumed = CheckpointStore(tmp_path / "ck")
         assert resumed.resume(manifest()) == 3
-        assert resumed.completed[(0, 1)]["row"] == {"v": 1}
+        assert resumed.completed[1]["row"] == {"v": 1}
         assert resumed.salvaged_line is None
         resumed.close()
 
@@ -66,7 +65,7 @@ class TestAppendAndResume:
         fresh_store(tmp_path, [record(row=row)])
         resumed = CheckpointStore(tmp_path / "ck")
         resumed.resume(manifest())
-        got = resumed.completed[(0, 0)]["row"]
+        got = resumed.completed[0]["row"]
         assert got["f"] == row["f"]  # float repr round-trips exactly
         assert got["nan"] != got["nan"]
         assert got["s"] == "x" and got["n"] is None
@@ -98,7 +97,7 @@ class TestTailSalvage:
         )
         intact = store.log_path.read_bytes()
         with open(store.log_path, "ab") as handle:
-            handle.write(b'{"record": {"sweep": 0, "inde')  # died mid-append
+            handle.write(b'{"record": {"index": 0, "lab')  # died mid-append
         resumed = CheckpointStore(tmp_path / "ck")
         assert resumed.resume(manifest()) == 2
         assert resumed.salvaged_line == 3
@@ -109,7 +108,7 @@ class TestTailSalvage:
     def test_complete_but_checksum_less_tail_salvaged(self, tmp_path):
         store = fresh_store(tmp_path, [record(index=0)])
         with open(store.log_path, "ab") as handle:
-            handle.write(b'{"record": {"sweep": 0, "index": 1}}\n')
+            handle.write(b'{"record": {"index": 1}}\n')
         resumed = CheckpointStore(tmp_path / "ck")
         assert resumed.resume(manifest()) == 1
         assert resumed.salvaged_line == 2

@@ -29,7 +29,7 @@ def make_checkpoint(tmp_path, seed=0, points=0):
     )
     for index in range(points):
         store.append(
-            {"sweep": 0, "index": index, "label": "p", "row": {}, "trace": None}
+            {"index": index, "label": "p", "row": {}, "trace": None}
         )
     store.close()
     return store
@@ -107,10 +107,53 @@ def test_bad_point_timeout_exits_two(tmp_path, capsys):
     assert "point_timeout must be positive" in capsys.readouterr().err
 
 
+def test_zero_point_attempts_exits_two_naming_the_flag(capsys):
+    assert main(ARGS + ["--point-attempts", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "omega-sim: --point-attempts must be >= 1, got 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --jobs 1; one attempt, as a fourth incident would degrade the
+        # sweep to the serial path, as it does at --jobs 2
+        ["fig8", "--scale", "0.03", "--hours", "0.05", "--point-attempts", "1"],
+        ["omega", "--smoke", "--jobs", "2"],  # one point
+    ],
+    ids=["serial", "one-point"],
+)
+def test_point_timeout_is_enforced_when_points_would_run_inline(argv, capsys):
+    """A point cannot be killed in this process, so a timeout puts even
+    a serial run's points, or a lone point, in a worker."""
+    assert main(argv + ["--point-timeout", "0.0001"]) == 1
+    err = capsys.readouterr().err
+    assert "last incident: timeout" in err
+    assert err.count("\n") == 1
+
+
 _GOOD_MANIFEST = RunManifest(
     experiment="fig8", seed=0, parameters={"scale": 0.05, "hours": 0.3}
 ).to_doc()
-_GOOD_RECORD = {"sweep": 0, "index": 0, "label": "p", "row": {}, "trace": None}
+_GOOD_RECORD = {"index": 0, "label": "p", "row": {}, "trace": None}
+
+
+def test_resume_of_a_format_one_checkpoint_exits_two(tmp_path, capsys):
+    """Format 1 numbered each record's sweep; such a directory is
+    refused in one line before its log is read."""
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    write_json_artifact(
+        directory / MANIFEST_NAME, {**_GOOD_MANIFEST, "checkpoint_format": 1}
+    )
+    old = {"sweep": 0, **_GOOD_RECORD}
+    sha = checksum_line(canonical_json(old))
+    (directory / LOG_NAME).write_text(json.dumps({"record": old, "sha256": sha}) + "\n")
+    assert main(ARGS + ["--checkpoint", str(directory), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint format 1 != supported 2" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -125,7 +168,6 @@ _GOOD_RECORD = {"sweep": 0, "index": 0, "label": "p", "row": {}, "trace": None}
         (None, {"label": 3}),
         (None, {"trace": {}}),
         (None, {"index": "0"}),
-        (None, {"sweep": 0.5}),
     ],
     ids=[
         "manifest-parameters",
@@ -137,7 +179,6 @@ _GOOD_RECORD = {"sweep": 0, "index": 0, "label": "p", "row": {}, "trace": None}
         "record-label",
         "record-trace",
         "record-index",
-        "record-sweep",
     ],
 )
 def test_wrong_typed_checkpoint_exits_two_naming_the_path(

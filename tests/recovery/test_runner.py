@@ -11,6 +11,7 @@ from repro.analysis.determinism import canonical_record
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.manifest import RunManifest
 from repro.recovery.runner import RecoveryContext, execute_map
+from repro.recovery.supervisor import SupervisorPolicy
 
 
 def _double(x, _recorder):
@@ -81,7 +82,6 @@ class TestCheckpointedExecution:
         assert len(log) == 3
         first = json.loads(log[0])["record"]
         assert first == {
-            "sweep": 0,
             "index": 0,
             "label": "a",
             "row": {"value": 2},
@@ -110,27 +110,6 @@ class TestCheckpointedExecution:
         assert resumed_rows == rows
         assert context.points_skipped == 2
         assert context.points_completed == 1
-
-    def test_sweeps_numbered_in_call_order(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ck")
-        store.initialize(RunManifest(**MANIFEST))
-        with RecoveryContext(store=store) as context:
-            execute_map(_double, [1], labels=["a"], context=context)
-            execute_map(_double, [2], labels=["a"], context=context)
-        records = [
-            json.loads(line)["record"]
-            for line in (tmp_path / "ck" / "points.jsonl").read_text().splitlines()
-        ]
-        assert [r["sweep"] for r in records] == [0, 1]
-        # A resumed run skips both sweeps independently.
-        with resuming_context(tmp_path) as context:
-            assert execute_map(
-                _explode, [1], labels=["a"], context=context
-            ) == [{"value": 2}]
-            assert execute_map(
-                _explode, [2], labels=["a"], context=context
-            ) == [{"value": 4}]
-        assert context.points_skipped == 2
 
 
 class TestStructureChangeRefusal:
@@ -163,6 +142,21 @@ class TestTraceStitching:
         checkpointed = self._records(partial(checkpointed_run, tmp_path, fn=_traced))
         assert plain  # non-vacuous
         assert json.dumps(plain) == json.dumps(checkpointed)
+
+    def test_timed_serial_trace_matches_plain_serial(self):
+        """A point timeout runs even a serial sweep in workers; their
+        records come back as if the points had run inline."""
+        plain = self._records(partial(execute_map, _traced, [1, 2]))
+        timed = self._records(
+            partial(
+                execute_map,
+                _traced,
+                [1, 2],
+                policy=SupervisorPolicy(point_timeout=30.0),
+            )
+        )
+        assert plain  # non-vacuous
+        assert json.dumps(plain) == json.dumps(timed)
 
     def test_resumed_trace_matches_uninterrupted(self, tmp_path):
         uninterrupted = self._records(partial(checkpointed_run, tmp_path, fn=_traced))

@@ -13,13 +13,21 @@ import time
 import pytest
 
 from repro import obs
+from repro.recovery import supervisor
 from repro.recovery.supervisor import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     PointFailure,
     SupervisorPolicy,
+    backoff,
     supervised_map,
 )
 
-FAST = SupervisorPolicy(backoff_base=0.0)  # no sleeping in tests
+
+@pytest.fixture
+def no_sleep(monkeypatch):
+    """No retry backoff: a zero base makes every delay zero."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
 
 
 def _square(x, _recorder):
@@ -89,15 +97,12 @@ class TestPolicy:
             SupervisorPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="point_timeout"):
             SupervisorPolicy(point_timeout=0.0)
-        with pytest.raises(ValueError, match="degrade_after"):
-            SupervisorPolicy(degrade_after=0)
 
     def test_backoff_deterministic_and_capped(self):
-        policy = SupervisorPolicy(backoff_base=0.05, backoff_cap=0.15)
-        assert policy.backoff(1) == 0.05
-        assert policy.backoff(2) == 0.1
-        assert policy.backoff(3) == 0.15  # capped
-        assert SupervisorPolicy(backoff_base=0.0).backoff(5) == 0.0
+        assert backoff(1) == BACKOFF_BASE
+        assert backoff(2) == 2 * BACKOFF_BASE
+        assert backoff(3) == 4 * BACKOFF_BASE
+        assert backoff(64) == BACKOFF_CAP
 
 
 class TestInlinePath:
@@ -121,11 +126,19 @@ class TestInlinePath:
     def test_empty(self):
         assert supervised_map(_square, [], jobs=4) == []
 
+    def test_a_timeout_runs_even_one_serial_point_in_a_worker(self):
+        policy = SupervisorPolicy(point_timeout=0.3, max_attempts=1)
+        start = time.monotonic()
+        with pytest.raises(PointFailure, match="timeout"):
+            supervised_map(_hang_if_odd, [1], jobs=1, policy=policy)
+        assert time.monotonic() - start < 30.0  # killed, not waited out
 
+
+@pytest.mark.usefixtures("no_sleep")
 class TestParallelPath:
     def test_results_in_submission_order(self):
         items = list(range(8))
-        results = supervised_map(_square, items, jobs=3, policy=FAST)
+        results = supervised_map(_square, items, jobs=3)
         assert [value for value, _ in results] == [x * x for x in items]
 
     def test_on_result_sees_every_completion(self):
@@ -134,7 +147,6 @@ class TestParallelPath:
             _square,
             [2, 3],
             jobs=2,
-            policy=FAST,
             on_result=lambda i, value, records: seen.__setitem__(i, value),
         )
         assert seen == {0: 4, 1: 9}
@@ -144,22 +156,20 @@ class TestParallelPath:
         results = []
         incidents = _incidents(
             lambda recorder: results.extend(
-                supervised_map(_crash_once, items, jobs=2, policy=FAST, recorder=recorder)
+                supervised_map(_crash_once, items, jobs=2, recorder=recorder)
             )
         )
         assert [value for value, _ in results] == [10, 20]
         assert incidents.count("recovery.point.crash") >= 2
 
     def test_exhausted_attempts_raise_point_failure(self, tmp_path):
-        policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0)
+        policy = SupervisorPolicy(max_attempts=2)
         with pytest.raises(PointFailure, match="crash") as excinfo:
             supervised_map(_crash_always, [1, 2], jobs=2, policy=policy)
         assert "--checkpoint/--resume" in str(excinfo.value)
 
     def test_hung_point_killed_at_timeout(self):
-        policy = SupervisorPolicy(
-            point_timeout=0.3, max_attempts=1, backoff_base=0.0
-        )
+        policy = SupervisorPolicy(point_timeout=0.3, max_attempts=1)
         start = time.monotonic()
         with pytest.raises(PointFailure, match="timeout"):
             supervised_map(_hang_if_odd, [0, 1], jobs=2, policy=policy)
@@ -169,7 +179,7 @@ class TestParallelPath:
         def run(recorder):
             with pytest.raises(ZeroDivisionError, match="deterministic bug"):
                 supervised_map(
-                    _raise_for_zero, [1, 0], jobs=2, policy=FAST, recorder=recorder
+                    _raise_for_zero, [1, 0], jobs=2, recorder=recorder
                 )
 
         # A raise is a result, not an incident: no recovery events.
@@ -177,12 +187,11 @@ class TestParallelPath:
 
     def test_unpicklable_exception_summarized(self):
         with pytest.raises(RuntimeError, match="Unpicklable: bad point"):
-            supervised_map(_raise_unpicklable, [1, 2], jobs=2, policy=FAST)
+            supervised_map(_raise_unpicklable, [1, 2], jobs=2)
 
-    def test_degrades_to_serial_after_incidents(self):
-        policy = SupervisorPolicy(
-            degrade_after=1, max_attempts=10, backoff_base=0.0
-        )
+    def test_degrades_to_serial_after_incidents(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "DEGRADE_AFTER", 1)
+        policy = SupervisorPolicy(max_attempts=10)
         items = [(i, os.getpid()) for i in range(4)]
         results = []
         incidents = _incidents(
@@ -201,7 +210,6 @@ class TestParallelPath:
             _crash_once,
             [(1, str(tmp_path)), (2, str(tmp_path))],
             jobs=2,
-            policy=FAST,
             labels=["one", "two"],
             recorder=recorder,
         )

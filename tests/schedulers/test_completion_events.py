@@ -1,9 +1,8 @@
 """One completion event per commit releases exactly what one event per
 claim released.
 
-``QueueScheduler._start_tasks`` (and ``LimitedOmegaScheduler``'s own-usage
-bookkeeping) used to push one event per claim, all at one ``end_time``
-with consecutive sequence numbers. :class:`PerClaimCompletions` restores
+``QueueScheduler._start_tasks`` used to push one event per claim, all at
+one ``end_time`` with consecutive sequence numbers. :class:`PerClaimCompletions` restores
 that; every world below runs both ways and must make the same sequence
 of releases (``CellState.release`` calls and ``release_batch`` rows)
 and end in the same state and result row.
@@ -12,18 +11,14 @@ and end in the same state and result row.
 import numpy as np
 import pytest
 
-from repro.cluster import Cell
 from repro.core.cellstate import CellState
-from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
-from repro.core.transaction import CommitMode, ConflictMode, Plan
+from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import result_row
 from repro.faults import FaultConfig
 from repro.invariants import TOLERANCE
-from repro.metrics import MetricsCollector
-from repro.schedulers.base import DecisionTimeModel, QueueScheduler
-from repro.sim import Simulator
-from tests.conftest import make_job, tiny_preset
+from repro.schedulers.base import QueueScheduler
+from tests.conftest import tiny_preset
 
 
 class PerClaimCompletions:
@@ -35,22 +30,6 @@ class PerClaimCompletions:
             self.sim.at(
                 end_time, state.release, claim.machine, plan.cpu, plan.mem, claim.count
             )
-
-
-class PerClaimOwnUsage:
-    """``LimitedOmegaScheduler``'s former event per claim."""
-
-    def _start_tasks(self, state, job, plan):
-        if self.ledger is None:
-            for claim in plan:
-                self.used_cpu += plan.cpu * claim.count
-                self.used_mem += plan.mem * claim.count
-                self.sim.after(
-                    job.duration,
-                    self._own_usage_released,
-                    Plan(plan.cpu, plan.mem, [claim.machine], [claim.count]),
-                )
-        super(LimitedOmegaScheduler, self)._start_tasks(state, job, plan)
 
 
 @pytest.fixture
@@ -83,9 +62,6 @@ def release_log(monkeypatch):
 def _per_claim(monkeypatch):
     monkeypatch.setattr(
         QueueScheduler, "_start_tasks", PerClaimCompletions._start_tasks
-    )
-    monkeypatch.setattr(
-        LimitedOmegaScheduler, "_start_tasks", PerClaimOwnUsage._start_tasks
     )
 
 
@@ -154,44 +130,6 @@ def test_release_sequence_is_identical_per_commit_and_per_claim(
     monkeypatch, release_log, name
 ):
     _assert_identical(*_both_ways(monkeypatch, release_log, CONFIGS[name]))
-
-
-def test_limited_scheduler_own_usage_per_commit_and_per_claim(
-    monkeypatch, release_log
-):
-    def run():
-        release_log.clear()
-        release_log.sim = sim = Simulator()
-        state = CellState(Cell.homogeneous(6, cpu_per_machine=4.0, mem_per_machine=16.0))
-        scheduler = LimitedOmegaScheduler(
-            "limited",
-            sim,
-            MetricsCollector(period=100.0),
-            state,
-            np.random.default_rng(5),
-            DecisionTimeModel(t_job=0.1, t_task=0.0),
-            limits=SchedulerLimits(max_cpu=14.0),
-        )
-        for index in range(12):
-            # 1.5-cpu tasks: two per 4-cpu machine, so a job spans machines.
-            job = make_job(num_tasks=5, cpu=1.5, mem=1.0, duration=3.0 + index, job_id=index + 1)
-            sim.at(float(index), scheduler.submit, job)
-        usage = []
-        sim.every(
-            0.25, lambda: usage.append((sim.now, scheduler.current_usage())), until=60.0
-        )
-        sim.run(until=60.0)
-        sim.run()  # to quiescence: everything started has ended
-        assert scheduler.current_usage() == pytest.approx((0.0, 0.0), abs=TOLERANCE)
-        return list(release_log), usage, sim.events_processed
-
-    per_commit = run()
-    with monkeypatch.context() as patch:
-        _per_claim(patch)
-        per_claim = run()
-    assert len(per_commit[0]) > 12
-    assert per_commit[:2] == per_claim[:2]
-    assert per_commit[2] < per_claim[2]
 
 
 def test_every_claim_is_released_exactly_once_at_quiescence(monkeypatch, release_log):

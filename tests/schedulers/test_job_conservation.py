@@ -3,8 +3,7 @@ scheduler leaves it scheduled or abandoned.
 
 Each world below stops arrivals at its horizon and is then drained to
 quiescence — no event left. What was submitted must equal what was
-scheduled plus what was abandoned (plus what admission control
-rejected), every queue must be empty and no scheduler busy or down.
+scheduled plus what was abandoned, every queue must be empty and no scheduler busy or down.
 The worlds cover the one service loop and the one attempt body under
 every architecture and Omega variant, and under the two faults that
 interrupt an attempt: a dropped commit and a crash mid-think.
@@ -12,7 +11,6 @@ interrupt an attempt: a dropped commit and a crash mid-think.
 
 import pytest
 
-from repro.core.limits import LimitedOmegaScheduler, SchedulerLimits
 from repro.core.retry import RetryPolicyConfig
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
@@ -21,7 +19,7 @@ from repro.mapreduce import MapReduceScheduler, MapReduceWorkload, MaxParallelis
 from repro.obs.recorder import TraceRecorder
 from repro.schedulers.base import DecisionTimeModel
 from repro.world import RunContext
-from tests.conftest import make_job, tiny_preset
+from tests.conftest import tiny_preset
 
 
 def _config(**overrides) -> LightweightConfig:
@@ -98,34 +96,18 @@ def test_every_submitted_job_is_scheduled_or_abandoned(name):
         assert any(r["fields"]["lost_job"] is not None for r in crashes)
 
 
-def test_limited_and_mapreduce_schedulers_conserve_jobs():
+def test_mapreduce_scheduler_conserves_jobs():
     world = LightweightSimulation(_config()).build()
-    state = world.states[0]
-    model = DecisionTimeModel()
-    limited = LimitedOmegaScheduler(
-        "limited",
-        world.sim,
-        world.metrics,
-        state,
-        world.streams.stream("placement.limited"),
-        model,
-        limits=SchedulerLimits(max_cpu=6.0, max_admitted_jobs=30),
-    )
     mapreduce = MapReduceScheduler(
         "mapreduce",
         world.sim,
         world.metrics,
-        state,
+        world.states[0],
         world.streams.stream("placement.mapreduce"),
-        model,
+        DecisionTimeModel(),
         MaxParallelismPolicy(),
     )
-    world.register(limited)
     world.register(mapreduce)
-    offered = 40
-    for index in range(offered):
-        job = make_job(num_tasks=4, cpu=0.5, mem=1.0, duration=40.0)
-        world.sim.at(float(index), limited.submit, job)
     workload = MapReduceWorkload(
         world.sim,
         rate=0.2,
@@ -137,6 +119,4 @@ def test_limited_and_mapreduce_schedulers_conserve_jobs():
     )
     workload.start()
     _drain_and_check(world)
-    assert limited.jobs_admitted + limited.jobs_rejected == offered
-    assert limited.jobs_rejected == 10
     assert workload.jobs_generated > 30

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Cell
 from repro.schedulers.base import DecisionTimeModel
+from repro.schedulers import partitioned
 from repro.schedulers.partitioned import StaticPartition
 from repro.workload.job import JobType
 from tests.conftest import make_job
@@ -15,7 +16,7 @@ def cell():
     return Cell.homogeneous(10, cpu_per_machine=4.0, mem_per_machine=16.0)
 
 
-def make_partition(sim, metrics, cell, batch_share=0.5):
+def make_partition(sim, metrics, cell):
     return StaticPartition(
         sim,
         metrics,
@@ -24,7 +25,6 @@ def make_partition(sim, metrics, cell, batch_share=0.5):
         np.random.default_rng(1),
         batch_model=DecisionTimeModel(t_job=0.1, t_task=0.0),
         service_model=DecisionTimeModel(t_job=0.1, t_task=0.0),
-        batch_share=batch_share,
     )
 
 
@@ -35,13 +35,10 @@ class TestPartitioning:
         assert total == cell.num_machines
         assert partition.batch_cell.num_machines == 5
 
-    def test_share_controls_split(self, sim, metrics, cell):
-        partition = make_partition(sim, metrics, cell, batch_share=0.3)
+    def test_share_controls_split(self, sim, metrics, cell, monkeypatch):
+        monkeypatch.setattr(partitioned, "BATCH_SHARE", 0.3)
+        partition = make_partition(sim, metrics, cell)
         assert partition.batch_cell.num_machines == 3
-
-    def test_invalid_share(self, sim, metrics, cell):
-        with pytest.raises(ValueError):
-            make_partition(sim, metrics, cell, batch_share=1.0)
 
     def test_jobs_routed_by_type(self, sim, metrics, cell):
         partition = make_partition(sim, metrics, cell)

@@ -12,10 +12,13 @@ invariant; :data:`SCOPE` says which files under ``src/`` it reads. One
 test walks ``src/repro`` and accepts only the sites in :data:`KNOWN`,
 each with its reason, and narrower walks pin the fault injectors, the
 crash-safety paths and the process-wide state; the snippet tests show
-what each check flags.
+what each check flags. A last check keeps knobs with one value out of
+the run configs: every field must be set somewhere outside tests.
 """
 
 import ast
+import dataclasses
+import importlib
 import re
 import textwrap
 from pathlib import Path
@@ -610,3 +613,86 @@ CASES = [
 @pytest.mark.parametrize("check, source, lines", CASES)
 def test_check(check, source, lines):
     assert check(parse(source)) == lines
+
+
+# ----------------------------------------------------------------------
+# No run-config knob with a single value
+# ----------------------------------------------------------------------
+#: The run configs whose every field some command, ``bench/`` workload
+#: or sibling layer sets: ``module:Class``.
+CONFIGS = (
+    "repro.experiments.common:LightweightConfig",
+    "repro.hifi.replay:HighFidelityConfig",
+    "repro.federation.config:FederationConfig",
+    "repro.federation.config:FederationFaultConfig",
+    "repro.faults.chaos:FaultConfig",
+    "repro.core.retry:RetryPolicyConfig",
+    "repro.recovery.supervisor:SupervisorPolicy",
+)
+#: The fields that stand although nothing outside tests sets them, as
+#: (class, field), each with its reason.
+UNSET_FIELDS = {
+    ("HighFidelityConfig", "machine_mtbf"): (
+        "tests/hifi/test_failures.py reproduces the paper's reason for skipping machine "
+        "failures in the high-fidelity simulator"
+    ),
+    ("HighFidelityConfig", "repair_time"): "as machine_mtbf",
+}
+BENCH = SRC.parent / "bench"
+
+
+def set_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for every keyword argument, attribute write and
+    string literal in ``tree``: the ways a field gets a value (a string
+    names it for ``replace``, ``setattr`` or a swept ``field=``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            found.append((node.arg, node.value.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, node.lineno))
+    return found
+
+
+def unset_config_fields() -> list[str]:
+    """``Class.field`` for every field of :data:`CONFIGS` that nothing
+    under ``src/`` or ``bench/`` sets outside the field's own class."""
+    classes = {}
+    for spec in CONFIGS:
+        module_name, name = spec.split(":")
+        module = importlib.import_module(module_name)
+        path = Path(module.__file__).resolve().relative_to(SRC).as_posix()
+        classes[name] = (path, [field.name for field in dataclasses.fields(getattr(module, name))])
+    set_where: dict[str, list[tuple[str, int]]] = {}
+    own_lines: dict[str, range] = {}
+    for file in [*sorted((SRC / "repro").rglob("*.py")), *sorted(BENCH.glob("*.py"))]:
+        path = file.relative_to(SRC if file.is_relative_to(SRC) else SRC.parent).as_posix()
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and classes.get(node.name, ("",))[0] == path:
+                own_lines[node.name] = range(node.lineno, node.end_lineno + 1)
+        for name, line in set_names(tree):
+            set_where.setdefault(name, []).append((path, line))
+    return [
+        f"{name}.{field}"
+        for name, (home, fields) in classes.items()
+        for field in fields
+        if not any(
+            path != home or line not in own_lines[name]
+            for path, line in set_where.get(field, ())
+        )
+        and (name, field) not in UNSET_FIELDS
+    ]
+
+
+def test_every_config_field_is_set_outside_tests():
+    """A field only tests set has one value in every run: it is a
+    constant, not a knob."""
+    assert unset_config_fields() == []
+
+
+def test_set_names_sees_keywords_attribute_writes_and_strings():
+    tree = parse("f(a=1)\nx.b = 2\ny.c += 3\nsweep(field='d')\nz = e.g\n")
+    assert sorted(set_names(tree)) == [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("field", 4)]

@@ -42,7 +42,6 @@ def generator(horizon=100.0, rate_factor=1.0):
     "build, field",
     [
         (lambda: LightweightConfig(tiny_preset(), batch_rate_factor=INF), "batch_rate_factor"),
-        (lambda: LightweightConfig(tiny_preset(), service_rate_factor=NAN), "service_rate_factor"),
         (lambda: LightweightConfig(tiny_preset(), horizon=NAN), "horizon"),
         (lambda: LightweightConfig(tiny_preset(), horizon=INF), "horizon"),
         (lambda: generator(rate_factor=INF), "rate_factor"),
