@@ -31,9 +31,9 @@ Recovery (see ``docs/RECOVERY.md``): sweep commands accept
 ``--checkpoint DIR`` to durably log each completed sweep point;
 ``--resume`` continues an interrupted run from that directory, skipping
 completed points (the final table and trace are identical to an
-uninterrupted run). ``--point-timeout`` / ``--point-attempts`` bound
-how long and how often a sweep point may run; worker crashes are
-retried and surface as ``recovery.*`` trace events.
+uninterrupted run). ``--point-timeout`` bounds how long a sweep point
+may run, at every ``--jobs``; worker crashes and timeouts are retried a
+fixed number of times and surface as ``recovery.*`` trace events.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from repro.experiments.sweeps import CheckFailed
 from repro.metrics.ascii_chart import line_chart
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.manifest import RunManifest
-from repro.recovery.runner import RecoveryContext
-from repro.recovery.supervisor import DEFAULT_POLICY, PointFailure, SupervisorPolicy
+from repro.recovery.runner import PointFailure
 
 
 def render_plot(command: str, rows: list[dict]) -> str | None:
@@ -155,15 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="SECONDS",
                 help="kill and retry any sweep point running longer than "
                 "this many wall seconds",
-            )
-            sub.add_argument(
-                "--point-attempts",
-                type=int,
-                default=DEFAULT_POLICY.max_attempts,
-                metavar="N",
-                help="attempts per sweep point before the run fails, for "
-                "points lost to worker crashes or timeouts "
-                f"(default {DEFAULT_POLICY.max_attempts})",
             )
         for argument in experiment.arguments:
             if argument.default is False:
@@ -333,8 +323,8 @@ def _resolve(args: argparse.Namespace) -> tuple[Experiment, dict]:
     return experiment, validated(experiment, params)
 
 
-def _make_recovery_context(args: argparse.Namespace) -> RecoveryContext | None:
-    """Build the recovery context for a sweep command, or None.
+def _open_checkpoint(args: argparse.Namespace) -> CheckpointStore | None:
+    """Open the ``--checkpoint`` store of a sweep command, or None.
 
     Raises :class:`RecoveryError` on unusable --checkpoint/--resume
     combinations (reported as a one-line message, exit 2).
@@ -343,25 +333,14 @@ def _make_recovery_context(args: argparse.Namespace) -> RecoveryContext | None:
     resume = bool(getattr(args, "resume", False))
     if resume and not checkpoint_dir:
         raise RecoveryError("--resume requires --checkpoint DIR")
-    policy = DEFAULT_POLICY
-    timeout = getattr(args, "point_timeout", None)
-    attempts = getattr(args, "point_attempts", DEFAULT_POLICY.max_attempts)
-    if timeout is not None or attempts != DEFAULT_POLICY.max_attempts:
-        try:
-            policy = SupervisorPolicy(point_timeout=timeout, max_attempts=attempts)
-        except ValueError as exc:
-            raise RecoveryError(str(exc)) from exc
     if not checkpoint_dir:
-        if policy is DEFAULT_POLICY:
-            return None
-        return RecoveryContext(policy=policy)
+        return None
     manifest = RunManifest(
         experiment=args.command,
         seed=args.seed,
         parameters=_manifest_parameters(args),
     )
     store = CheckpointStore(checkpoint_dir)
-    resumed = 0
     if resume:
         resumed = store.resume(manifest)
         if store.salvaged_line is not None:
@@ -378,7 +357,7 @@ def _make_recovery_context(args: argparse.Namespace) -> RecoveryContext | None:
         )
     else:
         store.initialize(manifest)
-    return RecoveryContext(store=store, policy=policy, resumed_points=resumed)
+    return store
 
 
 def _argument_error(args: argparse.Namespace) -> str | None:
@@ -394,8 +373,9 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         return f"--hours must be positive and finite, got {args.hours}"
     if getattr(args, "jobs", 1) < 0:
         return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
-    if getattr(args, "point_attempts", 1) < 1:
-        return f"--point-attempts must be >= 1, got {args.point_attempts}"
+    timeout = getattr(args, "point_timeout", None)
+    if timeout is not None and not 0 < timeout < math.inf:
+        return f"--point-timeout must be positive and finite, got {timeout}"
     if args.samples < 1:
         return f"--samples must be >= 1, got {args.samples}"
     if args.output:
@@ -420,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         experiment, params = _resolve(args)
-        context = _make_recovery_context(args)
+        store = _open_checkpoint(args)
     except (ValueError, RecoveryError) as exc:
         print(f"omega-sim: {exc}", file=sys.stderr)
         return 2
@@ -433,12 +413,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"omega-sim: cannot open trace file: {exc}", file=sys.stderr)
             return 2
     try:
-        with context or contextlib.nullcontext():
+        with store or contextlib.nullcontext():
             rows = run(
                 experiment,
                 params,
                 jobs=getattr(args, "jobs", 1),
-                recovery=context,
+                store=store,
+                point_timeout=getattr(args, "point_timeout", None),
                 recorder=recorder,
             )
         if experiment.note is not None:
@@ -457,11 +438,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"trace: {recorder.records_emitted} records written to {args.trace}",
                 file=sys.stderr,
             )
-    if context is not None and context.store is not None:
+    if store is not None:
         print(
-            f"checkpoint: {context.points_completed} point(s) appended, "
-            f"{context.points_skipped} skipped (already complete) in "
-            f"{context.store.directory}",
+            f"checkpoint: {store.appended} point(s) appended, "
+            f"{len(store.completed) - store.appended} skipped (already "
+            f"complete) in {store.directory}",
             file=sys.stderr,
         )
     print(format_table(rows))

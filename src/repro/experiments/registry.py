@@ -45,7 +45,8 @@ from repro.experiments.sweeps import (
 from repro.federation.config import ROUTING_POLICIES, FederationConfig
 from repro.hifi.replay import HighFidelityConfig, HighFidelitySimulation
 from repro.obs.recorder import NULL_RECORDER
-from repro.recovery.runner import RecoveryContext, execute_map
+from repro.recovery.checkpoint import CheckpointStore
+from repro.recovery.runner import execute_map
 from repro.workload.clusters import preset_by_name
 from repro.workload.validation import validate_all
 from repro.world import RunContext
@@ -214,7 +215,8 @@ def run(
     experiment: Experiment,
     params: Mapping[str, Any] | None = None,
     jobs: int | None = 1,
-    recovery: RecoveryContext | None = None,
+    store: CheckpointStore | None = None,
+    point_timeout: float | None = None,
     recorder=NULL_RECORDER,
 ) -> list[dict]:
     """Run ``experiment`` with ``params`` and return its rows, tracing
@@ -224,9 +226,11 @@ def run(
     ``rows``) function, plus — for a grid — an optional
     ``timeline_interval``, which lands on every config that does not set
     its own, so pickled points carry it to ``--jobs N`` workers. Points
-    fan out over ``jobs`` processes (identical rows either way) under
-    ``recovery``, the context of ``--checkpoint`` and friends. A bad
-    parameter is a ``ValueError`` before any point runs.
+    fan out over ``jobs`` processes (identical rows either way), are
+    logged to the ``--checkpoint`` ``store`` and time out after
+    ``point_timeout`` wall seconds (see
+    :func:`~repro.recovery.runner.execute_map`). A bad parameter is a
+    ``ValueError`` before any point runs.
     """
     params = validated(experiment, params or {})
     if experiment.rows is not None:
@@ -245,7 +249,8 @@ def run(
         points,
         jobs=jobs,
         labels=[point_label(extra) for _, extra in points],
-        context=recovery,
+        store=store,
+        point_timeout=point_timeout,
         recorder=recorder,
     )
     return experiment.finish(rows) if experiment.finish is not None else rows

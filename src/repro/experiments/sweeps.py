@@ -67,8 +67,8 @@ def point_label(extra: dict) -> str:
 
     Canonical JSON over the point's extra row fields — used for
     checkpoint records (``--checkpoint``/``--resume`` keys points by it
-    to refuse resumes whose sweep structure changed) and supervisor
-    failure messages.
+    to refuse resumes whose sweep structure changed) and point failure
+    messages.
     """
     return json.dumps(extra, sort_keys=True, separators=(",", ":"))
 

@@ -17,13 +17,12 @@ three layers (see ``docs/RECOVERY.md`` for the formats and semantics):
   skips already-completed sweep points; because every point is
   self-seeded (the per-point ``LightweightConfig.seed``), a resumed run's result table and
   stitched trace are identical to an uninterrupted run's.
-* :mod:`repro.recovery.supervisor` / :mod:`repro.recovery.runner` — a
-  supervised replacement for the bare ``Pool.map`` fan-out: per-point
-  wall-clock timeouts, bounded retry with deterministic backoff,
-  crashed-worker salvage (the point is requeued, completed results are
-  kept), and graceful degradation to serial execution when the pool is
-  unhealthy. Incidents surface as ``recovery.*`` trace events and
-  metrics counters.
+* :mod:`repro.recovery.runner` — ``execute_map``, the one function
+  that runs a sweep: inline or in one worker process per point, with
+  per-point wall-clock timeouts, a fixed number of retries for crashed
+  or timed-out points (completed results are kept), and the checkpoint
+  appends and resume skips of the layer above. Incidents surface as
+  ``recovery.*`` trace events.
 
 :mod:`repro.recovery.gate` extends the runtime determinism gate with a
 kill-and-resume mode (``python -m repro.analysis.determinism

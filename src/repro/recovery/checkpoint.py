@@ -82,7 +82,8 @@ def _parse_log_line(line: str) -> dict[str, Any]:
 
 
 class CheckpointStore:
-    """Manifest plus completed-point log for one checkpointed run."""
+    """Manifest plus completed-point log for one checkpointed run. As a
+    context manager it closes the log on exit."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -156,6 +157,12 @@ class CheckpointStore:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+    def __enter__(self) -> "CheckpointStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # the point log

@@ -1,57 +1,65 @@
-"""Checkpoint-aware sweep execution: the glue between drivers and the
-supervisor.
+"""Sweep execution: :func:`execute_map` runs every figure's points.
 
-The experiment driver (:func:`repro.experiments.registry.run`) calls
-:func:`execute_map` with its ``--jobs`` value. Without a
-:class:`RecoveryContext` this is a plain supervised map and behaves
-exactly like the historical ``Pool.map`` fan-out: results in item
-order, serial in this process when ``jobs <= 1`` or there is one item
-(unless a point timeout needs workers).
-Each point must already be self-seeded (every sweep point carries its
-master seed), so serial and parallel runs produce identical tables.
-When the CLI passes a
-context (``--checkpoint DIR`` and friends), every completed sweep point
-is durably appended to the context's
-:class:`~repro.recovery.checkpoint.CheckpointStore` as it finishes, and
-on ``--resume`` already-completed points are skipped — their stored
-rows (and captured trace records) are used instead of re-running them.
+The experiment driver (:func:`repro.experiments.registry.run`) calls it
+with its ``--jobs`` value; results come back in item order. Every point
+is self-seeded, so where it runs, and how often, cannot change its row.
 
-The context is an argument, not process state: one driver sits between
-the CLI and the points, so there is nothing to thread it through.
+Where points run is decided once, over the points left to run: inline
+when ``jobs <= 1`` or one point is left, else in one short-lived worker
+process per point, ``jobs`` at a time, each with its own pipe. A
+timeout can only be enforced on a worker, so ``point_timeout`` puts
+every point in one, even at ``--jobs 1``. A worker that dies (SIGKILL,
+OOM, segfault) or overruns the timeout loses only its own point, which
+is retried; after :data:`ATTEMPTS` tries the sweep fails with
+:class:`PointFailure`. A point that *raises* is a result of the code
+under test, not an incident: the exception crosses the pipe and is
+re-raised here, without a retry. Incidents are
+``recovery.point.crash|timeout`` trace events; a healthy run emits
+none. No worker outlives :func:`execute_map`, however it ends.
 
-Determinism contract: a driver must materialize the same sweep, in the
-same order, with the same per-point labels, on every run with the same
-parameters — which they do, because sweep structure is a pure function
-of the CLI arguments recorded in the run manifest. A command runs one
-sweep: ``execute_map`` keys checkpoint records by the point's index,
-and refuses to resume when a stored label no longer matches the
-recomputed one.
+With a :class:`~repro.recovery.checkpoint.CheckpointStore`
+(``--checkpoint DIR``), each completed point is durably appended as it
+finishes, and the points the store already holds (``--resume``) are
+skipped, their stored rows and trace records used instead. A sweep's
+structure is a pure function of the arguments in the run manifest;
+records are keyed by index, and a resume is refused when a stored
+label no longer matches the recomputed one.
 
-Trace stitching: each point is called as ``fn(item, recorder)``. When
-the caller's ``recorder`` is on and capture is needed (parallel
-workers, or any checkpointed run), each point's records are captured in
-a private recorder and replayed into the caller's in submission
-order after the sweep — producing the same record sequence a serial
-untraced-capture run would emit inline. Stored records from
-skipped points are replayed the same way, so a resumed run's stitched
-trace is identical to an uninterrupted run's apart from wall-clock
-fields.
+Trace stitching: a point is called as ``fn(item, recorder)``. When the
+caller's recorder is on and points run in workers or are checkpointed,
+each point records on a private recorder, and the records are replayed
+into the caller's in item order after the sweep, so a parallel or
+resumed trace equals a serial one apart from wall-clock fields. The
+wall-clock reads here (timeouts) are allowlisted by the ``wall_clock``
+check in ``tests/test_source_invariants.py``.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import pickle
+import time
+from collections import deque
+from dataclasses import dataclass
+from multiprocessing import get_context
+from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Sequence
 
-from repro.obs.recorder import NULL_RECORDER
+from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
-from repro.recovery.supervisor import (
-    DEFAULT_POLICY,
-    SupervisorPolicy,
-    supervised_map,
-)
 
-__all__ = ["RecoveryContext", "execute_map", "resolve_jobs"]
+__all__ = ["ATTEMPTS", "PointFailure", "execute_map", "resolve_jobs"]
+
+#: Tries per point for worker crashes and timeouts before the sweep
+#: fails with :class:`PointFailure`.
+ATTEMPTS = 3
+
+
+class PointFailure(RuntimeError):
+    """A sweep point exhausted its attempts. Completed points are kept
+    (durably, when checkpointing), so ``--resume`` repeats only the
+    failed point and its unfinished siblings."""
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -61,41 +69,6 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
-
-
-class RecoveryContext:
-    """Execution-wide recovery state for one experiment command.
-
-    ``store`` is the open checkpoint store, or ``None`` when the run is
-    supervised (``--point-timeout`` etc.) but not checkpointed.
-    ``resumed_points`` is the number of completed points recovered from
-    the store before execution started. As a context manager it closes
-    the store on exit.
-    """
-
-    def __init__(
-        self,
-        store: CheckpointStore | None = None,
-        policy: SupervisorPolicy = DEFAULT_POLICY,
-        resumed_points: int = 0,
-    ) -> None:
-        self.store = store
-        self.policy = policy
-        self.resumed_points = resumed_points
-        #: Points executed (not skipped) under this context.
-        self.points_completed = 0
-        #: Points skipped because the checkpoint already held them.
-        self.points_skipped = 0
-
-    def close(self) -> None:
-        if self.store is not None:
-            self.store.close()
-
-    def __enter__(self) -> "RecoveryContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _plan_resume(
@@ -129,26 +102,154 @@ def _plan_resume(
     return todo, done
 
 
+def _encode_error(exc: Exception) -> Exception:
+    """The exception itself when picklable, else a summary stand-in."""
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        # picklability probe; the original failure is preserved in the
+        # summary re-raised by the parent
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _run(
+    fn: Callable[[Any, Any], Any], item: Any, capture: bool, recorder
+) -> tuple[Any, list[dict] | None]:
+    """Run one point on ``recorder``, or with ``capture`` on a private
+    in-memory recorder whose records come back with the result."""
+    if not capture:
+        return fn(item, recorder), None
+    private = TraceRecorder()
+    return fn(item, private), private.records
+
+
+def _child_main(fn: Callable[[Any, Any], Any], item: Any, capture: bool, conn) -> None:
+    """Worker body: run one point, ship (status, value, records) back.
+    The parent's recorder never reaches a worker."""
+    try:
+        payload = ("ok", *_run(fn, item, capture, NULL_RECORDER))
+    except Exception as exc:
+        # worker boundary: the failure crosses the pipe and is re-raised
+        # by execute_map in the parent
+        payload = ("err", _encode_error(exc), None)
+    try:
+        conn.send(payload)
+    finally:
+        conn.close()
+
+
+@dataclass
+class _Running:
+    index: int
+    attempt: int
+    proc: Any
+    deadline: float | None
+
+
+def _reap(conn, task: _Running) -> None:
+    task.proc.kill()
+    task.proc.join()
+    conn.close()
+
+
+def _run_in_workers(
+    fn: Callable[[Any, Any], Any],
+    items: list[Any],
+    todo: list[int],
+    jobs: int,
+    point_timeout: float | None,
+    capture: bool,
+    finish: Callable[[int, Any, list[dict] | None], None],
+    labels: Sequence[str],
+    recorder,
+) -> None:
+    """Run the points ``todo`` in workers, ``jobs`` at a time, handing
+    each result to ``finish`` as it completes."""
+    mp = get_context()
+    pending: deque[tuple[int, int]] = deque((index, 1) for index in todo)
+    running: dict[Any, _Running] = {}
+
+    def spawn(index: int, attempt: int) -> None:
+        parent_conn, child_conn = mp.Pipe(duplex=False)
+        proc = mp.Process(
+            target=_child_main, args=(fn, items[index], capture, child_conn)
+        )
+        proc.start()
+        # Close the parent's copy of the write end so worker death
+        # surfaces as EOF on the read end.
+        child_conn.close()
+        deadline = None if point_timeout is None else time.monotonic() + point_timeout
+        running[parent_conn] = _Running(index, attempt, proc, deadline)
+
+    def retry(task: _Running, kind: str) -> None:
+        if recorder.enabled:
+            recorder.event(
+                f"recovery.point.{kind}", label=labels[task.index], attempt=task.attempt
+            )
+        if task.attempt >= ATTEMPTS:
+            raise PointFailure(
+                f"sweep point {labels[task.index]!r} (index {task.index}) "
+                f"failed after {task.attempt} attempt(s); last incident: "
+                f"{kind}. Completed points are preserved"
+                " (resume with --checkpoint/--resume)."
+            )
+        pending.append((task.index, task.attempt + 1))
+
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                spawn(*pending.popleft())
+            timeout = None
+            if point_timeout is not None:
+                nearest = min(task.deadline for task in running.values())
+                timeout = max(0.0, nearest - time.monotonic())
+            for conn in _connection_wait(list(running), timeout=timeout):
+                task = running.pop(conn)
+                try:
+                    payload = conn.recv()
+                except (EOFError, OSError):
+                    payload = None  # died without reporting: a crash
+                conn.close()
+                task.proc.join()
+                if payload is None:
+                    retry(task, "crash")
+                elif payload[0] == "ok":
+                    finish(task.index, payload[1], payload[2])
+                else:
+                    raise payload[1]
+            if point_timeout is not None:
+                now = time.monotonic()
+                for conn, task in list(running.items()):
+                    if now >= task.deadline:
+                        del running[conn]
+                        _reap(conn, task)
+                        retry(task, "timeout")
+    finally:
+        for conn, task in running.items():
+            _reap(conn, task)
+
+
 def execute_map(
     fn: Callable[[Any, Any], Any],
     items: Sequence[Any],
     jobs: int | None = 1,
     labels: Sequence[str] | None = None,
-    policy: SupervisorPolicy | None = None,
-    context: RecoveryContext | None = None,
+    store: CheckpointStore | None = None,
+    point_timeout: float | None = None,
     recorder=NULL_RECORDER,
 ) -> list[Any]:
-    """Run one sweep under ``context`` (if any), tracing to ``recorder``.
+    """Map ``fn(item, recorder)`` over ``items``; results in item order.
 
-    Results come back in item order; ``jobs`` goes through
-    :func:`resolve_jobs`. Without a context this is supervised
-    execution with default policy — behaviourally identical to the old
-    ``Pool.map`` path for healthy runs.
+    ``jobs`` goes through :func:`resolve_jobs`. Completed points are
+    appended to ``store`` (when given), and the points it already holds
+    are skipped. ``point_timeout`` (wall seconds, positive and finite)
+    runs every point in a worker. ``fn`` and each item must be picklable
+    (``fn`` a module-level function) whenever points run in workers.
     """
     jobs = resolve_jobs(jobs)
-    store = context.store if context is not None else None
-    if policy is None:
-        policy = context.policy if context is not None else DEFAULT_POLICY
+    if point_timeout is not None and not 0 < point_timeout < math.inf:
+        raise ValueError(f"point_timeout must be positive and finite, got {point_timeout}")
     items = list(items)
     n = len(items)
     if labels is None:
@@ -156,62 +257,39 @@ def execute_map(
     elif len(labels) != n:
         raise ValueError(f"got {len(labels)} labels for {n} items")
 
-    tracing = recorder.enabled
-    # Private-recorder capture is needed whenever records cannot simply
-    # be emitted inline: workers (parallel, or enforcing a timeout) have
-    # no access to the parent recorder, and checkpointed points must
-    # store their records so a resumed run can re-emit them.
-    in_workers = (jobs > 1 and n > 1) or policy.point_timeout is not None
-    capture = tracing and (in_workers or store is not None)
-
     if store is not None and store.completed:
         todo, done = _plan_resume(store, n, labels)
     else:
         todo, done = list(range(n)), {}
-
-    if context is not None:
-        context.points_skipped += len(done)
-
     results: list[Any] = [None] * n
     traces: list[list[dict[str, Any]] | None] = [None] * n
     for index, record in done.items():
         results[index] = record.get("row")
         traces[index] = record.get("trace")
 
-    def on_result(position: int, result: Any, records: list[dict] | None) -> None:
-        index = todo[position]
+    in_workers = point_timeout is not None or (jobs > 1 and len(todo) > 1)
+    # Workers have no access to this recorder, and a checkpointed point
+    # must store its records so a resumed run can re-emit them.
+    capture = recorder.enabled and (in_workers or store is not None)
+
+    def finish(index: int, result: Any, records: list[dict] | None) -> None:
         if store is not None:
             store.append(
-                {
-                    "index": index,
-                    "label": labels[index],
-                    "row": result,
-                    "trace": records,
-                }
+                {"index": index, "label": labels[index], "row": result, "trace": records}
             )
-        if context is not None:
-            context.points_completed += 1
+        results[index] = result
+        traces[index] = records
 
-    if todo:
-        executed = supervised_map(
-            fn,
-            [items[index] for index in todo],
-            jobs=jobs,
-            policy=policy,
-            capture=capture,
-            on_result=on_result,
-            labels=[labels[index] for index in todo],
-            recorder=recorder,
+    if in_workers:
+        _run_in_workers(
+            fn, items, todo, jobs, point_timeout, capture, finish, labels, recorder
         )
-        for position, (result, records) in enumerate(executed):
-            index = todo[position]
-            results[index] = result
-            traces[index] = records
+    else:
+        for index in todo:
+            finish(index, *_run(fn, items[index], capture, recorder))
 
-    if tracing and (capture or done):
-        for index in range(n):
-            records = traces[index]
+    if recorder.enabled and (capture or done):
+        for records in traces:
             if records:
                 recorder.replay(records)
-
     return results

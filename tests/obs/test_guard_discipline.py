@@ -23,7 +23,6 @@ from repro.experiments.federation import build_federation, federation_points
 from repro.hifi import HighFidelityConfig, synthesize_trace
 from repro.hifi.replay import HighFidelitySimulation
 from repro.recovery.runner import execute_map
-from repro.recovery import supervisor
 from repro.world import RunContext
 from tests.conftest import tiny_preset
 
@@ -95,12 +94,12 @@ def _crash_first_worker(point, recorder):
     return run_lightweight(_config(architecture), RunContext(recorder)).jobs_scheduled
 
 
-def test_supervised_sweep(tmp_path, monkeypatch):
-    """``--jobs 2``: one worker crashes, the pool degrades to serial and
-    both points run in this process — each supervisor event site, and
-    the inline points, on the strict recorder."""
+def test_supervised_sweep(tmp_path):
+    """``--jobs 2``: one worker crashes and its point is retried, through
+    the incident event site; ``--jobs 1``: both points run in this
+    process — each on the strict recorder."""
     points = [("omega", str(tmp_path / "crashed")), ("mesos", None)]
-    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
-    monkeypatch.setattr(supervisor, "DEGRADE_AFTER", 1)
     scheduled = execute_map(_crash_first_worker, points, jobs=2, recorder=STRICT)
     assert os.path.exists(tmp_path / "crashed") and all(scheduled)
+    inline = [("omega", None), ("mesos", None)]
+    assert execute_map(_crash_first_worker, inline, jobs=1, recorder=STRICT) == scheduled

@@ -3,6 +3,7 @@ order preservation, serial/parallel equivalence, worker isolation, and
 trace capture/replay."""
 
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,12 @@ from repro.recovery.runner import execute_map, resolve_jobs
 
 
 def _square(x, _recorder):
+    return x * x
+
+
+def _square_later_first(x, _recorder):
+    """Earlier items finish later, so completion order is reversed."""
+    time.sleep(0.05 * (4 - x))
     return x * x
 
 
@@ -45,6 +52,9 @@ class TestParallelMap:
     def test_parallel_matches_serial_in_order(self):
         items = list(range(12))
         assert execute_map(_square, items, jobs=3) == [x * x for x in items]
+
+    def test_results_in_submission_order_not_completion_order(self):
+        assert execute_map(_square_later_first, [0, 1, 2, 3], jobs=4) == [0, 1, 4, 9]
 
     def test_single_item_stays_serial(self):
         assert execute_map(_square, [5], jobs=8) == [25]

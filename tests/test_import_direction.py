@@ -10,7 +10,7 @@ must not have loaded a module of those layers (nor of the deleted
 ``repro.perf``) along the way.
 
 Through ``omega-sim`` a run still loads the registry and the sweep
-supervisor, but not the determinism gate, no federation machinery and
+runner, but not the determinism gate, no federation machinery and
 no trace consumer: one fresh interpreter per architecture runs its command at
 smoke scale and must not have loaded any module of
 :data:`NOT_IN_A_RUN`. The trace consumers load their own module.

@@ -30,8 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: The one module that builds RNGs (``RandomStreams``).
 RNG_HOME = ("repro/sim/random.py",)
 #: The modules that may read the wall clock: tracing, the engine's
-#: profiler, and the recovery supervisor, whose point timeouts and
-#: retry backoff are real time by definition.
+#: profiler, and the sweep runner, whose point timeouts are real time
+#: by definition.
 CLOCK_READERS = ("repro/obs/", "repro/sim/engine.py", "repro/recovery/")
 #: Where an unordered iteration can steer a placement or a route.
 DECISION_PATHS = (
@@ -361,12 +361,12 @@ def applies(check, path: str) -> bool:
 #: The only sites under ``src/`` that break a check, as (check, file,
 #: function), each with the reason it stands (also a comment there).
 KNOWN = {
-    ("swallowed_exception", "repro/recovery/supervisor.py", "_encode_error"): (
+    ("swallowed_exception", "repro/recovery/runner.py", "_encode_error"): (
         "picklability probe; the original failure is preserved in the summary re-raised by "
         "the parent"
     ),
-    ("swallowed_exception", "repro/recovery/supervisor.py", "_child_main"): (
-        "worker boundary: the failure crosses the pipe and is re-raised by the supervisor in "
+    ("swallowed_exception", "repro/recovery/runner.py", "_child_main"): (
+        "worker boundary: the failure crosses the pipe and is re-raised by execute_map in "
         "the parent"
     ),
 }
@@ -425,7 +425,7 @@ def test_fault_injectors_are_clean():
 def test_recovery_paths_break_only_the_worker_boundary():
     found = sorted(site[:3] for site in violations(RECOVERY_PATHS))
     assert found == known_sites(under=RECOVERY_PATHS)
-    assert {path for _, path, _ in found} == {"repro/recovery/supervisor.py"}
+    assert {path for _, path, _ in found} == {"repro/recovery/runner.py"}
 
 
 def test_no_process_wide_state():
@@ -480,7 +480,7 @@ def test_fault_injectors_flag(source, lines):
         (raw_rng, "repro/core/example.py", True),
         (wall_clock, "repro/obs/recorder.py", False),
         (wall_clock, "repro/sim/engine.py", False),
-        (wall_clock, "repro/recovery/supervisor.py", False),
+        (wall_clock, "repro/recovery/runner.py", False),
         (wall_clock, "repro/sim/simulator.py", True),
         (unordered_iteration, "repro/core/example.py", True),
         (unordered_iteration, "repro/federation/router.py", True),
@@ -627,7 +627,6 @@ CONFIGS = (
     "repro.federation.config:FederationFaultConfig",
     "repro.faults.chaos:FaultConfig",
     "repro.core.retry:RetryPolicyConfig",
-    "repro.recovery.supervisor:SupervisorPolicy",
 )
 #: The fields that stand although nothing outside tests sets them, as
 #: (class, field), each with its reason.
