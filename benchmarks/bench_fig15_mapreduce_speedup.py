@@ -9,14 +9,13 @@ little or no benefit elsewhere" (its 60 % threshold is usually already
 exceeded on busy clusters).
 """
 
-from repro.experiments.mapreduce import figure15_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 
 def test_fig15_mapreduce_speedups(report):
     rows = report(
-        lambda: figure15_rows(
+        lambda: figure(
+            "fig15",
             clusters=("A", "C", "D"),
             horizon=bench_horizon(2.0),
             seed=0,

@@ -6,14 +6,13 @@ cluster's resource utilization to increase ... An effect of this is an
 increase in the variability of the cluster's resource utilization."
 """
 
-from repro.experiments.mapreduce import figure16_rows
-
-from conftest import bench_horizon, bench_scale
+from conftest import bench_horizon, bench_scale, figure
 
 
 def test_fig16_utilization_timeseries(report):
     rows = report(
-        lambda: figure16_rows(
+        lambda: figure(
+            "fig16",
             cluster="C",
             horizon=bench_horizon(3.0),
             seed=0,

@@ -11,41 +11,41 @@ Usage::
     python examples/mapreduce_acceleration.py
 """
 
-import numpy as np
-
-from repro.experiments.common import format_table
-from repro.experiments.mapreduce import run_mapreduce_experiment
-from repro.mapreduce import (
-    GlobalCapPolicy,
-    MaxParallelismPolicy,
-    NoAccelerationPolicy,
-    RelativeJobSizePolicy,
+from repro.experiments.common import (
+    LightweightConfig,
+    LightweightSimulation,
+    format_table,
 )
+from repro.experiments.mapreduce import speedup_columns, utilization_columns
+from repro.workload.clusters import preset_by_name
 
 
 def main() -> None:
-    policies = [
-        NoAccelerationPolicy(),
-        MaxParallelismPolicy(),
-        RelativeJobSizePolicy(),
-        GlobalCapPolicy(),
-    ]
+    preset = preset_by_name("D").scaled(0.5)
     rows = []
-    for policy in policies:
-        run = run_mapreduce_experiment(
-            "D", policy, horizon=3 * 3600.0, seed=1, scale=0.5
+    # Names from repro.mapreduce.policies.POLICIES; "normal" never grows a job.
+    for policy in ("normal", "max-parallelism", "relative-job-size", "global-cap"):
+        config = LightweightConfig(
+            preset=preset,
+            horizon=3 * 3600.0,
+            seed=1,
+            utilization_sample_interval=300.0,
+            mapreduce_policy=policy,
         )
-        cpu = np.array([u for _, u, _ in run.utilization_series])
+        world = LightweightSimulation(config)
+        result = world.run()
+        speedup = speedup_columns(world, result)
+        utilization = utilization_columns(world, result)
         rows.append(
             {
-                "policy": run.policy,
-                "mr_jobs": len(run.speedups),
-                "accelerated": f"{run.fraction_accelerated:.0%}",
-                "speedup_p50": run.percentile(50),
-                "speedup_p80": run.percentile(80),
-                "speedup_p95": run.percentile(95),
-                "util_mean": float(cpu.mean()),
-                "util_std": float(cpu.std()),
+                "policy": policy,
+                "mr_jobs": speedup["jobs"],
+                "accelerated": f"{speedup['frac_accelerated']:.0%}",
+                "speedup_p50": speedup["speedup_p50"],
+                "speedup_p80": speedup["speedup_p80"],
+                "speedup_p95": speedup["speedup_p95"],
+                "util_mean": utilization["cpu_util_mean"],
+                "util_std": utilization["cpu_util_std"],
             }
         )
     print("MapReduce acceleration on cluster D (lightly loaded)\n")

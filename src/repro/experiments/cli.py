@@ -6,11 +6,14 @@ Examples::
     omega-sim fig15 --hours 6
     omega-sim table1
 
-Every command prints the same rows the corresponding benchmark emits;
-``--scale`` shrinks the cell (and arrival rates with it), ``--hours``
-sets the simulated horizon.
+Every command prints the same rows the corresponding benchmark emits.
+A command offers only the flags it reads: ``--scale`` (shrink the cell,
+and arrival rates with it), ``--hours`` (the simulated horizon),
+``--seed`` and ``--samples`` where its grid builder (or ``rows``
+function) takes that parameter, and ``--plot`` where it declares a chart.
 
-Observability (see ``docs/OBSERVABILITY.md``): every command accepts
+Observability (see ``docs/OBSERVABILITY.md``): every command that runs
+a simulation (a grid) accepts
 ``--trace FILE`` to record a structured JSONL trace of the run and
 ``--timeline-interval SECONDS`` to sample ``timeline.*`` telemetry
 series (utilization, busy fraction, conflict rate) on the simulated
@@ -43,6 +46,7 @@ import contextlib
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from repro import obs
 from repro.experiments.common import format_table
@@ -56,11 +60,10 @@ from repro.recovery.runner import PointFailure
 
 
 def render_plot(command: str, rows: list[dict]) -> str | None:
-    """Build the --plot chart for a command from its result rows."""
-    experiment = EXPERIMENTS.get(command)
-    if experiment is None or experiment.plot is None or not rows:
+    """Build the --plot chart of a command with a ``Plot`` from its rows."""
+    if not rows:
         return None
-    key_column, x_column, y_column, title, log_x, log_y = experiment.plot
+    key_column, x_column, y_column, title, log_x, log_y = EXPERIMENTS[command].plot
     series: dict[str, list[tuple[float, float]]] = {}
     for row in rows:
         label = str(row[key_column]) if key_column else y_column
@@ -74,6 +77,45 @@ def render_plot(command: str, rows: list[dict]) -> str | None:
         return None  # e.g. every y was 0 on a log axis
 
 
+def _not_positive(value: float) -> str | None:
+    return None if 0 < value < math.inf else "must be positive and finite"
+
+
+def _below_one(value: int) -> str | None:
+    return None if value >= 1 else "must be >= 1"
+
+
+class SharedFlag(NamedTuple):
+    """A value flag offered by each command whose ``points`` / ``rows``
+    function takes ``param``, which is set to the value times ``unit``.
+    ``problem``, if any, says why a value is refused (exit 2), or None."""
+
+    param: str
+    flag: str
+    dest: str
+    unit: float
+    problem: Callable | None
+    options: dict
+
+
+SHARED_FLAGS = (
+    SharedFlag("scale", "--scale", "scale", 1, _not_positive, dict(
+        type=float, default=0.25, help="cell scale factor (1.0 = paper-size presets)")),
+    SharedFlag("horizon", "--hours", "hours", 3600.0, _not_positive, dict(
+        type=float, default=2.0, help="simulated horizon in hours")),
+    SharedFlag("seed", "--seed", "seed", 1, None, dict(
+        type=int, default=0, help="master RNG seed")),
+    SharedFlag("samples", "--samples", "samples", 1, _below_one, dict(
+        type=int, default=50_000, help="Monte Carlo samples")),
+)
+
+
+def _shared(args: argparse.Namespace) -> list[tuple[SharedFlag, float]]:
+    """The shared flags ``args``'s command offers, with their values."""
+    given = vars(args)
+    return [(entry, given[entry.dest]) for entry in SHARED_FLAGS if entry.dest in given]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-sim",
@@ -83,49 +125,36 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, experiment in EXPERIMENTS.items():
         sub = subparsers.add_parser(name, help=experiment.help)
-        sub.add_argument(
-            "--scale",
-            type=float,
-            default=0.25,
-            help="cell scale factor (1.0 = paper-size presets)",
-        )
-        sub.add_argument(
-            "--hours", type=float, default=2.0, help="simulated horizon in hours"
-        )
-        sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
-        sub.add_argument(
-            "--samples",
-            type=int,
-            default=50_000,
-            help="Monte Carlo samples (characterization figures only)",
-        )
-        sub.add_argument(
-            "--plot",
-            action="store_true",
-            help="also render an ASCII chart of the headline series "
-            "(supported commands only)",
-        )
+        for entry in SHARED_FLAGS:
+            if entry.param in experiment.parameters:
+                sub.add_argument(entry.flag, dest=entry.dest, **entry.options)
+        if experiment.plot is not None:
+            sub.add_argument(
+                "--plot",
+                action="store_true",
+                help="also render an ASCII chart of the headline series",
+            )
         sub.add_argument(
             "--output",
             metavar="FILE",
             help="also save the rows to FILE (.json or .csv)",
         )
-        sub.add_argument(
-            "--trace",
-            metavar="FILE",
-            help="record a structured JSONL trace of every simulation run "
-            "(summarize it later with `omega-sim trace FILE`)",
-        )
-        sub.add_argument(
-            "--timeline-interval",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="sample timeline.* telemetry (cell utilization, queue "
-            "depth, busy fraction, conflict rate) every this many "
-            "simulated seconds; records land in the --trace file",
-        )
         if experiment.points is not None:
+            sub.add_argument(
+                "--trace",
+                metavar="FILE",
+                help="record a structured JSONL trace of every simulation run "
+                "(summarize it later with `omega-sim trace FILE`)",
+            )
+            sub.add_argument(
+                "--timeline-interval",
+                type=float,
+                default=None,
+                metavar="SECONDS",
+                help="sample timeline.* telemetry (cell utilization, queue "
+                "depth, busy fraction, conflict rate) every this many "
+                "simulated seconds; records land in the --trace file",
+            )
             sub.add_argument(
                 "--jobs",
                 type=int,
@@ -210,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_file_error(path: str) -> str | None:
-    """Why a trace consumer cannot write ``--output path``, or None;
-    checked before any input is read."""
+def _file_error(flag: str, path: str) -> str | None:
+    """Why ``flag path`` cannot be written, or None; checked before any
+    input is read or any simulation runs."""
     if os.path.isdir(path):
-        return f"--output {path} is a directory, not a file"
+        return f"{flag} {path} is a directory, not a file"
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        return f"--output directory {parent} does not exist"
+        return f"{flag} directory {parent} does not exist"
     return None
 
 
@@ -255,7 +284,7 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
     from repro.obs.perfetto import export_file
 
     output = args.output or f"{args.file}.perfetto.json"
-    error = _output_file_error(output)
+    error = _file_error("--output", output)
     if error is not None:
         print(f"omega-sim perfetto: {error}", file=sys.stderr)
         return 2
@@ -274,16 +303,17 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
 
 def _manifest_parameters(args: argparse.Namespace) -> dict:
     """The result-determining parameters recorded in a run manifest and
-    in the ``--output`` envelope: scale, hours and every argument the
-    command declares, as typed.
+    in the ``--output`` envelope: the shared flags the command offers
+    (the seed aside, which a manifest keeps in a field of its own, and
+    an envelope beside them), and every argument it declares, as typed.
 
     ``--jobs`` is deliberately absent: parallelism does not change the
     rows, so a sweep checkpointed with ``--jobs 8`` may resume serially.
     """
-    parameters = {"scale": args.scale, "hours": args.hours}
+    parameters = {entry.dest: value for entry, value in _shared(args) if entry.param != "seed"}
     # Only recorded when set: sampling changes the trace, so a resume
     # must match, but older checkpoints (no such key) stay resumable.
-    if args.timeline_interval is not None:
+    if getattr(args, "timeline_interval", None) is not None:
         parameters["timeline_interval"] = args.timeline_interval
     for argument in EXPERIMENTS[args.command].arguments:
         parameters[argument.dest] = getattr(args, argument.dest)
@@ -293,20 +323,15 @@ def _manifest_parameters(args: argparse.Namespace) -> dict:
 def _resolve(args: argparse.Namespace) -> tuple[Experiment, dict]:
     """The declaration to run and its validated ``run`` parameters.
 
-    The shared flags reach whichever of horizon / seed / scale / samples
-    the experiment takes; declared arguments set their parameter, a set
-    ``overrides`` switch (``--smoke``) replaces some afterwards, and a
-    set ``variant`` switch runs that declaration instead. Raises a
-    one-line ``ValueError`` for a value outside its declared range.
+    The shared flags the command offers set their parameters; declared
+    arguments set theirs, a set ``overrides`` switch (``--smoke``)
+    replaces some afterwards, and a set ``variant`` switch runs that
+    declaration instead. Raises a one-line ``ValueError`` for a value
+    outside its declared range.
     """
     experiment = EXPERIMENTS[args.command]
-    pool = {
-        "horizon": args.hours * 3600.0,
-        "seed": args.seed,
-        "scale": args.scale,
-        "samples": args.samples,
-        "timeline_interval": args.timeline_interval,
-    }
+    pool = {entry.param: value * entry.unit for entry, value in _shared(args)}
+    pool["timeline_interval"] = getattr(args, "timeline_interval", None)
     declared, overrides = {}, {}
     for argument in experiment.arguments:
         value = getattr(args, argument.dest)
@@ -337,7 +362,7 @@ def _open_checkpoint(args: argparse.Namespace) -> CheckpointStore | None:
         return None
     manifest = RunManifest(
         experiment=args.command,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         parameters=_manifest_parameters(args),
     )
     store = CheckpointStore(checkpoint_dir)
@@ -363,28 +388,27 @@ def _open_checkpoint(args: argparse.Namespace) -> CheckpointStore | None:
 def _argument_error(args: argparse.Namespace) -> str | None:
     """Why an experiment command's arguments cannot run, or None.
 
-    Checked before any simulation starts, so a bad value costs one line
-    and exit 2 rather than a traceback — or, for ``--output`` and
-    ``--trace``, a finished sweep whose rows or trace cannot be saved.
+    Checked before any simulation starts or any checkpoint is written,
+    so a bad value costs one line and exit 2 rather than a traceback —
+    or, for ``--output`` and ``--trace``, a finished sweep whose rows or
+    trace cannot be saved.
     """
-    if not 0 < args.scale < math.inf:
-        return f"--scale must be positive and finite, got {args.scale}"
-    if not 0 < args.hours < math.inf:
-        return f"--hours must be positive and finite, got {args.hours}"
+    for entry, value in _shared(args):
+        problem = entry.problem and entry.problem(value)
+        if problem:
+            return f"{entry.flag} {problem}, got {value}"
     if getattr(args, "jobs", 1) < 0:
         return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
     timeout = getattr(args, "point_timeout", None)
-    if timeout is not None and not 0 < timeout < math.inf:
-        return f"--point-timeout must be positive and finite, got {timeout}"
-    if args.samples < 1:
-        return f"--samples must be >= 1, got {args.samples}"
+    if timeout is not None and _not_positive(timeout):
+        return f"--point-timeout {_not_positive(timeout)}, got {timeout}"
     if args.output:
         try:
             check_output_path(args.output)
         except ValueError as exc:
             return f"--output {exc}"
-    if args.trace and os.path.isdir(args.trace):
-        return f"--trace {args.trace} is a directory, not a file"
+    if getattr(args, "trace", None):
+        return _file_error("--trace", args.trace)
     return None
 
 
@@ -406,10 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     recorder = obs.NULL_RECORDER
-    if args.trace:
+    if getattr(args, "trace", None):
         try:
             recorder = obs.TraceRecorder(path=args.trace, keep_records=False)
         except OSError as exc:
+            if store is not None:
+                store.close()
             print(f"omega-sim: cannot open trace file: {exc}", file=sys.stderr)
             return 2
     try:
@@ -447,14 +473,13 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(format_table(rows))
     if args.output:
+        parameters = _manifest_parameters(args)
+        parameters.update((entry.dest, value) for entry, value in _shared(args))
         saved = save_rows(
-            rows,
-            args.output,
-            experiment=args.command,
-            parameters={**_manifest_parameters(args), "seed": args.seed},
+            rows, args.output, experiment=args.command, parameters=parameters
         )
         print(f"rows saved to {saved}", file=sys.stderr)
-    if args.plot:
+    if getattr(args, "plot", False):
         chart = render_plot(args.command, rows)
         if chart is None:
             print(f"(no chart available for {args.command})", file=sys.stderr)

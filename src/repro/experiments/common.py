@@ -329,6 +329,11 @@ class LightweightConfig:
     #: name is what makes a 1-cell federation draw the same randomness
     #: as the single-cell baseline.
     name_prefix: str = ""
+    #: Add the specialized MapReduce scheduler (an Omega scheduler on the
+    #: first cell state) under this :data:`repro.mapreduce.policies.POLICIES`
+    #: policy, and its job stream (Figures 15 and 16); ``None`` loads no
+    #: MapReduce module.
+    mapreduce_policy: str | None = None
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -394,6 +399,10 @@ class LightweightSimulation(World):
             config.utilization_sample_interval,
             config.timeline_interval,
         )
+        if config.mapreduce_policy is not None:
+            from repro.mapreduce.scheduler import add_mapreduce
+
+            add_mapreduce(self, config.mapreduce_policy)
 
     def _fill_initial_state(self) -> None:
         fill = InitialFill(self.config.preset, self.config.initial_utilization)

@@ -5,128 +5,25 @@ under opportunistic resources; the 80th-percentile speedup is ~3-4x for
 max-parallelism; relative-job-size is close behind; global-cap only
 helps on the small, lightly-loaded cluster D. Utilization under
 max-parallelism runs higher and noticeably more variable (Figure 16).
+
+Both figures are grids of Omega runs whose config names a MapReduce
+policy: :class:`~repro.experiments.common.LightweightSimulation` then
+adds the specialized scheduler and its job stream to the cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.experiments.common import DAY, LightweightConfig, LightweightSimulation
-from repro.mapreduce import (
-    AllocationPolicy,
-    GlobalCapPolicy,
-    MapReduceScheduler,
-    MapReduceWorkload,
-    MaxParallelismPolicy,
-    NoAccelerationPolicy,
-    RelativeJobSizePolicy,
-)
-from repro.mapreduce.model import REFERENCE_CELL_MACHINES
-from repro.metrics.stats import ecdf
-from repro.obs.recorder import NULL_RECORDER
-from repro.schedulers.base import DecisionTimeModel
+from repro.experiments.common import DAY, LightweightConfig
 from repro.workload.clusters import preset_by_name
-from repro.world import RunContext
 
 DEFAULT_CLUSTERS = ("A", "C", "D")
 
-#: "About 20% of jobs in Google are MapReduce ones": the MR stream runs
-#: at a quarter of the batch rate, i.e. 20 % of all batch-side jobs.
-MAPREDUCE_RATE_RATIO = 0.25
-
-
-def default_policies() -> list[AllocationPolicy]:
-    return [MaxParallelismPolicy(), RelativeJobSizePolicy(), GlobalCapPolicy()]
-
-
-@dataclass
-class MapReduceRun:
-    """One cluster x policy simulation outcome."""
-
-    cluster: str
-    policy: str
-    speedups: np.ndarray
-    utilization_series: list[tuple[float, float, float]]
-
-    @property
-    def fraction_accelerated(self) -> float:
-        if len(self.speedups) == 0:
-            return float("nan")
-        return float(np.mean(self.speedups > 1.001))
-
-    def percentile(self, q: float) -> float:
-        if len(self.speedups) == 0:
-            return float("nan")
-        return float(np.percentile(self.speedups, q))
-
-    def cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return ecdf(self.speedups)
-
-
-def run_mapreduce_experiment(
-    cluster: str,
-    policy: AllocationPolicy,
-    horizon: float = DAY,
-    seed: int = 0,
-    scale: float = 1.0,
-    utilization_sample_interval: float = 300.0,
-    initial_utilization: float | None = None,
-    timeline_interval: float | None = None,
-    recorder=NULL_RECORDER,
-) -> MapReduceRun:
-    """Run the Omega architecture plus the specialized MapReduce
-    scheduler under one allocation policy.
-
-    The MapReduce stream is additional to the preset's batch stream
-    (the paper's MR jobs were a subset of the existing workload), with
-    configured worker counts shrunk to the cell size (see
-    :data:`repro.mapreduce.model.REFERENCE_CELL_MACHINES`) so the extra
-    load stays proportionate. The run traces to ``recorder``.
-    """
-    preset = preset_by_name(cluster)
-    if scale != 1.0:
-        preset = preset.scaled(scale)
-    config = LightweightConfig(
-        preset=preset,
-        architecture="omega",
-        horizon=horizon,
-        seed=seed,
-        utilization_sample_interval=utilization_sample_interval,
-        initial_utilization=initial_utilization,
-        timeline_interval=timeline_interval,
-    )
-    simulation = LightweightSimulation(config, RunContext(recorder)).build()
-    scheduler = MapReduceScheduler(
-        "mapreduce",
-        simulation.sim,
-        simulation.metrics,
-        simulation.states[0],
-        simulation.streams.stream("placement.mapreduce"),
-        DecisionTimeModel(),
-        policy,
-    )
-    simulation.register(scheduler)
-    MapReduceWorkload(
-        simulation.sim,
-        rate=MAPREDUCE_RATE_RATIO * preset.batch.arrival_rate,
-        rng=simulation.streams.stream("workload.mapreduce"),
-        submit=scheduler.submit,
-        horizon=horizon,
-        job_ids=simulation.context.job_ids,
-        worker_scale=preset.num_machines / REFERENCE_CELL_MACHINES,
-    ).start()
-    result = simulation.run()
-    simulation.check_invariants()
-    return MapReduceRun(
-        cluster=cluster,
-        policy=policy.name,
-        speedups=np.asarray(scheduler.speedups),
-        utilization_series=result.utilization_series,
-    )
-
+#: Figure 15's policies, by :data:`repro.mapreduce.policies.POLICIES` name.
+FIGURE15_POLICIES = ("max-parallelism", "relative-job-size", "global-cap")
 
 #: Standing utilization for the busy clusters in the MR experiments.
 #: The paper notes cluster utilization on A and C "is usually above the
@@ -134,85 +31,91 @@ def run_mapreduce_experiment(
 #: keeps its preset fill (25 %).
 BUSY_CLUSTER_FILL = 0.65
 
+FIGURE15_TABLE = ("jobs", "frac_accelerated", "speedup_p50", "speedup_p80", "speedup_p95")
+FIGURE16_TABLE = ("samples", "cpu_util_mean", "cpu_util_std", "mem_util_mean", "mem_util_std")
+
 
 def _mr_fill(cluster: str) -> float | None:
     return None if cluster.upper().startswith("D") else BUSY_CLUSTER_FILL
 
 
-def figure15_rows(
+def _config(cluster, policy, horizon, seed, scale, sample_interval) -> LightweightConfig:
+    """One Omega run of ``cluster`` plus the MapReduce scheduler under
+    ``policy``; utilization is sampled every ``sample_interval`` seconds."""
+    preset = preset_by_name(cluster)
+    if scale != 1.0:
+        preset = preset.scaled(scale)
+    return LightweightConfig(
+        preset=preset,
+        architecture="omega",
+        horizon=horizon,
+        seed=seed,
+        utilization_sample_interval=sample_interval,
+        initial_utilization=_mr_fill(cluster),
+        mapreduce_policy=policy,
+    )
+
+
+def figure15_points(
     clusters: Sequence[str] = DEFAULT_CLUSTERS,
-    policies: Sequence[AllocationPolicy] | None = None,
+    policies: Sequence[str] = FIGURE15_POLICIES,
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
-    timeline_interval: float | None = None,
-    recorder=NULL_RECORDER,
-) -> list[dict]:
-    """Per-job speedup distribution per cluster and policy."""
-    if policies is None:
-        policies = default_policies()
-    rows = []
-    for cluster in clusters:
-        for policy in policies:
-            run = run_mapreduce_experiment(
-                cluster,
-                policy,
-                horizon=horizon,
-                seed=seed,
-                scale=scale,
-                initial_utilization=_mr_fill(cluster),
-                timeline_interval=timeline_interval,
-                recorder=recorder,
-            )
-            rows.append(
-                {
-                    "cluster": cluster,
-                    "policy": run.policy,
-                    "jobs": len(run.speedups),
-                    "frac_accelerated": run.fraction_accelerated,
-                    "speedup_p50": run.percentile(50),
-                    "speedup_p80": run.percentile(80),
-                    "speedup_p95": run.percentile(95),
-                }
-            )
-    return rows
+) -> list:
+    """Per-job speedup distribution per cluster and policy. The figure
+    reads no utilization, but its runs keep the 300 s sampler: a trace's
+    engine statistics count the sampler's events."""
+    return [
+        (
+            _config(cluster, policy, horizon, seed, scale, 300.0),
+            {"cluster": cluster, "policy": policy},
+        )
+        for cluster in clusters
+        for policy in policies
+    ]
 
 
-def figure16_rows(
+def speedup_columns(world, result) -> dict:
+    """Figure 15's columns: the realized speedups of the MapReduce
+    scheduler's grants."""
+    (scheduler,) = (s for s in world.schedulers if s.name == "mapreduce")
+    speedups = np.asarray(scheduler.speedups)
+    if len(speedups) == 0:
+        return {"jobs": 0, **dict.fromkeys(FIGURE15_TABLE[1:], float("nan"))}
+    return {
+        "jobs": len(speedups),
+        "frac_accelerated": float(np.mean(speedups > 1.001)),
+        **{f"speedup_p{q}": float(np.percentile(speedups, q)) for q in (50, 80, 95)},
+    }
+
+
+def figure16_points(
     cluster: str = "C",
     horizon: float = DAY,
     seed: int = 0,
     scale: float = 1.0,
     sample_interval: float = 300.0,
-    timeline_interval: float | None = None,
-    recorder=NULL_RECORDER,
-) -> list[dict]:
-    """Utilization time series, normal vs max-parallelism, plus the
-    dispersion summary (max-parallelism should be higher and more
-    variable)."""
-    rows = []
-    for policy in (NoAccelerationPolicy(), MaxParallelismPolicy()):
-        run = run_mapreduce_experiment(
-            cluster,
-            policy,
-            horizon=horizon,
-            seed=seed,
-            scale=scale,
-            utilization_sample_interval=sample_interval,
-            initial_utilization=_mr_fill(cluster),
-            timeline_interval=timeline_interval,
-            recorder=recorder,
+) -> list:
+    """Utilization time series, normal vs max-parallelism."""
+    return [
+        (
+            _config(cluster, policy, horizon, seed, scale, sample_interval),
+            {"policy": policy},
         )
-        cpu = np.array([u for _, u, _ in run.utilization_series])
-        mem = np.array([u for _, _, u in run.utilization_series])
-        rows.append(
-            {
-                "policy": run.policy,
-                "samples": len(cpu),
-                "cpu_util_mean": float(cpu.mean()) if len(cpu) else float("nan"),
-                "cpu_util_std": float(cpu.std()) if len(cpu) else float("nan"),
-                "mem_util_mean": float(mem.mean()) if len(mem) else float("nan"),
-                "mem_util_std": float(mem.std()) if len(mem) else float("nan"),
-            }
-        )
-    return rows
+        for policy in ("normal", "max-parallelism")
+    ]
+
+
+def utilization_columns(world, result) -> dict:
+    """Figure 16's dispersion summary (max-parallelism should be higher
+    and more variable)."""
+    cpu = np.array([u for _, u, _ in result.utilization_series])
+    mem = np.array([u for _, _, u in result.utilization_series])
+    return {
+        "samples": len(cpu),
+        "cpu_util_mean": float(cpu.mean()) if len(cpu) else float("nan"),
+        "cpu_util_std": float(cpu.std()) if len(cpu) else float("nan"),
+        "mem_util_mean": float(mem.mean()) if len(mem) else float("nan"),
+        "mem_util_std": float(mem.std()) if len(mem) else float("nan"),
+    }

@@ -4,7 +4,7 @@ one point runner.
 Every figure of the paper's evaluation — and every extension since — is
 a grid of configs run through one simulator and flattened to rows. An
 :class:`Experiment` declares that grid (or, for the few commands that
-are not grids, a plain ``rows`` function) with everything the front ends
+run no simulation, a plain ``rows`` function) with everything the front ends
 need: extra row columns, command-line arguments, ``--plot`` chart,
 determinism gate. :func:`run` executes any of them, sending every point
 through :func:`run_point`. ``omega-sim`` (:mod:`repro.experiments.cli`)
@@ -115,9 +115,9 @@ class Experiment:
     A grid declares ``points(**params)``, returning ``(config, extra)``
     pairs; :func:`run_point` turns each into ``result_row`` plus
     ``columns(world, result)``, keeping — when ``table`` is set — only
-    the point's extra fields, the ``table`` metrics and the added
-    columns, in that order. The few commands that are not grids declare
-    ``rows(**params)`` instead. ``finish(rows)`` post-processes the
+    the point's extra fields, the ``table`` columns and the added
+    columns, in that order. The few commands that run no simulation
+    declare ``rows(**params)`` instead. ``finish(rows)`` post-processes the
     table (or raises :class:`~repro.experiments.sweeps.CheckFailed`);
     ``note(rows)`` is a line for stderr.
     """
@@ -151,7 +151,7 @@ class Experiment:
 
     def accepted(self, pool: Mapping[str, Any]) -> dict:
         """The set entries of ``pool`` (horizon, seed, scale, samples,
-        timeline_interval, recorder) this experiment takes; a grid always
+        timeline_interval) this experiment takes; a grid always
         takes a ``timeline_interval``, which :func:`run` puts on the configs."""
         names = set(self.parameters)
         if self.points is not None:
@@ -234,7 +234,7 @@ def run(
     """
     params = validated(experiment, params or {})
     if experiment.rows is not None:
-        return experiment.rows(**params, **experiment.accepted({"recorder": recorder}))
+        return experiment.rows(**params)
     interval = params.pop("timeline_interval", None)
     points = experiment.points(**params)
     if interval is not None:
@@ -491,12 +491,18 @@ _DECLARED = (
         gate=Gate(jobs=2, timeline=120.0),
     ),
     Experiment(
-        "fig15", "MapReduce speedup CDFs per policy", rows=mapreduce.figure15_rows
+        "fig15",
+        "MapReduce speedup CDFs per policy",
+        points=mapreduce.figure15_points,
+        columns=mapreduce.speedup_columns,
+        table=mapreduce.FIGURE15_TABLE,
     ),
     Experiment(
         "fig16",
         "utilization time series, normal vs max-parallel",
-        rows=mapreduce.figure16_rows,
+        points=mapreduce.figure16_points,
+        columns=mapreduce.utilization_columns,
+        table=mapreduce.FIGURE16_TABLE,
     ),
     Experiment(
         "table1", "comparison of scheduling approaches", rows=tables.table1_rows

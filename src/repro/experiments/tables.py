@@ -1,4 +1,4 @@
-"""Tables 1 and 2 of the paper, as structured data with renderers.
+"""Tables 1 and 2 of the paper, as structured data.
 
 These tables are qualitative design comparisons; reproducing them means
 encoding the claims so the test suite can cross-check them against the
@@ -10,8 +10,6 @@ scheduler never records a conflict).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.experiments.common import format_table
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,3 @@ def table1_rows() -> list[dict]:
 def table2_rows() -> list[dict]:
     return [vars(row) for row in TABLE2]
 
-
-def render_table1() -> str:
-    return format_table(table1_rows())
-
-
-def render_table2() -> str:
-    return format_table(table2_rows())

@@ -114,6 +114,18 @@ class RelativeJobSizePolicy(AllocationPolicy):
         return min(cap, max(profile.max_useful_workers, profile.workers_configured))
 
 
+#: Every policy by name: what ``LightweightConfig.mapreduce_policy`` names.
+POLICIES: dict[str, type[AllocationPolicy]] = {
+    policy.name: policy
+    for policy in (
+        NoAccelerationPolicy,
+        MaxParallelismPolicy,
+        RelativeJobSizePolicy,
+        GlobalCapPolicy,
+    )
+}
+
+
 def _affordable_workers(profile: MapReduceProfile, view: ClusterView) -> int:
     """Workers the cluster's idle resources can actually host."""
     budget_cpu = view.idle_cpu * IDLE_USE_FRACTION

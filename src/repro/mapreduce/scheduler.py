@@ -21,7 +21,7 @@ utilization variability).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -29,12 +29,24 @@ from repro.core.cellstate import CellSnapshot, CellState
 from repro.core.placement import randomized_first_fit
 from repro.core.scheduler import OmegaScheduler
 from repro.core.transaction import CommitResult, ConflictMode, Plan
-from repro.mapreduce.model import MapReduceJob, sample_profile
-from repro.mapreduce.policies import AllocationPolicy, ClusterView, decide_workers
+from repro.mapreduce.model import REFERENCE_CELL_MACHINES, MapReduceJob, sample_profile
+from repro.mapreduce.policies import (
+    POLICIES,
+    AllocationPolicy,
+    ClusterView,
+    decide_workers,
+)
 from repro.metrics import MetricsCollector
 from repro.schedulers.base import DecisionTimeModel
 from repro.sim import Simulator
 from repro.workload.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.world import World
+
+#: "About 20% of jobs in Google are MapReduce ones": the MR stream runs
+#: at a quarter of the batch rate, i.e. 20 % of all batch-side jobs.
+MAPREDUCE_RATE_RATIO = 0.25
 
 
 class MapReduceScheduler(OmegaScheduler):
@@ -159,3 +171,38 @@ class MapReduceWorkload:
         self.jobs_generated += 1
         self._submit(job)
         self._schedule_next()
+
+
+def add_mapreduce(world: World, policy: str) -> None:
+    """Add the MapReduce scheduler under ``policy`` (a
+    :data:`~repro.mapreduce.policies.POLICIES` name) and its job stream
+    to a lightweight ``world``, as the last step of its ``assemble``.
+
+    The MapReduce stream is additional to the preset's batch stream
+    (the paper's MR jobs were a subset of the existing workload), with
+    configured worker counts shrunk to the cell size (see
+    :data:`~repro.mapreduce.model.REFERENCE_CELL_MACHINES`) so the extra
+    load stays proportionate.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown MapReduce policy {policy!r}; choose from {tuple(POLICIES)}")
+    preset = world.config.preset
+    scheduler = MapReduceScheduler(
+        "mapreduce",
+        world.sim,
+        world.metrics,
+        world.states[0],
+        world.streams.stream("placement.mapreduce"),
+        DecisionTimeModel(),
+        POLICIES[policy](),
+    )
+    world.register(scheduler)
+    MapReduceWorkload(
+        world.sim,
+        rate=MAPREDUCE_RATE_RATIO * preset.batch.arrival_rate,
+        rng=world.streams.stream("workload.mapreduce"),
+        submit=scheduler.submit,
+        horizon=world.horizon,
+        job_ids=world.context.job_ids,
+        worker_scale=preset.num_machines / REFERENCE_CELL_MACHINES,
+    ).start()

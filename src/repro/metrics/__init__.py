@@ -10,13 +10,12 @@
 from repro.metrics.ascii_chart import line_chart
 from repro.metrics.collector import MetricsCollector, SchedulerMetrics
 from repro.metrics.results import RunSummary
-from repro.metrics.stats import ecdf, mad, median, percentile
+from repro.metrics.stats import mad, median, percentile
 
 __all__ = [
     "MetricsCollector",
     "SchedulerMetrics",
     "RunSummary",
-    "ecdf",
     "mad",
     "median",
     "percentile",

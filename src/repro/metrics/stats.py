@@ -44,19 +44,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
-def ecdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted values, cumulative probabilities).
-
-    The returned arrays plot exactly like the paper's CDF figures; the
-    probability of the i-th sorted value is (i + 1) / n.
-    """
-    array = np.sort(np.asarray(values, dtype=np.float64))
-    if array.size == 0:
-        return array, array
-    probabilities = np.arange(1, array.size + 1, dtype=np.float64) / array.size
-    return array, probabilities
-
-
 def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> np.ndarray:
     """Fraction of ``values`` that are <= each threshold.
 

@@ -109,13 +109,6 @@ class EventQueue:
             event[2] = "cancelled"
             self._live -= 1
 
-    def peek_time(self) -> float | None:
-        """Return the time of the next live event, or None if empty."""
-        heap = self._heap
-        while heap and heap[0][2] is not None:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
     def pop(self, until: float | None = None) -> Event | None:
         """Remove and return the next live event, or None if there is
         none — or, with ``until``, none at or before that time."""

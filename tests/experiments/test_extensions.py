@@ -110,10 +110,12 @@ class TestCliAdditions:
         output = capsys.readouterr().out
         assert "legend:" in output
 
-    def test_plot_unsupported_command_warns(self, capsys):
-        assert main(["table1", "--plot"]) == 0
-        captured = capsys.readouterr()
-        assert "no chart available" in captured.err
+    def test_plot_unsupported_command_is_an_error(self, capsys):
+        """A command without a ``Plot`` does not offer ``--plot``."""
+        with pytest.raises(SystemExit) as exited:
+            main(["table1", "--plot"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
     def test_render_plot_series_grouping(self):
         rows = [
@@ -124,6 +126,3 @@ class TestCliAdditions:
         chart = render_plot("fig8", rows)
         assert chart is not None
         assert "A" in chart and "B" in chart
-
-    def test_render_plot_unknown_command(self):
-        assert render_plot("table1", [{"a": 1}]) is None

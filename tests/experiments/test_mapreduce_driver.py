@@ -1,45 +1,48 @@
 """Tests for the MapReduce experiment driver (Figures 15/16 machinery)."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.experiments.common import LightweightSimulation
+from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.mapreduce import (
     BUSY_CLUSTER_FILL,
-    MapReduceRun,
     _mr_fill,
-    run_mapreduce_experiment,
+    figure15_points,
+    speedup_columns,
 )
-from repro.mapreduce import MaxParallelismPolicy, NoAccelerationPolicy
+from repro.experiments.registry import EXPERIMENTS, run
+from tests.conftest import tiny_preset
+
+#: One cluster-D point per policy, 30 simulated minutes on a 0.3 cell.
+SMALL = dict(clusters=("D",), horizon=1800.0, seed=1, scale=0.3)
 
 
-class TestMapReduceRun:
-    def _run(self, speedups):
-        return MapReduceRun(
-            cluster="D",
-            policy="max-parallelism",
-            speedups=np.asarray(speedups, dtype=float),
-            utilization_series=[],
+def _fig15(policy: str) -> dict:
+    (row,) = run(EXPERIMENTS["fig15"], dict(SMALL, policies=(policy,)))
+    return row
+
+
+class TestSpeedupColumns:
+    def _columns(self, speedups):
+        world = SimpleNamespace(
+            schedulers=[SimpleNamespace(name="mapreduce", speedups=speedups)]
         )
+        return speedup_columns(world, None)
 
     def test_fraction_accelerated(self):
-        run = self._run([0.5, 1.0, 2.0, 3.0])
-        assert run.fraction_accelerated == pytest.approx(0.5)
+        columns = self._columns([0.5, 1.0, 2.0, 3.0])
+        assert columns["frac_accelerated"] == pytest.approx(0.5)
 
     def test_fraction_empty_is_nan(self):
-        import math
-
-        assert math.isnan(self._run([]).fraction_accelerated)
+        columns = self._columns([])
+        assert columns["jobs"] == 0 and math.isnan(columns["frac_accelerated"])
 
     def test_percentiles(self):
-        run = self._run([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert run.percentile(50) == 3.0
-
-    def test_cdf(self):
-        xs, ps = self._run([3.0, 1.0, 2.0]).cdf()
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert ps[-1] == pytest.approx(1.0)
+        assert self._columns([1.0, 2.0, 3.0, 4.0, 5.0])["speedup_p50"] == 3.0
 
 
 class TestFillPolicy:
@@ -52,44 +55,58 @@ class TestFillPolicy:
         assert _mr_fill("Dx0.3") is None  # scaled names too
 
 
+def _mr_world(figure_points, **params):
+    """Build and run the world of a figure's one point, to read the
+    MapReduce scheduler's raw speedups and the utilization series."""
+    ((config, _),) = figure_points(**params)
+    world = LightweightSimulation(config)
+    result = world.run()
+    (scheduler,) = (s for s in world.schedulers if s.name == "mapreduce")
+    return np.asarray(scheduler.speedups), result
+
+
+def _fig15_world(policy: str):
+    return _mr_world(figure15_points, policies=(policy,), **SMALL)
+
+
 class TestRunExperiment:
     def test_normal_policy_never_accelerates(self):
-        run = run_mapreduce_experiment(
-            "D", NoAccelerationPolicy(), horizon=1800.0, seed=1, scale=0.3
-        )
-        assert len(run.speedups) > 0
-        assert (run.speedups <= 1.0 + 1e-9).all()
+        row = _fig15("normal")
+        assert row["jobs"] > 0
+        assert row["frac_accelerated"] == 0.0
+        speedups, _ = _fig15_world("normal")
+        assert len(speedups) == row["jobs"]
+        assert (speedups <= 1.0 + 1e-9).all()
 
     def test_max_parallelism_beats_normal(self):
-        normal = run_mapreduce_experiment(
-            "D", NoAccelerationPolicy(), horizon=1800.0, seed=1, scale=0.3
+        normal, _ = _fig15_world("normal")
+        accelerated, _ = _fig15_world("max-parallelism")
+        assert accelerated.mean() > normal.mean()
+        assert (
+            _fig15("max-parallelism")["speedup_p50"] > _fig15("normal")["speedup_p50"]
         )
-        accelerated = run_mapreduce_experiment(
-            "D", MaxParallelismPolicy(), horizon=1800.0, seed=1, scale=0.3
-        )
-        assert accelerated.speedups.mean() > normal.speedups.mean()
 
     def test_worker_counts_scale_with_cell(self):
         """A 0.3-scale cluster D must not see 1,000-worker grants."""
-        run = run_mapreduce_experiment(
-            "D", MaxParallelismPolicy(), horizon=1800.0, seed=1, scale=0.3
-        )
-        assert len(run.speedups) > 0
+        speedups, result = _fig15_world("max-parallelism")
+        assert len(speedups) > 0
         # Sanity via utilization: the cell is not swamped by MR grants.
-        cpu = [u for _, u, _ in run.utilization_series]
+        cpu = [u for _, u, _ in result.utilization_series]
         assert max(cpu) <= 1.0
+        rows = run(
+            EXPERIMENTS["fig16"], dict(cluster="D", horizon=1800.0, seed=1, scale=0.3)
+        )
+        row = {row["policy"]: row for row in rows}["max-parallelism"]
+        assert row["samples"] == len(cpu)
+        assert row["cpu_util_mean"] <= 1.0
 
     def test_timeline_samples_the_mapreduce_scheduler(self):
         """The extension scheduler is registered on the world, so the
         experiment's subject has a ``timeline.sched`` series."""
         recorder = obs.TraceRecorder()
-        run_mapreduce_experiment(
-            "D",
-            MaxParallelismPolicy(),
-            horizon=1800.0,
-            seed=1,
-            scale=0.3,
-            timeline_interval=600.0,
+        run(
+            EXPERIMENTS["fig15"],
+            dict(SMALL, policies=("max-parallelism",), timeline_interval=600.0),
             recorder=recorder,
         )
         sampled = [
@@ -109,7 +126,10 @@ class TestRunExperiment:
             return check(world)
 
         monkeypatch.setattr(LightweightSimulation, "check_invariants", counting)
-        run_mapreduce_experiment(
-            "D", NoAccelerationPolicy(), horizon=1800.0, seed=1, scale=0.3
-        )
+        _fig15("normal")
         assert checked == [1800.0]
+
+    def test_unknown_policy_is_refused_at_build(self):
+        config = LightweightConfig(preset=tiny_preset(), mapreduce_policy="greedy")
+        with pytest.raises(ValueError, match="unknown MapReduce policy 'greedy'"):
+            LightweightSimulation(config).build()

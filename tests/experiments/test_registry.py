@@ -23,6 +23,24 @@ from tests.conftest import tiny_preset
 
 GRIDS = [name for name, experiment in EXPERIMENTS.items() if experiment.points]
 
+#: Shared flag -> the ``points`` / ``rows`` parameter that makes a command offer it.
+SHARED_FLAGS = {
+    "--scale": "scale",
+    "--hours": "horizon",
+    "--seed": "seed",
+    "--samples": "samples",
+}
+
+#: The flags every grid offers, and no other command.
+RUN_FLAGS = {
+    "--trace",
+    "--timeline-interval",
+    "--jobs",
+    "--checkpoint",
+    "--resume",
+    "--point-timeout",
+}
+
 
 def _takes(experiment: Experiment, name: str) -> bool:
     parameters = experiment.parameters
@@ -60,6 +78,48 @@ class TestDeclarations:
         assert exited.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_offers_only_the_flags_it_reads(self, name):
+        experiment = EXPERIMENTS[name]
+        (subparsers,) = build_parser()._subparsers._group_actions
+        offered = {
+            flag
+            for action in subparsers.choices[name]._actions
+            for flag in action.option_strings
+        }
+        expected = {"-h", "--help", "--output"}
+        expected |= {argument.flag for argument in experiment.arguments}
+        expected |= {
+            flag
+            for flag, param in SHARED_FLAGS.items()
+            if param in experiment.parameters
+        }
+        if experiment.plot is not None:
+            expected.add("--plot")
+        if experiment.points is not None:
+            expected |= RUN_FLAGS
+        assert offered == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table1", "--seed", "1"),
+            ("fig8", "--samples", "5"),
+            ("ablation-offer", "--scale", "0.1"),
+            ("table1", "--trace", "t.jsonl"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_would_ignore_is_an_error(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no trace file either
+
     @pytest.mark.parametrize(
         "experiment", [*EXPERIMENTS.values(), DEGENERATE_GATE], ids=lambda e: e.name
     )
@@ -95,8 +155,9 @@ class TestDeclarations:
             run(EXPERIMENTS["fig8"], {"hours": 1.0})
 
 
-class TestHifiFiguresAreGrids:
-    """fig11-13 used to hand-roll serial loops; as grids they fan out."""
+class TestSimulationsAreGrids:
+    """fig11-13 and fig15-16 used to hand-roll serial loops; as grids
+    they fan out."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -108,10 +169,22 @@ class TestHifiFiguresAreGrids:
             ("fig11", dict(t_jobs=(0.1, 10.0), t_tasks=(0.01,))),
             ("fig12", dict(t_jobs=(0.1, 10.0))),
             ("fig13", dict(t_jobs=(0.1,), scheduler_counts=(1, 3))),
+            (
+                "fig15",
+                dict(
+                    clusters=("D",),
+                    policies=("max-parallelism", "global-cap"),
+                    scale=0.3,
+                    horizon=1800.0,
+                ),
+            ),
+            ("fig16", dict(cluster="D", scale=0.3, horizon=1800.0)),
         ],
     )
     def test_jobs_2_rows_identical_to_serial(self, trace, name, params):
-        params = dict(params, trace=trace, seed=0)
+        params = dict(params, seed=0)
+        if "trace" in EXPERIMENTS[name].parameters:
+            params["trace"] = trace
         serial = run(EXPERIMENTS[name], params)
         parallel = run(EXPERIMENTS[name], params, jobs=2)
         assert len(serial) == 2

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import hifi_perf, mapreduce as mr_experiments
+from repro.experiments import hifi_perf
 from repro.experiments.omega import figure8_saturation_points
 from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.sweeps import WAIT_TIME_SLO, saturation_point
@@ -160,8 +160,9 @@ class TestHifiDrivers:
 
 class TestMapReduceDrivers:
     def test_figure15_rows(self):
-        rows = mr_experiments.figure15_rows(
-            clusters=("D",), horizon=HOURS, seed=0, scale=0.3
+        rows = run(
+            EXPERIMENTS["fig15"],
+            dict(clusters=("D",), horizon=HOURS, seed=0, scale=0.3),
         )
         assert {row["policy"] for row in rows} == {
             "max-parallelism",
@@ -172,8 +173,9 @@ class TestMapReduceDrivers:
             assert row["jobs"] > 0
 
     def test_figure16_rows(self):
-        rows = mr_experiments.figure16_rows(
-            cluster="D", horizon=HOURS, seed=0, scale=0.3, sample_interval=120.0
+        rows = run(
+            EXPERIMENTS["fig16"],
+            dict(cluster="D", horizon=HOURS, seed=0, scale=0.3, sample_interval=120.0),
         )
         by_policy = {row["policy"]: row for row in rows}
         assert set(by_policy) == {"normal", "max-parallelism"}

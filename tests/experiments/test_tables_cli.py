@@ -1,21 +1,16 @@
 """Tests for the Table 1/2 data and the omega-sim CLI."""
 
 import dataclasses
+import functools
 import os
 
 import pytest
 
 from repro.experiments import registry
 from repro.experiments.cli import build_parser, main
+from repro.experiments.common import format_table
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.tables import (
-    TABLE1,
-    TABLE2,
-    render_table1,
-    render_table2,
-    table1_rows,
-    table2_rows,
-)
+from repro.experiments.tables import TABLE1, TABLE2, table1_rows, table2_rows
 
 #: The grids that replay a trace through the high-fidelity simulator.
 HIFI_REPLAYS = ("fig11", "fig12", "fig13", "fig14")
@@ -43,7 +38,7 @@ class TestTable1:
         assert by_name["Shared-state (Omega)"].interference == "optimistic"
 
     def test_render(self):
-        rendered = render_table1()
+        rendered = format_table(table1_rows())
         assert "Shared-state (Omega)" in rendered
         assert "optimistic" in rendered
 
@@ -65,7 +60,7 @@ class TestTable2:
                 assert "synthetic" in row.high_fidelity
 
     def test_render(self):
-        assert "randomized first fit" in render_table2()
+        assert "randomized first fit" in format_table(table2_rows())
         assert len(table2_rows()) == len(TABLE2)
 
 
@@ -149,10 +144,15 @@ class TestCli:
             raise Reached([getattr(c, "cell_config", c) for c, _ in points])
 
         monkeypatch.setattr(registry, "execute_map", execute_map)
-        flags = ["--scale", "0.05", "--hours", "0.1", "--timeline-interval", "60"]
         grids = [name for name, e in EXPERIMENTS.items() if e.points is not None]
-        assert set(HIFI_REPLAYS) < set(grids)
+        assert {*HIFI_REPLAYS, "fig15", "fig16"} < set(grids)
         for name in grids:
+            flags = ["--timeline-interval", "60"]
+            parameters = EXPERIMENTS[name].parameters
+            if "scale" in parameters:
+                flags += ["--scale", "0.05"]
+            if "horizon" in parameters:
+                flags += ["--hours", "0.1"]
             with pytest.raises(Reached) as reached:
                 main([name, *flags])
             cells = reached.value.args[0]
@@ -185,8 +185,13 @@ class TestBadArgumentsExitTwo:
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
-        def built(**params):
-            raise AssertionError("points were built despite bad arguments")
+        def stub(points):
+            # The declaration's signature decides which flags it offers.
+            @functools.wraps(points)
+            def built(**params):
+                raise AssertionError("points were built despite bad arguments")
+
+            return built
 
         def ran(*args, **kwargs):
             raise AssertionError("a point ran despite bad arguments")
@@ -195,7 +200,9 @@ class TestBadArgumentsExitTwo:
         for name, experiment in list(EXPERIMENTS.items()):
             if experiment.points is not None:
                 monkeypatch.setitem(
-                    EXPERIMENTS, name, dataclasses.replace(experiment, points=built)
+                    EXPERIMENTS,
+                    name,
+                    dataclasses.replace(experiment, points=stub(experiment.points)),
                 )
 
     def _rejects(self, capsys, *argv, command="fig8"):
@@ -218,7 +225,9 @@ class TestBadArgumentsExitTwo:
         ids=" ".join,
     )
     def test_out_of_range_value(self, capsys, argv):
-        assert argv[0] in self._rejects(capsys, *argv)
+        # Only the characterization figures draw Monte Carlo samples.
+        command = "fig4" if argv[0] == "--samples" else "fig8"
+        assert argv[0] in self._rejects(capsys, *argv, command=command)
 
     @pytest.mark.parametrize(
         "argv",

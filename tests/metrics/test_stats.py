@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics.stats import cdf_at, ecdf, mad, median, percentile
+from repro.metrics.stats import cdf_at, mad, median, percentile
 
 
 class TestMedianMad:
@@ -45,26 +44,6 @@ class TestPercentile:
 
     def test_empty_is_nan(self):
         assert math.isnan(percentile([], 50))
-
-
-class TestEcdf:
-    def test_basic_shape(self):
-        xs, ps = ecdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert list(ps) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty(self):
-        xs, ps = ecdf([])
-        assert len(xs) == 0 and len(ps) == 0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_monotone_and_bounded(self, values):
-        xs, ps = ecdf(values)
-        assert (np.diff(xs) >= 0).all()
-        assert (np.diff(ps) >= 0).all()
-        assert ps[-1] == pytest.approx(1.0)
-        assert (ps > 0).all()
 
 
 class TestCdfAt:

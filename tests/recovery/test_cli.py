@@ -48,6 +48,18 @@ def test_checkpoint_into_existing_run_exits_two(tmp_path, capsys):
     assert "already contains a checkpoint" in capsys.readouterr().err
 
 
+def test_bad_trace_path_leaves_no_checkpoint(tmp_path, capsys):
+    """The trace path is checked before the store is initialized, so the
+    corrected command is not refused as a second run into ``ck``."""
+    checkpoint = tmp_path / "ck"
+    argv = ["fig8", "--scale", "0.05", "--hours", "0.1", "--checkpoint", str(checkpoint)]
+    assert main(argv + ["--trace", str(tmp_path / "nodir" / "t.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("omega-sim: --trace ") and err.count("\n") == 1
+    assert not checkpoint.exists()
+    assert main(argv + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+
+
 def test_resume_with_mismatched_seed_exits_two(tmp_path, capsys):
     store = make_checkpoint(tmp_path, seed=1)
     rc = main(

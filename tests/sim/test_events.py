@@ -27,14 +27,15 @@ class TestEventOrdering:
             event.fn(*event.args)
         assert order == list(range(10))
 
-    def test_peek_time_returns_earliest(self):
+    def test_pop_returns_earliest_and_keeps_the_rest(self):
         queue = EventQueue()
         queue.push(7.0, lambda: None)
         queue.push(2.0, lambda: None)
-        assert queue.peek_time() == 2.0
+        assert queue.pop().time == 2.0
+        assert len(queue) == 1
 
-    def test_peek_time_empty_queue(self):
-        assert EventQueue().peek_time() is None
+    def test_new_queue_is_empty(self):
+        assert len(EventQueue()) == 0
 
     def test_pop_empty_queue(self):
         assert EventQueue().pop() is None
@@ -89,7 +90,8 @@ class TestCancellation:
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         queue.cancel(first)
-        assert queue.peek_time() == 2.0
+        assert len(queue) == 1
+        assert queue.pop().time == 2.0
 
     def test_cancel_after_fire_is_a_noop(self):
         # Regression: cancelling a fired handle used to decrement the
@@ -160,7 +162,6 @@ class TestEventQueueModel:
                     assert event is handles[number]
                     assert (event.time, event.args) == (time, (number,))
             assert len(queue) == len(live) and bool(queue) == bool(live)
-            assert queue.peek_time() == (min(live)[0] if live else None)
 
     @given(
         st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0]), max_size=8),

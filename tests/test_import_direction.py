@@ -71,12 +71,14 @@ ARCHITECTURE_COMMANDS = {
 }
 
 #: Modules a simulation run through ``omega-sim`` never needs: the
-#: determinism gate, the federation machinery and the trace consumers.
+#: determinism gate, the federation machinery, the MapReduce case study
+#: (loaded only by a config that names a policy) and the trace consumers.
 NOT_IN_A_RUN = tuple(
     f"repro.{layer}.{name}"
     for layer, names in (
         ("analysis", ("determinism",)),
         ("federation", ("harness", "router", "cells", "chaos")),
+        ("mapreduce", ("model", "policies", "scheduler")),
         ("obs", ("summary", "perfetto", "profile")),
     )
     for name in names
