@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.experiments.common import format_table
+from repro.metrics.ascii_chart import format_table
 from repro.experiments.registry import EXPERIMENTS, run
 
 

@@ -21,7 +21,8 @@ Usage::
 import sys
 
 from repro import CLUSTER_A, DecisionTimeModel, JobType, LightweightConfig, obs, run_lightweight
-from repro.experiments.common import ARCHITECTURES, format_table
+from repro.experiments.common import ARCHITECTURES
+from repro.metrics.ascii_chart import format_table
 from repro.obs.summary import TraceSummary
 from repro.world import RunContext
 

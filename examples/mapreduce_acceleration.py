@@ -11,12 +11,9 @@ Usage::
     python examples/mapreduce_acceleration.py
 """
 
-from repro.experiments.common import (
-    LightweightConfig,
-    LightweightSimulation,
-    format_table,
-)
+from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.mapreduce import speedup_columns, utilization_columns
+from repro.metrics.ascii_chart import format_table
 from repro.workload.clusters import preset_by_name
 
 

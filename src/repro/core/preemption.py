@@ -126,9 +126,6 @@ class AllocationLedger:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def records_on(self, machine: int) -> list[AllocationRecord]:
-        return list(self._by_machine.get(machine, {}).values())
-
     def records(self) -> Iterator[AllocationRecord]:
         """Every running allocation, by machine then record id: a pinned
         order, so float accumulation over it is reproducible (the
@@ -194,17 +191,6 @@ class AllocationLedger:
                 continue
             self._evict_tasks(record, take)
             evicted += take
-        return evicted
-
-    def evict_machine(self, machine: int) -> int:
-        """Evict *every* allocation on ``machine`` regardless of
-        precedence (machine failure semantics). Returns evicted tasks."""
-        evicted = 0
-        for record in sorted(
-            self._by_machine.get(machine, {}).values(), key=lambda r: r.record_id
-        ):
-            evicted += record.count
-            self._evict_tasks(record, record.count)
         return evicted
 
     def _evict_tasks(self, record: AllocationRecord, count: int) -> None:

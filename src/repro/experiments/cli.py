@@ -49,11 +49,10 @@ import sys
 from typing import Callable, NamedTuple
 
 from repro import obs
-from repro.experiments.common import format_table
 from repro.experiments.io import check_output_path, save_rows
 from repro.experiments.registry import EXPERIMENTS, Experiment, run, validated
 from repro.experiments.sweeps import CheckFailed
-from repro.metrics.ascii_chart import line_chart
+from repro.metrics.ascii_chart import format_table, line_chart
 from repro.recovery.checkpoint import CheckpointStore, RecoveryError
 from repro.recovery.manifest import RunManifest
 from repro.recovery.runner import PointFailure

@@ -147,7 +147,7 @@ def omega_schedulers(
     schedulers and one service scheduler over ``state``.
 
     Both simulators build their schedulers here. The high-fidelity
-    replay passes its own ``stem``, scoring placer and failure ledger;
+    replay passes its own ``stem`` and scoring placer, and no ledger;
     the keyword arguments are the lightweight simulator's extensions.
     ``prefix`` goes on display names only, never on stream names.
     """
@@ -437,33 +437,3 @@ def geometric_grid(low: float, high: float, points: int) -> list[float]:
         raise ValueError(f"need 0 < low < high, got {low}, {high}")
     ratio = (high / low) ** (1.0 / (points - 1))
     return [low * ratio**i for i in range(points)]
-
-
-def format_table(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Render result rows as a fixed-width text table.
-
-    This is how every benchmark prints "the same rows/series the paper
-    reports"; floats are rendered with four significant digits.
-    """
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    table = [[fmt(row.get(col, "")) for col in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(line[i]) for line in table))
-        for i, col in enumerate(columns)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
-    separator = "  ".join("-" * width for width in widths)
-    body = [
-        "  ".join(line[i].ljust(widths[i]) for i in range(len(columns)))
-        for line in table
-    ]
-    return "\n".join([header, separator, *body])

@@ -34,7 +34,6 @@ from repro.core.transaction import CommitMode
 from repro.experiments.common import LightweightSimulation
 from repro.experiments.resilience import BASELINE_FAULTS
 from repro.experiments.sweeps import SweepPoint, batch_load_points
-from repro.faults import FaultConfig
 
 #: Figure-8 operating points (relative lambda(batch)) swept by default:
 #: one around cluster B's knee and one past it, where section 3.6 says
@@ -74,7 +73,6 @@ def conflict_avoidance_points(
     scale: float = 0.2,
     horizon: float = 2 * 3600.0,
     seed: int = 3,
-    faults: FaultConfig = BASELINE_FAULTS,
 ) -> list[SweepPoint]:
     """The factor x intensity x ``escalate_after`` point grid, the
     3-row first per (factor, intensity) pair."""
@@ -91,7 +89,7 @@ def conflict_avoidance_points(
                     seed=seed,
                     scale=scale,
                     commit_mode=CommitMode.ALL_OR_NOTHING,
-                    fault_config=faults.scaled(intensity),
+                    fault_config=BASELINE_FAULTS.scaled(intensity),
                     retry_policy=retry,
                     invariant_check_interval=horizon / 8.0,
                 )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.experiments.common import format_table
 from repro.experiments.sweeps import (
     CheckFailed,
     SweepPoint,
@@ -30,6 +29,7 @@ from repro.experiments.sweeps import (
     result_row,
 )
 from repro.federation.config import FederationConfig, FederationFaultConfig
+from repro.metrics.ascii_chart import format_table
 from repro.sim import RandomStreams
 from repro.world import RunContext
 
@@ -48,12 +48,7 @@ DEFAULT_INTENSITIES = (0.0, 1.0, 3.0)
 #: flaps are likewise per cell. ``FederationFaultConfig.scaled``
 #: divides the MTBFs by the intensity.
 BASELINE_FED_FAULTS = FederationFaultConfig(
-    blackout_mtbf=2 * 3600.0,
-    blackout_duration=600.0,
-    partition_mtbf=3 * 3600.0,
-    partition_duration=900.0,
-    flap_mtbf=3600.0,
-    flap_duration=60.0,
+    blackout_mtbf=2 * 3600.0, partition_mtbf=3 * 3600.0, flap_mtbf=3600.0
 )
 
 #: The columns shared with :func:`repro.experiments.sweeps.result_row`.
@@ -137,7 +132,6 @@ def federation_points(
     horizon: float = 2 * 3600.0,
     seed: int = 3,
     scale: float = 0.2,
-    faults: FederationFaultConfig = BASELINE_FED_FAULTS,
 ) -> list[FederationPoint]:
     """The cell-count x staleness x intensity grid.
 
@@ -163,7 +157,7 @@ def federation_points(
                     num_cells=num_cells,
                     staleness=staleness,
                     policy=policy,
-                    fault_config=faults.scaled(intensity),
+                    fault_config=BASELINE_FED_FAULTS.scaled(intensity),
                 )
                 points.append(
                     (

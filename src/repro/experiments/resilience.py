@@ -45,11 +45,8 @@ DEFAULT_INTENSITIES = (0.0, 1.0, 3.0, 10.0)
 #: multiplies the commit-fault probabilities by the intensity.
 BASELINE_FAULTS = FaultConfig(
     machine_mtbf=150 * 3600.0,
-    machine_repair_time=1800.0,
     crash_mtbf=4 * 3600.0,
-    crash_restart_time=60.0,
     commit_delay_prob=0.02,
-    commit_delay_mean=2.0,
     commit_drop_prob=0.01,
 )
 
@@ -60,7 +57,6 @@ def resilience_columns(world: LightweightSimulation, result) -> dict:
     metrics = result.metrics
     return dict(
         machine_failures=metrics.machine_failures,
-        tasks_killed=metrics.fault_tasks_killed,
         crashes=metrics.total("crashes"),
         commit_drops=metrics.total("commits_dropped"),
         escalated=metrics.total("jobs_escalated"),
@@ -76,7 +72,6 @@ def resilience_points(
     scale: float = 0.2,
     horizon: float = 2 * 3600.0,
     seed: int = 3,
-    faults: FaultConfig = BASELINE_FAULTS,
 ) -> list[SweepPoint]:
     """Degradation grid: architectures x fault intensities.
 
@@ -101,7 +96,7 @@ def resilience_points(
                 architecture=architecture,
                 horizon=horizon,
                 seed=seed,
-                fault_config=faults.scaled(intensity),
+                fault_config=BASELINE_FAULTS.scaled(intensity),
                 retry_policy=retry,
                 invariant_check_interval=horizon / 8.0,
             )

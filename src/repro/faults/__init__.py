@@ -6,8 +6,8 @@ the scheduler)". This package grows the reproduction into the
 robustness territory the authors skipped (see ``docs/RESILIENCE.md``):
 :class:`~repro.faults.chaos.ChaosEngine` /
 :class:`~repro.faults.chaos.FaultConfig` — seeded, named-stream fault
-injection for every lightweight architecture: machine failures (the
-shared :class:`repro.hifi.failures.FailureRepairProcess`), scheduler
+injection for every lightweight architecture: machine failures
+(:class:`~repro.faults.chaos.FailureRepairProcess`), scheduler
 crash/restart with in-flight-transaction loss, and commit-path latency
 spikes and drops.
 

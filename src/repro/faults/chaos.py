@@ -3,9 +3,9 @@
 Injects three fault classes into any of the section 4 architectures
 (monolithic, partitioned, Mesos, Omega):
 
-* **machine failure/repair** — a Poisson process per cell (shared
-  :class:`~repro.hifi.failures.FailureRepairProcess`), evicting
-  ledgered tasks and withholding capacity until repair;
+* **machine failure/repair** — a Poisson process per cell
+  (:class:`FailureRepairProcess`) withholding a failed machine's free
+  capacity until repair, while its running tasks ride out the failure;
 * **scheduler crash/restart** — a Poisson process per scheduler; a
   crash loses the in-flight transaction (the job's private snapshot and
   pending commit are discarded, the job requeues at the front) and the
@@ -24,19 +24,137 @@ injections emit ``fault.*`` trace events for ``omega-sim trace``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from repro.core.cellstate import CellState
-from repro.hifi.failures import FailureRepairProcess
 from repro.metrics import MetricsCollector
 from repro.sim import RandomStreams, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.preemption import AllocationLedger
     from repro.schedulers.base import QueueScheduler
     from repro.workload.job import Job
+
+#: How long a failed machine stays down, seconds.
+MACHINE_REPAIR_TIME = 1800.0
+#: How long a crashed scheduler stays down, seconds.
+CRASH_RESTART_TIME = 60.0
+#: Mean of the (exponential) commit latency spike, seconds.
+COMMIT_DELAY_MEAN = 2.0
+
+#: Observer hook: ``on_fail(machine)`` / ``on_repair(machine)``.
+MachineHook = Callable[[int], None]
+
+
+def check_mtbf(name: str, value: float | None) -> None:
+    """Refuse a mean time between faults that is not None and not a
+    finite positive number of seconds."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_intensity(intensity: float) -> None:
+    """Refuse a fault intensity that is not finite and >= 0."""
+    if not (math.isfinite(intensity) and intensity >= 0):
+        raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
+
+
+class FailureRepairProcess:
+    """Poisson machine failures with repairs over one shared cell state.
+
+    Machines fail at a cell-wide rate of ``up_machines / mtbf``. A
+    failing machine's free capacity is withheld from the cell state
+    through the ordinary :meth:`~repro.core.cellstate.CellState.claim`
+    path (so every cell-state invariant keeps holding) and released by
+    a repair ``repair_time`` seconds later; its running tasks ride out
+    the failure.
+
+    ``rng`` must be a named :class:`repro.sim.random.RandomStreams`
+    stream (or a generator derived via ``derive_seed``) so the fault
+    timeline is a deterministic function of the master seed — never a
+    freshly constructed or wall-clock-seeded generator (checked by
+    ``tests/test_source_invariants.py``).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        state: CellState,
+        rng: np.random.Generator,
+        mtbf: float,
+        repair_time: float = MACHINE_REPAIR_TIME,
+        on_fail: MachineHook | None = None,
+        on_repair: MachineHook | None = None,
+    ) -> None:
+        """``mtbf`` is the mean time between failures *per machine*
+        (seconds); ``repair_time`` is how long a failed machine stays
+        down."""
+        check_mtbf("mtbf", mtbf)
+        if not repair_time > 0:
+            raise ValueError(f"repair_time must be positive, got {repair_time}")
+        self.sim = sim
+        self.state = state
+        self.rng = rng
+        self.mtbf = mtbf
+        self.repair_time = repair_time
+        self._on_fail = on_fail
+        self._on_repair = on_repair
+        self._down: dict[int, tuple[float, float]] = {}  # machine -> withheld cpu/mem
+        self._horizon: float | None = None
+
+    @property
+    def machines_down(self) -> int:
+        return len(self._down)
+
+    def is_down(self, machine: int) -> bool:
+        return machine in self._down
+
+    def start(self, horizon: float | None = None) -> None:
+        """Begin injecting failures (first gap drawn immediately)."""
+        self._horizon = horizon
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        up_machines = self.state.num_machines - len(self._down)
+        gap = self.rng.exponential(1.0 / (max(up_machines, 1) / self.mtbf))
+        when = self.sim.now + gap
+        if self._horizon is None or when <= self._horizon:
+            self.sim.at(when, self._fail_random_machine)
+
+    def _fail_random_machine(self) -> None:
+        up = [m for m in range(self.state.num_machines) if m not in self._down]
+        if up:
+            self.fail(int(self.rng.choice(up)))
+        self._schedule_next()
+
+    def fail(self, machine: int) -> None:
+        """Fail ``machine`` now, withholding its free capacity; failing
+        a machine that is already down is a no-op."""
+        if machine in self._down:
+            return
+        withheld_cpu = float(self.state.free_cpu[machine])
+        withheld_mem = float(self.state.free_mem[machine])
+        if withheld_cpu > 0 or withheld_mem > 0:
+            self.state.claim(machine, withheld_cpu, withheld_mem, 1)
+        self._down[machine] = (withheld_cpu, withheld_mem)
+        self.sim.after(self.repair_time, self.repair, machine)
+        if self._on_fail is not None:
+            self._on_fail(machine)
+
+    def repair(self, machine: int) -> None:
+        """Bring a failed machine back (idempotent)."""
+        withheld = self._down.pop(machine, None)
+        if withheld is None:
+            return
+        withheld_cpu, withheld_mem = withheld
+        if withheld_cpu > 0 or withheld_mem > 0:
+            self.state.release(machine, withheld_cpu, withheld_mem, 1)
+        if self._on_repair is not None:
+            self._on_repair(machine)
 
 
 @dataclass(frozen=True)
@@ -46,44 +164,29 @@ class FaultConfig:
 
     The default config injects nothing (:attr:`enabled` is False);
     experiments define a baseline and scale it with :meth:`scaled`.
+    Repair and restart times and the commit spike's mean are the
+    module constants :data:`MACHINE_REPAIR_TIME`,
+    :data:`CRASH_RESTART_TIME` and :data:`COMMIT_DELAY_MEAN`.
     """
 
     #: Per-machine mean time between failures (seconds); None disables
     #: machine failures.
     machine_mtbf: float | None = None
-    machine_repair_time: float = 1800.0
     #: Per-scheduler mean time between crashes (seconds); None disables
     #: scheduler crashes.
     crash_mtbf: float | None = None
-    crash_restart_time: float = 30.0
     #: Probability that one scheduling attempt's commit suffers a
     #: latency spike / is dropped outright.
     commit_delay_prob: float = 0.0
-    #: Mean of the (exponential) commit latency spike, seconds.
-    commit_delay_mean: float = 5.0
     commit_drop_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.machine_mtbf is not None and self.machine_mtbf <= 0:
-            raise ValueError(f"machine_mtbf must be positive, got {self.machine_mtbf}")
-        if self.machine_repair_time <= 0:
-            raise ValueError(
-                f"machine_repair_time must be positive, got {self.machine_repair_time}"
-            )
-        if self.crash_mtbf is not None and self.crash_mtbf <= 0:
-            raise ValueError(f"crash_mtbf must be positive, got {self.crash_mtbf}")
-        if self.crash_restart_time <= 0:
-            raise ValueError(
-                f"crash_restart_time must be positive, got {self.crash_restart_time}"
-            )
+        check_mtbf("machine_mtbf", self.machine_mtbf)
+        check_mtbf("crash_mtbf", self.crash_mtbf)
         for name in ("commit_delay_prob", "commit_drop_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.commit_delay_mean <= 0:
-            raise ValueError(
-                f"commit_delay_mean must be positive, got {self.commit_delay_mean}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -107,8 +210,7 @@ class FaultConfig:
         config unchanged; intensity k divides the MTBFs by k and
         multiplies the commit-fault probabilities by k (clamped to 1).
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        check_intensity(intensity)
         if intensity == 0:
             return FaultConfig()
         return replace(
@@ -147,19 +249,8 @@ class ChaosEngine:
         self.processes: list[FailureRepairProcess] = []
         self._commit_rngs: dict[str, object] = {}
         self._horizon: float | None = None
-        self.crashes = 0
-        self.commit_delays = 0
-        self.commit_drops = 0
 
     # ------------------------------------------------------------------
-    @property
-    def machine_failures(self) -> int:
-        return sum(process.failures for process in self.processes)
-
-    @property
-    def tasks_killed(self) -> int:
-        return sum(process.tasks_killed for process in self.processes)
-
     @property
     def machines_down(self) -> int:
         """Machines currently failed and awaiting repair, across cells."""
@@ -170,7 +261,6 @@ class ChaosEngine:
         self,
         states: Sequence[CellState],
         schedulers: Sequence["QueueScheduler"],
-        ledger: "AllocationLedger | None" = None,
         horizon: float | None = None,
     ) -> None:
         """Attach the configured fault processes to a built simulation.
@@ -183,16 +273,12 @@ class ChaosEngine:
         cfg = self.config
         if cfg.machine_mtbf is not None:
             for index, state in enumerate(states):
-                evict = None
-                if ledger is not None and ledger.state is state:
-                    evict = ledger.evict_machine
                 process = FailureRepairProcess(
                     self.sim,
                     state,
                     self._streams.stream(f"machine-failures.{index}"),
                     mtbf=cfg.machine_mtbf,
-                    repair_time=cfg.machine_repair_time,
-                    evict=evict,
+                    repair_time=MACHINE_REPAIR_TIME,
                     on_fail=partial(self._machine_failed, index),
                     on_repair=partial(self._machine_repaired, index),
                 )
@@ -213,16 +299,12 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Machine failures (observer hooks on FailureRepairProcess)
     # ------------------------------------------------------------------
-    def _machine_failed(self, cell_index: int, machine: int, killed: int) -> None:
-        self.metrics.record_machine_failure(killed)
+    def _machine_failed(self, cell_index: int, machine: int) -> None:
+        self.metrics.record_machine_failure()
         rec = self.sim.recorder
         if rec.enabled:
             rec.event(
-                "fault.machine_down",
-                t=self.sim.now,
-                cell=cell_index,
-                machine=machine,
-                killed=killed,
+                "fault.machine_down", t=self.sim.now, cell=cell_index, machine=machine
             )
 
     def _machine_repaired(self, cell_index: int, machine: int) -> None:
@@ -244,7 +326,6 @@ class ChaosEngine:
     def _crash_scheduler(self, scheduler: "QueueScheduler", rng) -> None:
         if not scheduler.is_down:
             lost = scheduler.crash()
-            self.crashes += 1
             self.metrics.record_scheduler_crash(scheduler.name)
             rec = self.sim.recorder
             if rec.enabled:
@@ -254,9 +335,7 @@ class ChaosEngine:
                     sched=scheduler.name,
                     lost_job=lost.job_id if lost is not None else None,
                 )
-            self.sim.after(
-                self.config.crash_restart_time, self._restart_scheduler, scheduler
-            )
+            self.sim.after(CRASH_RESTART_TIME, self._restart_scheduler, scheduler)
         self._schedule_crash(scheduler, rng)
 
     def _restart_scheduler(self, scheduler: "QueueScheduler") -> None:
@@ -280,10 +359,7 @@ class ChaosEngine:
         cfg = self.config
         rng = self._commit_rngs[scheduler.name]
         if cfg.commit_drop_prob > 0 and rng.random() < cfg.commit_drop_prob:
-            self.commit_drops += 1
             return 0.0, True
         if cfg.commit_delay_prob > 0 and rng.random() < cfg.commit_delay_prob:
-            delay = float(rng.exponential(cfg.commit_delay_mean))
-            self.commit_delays += 1
-            return delay, False
+            return float(rng.exponential(COMMIT_DELAY_MEAN)), False
         return 0.0, False

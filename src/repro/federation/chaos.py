@@ -26,6 +26,11 @@ from repro.sim import RandomStreams, Simulator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
+#: How long a blackout, a feed partition and a link flap last, seconds.
+BLACKOUT_DURATION = 600.0
+PARTITION_DURATION = 900.0
+FLAP_DURATION = 60.0
+
 
 class FederationChaosEngine:
     """Installs and drives the configured cell-scoped fault processes.
@@ -54,8 +59,6 @@ class FederationChaosEngine:
         self.blackouts = 0
         self.partitions = 0
         self.flaps = 0
-        self.jobs_lost = 0
-        self.jobs_drained = 0
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -110,8 +113,6 @@ class FederationChaosEngine:
                     lost += 1
                     self.front_door.record_lost(inflight, cell)
                 drained.extend(scheduler.drain_pending())
-            self.jobs_lost += lost
-            self.jobs_drained += len(drained)
             rec = self.sim.recorder
             if rec.enabled:
                 rec.event(
@@ -121,7 +122,7 @@ class FederationChaosEngine:
                     inflight_lost=lost,
                     drained=len(drained),
                 )
-            self.sim.after(self.config.blackout_duration, self._recover, cell)
+            self.sim.after(BLACKOUT_DURATION, self._recover, cell)
             # Migrate the drained backlog last, so the router sees the
             # cell already dark and never routes the backlog straight
             # back into it.
@@ -147,7 +148,7 @@ class FederationChaosEngine:
             rec = self.sim.recorder
             if rec.enabled:
                 rec.event("fault.feed_partition", t=self.sim.now, cell=cell.name)
-            self.sim.after(self.config.partition_duration, self._heal, cell)
+            self.sim.after(PARTITION_DURATION, self._heal, cell)
         self._arm(cell, rng, self.config.partition_mtbf, self._partition)
 
     def _heal(self, cell: FederatedCell) -> None:
@@ -167,7 +168,7 @@ class FederationChaosEngine:
             rec = self.sim.recorder
             if rec.enabled:
                 rec.event("fault.link_down", t=self.sim.now, cell=cell.name)
-            self.sim.after(self.config.flap_duration, self._link_up, cell)
+            self.sim.after(FLAP_DURATION, self._link_up, cell)
         self._arm(cell, rng, self.config.flap_mtbf, self._flap)
 
     def _link_up(self, cell: FederatedCell) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.common import LightweightConfig
+from repro.faults.chaos import check_intensity, check_mtbf
 
 #: Front-door routing policies (Sliwko's taxonomy: static round-robin
 #: and dynamic least-loaded). Neither draws a random number.
@@ -32,30 +33,24 @@ class FederationFaultConfig:
     #: Per-cell mean time between whole-cell blackouts (seconds); None
     #: disables blackouts. A blackout crashes every scheduler in the
     #: cell (in-flight commits are lost), drains the pending queues for
-    #: cross-cell migration, and recovers after :attr:`blackout_duration`.
+    #: cross-cell migration, and recovers after
+    #: :data:`repro.federation.chaos.BLACKOUT_DURATION`.
     blackout_mtbf: float | None = None
-    blackout_duration: float = 600.0
     #: Per-cell mean time between aggregate-feed partitions (seconds);
     #: None disables them. A partition freezes the cell's published
     #: digest — the router keeps routing on the stale snapshot — until
-    #: it heals after :attr:`partition_duration`.
+    #: it heals after :data:`~repro.federation.chaos.PARTITION_DURATION`.
     partition_mtbf: float | None = None
-    partition_duration: float = 900.0
     #: Per-cell mean time between front-door link flaps (seconds); None
-    #: disables them. While the link is down the cell keeps scheduling
-    #: internally but new submissions to it time out at the front door.
+    #: disables them. While the link is down (for
+    #: :data:`~repro.federation.chaos.FLAP_DURATION`) the cell keeps
+    #: scheduling internally but new submissions to it time out at the
+    #: front door.
     flap_mtbf: float | None = None
-    flap_duration: float = 60.0
 
     def __post_init__(self) -> None:
         for name in ("blackout_mtbf", "partition_mtbf", "flap_mtbf"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("blackout_duration", "partition_duration", "flap_duration"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            check_mtbf(name, getattr(self, name))
 
     @property
     def enabled(self) -> bool:
@@ -73,8 +68,7 @@ class FederationFaultConfig:
         sweep rows run the exact fault-free code path); intensity k
         divides each MTBF by k.
         """
-        if intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        check_intensity(intensity)
         if intensity == 0:
             return FederationFaultConfig()
         return replace(

@@ -20,7 +20,6 @@ This package is the reproduction's analog:
 """
 
 from repro.hifi.constraints import AttributeIndex, Constraint, ConstraintOp
-from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
 from repro.hifi.replay import HighFidelityConfig, run_hifi
 from repro.hifi.trace import Trace, TraceJob, TraceMachine, read_trace, synthesize_trace, write_trace
@@ -30,7 +29,6 @@ __all__ = [
     "ConstraintOp",
     "AttributeIndex",
     "ScoringPlacer",
-    "MachineFailureInjector",
     "Trace",
     "TraceJob",
     "TraceMachine",

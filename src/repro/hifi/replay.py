@@ -9,21 +9,19 @@ lightweight simulator.
 
 Simplifications carried over from the paper's own simulator: requested
 sizes are used instead of actual usage, allocations are fixed at their
-initially-requested sizes, and preemption is disabled. Machine failures
-— which the paper also skipped — are *optionally* modeled here as an
-extension (``machine_mtbf``; see :mod:`repro.hifi.failures`).
+initially-requested sizes, preemption is disabled, and machines do not
+fail ("as these only generate a small load on the scheduler").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.core.fill import populate
-from repro.core.preemption import AllocationLedger
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import omega_schedulers
 from repro.hifi.constraints import AttributeIndex
-from repro.hifi.failures import MachineFailureInjector
 from repro.hifi.placement import ScoringPlacer
 from repro.hifi.trace import Trace, TraceJob
 from repro.metrics.results import RunSummary
@@ -46,13 +44,9 @@ class HighFidelityConfig:
     num_batch_schedulers: int = 1
     conflict_mode: ConflictMode = ConflictMode.FINE
     commit_mode: CommitMode = CommitMode.INCREMENTAL
-    attempt_limit: int = 1000
-    horizon: float | None = None  # default: the trace's horizon
-    #: Mean time between failures per machine (seconds); None disables
-    #: failure injection. An extension beyond the paper, which skipped
-    #: machine failures; see :mod:`repro.hifi.failures`.
-    machine_mtbf: float | None = None
-    repair_time: float = 1800.0
+    #: Attempts before a job is abandoned: a constant here, read as
+    #: ``config.attempt_limit`` like the lightweight simulator's field.
+    attempt_limit: ClassVar[int] = 1000
     #: Emit ``timeline.*`` trace records every this many simulated
     #: seconds (see :mod:`repro.obs.timeline`); ``None`` disables it.
     timeline_interval: float | None = None
@@ -62,12 +56,8 @@ class HighFidelityConfig:
             raise ValueError("need at least one batch scheduler")
 
     @property
-    def effective_horizon(self) -> float:
-        return self.horizon if self.horizon is not None else self.trace.horizon
-
-    @property
     def period(self) -> float:
-        return min(DAY, self.effective_horizon / 4.0)
+        return min(DAY, self.trace.horizon / 4.0)
 
 
 class HighFidelitySimulation(World):
@@ -82,7 +72,7 @@ class HighFidelitySimulation(World):
             context or RunContext(),
             RandomStreams(config.seed),
             config.trace.cell(),
-            config.effective_horizon,
+            config.trace.horizon,
             architecture="hifi-omega",
             seed=config.seed,
         )
@@ -90,10 +80,8 @@ class HighFidelitySimulation(World):
 
     def assemble(self) -> None:
         config = self.config
-        if config.machine_mtbf is not None:
-            self.ledger = AllocationLedger(self.state, self.sim)
         placer = ScoringPlacer(self.cell, AttributeIndex(self.cell))
-        omega_schedulers(self, self.state, "hifi", placer, self.ledger)
+        omega_schedulers(self, self.state, "hifi", placer, None)
         populate(
             self.state,
             config.trace.initial_tasks,
@@ -105,15 +93,6 @@ class HighFidelitySimulation(World):
             if trace_job.submit_time > self.horizon:
                 break
             self.sim.at(trace_job.submit_time, self._submit_trace_job, trace_job)
-        if self.ledger is not None:
-            MachineFailureInjector(
-                self.sim,
-                self.state,
-                self.ledger,
-                self.streams.stream("machine-failures"),
-                mtbf=config.machine_mtbf,
-                repair_time=config.repair_time,
-            ).start(self.horizon)
         self.install_collectors(None, None, None, timeline_interval=config.timeline_interval)
 
     def _submit_trace_job(self, trace_job: TraceJob) -> None:

@@ -1,16 +1,18 @@
-"""Plain-text charts for terminal output.
+"""Plain-text tables and charts for terminal output.
 
-The paper's results are figures; the ``omega-sim`` CLI can render the
-reproduced series directly in the terminal with ``--plot``. Charts are
-deliberately dependency-free (no matplotlib in this offline
-environment): a character grid with per-series glyphs, linear or log10
-axes, and a compact legend.
+:func:`format_table` renders result rows: every command's table and
+every section of the ``omega-sim trace`` report. The paper's results
+are figures; the ``omega-sim`` CLI can render the reproduced series
+directly in the terminal with ``--plot``. Charts are deliberately
+dependency-free (no matplotlib in this offline environment): a
+character grid with per-series glyphs, linear or log10 axes, and a
+compact legend.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 #: Per-series plot glyphs, assigned in insertion order.
 GLYPHS = "*+ox#@%&"
@@ -111,3 +113,32 @@ def line_chart(
     lines.append("  legend: " + legend + suffix)
     return "\n".join(lines)
 
+
+def format_table(rows: list[dict], columns: list[str] | None = None) -> str:
+    """Render result rows as a fixed-width text table.
+
+    This is how every benchmark prints "the same rows/series the paper
+    reports"; floats are rendered with four significant digits.
+    """
+    if not rows:
+        return "(no rows)"
+    if columns is None:
+        columns = list(rows[0].keys())
+
+    def fmt(value: Any) -> str:
+        if isinstance(value, float):
+            return f"{value:.4g}"
+        return str(value)
+
+    table = [[fmt(row.get(col, "")) for col in columns] for row in rows]
+    widths = [
+        max(len(col), *(len(line[i]) for line in table))
+        for i, col in enumerate(columns)
+    ]
+    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
+    separator = "  ".join("-" * width for width in widths)
+    body = [
+        "  ".join(line[i].ljust(widths[i]) for i in range(len(columns)))
+        for line in table
+    ]
+    return "\n".join([header, separator, *body])

@@ -77,9 +77,8 @@ class MetricsCollector:
         self.jobs_scheduled_total = 0
         self.jobs_abandoned_total = 0
         self.tasks_scheduled_total = 0
-        #: Cell-level fault-injection counters (see :mod:`repro.faults`).
+        #: Machine failures injected by :mod:`repro.faults`.
         self.machine_failures = 0
-        self.fault_tasks_killed = 0
 
     # ------------------------------------------------------------------
     # Recording (called by schedulers)
@@ -187,12 +186,9 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Fault injection (called by the chaos engine and schedulers)
     # ------------------------------------------------------------------
-    def record_machine_failure(self, tasks_killed: int) -> None:
-        """A chaos-injected machine failure killed ``tasks_killed`` tasks."""
-        if tasks_killed < 0:
-            raise ValueError(f"tasks_killed must be >= 0, got {tasks_killed}")
+    def record_machine_failure(self) -> None:
+        """A chaos-injected machine failure."""
         self.machine_failures += 1
-        self.fault_tasks_killed += tasks_killed
 
     def record_scheduler_crash(self, scheduler: str) -> None:
         """``scheduler`` crashed, losing its in-flight transaction."""

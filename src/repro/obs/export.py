@@ -5,11 +5,11 @@ object, written append-only, so traces survive crashed runs (every
 complete line is valid) and compose with standard tooling
 (``jq``, ``grep``, pandas' ``read_json(lines=True)``).
 
-With ``atomic=True`` (the trace recorder's default) records stream to
-``<path>.tmp`` and are fsync'd and renamed onto ``path`` on close: the
-final path only ever holds a *complete* trace, never one truncated by a
-crash. An interrupted run leaves its partial trace behind under the
-clearly-labelled ``.tmp`` name, so nothing is lost for post-mortems.
+Records stream to ``<path>.tmp`` and are fsync'd and renamed onto
+``path`` on close: the final path only ever holds a *complete* trace,
+never one truncated by a crash. An interrupted run leaves its partial
+trace behind under the clearly-labelled ``.tmp`` name, so nothing is
+lost for post-mortems.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from typing import Any, Iterator, TextIO
 
 
 class JsonlWriter:
-    """Streams records to a JSONL file as they are emitted."""
+    """Streams records to ``<path>.tmp`` as they are emitted; ``close``
+    renames the file onto ``path``."""
 
-    def __init__(self, path: str, atomic: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._atomic = atomic
-        self._write_path = path + ".tmp" if atomic else path
+        self._write_path = path + ".tmp"
         self._file: TextIO | None = open(self._write_path, "w", encoding="utf-8")
 
     def write(self, record: dict[str, Any]) -> None:
@@ -35,23 +35,14 @@ class JsonlWriter:
         self._file.write("\n")
 
     def close(self) -> None:
-        """Close the underlying file (atomic mode: fsync, then rename
-        onto the final path); closing twice is a no-op."""
+        """Flush, fsync and close the file, then rename it onto the
+        final path; closing twice is a no-op."""
         if self._file is not None:
-            if self._atomic:
-                self._file.flush()
-                os.fsync(self._file.fileno())
+            self._file.flush()
+            os.fsync(self._file.fileno())
             self._file.close()
             self._file = None
-            if self._atomic:
-                os.replace(self._write_path, self.path)
-
-    def __enter__(self) -> "JsonlWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.close()
-        return False
+            os.replace(self._write_path, self.path)
 
 
 #: The trace format each ``run.start`` record names as ``trace_version``:

@@ -66,7 +66,7 @@ class TraceRecorder:
 
     def __init__(self, path: str | None = None, keep_records: bool | None = None) -> None:
         self.records: list[dict[str, Any]] = []
-        self._writer = JsonlWriter(path, atomic=True) if path is not None else None
+        self._writer = JsonlWriter(path) if path is not None else None
         self._keep = keep_records if keep_records is not None else path is None
         self.records_emitted = 0
 

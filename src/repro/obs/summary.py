@@ -10,9 +10,9 @@ Turns a stream of trace records (in memory or loaded from JSONL via
   into productive work and conflict-retry rework;
 * **conflict timelines** — conflicted commits per simulated-time bin
   per scheduler;
-* **retry chains** — the per-job sequence of attempts with outcomes,
-  ranked by length, which is how you answer "*why* did job 17 take 14
-  attempts?";
+* **retry chains** — the jobs with the most attempts, with their
+  conflicts and outcome, which is how you answer "*why* did job 17
+  take 14 attempts?";
 * **contended machines** — the top-K machines by fine-grained commit
   rejections, the ``conflicts`` of ``sched.attempt`` records (events,
   rejected tasks, and the stale-sequence / partial-capacity / capacity
@@ -33,6 +33,7 @@ from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.metrics.ascii_chart import format_table
 from repro.obs.histogram import Histogram
 
 #: The ``run.end`` fields an engine row shows: ``Simulator.stats()``,
@@ -47,14 +48,10 @@ class SchedulerSummary:
     name: str
     txn_attempts: int = 0
     txn_conflicted: int = 0
-    conflict_claims: int = 0
     busy_seconds: float = 0.0
     busy_conflict_seconds: float = 0.0
     jobs_scheduled: int = 0
     jobs_abandoned: int = 0
-    offers_issued: int = 0
-    offers_accepted: int = 0
-    offers_declined: int = 0
     conflict_times: list[float] = field(default_factory=list)
 
     @property
@@ -85,8 +82,6 @@ class JobSummary:
     abandoned: bool = False
     first_t: float | None = None
     last_t: float | None = None
-    #: Chronological attempt log: ``{"t", "attempt", "outcome"}`` dicts.
-    chain: list[dict[str, Any]] = field(default_factory=list)
 
     def _touch(self, t: float | None, sched: str | None, attempt: int | None) -> None:
         if sched is not None:
@@ -227,14 +222,15 @@ class TraceSummary:
             return
         if job_id is not None:
             self._job(job_id)._touch(t, sched, attempt)
+        # An offer opens its framework's rollup row, attempt or not.
         if name == "mesos.offer_issued":
             framework = fields.get("framework")
             if framework is not None:
                 if self._prefix_runs:
                     framework = f"run{self.runs}/{framework}"
-                self._sched(framework).offers_issued += 1
+                self._sched(framework)
         elif name == "mesos.offer_declined" and sched is not None:
-            self._sched(sched).offers_declined += 1
+            self._sched(sched)
 
     def _ingest_attempt(
         self,
@@ -266,31 +262,15 @@ class TraceSummary:
                 entry.txn_conflicted += 1
                 if t is not None:
                     entry.conflict_times.append(t)
-            if job is not None:
-                if conflicted:
-                    job.conflicts += 1
-                job.chain.append(
-                    {
-                        "t": t,
-                        "attempt": attempt,
-                        "outcome": "conflict" if conflicted else "commit",
-                        "accepted": fields.get("accepted"),
-                        "rejected": fields.get("rejected"),
-                    }
-                )
+            if job is not None and conflicted:
+                job.conflicts += 1
         for machine, tasks, cause in fields.get("conflicts", ()):
-            entry.conflict_claims += 1
             tally = self.machine_conflicts.get(machine)
             if tally is None:
                 tally = self.machine_conflicts[machine] = {"events": 0, "tasks": 0}
             tally["events"] += 1
             tally["tasks"] += tasks
             tally[cause] = tally.get(cause, 0) + 1
-        if "offer" in fields:
-            if fields.get("placed"):
-                entry.offers_accepted += 1
-            else:
-                entry.offers_declined += 1
         outcome = fields.get("outcome")
         if outcome == "scheduled":
             entry.jobs_scheduled += 1
@@ -300,10 +280,6 @@ class TraceSummary:
             entry.jobs_abandoned += 1
             if job is not None:
                 job.abandoned = True
-        else:
-            return
-        if job is not None:
-            job.chain.append({"t": t, "attempt": attempt, "outcome": outcome})
 
     # ------------------------------------------------------------------
     # Views
@@ -326,10 +302,6 @@ class TraceSummary:
             index = min(int(t / width), bins - 1)
             counts[index] += 1
         return [(i * width, counts[i]) for i in range(bins)]
-
-    def timeline_sample_count(self) -> int:
-        """Total ``timeline.*`` samples ingested (cell samples)."""
-        return len(self.timeline_cell)
 
     def percentile_rows(self) -> list[dict[str, Any]]:
         """Per-scheduler wait-time percentile rows (p50/p90/p99/p99.9).
@@ -454,18 +426,18 @@ class TraceSummary:
         if self.engine_rows:
             lines.append("")
             lines.append("engine statistics (one row per run):")
-            lines.append(_format_rows(self.engine_rows))
+            lines.append(format_table(self.engine_rows))
 
         if self.schedulers:
             lines.append("")
             lines.append("per-scheduler rollup:")
-            lines.append(_format_rows(self.scheduler_rows()))
+            lines.append(format_table(self.scheduler_rows()))
 
             percentiles = self.percentile_rows()
             if percentiles:
                 lines.append("")
                 lines.append("per-scheduler wait-time percentiles (seconds):")
-                lines.append(_format_rows(percentiles))
+                lines.append(format_table(percentiles))
 
             timelines = [
                 (name, self.conflict_timeline(name, bins=bins))
@@ -489,13 +461,13 @@ class TraceSummary:
         if escalations:
             lines.append("")
             lines.append("escalation latency (attempts until gang→incremental):")
-            lines.append(_format_rows(escalations))
+            lines.append(format_table(escalations))
 
         contended = self.contended_machine_rows()
         if contended:
             lines.append("")
             lines.append("top contended machines (commit conflict rejections):")
-            lines.append(_format_rows(contended))
+            lines.append(format_table(contended))
 
         chains = [job for job in self.retry_chains(top_jobs) if job.attempts > 0]
         if chains:
@@ -592,31 +564,6 @@ def _spark_char(count: int, peak: int) -> str:
         return _SPARK_LEVELS[0]
     index = 1 + int((count / peak) * (len(_SPARK_LEVELS) - 2))
     return _SPARK_LEVELS[min(index, len(_SPARK_LEVELS) - 1)]
-
-
-def _format_rows(rows: list[dict[str, Any]]) -> str:
-    """Minimal fixed-width table (kept local: obs has no repro deps)."""
-    if not rows:
-        return "(no rows)"
-    columns = list(rows[0].keys())
-
-    def fmt(value: Any) -> str:
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    table = [[fmt(row.get(col, "")) for col in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(line[i]) for line in table))
-        for i, col in enumerate(columns)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
-    separator = "  ".join("-" * width for width in widths)
-    body = [
-        "  ".join(line[i].ljust(widths[i]) for i in range(len(columns)))
-        for line in table
-    ]
-    return "\n".join([header, separator, *body])
 
 
 def summarize_file(*paths: str) -> TraceSummary:

@@ -147,9 +147,7 @@ class World:
             self.chaos = ChaosEngine(
                 sim, self.streams.fork("chaos"), faults, self.metrics
             )
-            self.chaos.install(
-                self.states, self.schedulers, ledger=self.ledger, horizon=horizon
-            )
+            self.chaos.install(self.states, self.schedulers, horizon=horizon)
         if invariant_interval is not None:
             self.invariant_checker.install(sim, invariant_interval, horizon=horizon)
         if utilization_interval:

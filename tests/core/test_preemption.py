@@ -29,17 +29,21 @@ def claim(machine=0, cpu=1.0, mem=1.0, count=1):
     return machine, cpu, mem, count
 
 
+def on_machine(ledger, machine):
+    return [record for record in ledger.records() if record.machine == machine]
+
+
 class TestLedgerLifecycle:
     def test_register_claims_resources(self, state, ledger):
         ledger.register(*claim(count=2), precedence=0, duration=50.0)
         assert state.used_cpu == 2.0
-        assert len(ledger.records_on(0)) == 1
+        assert len(on_machine(ledger, 0)) == 1
 
     def test_normal_completion_releases(self, state, ledger, sim):
         ledger.register(*claim(), precedence=0, duration=50.0)
         sim.run(until=60.0)
         assert state.used_cpu == 0.0
-        assert ledger.records_on(0) == []
+        assert on_machine(ledger, 0) == []
 
     def test_already_claimed_skips_claim(self, state, ledger):
         state.claim(0, 1.0, 1.0)
@@ -216,6 +220,6 @@ class TestPreemptingScheduler:
         job.precedence = 10
         service.submit(job)
         sim.run(until=1.0)
-        assert len(ledger.records_on(0)) >= 1
+        assert len(on_machine(ledger, 0)) >= 1
         sim.run(until=60.0)
         assert state.used_cpu == 0.0  # released at task end

@@ -7,11 +7,11 @@ from repro.experiments.common import (
     ARCHITECTURES,
     LightweightConfig,
     LightweightSimulation,
-    format_table,
     geometric_grid,
     run_lightweight,
 )
 from repro.experiments.sweeps import result_row
+from repro.metrics.ascii_chart import format_table
 from repro.schedulers.base import DecisionTimeModel
 from repro.workload.job import JobType
 from repro.world import RunContext

@@ -20,7 +20,6 @@ SEED = 7
 
 FAULT_COLUMNS = (
     "machine_failures",
-    "tasks_killed",
     "crashes",
     "commit_drops",
     "escalated",

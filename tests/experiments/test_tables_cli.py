@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.cli import build_parser, main
-from repro.experiments.common import format_table
+from repro.metrics.ascii_chart import format_table
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.tables import TABLE1, TABLE2, table1_rows, table2_rows
 

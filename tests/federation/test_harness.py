@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from repro.experiments import federation
 from repro.experiments.common import run_lightweight
 from repro.experiments.federation import (
-    BASELINE_FED_FAULTS,
     SHARED_COLUMNS,
     build_federation,
     degenerate_check,
@@ -89,11 +89,12 @@ class TestDegenerateBaseline:
 
 
 class TestZeroIntensityIdentity:
-    def test_zero_intensity_matches_disabled_fault_config_exactly(self):
+    def test_zero_intensity_matches_disabled_fault_config_exactly(self, monkeypatch):
         """Intensity 0 must run the exact fault-free code path: the
         chaos engine is never installed and no stream is consumed."""
-        with_baseline = rows_for(intensities=(0.0,), faults=BASELINE_FED_FAULTS)
-        disabled = rows_for(intensities=(0.0,), faults=FederationFaultConfig())
+        with_baseline = rows_for(intensities=(0.0,))
+        monkeypatch.setattr(federation, "BASELINE_FED_FAULTS", FederationFaultConfig())
+        disabled = rows_for(intensities=(0.0,))
         assert len(with_baseline) == len(disabled) == 1
         for key in with_baseline[0]:
             assert_same(with_baseline[0][key], disabled[0][key], label=key)

@@ -16,9 +16,10 @@ def test_round_trip_preserves_records(tmp_path):
         {"name": "sched.attempt", "t": 1.0, "job": 3,
          "fields": {"t0": 0.5, "outcome": "scheduled", "conflicts": [[4, 1, "capacity"]]}},
     ]
-    with JsonlWriter(path) as writer:
-        for record in records:
-            writer.write(record)
+    writer = JsonlWriter(path)
+    for record in records:
+        writer.write(record)
+    writer.close()
     assert read_jsonl(path) == records
 
 
@@ -192,12 +193,12 @@ def test_write_after_close_raises(tmp_path):
 
 
 class TestAtomicMode:
-    """atomic=True streams to .tmp and renames on close — a killed run
+    """The writer streams to .tmp and renames on close — a killed run
     leaves only the clearly-partial temp file, never a torn trace."""
 
     def test_final_path_absent_until_close(self, tmp_path):
         target = tmp_path / "trace.jsonl"
-        writer = JsonlWriter(str(target), atomic=True)
+        writer = JsonlWriter(str(target))
         writer.write({"name": "a"})
         assert not target.exists()
         assert (tmp_path / "trace.jsonl.tmp").exists()
@@ -208,7 +209,7 @@ class TestAtomicMode:
 
     def test_abandoned_writer_leaves_only_tmp(self, tmp_path):
         target = tmp_path / "trace.jsonl"
-        writer = JsonlWriter(str(target), atomic=True)
+        writer = JsonlWriter(str(target))
         writer.write({"name": "a"})
         # Simulate a crash: close() never runs, so nothing is renamed.
         assert not target.exists()
@@ -228,7 +229,7 @@ class TestAtomicMode:
 
     def test_double_close_renames_once(self, tmp_path):
         target = tmp_path / "trace.jsonl"
-        writer = JsonlWriter(str(target), atomic=True)
+        writer = JsonlWriter(str(target))
         writer.close()
         writer.close()  # no-op, must not raise or re-rename
         assert target.exists()

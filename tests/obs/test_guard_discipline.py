@@ -74,13 +74,10 @@ def test_faulted_federation():
     assert result.jobs_rerouted and result.jobs_migrated
 
 
-def test_hifi_replay_with_failures():
+def test_hifi_replay():
     trace = synthesize_trace(tiny_preset(num_machines=60), horizon=1800.0, seed=5)
     result = HighFidelitySimulation(
-        HighFidelityConfig(
-            trace=trace, seed=0, machine_mtbf=2 * 3600.0, repair_time=300.0
-        ),
-        RunContext(STRICT),
+        HighFidelityConfig(trace=trace, seed=0), RunContext(STRICT)
     ).run()
     assert result.jobs_scheduled > 0
 

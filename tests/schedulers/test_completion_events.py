@@ -15,7 +15,7 @@ from repro.core.cellstate import CellState
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.experiments.sweeps import result_row
-from repro.faults import FaultConfig
+from repro.faults import FaultConfig, chaos
 from repro.invariants import TOLERANCE
 from repro.schedulers.base import QueueScheduler
 from tests.conftest import tiny_preset
@@ -100,9 +100,7 @@ CONFIGS = {
     "partitioned": _base(architecture="partitioned"),
     "omega-faulted": _base(
         num_batch_schedulers=2,
-        fault_config=FaultConfig(
-            machine_mtbf=4000.0, machine_repair_time=120.0, crash_mtbf=200.0
-        ),
+        fault_config=FaultConfig(machine_mtbf=4000.0, crash_mtbf=200.0),
     ),
 }
 
@@ -129,6 +127,7 @@ def _assert_identical(per_commit, per_claim):
 def test_release_sequence_is_identical_per_commit_and_per_claim(
     monkeypatch, release_log, name
 ):
+    monkeypatch.setattr(chaos, "MACHINE_REPAIR_TIME", 120.0)
     _assert_identical(*_both_ways(monkeypatch, release_log, CONFIGS[name]))
 
 

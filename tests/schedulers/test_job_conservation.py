@@ -14,7 +14,7 @@ import pytest
 from repro.core.retry import RetryPolicyConfig
 from repro.core.transaction import CommitMode, ConflictMode
 from repro.experiments.common import LightweightConfig, LightweightSimulation
-from repro.faults import FaultConfig
+from repro.faults import FaultConfig, chaos
 from repro.mapreduce import MapReduceScheduler, MapReduceWorkload, MaxParallelismPolicy
 from repro.obs.recorder import TraceRecorder
 from repro.schedulers.base import DecisionTimeModel
@@ -61,7 +61,7 @@ CONFIGS = {
     ),
     "omega-crash-mid-think": _config(
         num_batch_schedulers=2,
-        fault_config=FaultConfig(crash_mtbf=60.0, crash_restart_time=10.0),
+        fault_config=FaultConfig(crash_mtbf=60.0),
     ),
 }
 
@@ -84,7 +84,8 @@ def _drain_and_check(world) -> None:
 
 
 @pytest.mark.parametrize("name", CONFIGS)
-def test_every_submitted_job_is_scheduled_or_abandoned(name):
+def test_every_submitted_job_is_scheduled_or_abandoned(name, monkeypatch):
+    monkeypatch.setattr(chaos, "CRASH_RESTART_TIME", 10.0)
     recorder = TraceRecorder()
     world = LightweightSimulation(CONFIGS[name], RunContext(recorder))
     _drain_and_check(world)

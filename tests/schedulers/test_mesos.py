@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cell
 from repro.core.cellstate import CellState
-from repro.hifi.failures import FailureRepairProcess
+from repro.faults.chaos import FailureRepairProcess
 from repro.invariants import CellStateInvariantChecker
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers.mesos import MesosAllocator, MesosFramework

@@ -41,8 +41,7 @@ DECISION_PATHS = (
 #: Fault injectors: their schedules replay only from streams forked off
 #: the run's master ``RandomStreams``.
 FAULT_INJECTORS = (
-    "repro/faults/", "repro/hifi/failures.py", "repro/core/retry.py",
-    "repro/invariants.py", "repro/federation/",
+    "repro/faults/", "repro/core/retry.py", "repro/invariants.py", "repro/federation/",
 )
 #: Crash-safety paths: workers, checkpoint and artifact writers.
 RECOVERY_PATHS = (
@@ -493,7 +492,6 @@ def test_fault_injectors_flag(source, lines):
         (swallowed_exception, "repro/obs/export.py", True),
         (swallowed_exception, "repro/core/example.py", False),
         (own_random_streams, "repro/faults/chaos.py", True),
-        (own_random_streams, "repro/hifi/failures.py", True),
         (own_random_streams, "repro/core/retry.py", True),
         (own_random_streams, "repro/core/example.py", False),
     ],
@@ -628,15 +626,6 @@ CONFIGS = (
     "repro.faults.chaos:FaultConfig",
     "repro.core.retry:RetryPolicyConfig",
 )
-#: The fields that stand although nothing outside tests sets them, as
-#: (class, field), each with its reason.
-UNSET_FIELDS = {
-    ("HighFidelityConfig", "machine_mtbf"): (
-        "tests/hifi/test_failures.py reproduces the paper's reason for skipping machine "
-        "failures in the high-fidelity simulator"
-    ),
-    ("HighFidelityConfig", "repair_time"): "as machine_mtbf",
-}
 BENCH = SRC.parent / "bench"
 
 
@@ -682,7 +671,6 @@ def unset_config_fields() -> list[str]:
             path != home or line not in own_lines[name]
             for path, line in set_where.get(field, ())
         )
-        and (name, field) not in UNSET_FIELDS
     ]
 
 

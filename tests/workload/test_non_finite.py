@@ -1,6 +1,7 @@
-"""The workload layer refuses NaN and infinite parameters where they are
-given, with one ``ValueError`` naming the field, instead of drawing NaN,
-running zero jobs, or queueing arrivals at one instant forever."""
+"""The workload and fault layers refuse NaN and infinite parameters where
+they are given, with one ``ValueError`` naming the field, instead of
+drawing NaN, running zero jobs, queueing arrivals at one instant forever,
+or running a fault grid with every commit dropped or no fault at all."""
 
 import itertools
 
@@ -8,6 +9,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import LightweightConfig
+from repro.experiments.conflict_avoidance import conflict_avoidance_points
+from repro.experiments.federation import federation_points
+from repro.experiments.resilience import resilience_points
+from repro.faults import FaultConfig
+from repro.federation.config import FederationFaultConfig
 from repro.sim import Simulator
 from repro.workload.distributions import (
     Constant,
@@ -64,6 +70,14 @@ def generator(horizon=100.0, rate_factor=1.0):
         (lambda: Mixture([Constant(1.0)], [INF]), "weights"),
         (lambda: tiny_preset().scaled(NAN), "scale factor"),
         (lambda: tiny_preset().batch.scaled_rate(INF), "rate factor"),
+        # A NaN intensity would clamp both commit probabilities to 1.0
+        # (min(1.0, nan)) and give NaN MTBFs, which arm no fault at all.
+        (lambda: FaultConfig(commit_drop_prob=0.1).scaled(NAN), "intensity"),
+        (lambda: FaultConfig(machine_mtbf=1.0).scaled(INF), "intensity"),
+        (lambda: FederationFaultConfig(flap_mtbf=1.0).scaled(NAN), "intensity"),
+        (lambda: resilience_points(intensities=(NAN,)), "intensity"),
+        (lambda: conflict_avoidance_points(intensities=(INF,)), "intensity"),
+        (lambda: federation_points(intensities=(NAN,)), "intensity"),
     ],
 )
 def test_nan_and_inf_are_refused_naming_the_field(build, field):
