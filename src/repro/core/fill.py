@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cellstate import EPSILON, CellState
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.workload.generator import StandingTasks
 
 
@@ -31,10 +31,12 @@ def populate(
     they could never run.
 
     One walk over the columns, on Python copies of the free arrays, does
-    what one :meth:`CellState.claim` and one ``sim.at`` per task would;
-    one :meth:`Simulator.at_all` queues the releases and one
-    :meth:`CellState.store_fill` stores the walk. A negative or NaN task
-    size is refused with ``ValueError`` before anything is written.
+    what one :meth:`CellState.claim` and one ``sim.at`` per task would.
+    The kept releases, stable-sorted by time, go on the queue as one
+    :meth:`Simulator.at_sorted` run, which fires in the order those
+    ``sim.at`` calls would, and one :meth:`CellState.store_fill` stores
+    the walk. A negative or NaN task size or duration is refused with
+    ``ValueError`` before anything is written.
     """
     order = rng.permutation(state.num_machines).tolist()
     num_machines = len(order)
@@ -43,16 +45,14 @@ def populate(
     used_cpu = state.used_cpu
     used_mem = state.used_mem
     machines: list[int] = []
-    releases: list[Event] = []
-    release = state.release
-    unqueued = Event.unqueued
+    kept: list[int] = []  # the placed tasks whose release is queued
     cursor = 0
     for cpu, mem, duration in zip(tasks.cpu, tasks.mem, tasks.duration):
-        if not (cpu >= 0.0 and mem >= 0.0):
+        if not (cpu >= 0.0 and mem >= 0.0 and duration >= 0.0):
             # Every task before this one was placed.
             raise ValueError(
-                f"standing task {len(machines)} has a negative or NaN size: "
-                f"cpu={cpu}, mem={mem}"
+                f"standing task {len(machines)} has a negative or NaN size "
+                f"or duration: cpu={cpu}, mem={mem}, duration={duration}"
             )
         # The cursor's machine nearly always fits: scan only when not.
         machine = order[cursor]
@@ -76,12 +76,23 @@ def populate(
         free_mem[machine] = 0.0 if room_mem < 0.0 else room_mem
         used_cpu += cpu
         used_mem += mem
-        machines.append(machine)
         if sim is not None and (horizon is None or duration <= horizon):
-            releases.append(unqueued(duration, release, machine, cpu, mem, 1))
-    # Releases first: the queue refuses a NaN or past time before it
-    # queues anything, so a bad duration leaves the state untouched too.
+            kept.append(len(machines))
+        machines.append(machine)
+    # Releases first: the queue refuses a past time before it queues
+    # anything, so that leaves the state untouched too.
     if sim is not None:
-        sim.at_all(releases)
+        durations, cpus, mems = tasks.duration, tasks.cpu, tasks.mem
+        kept.sort(key=durations.__getitem__)  # stable: ties keep task order
+        run_machines = [machines[task] for task in kept]
+        run_cpu = [cpus[task] for task in kept]
+        run_mem = [mems[task] for task in kept]
+        state_release = state.release
+
+        def release(start: int, stop: int) -> None:
+            for entry in range(start, stop):
+                state_release(run_machines[entry], run_cpu[entry], run_mem[entry])
+
+        sim.at_sorted([durations[task] for task in kept], release)
     state.store_fill(machines, free_cpu, free_mem, used_cpu, used_mem)
     return len(machines)

@@ -50,18 +50,24 @@ class Simulator:
             )
         return self._queue.push(time, fn, *args)
 
-    def at_all(self, entries: list[Event]) -> None:
-        """Schedule events made by :meth:`Event.unqueued` at their
-        absolute times, as one :meth:`at` per entry in list order would
-        (see :meth:`EventQueue.push_all`). A time before now is refused
-        before any entry is queued."""
-        now = self.now
-        for entry in entries:
-            if entry[0] < now:
-                raise SimulationError(
-                    f"cannot schedule event at t={entry[0]} before now={now}"
-                )
-        self._queue.push_all(entries)
+    def at_sorted(self, times: list[float], fn: Callable[[int, int], Any]) -> None:
+        """Schedule a run of entries at the absolute, non-decreasing
+        ``times``, in the order one :meth:`at` per entry would fire them.
+
+        The loop applies the run in slices, one dispatch each: it calls
+        ``fn(start, stop)`` for entries ``start`` to ``stop - 1``, the
+        longest stretch due before any other queued event. The clock
+        reads the last one's time throughout, so ``fn`` must neither read
+        it nor schedule events. Every entry counts in :meth:`pending` and
+        :attr:`peak_queue_depth` until its slice runs. A time before
+        now, a NaN or a decrease is refused before anything is queued
+        (see :meth:`EventQueue.push_sorted`).
+        """
+        if times and times[0] < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={times[0]} before now={self.now}"
+            )
+        self._queue.push_sorted(times, fn)
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
@@ -138,7 +144,8 @@ class Simulator:
                     if until is not None and self._queue:
                         self.now = until  # live events remain, all later
                     break
-                # The entry's layout is Event's: [time, seq, state, fn, *args].
+                # The entry's layout is Event's: [time, seq, state, fn, *args]
+                # (a sorted run's slice too: fn(start, stop)).
                 self.now = event[0]
                 self.events_processed += 1
                 processed += 1

@@ -9,7 +9,6 @@ from repro.cluster import Cell
 from repro.core.cellstate import DEFAULT_CHANGELOG_CAPACITY, EPSILON, CellState
 from repro.core.fill import populate
 from repro.sim import Simulator
-from repro.sim.engine import SimulationError
 from repro.workload.generator import InitialFill, StandingTasks
 from repro.workload.job import JobType
 from tests.conftest import tiny_preset
@@ -104,22 +103,22 @@ def index_walk_populate(state, tasks, rng, sim=None, horizon=None) -> int:
     return placed
 
 
-def queued_before_fill(*args):
-    """A callback that is no task release (never run: the queue is
-    drained by hand)."""
-
-
 def observed_fill(fill, machine_counts, tasks, seed, horizon):
-    """Everything a fill leaves behind: the standing population split
-    over one state per partition in proportion to its size, one stream
-    and one event queue shared, as ``_fill_initial_state`` does. The
-    queue already holds a live and a cancelled event, and is drained in
-    pop order."""
+    """Everything a fill leaves behind, seen through the simulator's
+    public calls: the standing population split over one state per
+    partition in proportion to its size, one stream and one event queue
+    shared, as ``_fill_initial_state`` does. The queue already holds a
+    cancelled event and a live probe at t=1800 that records every state
+    when it fires. The run is then cut at every task's end time up to
+    ``horizon``, and each cut records the clock, ``pending`` and what
+    changed in every state since the last cut: ``version`` and the
+    changelog order the releases within one instant."""
     rng = np.random.default_rng(seed)
     sim = Simulator()
-    sim.at(1800.0, queued_before_fill, "live")
-    sim.cancel(sim.at(900.0, queued_before_fill, "cancelled"))
     states = [CellState(Cell.homogeneous(n, 4.0, 16.0)) for n in machine_counts]
+    probe = []
+    sim.at(1800.0, lambda: probe.append([state_bits(state) for state in states]))
+    sim.cancel(sim.at(900.0, probe.append, "cancelled"))
     placed = []
     start = 0
     for state in states:
@@ -133,13 +132,37 @@ def observed_fill(fill, machine_counts, tasks, seed, horizon):
         "pending": sim.pending(),
         "peak_queue_depth": sim.peak_queue_depth,
     }
-    drained = []
-    while (event := sim._queue.pop()) is not None:
-        fn = event.fn
-        owner = fn.__name__ if fn is queued_before_fill else states.index(fn.__self__)
-        drained.append((event.time.hex(), event.seq, owner, repr(event.args)))
-    observed["drained"] = drained
+    cuts = []
+    versions = [state.version for state in states]
+    ends = {end for end in tasks.duration if horizon is None or end <= horizon}
+    for time in sorted({*ends, 1800.0}):
+        sim.run(until=time)
+        cuts.append((sim.now.hex(), sim.pending(), list(map(changes, states, versions))))
+        versions = [state.version for state in states]
+    sim.run()
+    observed["cuts"] = cuts
+    observed["probe"] = probe
+    observed["end"] = [state_bits(state) for state in states]
+    observed["left"] = sim.pending()
     return observed
+
+
+def changes(state, version):
+    """What ``state`` changed since ``version``, bit for bit: the
+    changelog, the free values of the machines on it, and the used
+    totals (``seq`` is a count of the changelog)."""
+    machines = state.changed_since(version).tolist()
+    return (
+        machines,
+        [(state.free_cpu[m].hex(), state.free_mem[m].hex()) for m in machines],
+        (float(state.used_cpu).hex(), float(state.used_mem).hex()),
+    )
+
+
+def released_at(observed, time):
+    """How many releases the run applied at ``time`` exactly."""
+    cut = next(cut for cut in observed["cuts"] if cut[0] == time.hex())
+    return sum(len(machines) for machines, _, _ in cut[2])
 
 
 def boundary_tasks(rng, count):
@@ -173,6 +196,7 @@ class TestPopulateMatchesIndexWalk:
         assert new == old
         assert all(new["placed"])  # every state took tasks
         assert new["pending"] > 1  # releases queued besides the live event
+        assert new["left"] == 0 and new["probe"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cell_that_cannot_hold_the_rest(self, seed):
@@ -195,8 +219,8 @@ class TestPopulateMatchesIndexWalk:
         )
         new = observed_fill(populate, (13, 27), tasks, seed, 3600.0)
         assert new == observed_fill(index_walk_populate, (13, 27), tasks, seed, 3600.0)
-        times = [entry[0] for entry in new["drained"]]
-        assert times.count((1800.0).hex()) > 2 and times.count((60.0).hex()) > 2
+        assert released_at(new, 1800.0) > 2 and released_at(new, 60.0) > 2
+        assert len(new["probe"]) == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sizes_on_the_epsilon_boundary(self, seed):
@@ -229,10 +253,14 @@ class TestPopulateRefusesBadSizes:
         assert (state.free_cpu.tobytes(), state.free_mem.tobytes(), state.version) == before
         assert state.used_cpu == 0.0 and sim.pending() == 0
 
+    @pytest.mark.parametrize("horizon", [None, 100.0])
     @pytest.mark.parametrize("duration", [float("nan"), -1.0])
-    def test_bad_duration_is_refused_before_anything_is_written(self, state, duration):
+    def test_bad_duration_is_refused_before_anything_is_written(
+        self, state, duration, horizon
+    ):
+        # With a horizon, a NaN end is no more "beyond it" than before it.
         sim = Simulator()
         tasks = columns([standing(), standing(duration=duration), standing()])
-        with pytest.raises((ValueError, SimulationError)):
-            populate(state, tasks, np.random.default_rng(0), sim)
-        assert state.version == 0 and sim.pending() == 0
+        with pytest.raises(ValueError, match="standing task 1 "):
+            populate(state, tasks, np.random.default_rng(0), sim, horizon)
+        assert state.version == 0 and state.used_cpu == 0.0 and sim.pending() == 0
