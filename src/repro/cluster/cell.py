@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.machine import Machine
+from repro.cluster.machine import Machine, check_capacity
 
 
 class Cell:
@@ -15,8 +16,9 @@ class Cell:
     The capacity arrays (``cpu_capacity``, ``mem_capacity``) are the
     vectorized view used by placement algorithms and by
     :class:`repro.core.cellstate.CellState`; index ``i`` in the arrays is
-    machine ``i``. A :meth:`homogeneous` cell is built from the arrays
-    alone; its :attr:`machines` are made on first read.
+    machine ``i``. A :meth:`homogeneous` cell and a :meth:`subcell` are
+    built from the arrays alone; their :attr:`machines` are made on
+    first read.
     """
 
     def __init__(self, machines: Sequence[Machine], name: str = "cell") -> None:
@@ -28,20 +30,33 @@ class Cell:
                     f"machine at position {position} has index {machine.index}; "
                     "machine indices must match their position in the cell"
                 )
-        self.name = name
         self._set_arrays(
+            name,
             np.array([m.cpu for m in machines], dtype=np.float64),
             np.array([m.mem for m in machines], dtype=np.float64),
             np.array([m.rack for m in machines], dtype=np.int64),
+            tuple(m.attributes for m in machines),
         )
-        self._machines: tuple[Machine, ...] | None = tuple(machines)
+        self._machines = tuple(machines)
 
-    def _set_arrays(self, cpu: np.ndarray, mem: np.ndarray, racks: np.ndarray) -> None:
+    def _set_arrays(
+        self,
+        name: str,
+        cpu: np.ndarray,
+        mem: np.ndarray,
+        racks: np.ndarray,
+        attributes: tuple[Mapping[str, str], ...] | None,
+    ) -> None:
+        """Set every field but the machines: ``attributes`` holds one
+        map per machine, or is None when no machine has any."""
+        self.name = name
         self.cpu_capacity = cpu
         self.mem_capacity = mem
         self.racks = racks
         for array in (cpu, mem, racks):
             array.setflags(write=False)
+        self._attributes = attributes
+        self._machines: tuple[Machine, ...] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -50,12 +65,13 @@ class Cell:
         machines = self._machines
         if machines is None:
             machines = self._machines = tuple(
-                Machine(index=index, cpu=cpu, mem=mem, rack=rack)
-                for index, (cpu, mem, rack) in enumerate(
+                Machine(index=index, cpu=cpu, mem=mem, rack=rack, attributes=attributes)
+                for index, (cpu, mem, rack, attributes) in enumerate(
                     zip(
                         self.cpu_capacity.tolist(),
                         self.mem_capacity.tolist(),
                         self.racks.tolist(),
+                        self._attributes or repeat({}),
                     )
                 )
             )
@@ -87,20 +103,23 @@ class Cell:
 
         Machines are re-indexed to match their position in the new cell
         (used by the statically-partitioned scheduler, which splits one
-        physical cell into fixed per-scheduler partitions).
+        physical cell into fixed per-scheduler partitions). The new
+        cell's arrays are slices of this one's, and its machines are
+        made on first read, with their attribute maps.
         """
-        picked = [self.machines[i] for i in indices]
-        reindexed = [
-            Machine(
-                index=new_index,
-                cpu=m.cpu,
-                mem=m.mem,
-                rack=m.rack,
-                attributes=dict(m.attributes),
-            )
-            for new_index, m in enumerate(picked)
-        ]
-        return Cell(reindexed, name=name or f"{self.name}/sub")
+        picked = np.fromiter(indices, dtype=np.int64)
+        if not len(picked):
+            raise ValueError("a cell must contain at least one machine")
+        attributes = self._attributes
+        cell = Cell.__new__(Cell)
+        cell._set_arrays(
+            name or f"{self.name}/sub",
+            self.cpu_capacity[picked],
+            self.mem_capacity[picked],
+            self.racks[picked],
+            None if attributes is None else tuple(attributes[i] for i in picked.tolist()),
+        )
+        return cell
 
     # ------------------------------------------------------------------
     # Builders
@@ -120,16 +139,16 @@ class Cell:
             raise ValueError("num_machines must be positive")
         if machines_per_rack <= 0:
             raise ValueError("machines_per_rack must be positive")
-        # Every machine shares one capacity: validate it once, as Machine.
-        Machine(index=0, cpu=cpu_per_machine, mem=mem_per_machine)
+        # Every machine shares one capacity: validate it once.
+        check_capacity(cpu_per_machine, mem_per_machine)
         cell = cls.__new__(cls)
-        cell.name = name
         cell._set_arrays(
+            name,
             np.full(num_machines, cpu_per_machine, dtype=np.float64),
             np.full(num_machines, mem_per_machine, dtype=np.float64),
             np.arange(num_machines, dtype=np.int64) // machines_per_rack,
+            None,
         )
-        cell._machines = None
         return cell
 
     @classmethod

@@ -36,10 +36,7 @@ class Machine:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"machine index must be >= 0, got {self.index}")
-        if not (0 < self.cpu < math.inf and 0 < self.mem < math.inf):
-            raise ValueError(
-                f"machine capacities must be positive (cpu={self.cpu}, mem={self.mem})"
-            )
+        check_capacity(self.cpu, self.mem)
         # Freeze the attribute map so Machine is safely hashable-by-identity
         # and shareable between snapshots.
         object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
@@ -47,3 +44,9 @@ class Machine:
     def satisfies(self, attr: str, value: str) -> bool:
         """Whether this machine has ``attr`` equal to ``value``."""
         return self.attributes.get(attr) == value
+
+
+def check_capacity(cpu: float, mem: float) -> None:
+    """Refuse a machine capacity that is not positive and finite."""
+    if not (0 < cpu < math.inf and 0 < mem < math.inf):
+        raise ValueError(f"machine capacities must be positive (cpu={cpu}, mem={mem})")

@@ -380,14 +380,15 @@ class CellState:
             self._used_cpu, self._used_mem, self.version = used_cpu, used_mem, version
 
     def store_fill(
-        self, machines: list[int], free_cpu: list[float], free_mem: list[float],
+        self, machines: np.ndarray, free_cpu: list[float], free_mem: list[float],
         used_cpu: float, used_mem: float
     ) -> None:
         """Store the initial fill's walk.
 
         :func:`repro.core.fill.populate` claims one task on each of
-        ``machines``, in order, with :meth:`claim`'s fit test, float rule
-        and used-total additions applied to whole-array Python copies.
+        ``machines`` (an integer array), in order, with :meth:`claim`'s
+        fit test and float rule applied to whole-array Python copies,
+        and its used-total additions to the task columns.
         This stores the free arrays and used totals the walk ended with
         and does the rest of what those claims do: one ``seq`` bump each,
         and ``version`` and the changelog advanced by their count.

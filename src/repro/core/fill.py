@@ -8,6 +8,9 @@ cluster resources" (paper section 4).
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
 from repro.core.cellstate import EPSILON, CellState
@@ -30,35 +33,33 @@ def populate(
     its remaining duration; releases past ``horizon`` are skipped since
     they could never run.
 
-    One walk over the columns, on Python copies of the free arrays, does
-    what one :meth:`CellState.claim` and one ``sim.at`` per task would.
-    The kept releases, stable-sorted by time, go on the queue as one
-    :meth:`Simulator.at_sorted` run, which fires in the order those
-    ``sim.at`` calls would, and one :meth:`CellState.store_fill` stores
-    the walk. A negative or NaN task size or duration is refused with
-    ``ValueError`` before anything is written.
+    One walk over the sizes, on Python copies of the free arrays, does
+    the fit test and float rule of one :meth:`CellState.claim` per task
+    and notes the machine. The rest is done on the columns after it:
+    the used totals (added left to right, as the claims would), and the
+    kept releases, stable-sorted by time and queued as one
+    :meth:`Simulator.at_sorted` run, which fires in the order one
+    ``sim.at`` per task would. One :meth:`CellState.store_fill` stores
+    the walk. A negative or NaN size or duration of a task the walk
+    reached is refused with ``ValueError`` before anything is written.
     """
     order = rng.permutation(state.num_machines).tolist()
     num_machines = len(order)
     free_cpu = state.free_cpu.tolist()
     free_mem = state.free_mem.tolist()
-    used_cpu = state.used_cpu
-    used_mem = state.used_mem
     machines: list[int] = []
-    kept: list[int] = []  # the placed tasks whose release is queued
+    place = machines.append
     cursor = 0
-    for cpu, mem, duration in zip(tasks.cpu, tasks.mem, tasks.duration):
-        if not (cpu >= 0.0 and mem >= 0.0 and duration >= 0.0):
-            # Every task before this one was placed.
-            raise ValueError(
-                f"standing task {len(machines)} has a negative or NaN size "
-                f"or duration: cpu={cpu}, mem={mem}, duration={duration}"
-            )
+    # The cursor's machine and its room live in locals, and are stored
+    # back when the cursor moves on.
+    machine = order[cursor]
+    room_cpu = free_cpu[machine]
+    room_mem = free_mem[machine]
+    for cpu, mem in zip(tasks.cpu, tasks.mem):
         # The cursor's machine nearly always fits: scan only when not.
-        machine = order[cursor]
-        room_cpu = free_cpu[machine]
-        room_mem = free_mem[machine]
         if not (room_cpu + EPSILON >= cpu and room_mem + EPSILON >= mem):
+            free_cpu[machine] = room_cpu
+            free_mem[machine] = room_mem
             for step in range(1, num_machines):
                 machine = order[(cursor + step) % num_machines]
                 room_cpu = free_cpu[machine]
@@ -71,28 +72,55 @@ def populate(
                 break
         # claim's float rule: subtract, then clamp float dust below zero.
         room_cpu -= cpu
-        free_cpu[machine] = 0.0 if room_cpu < 0.0 else room_cpu
+        if room_cpu < 0.0:
+            room_cpu = 0.0
         room_mem -= mem
-        free_mem[machine] = 0.0 if room_mem < 0.0 else room_mem
-        used_cpu += cpu
-        used_mem += mem
-        if sim is not None and (horizon is None or duration <= horizon):
-            kept.append(len(machines))
-        machines.append(machine)
+        if room_mem < 0.0:
+            room_mem = 0.0
+        place(machine)
+    free_cpu[machine] = room_cpu
+    free_mem[machine] = room_mem
+    placed = len(machines)
+    # The walk reached the placed tasks and the one that did not fit. A
+    # NaN size fails every fit test, so the walk stops on it.
+    reached = min(placed + 1, len(tasks))
+    cpus = np.asarray(tasks.cpu)[:reached]
+    mems = np.asarray(tasks.mem)[:reached]
+    ends = np.asarray(tasks.duration)[:reached]
+    valid = (cpus >= 0.0) & (mems >= 0.0) & (ends >= 0.0)
+    if not valid.all():
+        bad = int(valid.argmin())
+        raise ValueError(
+            f"standing task {bad} has a negative or NaN size or duration: "
+            f"cpu={tasks.cpu[bad]}, mem={tasks.mem[bad]}, duration={tasks.duration[bad]}"
+        )
+    cpus, mems, ends = cpus[:placed], mems[:placed], ends[:placed]
+    placed_on = np.array(machines, dtype=np.int64)
+    used_cpu = _add_in_order(state.used_cpu, cpus)
+    used_mem = _add_in_order(state.used_mem, mems)
     # Releases first: the queue refuses a past time before it queues
     # anything, so that leaves the state untouched too.
     if sim is not None:
-        durations, cpus, mems = tasks.duration, tasks.cpu, tasks.mem
-        kept.sort(key=durations.__getitem__)  # stable: ties keep task order
-        run_machines = [machines[task] for task in kept]
-        run_cpu = [cpus[task] for task in kept]
-        run_mem = [mems[task] for task in kept]
+        kept = np.flatnonzero(ends <= (math.inf if horizon is None else horizon))
+        kept = kept[ends[kept].argsort(kind="stable")]  # ties keep task order
+        times = ends[kept].tolist()
+        run_cpu = array("d", cpus[kept].tobytes())
+        run_mem = array("d", mems[kept].tobytes())
+        run_machines = array("q", placed_on[kept].tobytes())
         state_release = state.release
 
         def release(start: int, stop: int) -> None:
             for entry in range(start, stop):
                 state_release(run_machines[entry], run_cpu[entry], run_mem[entry])
 
-        sim.at_sorted([durations[task] for task in kept], release)
-    state.store_fill(machines, free_cpu, free_mem, used_cpu, used_mem)
-    return len(machines)
+        sim.at_sorted(times, release)
+    state.store_fill(placed_on, free_cpu, free_mem, used_cpu, used_mem)
+    return placed
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, left to right: the
+    claims' own additions. ``np.add.accumulate`` adds in order, where
+    ``np.sum`` adds pairwise and ``sum`` compensates (Python 3.12)."""
+    sums = np.concatenate(([total], values))
+    return np.add.accumulate(sums, out=sums)[-1].item()

@@ -21,18 +21,27 @@ def mean(values: Sequence[float]) -> float:
 
 
 def median(values: Sequence[float]) -> float:
-    """Median of a sequence; NaN for an empty one."""
-    if len(values) == 0:
+    """Median of a sequence: its middle value, or the mean of the two
+    middle values for an even count; NaN for an empty sequence or one
+    that holds NaN.
+
+    A Python sort, equal bit for bit to ``np.median`` but for the sign
+    of a zero median of values that hold ``-0.0``.
+    """
+    ordered = sorted(map(float, values))
+    count = len(ordered)
+    if count == 0 or any(value != value for value in ordered):
         return float("nan")
-    return float(np.median(np.asarray(values, dtype=np.float64)))
+    middle = count // 2
+    if count % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def mad(values: Sequence[float]) -> float:
     """Median absolute deviation from the median (paper's error bars)."""
-    if len(values) == 0:
-        return float("nan")
-    array = np.asarray(values, dtype=np.float64)
-    return float(np.median(np.abs(array - np.median(array))))
+    center = median(values)
+    return median([abs(float(value) - center) for value in values])
 
 
 def percentile(values: Sequence[float], q: float) -> float:

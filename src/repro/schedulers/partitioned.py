@@ -41,6 +41,11 @@ class StaticPartition:
         service_model: DecisionTimeModel,
         attempt_limit: int = 1000,
     ) -> None:
+        if len(cell) < 2:
+            raise ValueError(
+                f"a static partition splits cell {cell.name!r} into batch and "
+                f"service parts, so it needs at least 2 machines; it has {len(cell)}"
+            )
         split = max(1, min(len(cell) - 1, round(len(cell) * BATCH_SHARE)))
         self.batch_cell = cell.subcell(range(split), name=f"{cell.name}/batch")
         self.service_cell = cell.subcell(

@@ -211,7 +211,9 @@ def _fill_phase(
     (:meth:`LogNormal.sample_rounds`: the scalar calls' own stream); a
     block that runs past the stopping round is rewound and exactly the
     rounds used are redrawn, because the caller goes on drawing from
-    ``rng``. Any other sampler takes the loop of scalar ``sample`` calls.
+    ``rng``. A block is sized to fall short (0.9 of the rounds expected,
+    plus 16), so that as a rule only the last, small one is redrawn. Any
+    other sampler takes the loop of scalar ``sample`` calls.
     """
     cpu_sampler, duration_sampler, mem_sampler = samplers
     if not all(type(sampler) is LogNormal for sampler in samplers):
@@ -228,7 +230,7 @@ def _fill_phase(
 
     mean_cpu = cpu_sampler.mean()
     while filled < limit:
-        rounds = int(1.1 * (limit - filled) / mean_cpu) + 16
+        rounds = int(0.9 * (limit - filled) / mean_cpu) + 16
         state = rng.bit_generator.state
         block = LogNormal.sample_rounds(rng, samplers, rounds)
         # totals[i] is ``filled`` after i rounds, by the scalar loop's own

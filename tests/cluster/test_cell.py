@@ -153,6 +153,41 @@ class TestSubcell:
         sub = cell.subcell(range(40, 80))
         assert {m.rack for m in sub} == {1}
 
+    def test_empty_index_refused(self):
+        with pytest.raises(ValueError, match="at least one machine"):
+            Cell.homogeneous(4, 4.0, 16.0).subcell(range(2, 2))
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            Cell.homogeneous(90, 0.5, 2.0, machines_per_rack=7, name="h"),
+            Cell.heterogeneous(
+                [(30, 4.0, 16.0, {"tier": "a"}), (20, 8.0, 32.0, {}), (40, 2.0, 4.0, {"k": "v"})],
+                machines_per_rack=9,
+                name="x",
+            ),
+        ],
+        ids=["homogeneous", "heterogeneous"],
+    )
+    @pytest.mark.parametrize(
+        "indices, name",
+        [(range(45), "p/batch"), (range(45, 90), None), ([89, 3, 40, 3, 0], "mixed")],
+    )
+    def test_same_cell_as_reindexed_machines(self, parent, indices, name):
+        # The oracle: one re-indexed Machine per picked machine.
+        picked = [parent.machines[i] for i in indices]
+        oracle = Cell(
+            [
+                Machine(index=k, cpu=m.cpu, mem=m.mem, rack=m.rack, attributes=m.attributes)
+                for k, m in enumerate(picked)
+            ],
+            name=name or f"{parent.name}/sub",
+        )
+        sub = parent.subcell(indices, name=name)
+        assert cell_bytes(sub) == cell_bytes(oracle)
+        assert sub.machines == oracle.machines
+        assert [m.rack for m in sub] == [m.rack for m in oracle]
+
     def test_capacity_arrays_match_machines(self):
         cell = Cell.homogeneous(6, 4.0, 16.0)
         assert np.allclose(cell.cpu_capacity, [m.cpu for m in cell])

@@ -264,3 +264,21 @@ class TestPopulateRefusesBadSizes:
         with pytest.raises(ValueError, match="standing task 1 "):
             populate(state, tasks, np.random.default_rng(0), sim, horizon)
         assert state.version == 0 and state.used_cpu == 0.0 and sim.pending() == 0
+
+    @pytest.mark.parametrize(
+        "bad", [{"cpu": float("nan")}, {"mem": -1.0}, {"duration": float("nan")}]
+    )
+    def test_bad_task_beyond_a_full_cell_is_not_reached(self, state, bad):
+        # Four machine-sized tasks fill the cell, the fifth does not fit,
+        # and the walk never reaches the sixth.
+        sim = Simulator()
+        tasks = columns([standing(cpu=4.0, mem=16.0)] * 5 + [standing(**bad)])
+        assert populate(state, tasks, np.random.default_rng(0), sim) == 4
+        assert state.cpu_utilization == 1.0 and sim.pending() == 4
+
+    def test_bad_task_that_does_not_fit_is_refused(self, state):
+        # The walk reaches the task it stops on, so that one is checked.
+        tasks = columns([standing(cpu=4.0, mem=16.0)] * 4 + [standing(cpu=4.0, mem=-1.0)])
+        with pytest.raises(ValueError, match="standing task 4 "):
+            populate(state, tasks, np.random.default_rng(0), Simulator())
+        assert state.version == 0 and state.used_cpu == 0.0

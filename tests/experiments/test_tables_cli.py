@@ -267,3 +267,11 @@ class TestBadArgumentsExitTwo:
         finally:
             tmp_path.chmod(0o755)
         assert "not writable" in err
+
+
+def test_a_one_machine_cell_cannot_be_partitioned(capsys):
+    # At this scale cluster A has one machine, which the split cannot halve.
+    assert main(["partitioned", "--scale", "0.00001", "--hours", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("omega-sim: ") and err.count("\n") == 1
+    assert "static partition" in err and "at least 2 machines; it has 1" in err

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,66 @@ class TestMedianMad:
     def test_mad_robust_to_outlier(self):
         values = [1.0, 1.0, 1.0, 1.0, 100.0]
         assert mad(values) == 0.0  # the outlier does not move the MAD
+
+
+def numpy_median(values) -> float:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.median(np.asarray(values, dtype=np.float64)))
+
+
+def numpy_mad(values) -> float:
+    with np.errstate(invalid="ignore", over="ignore"):
+        array = np.asarray(values, dtype=np.float64)
+        return float(np.median(np.abs(array - np.median(array))))
+
+
+def same_bits(result, expected, values) -> bool:
+    """Equal bit for bit, NaN to NaN; a zero median of values that hold
+    ``-0.0`` may take either sign (``np.median`` picks by partition)."""
+    if math.isnan(expected):
+        return math.isnan(result)
+    if expected == 0.0 and any(math.copysign(1.0, v) < 0 and v == 0.0 for v in values):
+        return result == 0.0
+    return result.hex() == expected.hex()
+
+
+class TestMedianMatchesNumpy:
+    """``median`` and ``mad`` sort in Python; ``np.median`` is the oracle."""
+
+    # Daily series are short: a day to a few weeks of values.
+    series = st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=0.0, max_value=2.0),
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf, -math.inf]),
+        ),
+        max_size=30,
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=series)
+    def test_bit_for_bit(self, values):
+        for ours, oracle in ((median, numpy_median), (mad, numpy_mad)):
+            result = ours(values)
+            assert type(result) is float
+            if values:
+                assert same_bits(result, oracle(values), values), (ours, values)
+            else:
+                assert math.isnan(result)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.0, math.nan, 2.0], math.nan),
+            ([math.inf, -math.inf], math.nan),
+            ([1e308, 1.7e308], math.inf),
+            ([3, 1, 2, 4], 2.5),
+            ([-math.inf, 0.0, 5.0], 0.0),
+        ],
+    )
+    def test_edges(self, values, expected):
+        assert same_bits(median(values), expected, values)
+        assert same_bits(median(values), numpy_median(values), values)
 
 
 class TestPercentile:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cell
+from repro.cluster import Cell, Machine
+from repro.experiments.common import LightweightConfig, LightweightSimulation
 from repro.schedulers.base import DecisionTimeModel
 from repro.schedulers import partitioned
 from repro.schedulers.partitioned import StaticPartition
+from repro.workload.clusters import preset_by_name
 from repro.workload.job import JobType
 from tests.conftest import make_job
 
@@ -29,6 +31,17 @@ def make_partition(sim, metrics, cell):
 
 
 class TestPartitioning:
+    def test_building_a_partitioned_world_makes_no_machine(self, monkeypatch):
+        def made(machine):
+            raise AssertionError("a Machine was constructed")
+
+        monkeypatch.setattr(Machine, "__post_init__", made)
+        world = LightweightSimulation(
+            LightweightConfig(preset=preset_by_name("A").scaled(0.02), architecture="partitioned")
+        ).build()
+        assert [len(state.cell) for state in world.states] == [len(world.cell) // 2] * 2
+        assert world.sim.pending() > 0
+
     def test_partitions_are_disjoint_and_cover(self, sim, metrics, cell):
         partition = make_partition(sim, metrics, cell)
         total = partition.batch_cell.num_machines + partition.service_cell.num_machines

@@ -193,6 +193,7 @@ def assert_same_fill(preset, utilization, seed) -> tuple[StandingTasks, SpyRng]:
     rng, oracle_rng = SpyRng(seed), np.random.default_rng(seed)
     tasks = InitialFill(preset, utilization).generate(rng)
     assert bits(tasks) == bits(scalar_loop_generate(preset, utilization, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert rng.permutation(50).tolist() == oracle_rng.permutation(50).tolist()
     return tasks, rng
 
@@ -222,11 +223,22 @@ class TestInitialFillMatchesScalarLoop:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_overdrawn_first_block_is_rewound(self, preset, seed):
+        # A target of a few dozen rounds: the block's 16 spare rounds overdraw.
         tasks, rng = assert_same_fill(preset, 0.5, seed)
         service = tasks.job_type.count(JobType.SERVICE)
         # the block ran past the stopping round; exactly that many redrawn
         assert rng.blocks[0][0] > service
         assert rng.blocks[1] == (service, 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_short_first_block_is_topped_up_and_only_the_last_redrawn(self, seed):
+        # A target of a thousand rounds: the first block falls short, the
+        # second overdraws and is rewound to the rounds still needed.
+        tasks, rng = assert_same_fill(tiny_preset(num_machines=400), 0.5, seed)
+        service = tasks.job_type.count(JobType.SERVICE)
+        (first, _), (second, _), (redrawn, _) = rng.blocks[:3]
+        assert first < service < first + second
+        assert redrawn == service - first
 
     @pytest.mark.parametrize("seed", range(5))
     def test_underdrawn_first_block_is_topped_up(self, preset, seed):
