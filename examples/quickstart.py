@@ -5,16 +5,15 @@ Runs two hours of simulated cluster operation with the default
 batch + service scheduler pair and prints the paper's core metrics
 (job wait time, scheduler busyness, conflict fraction) — plus the
 observability layer in action: a structured trace of every transaction
-attempt and the event loop's top-5 hottest callbacks.
+attempt. Where the run's wall time goes, layer by layer, is the repo
+benchmark's job (``python bench/run.py --trace 1``).
 
 Usage::
 
     python examples/quickstart.py
 """
 
-from repro import CLUSTER_B, JobType, LightweightConfig, obs
-from repro.experiments.common import LightweightSimulation
-from repro.obs.profile import CallbackProfiler
+from repro import CLUSTER_B, JobType, LightweightConfig, obs, run_lightweight
 from repro.obs.summary import TraceSummary
 from repro.world import RunContext
 
@@ -29,13 +28,9 @@ def main() -> None:
 
     # Observability: record a structured trace of every scheduling
     # decision (one sched.attempt record per attempt, kept in memory
-    # here; pass path=... to stream JSONL) and profile where the event
-    # loop's wall time goes.
+    # here; pass path=... to stream JSONL).
     recorder = obs.TraceRecorder()
-    simulation = LightweightSimulation(config, RunContext(recorder=recorder))
-    profiler = CallbackProfiler()
-    simulation.sim.profiler = profiler
-    result = simulation.run()
+    result = run_lightweight(config, RunContext(recorder=recorder))
 
     print(f"cluster: {config.preset.name} ({config.preset.num_machines} machines)")
     print(f"simulated horizon: {config.horizon / 3600:.1f} h")
@@ -69,10 +64,6 @@ def main() -> None:
             f"{entry.txn_conflicted} conflicted, busy {entry.busy_seconds:.1f} s"
             f" ({entry.busy_conflict_seconds:.1f} s conflict rework)"
         )
-
-    print()
-    print("top-5 hottest event-loop callbacks:")
-    print(profiler.report(n=5))
 
 
 if __name__ == "__main__":

@@ -2,39 +2,28 @@
 """High-fidelity trace replay: constraints, scoring placement, conflicts.
 
 Synthesizes a stand-in production trace for cluster C (heterogeneous
-machines, placement constraints), saves it to JSON-lines, reloads it
-(the same path a real trace would take), and replays it under two
+machines, placement constraints) and replays it under three
 service-scheduler decision times to show interference appearing as
-decisions slow down — the Figure 12 mechanism.
+decisions slow down — the Figure 12 mechanism. The replay takes any
+in-memory ``Trace``; a real trace would enter through a converter into
+one.
 
 Usage::
 
-    python examples/trace_replay.py [trace.jsonl]
+    python examples/trace_replay.py
 """
 
-import sys
-import tempfile
-from pathlib import Path
-
 from repro import CLUSTER_C, DecisionTimeModel, HighFidelityConfig, JobType, run_hifi
-from repro.hifi import read_trace, synthesize_trace, write_trace
+from repro.hifi import synthesize_trace
 
 
 def main() -> None:
-    if len(sys.argv) > 1:
-        path = Path(sys.argv[1])
-    else:
-        path = Path(tempfile.gettempdir()) / "omega-cluster-c.jsonl"
-
     preset = CLUSTER_C.scaled(0.2)
     trace = synthesize_trace(preset, horizon=2 * 3600.0, seed=13)
-    write_trace(trace, path)
-    print(f"synthesized trace: {trace.num_jobs} jobs, {len(trace.machines)} machines")
-    print(f"written to {path} ({path.stat().st_size / 1024:.0f} KiB)")
-
-    trace = read_trace(path)  # same loader a real production trace would use
+    jobs = len(trace.jobs)
     picky = sum(1 for job in trace.jobs if job.constraints)
-    print(f"reloaded; {picky} jobs ({picky / trace.num_jobs:.0%}) carry constraints\n")
+    print(f"synthesized trace: {jobs} jobs, {len(trace.machines)} machines")
+    print(f"{picky} jobs ({picky / jobs:.0%}) carry constraints\n")
 
     print("t_job(service)   conflicts/job (svc)   busyness (svc)   wait p90 (svc)")
     for t_job in (0.1, 10.0, 60.0):

@@ -41,10 +41,6 @@ class Machine:
         # and shareable between snapshots.
         object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
 
-    def satisfies(self, attr: str, value: str) -> bool:
-        """Whether this machine has ``attr`` equal to ``value``."""
-        return self.attributes.get(attr) == value
-
 
 def check_capacity(cpu: float, mem: float) -> None:
     """Refuse a machine capacity that is not positive and finite."""

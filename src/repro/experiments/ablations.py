@@ -115,9 +115,11 @@ def preemption_columns(world, result) -> dict:
 def preemption_points(
     scale: float = 0.2, horizon: float = 2 * 3600.0, seed: int = 3
 ) -> list[SweepPoint]:
-    """Priority preemption on vs off on a nearly-full cell."""
+    """Priority preemption on vs off on a nearly-full cell whose service
+    scheduler decides slowly (30 s per job), so that service jobs queue
+    when they cannot evict."""
     preset = dataclasses.replace(
-        CLUSTER_A.scaled(scale), initial_utilization=0.85
+        CLUSTER_A.scaled(scale), initial_utilization=0.95
     )
     return [
         (
@@ -126,6 +128,7 @@ def preemption_points(
                 architecture="omega",
                 horizon=horizon,
                 seed=seed,
+                service_model=DecisionTimeModel(t_job=30.0),
                 enable_preemption=enabled,
             ),
             {"preemption": "on" if enabled else "off"},

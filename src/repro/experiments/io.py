@@ -1,4 +1,4 @@
-"""Saving and loading experiment result rows.
+"""Saving experiment result rows.
 
 Experiment drivers return plain row dicts; this module persists them as
 JSON (with a metadata envelope) or CSV so runs can be compared across
@@ -9,26 +9,21 @@ Writes are atomic (temp-file + fsync + rename, see
 :mod:`repro.recovery.artifacts`): a crashed or killed run can never
 leave a truncated result file behind — the output path either holds the
 complete previous table or the complete new one. JSON envelopes embed a
-``content_hash`` that :func:`load_rows` verifies, so corruption after
-the write (disk faults, partial copies, manual edits) fails loudly
-instead of silently skewing comparisons.
+``content_hash`` that
+:func:`repro.recovery.artifacts.load_json_artifact` verifies, so
+corruption after the write (disk faults, partial copies, manual edits)
+fails loudly instead of silently skewing comparisons.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from pathlib import Path
 from typing import Any
 
-from repro.recovery.artifacts import (
-    ArtifactError,
-    atomic_write_text,
-    load_json_artifact,
-    write_json_artifact,
-)
+from repro.recovery.artifacts import atomic_write_text, write_json_artifact
 
 #: Envelope format version, bumped on breaking changes.
 FORMAT_VERSION = 1
@@ -84,44 +79,3 @@ def save_rows(
         atomic_write_text(path, buffer.getvalue())
     return path
 
-
-def load_rows(path: str | Path) -> list[dict]:
-    """Read rows written by :func:`save_rows`.
-
-    JSON restores the exact values (verifying the envelope's
-    ``content_hash`` when present; a mismatch, or ``rows`` that are not
-    a list of objects, raises
-    :class:`~repro.recovery.artifacts.ArtifactError`); CSV values come
-    back as strings (or floats where they parse cleanly), which is
-    sufficient for comparisons and plotting.
-    """
-    path = Path(path)
-    if path.suffix == ".json":
-        envelope = load_json_artifact(
-            path, description="result table", require=("rows",)
-        )
-        version = envelope.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format_version {version!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        rows = envelope["rows"]
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise ArtifactError(
-                f"{path}: corrupt result table: 'rows' is not a list of objects"
-            )
-        return rows
-    if path.suffix == ".csv":
-        with path.open("r", newline="", encoding="utf-8") as handle:
-            rows = []
-            for record in csv.DictReader(handle):
-                parsed: dict[str, Any] = {}
-                for key, value in record.items():
-                    try:
-                        parsed[key] = float(value)
-                    except (TypeError, ValueError):
-                        parsed[key] = value
-                rows.append(parsed)
-            return rows
-    raise ValueError(f"unsupported input format {path.suffix!r}; use .json or .csv")

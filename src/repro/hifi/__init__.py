@@ -14,7 +14,7 @@ This package is the reproduction's analog:
 * :mod:`repro.hifi.placement` — a deterministic, constraint-aware
   scoring placement algorithm standing in for the proprietary
   production algorithm (DESIGN.md, "Substitutions");
-* :mod:`repro.hifi.trace` — a trace format with reader/writer and a
+* :mod:`repro.hifi.trace` — the in-memory trace the replay takes, and a
   deterministic synthesizer standing in for the production traces;
 * :mod:`repro.hifi.replay` — trace-driven Omega simulation.
 """
@@ -22,7 +22,7 @@ This package is the reproduction's analog:
 from repro.hifi.constraints import AttributeIndex, Constraint, ConstraintOp
 from repro.hifi.placement import ScoringPlacer
 from repro.hifi.replay import HighFidelityConfig, run_hifi
-from repro.hifi.trace import Trace, TraceJob, TraceMachine, read_trace, synthesize_trace, write_trace
+from repro.hifi.trace import Trace, TraceJob, TraceMachine, synthesize_trace
 
 __all__ = [
     "Constraint",
@@ -33,8 +33,6 @@ __all__ = [
     "TraceJob",
     "TraceMachine",
     "synthesize_trace",
-    "read_trace",
-    "write_trace",
     "HighFidelityConfig",
     "run_hifi",
 ]

@@ -35,19 +35,6 @@ class Constraint:
     op: ConstraintOp
     value: str
 
-    def satisfied_by(self, attributes) -> bool:
-        """Whether a machine attribute mapping satisfies this constraint."""
-        matches = attributes.get(self.attribute) == self.value
-        return matches if self.op is ConstraintOp.EQ else not matches
-
-    def to_tuple(self) -> tuple[str, str, str]:
-        return (self.attribute, self.op.value, self.value)
-
-    @classmethod
-    def from_tuple(cls, data: tuple[str, str, str] | list) -> "Constraint":
-        attribute, op, value = data
-        return cls(attribute=attribute, op=ConstraintOp(op), value=value)
-
 
 class AttributeIndex:
     """Per-cell precomputed boolean masks for fast feasibility checks.

@@ -1,21 +1,18 @@
-"""Workload-execution traces: format, IO and a deterministic synthesizer.
+"""Workload-execution traces and a deterministic synthesizer.
 
 The paper's high-fidelity simulator "can be given initial cell
 descriptions and detailed workload traces obtained from live production
 cells" (section 5). Those traces are proprietary; this module defines
-an equivalent trace format (machines + standing tasks + timed job
-submissions with constraints), a JSON-lines reader/writer so real
-traces could be dropped in, and :func:`synthesize_trace`, which builds
-a deterministic synthetic trace from a cluster preset (DESIGN.md,
-"Substitutions").
+an equivalent in-memory :class:`Trace` (machines + standing tasks +
+timed job submissions with constraints), which the replay takes, and
+:func:`synthesize_trace`, which builds a deterministic synthetic trace
+from a cluster preset (DESIGN.md, "Substitutions"). A real trace would
+enter the replay through a converter into :class:`Trace`.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -88,14 +85,7 @@ class Trace:
         ]
         return Cell(built, name=self.name)
 
-    @property
-    def num_jobs(self) -> int:
-        return len(self.jobs)
 
-
-# ----------------------------------------------------------------------
-# Synthesis
-# ----------------------------------------------------------------------
 def _sample_constraints(
     rng: np.random.Generator, job_type: JobType
 ) -> tuple[Constraint, ...]:
@@ -183,183 +173,5 @@ def synthesize_trace(
         horizon=horizon,
         machines=machines,
         initial_tasks=initial_tasks,
-        jobs=jobs,
-    )
-
-
-# ----------------------------------------------------------------------
-# JSON-lines IO
-# ----------------------------------------------------------------------
-def write_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace as JSON lines (header, machines, tasks, jobs)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        header = {
-            "kind": "header",
-            "name": trace.name,
-            "horizon": trace.horizon,
-        }
-        handle.write(json.dumps(header) + "\n")
-        for machine in trace.machines:
-            record = {
-                "kind": "machine",
-                "cpu": machine.cpu,
-                "mem": machine.mem,
-                "rack": machine.rack,
-                "attributes": dict(machine.attributes),
-            }
-            handle.write(json.dumps(record) + "\n")
-        tasks = trace.initial_tasks
-        for cpu, mem, duration, job_type in zip(
-            tasks.cpu, tasks.mem, tasks.duration, tasks.job_type
-        ):
-            record = {
-                "kind": "initial_task",
-                "cpu": cpu,
-                "mem": mem,
-                "duration": duration,
-                "job_type": job_type.value,
-            }
-            handle.write(json.dumps(record) + "\n")
-        for job in trace.jobs:
-            record = {
-                "kind": "job",
-                "submit_time": job.submit_time,
-                "job_type": job.job_type.value,
-                "num_tasks": job.num_tasks,
-                "cpu_per_task": job.cpu_per_task,
-                "mem_per_task": job.mem_per_task,
-                "duration": job.duration,
-                "constraints": [c.to_tuple() for c in job.constraints],
-            }
-            handle.write(json.dumps(record) + "\n")
-
-
-def _amount(record: dict, key: str) -> float:
-    """``record[key]``, refused unless it is a non-negative number."""
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
-        raise ValueError(f"{key} must be a non-negative number, got {value!r}")
-    return value
-
-
-def _count(record: dict, key: str, minimum: int) -> int:
-    """``record[key]``, refused unless it is an integer >= ``minimum``."""
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _positive(record: dict, key: str) -> float:
-    """``record[key]``, refused unless it is a positive finite number."""
-    value = _amount(record, key)
-    if not 0 < value <= sys.float_info.max:
-        raise ValueError(f"{key} must be positive and finite, got {value!r}")
-    return float(value)
-
-
-def _constraints(record: dict) -> tuple[Constraint, ...]:
-    """A job's constraints: a list of ``[attribute, op, value]`` strings."""
-    constraints = record.get("constraints", [])
-    if not isinstance(constraints, list) or not all(
-        isinstance(constraint, list)
-        and len(constraint) == 3
-        and all(isinstance(part, str) for part in constraint)
-        for constraint in constraints
-    ):
-        raise ValueError(
-            "constraints must be a list of [attribute, op, value] strings, "
-            f"got {constraints!r}"
-        )
-    return tuple(Constraint.from_tuple(constraint) for constraint in constraints)
-
-
-def read_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`write_trace`; a line it cannot
-    replay (malformed JSON, a record that is not an object, a missing or
-    wrong-typed field, a negative or NaN amount, ``num_tasks < 1``, a
-    machine capacity or horizon that is not positive and finite) raises
-    ``ValueError("<path>:<line>: ...")``."""
-    path = Path(path)
-    name = path.stem
-    horizon = 0.0
-    machines: list[TraceMachine] = []
-    tasks = StandingTasks()
-    jobs: list[TraceJob] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            kind = None
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(
-                        f"a record must be a JSON object, got {type(record).__name__}"
-                    )
-                kind = record.get("kind")
-                if kind == "header":
-                    name, horizon = record["name"], _positive(record, "horizon")
-                    if not isinstance(name, str):
-                        raise ValueError(f"name must be a string, got {name!r}")
-                elif kind == "machine":
-                    attributes = record.get("attributes", {})
-                    if not isinstance(attributes, dict) or not all(
-                        isinstance(key, str) and isinstance(value, str)
-                        for key, value in attributes.items()
-                    ):
-                        raise ValueError(
-                            f"attributes must map strings to strings, got {attributes!r}"
-                        )
-                    machines.append(
-                        TraceMachine(
-                            cpu=_positive(record, "cpu"),
-                            mem=_positive(record, "mem"),
-                            rack=_count(record, "rack", 0),
-                            attributes=attributes,
-                        )
-                    )
-                elif kind == "initial_task":
-                    cpu, mem, duration = (
-                        _amount(record, key) for key in ("cpu", "mem", "duration")
-                    )
-                    job_type = JobType(record["job_type"])
-                    tasks.cpu.append(cpu)
-                    tasks.mem.append(mem)
-                    tasks.duration.append(duration)
-                    tasks.job_type.append(job_type)
-                elif kind == "job":
-                    jobs.append(
-                        TraceJob(
-                            submit_time=_amount(record, "submit_time"),
-                            job_type=JobType(record["job_type"]),
-                            num_tasks=_count(record, "num_tasks", 1),
-                            cpu_per_task=_amount(record, "cpu_per_task"),
-                            mem_per_task=_amount(record, "mem_per_task"),
-                            duration=_amount(record, "duration"),
-                            constraints=_constraints(record),
-                        )
-                    )
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except json.JSONDecodeError as error:
-                # Still a JSONDecodeError (a ValueError), now naming the line.
-                raise json.JSONDecodeError(
-                    f"{path}:{line_number}: not JSON: {error.msg}", error.doc, error.pos
-                ) from None
-            except KeyError as missing:
-                raise ValueError(
-                    f"{path}:{line_number}: {kind} record has no {missing} field"
-                ) from None
-            except (ValueError, OverflowError) as error:
-                # OverflowError: an integer amount no double can hold.
-                raise ValueError(f"{path}:{line_number}: {error}") from error
-    return Trace(
-        name=name,
-        horizon=horizon,
-        machines=machines,
-        initial_tasks=tasks,
         jobs=jobs,
     )

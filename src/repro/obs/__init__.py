@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, and profiling.
+"""Observability: structured tracing and metrics.
 
 The paper's evaluation hinges on *per-decision* quantities — which
 commit conflicted, where a scheduler's busy time went, how many times a
@@ -17,8 +17,6 @@ loads none of the consumers:
   estimation, serialized into each run's ``run.metrics`` record;
 * :mod:`repro.obs.timeline` — the config-gated ``timeline.*`` sampler
   on the simulated clock;
-* :mod:`repro.obs.profile` — per-callback wall-clock attribution for
-  the event loop ("top-N hottest callbacks");
 * :mod:`repro.obs.export` — JSONL writing and reading;
 * :mod:`repro.obs.summary` — conflict timelines, retry chains and
   busy-time breakdowns (``omega-sim trace``, which reads several traces

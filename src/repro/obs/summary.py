@@ -55,10 +55,6 @@ class SchedulerSummary:
     conflict_times: list[float] = field(default_factory=list)
 
     @property
-    def txn_committed(self) -> int:
-        return self.txn_attempts - self.txn_conflicted
-
-    @property
     def conflict_fraction(self) -> float:
         """Conflicted commit attempts per successfully scheduled job."""
         if self.jobs_scheduled == 0:

@@ -29,9 +29,10 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self.events_processed = 0
-        #: Optional profiler with a ``record(fn, seconds)`` method (see
-        #: :class:`repro.obs.profile.CallbackProfiler`). When None —
-        #: the default — dispatch pays only this None check.
+        #: Optional profiler with a ``record(fn, seconds)`` method: the
+        #: repo benchmark's span tracer (``bench/spans.py`` ``Tracer``,
+        #: attached by ``bench/child.py`` under ``--trace 1``). When
+        #: None — the default — dispatch pays only this None check.
         self.profiler: Any | None = None
         #: The run's trace recorder, set by its :class:`repro.world.RunContext`;
         #: components emit through it behind one ``enabled`` check.

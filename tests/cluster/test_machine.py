@@ -40,9 +40,3 @@ class TestMachineValidation:
         machine = Machine(index=0, cpu=4.0, mem=16.0, attributes=source)
         source["arch"] = "arm"
         assert machine.attributes["arch"] == "x86"
-
-    def test_satisfies(self):
-        machine = Machine(index=0, cpu=4.0, mem=16.0, attributes={"arch": "x86"})
-        assert machine.satisfies("arch", "x86")
-        assert not machine.satisfies("arch", "arm")
-        assert not machine.satisfies("missing", "x")

@@ -91,6 +91,13 @@ class TestEviction:
         sim.run(until=60.0)  # the cancelled end event must not re-release
         assert state.used_cpu == 0.0
 
+    def test_whole_eviction_dequeues_end_event(self, ledger, sim):
+        record = ledger.register(*claim(count=2), precedence=0, duration=50.0)
+        pending = sim.pending()
+        ledger.evict(0, need_cpu=2.0, need_mem=0.0, below_precedence=5)
+        assert sim.pending() == pending - 1
+        assert record.end_event.cancelled
+
     def test_evict_nothing_needed(self, state, ledger):
         ledger.register(*claim(), precedence=0, duration=50.0)
         assert ledger.evict(0, 0.0, 0.0, below_precedence=5) == 0

@@ -20,7 +20,7 @@ def trace():
 class TestReplay:
     def test_replays_all_jobs(self, trace):
         result = run_hifi(HighFidelityConfig(trace=trace, seed=0))
-        assert result.jobs_submitted == trace.num_jobs
+        assert result.jobs_submitted == len(trace.jobs)
         assert result.jobs_scheduled + result.jobs_abandoned <= result.jobs_submitted
         assert result.jobs_scheduled > 0
 

@@ -60,7 +60,8 @@ class TestMultiRunPrefixing:
             "run2/omega-batch",
         }
         for name in summary.scheduler_names():
-            assert summary.schedulers[name].txn_committed == 1
+            entry = summary.schedulers[name]
+            assert (entry.txn_attempts, entry.txn_conflicted) == (1, 0)
 
     def test_job_ids_are_run_scoped(self):
         records = [

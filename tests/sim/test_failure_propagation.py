@@ -64,13 +64,3 @@ class TestSchedulerFacingFailures:
         state = CellState(Cell.homogeneous(1, 4.0, 16.0))
         with pytest.raises(OvercommitError):
             state.release(0, 1.0, 1.0)
-
-    def test_truncated_trace_file_is_loud(self, tmp_path):
-        import json
-
-        from repro.hifi.trace import read_trace
-
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"kind": "header", "name": "x", "horizon": 10}\n{"kind"')
-        with pytest.raises(json.JSONDecodeError):
-            read_trace(path)

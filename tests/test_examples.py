@@ -9,8 +9,8 @@ import pytest
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
 
 
-def run_example(path: Path, capsys, monkeypatch, *argv: str) -> str:
-    monkeypatch.setattr("sys.argv", [str(path), *argv])
+def run_example(path: Path, capsys, monkeypatch) -> str:
+    monkeypatch.setattr("sys.argv", [str(path)])
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -23,10 +23,8 @@ def test_all_six_examples_are_covered():
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
-def test_example_runs(path, capsys, monkeypatch, tmp_path):
-    # trace_replay writes the trace it replays; keep it out of /tmp.
-    argv = [str(tmp_path / "trace.jsonl")] if path.stem == "trace_replay" else []
-    assert run_example(path, capsys, monkeypatch, *argv).strip()
+def test_example_runs(path, capsys, monkeypatch):
+    assert run_example(path, capsys, monkeypatch).strip()
 
 
 def test_canary_example_places_probes_then_finishes(capsys, monkeypatch):

@@ -79,7 +79,7 @@ NOT_IN_A_RUN = tuple(
         ("analysis", ("determinism",)),
         ("federation", ("harness", "router", "cells", "chaos")),
         ("mapreduce", ("model", "policies", "scheduler")),
-        ("obs", ("summary", "perfetto", "profile")),
+        ("obs", ("summary", "perfetto")),
     )
     for name in names
 )

@@ -12,15 +12,18 @@ invariant; :data:`SCOPE` says which files under ``src/`` it reads. One
 test walks ``src/repro`` and accepts only the sites in :data:`KNOWN`,
 each with its reason, and narrower walks pin the fault injectors, the
 crash-safety paths and the process-wide state; the snippet tests show
-what each check flags. A last check keeps knobs with one value out of
-the run configs: every field must be set somewhere outside tests.
+what each check flags. Two last checks keep out what only tests reach:
+every run-config field must be set somewhere outside tests, and every
+function and class must be named somewhere outside tests and examples.
 """
 
 import ast
 import dataclasses
 import importlib
+import io
 import re
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -683,3 +686,120 @@ def test_every_config_field_is_set_outside_tests():
 def test_set_names_sees_keywords_attribute_writes_and_strings():
     tree = parse("f(a=1)\nx.b = 2\ny.c += 3\nsweep(field='d')\nz = e.g\n")
     assert sorted(set_names(tree)) == [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("field", 4)]
+
+
+# ----------------------------------------------------------------------
+# No function or class that only tests and examples call
+# ----------------------------------------------------------------------
+#: Where naming a definition keeps it: the program, its benchmark and
+#: the paper-shape suite. Tests and examples do not count.
+USERS = ("src", "bench", "benchmarks")
+
+#: ``module:qualname`` of each definition under ``src/repro`` that only
+#: tests and examples name, with the reason it stays.
+UNCALLED = {
+    "repro.cluster.cell:Cell.heterogeneous": (
+        "builds the attribute-carrying cells the scoring-placement and cell-state oracle "
+        "tests run on"
+    ),
+    "repro.metrics.collector:MetricsCollector.median_conflict_fraction": (
+        "the paper's median of daily values; ROADMAP 10(d) decides whether the conflict_* "
+        "columns become it"
+    ),
+    "repro.metrics.collector:MetricsCollector.overall_conflict_fraction": (
+        "the collector-side figure tests/obs/test_trace_smoke.py checks the trace's "
+        "conflict fraction against"
+    ),
+    "repro.schedulers.base:QueueScheduler.is_busy": (
+        "a read of _busy, which only schedulers/base.py may touch, for the tests that probe it"
+    ),
+    "repro.workload.job:Job.placed_tasks": (
+        "Job API that the canary plan of examples/custom_scheduler.py reads"
+    ),
+}
+
+
+def named_words(source: str) -> list[tuple[str, int]]:
+    """(word, line) for every identifier-like word of ``source`` outside
+    comments and docstrings: names, attributes, and the words of other
+    string literals (a string can name a function for ``getattr``)."""
+    tree = ast.parse(source)
+    docstrings = {
+        (node.value.lineno, node.value.col_offset)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    }
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT or (
+            token.type == tokenize.STRING and token.start in docstrings
+        ):
+            continue
+        found.extend((word, token.start[0]) for word in re.findall(r"\w+", token.string))
+    return found
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualname, node) for every function and class in ``tree`` but
+    the dunders, which Python calls by protocol."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def unnamed_definitions() -> list[str]:
+    """``module:qualname`` for every definition under ``src/repro``
+    whose name appears nowhere in :data:`USERS` outside its own
+    definition (decorators and body included)."""
+    where: dict[str, list[tuple[Path, int]]] = {}
+    for top in USERS:
+        for file in sorted((SRC.parent / top).rglob("*.py")):
+            for word, line in named_words(file.read_text(encoding="utf-8")):
+                where.setdefault(word, []).append((file, line))
+    unnamed = []
+    for file in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(file.relative_to(SRC).with_suffix("").parts)
+        for qualname, node in definitions(ast.parse(file.read_text(encoding="utf-8"))):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            own = range(first, node.end_lineno + 1)
+            if not any(path != file or line not in own for path, line in where.get(node.name, ())):
+                unnamed.append(f"{module}:{qualname}")
+    return unnamed
+
+
+def test_every_definition_is_named_outside_tests():
+    """Code only tests and examples call is not part of the program:
+    delete it, or list it in :data:`UNCALLED` with the reason it stays."""
+    assert sorted(unnamed_definitions()) == sorted(UNCALLED)
+
+
+def test_named_words_skip_comments_and_docstrings_only():
+    source = textwrap.dedent('''\
+        """a module docstring names doc_only"""
+        def f():
+            """so does a function's: doc_only"""
+            g(x.attr)  # comment_only
+            return getattr(obj, "in_string") or f"{in_fstring}"
+    ''')
+    words = {word for word, _ in named_words(source)}
+    assert {"f", "g", "x", "attr", "getattr", "in_string", "in_fstring"} <= words
+    assert not {"doc_only", "comment_only"} & words
+
+
+def test_definitions_are_qualified_and_skip_dunders():
+    tree = ast.parse(
+        "class A:\n    def __init__(self): ...\n    def m(self):\n        def inner(): ...\n"
+    )
+    assert [name for name, _ in definitions(tree)] == ["A", "A.m", "A.m.inner"]
