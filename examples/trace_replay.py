@@ -19,10 +19,13 @@ from repro.hifi import synthesize_trace
 
 def main() -> None:
     preset = CLUSTER_C.scaled(0.2)
-    trace = synthesize_trace(preset, horizon=2 * 3600.0, seed=13)
+    # Twelve hours, so the conflicts column averages over a few dozen
+    # service jobs rather than one or two.
+    trace = synthesize_trace(preset, horizon=12 * 3600.0, seed=13)
     jobs = len(trace.jobs)
+    service = sum(1 for job in trace.jobs if job.job_type is JobType.SERVICE)
     picky = sum(1 for job in trace.jobs if job.constraints)
-    print(f"synthesized trace: {jobs} jobs, {len(trace.machines)} machines")
+    print(f"synthesized trace: {jobs} jobs ({service} service), {len(trace.machines)} machines")
     print(f"{picky} jobs ({picky / jobs:.0%}) carry constraints\n")
 
     print("t_job(service)   conflicts/job (svc)   busyness (svc)   wait p90 (svc)")

@@ -14,7 +14,8 @@ object") and are bumped on every state change.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -325,30 +326,33 @@ class CellState:
 
     def release(self, machine: int, cpu: float, mem: float, count: int = 1) -> None:
         """Return ``count`` tasks' resources on ``machine`` (task end or
-        preemption)."""
+        preemption). A negative or NaN size raises :class:`ValueError`
+        with nothing written."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        self._release(cpu, mem, (machine,), (count,))
-
-    def release_batch(self, plan: "Plan") -> None:
-        """:meth:`release` every entry of ``plan`` (its tasks ended), in
-        order, in one walk."""
-        self._release(plan.cpu, plan.mem, plan.machines, plan.counts)
-
-    def _release(
-        self, cpu: float, mem: float, machines: Sequence[int], counts: Sequence[int]
-    ) -> None:
-        # The one body of release and release_batch, on locals as _claim.
         if not (cpu >= 0.0 and mem >= 0.0):
             raise ValueError(
                 f"release sizes must be non-negative numbers, got cpu={cpu}, mem={mem}"
             )
+        self._release(((machine, count, cpu, mem),))
+
+    def release_batch(self, plan: "Plan") -> None:
+        """:meth:`release` every entry of ``plan`` (its tasks ended), in
+        order, in one walk (``Plan`` refused bad sizes)."""
+        self._release(zip(plan.machines, plan.counts, repeat(plan.cpu), repeat(plan.mem)))
+
+    def _release(self, rows: Iterable[tuple[int, int, float, float]]) -> None:
+        # The one loop that frees resources: release, release_batch and
+        # the initial fill's slices (repro.core.fill.populate) feed it
+        # rows ``(machine, count, cpu, mem)`` whose sizes their entry
+        # points checked. On locals as _claim; an over-release raises
+        # with the rows before it applied.
         cpu_view, mem_view, seq_view = self._cpu_view, self._mem_view, self._seq_view
         cpu_capacities, mem_capacities = self._cpu_capacity_view, self._mem_capacity_view
         ring, ring_size, version = self._ring_view, self._ring_size, self.version
         used_cpu, used_mem = self._used_cpu, self._used_mem
         try:
-            for machine, count in zip(machines, counts):
+            for machine, count, cpu, mem in rows:
                 old_free_cpu = cpu_view[machine]
                 old_free_mem = mem_view[machine]
                 cpu_capacity = cpu_capacities[machine]

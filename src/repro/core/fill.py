@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -39,8 +40,10 @@ def populate(
     the used totals (added left to right, as the claims would), and the
     kept releases, stable-sorted by time and queued as one
     :meth:`Simulator.at_sorted` run, which fires in the order one
-    ``sim.at`` per task would. One :meth:`CellState.store_fill` stores
-    the walk. A negative or NaN size or duration of a task the walk
+    ``sim.at`` per task would; each slice of it frees its tasks in one
+    walk of ``CellState._release`` (the body of :meth:`CellState.release`)
+    over the run's columns. One :meth:`CellState.store_fill` stores the
+    walk. A negative or NaN size or duration of a task the walk
     reached is refused with ``ValueError`` before anything is written.
     """
     order = rng.permutation(state.num_machines).tolist()
@@ -107,11 +110,13 @@ def populate(
         run_cpu = array("d", cpus[kept].tobytes())
         run_mem = array("d", mems[kept].tobytes())
         run_machines = array("q", placed_on[kept].tobytes())
-        state_release = state.release
+        release_rows = state._release
+        one_each = repeat(1)
 
         def release(start: int, stop: int) -> None:
-            for entry in range(start, stop):
-                state_release(run_machines[entry], run_cpu[entry], run_mem[entry])
+            release_rows(
+                zip(run_machines[start:stop], one_each, run_cpu[start:stop], run_mem[start:stop])
+            )
 
         sim.at_sorted(times, release)
     state.store_fill(placed_on, free_cpu, free_mem, used_cpu, used_mem)

@@ -57,12 +57,13 @@ class Simulator:
 
         The loop applies the run in slices, one dispatch each: it calls
         ``fn(start, stop)`` for entries ``start`` to ``stop - 1``, the
-        longest stretch due before any other queued event. The clock
-        reads the last one's time throughout, so ``fn`` must neither read
-        it nor schedule events. Every entry counts in :meth:`pending` and
-        :attr:`peak_queue_depth` until its slice runs. A time before
-        now, a NaN or a decrease is refused before anything is queued
-        (see :meth:`EventQueue.push_sorted`).
+        longest stretch due before any other queued event; ``fn``
+        applies them in order (the initial fill frees a slice in one
+        walk). The clock reads the last one's time throughout, so ``fn``
+        must neither read it nor schedule events. Every entry counts in
+        :meth:`pending` and :attr:`peak_queue_depth` until its slice
+        runs. A time before now, a NaN or a decrease is refused before
+        anything is queued (see :meth:`EventQueue.push_sorted`).
         """
         if times and times[0] < self.now:
             raise SimulationError(

@@ -115,6 +115,55 @@ class TestClaimRelease:
         assert state.version == 6 and state.used_cpu == 0.0
 
 
+@st.composite
+def release_slices(draw):
+    """Rows ``(machine, count, cpu, mem)`` on a 4-machine cell, and where
+    an over-capacity row goes into them (``None``: nowhere)."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=1, max_value=3),
+                st.floats(min_value=0.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=8.0),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return rows, draw(st.none() | st.integers(min_value=0, max_value=len(rows)))
+
+
+class TestReleaseSlice:
+    @given(release_slices())
+    @settings(max_examples=200, deadline=None)
+    def test_one_walk_equals_one_release_per_row(self, drawn):
+        # The initial fill frees a slice of its run in one _release walk
+        # over its columns; that must be one release per row, bit for bit.
+        rows, over = drawn
+        walked, scalar = (CellState(Cell.homogeneous(4, 4.0, 16.0)) for _ in range(2))
+        held = []
+        for machine, count, cpu, mem in rows:
+            if walked.fits(machine, cpu, mem, count):
+                walked.claim(machine, cpu, mem, count)
+                scalar.claim(machine, cpu, mem, count)
+                held.append((machine, count, cpu, mem))
+        applied = held
+        if over is not None:
+            applied = held[: min(over, len(held))]
+            held.insert(len(applied), (0, 1, 5.0, 1.0))  # 5 cpu onto a 4-cpu machine
+        for machine, count, cpu, mem in applied:
+            scalar.release(machine, cpu, mem, count)
+        columns = [[row[field] for row in held] for field in range(4)]
+        if over is None:
+            walked._release(zip(*columns))
+        else:
+            with pytest.raises(OvercommitError, match="on machine 0 exceeds"):
+                walked._release(zip(*columns))
+        # Free arrays, used totals, seq, version and changed_since(0).
+        assert state_bits(walked) == state_bits(scalar)
+
+
 class TestSequenceNumbers:
     def test_seq_bumps_on_claim_and_release(self, state):
         assert state.seq[0] == 0
